@@ -12,7 +12,6 @@ NODE_COUNTS = (500, 1000, 2000)
 
 def test_city01_scale(benchmark):
     result = run_once(benchmark, city01_scale.run,
-                      scenario="city01_scale",
                       node_counts=NODE_COUNTS,
                       protocols=("flooding", "aodv"), flow_count=100,
                       duration=2.0, warmup=0.5)

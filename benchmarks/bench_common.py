@@ -4,52 +4,22 @@ Each benchmark regenerates one table or figure of the paper with reduced
 parameters (smaller file, shorter UDP runs, fewer swept points) so the whole
 suite completes in minutes.  The asserted properties are the paper's
 *qualitative* results — orderings, gap growth, threshold positions — which
-hold at the reduced scale; run the ``repro.experiments`` modules with their
-defaults to regenerate the full-scale numbers recorded in EXPERIMENTS.md.
+hold at the reduced scale; ``python -m repro.campaign run <id> --full``
+regenerates the full-scale numbers of one figure or table.
 """
 
 from __future__ import annotations
-
-import os
 
 #: Reduced file size used by the TCP benchmarks (the paper uses 0.2 MB).
 BENCH_FILE_BYTES = 80_000
 #: Reduced duration for UDP saturation runs (seconds of simulated time).
 BENCH_UDP_DURATION = 8.0
 
-#: Where the committed ``BENCH_<scenario>.json`` trajectory files live.
-BENCH_RESULTS_DIR = os.environ.get(
-    "BENCH_RESULTS_DIR",
-    os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"))
 
-
-def run_once(benchmark, function, *args, scenario=None, **kwargs):
-    """Run ``function`` exactly once under pytest-benchmark timing.
-
-    Canonical benches additionally pass ``scenario=<name>``: the run is then
-    measured with the :mod:`repro.bench` telemetry harness and appended to the
-    committed ``BENCH_<scenario>.json`` perf trajectory (wall-clock seconds,
-    events, events/second, simulated-seconds per wall-second).  Set
-    ``BENCH_JSON=0`` in the environment to measure without recording.
-    """
-    if scenario is None:
-        return benchmark.pedantic(function, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
-
-    from repro.bench import measure, record_measurement
-
-    measured = {}
-
-    def timed(*call_args, **call_kwargs):
-        result, record = measure(function, *call_args, **call_kwargs)
-        measured.update(record)
-        return result
-
-    result = benchmark.pedantic(timed, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    if os.environ.get("BENCH_JSON", "1") != "0":
-        record_measurement(scenario, measured, source="pytest",
-                           results_dir=BENCH_RESULTS_DIR)
-    return result
+def run_once(benchmark, function, *args, **kwargs):
+    """Run ``function`` exactly once under pytest-benchmark timing."""
+    return benchmark.pedantic(function, args=args, kwargs=kwargs,
+                              rounds=1, iterations=1)
 
 
 def campaign_fast_params(experiment_id, **overrides):

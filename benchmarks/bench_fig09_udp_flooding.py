@@ -9,7 +9,6 @@ from repro.experiments import fig09_udp_flooding
 
 def test_fig09_aggregation_absorbs_flooding_overhead(benchmark):
     result = run_once(benchmark, fig09_udp_flooding.run,
-                      scenario="fig09_udp_flooding",
                       rates_mbps=(1.3,), flooding_intervals=(0.25, 1.0, 5.0),
                       duration=BENCH_UDP_DURATION)
     print(result.to_text())

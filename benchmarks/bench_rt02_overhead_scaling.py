@@ -12,7 +12,6 @@ SPEED = 2.0
 
 def test_rt02_overhead_scaling(benchmark):
     result = run_once(benchmark, rt02_overhead_scaling.run,
-                      scenario="rt02_overhead_scaling",
                       flow_counts=FLOW_COUNTS, speeds_mps=(SPEED,),
                       duration=8.0, warmup=3.0, include_no_aggregation=False)
     print(result.to_text())

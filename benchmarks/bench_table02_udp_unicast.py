@@ -9,7 +9,6 @@ from repro.experiments import table02_udp_unicast
 
 def test_table02_unicast_aggregation_improves_udp(benchmark):
     result = run_once(benchmark, table02_udp_unicast.run,
-                      scenario="table02_udp_unicast",
                       rates_mbps=(0.65, 1.3), duration=BENCH_UDP_DURATION)
     print(result.to_text())
 

@@ -23,6 +23,6 @@ def test_table08_per_node_frame_sizes(benchmark):
     # BA relays aggregate at least as much as UA relays on both path lengths.
     # (The paper additionally observes the gap *growing* with hop count; in this
     # reproduction the 2-hop BA relay already aggregates close to the 5 KB
-    # budget, so the extra hop adds little — recorded in EXPERIMENTS.md.)
+    # budget, so the extra hop adds little.)
     assert result.metrics["relay_gap_2hop_bytes"] > 0.0
     assert result.metrics["relay2_gap_3hop_bytes"] > 0.0

@@ -23,16 +23,15 @@ while a link whose endpoint moved (or whose shadowing epoch rolled over)
 recomputes — so results are bit-for-bit identical with the memo on or off
 (``link_budget_memo=False`` disables it for A/B verification).
 
-Candidate enumeration scales past tens of nodes through the ``spatial_index=``
-policy: ``"scan"`` budgets every registered PHY per frame (O(N), the seed
-behaviour), ``"grid"`` asks a :class:`~repro.channel.spatial.UniformGridIndex`
-for the PHYs within the propagation model's conservative ``max_range_m``
-cutoff (O(neighbours)), and ``"auto"`` — the default — switches from scan to
-grid above :data:`AUTO_SPATIAL_THRESHOLD` registered PHYs.  All modes cull
-deliveries below the receiver's detect floor before scheduling them, so the
-scheduled event set (and therefore every byte of a run) is identical across
-modes; ``tests/integration/test_spatial_determinism.py`` is the differential
-proof.
+Candidate enumeration scales past tens of nodes on its own: up to
+:data:`AUTO_SPATIAL_THRESHOLD` registered PHYs the channel budgets every PHY
+per frame (the exhaustive scan, O(N)); above it, it asks a
+:class:`~repro.channel.spatial.UniformGridIndex` for the PHYs within the
+propagation model's conservative ``max_range_m`` cutoff (O(neighbours)).
+Both paths cull deliveries below the receiver's detect floor before
+scheduling them, so the scheduled event set (and therefore every byte of a
+run) is identical on either side of the threshold;
+``tests/integration/test_spatial_determinism.py`` is the differential proof.
 """
 
 from __future__ import annotations
@@ -58,16 +57,14 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: entries (most are long since fired; pruning keeps unregister O(in-flight)).
 _HANDLE_PRUNE_THRESHOLD = 256
 
-#: ``spatial_index="auto"`` keeps the exhaustive scan at or below this many
-#: registered PHYs and switches to the grid index above it.  Crossing the
-#: threshold never changes bytes — both enumerations schedule the identical
-#: event set (see ``broadcast``) — so the constant is a pure speed knob; it
-#: sits far above every paper scenario (≤ 21 nodes) to keep those runs on
-#: the exact code path the committed expectations were produced with.
+#: The channel keeps the exhaustive scan at or below this many registered
+#: PHYs and switches to the grid index above it.  Crossing the threshold
+#: never changes bytes — both enumerations schedule the identical event set
+#: (see ``broadcast``) — so the constant is a pure speed choice; it sits far
+#: above every paper scenario (≤ 21 nodes) to keep those runs on the exact
+#: code path the committed expectations were produced with.  Read at every
+#: send, so tests force either side by patching it.
 AUTO_SPATIAL_THRESHOLD = 64
-
-#: Valid values for the ``spatial_index=`` policy.
-SPATIAL_MODES = ("auto", "scan", "grid")
 
 _UNSET = object()
 
@@ -92,8 +89,7 @@ class WirelessChannel:
     """Single shared broadcast medium connecting all registered PHYs."""
 
     __slots__ = ("sim", "propagation", "noise_floor_dbm",
-                 "propagation_delay_enabled", "spatial_index_mode",
-                 "spatial_cell_m", "_phys", "_phy_ids",
+                 "propagation_delay_enabled", "_phys", "_phy_ids",
                  "_delivery_handles", "_link_aware", "_cache_epoch",
                  "_budget_cache", "_active", "_spatial", "_min_detect_floor",
                  "_max_tx_power", "_max_range_cache", "total_transmissions",
@@ -107,15 +103,7 @@ class WirelessChannel:
         noise_floor_dbm: float = -94.0,
         propagation_delay_enabled: bool = True,
         link_budget_memo: bool = True,
-        spatial_index: str = "auto",
-        spatial_cell_m: Optional[float] = None,
     ) -> None:
-        if spatial_index not in SPATIAL_MODES:
-            raise ConfigurationError(
-                f"spatial_index must be one of {SPATIAL_MODES}, got {spatial_index!r}")
-        if spatial_cell_m is not None and spatial_cell_m <= 0:
-            raise ConfigurationError(
-                f"spatial_cell_m must be positive, got {spatial_cell_m}")
         self.sim = sim
         self.propagation = propagation or hydra_indoor_propagation()
         if hasattr(self.propagation, "bind"):
@@ -140,8 +128,6 @@ class WirelessChannel:
         # Spatial candidate pruning: the grid index is built lazily on the
         # first broadcast that wants it (so registration order — which fixes
         # candidate order — is complete by then).
-        self.spatial_index_mode = spatial_index
-        self.spatial_cell_m = spatial_cell_m
         self._spatial: Optional[UniformGridIndex] = None
         # Running min detect floor / max tx power over every PHY ever
         # registered.  Kept conservative on unregister (a stale low floor or
@@ -225,11 +211,6 @@ class WirelessChannel:
     def phys(self) -> List["Phy"]:
         """All PHYs currently attached."""
         return list(self._phys)
-
-    @property
-    def spatial_index(self) -> Optional[UniformGridIndex]:
-        """The grid index, if one has been built (None before first use)."""
-        return self._spatial
 
     # ------------------------------------------------------------------
     # Link budget helpers
@@ -321,15 +302,10 @@ class WirelessChannel:
         # grid index's superset of in-range PHYs (also in registration
         # order).  The two enumerations schedule the *identical* event set,
         # because every receiver the grid prunes is provably below its
-        # detect floor and the loop below culls exactly those receivers in
-        # every mode — so the policy knob changes speed, never bytes.
-        mode = self.spatial_index_mode
-        if mode == "auto":
-            use_grid = len(self._phys) > AUTO_SPATIAL_THRESHOLD
-        else:
-            use_grid = mode == "grid"
+        # detect floor and the loop below culls exactly those receivers on
+        # both paths — so the threshold changes speed, never bytes.
         receivers: List["Phy"] = self._phys
-        if use_grid:
+        if len(receivers) > AUTO_SPATIAL_THRESHOLD:
             reach = self._max_range_for(power_dbm)
             if reach is not None:
                 spatial = self._ensure_spatial()
@@ -360,9 +336,9 @@ class WirelessChannel:
             if rx_power < floor:
                 # Below the receiver's detect floor the frame would have no
                 # observable effect (Phy.begin_reception ignores it), so the
-                # two events are never scheduled.  Applied uniformly in scan
-                # and grid modes — this cull, not the index, is what defines
-                # who hears a frame.
+                # two events are never scheduled.  Applied uniformly on the
+                # scan and grid paths — this cull, not the index, is what
+                # defines who hears a frame.
                 culled += 1
                 continue
             delay = distance / SPEED_OF_LIGHT if delay_enabled else 0.0
@@ -398,21 +374,18 @@ class WirelessChannel:
     def _ensure_spatial(self) -> Optional[UniformGridIndex]:
         """Build the grid index on first use (None if the model is unbounded).
 
-        The cell size defaults to the fleet-wide max range (so a query scans
-        at most a 3×3 block of cells); correctness is independent of the
-        choice because ``candidates`` derives the cell span from the exact
-        query radius.  PHYs are inserted in registration order, which fixes
+        The cell size is the fleet-wide max range (so a query scans at most
+        a 3×3 block of cells); correctness is independent of the choice
+        because ``candidates`` derives the cell span from the exact query
+        radius.  PHYs are inserted in registration order, which fixes
         candidate ordering forever after.
         """
         spatial = self._spatial
         if spatial is None:
-            cell = self.spatial_cell_m
-            if cell is None:
-                reach = self._max_range_for(self._max_tx_power)
-                if reach is None:
-                    return None
-                cell = max(reach, 1.0)
-            spatial = UniformGridIndex(cell)
+            reach = self._max_range_for(self._max_tx_power)
+            if reach is None:
+                return None
+            spatial = UniformGridIndex(max(reach, 1.0))
             now = self.sim.now
             for phy in self._phys:
                 spatial.register(phy, now)

@@ -22,7 +22,7 @@ DEFAULT_FLOOD_INTERVALS_S = (0.25, 0.5, 1.0, 2.0, 5.0)
 def run(rates_mbps: Sequence[float] = DEFAULT_RATES_MBPS,
         flooding_intervals: Sequence[float] = DEFAULT_FLOOD_INTERVALS_S,
         duration: float = 20.0, flooding_payload_bytes: int = 64,
-        seed: int = 1, spatial_index: str = "auto") -> ExperimentResult:
+        seed: int = 1) -> ExperimentResult:
     """Sweep the flooding interval for aggregation vs no aggregation at each rate."""
     result = ExperimentResult(
         experiment_id="figure9",
@@ -34,12 +34,10 @@ def run(rates_mbps: Sequence[float] = DEFAULT_RATES_MBPS,
         for interval in flooding_intervals:
             agg = run_udp_saturation(broadcast_aggregation(), hops=2, rate_mbps=rate,
                                      duration=duration, flooding_interval=interval,
-                                     flooding_payload_bytes=flooding_payload_bytes, seed=seed,
-                                     spatial_index=spatial_index)
+                                     flooding_payload_bytes=flooding_payload_bytes, seed=seed)
             none = run_udp_saturation(no_aggregation(), hops=2, rate_mbps=rate,
                                       duration=duration, flooding_interval=interval,
-                                      flooding_payload_bytes=flooding_payload_bytes, seed=seed,
-                                      spatial_index=spatial_index)
+                                      flooding_payload_bytes=flooding_payload_bytes, seed=seed)
             agg_series.add(interval, agg.throughput_mbps)
             none_series.add(interval, none.throughput_mbps)
         # The gap at the smallest interval should exceed the gap at the largest.

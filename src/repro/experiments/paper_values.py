@@ -1,8 +1,9 @@
 """The numbers the paper reports, for side-by-side comparison.
 
 Only the values printed in the paper's tables (and the qualitative claims
-made about its figures) are recorded here; EXPERIMENTS.md compares them with
-what the reproduction measures.  Absolute throughputs from the prototype are
+made about its figures) are recorded here; ``python -m repro.campaign run
+<id> --full`` produces what the reproduction measures for the same table or
+figure.  Absolute throughputs from the prototype are
 not expected to match a simulator — the comparison targets are orderings,
 ratios and threshold positions.
 """

@@ -15,7 +15,7 @@ checked tree (or passed via ``--config``) can override any rule's lists
 using the same shape::
 
     [lint.RPR002]
-    allow = ["obs/*", "bench/*", "campaign/*"]
+    allow = ["obs/*", "campaign/*"]
 
 ``lint.toml`` is parsed with :mod:`tomllib` (stdlib, 3.11+); when the file
 is absent the embedded defaults apply, so the checker has no set-up step.
@@ -37,8 +37,8 @@ except ModuleNotFoundError:  # pragma: no cover
 from repro.errors import ConfigurationError
 
 #: Modules whose event ordering, packet contents or hashing feed the
-#: byte-determinism contract.  Runner plumbing (campaign), measurement
-#: harnesses (bench, obs) and pure reporting (stats) are not on that path.
+#: byte-determinism contract.  Runner plumbing (campaign), the observability
+#: harness (obs) and pure reporting (stats) are not on that path.
 DETERMINISTIC_MODULES = [
     "sim/*", "phy/*", "mac/*", "channel/*", "net/*", "core/*",
     "apps/*", "transport/*", "mobility/*", "topology/*", "node/*",
@@ -74,7 +74,7 @@ DEFAULT_CONFIG: Dict[str, Dict[str, List[str]]] = {
     },
     "RPR002": {
         "paths": [],
-        "allow": ["obs/*", "bench/*", "campaign/*", "lint/*"],
+        "allow": ["obs/*", "campaign/*", "lint/*"],
     },
     "RPR003": {
         "paths": list(DETERMINISTIC_MODULES),

@@ -181,8 +181,8 @@ class NoWallClock(Rule):
         "behaviour depend on the host and the moment of execution, which "
         "breaks byte-identical replay and makes remote-worker bugs "
         "unbisectable. Simulated time comes from sim.now; wall-clock "
-        "measurement belongs to the obs/, bench/ and campaign/ harness "
-        "layers, which are allowlisted."
+        "measurement belongs to the obs/ and campaign/ harness layers, "
+        "which are allowlisted."
     )
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:

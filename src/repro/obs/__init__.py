@@ -1,4 +1,4 @@
-"""Observability: metrics, timeline/pcap export, profiling, live progress.
+"""Observability: metrics, timeline/pcap export, journeys, live progress.
 
 The package is deliberately layered so the simulator core can depend on it
 without cycles: nothing here imports from ``repro.sim`` (or any protocol
@@ -12,7 +12,6 @@ is therefore *not* re-exported — import it explicitly.
 * :mod:`repro.obs.capture` — JSONL frame capture at the PHY/MAC boundary;
 * :mod:`repro.obs.journey` — per-packet journey tracing with latency
   waterfalls and the packet-conservation audit;
-* :mod:`repro.obs.profiler` — wall-clock-by-category hot-path profiler;
 * :mod:`repro.obs.session` — the ambient :func:`~repro.obs.session.observe`
   context manager that wires all of the above into every simulator created
   inside it;
@@ -28,14 +27,12 @@ from repro.obs.journey import (
     journey_waterfall,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.profiler import HotPathProfiler
 from repro.obs.progress import ProgressReporter
 from repro.obs.session import ObsConfig, ObsSession, active_session, observe
 from repro.obs.timeline import chrome_trace_document, export_chrome_trace
 
 __all__ = [
     "FrameCapture",
-    "HotPathProfiler",
     "JourneyRecorder",
     "MetricsRegistry",
     "NULL_JOURNEY",

@@ -7,8 +7,7 @@ writes whichever exports were requested::
         --trace-out timeline.json \
         --metrics-out metrics.json \
         --capture-out frames.jsonl \
-        --journey-out journeys.json --flow 10.0.0.1,10.0.0.3 \
-        --profile
+        --journey-out journeys.json --flow 10.0.0.1,10.0.0.3
 
 ``timeline.json`` opens directly in Perfetto (https://ui.perfetto.dev) or
 ``chrome://tracing``.  Each export is enabled only when its output path is
@@ -52,10 +51,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     wants_metrics = args.metrics_out is not None
     wants_capture = args.capture_out is not None
     wants_journey = args.journey_out is not None
-    if not (wants_trace or wants_metrics or wants_capture or wants_journey
-            or args.profile):
+    if not (wants_trace or wants_metrics or wants_capture or wants_journey):
         print("error: nothing to observe — pass --trace-out, --metrics-out, "
-              "--capture-out, --journey-out and/or --profile", file=sys.stderr)
+              "--capture-out and/or --journey-out", file=sys.stderr)
         return 2
     flow_filter = None
     if args.flow is not None:
@@ -69,8 +67,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"observing {args.experiment_id}[seed={args.seed}] "
           f"({'full' if args.full else 'fast'} parameters)")
     with observe(trace=wants_trace, metrics=wants_metrics,
-                 capture=wants_capture, profile=args.profile,
-                 journey=wants_journey,
+                 capture=wants_capture, journey=wants_journey,
                  max_trace_records=args.max_trace_records) as session:
         result = spec.run(seed=args.seed, **dict(params))
 
@@ -114,9 +111,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 for violation in entry["audit"]["violations"][:20]:
                     print(f"  sim{entry['simulation']}: {violation}",
                           file=sys.stderr)
-    if args.profile and session.profiler is not None:
-        print()
-        print(session.profiler.to_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(result.to_dict(), handle, indent=1, default=repr)
@@ -158,8 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="with --journey-out: print the hop-by-hop "
                                  "latency breakdown for one flow, e.g. "
                                  "10.0.0.1,10.0.0.3")
-    run_parser.add_argument("--profile", action="store_true",
-                            help="print the hot-path 'where time goes' table")
     run_parser.add_argument("--max-trace-records", type=int, default=500_000,
                             help="per-simulator tracer storage bound "
                                  "(default 500000)")

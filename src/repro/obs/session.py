@@ -11,8 +11,9 @@ appears:
 * enables its tracer (bounded by ``max_trace_records``),
 * swaps its disabled :data:`~repro.obs.metrics.NULL_METRICS` for a live
   per-simulator :class:`~repro.obs.metrics.MetricsRegistry`,
-* attaches the session's shared :class:`~repro.obs.capture.FrameCapture`
-  and/or :class:`~repro.obs.profiler.HotPathProfiler`.
+* swaps its disabled :data:`~repro.obs.journey.NULL_JOURNEY` for a live
+  per-simulator :class:`~repro.obs.journey.JourneyRecorder`,
+* attaches the session's shared :class:`~repro.obs.capture.FrameCapture`.
 
 Everything adopted only *observes* — no RNG draws, no scheduling — so runs
 are byte-identical with a session active or not (enforced by tests).
@@ -41,7 +42,6 @@ from repro.obs.journey import (
     journey_document,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import HotPathProfiler
 from repro.obs.timeline import chrome_trace_document, export_chrome_trace
 
 
@@ -52,7 +52,6 @@ class ObsConfig:
     trace: bool = False
     metrics: bool = False
     capture: bool = False
-    profile: bool = False
     journey: bool = False
     #: Per-simulator tracer storage bound (listeners still see every record).
     max_trace_records: Optional[int] = 500_000
@@ -64,8 +63,7 @@ class ObsConfig:
 
     @property
     def any_enabled(self) -> bool:
-        return (self.trace or self.metrics or self.capture or self.profile
-                or self.journey)
+        return self.trace or self.metrics or self.capture or self.journey
 
 
 class ObsSession:
@@ -78,8 +76,6 @@ class ObsSession:
         self.capture: Optional[FrameCapture] = (
             FrameCapture(max_frames=config.max_capture_frames)
             if config.capture else None)
-        self.profiler: Optional[HotPathProfiler] = (
-            HotPathProfiler() if config.profile else None)
 
     # ------------------------------------------------------------------
     # Adoption (called from Simulator.__init__ via the module hook)
@@ -98,8 +94,6 @@ class ObsSession:
                 enabled=True, max_journeys=self.config.max_journeys)
         if self.capture is not None:
             sim.capture = self.capture
-        if self.profiler is not None:
-            sim.profiler = self.profiler
 
     # ------------------------------------------------------------------
     # Exports
@@ -224,7 +218,7 @@ def on_simulator_created(sim: Any) -> None:
 
 @contextmanager
 def observe(trace: bool = False, metrics: bool = False, capture: bool = False,
-            profile: bool = False, journey: bool = False,
+            journey: bool = False,
             max_trace_records: Optional[int] = 500_000,
             max_capture_frames: Optional[int] = 500_000,
             max_journeys: Optional[int] = 200_000
@@ -238,8 +232,7 @@ def observe(trace: bool = False, metrics: bool = False, capture: bool = False,
     if _ACTIVE is not None:
         raise RuntimeError("an observability session is already active")
     session = ObsSession(ObsConfig(
-        trace=trace, metrics=metrics, capture=capture, profile=profile,
-        journey=journey,
+        trace=trace, metrics=metrics, capture=capture, journey=journey,
         max_trace_records=max_trace_records,
         max_capture_frames=max_capture_frames,
         max_journeys=max_journeys))

@@ -5,7 +5,7 @@ on: a priority-queue scheduler (:class:`~repro.sim.scheduler.Scheduler`), the
 simulation clock and run loop (:class:`~repro.sim.simulator.Simulator`),
 restartable timers (:class:`~repro.sim.timer.Timer`), reproducible random
 streams (:class:`~repro.sim.randomness.RandomStreams`), a trace/logging hook
-(:class:`~repro.sim.trace.Tracer`) and simple time-series monitors
+(:class:`~repro.sim.trace.Tracer`) and a simple time-series monitor
 (:mod:`repro.sim.monitor`).
 """
 
@@ -16,7 +16,7 @@ from repro.sim.telemetry import TELEMETRY, SimTelemetry
 from repro.sim.timer import Timer
 from repro.sim.randomness import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
-from repro.sim.monitor import CounterMonitor, TimeSeriesMonitor, TimeWeightedMonitor
+from repro.sim.monitor import TimeSeriesMonitor
 
 __all__ = [
     "Event",
@@ -29,7 +29,5 @@ __all__ = [
     "RandomStreams",
     "Tracer",
     "TraceRecord",
-    "CounterMonitor",
     "TimeSeriesMonitor",
-    "TimeWeightedMonitor",
 ]

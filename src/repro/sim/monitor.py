@@ -1,46 +1,14 @@
 """Measurement monitors.
 
-Three small helpers used throughout the statistics layer:
-
-* :class:`CounterMonitor` — named integer/float counters.
-* :class:`TimeSeriesMonitor` — records ``(time, value)`` samples and computes
-  simple summary statistics.
-* :class:`TimeWeightedMonitor` — tracks a piecewise-constant quantity (queue
-  length, channel busy state) and integrates it over time so that averages
-  are weighted by how long each value persisted.
+:class:`TimeSeriesMonitor` records ``(time, value)`` samples and computes
+simple summary statistics; :class:`~repro.mac.stats.MacStatistics` keeps its
+per-aggregate series in it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
-
-from repro.sim.simulator import Simulator
-
-
-class CounterMonitor:
-    """A bag of named counters."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, float] = {}
-
-    def increment(self, name: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to counter ``name`` (created at zero on first use)."""
-        self._counts[name] = self._counts.get(name, 0.0) + amount
-
-    def get(self, name: str) -> float:
-        """Current value of ``name`` (0 if never incremented)."""
-        return self._counts.get(name, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Copy of all counters."""
-        return dict(self._counts)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self._counts.clear()
+from typing import List, Tuple
 
 
 class TimeSeriesMonitor:
@@ -90,43 +58,3 @@ class TimeSeriesMonitor:
             return 0.0
         mu = self.mean()
         return math.sqrt(sum((v - mu) ** 2 for v in self.values) / len(self.samples))
-
-
-class TimeWeightedMonitor:
-    """Integrates a piecewise-constant value over simulated time."""
-
-    __slots__ = ("name", "_sim", "_value", "_last_change", "_weighted_sum",
-                 "_start_time")
-
-    def __init__(self, sim: Simulator, initial: float = 0.0, name: str = "level") -> None:
-        self.name = name
-        self._sim = sim
-        self._value = initial
-        self._last_change = sim.now
-        self._weighted_sum = 0.0
-        self._start_time = sim.now
-
-    @property
-    def value(self) -> float:
-        """Current level."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Change the level, accumulating the time spent at the previous one."""
-        now = self._sim.now
-        self._weighted_sum += self._value * (now - self._last_change)
-        self._value = value
-        self._last_change = now
-
-    def adjust(self, delta: float) -> None:
-        """Add ``delta`` to the current level."""
-        self.set(self._value + delta)
-
-    def time_average(self, until: Optional[float] = None) -> float:
-        """Time-weighted average of the level since construction."""
-        end = self._sim.now if until is None else until
-        elapsed = end - self._start_time
-        if elapsed <= 0:
-            return self._value
-        total = self._weighted_sum + self._value * (end - self._last_change)
-        return total / elapsed

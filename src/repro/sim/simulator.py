@@ -13,7 +13,6 @@ from typing import Any, Callable, Optional, Tuple
 from repro.errors import SimulationError
 from repro.obs.journey import NULL_JOURNEY
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.profiler import perf_counter
 from repro.obs.session import on_simulator_created
 from repro.sim.events import EventHandle
 from repro.sim.randomness import RandomStreams
@@ -41,7 +40,7 @@ class Simulator:
     #: that expires at the same instant.
     __slots__ = ("_now", "_scheduler", "_running", "_stopped", "random",
                  "tracer", "_events_processed", "metrics", "capture",
-                 "profiler", "journey")
+                 "journey")
 
     PRIORITY_PHY = 0
     PRIORITY_MAC = 10
@@ -64,9 +63,6 @@ class Simulator:
         #: Optional :class:`~repro.obs.capture.FrameCapture`; PHY hot paths
         #: guard on ``sim.capture is not None``.
         self.capture = None
-        #: Optional :class:`~repro.obs.profiler.HotPathProfiler`; when set,
-        #: :meth:`run` switches to the profiled loop.
-        self.profiler = None
         #: Per-packet journey recorder; the shared disabled one unless an
         #: observability session swaps in a live recorder.  Instrument sites
         #: guard on ``journey.enabled``.
@@ -132,12 +128,15 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or ``stop()``.
 
-        Returns the simulated time at which the run loop exited.
+        Returns the simulated time at which the run loop exited.  A horizon
+        earlier than :attr:`now` is rejected: the clock never moves backwards.
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        if self.profiler is not None:
-            return self._run_profiled(until, max_events)
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run into the past (until={until}, now={self._now})"
+            )
         self._running = True
         self._stopped = False
         processed_this_run = 0
@@ -163,51 +162,6 @@ class Simulator:
                 # Queue drained before the horizon: advance the clock to it.
                 self._now = max(self._now, until)
         finally:
-            self._running = False
-            TELEMETRY.record_run(processed_this_run, self._now - started_at)
-        return self._now
-
-    def _run_profiled(self, until: Optional[float],
-                      max_events: Optional[int]) -> float:
-        """:meth:`run` with per-callback :func:`perf_counter` timing.
-
-        A separate loop so the unprofiled path pays nothing; the logic must
-        mirror :meth:`run` exactly.  Callback wall-clock is attributed to the
-        profiler's category for the callback; the remainder of the loop time
-        (heap pops, dispatch) lands in its ``scheduler`` category.
-        """
-        profiler = self.profiler
-        self._running = True
-        self._stopped = False
-        processed_this_run = 0
-        started_at = self._now
-        scheduler = self._scheduler
-        pop_next = scheduler.pop_next
-        callback_seconds = 0.0
-        loop_started = perf_counter()
-        try:
-            while not self._stopped:
-                event = pop_next(until)
-                if event is None:
-                    if until is not None and not scheduler.empty:
-                        self._now = until
-                    break
-                self._now = event.time
-                event.fired = True
-                callback = event.callback
-                before = perf_counter()
-                callback(*event.args)
-                elapsed = perf_counter() - before
-                callback_seconds += elapsed
-                profiler.record(profiler.category_for(callback), elapsed)
-                self._events_processed += 1
-                processed_this_run += 1
-                if max_events is not None and processed_this_run >= max_events:
-                    break
-            if until is not None and not self._stopped and scheduler.empty:
-                self._now = max(self._now, until)
-        finally:
-            profiler.record_loop(perf_counter() - loop_started, callback_seconds)
             self._running = False
             TELEMETRY.record_run(processed_this_run, self._now - started_at)
         return self._now

@@ -1,11 +1,12 @@
 """Process-wide simulation throughput counters.
 
-The bench harness (:mod:`repro.bench`) needs to know how many events a
-benchmark executed and how much simulated time it covered, but the simulators
-involved are created deep inside the experiment runners.  Rather than thread a
-collector through every scenario builder, :meth:`repro.sim.simulator.Simulator.run`
-adds its per-run totals to one module-level accumulator on exit; harness code
-snapshots the accumulator before and after a measured call and subtracts.
+The campaign runner (:mod:`repro.campaign.runner`) reports each job's events
+and simulated time on its live progress lines (events/s per job), but the
+simulators involved are created deep inside the experiment runners.  Rather
+than thread a collector through every scenario builder,
+:meth:`repro.sim.simulator.Simulator.run` adds its per-run totals to one
+module-level accumulator on exit; the runner snapshots the accumulator before
+and after each job and subtracts.
 
 The accounting costs one attribute update per ``run()`` *call* (not per
 event), so it is always on.

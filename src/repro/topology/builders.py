@@ -58,15 +58,14 @@ def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
                        broadcast_rate_mbps: Optional[float] = None,
                        spacing: float = PAPER_NODE_SPACING_M,
                        channel: Optional[WirelessChannel] = None,
-                       use_block_ack: bool = False,
-                       spatial_index: str = "auto") -> Network:
+                       use_block_ack: bool = False) -> Network:
     """Build the linear topology of Figure 5 with ``hops`` hops (``hops+1`` nodes)."""
     if hops < 1:
         raise ConfigurationError("a chain needs at least one hop")
     profile = profile or default_hydra_profile()
     if unicast_rate_mbps is not None:
         profile = profile.with_rates(unicast_rate_mbps, broadcast_rate_mbps)
-    channel = channel or WirelessChannel(sim, spatial_index=spatial_index)
+    channel = channel or WirelessChannel(sim)
     network = Network(sim, channel)
 
     node_count = hops + 1
@@ -87,8 +86,7 @@ def build_star(sim: Simulator, policy: PolicySpec,
                broadcast_rate_mbps: Optional[float] = None,
                spacing: float = PAPER_NODE_SPACING_M,
                channel: Optional[WirelessChannel] = None,
-               use_block_ack: bool = False,
-               spatial_index: str = "auto") -> Network:
+               use_block_ack: bool = False) -> Network:
     """Build the star topology of Figure 6.
 
     Four nodes: node 2 is the central relay; nodes 3 and 4 are TCP servers,
@@ -101,7 +99,7 @@ def build_star(sim: Simulator, policy: PolicySpec,
     profile = profile or default_hydra_profile()
     if unicast_rate_mbps is not None:
         profile = profile.with_rates(unicast_rate_mbps, broadcast_rate_mbps)
-    channel = channel or WirelessChannel(sim, spatial_index=spatial_index)
+    channel = channel or WirelessChannel(sim)
     network = Network(sim, channel)
 
     positions = {

@@ -5,8 +5,11 @@ every registered PHY that could detect a frame — at any cell size, for any
 placement, stationary or mid-flight, with or without shadowing.  The
 differential suite (``tests/integration/test_spatial_determinism.py``) shows
 whole runs agree; this file attacks the promise directly on random
-placements, and pins the index's lifecycle invariants (purge on unregister,
-re-bucketing on moves, no inheritance across id() recycling).
+placements, querying a :class:`UniformGridIndex` built at each cell size
+with the channel's own pruning radius.  It also pins the lifecycle
+invariants of the index the channel builds for itself, at its default cell
+size (purge on unregister, re-bucketing on moves, no inheritance across
+id() recycling).
 """
 
 from __future__ import annotations
@@ -30,16 +33,23 @@ TX_POWER_DBM = PhyConfig().tx_power_dbm
 DETECT_FLOOR_DBM = PhyConfig().detect_floor_dbm
 
 #: Cell sizes spanning much-smaller-than-range through much-larger (the
-#: superset property must be independent of this tuning knob).
+#: superset property must be independent of the cell size).
 CELL_SIZES_M = (2.0, 7.0, 14.6, 40.0)
 
 
-def _build(sim, positions, propagation=None, cell=7.0):
-    channel = WirelessChannel(sim, propagation=propagation,
-                              spatial_index="grid", spatial_cell_m=cell)
+def _build(sim, positions, propagation=None):
+    channel = WirelessChannel(sim, propagation=propagation)
     phys = [Phy(sim, channel, position=position, name=f"phy{i + 1}")
             for i, position in enumerate(positions)]
     return channel, phys
+
+
+def _grid(phys, cell, now=0.0):
+    """A grid index of ``cell``-metre cells over ``phys``, in their order."""
+    spatial = UniformGridIndex(cell)
+    for phy in phys:
+        spatial.register(phy, now)
+    return spatial
 
 
 def _detectable_receivers(channel, sender, phys, now):
@@ -54,8 +64,7 @@ def _detectable_receivers(channel, sender, phys, now):
     return receivers
 
 
-def _assert_superset_and_ordered(channel, phys, now):
-    spatial = channel._ensure_spatial()
+def _assert_superset_and_ordered(channel, spatial, phys, now):
     reach = channel._max_range_for(TX_POWER_DBM)
     assert reach is not None
     order = {id(phy): i for i, phy in enumerate(phys)}
@@ -74,14 +83,23 @@ def _assert_superset_and_ordered(channel, phys, now):
 # Superset property
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def connected_layouts():
+    """Six connected 8-node layouts, shared by every cell size.
+
+    Rejection sampling makes each layout expensive, and the layouts do not
+    depend on the cell size, so they are drawn once per module.
+    """
+    return [connected_placement(random.Random(1000 + trial), 8, 24.0)
+            for trial in range(6)]
+
+
 @pytest.mark.parametrize("cell", CELL_SIZES_M)
-def test_superset_on_random_connected_placements(cell):
-    for trial in range(6):
-        rng = random.Random(1000 + trial)
-        positions = connected_placement(rng, 8, 24.0)
+def test_superset_on_random_connected_placements(cell, connected_layouts):
+    for trial, positions in enumerate(connected_layouts):
         sim = Simulator(seed=trial + 1)
-        channel, phys = _build(sim, positions, cell=cell)
-        _assert_superset_and_ordered(channel, phys, now=0.0)
+        channel, phys = _build(sim, positions)
+        _assert_superset_and_ordered(channel, _grid(phys, cell), phys, now=0.0)
 
 
 @pytest.mark.parametrize("cell", (3.0, 14.6))
@@ -95,8 +113,8 @@ def test_superset_on_cluster_placements(cell):
                                    cluster_count=4, cluster_sigma_m=10.0,
                                    rng=rng)
         sim = Simulator(seed=trial + 1)
-        channel, phys = _build(sim, positions, cell=cell)
-        _assert_superset_and_ordered(channel, phys, now=0.0)
+        channel, phys = _build(sim, positions)
+        _assert_superset_and_ordered(channel, _grid(phys, cell), phys, now=0.0)
 
 
 def test_superset_under_shadowing_draws():
@@ -109,11 +127,12 @@ def test_superset_under_shadowing_draws():
                      for _ in range(14)]
         sim = Simulator(seed=trial + 1)
         channel, phys = _build(
-            sim, positions, cell=10.0,
+            sim, positions,
             propagation=LogNormalShadowing(sigma_db=6.0, coherence_time=0.5))
+        spatial = _grid(phys, 10.0)
         # Evaluate at a few coherence epochs: each rolls fresh draws.
         for now in (0.0, 0.7, 1.3):
-            _assert_superset_and_ordered(channel, phys, now=now)
+            _assert_superset_and_ordered(channel, spatial, phys, now=now)
 
 
 class _Glide:
@@ -146,15 +165,16 @@ def test_superset_mid_flight_without_snapshot_updates():
         rng = random.Random(4000 + trial)
         positions = connected_placement(rng, 6, 20.0)
         sim = Simulator(seed=trial + 1)
-        channel, phys = _build(sim, positions, cell=5.0)
+        channel, phys = _build(sim, positions)
         for i, phy in enumerate(phys):
             if i % 2 == 1:
                 phy.set_mobility(_Glide((rng.uniform(-4.0, 4.0),
                                          rng.uniform(-4.0, 4.0))))
+        spatial = _grid(phys, 5.0)
         # Queries strictly after several cell-widths of travel: stale cells
         # everywhere unless revalidation works.
         for now in (0.0, 3.5, 9.25):
-            _assert_superset_and_ordered(channel, phys, now=now)
+            _assert_superset_and_ordered(channel, spatial, phys, now=now)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +183,14 @@ def test_superset_mid_flight_without_snapshot_updates():
 
 def test_move_across_cells_then_unregister_leaves_nothing_behind():
     sim = Simulator(seed=1)
-    channel, (anchor, mover) = _build(sim, [(0.0, 0.0), (3.0, 3.0)], cell=5.0)
+    channel, (anchor, mover) = _build(sim, [(0.0, 0.0), (3.0, 3.0)])
     spatial = channel._ensure_spatial()
     assert spatial.stored_cell_of(mover) == (0, 0)
-    # Static position reassignment must re-bucket through the setter hook.
-    mover.position = (12.0, 17.0)
-    assert spatial.stored_cell_of(mover) == spatial.cell_for((12.0, 17.0))
+    # Static position reassignment must re-bucket through the setter hook;
+    # the move spans two cells at the default (max-range) cell size.
+    mover.position = (32.0, 37.0)
+    assert spatial.stored_cell_of(mover) == spatial.cell_for((32.0, 37.0))
+    assert spatial.stored_cell_of(mover) == (2, 2)
     spatial.audit()
     # Populate budget-cache rows for the doomed link, both directions.
     channel.received_power_dbm(mover, anchor, TX_POWER_DBM)
@@ -186,13 +208,15 @@ def test_move_across_cells_then_unregister_leaves_nothing_behind():
 
 def test_mobile_entry_unregisters_cleanly_mid_flight():
     sim = Simulator(seed=2)
-    channel, (anchor, rover) = _build(sim, [(0.0, 0.0), (2.0, 2.0)], cell=4.0)
+    channel, (anchor, rover) = _build(sim, [(0.0, 0.0), (2.0, 2.0)])
     rover.set_mobility(_Glide((6.0, 0.0)))
     spatial = channel._ensure_spatial()
     assert spatial.mobile_count == 1
-    # A query at t=3 revalidates and re-buckets the rover several cells away.
-    spatial.candidates((0.0, 0.0), 1.0, 3.0)
-    assert spatial.stored_cell_of(rover) == spatial.cell_for((20.0, 2.0))
+    assert spatial.stored_cell_of(rover) == (0, 0)
+    # A query at t=5 revalidates and re-buckets the rover two cells away.
+    spatial.candidates((0.0, 0.0), 1.0, 5.0)
+    assert spatial.stored_cell_of(rover) == spatial.cell_for((32.0, 2.0))
+    assert spatial.stored_cell_of(rover) == (2, 0)
     channel.unregister(rover)
     assert spatial.mobile_count == 0
     assert rover not in spatial
@@ -201,8 +225,7 @@ def test_mobile_entry_unregisters_cleanly_mid_flight():
 
 def test_reregistration_after_id_recycling_never_inherits():
     sim = Simulator(seed=3)
-    channel, (anchor, ghost) = _build(sim, [(0.0, 0.0), (23.0, 23.0)],
-                                      cell=5.0)
+    channel, (anchor, ghost) = _build(sim, [(0.0, 0.0), (23.0, 23.0)])
     spatial = channel._ensure_spatial()
     ghost_cell = spatial.stored_cell_of(ghost)
     channel.received_power_dbm(ghost, anchor, TX_POWER_DBM)
@@ -235,8 +258,7 @@ def test_reregistration_after_id_recycling_never_inherits():
 
 def test_unregister_is_idempotent_and_audit_stays_clean():
     sim = Simulator(seed=4)
-    channel, phys = _build(sim, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)],
-                           cell=4.0)
+    channel, phys = _build(sim, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)])
     spatial = channel._ensure_spatial()
     channel.unregister(phys[1])
     channel.unregister(phys[1])
@@ -252,11 +274,3 @@ def test_cell_size_must_be_positive_and_finite():
         UniformGridIndex(-3.0)
     with pytest.raises(ConfigurationError):
         UniformGridIndex(float("inf"))
-
-
-def test_channel_rejects_unknown_spatial_mode():
-    sim = Simulator(seed=5)
-    with pytest.raises(ConfigurationError):
-        WirelessChannel(sim, spatial_index="octree")
-    with pytest.raises(ConfigurationError):
-        WirelessChannel(sim, spatial_cell_m=-1.0)

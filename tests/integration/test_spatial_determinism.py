@@ -1,22 +1,27 @@
 """Differential proof that the spatial index changes speed, never bytes.
 
-The channel's ``spatial_index=`` policy swaps candidate *enumeration* —
-exhaustive scan vs uniform-grid lookup — while a detect-floor cull applied
-identically in every mode decides who actually hears each frame.  If that
-contract holds, a grid-indexed run is byte-for-byte identical to a
-full-scan run of the same seed: same series, same metrics, same counters.
-This file is the differential harness that pins it, mirroring
-``test_perf_determinism.py``'s memo on/off pattern:
+Above ``AUTO_SPATIAL_THRESHOLD`` registered PHYs the channel swaps candidate
+*enumeration* — exhaustive scan for uniform-grid lookup — while a
+detect-floor cull applied identically on both paths decides who actually
+hears each frame.  If that contract holds, a grid-indexed run is
+byte-for-byte identical to a full-scan run of the same seed: same series,
+same metrics, same counters.  There is no switch to pick a path, so every
+case runs twice, at the default threshold and with
+``repro.channel.medium.AUTO_SPATIAL_THRESHOLD`` patched to the other side:
 
 * every covered experiment family (stationary fig09, mobile-mesh rt02 and
-  mob03, mobile + shadowing mob01) run twice, ``"scan"`` vs ``"grid"``,
-  compared via ``ExperimentResult.to_dict()`` — the full observable output;
-* the ``"auto"`` policy crossing its node-count threshold compared against
-  both forced modes on an 80-node scenario (above the threshold), so the
-  switchover itself is proven byte-neutral;
-* campaign runs replicated across pool workers under ``"grid"``, proving
-  the index also replicates in fresh processes (where any ordering derived
-  from ``id()`` or set iteration would come unstuck).
+  mob03, mobile + shadowing mob01) sits below the threshold by default;
+  patching it to 0 forces the grid, and the two runs are compared via
+  ``ExperimentResult.to_dict()`` — the full observable output;
+* an 80-node city sits above it by default (the grid); patching it to a
+  huge value forces the scan;
+* every comparison asserts which path really ran — in-process, the grid
+  side called ``UniformGridIndex.candidates`` and the scan side never did;
+  in pool workers, the grid side's candidates fraction is below 1.0 — so
+  none can pass vacuously;
+* city01 campaigns above the threshold replicate across pool workers,
+  proving the index also replicates in fresh processes (where any
+  ordering derived from ``id()`` or set iteration would come unstuck).
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign.runner import CampaignRunner
+from repro.channel import medium
+from repro.channel.spatial import UniformGridIndex
 from repro.core.policies import broadcast_aggregation
 from repro.experiments import (
     fig09_udp_flooding,
@@ -36,6 +43,11 @@ from repro.sim.simulator import Simulator
 from repro.topology.city import populate_city
 from repro.topology.mobile import MobileScenario
 
+#: Threshold values that force one side: 0 puts any scenario on the grid,
+#: the huge value keeps any city on the scan.
+FORCE_GRID = 0
+FORCE_SCAN = 10 ** 9
+
 # Reduced parameter sets: one sweep point each, long enough for real
 # contention, short enough that running every family twice stays cheap.
 FIG09_PARAMS = {"rates_mbps": (0.65,), "flooding_intervals": (0.5,),
@@ -47,6 +59,9 @@ MOB03_PARAMS = {"speeds_mps": (2.0,), "grid_side": 2, "duration": 4.0,
 RT02_PARAMS = {"flow_counts": (1,), "speeds_mps": (2.0,),
                "routings": ("aodv",), "duration": 5.0, "warmup": 2.0,
                "include_no_aggregation": False}
+#: A 100-node city: above the threshold, so campaigns run on the grid.
+CITY01_PARAMS = {"node_counts": (100,), "flow_count": 10, "duration": 1.5,
+                 "warmup": 0.5}
 
 CASES = [
     pytest.param(fig09_udp_flooding, FIG09_PARAMS, id="fig09-stationary"),
@@ -57,12 +72,36 @@ CASES = [
 ]
 
 
+def _run_side(run, threshold=None):
+    """``run()`` with the threshold optionally patched.
+
+    Returns its output and how many grid queries it made.
+    """
+    queries = []
+    candidates = UniformGridIndex.candidates
+
+    def counted(index, origin, range_m, now):
+        queries.append(now)
+        return candidates(index, origin, range_m, now)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(UniformGridIndex, "candidates", counted)
+        if threshold is not None:
+            patch.setattr(medium, "AUTO_SPATIAL_THRESHOLD", threshold)
+        output = run()
+    return output, len(queries)
+
+
 @pytest.mark.parametrize("module, params", CASES)
 def test_grid_indexed_run_is_byte_identical_to_full_scan(module, params):
     # to_dict() is the experiment's entire observable output (series points,
     # metrics, notes); equality here means no float anywhere differed.
-    scan = module.run(seed=3, spatial_index="scan", **params).to_dict()
-    grid = module.run(seed=3, spatial_index="grid", **params).to_dict()
+    scan, scan_queries = _run_side(
+        lambda: module.run(seed=3, **params).to_dict())
+    grid, grid_queries = _run_side(
+        lambda: module.run(seed=3, **params).to_dict(), threshold=FORCE_GRID)
+    assert scan_queries == 0
+    assert grid_queries > 0
     assert grid == scan
 
 
@@ -71,21 +110,23 @@ def test_grid_indexed_run_is_byte_identical_to_full_scan(module, params):
                                        id="fig09")])
 def test_differential_runs_still_diverge_across_seeds(module, params):
     # Guard against the comparison degenerating into something seed-blind.
-    assert (module.run(seed=3, spatial_index="grid", **params).to_dict()
-            != module.run(seed=4, spatial_index="grid", **params).to_dict())
+    seed3, _ = _run_side(lambda: module.run(seed=3, **params).to_dict(),
+                         threshold=FORCE_GRID)
+    seed4, _ = _run_side(lambda: module.run(seed=4, **params).to_dict(),
+                         threshold=FORCE_GRID)
+    assert seed3 != seed4
 
 
-def _city_flood_signature(seed: int, spatial_index: str) -> str:
+def _city_flood_signature(seed: int) -> str:
     """Full observable outcome of an 80-node flooding run.
 
-    80 nodes sits *above* AUTO_SPATIAL_THRESHOLD (64), so ``"auto"`` takes
-    the grid path here — comparing it against both forced modes proves the
-    auto switchover is byte-neutral exactly where it engages.
+    80 nodes sits *above* AUTO_SPATIAL_THRESHOLD (64), so the default run
+    takes the grid path — comparing it against a forced scan proves the
+    switchover is byte-neutral exactly where it engages.
     """
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              unicast_rate_mbps=0.65, stop_time=1.0,
-                              spatial_index=spatial_index)
+                              unicast_rate_mbps=0.65, stop_time=1.0)
     nodes = populate_city(scenario, 80)
     flooders = []
     for node in nodes[::13]:
@@ -104,39 +145,67 @@ def _city_flood_signature(seed: int, spatial_index: str) -> str:
 
 
 def test_auto_threshold_crossing_is_byte_neutral():
-    scan = _city_flood_signature(5, "scan")
-    auto = _city_flood_signature(5, "auto")
-    grid = _city_flood_signature(5, "grid")
-    assert auto == scan
+    grid, grid_queries = _run_side(lambda: _city_flood_signature(5))
+    scan, scan_queries = _run_side(lambda: _city_flood_signature(5),
+                                   threshold=FORCE_SCAN)
+    assert grid_queries > 0
+    assert scan_queries == 0
     assert grid == scan
 
 
 def test_auto_signature_still_diverges_across_seeds():
-    assert _city_flood_signature(5, "auto") != _city_flood_signature(6, "auto")
+    assert _city_flood_signature(5) != _city_flood_signature(6)
+
+
+def _candidates_fractions(result) -> list:
+    """Every candidates fraction a city01 replica reports."""
+    return ([result.metrics["candidates_fraction_max_n"]]
+            + [y for label, series in sorted(result.series.items())
+               if label.endswith("cand frac") for y in series.y_values])
+
+
+def _without_candidates(result) -> dict:
+    """A city01 replica's output minus its candidates fractions.
+
+    The fraction measures the enumeration itself (1.0 on the scan path), so
+    it is the one output that legitimately differs between the two paths.
+    """
+    data = result.to_dict()
+    data["series"] = {label: series for label, series in data["series"].items()
+                      if not label.endswith("cand frac")}
+    data["metrics"] = {name: value for name, value in data["metrics"].items()
+                       if name != "candidates_fraction_max_n"}
+    return data
 
 
 def test_grid_campaign_across_pool_workers_matches_inline():
     # The grid index is rebuilt from scratch in every pool worker; candidate
     # order must come out identical there (registration order), or replicas
     # would diverge from the inline run.
-    overrides = {**FIG09_PARAMS, "spatial_index": "grid"}
-    inline = CampaignRunner(jobs=1).run_campaign("fig09", seeds=[1, 2],
-                                                 overrides=overrides)
-    pooled = CampaignRunner(jobs=2).run_campaign("fig09", seeds=[1, 2],
-                                                 overrides=overrides)
-    assert pooled.replicas[1].to_dict() == inline.replicas[1].to_dict()
-    assert pooled.replicas[2].to_dict() == inline.replicas[2].to_dict()
+    inline = CampaignRunner(jobs=1).run_campaign("city01", seeds=[1, 2],
+                                                 overrides=CITY01_PARAMS)
+    pooled = CampaignRunner(jobs=2).run_campaign("city01", seeds=[1, 2],
+                                                 overrides=CITY01_PARAMS)
+    for seed in (1, 2):
+        # Below 1.0 means the workers pruned with the grid, not a full scan.
+        assert max(_candidates_fractions(pooled.replicas[seed])) < 1.0
+        assert pooled.replicas[seed].to_dict() == inline.replicas[seed].to_dict()
     assert pooled.aggregate.to_dict() == inline.aggregate.to_dict()
 
 
 def test_scan_and_grid_campaigns_agree_across_pool_workers():
-    # Replica payloads carry no parameter echo, so scan-mode and grid-mode
-    # campaigns of the same seeds must produce identical replica dicts.
-    scan = CampaignRunner(jobs=2).run_campaign(
-        "fig09", seeds=[1, 2], overrides={**FIG09_PARAMS,
-                                          "spatial_index": "scan"})
-    grid = CampaignRunner(jobs=2).run_campaign(
-        "fig09", seeds=[1, 2], overrides={**FIG09_PARAMS,
-                                          "spatial_index": "grid"})
-    assert grid.replicas[1].to_dict() == scan.replicas[1].to_dict()
-    assert grid.replicas[2].to_dict() == scan.replicas[2].to_dict()
+    # The grid side runs in pool workers at the default threshold; the scan
+    # side runs inline with the threshold patched, because a patch reaches
+    # a pool worker only when the platform forks it.
+    grid = CampaignRunner(jobs=2).run_campaign("city01", seeds=[1, 2],
+                                               overrides=CITY01_PARAMS)
+    scan, scan_queries = _run_side(
+        lambda: CampaignRunner(jobs=1).run_campaign(
+            "city01", seeds=[1, 2], overrides=CITY01_PARAMS),
+        threshold=FORCE_SCAN)
+    assert scan_queries == 0
+    for seed in (1, 2):
+        assert set(_candidates_fractions(scan.replicas[seed])) == {1.0}
+        assert max(_candidates_fractions(grid.replicas[seed])) < 1.0
+        assert (_without_candidates(grid.replicas[seed])
+                == _without_candidates(scan.replicas[seed]))

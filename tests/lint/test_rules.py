@@ -171,7 +171,7 @@ class TestRPR002:
             def wall():
                 return time.time()
             """,
-            "obs/profiler.py")
+            "obs/progress.py")
         assert report.ok
 
     def test_sim_now_is_clean(self):

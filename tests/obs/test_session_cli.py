@@ -21,12 +21,11 @@ def test_no_session_leaves_simulator_unobserved():
     sim = Simulator(seed=1)
     assert sim.metrics is NULL_METRICS
     assert sim.capture is None
-    assert sim.profiler is None
     assert not sim.tracer.enabled
 
 
 def test_observe_adopts_simulators_created_inside():
-    with observe(trace=True, metrics=True, capture=True, profile=True,
+    with observe(trace=True, metrics=True, capture=True,
                  max_trace_records=123) as session:
         assert active_session() is session
         first = Simulator(seed=1)
@@ -39,8 +38,7 @@ def test_observe_adopts_simulators_created_inside():
         assert sim.metrics.enabled
         assert sim.metrics is not NULL_METRICS
         assert sim.capture is session.capture
-        assert sim.profiler is session.profiler
-    # metrics registries are per-simulator, capture/profiler are shared
+    # metrics registries are per-simulator, the capture is shared
     assert first.metrics is not second.metrics
 
 
@@ -48,7 +46,6 @@ def test_observe_features_are_independent():
     with observe(metrics=True) as session:
         sim = Simulator(seed=1)
     assert session.capture is None
-    assert session.profiler is None
     assert not sim.tracer.enabled
     assert sim.metrics.enabled
 
@@ -71,7 +68,7 @@ def test_session_cleared_even_on_error():
 def test_config_any_enabled():
     assert not ObsConfig().any_enabled
     assert ObsConfig(trace=True).any_enabled
-    assert ObsConfig(profile=True).any_enabled
+    assert ObsConfig(journey=True).any_enabled
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +144,11 @@ def test_cli_run_writes_all_exports(tmp_path, capsys):
         "--trace-out", str(trace_path),
         "--metrics-out", str(metrics_path),
         "--capture-out", str(capture_path),
-        "--profile",
         "--out", str(out_path),
     ])
     assert exit_code == 0
     output = capsys.readouterr().out
     assert "simulator(s) observed" in output
-    assert "where time goes" in output
 
     document = json.loads(trace_path.read_text())
     assert document["traceEvents"]

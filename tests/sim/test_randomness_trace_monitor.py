@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.monitor import CounterMonitor, TimeSeriesMonitor, TimeWeightedMonitor
+from repro.sim.monitor import TimeSeriesMonitor
 from repro.sim.randomness import RandomStreams
 
 
@@ -103,18 +102,6 @@ def test_tracer_overflow_still_reaches_listeners(sim):
 # Monitors
 # ---------------------------------------------------------------------------
 
-def test_counter_monitor_accumulates():
-    counters = CounterMonitor()
-    counters.increment("tx")
-    counters.increment("tx", 2)
-    counters.increment("bytes", 100.5)
-    assert counters.get("tx") == 3
-    assert counters.get("bytes") == 100.5
-    assert counters.get("missing") == 0.0
-    counters.reset()
-    assert counters.as_dict() == {}
-
-
 def test_time_series_monitor_statistics():
     series = TimeSeriesMonitor("sizes")
     for t, v in [(0.0, 2.0), (1.0, 4.0), (2.0, 6.0)]:
@@ -131,24 +118,3 @@ def test_time_series_monitor_empty():
     series = TimeSeriesMonitor()
     assert series.mean() == 0.0
     assert series.stddev() == 0.0
-
-
-def test_time_weighted_monitor_average():
-    sim = Simulator()
-    level = TimeWeightedMonitor(sim, initial=0.0)
-    sim.schedule(1.0, level.set, 10.0)
-    sim.schedule(3.0, level.set, 0.0)
-    sim.schedule(4.0, lambda: None)
-    sim.run()
-    # 1 s at 0, 2 s at 10, 1 s at 0 -> average 5.0
-    assert level.time_average() == pytest.approx(5.0)
-
-
-def test_time_weighted_monitor_adjust():
-    sim = Simulator()
-    level = TimeWeightedMonitor(sim, initial=1.0)
-    sim.schedule(2.0, level.adjust, 3.0)
-    sim.schedule(4.0, lambda: None)
-    sim.run()
-    assert level.value == 4.0
-    assert level.time_average() == pytest.approx((1.0 * 2 + 4.0 * 2) / 4.0)

@@ -52,6 +52,28 @@ def test_run_until_with_empty_queue_advances_to_horizon(sim):
     assert sim.now == 3.0
 
 
+def test_run_until_in_the_past_is_rejected_and_keeps_the_clock(sim):
+    seen = []
+    sim.schedule(10.0, lambda: seen.append(sim.now))
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    # Rewinding to 3.0 would let an event scheduled 0.5 s later fire at
+    # 3.5, before a time the clock already reached.
+    with pytest.raises(SimulationError):
+        sim.run(until=3.0)
+    assert sim.now == 5.0
+    sim.schedule(0.5, lambda: seen.append(sim.now))
+    # A horizon equal to the clock is allowed and runs nothing.
+    sim.run(until=5.0)
+    assert seen == []
+    sim.run()
+    assert seen == [5.5, 10.0]
+    # The same holds once the queue has drained.
+    with pytest.raises(SimulationError):
+        sim.run(until=1.0)
+    assert sim.now == 10.0
+
+
 def test_stop_halts_run_loop(sim):
     seen = []
 
