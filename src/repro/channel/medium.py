@@ -32,6 +32,14 @@ Both paths cull deliveries below the receiver's detect floor before
 scheduling them, so the scheduled event set (and therefore every byte of a
 run) is identical on either side of the threshold;
 ``tests/integration/test_spatial_determinism.py`` is the differential proof.
+
+Deliveries are fire-and-forget: the channel keeps no handle to the
+begin/end-reception events it schedules, so a frame, its ``Transmission``
+and its packets are freed once the last receiver has processed them.
+:meth:`WirelessChannel.unregister` finds a leaving PHY's pending deliveries
+by walking the scheduler's queue (:meth:`~repro.sim.scheduler.Scheduler.cancel_where`),
+which costs O(queued events) on that rare call instead of a handle list per
+receiver on every frame.
 """
 
 from __future__ import annotations
@@ -44,7 +52,6 @@ from repro.channel.propagation import PropagationModel, distance_between, hydra_
 from repro.channel.spatial import UniformGridIndex
 from repro.errors import ConfigurationError
 from repro.phy.frame import PhyFrame
-from repro.sim.events import EventHandle
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -52,10 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Speed of light in metres per second (propagation delay).
 SPEED_OF_LIGHT = 299_792_458.0
-
-#: Prune a receiver's delivery-handle list once it grows past this many
-#: entries (most are long since fired; pruning keeps unregister O(in-flight)).
-_HANDLE_PRUNE_THRESHOLD = 256
 
 #: The channel keeps the exhaustive scan at or below this many registered
 #: PHYs and switches to the grid index above it.  Crossing the threshold
@@ -90,7 +93,7 @@ class WirelessChannel:
 
     __slots__ = ("sim", "propagation", "noise_floor_dbm",
                  "propagation_delay_enabled", "_phys", "_phy_ids",
-                 "_delivery_handles", "_link_aware", "_cache_epoch",
+                 "_link_aware", "_cache_epoch",
                  "_budget_cache", "_active", "_spatial", "_min_detect_floor",
                  "_max_tx_power", "_max_range_cache", "total_transmissions",
                  "total_airtime", "total_candidates", "total_deliveries",
@@ -114,10 +117,6 @@ class WirelessChannel:
         self.propagation_delay_enabled = propagation_delay_enabled
         self._phys: List["Phy"] = []
         self._phy_ids: set = set()
-        # Pending begin/end-reception handles per registered receiver, so
-        # unregister() can cancel in-flight deliveries instead of letting a
-        # detached PHY keep receiving.
-        self._delivery_handles: Dict[int, List[EventHandle]] = {}
         self._link_aware = hasattr(self.propagation, "path_loss_between")
         self._cache_epoch = getattr(self.propagation, "cache_epoch", None)
         # (id(sender), id(receiver)) -> (epoch, tx_pos, rx_pos, loss, distance)
@@ -157,7 +156,6 @@ class WirelessChannel:
         if id(phy) not in self._phy_ids:
             self._phys.append(phy)
             self._phy_ids.add(id(phy))
-            self._delivery_handles[id(phy)] = []
             floor = phy.config.detect_floor_dbm
             if floor < self._min_detect_floor:
                 self._min_detect_floor = floor
@@ -170,17 +168,20 @@ class WirelessChannel:
     def unregister(self, phy: "Phy") -> None:
         """Detach a PHY from the medium.
 
-        Deliveries already scheduled for the PHY are cancelled and any
+        Deliveries already scheduled for the PHY are cancelled (found by
+        walking the scheduler's queue; see the module docstring) and any
         reception it has in progress is aborted, so a detached PHY never
-        hears the tail of a frame that was in flight when it left.
+        hears the tail of a frame that was in flight when it left.  Its own
+        transmission, if any, still completes.
         """
         phy_id = id(phy)
         if phy_id not in self._phy_ids:
             return
         self._phy_ids.discard(phy_id)
         self._phys.remove(phy)
-        for handle in self._delivery_handles.pop(phy_id, ()):
-            handle.cancel()
+        begin, end = phy.begin_reception, phy.end_reception
+        self.sim._scheduler.cancel_where(
+            lambda event: event.callback == begin or event.callback == end)
         if self._budget_cache is not None:
             # id() values can be recycled once the PHY is garbage collected;
             # purge its cache rows so a future PHY can never inherit them.
@@ -316,11 +317,11 @@ class WirelessChannel:
         # Direct scheduler pushes: this loop schedules two events per
         # receiver per frame, and the Simulator.schedule wrapper (which only
         # adds a negative-delay check — delays here are >= 0 by construction)
-        # was a measurable slice of the event budget.
+        # was a measurable slice of the event budget.  The returned handles
+        # are dropped on purpose (see the module docstring).
         push = sim._scheduler.push
         priority = Simulator.PRIORITY_PHY
         delay_enabled = self.propagation_delay_enabled
-        delivery_handles = self._delivery_handles
         considered = 0
         culled = 0
         for receiver in receivers:
@@ -342,13 +343,10 @@ class WirelessChannel:
                 culled += 1
                 continue
             delay = distance / SPEED_OF_LIGHT if delay_enabled else 0.0
-            handles = delivery_handles[id(receiver)]
-            handles.append(push(now + delay, receiver.begin_reception,
-                                (transmission, rx_power), priority))
-            handles.append(push(now + delay + duration, receiver.end_reception,
-                                (transmission,), priority))
-            if len(handles) > _HANDLE_PRUNE_THRESHOLD:
-                handles[:] = [h for h in handles if h.active]
+            push(now + delay, receiver.begin_reception,
+                 (transmission, rx_power), priority)
+            push(now + delay + duration, receiver.end_reception,
+                 (transmission,), priority)
         self.total_candidates += considered
         self.total_culled += culled
         self.total_deliveries += considered - culled

@@ -356,7 +356,7 @@ class AggregatingMac:
         frame = self._build_data_frame()
         self._pause_backoff()
         self.phy.send(frame)
-        self.stats.record_data_frame(self.sim.now, frame, self.phy.config.timing)
+        self.stats.record_data_frame(frame, self.phy.config.timing)
         if self.config.use_block_ack and frame.has_unicast:
             self.scoreboard.register(list(frame.unicast_subframes))
         tracer = self.sim.tracer

@@ -8,13 +8,11 @@ frame, backoff and interframe-space airtime relative to total busy time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.phy.frame import PhyFrame
 from repro.phy.rates import PhyRate
 from repro.phy.timing import PhyTimingConfig
-from repro.sim.monitor import TimeSeriesMonitor
 
 #: IP protocol tags of routing control-plane traffic (HELLO beacons, DSDV
 #: updates and AODV RREQ/RREP/RERR messages).  Matched by string so this
@@ -69,21 +67,21 @@ class MacStatistics:
     ifs_airtime: float = 0.0
     contention_airtime: float = 0.0
 
-    # Per-transmission frame sizes (bytes of MAC payload in each DATA frame)
-    frame_sizes: TimeSeriesMonitor = field(default_factory=lambda: TimeSeriesMonitor("frame_size"))
-    aggregate_subframe_counts: TimeSeriesMonitor = field(
-        default_factory=lambda: TimeSeriesMonitor("subframes_per_frame"))
+    # Running totals over DATA frames (MAC payload bytes, subframes); the
+    # frame count is ``data_transmissions``.
+    data_frame_bytes: int = 0
+    data_frame_subframes: int = 0
 
     # ------------------------------------------------------------------
     # Recording helpers
     # ------------------------------------------------------------------
-    def record_data_frame(self, now: float, frame: PhyFrame, timing: PhyTimingConfig) -> None:
+    def record_data_frame(self, frame: PhyFrame, timing: PhyTimingConfig) -> None:
         """Account for a DATA frame this MAC just transmitted."""
         self.data_transmissions += 1
         if frame.is_broadcast_only:
             self.broadcast_only_transmissions += 1
-        self.frame_sizes.record(now, frame.total_bytes)
-        self.aggregate_subframe_counts.record(now, frame.subframe_count)
+        self.data_frame_bytes += frame.total_bytes
+        self.data_frame_subframes += frame.subframe_count
 
         broadcast_rate = frame.broadcast_rate or frame.unicast_rate
         for subframe in frame.broadcast_subframes:
@@ -138,12 +136,16 @@ class MacStatistics:
     @property
     def average_frame_size(self) -> float:
         """Average MAC bytes per DATA transmission (Table 3 / 5 / 8)."""
-        return self.frame_sizes.mean()
+        if not self.data_transmissions:
+            return 0.0
+        return self.data_frame_bytes / self.data_transmissions
 
     @property
     def average_subframes_per_frame(self) -> float:
         """Average aggregation ratio (subframes per DATA transmission)."""
-        return self.aggregate_subframe_counts.mean()
+        if not self.data_transmissions:
+            return 0.0
+        return self.data_frame_subframes / self.data_transmissions
 
     @property
     def size_overhead_fraction(self) -> float:

@@ -311,10 +311,11 @@ class Phy:
     def abort_receptions(self) -> None:
         """Forget every reception in progress without delivering anything.
 
-        The channel calls this when the PHY is unregistered mid-flight: the
-        pending end-reception events are cancelled on the channel side, so the
-        attempts (and the carrier energy they contributed) must be dropped
-        here or the PHY would sense a busy medium forever.
+        The channel calls this when the PHY is unregistered mid-flight, after
+        cancelling the PHY's pending begin/end-reception events in the
+        scheduler's queue.  With those events gone the attempts (and the
+        carrier energy they contributed) must be dropped here or the PHY
+        would sense a busy medium forever.
         """
         self._receptions.clear()
         self._carrier_count = 0

@@ -4,9 +4,8 @@ This package provides the minimal machinery the rest of the library is built
 on: a priority-queue scheduler (:class:`~repro.sim.scheduler.Scheduler`), the
 simulation clock and run loop (:class:`~repro.sim.simulator.Simulator`),
 restartable timers (:class:`~repro.sim.timer.Timer`), reproducible random
-streams (:class:`~repro.sim.randomness.RandomStreams`), a trace/logging hook
-(:class:`~repro.sim.trace.Tracer`) and a simple time-series monitor
-(:mod:`repro.sim.monitor`).
+streams (:class:`~repro.sim.randomness.RandomStreams`) and a trace/logging hook
+(:class:`~repro.sim.trace.Tracer`).
 """
 
 from repro.sim.events import Event, EventHandle
@@ -16,7 +15,6 @@ from repro.sim.telemetry import TELEMETRY, SimTelemetry
 from repro.sim.timer import Timer
 from repro.sim.randomness import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
-from repro.sim.monitor import TimeSeriesMonitor
 
 __all__ = [
     "Event",
@@ -29,5 +27,4 @@ __all__ = [
     "RandomStreams",
     "Tracer",
     "TraceRecord",
-    "TimeSeriesMonitor",
 ]

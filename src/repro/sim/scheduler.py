@@ -86,7 +86,26 @@ class Scheduler:
         ``EventHandle.cancel`` routes here too, so the live-event count is
         decremented exactly once per cancellation regardless of the path.
         """
-        event = handle._event
+        self._cancel_event(handle._event)
+
+    def cancel_where(self, predicate: Callable[[Event], bool]) -> int:
+        """Cancel every queued event for which ``predicate(event)`` holds.
+
+        Returns how many events were cancelled.  This walks the whole heap,
+        so it is meant for rare structural changes (a PHY leaving the
+        medium), not for per-frame use: callers that cancel often keep the
+        handle instead.  It iterates over a snapshot because a cancellation
+        can trigger compaction, which replaces the heap.
+        """
+        cancelled = 0
+        for entry in list(self._heap):
+            event = entry[3]
+            if not event.cancelled and predicate(event):
+                self._cancel_event(event)
+                cancelled += 1
+        return cancelled
+
+    def _cancel_event(self, event: Event) -> None:
         if event.dequeued or event.cancelled:
             return
         event.cancelled = True

@@ -98,8 +98,11 @@ class Simulator:
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        Negative and NaN delays are rejected.
+        """
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self._scheduler.push(self._now + delay, callback, args, priority)
 
@@ -110,8 +113,11 @@ class Simulator:
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        """Schedule ``callback(*args)`` at an absolute simulated time.
+
+        Times before :attr:`now`, and NaN, are rejected.
+        """
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
@@ -129,11 +135,12 @@ class Simulator:
         """Run events until the queue drains, ``until`` is reached, or ``stop()``.
 
         Returns the simulated time at which the run loop exited.  A horizon
-        earlier than :attr:`now` is rejected: the clock never moves backwards.
+        earlier than :attr:`now` (or NaN) is rejected: the clock never moves
+        backwards.
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError(
                 f"cannot run into the past (until={until}, now={self._now})"
             )

@@ -54,13 +54,17 @@ class Timer:
         return None
 
     def start(self, delay: float) -> None:
-        """(Re)arm the timer to fire ``delay`` seconds from now."""
+        """(Re)arm the timer to fire ``delay`` seconds from now.
+
+        A rejected ``delay`` (negative or NaN) leaves a pending expiration
+        armed.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         sim = self._sim
         handle = self._handle
         if handle is not None:
             sim.cancel(handle)
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         # Push straight onto the scheduler: timers are restarted on nearly
         # every frame (backoff, response timeouts), making this one of the
         # hottest scheduling call sites.
@@ -102,7 +106,7 @@ class PeriodicTimer:
         priority: int = Simulator.PRIORITY_DEFAULT,
         name: str = "periodic",
     ) -> None:
-        if period <= 0:
+        if not period > 0:
             raise SimulationError(f"period must be positive, got {period}")
         self._period = period
         self._callback = callback
@@ -117,7 +121,7 @@ class PeriodicTimer:
 
     @period.setter
     def period(self, value: float) -> None:
-        if value <= 0:
+        if not value > 0:
             raise SimulationError(f"period must be positive, got {value}")
         self._period = value
 

@@ -9,7 +9,7 @@ functions assemble them per node / per network.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.topology.network import Network
 
@@ -22,10 +22,8 @@ def relay_detail(network: Network, relay_indices: Iterable[int]) -> Dict[str, fl
     """
     relays = [network.node(i) for i in relay_indices]
     total_tx = sum(node.mac_stats.data_transmissions for node in relays)
-    sizes: List[float] = []
-    for node in relays:
-        sizes.extend(node.mac_stats.frame_sizes.values)
-    average_size = sum(sizes) / len(sizes) if sizes else 0.0
+    frame_bytes = sum(node.mac_stats.data_frame_bytes for node in relays)
+    average_size = frame_bytes / total_tx if total_tx else 0.0
 
     payload = sum(node.mac_stats.payload_bytes_sent for node in relays)
     overhead = sum(node.mac_stats.mac_overhead_bytes_sent
@@ -45,7 +43,7 @@ def relay_detail(network: Network, relay_indices: Iterable[int]) -> Dict[str, fl
         "size_overhead": size_overhead,
         "time_overhead": time_overhead,
         "average_subframes_per_frame": (
-            sum(node.mac_stats.aggregate_subframe_counts.total() for node in relays) / total_tx
+            sum(node.mac_stats.data_frame_subframes for node in relays) / total_tx
             if total_tx else 0.0),
     }
 

@@ -18,6 +18,7 @@ from repro.channel.medium import WirelessChannel
 from repro.channel.propagation import LogNormalShadowing
 from repro.core.policies import broadcast_aggregation
 from repro.mobility.models import RandomWaypoint
+from repro.phy.error_model import ErrorModel
 from repro.sim.simulator import Simulator
 from repro.topology.builders import build_linear_chain
 from repro.units import mbps
@@ -68,6 +69,15 @@ def test_link_budget_memo_is_invisible_on_mobile_time_varying_channel():
     # matches exactly, so mobility and epoch rollovers force recomputation.
     assert (_mobile_udp_signature(1, link_budget_memo=True)
             == _mobile_udp_signature(1, link_budget_memo=False))
+
+
+def test_error_memo_cap_is_invisible_on_mobile_run(monkeypatch):
+    # The per-PHY error-probability memo is cleared whenever it reaches its
+    # cap; a cap of 1 clears it on nearly every miss, which must not change
+    # a byte of a run whose moving links miss it most of the time.
+    default = _mobile_udp_signature(1, link_budget_memo=True)
+    monkeypatch.setattr(ErrorModel, "_CACHE_LIMIT", 1)
+    assert _mobile_udp_signature(1, link_budget_memo=True) == default
 
 
 def test_mobile_memo_runs_still_diverge_across_seeds():

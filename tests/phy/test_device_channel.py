@@ -2,20 +2,38 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import List
 
 import pytest
 
-from repro.channel import LogDistancePathLoss, WirelessChannel
+from repro.channel import LogDistancePathLoss, WirelessChannel, medium
 from repro.errors import ConfigurationError, PhyError
 from repro.phy import FrameKind, Phy, PhyConfig, PhyFrame, PhyState, ReceptionResult
 from repro.phy.rates import hydra_rate_table
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 RATES = hydra_rate_table()
 RATE_065 = RATES.by_mbps(0.65)
 RATE_26 = RATES.by_mbps(2.6)
+
+#: The channel's two candidate enumerations: the exhaustive scan (the
+#: default threshold is far above these few PHYs) and the grid index (forced
+#: by patching the threshold to 0).
+SIDES = {"scan": medium.AUTO_SPATIAL_THRESHOLD, "grid": 0}
+
+
+def on_both_sides(monkeypatch):
+    """Yield each side's name with the channel patched onto that side."""
+    for side, threshold in SIDES.items():
+        monkeypatch.setattr(medium, "AUTO_SPATIAL_THRESHOLD", threshold)
+        yield side
+
+
+def assert_on_side(channel, side):
+    """The grid index exists exactly when a grid-side send happened."""
+    assert (channel._spatial is not None) == (side == "grid"), side
 
 
 @dataclass
@@ -190,57 +208,117 @@ def test_unregistered_phy_cannot_transmit():
         channel.broadcast(phy, data_frame(), 0.01, 8.9)
 
 
-def test_unregister_mid_flight_stops_delivery():
+def test_unregister_mid_flight_stops_delivery(monkeypatch):
     """A PHY detached while a frame is in flight must never hear its tail.
 
     Regression: unregister() used to leave the already-scheduled begin/end
     reception events pending, so the detached PHY finished decoding frames on
     a medium it was no longer attached to.
     """
-    sim = Simulator(seed=20)
-    channel, tx, rx, _, rx_l = build_pair(sim)
-    duration = tx.send(data_frame())
-    # Past the propagation delay: begin_reception has fired, end is pending.
-    sim.run(until=duration / 2)
-    assert rx.state is PhyState.RECEIVING
-    channel.unregister(rx)
-    assert rx.state is PhyState.IDLE
-    assert not rx.carrier_busy
-    sim.run()
-    assert rx_l.received == []
-    assert rx.frames_received == 0
-    # The medium itself still retires the transmission normally.
-    assert not channel.busy
-    assert channel.total_transmissions == 1
+    for side in on_both_sides(monkeypatch):
+        sim = Simulator(seed=20)
+        channel, tx, rx, _, rx_l = build_pair(sim)
+        duration = tx.send(data_frame())
+        assert_on_side(channel, side)
+        # Past the propagation delay: begin_reception has fired, end is pending.
+        sim.run(until=duration / 2)
+        assert rx.state is PhyState.RECEIVING
+        pending = sim.pending_events
+        channel.unregister(rx)
+        # Exactly the one outstanding end_reception is cancelled.
+        assert sim.pending_events == pending - 1
+        assert rx.state is PhyState.IDLE
+        assert not rx.carrier_busy
+        sim.run()
+        assert rx_l.received == []
+        assert rx.frames_received == 0
+        # The medium itself still retires the transmission normally.
+        assert not channel.busy
+        assert channel.total_transmissions == 1
 
 
-def test_unregister_before_arrival_cancels_both_delivery_events():
-    sim = Simulator(seed=21)
-    channel, tx, rx, _, rx_l = build_pair(sim)
-    tx.send(data_frame())
-    # Not run yet: even begin_reception is still pending.
-    channel.unregister(rx)
-    sim.run()
-    assert rx_l.received == []
-    assert rx.frames_received == 0
-    assert rx.state is PhyState.IDLE
+def test_unregister_before_arrival_cancels_both_delivery_events(monkeypatch):
+    for side in on_both_sides(monkeypatch):
+        sim = Simulator(seed=21)
+        channel, tx, rx, _, rx_l = build_pair(sim)
+        tx.send(data_frame())
+        # The leaver is transmitting too: its own transmission must finish.
+        own_frame = data_frame(size=200)
+        rx.send(own_frame)
+        assert_on_side(channel, side)
+        # Not run yet: even begin_reception is still pending.
+        pending = sim.pending_events
+        channel.unregister(rx)
+        # Both of rx's deliveries go; its _finish_transmission and the
+        # deliveries of its frame to tx stay queued.
+        assert sim.pending_events == pending - 2
+        sim.run()
+        assert rx_l.received == []
+        assert rx.frames_received == 0
+        assert rx_l.tx_complete == [own_frame]
+        assert rx.state is PhyState.IDLE
 
 
-def test_unregister_leaves_other_receivers_untouched():
-    sim = Simulator(seed=22)
+def test_unregister_leaves_other_receivers_untouched(monkeypatch):
+    for side in on_both_sides(monkeypatch):
+        sim = Simulator(seed=22)
+        channel = WirelessChannel(sim)
+        tx = Phy(sim, channel, position=(0.0, 0.0), name="tx")
+        leaver = Phy(sim, channel, position=(2.5, 0.0), name="leaver")
+        stayer = Phy(sim, channel, position=(0.0, 2.5), name="stayer")
+        stayer_l = RecordingListener()
+        stayer.attach_listener(stayer_l)
+        duration = tx.send(data_frame())
+        assert_on_side(channel, side)
+        sim.run(until=duration / 2)
+        pending = sim.pending_events
+        channel.unregister(leaver)
+        assert sim.pending_events == pending - 1
+        sim.run()
+        assert len(stayer_l.received) == 1
+        assert stayer_l.received[0].all_unicast_ok
+        assert leaver.frames_received == 0
+
+
+@pytest.mark.parametrize("threshold", SIDES.values(), ids=SIDES.keys())
+def test_delivered_frames_are_not_retained(monkeypatch, threshold):
+    """Once a delivery fires, nothing keeps its event (or frame) alive.
+
+    Regression: the channel kept every delivery's handle in a per-receiver
+    list, pruned only past 256 entries, so on receivers with fewer
+    receptions every delivered frame stayed reachable until the run ended.
+    """
+    monkeypatch.setattr(medium, "AUTO_SPATIAL_THRESHOLD", threshold)
+    sim = Simulator(seed=24)
     channel = WirelessChannel(sim)
-    tx = Phy(sim, channel, position=(0.0, 0.0), name="tx")
-    leaver = Phy(sim, channel, position=(2.5, 0.0), name="leaver")
-    stayer = Phy(sim, channel, position=(0.0, 2.5), name="stayer")
-    stayer_l = RecordingListener()
-    stayer.attach_listener(stayer_l)
-    duration = tx.send(data_frame())
-    sim.run(until=duration / 2)
-    channel.unregister(leaver)
+    phys = [Phy(sim, channel, position=(1.0 * i, 0.0), name=f"p{i}")
+            for i in range(5)]
+    frames_each = 6
+    for round_ in range(frames_each):
+        for i, phy in enumerate(phys):
+            sim.schedule_at(0.05 * (round_ * len(phys) + i), phy.send, data_frame(size=100))
+    phy_ids = {id(phy) for phy in phys}
+
+    def live_phy_events():
+        gc.collect()
+        return [obj for obj in gc.get_objects() if isinstance(obj, Event)
+                and id(getattr(obj.callback, "__self__", None)) in phy_ids]
+
+    sim.run(until=0.01)
+    # Mid-run the detector sees the queued events, and every PHY-bound event
+    # still alive is one the scheduler queues.
+    queued = {id(entry[3]) for entry in sim._scheduler._heap}
+    alive = live_phy_events()
+    assert alive
+    assert all(id(event) in queued for event in alive)
+    del alive
     sim.run()
-    assert len(stayer_l.received) == 1
-    assert stayer_l.received[0].all_unicast_ok
-    assert leaver.frames_received == 0
+    # Every receiver heard every other PHY's frames: far below 128 receptions.
+    assert channel.total_culled == 0
+    assert channel.total_deliveries == len(phys) * (len(phys) - 1) * frames_each
+    assert (len(phys) - 1) * frames_each < 128
+    assert_on_side(channel, "grid" if threshold == 0 else "scan")
+    assert live_phy_events() == []
 
 
 def test_link_budget_memo_matches_uncached_channel():

@@ -112,3 +112,19 @@ def test_probabilities_always_in_unit_interval(snr, size, offset, rate_index):
     rate = list(RATES)[rate_index]
     p = model.subframe_error_probability(snr, rate, size, offset)
     assert 0.0 <= p <= 1.0
+
+
+def test_probability_memo_never_exceeds_its_cap():
+    model = ErrorModel()
+    rng = random.Random(3)
+    rate = RATES.by_mbps(1.3)
+    sizes = []
+    # Mobile links: a fresh SNR almost every call, through both entry points.
+    for i in range(3 * ErrorModel._CACHE_LIMIT):
+        snr = 10.0 + i * 1e-3
+        if i % 2:
+            model.subframe_survives(rng, snr, rate, 1464)
+        else:
+            model.subframe_error_probability(snr, rate, 1464)
+        sizes.append(len(model._probability_cache))
+    assert max(sizes) == ErrorModel._CACHE_LIMIT

@@ -1,10 +1,7 @@
-"""Unit tests for random streams, the tracer and monitors."""
+"""Unit tests for random streams and the tracer."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim.monitor import TimeSeriesMonitor
 from repro.sim.randomness import RandomStreams
 
 
@@ -97,24 +94,3 @@ def test_tracer_overflow_still_reaches_listeners(sim):
     assert sim.tracer.records == []
     assert sim.tracer.dropped == 0
 
-
-# ---------------------------------------------------------------------------
-# Monitors
-# ---------------------------------------------------------------------------
-
-def test_time_series_monitor_statistics():
-    series = TimeSeriesMonitor("sizes")
-    for t, v in [(0.0, 2.0), (1.0, 4.0), (2.0, 6.0)]:
-        series.record(t, v)
-    assert series.count == 3
-    assert series.mean() == pytest.approx(4.0)
-    assert series.total() == pytest.approx(12.0)
-    assert series.minimum() == 2.0
-    assert series.maximum() == 6.0
-    assert series.stddev() == pytest.approx(1.632993, rel=1e-5)
-
-
-def test_time_series_monitor_empty():
-    series = TimeSeriesMonitor()
-    assert series.mean() == 0.0
-    assert series.stddev() == 0.0

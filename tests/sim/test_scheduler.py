@@ -90,6 +90,42 @@ def test_non_callable_callback_rejected():
         sched.push(1.0, "not callable")  # type: ignore[arg-type]
 
 
+def test_cancel_where_cancels_only_matching_events():
+    sched = Scheduler()
+    fired = []
+    drop, keep = fired.append, fired.extend
+    already = sched.push(1.0, drop, ("x",))
+    for i in range(4):
+        sched.push(float(i), drop, (i,))
+        sched.push(float(i), keep, ((i,),))
+    sched.cancel(already)
+    # The already-cancelled event is neither matched again nor counted.
+    assert sched.cancel_where(lambda event: event.callback == drop) == 4
+    assert len(sched) == 4
+    assert sched.cancel_where(lambda event: event.callback == drop) == 0
+    while not sched.empty:
+        sched.pop().fire()
+    assert fired == [0, 1, 2, 3]
+
+
+def test_cancel_where_survives_compaction_mid_walk():
+    sched = Scheduler()
+    kept = [sched.push(float(i), lambda: None) for i in range(10)]
+    doomed = [sched.push(0.5 + i, int) for i in range(4 * Scheduler.COMPACT_MIN_CANCELLED)]
+    heap_before = sched.heap_size
+    assert sched.cancel_where(lambda event: event.callback is int) == len(doomed)
+    # Compaction replaced the heap during the walk; every match is still
+    # cancelled exactly once and the live count stays exact.
+    assert sched.heap_size < heap_before
+    assert len(sched) == len(kept)
+    assert not any(handle.active for handle in doomed)
+    assert all(handle.active for handle in kept)
+    times = []
+    while not sched.empty:
+        times.append(sched.pop().time)
+    assert times == [float(i) for i in range(10)]
+
+
 def test_clear_empties_queue():
     sched = Scheduler()
     for i in range(10):

@@ -35,6 +35,31 @@ def test_schedule_at_in_past_rejected(sim):
         sim.schedule_at(0.5, lambda: None)
 
 
+# NaN fails every ``<`` test, so a ``delay < 0`` guard lets it through and the
+# event then fires out of order with the clock set to NaN.
+
+def test_schedule_nan_delay_rejected(sim):
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_schedule_at_nan_time_rejected(sim):
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_run_until_nan_rejected_and_keeps_the_clock(sim):
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.now))
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0
+    sim.run()
+    assert seen == [1.0]
+
+
 def test_run_until_stops_before_later_events(sim):
     seen = []
     sim.schedule(1.0, lambda: seen.append("early"))

@@ -39,6 +39,28 @@ def test_timer_restart_supersedes_previous_schedule(sim):
     assert timer.expirations == 1
 
 
+def test_rejected_restart_keeps_the_pending_expiry(sim):
+    # Regression: start() used to cancel the pending expiry before checking
+    # the new delay, so a rejected restart silently disarmed the timer.
+    fired = []
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.start(1.0)
+    with pytest.raises(SimulationError):
+        timer.start(-0.5)
+    assert timer.running
+    assert timer.expiry_time == 1.0
+    sim.run()
+    assert fired == [1.0]
+
+
+def test_timer_start_rejects_nan_delay(sim):
+    timer = Timer(sim, lambda: None)
+    with pytest.raises(SimulationError):
+        timer.start(float("nan"))
+    assert not timer.running
+    assert sim.pending_events == 0
+
+
 def test_timer_remaining_and_expiry_time(sim):
     timer = Timer(sim, lambda: None)
     timer.start(4.0)
@@ -89,6 +111,11 @@ def test_periodic_timer_initial_delay(sim):
 def test_periodic_timer_rejects_nonpositive_period(sim):
     with pytest.raises(SimulationError):
         PeriodicTimer(sim, period=0.0, callback=lambda: None)
+    with pytest.raises(SimulationError):
+        PeriodicTimer(sim, period=float("nan"), callback=lambda: None)
     timer = PeriodicTimer(sim, period=1.0, callback=lambda: None)
     with pytest.raises(SimulationError):
         timer.period = -1.0
+    with pytest.raises(SimulationError):
+        timer.period = float("nan")
+    assert timer.period == 1.0

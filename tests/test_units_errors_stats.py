@@ -82,7 +82,7 @@ def _frame(n_data=2, n_acks=1, rate=RATES.by_mbps(1.3)):
 def test_record_data_frame_accumulates_sizes_and_counts():
     stats = MacStatistics()
     timing = PhyTimingConfig()
-    stats.record_data_frame(0.0, _frame(n_data=2, n_acks=1), timing)
+    stats.record_data_frame(_frame(n_data=2, n_acks=1), timing)
     assert stats.data_transmissions == 1
     assert stats.unicast_subframes_sent == 2
     assert stats.broadcast_subframes_sent == 1
@@ -98,7 +98,7 @@ def test_overhead_fractions_between_zero_and_one():
     timing = PhyTimingConfig()
     assert stats.size_overhead_fraction == 0.0
     assert stats.time_overhead_fraction == 0.0
-    stats.record_data_frame(0.0, _frame(), timing)
+    stats.record_data_frame(_frame(), timing)
     stats.record_control_frame("rts", 0.0005)
     stats.record_control_frame("cts", 0.0005)
     stats.record_control_frame("ack", 0.0005)
@@ -113,14 +113,14 @@ def test_broadcast_only_frame_counted():
     stats = MacStatistics()
     timing = PhyTimingConfig()
     frame = _frame(n_data=0, n_acks=2)
-    stats.record_data_frame(0.0, frame, timing)
+    stats.record_data_frame(frame, timing)
     assert stats.broadcast_only_transmissions == 1
     assert stats.total_subframes_sent == 2
 
 
 def test_summary_is_flat_and_rounded():
     stats = MacStatistics()
-    stats.record_data_frame(0.0, _frame(), PhyTimingConfig())
+    stats.record_data_frame(_frame(), PhyTimingConfig())
     summary = stats.summary()
     assert set(summary) >= {"data_transmissions", "average_frame_size", "size_overhead",
                             "time_overhead", "retransmissions"}
@@ -130,7 +130,7 @@ def test_summary_is_flat_and_rounded():
 def test_more_aggregation_means_lower_size_overhead():
     timing = PhyTimingConfig()
     small = MacStatistics()
-    small.record_data_frame(0.0, _frame(n_data=1, n_acks=0), timing)
+    small.record_data_frame(_frame(n_data=1, n_acks=0), timing)
     large = MacStatistics()
-    large.record_data_frame(0.0, _frame(n_data=3, n_acks=0), timing)
+    large.record_data_frame(_frame(n_data=3, n_acks=0), timing)
     assert large.size_overhead_fraction < small.size_overhead_fraction
