@@ -100,10 +100,9 @@ class UdpSink:
     def _on_datagram(self, packet: Packet, source: IpAddress) -> None:
         self.packets_received += 1
         self.bytes_received += packet.payload_bytes
-        journey = self.sim.journey
-        if journey.enabled:
-            journey.record(self.sim.now, self.node.name, "app", "consume",
-                           packet, sink=self.name)
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.node.name, "app", "consume", sink=self.name, packet=packet)
         if self.first_arrival is None:
             self.first_arrival = self.sim.now
         else:

@@ -97,7 +97,7 @@ class WirelessChannel:
                  "_budget_cache", "_active", "_spatial", "_min_detect_floor",
                  "_max_tx_power", "_max_range_cache", "total_transmissions",
                  "total_airtime", "total_candidates", "total_deliveries",
-                 "total_culled", "_metrics")
+                 "total_culled")
 
     def __init__(
         self,
@@ -141,7 +141,6 @@ class WirelessChannel:
         self.total_candidates = 0
         self.total_deliveries = 0
         self.total_culled = 0
-        self._metrics = sim.metrics
         sim.metrics.register_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
@@ -292,12 +291,6 @@ class WirelessChannel:
         self._active[id(transmission)] = transmission
         self.total_transmissions += 1
         self.total_airtime += duration
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("channel.transmissions", node=sender.name,
-                        kind=frame.kind.value)
-            metrics.observe("channel.airtime_ms", duration * 1e3,
-                            node=sender.name)
 
         # Candidate enumeration: either the full registration list or the
         # grid index's superset of in-range PHYs (also in registration

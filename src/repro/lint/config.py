@@ -45,9 +45,13 @@ DETERMINISTIC_MODULES = [
     "experiments/*",
 ]
 
-#: Modules on the per-event hot path, where ``__slots__`` layouts and
-#: ``enabled``-guarded instrumentation are mandatory (the PR 6/7 contract).
+#: Modules on the per-event hot path, where ``__slots__`` layouts are
+#: mandatory (RPR004).
 HOT_PATH_MODULES = ["sim/*", "phy/*", "mac/*", "channel/*"]
+
+#: Modules that report events through the tracer, every call of which must
+#: sit behind an ``enabled`` guard (RPR005).
+INSTRUMENTED_MODULES = HOT_PATH_MODULES + ["net/*", "transport/*", "apps/*"]
 
 #: Method names that emit, schedule or hash — iteration order flowing into
 #: one of these must be deterministic (RPR003's sink heuristic).
@@ -58,14 +62,10 @@ ORDER_SINKS = [
 ]
 
 #: ``receiver.method`` specs for instrumentation emitters that must sit
-#: behind an ``.enabled`` guard on the hot path (RPR005).  A leading
-#: underscore on the receiver at the call site (``self._tracer.emit``)
+#: behind an ``.enabled`` guard (RPR005): the tracer is the one channel.  A
+#: leading underscore on the receiver at the call site (``self._tracer.emit``)
 #: matches the bare spec.
-GUARDED_INSTRUMENTATION_CALLS = [
-    "tracer.emit", "tracer.record",
-    "metrics.inc", "metrics.observe",
-    "journey.begin", "journey.record",
-]
+GUARDED_INSTRUMENTATION_CALLS = ["tracer.emit"]
 
 DEFAULT_CONFIG: Dict[str, Dict[str, List[str]]] = {
     "RPR001": {
@@ -86,7 +86,7 @@ DEFAULT_CONFIG: Dict[str, Dict[str, List[str]]] = {
         "allow": [],
     },
     "RPR005": {
-        "paths": list(HOT_PATH_MODULES),
+        "paths": list(INSTRUMENTED_MODULES),
         "allow": [],
         "guarded_calls": list(GUARDED_INSTRUMENTATION_CALLS),
     },

@@ -478,17 +478,16 @@ class HotPathSlots(Rule):
 
 class GuardedInstrumentation(Rule):
     id = "RPR005"
-    title = "hot-path tracer/metrics calls must sit behind an enabled guard"
+    title = "tracer emits must sit behind an enabled guard"
     rationale = (
-        "Tracing and metrics are off by default precisely so the hot path "
-        "pays one attribute load and a branch when disabled (the PR 6/7 "
-        "pattern). An unguarded tracer.emit(...)/metrics.inc(...)/"
-        "journey.record(...) still builds its argument tuple and formats its "
-        "fields on every event — measurable at millions of events per run. "
-        "Hoist `tracer = self.sim.tracer` and test `if tracer.enabled:` (or "
-        "`metrics.enabled`, `journey.enabled`) around the call. The emitter "
-        "set is the RPR005 `guarded_calls` list in lint.toml "
-        "(`receiver.method` specs)."
+        "The tracer is the one instrumentation channel, and it is off unless "
+        "an observability session attaches a listener, so an unobserved run "
+        "pays one attribute load and a branch per site. An unguarded "
+        "tracer.emit(...) still builds its argument tuple and formats its "
+        "fields (str(ip), ...) on every event — measurable at millions of "
+        "events per run. Hoist `tracer = self.sim.tracer` and test "
+        "`if tracer.enabled:` around the call. The emitter set is the RPR005 "
+        "`guarded_calls` list in lint.toml (`receiver.method` specs)."
     )
 
     def _guard_specs(self, ctx: RuleContext) -> Dict[str, Set[str]]:

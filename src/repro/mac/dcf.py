@@ -45,7 +45,6 @@ from repro.mac.queues import TransmitQueues
 from repro.mac.stats import MacStatistics
 from repro.mac.timing import HYDRA_MAC_TIMING, MacTimingProfile
 from repro.net.packet import Packet
-from repro.obs.journey import node_of
 from repro.phy.device import Phy
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.phy.link_adaptation import FixedRate, RateController
@@ -96,8 +95,7 @@ class AggregatingMac:
                  "backoff", "nav", "state", "_current", "_pending_retry",
                  "_retry_count", "_flush_forced", "_drawn_slots",
                  "_backoff_resumed_at", "_access_timer", "_response_timer",
-                 "_flush_timer", "_receive_callback", "_metrics",
-                 "_journey", "_journey_node", "_exchange_seq")
+                 "_flush_timer", "_receive_callback")
 
     def __init__(
         self,
@@ -147,10 +145,6 @@ class AggregatingMac:
                                   priority=Simulator.PRIORITY_MAC, name=f"{self.name}.flush")
 
         self._receive_callback: Optional[ReceiveCallback] = None
-        self._metrics = sim.metrics
-        self._journey = sim.journey
-        self._journey_node = node_of(self.name, "mac")
-        self._exchange_seq = 0
         sim.metrics.register_collector(self._collect_metrics)
         phy.attach_listener(self)
 
@@ -193,29 +187,18 @@ class AggregatingMac:
             accepted = self.queues.enqueue_broadcast(subframe)
         else:
             accepted = self.queues.enqueue_unicast(subframe)
-        metrics = self._metrics
-        journey = self._journey
+        tracer = self.sim.tracer
         if not accepted:
             self.stats.queue_drops += 1
-            if metrics.enabled:
-                metrics.inc("mac.queue_drops", node=self.name,
-                            kind="broadcast" if use_broadcast_queue else "unicast")
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "mac", "drop",
-                               packet, reason="queue_full")
+            if tracer.enabled:
+                tracer.emit(self.name, "mac", "drop", reason="queue_full",
+                            queue="bcast" if use_broadcast_queue else "ucast",
+                            packet=packet)
             return False
-        tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(self.name, "mac", "enqueue",
                         queue="bcast" if use_broadcast_queue else "ucast",
-                        bytes=subframe.size_bytes)
-        if metrics.enabled:
-            metrics.inc("mac.enqueued", node=self.name,
-                        queue="bcast" if use_broadcast_queue else "ucast")
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "mac", "enqueue",
-                           packet,
-                           queue="bcast" if use_broadcast_queue else "ucast")
+                        bytes=subframe.size_bytes, packet=packet)
         self._try_start_access()
         return True
 
@@ -292,19 +275,9 @@ class AggregatingMac:
             self._try_start_access()
             return
 
-        journey = self._journey
-        if journey.enabled:
-            self._exchange_seq += 1
-            now = self.sim.now
-            node = self._journey_node
-            for slot, subframe in enumerate(self._current.broadcast_subframes):
-                journey.record(now, node, "mac", "aggregate", subframe.packet,
-                               attempt=self._exchange_seq, slot=slot,
-                               portion="broadcast")
-            for slot, subframe in enumerate(self._current.unicast_subframes):
-                journey.record(now, node, "mac", "aggregate", subframe.packet,
-                               attempt=self._exchange_seq, slot=slot,
-                               portion="unicast")
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "mac", "aggregate", build=self._current)
 
         needs_rts = (
             self._current.has_unicast
@@ -361,18 +334,8 @@ class AggregatingMac:
             self.scoreboard.register(list(frame.unicast_subframes))
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(self.name, "mac", "data_tx",
-                        subframes=frame.subframe_count, bytes=frame.total_bytes)
-        journey = self._journey
-        if journey.enabled:
-            now = self.sim.now
-            node = self._journey_node
-            for subframe in frame.broadcast_subframes:
-                journey.record(now, node, "mac", "tx", subframe.packet,
-                               attempt=self._exchange_seq, portion="broadcast")
-            for subframe in frame.unicast_subframes:
-                journey.record(now, node, "mac", "tx", subframe.packet,
-                               attempt=self._exchange_seq, portion="unicast")
+            tracer.emit(self.name, "mac", "data_tx", subframes=frame.subframe_count,
+                        bytes=frame.total_bytes, frame=frame)
 
     # ------------------------------------------------------------------
     # PHY listener interface
@@ -387,14 +350,9 @@ class AggregatingMac:
                 # Data sent by the exchange initiated by us.  The broadcast
                 # portion is never acknowledged; custody of those packets ends
                 # here (the air has them now).
-                journey = self._journey
-                if journey.enabled:
-                    now = self.sim.now
-                    node = self._journey_node
-                    for subframe in frame.broadcast_subframes:
-                        journey.record(now, node, "mac", "sent_unacked",
-                                       subframe.packet,
-                                       attempt=self._exchange_seq)
+                tracer = self.sim.tracer
+                if tracer.enabled:
+                    tracer.emit(self.name, "mac", "sent_unacked", frame=frame)
                 if frame.has_unicast:
                     ack_size = (BlockAck(dst=self.address, received_sequences=frozenset()).size_bytes
                                 if self.config.use_block_ack else AckFrame(dst=self.address).size_bytes)
@@ -478,16 +436,6 @@ class AggregatingMac:
             if missing:
                 # Partial block-ACK: the acknowledged subframes leave custody
                 # now, the missing ones ride the retry path.
-                journey = self._journey
-                if journey.enabled and self._current is not None:
-                    now = self.sim.now
-                    node = self._journey_node
-                    missing_ids = {id(subframe) for subframe in missing}
-                    for subframe in self._current.unicast_subframes:
-                        if id(subframe) not in missing_ids:
-                            journey.record(now, node, "mac", "acked",
-                                           subframe.packet,
-                                           attempt=self._exchange_seq)
                 self._handle_failure(data_was_sent=True, preserved_unicast=missing)
                 return
         self._complete_success()
@@ -531,10 +479,9 @@ class AggregatingMac:
 
     def _deliver_up(self, subframe: MacSubframe) -> None:
         self.stats.subframes_delivered_up += 1
-        journey = self._journey
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "mac", "deliver",
-                           subframe.packet, src=str(subframe.src))
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "mac", "deliver", src=str(subframe.src), packet=subframe.packet)
         if self._receive_callback is not None:
             self._receive_callback(subframe.packet, subframe.src)
 
@@ -542,13 +489,7 @@ class AggregatingMac:
     # Exchange completion
     # ------------------------------------------------------------------
     def _complete_success(self, broadcast_only: bool = False) -> None:
-        journey = self._journey
-        if journey.enabled and self._current is not None:
-            now = self.sim.now
-            node = self._journey_node
-            for subframe in self._current.unicast_subframes:
-                journey.record(now, node, "mac", "acked", subframe.packet,
-                               attempt=self._exchange_seq)
+        current = self._current
         retries = self._retry_count
         self.backoff.on_success()
         self.rate_controller.on_success()
@@ -559,11 +500,8 @@ class AggregatingMac:
         self.state = MacState.IDLE
         tracer = self.sim.tracer
         if tracer.enabled:
-            tracer.emit(self.name, "mac", "exchange_done", broadcast_only=broadcast_only)
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("mac.exchanges", node=self.name, outcome="success")
-            metrics.observe("mac.exchange_retries", retries, node=self.name)
+            tracer.emit(self.name, "mac", "exchange_done", broadcast_only=broadcast_only,
+                        retries=retries, build=current)
         self._try_start_access()
 
     def _on_response_timeout(self) -> None:
@@ -583,25 +521,13 @@ class AggregatingMac:
         self.rate_controller.on_failure()
         self._retry_count += 1
 
-        journey = self._journey
-        if self._retry_count > self.timing.retry_limit:
-            # Give up on the unicast portion entirely.
-            dropped = len(self._current.unicast_subframes)
+        current = self._current
+        gave_up = self._retry_count > self.timing.retry_limit
+        if gave_up:
+            # Give up on the unicast portion entirely (and, when the RTS
+            # chain failed, on the never-sent broadcast portion too).
+            dropped = len(current.unicast_subframes)
             self.stats.unicast_drops += dropped
-            if journey.enabled:
-                now = self.sim.now
-                node = self._journey_node
-                doomed = (preserved_unicast if preserved_unicast is not None
-                          else self._current.unicast_subframes)
-                for subframe in doomed:
-                    journey.record(now, node, "mac", "drop", subframe.packet,
-                                   reason="retry_limit")
-                if not data_was_sent:
-                    # The RTS chain failed with the broadcast portion still
-                    # untransmitted; those packets die here too.
-                    for subframe in self._current.broadcast_subframes:
-                        journey.record(now, node, "mac", "drop",
-                                       subframe.packet, reason="retry_limit")
             self._pending_retry = None
             self._retry_count = 0
             self.backoff.on_success()
@@ -617,13 +543,6 @@ class AggregatingMac:
                 retry = self._current
             for subframe in retry.unicast_subframes:
                 subframe.retries += 1
-            if journey.enabled:
-                now = self.sim.now
-                node = self._journey_node
-                for subframe in retry.unicast_subframes:
-                    journey.record(now, node, "mac", "retry", subframe.packet,
-                                   attempt=self._exchange_seq,
-                                   count=subframe.retries)
             self._pending_retry = retry if not retry.empty else None
 
         self._current = None
@@ -631,10 +550,9 @@ class AggregatingMac:
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(self.name, "mac", "exchange_failed", retries=self._retry_count,
-                        data_sent=data_was_sent)
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("mac.exchanges", node=self.name, outcome="failure")
+                        data_sent=data_was_sent, gave_up=gave_up, build=current,
+                        unacked=(preserved_unicast if preserved_unicast is not None
+                                 else current.unicast_subframes))
         self._try_start_access()
 
     # ------------------------------------------------------------------

@@ -130,7 +130,6 @@ class NeighborDiscovery:
         self.hellos_received = 0
         self.neighbor_up_events = 0
         self.neighbor_down_events = 0
-        self._metrics = sim.metrics
         sim.metrics.register_collector(self._collect_metrics)
         network.register_handler(HELLO_PROTOCOL, self._on_hello)
 
@@ -231,10 +230,9 @@ class NeighborDiscovery:
                                   last_heard=self.sim.now, hellos_heard=1)
             self._entries[ip] = entry
             self.neighbor_up_events += 1
-            self.sim.tracer.emit(self.name, "discovery", "neighbor_up", ip=str(ip))
-            if self._metrics.enabled:
-                self._metrics.inc("discovery.neighbor_events",
-                                  node=self.name, transition="up")
+            tracer = self.sim.tracer
+            if tracer.enabled:
+                tracer.emit(self.name, "discovery", "neighbor_up", ip=str(ip))
             for callback in list(self._up_callbacks):
                 callback(ip)
         else:
@@ -258,10 +256,9 @@ class NeighborDiscovery:
         for ip in expired:
             del self._entries[ip]
             self.neighbor_down_events += 1
-            self.sim.tracer.emit(self.name, "discovery", "neighbor_down", ip=str(ip))
-            if self._metrics.enabled:
-                self._metrics.inc("discovery.neighbor_events",
-                                  node=self.name, transition="down")
+            tracer = self.sim.tracer
+            if tracer.enabled:
+                tracer.emit(self.name, "discovery", "neighbor_down", ip=str(ip))
             for callback in list(self._down_callbacks):
                 callback(ip)
         self._rearm_expiry()

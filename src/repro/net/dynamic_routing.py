@@ -243,7 +243,6 @@ class DsdvRouter:
         self.entries_advertised = 0
         self.route_changes = 0
         self.route_breaks = 0
-        self._metrics = sim.metrics
         sim.metrics.register_collector(self._collect_metrics)
         network.register_handler(DSDV_PROTOCOL, self._on_update)
 
@@ -292,11 +291,9 @@ class DsdvRouter:
         if triggered:
             self.triggered_updates_sent += 1
         self.entries_advertised += len(routes)
-        self.sim.tracer.emit(self.name, "dsdv", "update_tx",
-                             entries=len(routes), triggered=triggered)
-        if self._metrics.enabled:
-            self._metrics.inc("dsdv.updates", node=self.name,
-                              kind="triggered" if triggered else "periodic")
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "dsdv", "update_tx", entries=len(routes), triggered=triggered)
         self.network.send(packet)
 
     def _on_periodic(self) -> None:

@@ -16,7 +16,6 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.net.address import IpAddress
 from repro.net.packet import Packet
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 from repro.sim.timer import PeriodicTimer
 
@@ -70,11 +69,9 @@ class FloodingSource:
             annotations={"flood_index": self.packets_sent},
         )
         self.packets_sent += 1
-        journey = self.sim.journey
-        if journey.enabled:
-            journey.begin(self.sim.now,
-                          node_of(getattr(self.network, "name", self.name), "net"),
-                          "app", packet, event="send", source=self.name)
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.network.name, "app", "send", source=self.name, packet=packet)
         self.network.send(packet)
         # Small jitter on subsequent emissions avoids lock-step collisions
         # between nodes flooding at the same nominal rate.

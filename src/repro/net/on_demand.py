@@ -73,7 +73,6 @@ from repro.net.dynamic_routing import (
 )
 from repro.net.packet import IpHeader, Packet
 from repro.net.routing import BROADCAST_IP
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
 
@@ -217,10 +216,6 @@ class AodvRouter:
         self.route_changes = 0
         self.route_breaks = 0
         self.route_expirations = 0
-        self._metrics = sim.metrics
-        self._journey = sim.journey
-        self._journey_node = node_of(
-            getattr(network, "name", str(self.address)), "net")
         sim.metrics.register_collector(self._collect_metrics)
         network.register_handler(AODV_PROTOCOL, self._on_control)
         network.set_no_route_handler(self._on_no_route)
@@ -242,7 +237,7 @@ class AodvRouter:
         self._stopped = True
         self.discovery.stop()
         self._expiry_timer.cancel()
-        journey = self._journey
+        tracer = self.sim.tracer
         for destination in sorted(self._pending):
             state = self._pending[destination]
             if state.timer is not None:
@@ -250,10 +245,10 @@ class AodvRouter:
             for packet in state.buffered:
                 if _is_data(packet):
                     self.buffered_packets_dropped += 1
-                    if journey.enabled:
-                        journey.record(self.sim.now, self._journey_node,
-                                       "net", "drop", packet,
-                                       reason="shutdown")
+                    # Buffered packets are in the network layer's custody.
+                    if tracer.enabled:
+                        tracer.emit(self.network.name, "net", "drop",
+                                    reason="shutdown", packet=packet)
         self._pending.clear()
 
     @property
@@ -291,10 +286,10 @@ class AodvRouter:
             if len(state.buffered) >= self.config.buffer_packets:
                 evicted = state.buffered.pop(0)
                 self.buffered_packets_dropped += 1
-                journey = self._journey
-                if journey.enabled and _is_data(evicted):
-                    journey.record(self.sim.now, self._journey_node, "net",
-                                   "drop", evicted, reason="buffer_full")
+                tracer = self.sim.tracer
+                if tracer.enabled and _is_data(evicted):
+                    tracer.emit(self.network.name, "net", "drop",
+                                reason="buffer_full", packet=evicted)
             state.buffered.append(packet)
         return True
 
@@ -344,11 +339,10 @@ class AodvRouter:
         state.attempts += 1
         if state.ttl >= self.config.ring_max_ttl:
             state.attempts_at_max += 1
-        self.sim.tracer.emit(self.name, "aodv", "rreq_tx",
-                             dest=str(state.destination), ttl=state.ttl,
-                             attempt=state.attempts)
-        if self._metrics.enabled:
-            self._metrics.inc("aodv.control_tx", node=self.name, kind="rreq")
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "aodv", "rreq_tx", dest=str(state.destination),
+                        ttl=state.ttl, attempt=state.attempts)
         self.network.send(packet)
         state.timer.start(self.config.ring_timeout_per_ttl * state.ttl)
 
@@ -373,16 +367,12 @@ class AodvRouter:
             state.timer.cancel()
         self._pending.pop(state.destination, None)
         self.discoveries_failed += 1
-        dropped = sum(1 for packet in state.buffered if _is_data(packet))
-        self.buffered_packets_dropped += dropped
-        journey = self._journey
-        if journey.enabled:
-            for packet in state.buffered:
-                if _is_data(packet):
-                    journey.record(self.sim.now, self._journey_node, "net",
-                                   "drop", packet, reason="rreq_exhausted")
-        self.sim.tracer.emit(self.name, "aodv", "discovery_failed",
-                             dest=str(state.destination), dropped=dropped)
+        dropped = [packet for packet in state.buffered if _is_data(packet)]
+        self.buffered_packets_dropped += len(dropped)
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "aodv", "discovery_failed",
+                        dest=str(state.destination), dropped=len(dropped), packets=dropped)
         state.buffered.clear()
 
     def _complete_discovery(self, destination: IpAddress) -> None:
@@ -392,8 +382,10 @@ class AodvRouter:
         if state.timer is not None:
             state.timer.cancel()
         self.discoveries_completed += 1
-        self.sim.tracer.emit(self.name, "aodv", "discovery_complete",
-                             dest=str(destination), flushed=len(state.buffered))
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "aodv", "discovery_complete",
+                        dest=str(destination), flushed=len(state.buffered))
         for packet in state.buffered:
             if _is_data(packet):  # warm-up probes never enter the data plane
                 self.network.reinject(packet)
@@ -490,8 +482,9 @@ class AodvRouter:
                 "aodv_hops": hops,
             })
         self.rreps_sent += 1
-        self.sim.tracer.emit(self.name, "aodv", "rrep_tx",
-                             origin=str(origin), via=str(next_hop))
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "aodv", "rrep_tx", origin=str(origin), via=str(next_hop))
         self.network.send(packet)
 
     def _on_rrep(self, packet: Packet, sender: IpAddress) -> None:
@@ -527,8 +520,9 @@ class AodvRouter:
             annotations={"aodv_type": "rerr",
                          "aodv_unreachable": tuple(unreachable)})
         self.rerrs_sent += 1
-        self.sim.tracer.emit(self.name, "aodv", "rerr_tx",
-                             destinations=len(unreachable))
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "aodv", "rerr_tx", destinations=len(unreachable))
         self.network.send(packet)
 
     def _on_rerr(self, packet: Packet, sender: IpAddress) -> None:

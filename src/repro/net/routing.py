@@ -18,7 +18,6 @@ from repro.errors import RoutingError
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.net.address import IpAddress
 from repro.net.packet import Packet
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -148,8 +147,6 @@ class ForwardingEngine:
         self._handlers: Dict[str, PacketHandler] = {}
         self._no_route_handler: Optional[NoRouteHandler] = None
         self._forward_observer: Optional[ForwardObserver] = None
-        self._journey = sim.journey
-        self._journey_node = node_of(self.name, "net")
         sim.metrics.register_collector(self._collect_metrics)
         mac.set_receive_callback(self._on_mac_receive)
 
@@ -187,10 +184,9 @@ class ForwardingEngine:
     def send(self, packet: Packet) -> bool:
         """Send a locally originated packet towards ``packet.ip.dst``."""
         self.stats.sent_local += 1
-        journey = self._journey
-        if journey.enabled:
-            journey.begin(self.sim.now, self._journey_node, "net", packet,
-                          event="origin")
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "net", "origin", packet=packet)
         return self._route_and_enqueue(packet)
 
     def reinject(self, packet: Packet) -> bool:
@@ -199,10 +195,9 @@ class ForwardingEngine:
         Identical to :meth:`send` except the packet is not counted as locally
         originated again — it already was when it entered the stack.
         """
-        journey = self._journey
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "net", "reinject",
-                           packet)
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "net", "reinject", packet=packet)
         return self._route_and_enqueue(packet)
 
     def _route_and_enqueue(self, packet: Packet) -> bool:
@@ -217,18 +212,16 @@ class ForwardingEngine:
             next_hop_ip = self.routing_table.next_hop(destination)
             next_hop_mac = self.neighbors.resolve(next_hop_ip)
         except RoutingError:
-            journey = self._journey
+            tracer = self.sim.tracer
             if (self._no_route_handler is not None
                     and self._no_route_handler(packet)):
                 self.stats.no_route_buffered += 1
-                if journey.enabled:
-                    journey.record(self.sim.now, self._journey_node, "net",
-                                   "buffer", packet, reason="no_route")
+                if tracer.enabled:
+                    tracer.emit(self.name, "net", "buffer", reason="no_route", packet=packet)
                 return True
             self.stats.no_route_drops += 1
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "net",
-                               "drop", packet, reason="no_route")
+            if tracer.enabled:
+                tracer.emit(self.name, "net", "drop", reason="no_route", packet=packet)
             return False
         if self._forward_observer is not None:
             self._forward_observer(packet, next_hop_ip)
@@ -239,12 +232,11 @@ class ForwardingEngine:
     # ------------------------------------------------------------------
     def _on_mac_receive(self, packet: Packet, source_mac: MacAddress) -> None:
         destination = packet.ip.dst
-        journey = self._journey
+        tracer = self.sim.tracer
         if destination == BROADCAST_IP:
             self.stats.delivered_broadcast += 1
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "net",
-                               "deliver_bcast", packet)
+            if tracer.enabled:
+                tracer.emit(self.name, "net", "deliver_bcast", packet=packet)
             self._dispatch(packet, source_mac)
             return
         if destination == self.address:
@@ -254,22 +246,19 @@ class ForwardingEngine:
         forwarded = packet.with_decremented_ttl()
         if forwarded.ip.ttl <= 0:
             self.stats.ttl_drops += 1
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "net",
-                               "drop", forwarded, reason="ttl")
+            if tracer.enabled:
+                tracer.emit(self.name, "net", "drop", reason="ttl", packet=forwarded)
             return
         self.stats.forwarded += 1
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "net",
-                           "forward", forwarded, ttl=forwarded.ip.ttl)
+        if tracer.enabled:
+            tracer.emit(self.name, "net", "forward", ttl=forwarded.ip.ttl, packet=forwarded)
         self._route_and_enqueue(forwarded)
 
     def _deliver_local(self, packet: Packet, source_mac: MacAddress) -> None:
         self.stats.delivered_local += 1
-        journey = self._journey
-        if journey.enabled:
-            journey.record(self.sim.now, self._journey_node, "net", "deliver",
-                           packet)
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(self.name, "net", "deliver", packet=packet)
         self._dispatch(packet, source_mac)
 
     def _dispatch(self, packet: Packet, source_mac: MacAddress) -> None:
@@ -277,10 +266,9 @@ class ForwardingEngine:
         handler = self._handlers.get(protocol)
         if handler is None:
             self.stats.unhandled_protocol_drops += 1
-            journey = self._journey
-            if journey.enabled:
-                journey.record(self.sim.now, self._journey_node, "net",
-                               "drop", packet, reason="unhandled_protocol")
+            tracer = self.sim.tracer
+            if tracer.enabled:
+                tracer.emit(self.name, "net", "drop", reason="unhandled_protocol", packet=packet)
             return
         handler(packet, source_mac)
 

@@ -7,11 +7,11 @@ rates, sizes, retry counts and the collision/capture outcome.  Entries
 serialize as JSON Lines (one object per line), the same shape whether
 streamed to disk or inspected in memory.
 
-The capture is attached to a simulator (``sim.capture``); the PHY hot paths
-guard on ``sim.capture is not None`` exactly like the tracer guard, so the
-cost when capture is off is one attribute load and branch.  Capturing only
-*reads* protocol state — no RNG, no scheduling — so results are byte-identical
-with capture on or off.
+The capture is a tracer listener (:meth:`FrameCapture.on_record`): it turns
+the PHY's ``phy.tx_start`` and ``phy.rx_end`` records, which carry the frame
+and the ``ReceptionResult``, into entries.  Capturing only *reads* protocol
+state — no RNG, no scheduling — so results are byte-identical with capture on
+or off.  Entries hold only strings and numbers, never the frame itself.
 """
 
 from __future__ import annotations
@@ -52,22 +52,30 @@ class FrameCapture:
         self.dropped = 0
 
     # ------------------------------------------------------------------
-    # Recording (called from the PHY hot path when capture is attached)
+    # Recording
     # ------------------------------------------------------------------
+    def on_record(self, record: Any) -> None:
+        """Tracer listener: capture the PHY's transmissions and receptions."""
+        event, fields = (record.category, record.event), record.fields
+        if event == ("phy", "tx_start"):
+            self.record_tx(record.time, record.source, fields["frame"], fields["duration"])
+        elif event == ("phy", "rx_end"):
+            self.record_rx(record.time, record.source, fields["result"])
+
     def _store(self, entry: Dict[str, Any]) -> None:
         if self.max_frames is not None and len(self.entries) >= self.max_frames:
             self.dropped += 1
             return
         self.entries.append(entry)
 
-    def record_tx(self, time: float, phy: Any, frame: Any, duration: float) -> None:
-        """Record a frame the local PHY just put on the air."""
-        self._store(self._frame_entry(time, phy, frame, direction="tx",
+    def record_tx(self, time: float, node: str, frame: Any, duration: float) -> None:
+        """Record a frame the PHY named ``node`` just put on the air."""
+        self._store(self._frame_entry(time, node, frame, direction="tx",
                                       airtime=duration))
 
-    def record_rx(self, time: float, phy: Any, result: Any) -> None:
+    def record_rx(self, time: float, node: str, result: Any) -> None:
         """Record a finished reception (``result`` is a ``ReceptionResult``)."""
-        entry = self._frame_entry(time, phy, result.frame, direction="rx")
+        entry = self._frame_entry(time, node, result.frame, direction="rx")
         entry["snr_db"] = round(result.snr_db, 2)
         entry["collided"] = result.collided
         entry["captured"] = not result.collided
@@ -80,11 +88,11 @@ class FrameCapture:
             entry["control_ok"] = result.control_ok
         self._store(entry)
 
-    def _frame_entry(self, time: float, phy: Any, frame: Any, direction: str,
+    def _frame_entry(self, time: float, node: str, frame: Any, direction: str,
                      airtime: Optional[float] = None) -> Dict[str, Any]:
         entry: Dict[str, Any] = {
             "t": round(time, 9),
-            "node": phy.name,
+            "node": node,
             "dir": direction,
             "kind": frame.kind.value,
             "bytes": frame.total_bytes,

@@ -82,7 +82,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if wants_capture:
         count = session.export_capture(args.capture_out)
         dropped = session.capture.dropped if session.capture else 0
-        note = f" ({dropped} dropped past --max-capture-frames)" if dropped else ""
+        note = (f" ({dropped} dropped past the capture bound of "
+                f"{session.config.max_capture_frames:,} frames, "
+                f"observe(max_capture_frames=))" if dropped else "")
         print(f"capture: {count} frame(s) -> {args.capture_out}{note}")
     exit_code = 0
     if wants_journey:

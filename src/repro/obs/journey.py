@@ -8,13 +8,10 @@ PHY reception outcome, retry chains and a terminal fate — delivered, or a
 reason-coded drop (``queue_full``, ``no_route``, ``rreq_exhausted``,
 ``retry_limit``, ``ttl``, ...).
 
-The :class:`JourneyRecorder` is the hot-path half: a side table keyed by
-packet uid (packets are never mutated, so byte-determinism is untouched) that
-components append :class:`JourneyEvent` records to.  Every call site sits
-behind an ``.enabled`` guard (enforced by lint rule RPR005 for the hot-path
-modules), and :data:`NULL_JOURNEY` is the shared disabled instance every
-:class:`~repro.sim.simulator.Simulator` starts with, so the disabled cost is
-one attribute load and a branch per site.
+The :class:`JourneyRecorder` is the recording half: a tracer listener that
+turns trace records into :class:`JourneyEvent` entries (strings and numbers
+only) in a side table keyed by packet uid — packets are never mutated, so
+byte-determinism is untouched.  It also numbers each MAC's aggregate attempts.
 
 The analysis half runs off the hot path, after the simulation:
 
@@ -66,7 +63,6 @@ __all__ = [
     "Journey",
     "JourneyEvent",
     "JourneyRecorder",
-    "NULL_JOURNEY",
     "conservation_audit",
     "flow_arrows",
     "flow_summaries",
@@ -150,15 +146,15 @@ class JourneyRecorder:
     truncation rather than failing.
     """
 
-    __slots__ = ("enabled", "max_journeys", "dropped", "journeys", "_by_uid")
+    __slots__ = ("max_journeys", "dropped", "journeys", "_by_uid", "_attempts")
 
-    def __init__(self, enabled: bool = False,
-                 max_journeys: Optional[int] = 200_000) -> None:
-        self.enabled = enabled
+    def __init__(self, max_journeys: Optional[int] = 200_000) -> None:
         self.max_journeys = max_journeys
         self.dropped = 0
         self.journeys: List[Journey] = []
         self._by_uid: Dict[int, Journey] = {}
+        #: Aggregate attempts per MAC (trace source), numbered from 1.
+        self._attempts: Dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.journeys)
@@ -197,10 +193,117 @@ class JourneyRecorder:
         journey.events.append(
             JourneyEvent(now, node, layer, event, fields or None))
 
+    # ------------------------------------------------------------------
+    # The tracer listener
+    # ------------------------------------------------------------------
+    def on_record(self, record: Any) -> None:
+        """Tracer listener: turn one trace record into journey events.
 
-#: The shared disabled recorder installed on every simulator by default.
-#: Never enable or record into this instance.
-NULL_JOURNEY = JourneyRecorder(enabled=False, max_journeys=0)
+        A record with a ``packet`` field is one journey event, keeping its
+        other fields; records about a frame, an aggregate or a buffer fan
+        out to one event per packet.
+        """
+        fields = record.fields
+        node = node_of(record.source, _SOURCE_LAYER.get(record.category, "net"))
+        packet = fields.get("packet")
+        if packet is not None:
+            omitted = _NOT_KEPT.get((record.category, record.event), ())
+            kept = {name: value for name, value in fields.items()
+                    if name != "packet" and name not in omitted}
+            if record.event in ("send", "origin"):
+                self.begin(record.time, node, record.category, packet,
+                           event=record.event, **kept)
+            else:
+                self.record(record.time, node, record.category, record.event,
+                            packet, **kept)
+            return
+        fan_out = _FAN_OUT.get((record.category, record.event))
+        if fan_out is not None:
+            fan_out(self, record, node, self._attempts.get(record.source, 0))
+
+    def _phy_rx(self, record: Any, node: str, attempt: int) -> None:
+        result = record.fields["result"]  # control frames carry no subframes
+        ok = result.broadcast_ok + result.unicast_ok
+        for (_, _, subframe), passed in zip(_subframes(result.frame), ok):
+            self.record(record.time, node, "phy", "rx", subframe.packet,
+                        ok=passed, collided=record.fields["collided"],
+                        snr=record.fields["snr"])
+
+    def _mac_aggregate(self, record: Any, node: str, attempt: int) -> None:
+        attempt = self._attempts[record.source] = attempt + 1
+        for portion, slot, subframe in _subframes(record.fields["build"]):
+            self.record(record.time, node, "mac", "aggregate", subframe.packet,
+                        attempt=attempt, slot=slot, portion=portion)
+
+    def _mac_tx(self, record: Any, node: str, attempt: int) -> None:
+        for portion, _, subframe in _subframes(record.fields["frame"]):
+            self.record(record.time, node, "mac", "tx", subframe.packet,
+                        attempt=attempt, portion=portion)
+
+    def _mac_sent_unacked(self, record: Any, node: str, attempt: int) -> None:
+        for subframe in record.fields["frame"].broadcast_subframes:
+            self.record(record.time, node, "mac", "sent_unacked",
+                        subframe.packet, attempt=attempt)
+
+    def _mac_exchange_done(self, record: Any, node: str, attempt: int) -> None:
+        build = record.fields["build"]
+        for subframe in build.unicast_subframes if build is not None else ():
+            self.record(record.time, node, "mac", "acked", subframe.packet,
+                        attempt=attempt)
+
+    def _mac_exchange_failed(self, record: Any, node: str, attempt: int) -> None:
+        fields = record.fields
+        build, unacked = fields["build"], fields["unacked"]
+        missing = {id(subframe) for subframe in unacked}
+        # A partial block ACK released the subframes it covered.
+        for subframe in build.unicast_subframes:
+            if id(subframe) not in missing:
+                self.record(record.time, node, "mac", "acked", subframe.packet,
+                            attempt=attempt)
+        if not fields["gave_up"]:
+            for subframe in unacked:
+                self.record(record.time, node, "mac", "retry", subframe.packet,
+                            attempt=attempt, count=subframe.retries)
+            return
+        # After a failed RTS chain the broadcast portion never went out and
+        # dies with the unicast portion.
+        unsent = () if fields["data_sent"] else build.broadcast_subframes
+        for subframe in list(unacked) + list(unsent):
+            self.record(record.time, node, "mac", "drop", subframe.packet,
+                        reason="retry_limit")
+
+    def _aodv_discovery_failed(self, record: Any, node: str, attempt: int) -> None:
+        for packet in record.fields["packets"]:
+            self.record(record.time, node, "net", "drop", packet,
+                        reason="rreq_exhausted")
+
+
+def _subframes(carrier: Any) -> Iterable[Tuple[str, int, Any]]:
+    """``(portion, slot, subframe)`` over a frame's or aggregate's subframes."""
+    for portion, subframes in (("broadcast", carrier.broadcast_subframes),
+                               ("unicast", carrier.unicast_subframes)):
+        for slot, subframe in enumerate(subframes):
+            yield portion, slot, subframe
+
+
+#: Sources are named ``"<node>.<suffix>"``; the suffix per record layer where
+#: it is not ``net`` (network, transport and application records are emitted
+#: under the node's network-layer name).
+_SOURCE_LAYER = {"phy": "phy", "mac": "mac", "aodv": "aodv"}
+
+#: Fields a one-packet record carries for the timeline or the metrics only.
+_NOT_KEPT = {("mac", "enqueue"): ("bytes",), ("mac", "drop"): ("queue",)}
+
+#: Records about several packets -> the method that fans them out.
+_FAN_OUT = {
+    ("phy", "rx_end"): JourneyRecorder._phy_rx,
+    ("mac", "aggregate"): JourneyRecorder._mac_aggregate,
+    ("mac", "data_tx"): JourneyRecorder._mac_tx,
+    ("mac", "sent_unacked"): JourneyRecorder._mac_sent_unacked,
+    ("mac", "exchange_done"): JourneyRecorder._mac_exchange_done,
+    ("mac", "exchange_failed"): JourneyRecorder._mac_exchange_failed,
+    ("aodv", "discovery_failed"): JourneyRecorder._aodv_discovery_failed,
+}
 
 
 # ----------------------------------------------------------------------

@@ -15,20 +15,18 @@ plus a **label set** (``node="node3.phy", outcome="collided"``), so one
 logical metric fans out per node / per layer / per outcome without ad-hoc
 dict-of-dict counters.
 
-Two cost tiers keep the hot path honest:
+Two sources fill a registry, and neither costs anything when observability
+is off:
 
-* **Disabled** (the default — every simulator starts with the shared
-  :data:`NULL_METRICS` registry): instrument sites guard on
-  ``registry.enabled``, which costs one attribute load and branch, exactly
-  like the existing tracer guards.  Nothing is allocated and nothing is
-  stored.
-* **Enabled**: incrementing resolves the instrument through one dict lookup
-  keyed by ``(name, sorted labels)``.
-
-Besides live instruments, layers may register **collectors** — callbacks run
-at snapshot time that harvest an existing statistics object (e.g.
-:class:`~repro.mac.stats.MacStatistics`) into gauges.  Collectors give full
-per-node/per-layer export depth with zero per-event cost.
+* **Live instruments** are derived from the simulator's trace records:
+  :meth:`MetricsRegistry.on_record` is a tracer listener, and
+  :data:`LIVE_METRICS` maps each ``layer.event`` it understands to the
+  counters and histograms it updates.  Protocol layers never call the
+  registry on the hot path.
+* **Collectors** — callbacks run at snapshot time that harvest an existing
+  statistics object (e.g. :class:`~repro.mac.stats.MacStatistics`) into
+  gauges.  Every simulator starts with the shared disabled
+  :data:`NULL_METRICS` registry, which ignores collector registration.
 
 Snapshots are **deterministically ordered** (sorted by name, then by the
 sorted label items), so two runs of the same seed serialize byte-identically
@@ -111,36 +109,6 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:  # noqa: ARG002 - intentional no-op
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-    def add(self, amount: float) -> None:  # noqa: ARG002
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
 #: Signature of a snapshot-time collector: it receives the registry and sets
 #: gauges (or increments counters) from state it already maintains.
 Collector = Callable[["MetricsRegistry"], None]
@@ -149,12 +117,9 @@ Collector = Callable[["MetricsRegistry"], None]
 class MetricsRegistry:
     """Registry of named, labelled instruments with deterministic export.
 
-    Instrument sites should guard with :attr:`enabled` before resolving an
-    instrument so the disabled path stays near-free::
-
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.inc("phy.tx_frames", node=self.name, kind="data")
+    A disabled registry (:data:`NULL_METRICS`) accepts no collectors and
+    records nothing through :meth:`inc`, :meth:`set_gauge` or
+    :meth:`observe`.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -169,8 +134,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
         """The counter for ``(name, labels)``, created on first use."""
-        if not self.enabled:
-            return _NULL_COUNTER
         key = (name, _labels_key(labels))
         found = self._counters.get(key)
         if found is None:
@@ -179,8 +142,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """The gauge for ``(name, labels)``, created on first use."""
-        if not self.enabled:
-            return _NULL_GAUGE
         key = (name, _labels_key(labels))
         found = self._gauges.get(key)
         if found is None:
@@ -194,8 +155,6 @@ class MetricsRegistry:
         ``bounds`` applies only at creation; later calls with different
         bounds reuse the existing instrument unchanged.
         """
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         key = (name, _labels_key(labels))
         found = self._histograms.get(key)
         if found is None:
@@ -220,6 +179,12 @@ class MetricsRegistry:
         """Record ``value`` in the histogram ``(name, labels)``."""
         if self.enabled:
             self.histogram(name, bounds, **labels).observe(value)
+
+    def on_record(self, record: Any) -> None:
+        """Tracer listener: update the live instruments ``record`` drives."""
+        update = LIVE_METRICS.get((record.category, record.event))
+        if update is not None:
+            update(self, record.source, record.fields)
 
     # ------------------------------------------------------------------
     # Collectors
@@ -283,3 +248,47 @@ class MetricsRegistry:
 #: starts with.  It never stores anything, so sharing one instance
 #: process-wide is safe.
 NULL_METRICS = MetricsRegistry(enabled=False)
+
+
+def _phy_tx(registry: MetricsRegistry, node: str, fields: Dict[str, Any]) -> None:
+    kind = fields["kind"]
+    registry.inc("phy.tx_frames", node=node, kind=kind)
+    registry.inc("channel.transmissions", node=node, kind=kind)
+    registry.observe("channel.airtime_ms", fields["duration"] * 1e3, node=node)
+
+
+def _phy_rx(registry: MetricsRegistry, node: str, fields: Dict[str, Any]) -> None:
+    result = fields["result"]
+    outcome = ("collided" if fields["collided"]
+               else "decoded" if result.any_ok else "undecoded")
+    registry.inc("phy.rx_frames", node=node, kind=fields["kind"], outcome=outcome)
+    registry.observe("phy.rx_snr_db", result.snr_db, node=node)
+
+
+def _exchange_done(registry: MetricsRegistry, node: str, fields: Dict[str, Any]) -> None:
+    registry.inc("mac.exchanges", node=node, outcome="success")
+    registry.observe("mac.exchange_retries", fields["retries"], node=node)
+
+
+#: ``(layer, event) -> update(registry, source, fields)``: the live
+#: instruments each trace record drives.
+LIVE_METRICS: Dict[Tuple[str, str], Callable[[MetricsRegistry, str, Dict[str, Any]], None]] = {
+    ("phy", "tx_start"): _phy_tx,
+    ("phy", "rx_end"): _phy_rx,
+    ("mac", "enqueue"): lambda registry, node, fields: registry.inc(
+        "mac.enqueued", node=node, queue=fields["queue"]),
+    ("mac", "drop"): lambda registry, node, fields: registry.inc(
+        "mac.queue_drops", node=node,
+        kind="broadcast" if fields["queue"] == "bcast" else "unicast"),
+    ("mac", "exchange_done"): _exchange_done,
+    ("mac", "exchange_failed"): lambda registry, node, fields: registry.inc(
+        "mac.exchanges", node=node, outcome="failure"),
+    ("discovery", "neighbor_up"): lambda registry, node, fields: registry.inc(
+        "discovery.neighbor_events", node=node, transition="up"),
+    ("discovery", "neighbor_down"): lambda registry, node, fields: registry.inc(
+        "discovery.neighbor_events", node=node, transition="down"),
+    ("aodv", "rreq_tx"): lambda registry, node, fields: registry.inc(
+        "aodv.control_tx", node=node, kind="rreq"),
+    ("dsdv", "update_tx"): lambda registry, node, fields: registry.inc(
+        "dsdv.updates", node=node, kind="triggered" if fields["triggered"] else "periodic"),
+}

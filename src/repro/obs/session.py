@@ -5,15 +5,15 @@ deep inside their runners (a ``fig09`` sweep creates one per parameter
 point), so observability cannot be threaded through call signatures without
 touching every experiment.  Instead, an :class:`ObsSession` is installed as
 the process-wide *active session*; ``Simulator.__init__`` calls
-:func:`on_simulator_created`, and the session adopts each new simulator as it
-appears:
+:func:`on_simulator_created`, and the session adopts each new simulator by
+attaching one listener per requested feature to its tracer:
 
-* enables its tracer (bounded by ``max_trace_records``),
-* swaps its disabled :data:`~repro.obs.metrics.NULL_METRICS` for a live
-  per-simulator :class:`~repro.obs.metrics.MetricsRegistry`,
-* swaps its disabled :data:`~repro.obs.journey.NULL_JOURNEY` for a live
-  per-simulator :class:`~repro.obs.journey.JourneyRecorder`,
-* attaches the session's shared :class:`~repro.obs.capture.FrameCapture`.
+* a :class:`~repro.obs.timeline.TraceStore` (bounded by ``max_trace_records``),
+* a live :class:`~repro.obs.metrics.MetricsRegistry`, which also replaces
+  :data:`~repro.obs.metrics.NULL_METRICS` to receive the components'
+  snapshot-time collectors,
+* a :class:`~repro.obs.journey.JourneyRecorder`,
+* the session's shared :class:`~repro.obs.capture.FrameCapture`.
 
 Everything adopted only *observes* — no RNG draws, no scheduling — so runs
 are byte-identical with a session active or not (enforced by tests).
@@ -42,7 +42,7 @@ from repro.obs.journey import (
     journey_document,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import chrome_trace_document, export_chrome_trace
+from repro.obs.timeline import TraceStore, chrome_trace_document, export_chrome_trace
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class ObsConfig:
     metrics: bool = False
     capture: bool = False
     journey: bool = False
-    #: Per-simulator tracer storage bound (listeners still see every record).
+    #: Per-simulator timeline store bound (other listeners see every record).
     max_trace_records: Optional[int] = 500_000
     #: Shared capture storage bound across all simulators of the session.
     max_capture_frames: Optional[int] = 500_000
@@ -73,6 +73,10 @@ class ObsSession:
         self.config = config
         #: Adopted simulators, in creation order (deterministic per run).
         self.simulators: List[Any] = []
+        #: Per adopted simulator: its timeline store and journey recorder
+        #: (``None`` where the feature is off).
+        self.trace_stores: List[Optional[TraceStore]] = []
+        self.journeys: List[Optional[JourneyRecorder]] = []
         self.capture: Optional[FrameCapture] = (
             FrameCapture(max_frames=config.max_capture_frames)
             if config.capture else None)
@@ -81,45 +85,47 @@ class ObsSession:
     # Adoption (called from Simulator.__init__ via the module hook)
     # ------------------------------------------------------------------
     def adopt(self, sim: Any) -> None:
-        """Attach the session's instruments to a newly created simulator."""
+        """Attach the session's listeners to a newly created simulator."""
+        config = self.config
+        tracer = sim.tracer
+        store = TraceStore(config.max_trace_records) if config.trace else None
+        journey = (JourneyRecorder(max_journeys=config.max_journeys)
+                   if config.journey else None)
+        if config.metrics:
+            sim.metrics = MetricsRegistry()
+            tracer.add_listener(sim.metrics.on_record)
+        for listener in (store, journey, self.capture):
+            if listener is not None:
+                tracer.add_listener(listener.on_record)
         self.simulators.append(sim)
-        if self.config.trace:
-            sim.tracer.enabled = True
-            if sim.tracer.max_records is None:
-                sim.tracer.max_records = self.config.max_trace_records
-        if self.config.metrics:
-            sim.metrics = MetricsRegistry(enabled=True)
-        if self.config.journey:
-            sim.journey = JourneyRecorder(
-                enabled=True, max_journeys=self.config.max_journeys)
-        if self.capture is not None:
-            sim.capture = self.capture
+        self.trace_stores.append(store)
+        self.journeys.append(journey)
 
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
-    def _trace_groups(self) -> List[Tuple[str, List[Any]]]:
-        traced = [sim for sim in self.simulators if sim.tracer.records]
-        many = len(traced) > 1
-        return [(f"sim{index}/" if many else "", sim.tracer.records)
-                for index, sim in enumerate(traced)]
-
-    def _flow_groups(self) -> List[Tuple[str, List[Dict[str, Any]]]]:
-        """Journey flow arrows keyed by the same prefixes as trace groups."""
-        traced = [sim for sim in self.simulators if sim.tracer.records]
-        many = len(traced) > 1
-        return [(f"sim{index}/" if many else "", flow_arrows(sim.journey))
-                for index, sim in enumerate(traced) if sim.journey.enabled]
+    def _timeline_groups(self) -> Tuple[List[Tuple[str, List[Any]]],
+                                        List[Tuple[str, List[Dict[str, Any]]]]]:
+        """Trace record groups and journey flow arrows, keyed by the same
+        ``sim<index>/`` prefixes (empty when one simulator was traced)."""
+        traced = [(store, journey)
+                  for store, journey in zip(self.trace_stores, self.journeys)
+                  if store is not None and store.records]
+        groups = [(f"sim{index}/" if len(traced) > 1 else "", store, journey)
+                  for index, (store, journey) in enumerate(traced)]
+        return ([(prefix, store.records) for prefix, store, _ in groups],
+                [(prefix, flow_arrows(journey)) for prefix, _, journey in groups
+                 if journey is not None])
 
     def timeline_document(self) -> Dict[str, Any]:
         """The merged Chrome trace-event document for every adopted run."""
-        return chrome_trace_document(self._trace_groups(),
-                                     flow_groups=self._flow_groups())
+        records, flows = self._timeline_groups()
+        return chrome_trace_document(records, flow_groups=flows)
 
     def export_timeline(self, path: str) -> int:
         """Write the Chrome trace JSON to ``path``; returns the event count."""
-        return export_chrome_trace(self._trace_groups(), path,
-                                   flow_groups=self._flow_groups())
+        records, flows = self._timeline_groups()
+        return export_chrome_trace(records, path, flow_groups=flows)
 
     def metrics_document(self) -> Dict[str, Any]:
         """Deterministic metrics dump: one snapshot per adopted simulator."""
@@ -146,11 +152,10 @@ class ObsSession:
     # ------------------------------------------------------------------
     # Journeys
     # ------------------------------------------------------------------
-    def journey_recorders(self) -> List[Tuple[int, Any]]:
+    def journey_recorders(self) -> List[Tuple[int, JourneyRecorder]]:
         """``(simulation index, recorder)`` for every journey-enabled sim."""
-        return [(index, sim.journey)
-                for index, sim in enumerate(self.simulators)
-                if sim.journey.enabled]
+        return [(index, recorder) for index, recorder in enumerate(self.journeys)
+                if recorder is not None]
 
     def journey_count(self) -> int:
         """Total number of packet journeys recorded across all simulators."""

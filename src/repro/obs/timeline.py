@@ -1,6 +1,8 @@
 """Chrome trace-event export for :class:`~repro.sim.trace.Tracer` streams.
 
-Converts trace records into the `Trace Event Format`_ consumed by Perfetto
+:class:`TraceStore`, a tracer listener, keeps the records listed in
+:data:`TIMELINE_FIELDS` with only their scalar fields; the exporter converts
+them into the `Trace Event Format`_ consumed by Perfetto
 (https://ui.perfetto.dev) and ``chrome://tracing``: one *process* track per
 node and one *thread* lane per layer (phy, mac, dsdv, ...), so a run reads
 like a per-node protocol timeline.
@@ -30,6 +32,26 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+#: The records the timeline stores: ``(layer, event) -> fields kept``.
+TIMELINE_FIELDS: Dict[Tuple[str, str], Tuple[str, ...]] = {
+    ("phy", "tx_start"): ("kind", "bytes", "duration"),
+    ("phy", "tx_end"): ("kind",),
+    ("phy", "rx_end"): ("kind", "snr", "collided"),
+    ("mac", "enqueue"): ("queue", "bytes"),
+    ("mac", "rts"): ("dst",),
+    ("mac", "data_tx"): ("subframes", "bytes"),
+    ("mac", "exchange_done"): ("broadcast_only",),
+    ("mac", "exchange_failed"): ("retries", "data_sent"),
+    ("discovery", "neighbor_up"): ("ip",),
+    ("discovery", "neighbor_down"): ("ip",),
+    ("aodv", "rreq_tx"): ("dest", "ttl", "attempt"),
+    ("aodv", "discovery_failed"): ("dest", "dropped"),
+    ("aodv", "discovery_complete"): ("dest", "flushed"),
+    ("aodv", "rrep_tx"): ("origin", "via"),
+    ("aodv", "rerr_tx"): ("destinations",),
+    ("dsdv", "update_tx"): ("entries", "triggered"),
+}
+
 #: ``(category, begin event) -> end event`` pairs folded into "X" slices.
 DURATION_PAIRS: Dict[Tuple[str, str], str] = {
     ("phy", "tx_start"): "tx_end",
@@ -37,6 +59,30 @@ DURATION_PAIRS: Dict[Tuple[str, str], str] = {
 
 _END_EVENTS = {(category, end): begin
                for (category, begin), end in DURATION_PAIRS.items()}
+
+
+class TraceStore:
+    """The timeline's record store, filled as a tracer listener."""
+
+    def __init__(self, max_records: Optional[int] = None) -> None:
+        self.max_records = max_records
+        self.records: List[Any] = []
+        #: Timeline records not stored because ``max_records`` was reached;
+        #: non-zero means :attr:`records` is a truncated prefix.
+        self.dropped = 0
+
+    def on_record(self, record: Any) -> None:
+        """Store ``record`` if the timeline shows it, keeping its scalar fields."""
+        kept = TIMELINE_FIELDS.get((record.category, record.event))
+        if kept is None:
+            return
+        if self.max_records is not None and len(self.records) >= self.max_records:
+            self.dropped += 1
+            return
+        fields = record.fields
+        self.records.append(type(record)(
+            record.time, record.source, record.category, record.event,
+            {name: fields[name] for name in kept if name in fields}))
 
 
 def _split_source(source: str, category: str) -> Tuple[str, str]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Protocol
 
 from repro.errors import PhyError
-from repro.obs.journey import node_of
 from repro.phy.error_model import ErrorModel, ErrorModelConfig
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.phy.timing import PhyTimingConfig
@@ -106,8 +105,7 @@ class Phy:
                  "_current_tx_frame", "_receptions", "_carrier_count",
                  "_carrier_busy_reported", "_noise_cache_dbm",
                  "_noise_cache_mw", "frames_sent", "frames_received",
-                 "frames_collided", "tx_airtime", "_metrics", "_journey",
-                 "_journey_node")
+                 "frames_collided", "tx_airtime")
 
     def __init__(
         self,
@@ -143,9 +141,6 @@ class Phy:
         self.frames_received = 0
         self.frames_collided = 0
         self.tx_airtime = 0.0
-        self._metrics = sim.metrics
-        self._journey = sim.journey
-        self._journey_node = node_of(name, "phy")
         sim.metrics.register_collector(self._collect_metrics)
         channel.register(self)
 
@@ -245,16 +240,10 @@ class Phy:
         sim = self.sim
         sim._scheduler.push(sim.now + duration, self._finish_transmission, (frame,),
                             Simulator.PRIORITY_PHY)
-        tracer = self.sim.tracer
+        tracer = sim.tracer
         if tracer.enabled:
             tracer.emit(self.name, "phy", "tx_start", kind=frame.kind.value,
-                        bytes=frame.total_bytes, duration=duration)
-        metrics = self._metrics
-        if metrics.enabled:
-            metrics.inc("phy.tx_frames", node=self.name, kind=frame.kind.value)
-        capture = sim.capture
-        if capture is not None:
-            capture.record_tx(sim.now, self, frame, duration)
+                        bytes=frame.total_bytes, duration=duration, frame=frame)
         return duration
 
     def _finish_transmission(self, frame: PhyFrame) -> None:
@@ -358,30 +347,7 @@ class Phy:
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(self.name, "phy", "rx_end", kind=frame.kind.value,
-                        snr=round(sinr_db, 1), collided=collided)
-        metrics = self._metrics
-        if metrics.enabled:
-            outcome = ("collided" if collided
-                       else "decoded" if result.any_ok else "undecoded")
-            metrics.inc("phy.rx_frames", node=self.name,
-                        kind=frame.kind.value, outcome=outcome)
-            metrics.observe("phy.rx_snr_db", sinr_db, node=self.name)
-        journey = self._journey
-        if journey.enabled and not frame.kind.is_control:
-            now = self.sim.now
-            node = self._journey_node
-            snr = round(sinr_db, 1)
-            for subframe, ok in zip(frame.broadcast_subframes,
-                                    result.broadcast_ok):
-                journey.record(now, node, "phy", "rx", subframe.packet,
-                               ok=ok, collided=collided, snr=snr)
-            for subframe, ok in zip(frame.unicast_subframes,
-                                    result.unicast_ok):
-                journey.record(now, node, "phy", "rx", subframe.packet,
-                               ok=ok, collided=collided, snr=snr)
-        capture = self.sim.capture
-        if capture is not None:
-            capture.record_rx(self.sim.now, self, result)
+                        snr=round(sinr_db, 1), collided=collided, result=result)
         if self._listener is not None and result.any_ok or self._listener is not None and collided:
             self._listener.on_frame_received(result)
 

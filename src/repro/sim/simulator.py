@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.journey import NULL_JOURNEY
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.session import on_simulator_created
 from repro.sim.events import EventHandle
@@ -28,10 +27,10 @@ class Simulator:
     ----------
     seed:
         Root seed for all random streams derived from this simulator.
-    trace_enabled:
-        When true, components may emit :class:`~repro.sim.trace.TraceRecord`
-        entries through :attr:`tracer`; tracing is off by default because the
-        experiments generate millions of events.
+
+    Components report events through :attr:`tracer`, the one instrumentation
+    channel.  It is off (no listeners) unless an observability session
+    (:func:`repro.obs.session.observe`) adopts the simulator.
     """
 
     #: Event priorities.  Lower values fire first at equal times.  PHY events
@@ -39,8 +38,7 @@ class Simulator:
     #: frame that finishes reception at time *t* is processed before a timer
     #: that expires at the same instant.
     __slots__ = ("_now", "_scheduler", "_running", "_stopped", "random",
-                 "tracer", "_events_processed", "metrics", "capture",
-                 "journey")
+                 "tracer", "_events_processed", "metrics")
 
     PRIORITY_PHY = 0
     PRIORITY_MAC = 10
@@ -48,25 +46,18 @@ class Simulator:
     PRIORITY_APP = 30
     PRIORITY_DEFAULT = 50
 
-    def __init__(self, seed: int = 1, trace_enabled: bool = False) -> None:
+    def __init__(self, seed: int = 1) -> None:
         self._now = 0.0
         self._scheduler = Scheduler()
         self._running = False
         self._stopped = False
         self.random = RandomStreams(seed)
-        self.tracer = Tracer(self, enabled=trace_enabled)
+        self.tracer = Tracer(self)
         self._events_processed = 0
-        #: Metrics registry; the shared disabled one unless an observability
+        #: Metrics registry that components register snapshot-time
+        #: collectors with; the shared disabled one unless an observability
         #: session (``repro.obs.session.observe``) swaps in a live registry.
-        #: Instrument sites guard on ``metrics.enabled``.
         self.metrics = NULL_METRICS
-        #: Optional :class:`~repro.obs.capture.FrameCapture`; PHY hot paths
-        #: guard on ``sim.capture is not None``.
-        self.capture = None
-        #: Per-packet journey recorder; the shared disabled one unless an
-        #: observability session swaps in a live recorder.  Instrument sites
-        #: guard on ``journey.enabled``.
-        self.journey = NULL_JOURNEY
         # Adopt this simulator into the active observability session, if any.
         on_simulator_created(self)
 

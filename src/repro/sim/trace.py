@@ -1,15 +1,18 @@
-"""Event tracing.
+"""Event tracing: the one instrumentation channel.
 
-The tracer is a cheap, optional sink for structured trace records emitted by
-protocol layers (frame transmissions, MAC state transitions, TCP events).  It
-is disabled by default; experiments enable it selectively when debugging or
-when a statistic needs the raw event stream.
+Each protocol-layer site reports an event with one guarded call,
+``tracer.emit(source, layer, event, **fields)``; the fields carry the packet,
+frame, ``ReceptionResult`` or ``AggregateBuild`` concerned next to scalar
+attributes.  The tracer stores nothing: it hands each :class:`TraceRecord` to
+its listeners (the observability exports, attached by
+:func:`repro.obs.session.observe`) and is enabled exactly while it has one.
+See docs/OBSERVABILITY.md for the event table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
@@ -31,67 +34,37 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` entries and dispatches them to listeners."""
+    """Dispatches every emitted :class:`TraceRecord` to the listeners."""
 
-    __slots__ = ("_sim", "enabled", "max_records", "records", "dropped", "_listeners")
+    __slots__ = ("_sim", "enabled", "_listeners")
 
-    def __init__(self, sim: "Simulator", enabled: bool = False, max_records: Optional[int] = None) -> None:
+    def __init__(self, sim: "Simulator") -> None:
         self._sim = sim
-        self.enabled = enabled
-        self.max_records = max_records
-        self.records: List[TraceRecord] = []
-        #: Records emitted after :attr:`records` reached ``max_records`` and
-        #: therefore not stored.  Listeners saw them regardless; a non-zero
-        #: value means stored records are a truncated prefix of the stream.
-        self.dropped = 0
+        #: True while at least one listener is attached; emission sites test
+        #: it so an unobserved run pays one attribute load and a branch.
+        self.enabled = False
         self._listeners: List[Callable[[TraceRecord], None]] = []
 
     def add_listener(self, listener: Callable[[TraceRecord], None]) -> None:
         """Register a callable invoked for every emitted record.
 
-        Listener contract: listeners fire for **every** emit while the tracer
-        is enabled — including records dropped from storage because
-        ``max_records`` was reached — in emission order, synchronously, from
-        inside the emitting event.  A listener that needs the full stream is
-        therefore unaffected by the storage bound; a listener must not assume
-        the record it receives is also in :attr:`records`.
+        Listeners run synchronously, in registration order, from inside the
+        emitting event.  They must only read the record: no RNG draws, no
+        scheduling, no mutation of the objects it carries.
         """
         self._listeners.append(listener)
+        self.enabled = True
 
-    def emit(self, source: str, category: str, event: str, **fields: Any) -> None:
-        """Record a trace event if tracing is enabled.
+    def emit(self, source: str, category: str, event: str, /, **fields: Any) -> None:
+        """Hand one record to every listener (a no-op while none is attached).
 
-        Storage is bounded by ``max_records``; once full, further records
-        increment :attr:`dropped` instead of growing :attr:`records`, but are
-        still dispatched to listeners (see :meth:`add_listener`).
+        The first three parameters are positional-only, so a field may be
+        called ``source`` too.
         """
         if not self.enabled:
             return
         record = TraceRecord(
             time=self._sim.now, source=source, category=category, event=event, fields=fields
         )
-        if self.max_records is None or len(self.records) < self.max_records:
-            self.records.append(record)
-        else:
-            self.dropped += 1
         for listener in self._listeners:
             listener(record)
-
-    def filter(self, category: Optional[str] = None, event: Optional[str] = None,
-               source: Optional[str] = None) -> List[TraceRecord]:
-        """Return stored records matching the given category/event/source."""
-        result = []
-        for record in self.records:
-            if category is not None and record.category != category:
-                continue
-            if event is not None and record.event != event:
-                continue
-            if source is not None and record.source != source:
-                continue
-            result.append(record)
-        return result
-
-    def clear(self) -> None:
-        """Drop all stored records and reset the overflow counter."""
-        self.records.clear()
-        self.dropped = 0

@@ -23,7 +23,6 @@ from typing import Callable, Dict, Optional
 from repro.errors import TcpStateError
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
 from repro.transport.tcp.congestion import NewRenoCongestionControl
@@ -198,13 +197,10 @@ class TcpConnection:
             self.retransmitted_segments += 1
         else:
             self.bytes_sent_total += payload
-        journey = self.sim.journey
-        if journey.enabled:
-            journey.begin(self.sim.now,
-                          node_of(getattr(self.network, "name",
-                                          str(self.local_ip)), "net"),
-                          "tcp", packet, event="send", seq=seq,
-                          retransmission=retransmission)
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(getattr(self.network, "name", str(self.local_ip)), "tcp",
+                        "send", seq=seq, retransmission=retransmission, packet=packet)
         self.network.send(packet)
 
     def _send_pure_ack(self) -> None:

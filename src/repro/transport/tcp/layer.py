@@ -14,7 +14,6 @@ from repro.errors import TransportError
 from repro.mac.addresses import MacAddress
 from repro.net.address import IpAddress
 from repro.net.packet import Packet
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 from repro.transport.tcp.connection import PAPER_MSS, TcpConnection
 
@@ -38,7 +37,6 @@ class TcpLayer:
         self._ephemeral_port = 49152
         self.segments_received = 0
         self.segments_dropped = 0
-        self.journey_node = node_of(getattr(network, "name", str(address)), "net")
         sim.metrics.register_collector(self._collect_metrics)
         network.register_handler("tcp", self._on_packet)
 
@@ -98,13 +96,13 @@ class TcpLayer:
         if header is None:  # pragma: no cover - defensive
             return
         self.segments_received += 1
-        journey = self.sim.journey
+        tracer = self.sim.tracer
         key = (header.dst_port, packet.ip.src.value, header.src_port)
         connection = self._connections.get(key)
         if connection is not None:
-            if journey.enabled:
-                journey.record(self.sim.now, self.journey_node, "tcp",
-                               "deliver", packet, port=header.dst_port)
+            if tracer.enabled:
+                tracer.emit(self.network.name, "tcp", "deliver", port=header.dst_port,
+                            packet=packet)
             connection.on_segment(packet)
             return
 
@@ -115,14 +113,13 @@ class TcpLayer:
                 remote_port=header.src_port, mss=self.default_mss,
             )
             self._connections[key] = connection
-            if journey.enabled:
-                journey.record(self.sim.now, self.journey_node, "tcp",
-                               "deliver", packet, port=header.dst_port)
+            if tracer.enabled:
+                tracer.emit(self.network.name, "tcp", "deliver", port=header.dst_port,
+                            packet=packet)
             connection.accept_syn(header.seq)
             self._listeners[header.dst_port](connection)
             return
 
         self.segments_dropped += 1
-        if journey.enabled:
-            journey.record(self.sim.now, self.journey_node, "tcp", "drop",
-                           packet, reason="no_connection")
+        if tracer.enabled:
+            tracer.emit(self.network.name, "tcp", "drop", reason="no_connection", packet=packet)

@@ -14,7 +14,6 @@ from repro.errors import TransportError
 from repro.mac.addresses import MacAddress
 from repro.net.address import IpAddress
 from repro.net.packet import Packet
-from repro.obs.journey import node_of
 from repro.sim.simulator import Simulator
 
 #: Callback signature for received datagrams: ``handler(packet, source_ip)``.
@@ -49,10 +48,9 @@ class UdpSocket:
         self.datagrams_sent += 1
         self.bytes_sent += payload_bytes
         layer = self._layer
-        journey = layer.sim.journey
-        if journey.enabled:
-            journey.begin(layer.sim.now, layer.journey_node, "udp", packet,
-                          event="send", port=destination_port)
+        tracer = layer.sim.tracer
+        if tracer.enabled:
+            tracer.emit(layer.network.name, "udp", "send", port=destination_port, packet=packet)
         return layer.network.send(packet)
 
     def deliver(self, packet: Packet) -> None:
@@ -77,7 +75,6 @@ class UdpLayer:
         self._sockets: Dict[int, UdpSocket] = {}
         self.delivered = 0
         self.no_port_drops = 0
-        self.journey_node = node_of(getattr(network, "name", str(address)), "net")
         sim.metrics.register_collector(self._collect_metrics)
         network.register_handler("udp", self._on_packet)
 
@@ -103,15 +100,14 @@ class UdpLayer:
         if packet.udp is None:  # pragma: no cover - defensive
             return
         socket = self._sockets.get(packet.udp.dst_port)
-        journey = self.sim.journey
+        tracer = self.sim.tracer
         if socket is None:
             self.no_port_drops += 1
-            if journey.enabled:
-                journey.record(self.sim.now, self.journey_node, "udp", "drop",
-                               packet, reason="no_port")
+            if tracer.enabled:
+                tracer.emit(self.network.name, "udp", "drop", reason="no_port", packet=packet)
             return
         self.delivered += 1
-        if journey.enabled:
-            journey.record(self.sim.now, self.journey_node, "udp", "deliver",
-                           packet, port=packet.udp.dst_port)
+        if tracer.enabled:
+            tracer.emit(self.network.name, "udp", "deliver", port=packet.udp.dst_port,
+                        packet=packet)
         socket.deliver(packet)

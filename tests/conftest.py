@@ -28,9 +28,3 @@ from repro.sim import Simulator
 def sim() -> Simulator:
     """A fresh simulator with a fixed seed."""
     return Simulator(seed=42)
-
-
-@pytest.fixture
-def traced_sim() -> Simulator:
-    """A simulator with tracing enabled (for tests that inspect trace records)."""
-    return Simulator(seed=42, trace_enabled=True)

@@ -17,8 +17,13 @@ from repro.mac.frames import subframe_for_packet
 from repro.mac.queues import TransmitQueues
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
+from repro.obs.session import observe
 from repro.phy.rates import hydra_rate_table
+from repro.sim import Simulator
+from repro.topology import build_linear_chain
 from repro.units import kilobytes
+
+from helpers.obs import audit_balanced
 
 RATES = hydra_rate_table()
 
@@ -176,3 +181,28 @@ def test_build_never_exceeds_budget_beyond_first_subframe(n_unicast, n_broadcast
     build = aggregator.build(queues)
     if build.subframe_count > 1:
         assert build.total_bytes <= kilobytes(budget_kb)
+
+
+def test_unsent_broadcast_portion_dies_with_the_failed_rts_chain():
+    # The destination is far out of range: no RTS is ever answered, so after
+    # the retry limit the whole aggregate is given up — including the
+    # broadcast portion, which never reached the air.
+    with observe(trace=True, metrics=True, journey=True) as session:
+        sim = Simulator(seed=7)
+        network = build_linear_chain(sim, hops=1, policy=broadcast_aggregation(),
+                                     unicast_rate_mbps=1.3, spacing=200.0)
+        node = network.node(1)
+        sender = node.udp.bind(9000)
+        sim.schedule_at(0.5, sender.send_to, network.node(2).ip, 9000, 500)
+        sim.schedule_at(0.5, node.network.send,
+                        Packet.broadcast_control(node.ip, 64, created_at=0.5))
+        sim.run(until=10.0)
+    assert node.mac.stats.data_transmissions == 0
+    (document,) = session.journey_documents()["simulations"]
+    (flood,) = [j for j in document["journeys"] if j["protocol"] == "flood"]
+    assert (flood["fate"], flood["fate_reason"]) == ("dropped", "retry_limit")
+    last = flood["events"][-1]
+    assert (last["layer"], last["event"], last["fields"], last["node"]) == (
+        "mac", "drop", {"reason": "retry_limit"}, "node1")
+    assert not [e for e in flood["events"] if e["event"] in ("tx", "sent_unacked")]
+    assert audit_balanced(session)

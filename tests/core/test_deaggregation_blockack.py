@@ -6,12 +6,18 @@ import pytest
 
 from repro.core.block_ack import BlockAck, BlockAckScoreboard
 from repro.core.deaggregation import DuplicateDetector, process_received_aggregate
+from repro.core.policies import unicast_aggregation
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.frames import subframe_for_packet
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
+from repro.obs.session import observe
 from repro.phy.frame import PhyFrame, ReceptionResult
 from repro.phy.rates import hydra_rate_table
+from repro.sim import Simulator
+from repro.topology import build_linear_chain
+
+from helpers.obs import audit_balanced, journey_event_fields
 
 RATES = hydra_rate_table()
 ME = MacAddress.node(2)
@@ -151,3 +157,27 @@ def test_block_ack_acknowledges():
     block_ack = BlockAck.for_outcome(SENDER, [5, 7])
     assert block_ack.acknowledges(5)
     assert not block_ack.acknowledges(6)
+
+
+def test_partial_block_ack_releases_the_acknowledged_subframes_on_the_journey():
+    # A 2.6 Mbps A-MPDU over 4 m loses single subframes while the base-rate
+    # control frames survive, so the block ACK covers only part of the
+    # unicast portion: those subframes leave custody, the rest are retried.
+    with observe(trace=True, metrics=True, journey=True) as session:
+        sim = Simulator(seed=1)
+        network = build_linear_chain(sim, hops=1, policy=unicast_aggregation(),
+                                     unicast_rate_mbps=2.6, spacing=4.0,
+                                     use_block_ack=True)
+        sender = network.node(1).udp.bind(9000)
+        network.node(2).udp.bind(9000)
+        for _ in range(6):
+            sim.schedule_at(0.5, sender.send_to, network.node(2).ip, 9000, 1000)
+        sim.run(until=3.0)
+    outcomes = {}
+    for event in ("acked", "retry"):
+        for fields in journey_event_fields(session, "mac", event, "node1"):
+            outcomes.setdefault((fields["attempt"], fields["t"]), set()).add(event)
+    partial = [key for key, seen in outcomes.items() if seen == {"acked", "retry"}]
+    assert partial
+    assert network.node(2).udp.delivered == 6
+    assert audit_balanced(session)

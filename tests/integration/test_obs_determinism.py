@@ -10,6 +10,9 @@ inline campaign is compared against unobserved pool workers.
 
 from __future__ import annotations
 
+import itertools
+import json
+
 import pytest
 
 from repro.campaign.runner import CampaignRunner
@@ -17,6 +20,7 @@ from repro.core.policies import broadcast_aggregation, unicast_aggregation
 from repro.experiments import (fig09_udp_flooding, mob01_flooding_mobility,
                                rt02_overhead_scaling)
 from repro.experiments.scenarios import run_tcp_transfer, run_udp_saturation
+from repro.mac import frames
 from repro.obs.session import observe
 
 TINY_FIG09 = {"rates_mbps": (0.65,), "flooding_intervals": (0.5,),
@@ -51,7 +55,7 @@ def test_full_observability_is_byte_neutral(signature):
     assert observed == plain
     # ...and the session really was watching, not silently disabled.
     assert session.simulators
-    assert any(sim.tracer.records for sim in session.simulators)
+    assert any(store.records for store in session.trace_stores)
     assert any(len(sim.metrics) for sim in session.simulators)
     assert len(session.capture) > 0
 
@@ -63,7 +67,7 @@ def test_tracer_overflow_does_not_change_results():
     with observe(trace=True, max_trace_records=10) as session:
         bounded = _udp_signature(3)
     assert bounded == plain
-    assert any(sim.tracer.dropped > 0 for sim in session.simulators)
+    assert any(store.dropped > 0 for store in session.trace_stores)
 
 
 def test_observed_experiment_sweep_is_byte_neutral():
@@ -111,6 +115,65 @@ def test_journey_cap_counts_overflow_without_perturbing_the_run():
     assert all(len(recorder) <= 25 for recorder in recorders)
     # Truncated recorders still audit cleanly over the journeys they kept.
     assert session.conservation_report()["balanced"]
+
+
+#: Export written by each feature, and the features whose listeners it reads.
+#: The timeline draws journey flow arrows, so it depends on journeys too.
+_EXPORTS = {
+    "metrics": ("export_metrics", {"metrics"}),
+    "capture": ("export_capture", {"capture"}),
+    "journey": ("export_journeys", {"journey"}),
+    "trace": ("export_timeline", {"trace", "journey"}),
+}
+
+
+def _export_bytes(experiment, params, features, export, tmp_path, monkeypatch):
+    # MAC subframe sequence numbers come from a process-wide counter and the
+    # capture prints them; restart it as a fresh process would.
+    monkeypatch.setattr(frames, "_sequence_numbers", itertools.count(1))
+    with observe(**{feature: True for feature in features}) as session:
+        experiment.run(**params, seed=2)
+    path = tmp_path / f"{export}-{'-'.join(sorted(features))}"
+    getattr(session, export)(str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("experiment,params", [
+    (fig09_udp_flooding, TINY_FIG09),
+    (rt02_overhead_scaling, TINY_RT02),
+], ids=["fig09", "rt02"])
+@pytest.mark.parametrize("feature", sorted(_EXPORTS))
+def test_each_export_is_independent_of_the_other_features(
+        experiment, params, feature, tmp_path, monkeypatch):
+    # The exports share one record stream.  A listener must not depend on
+    # which other listeners are attached: each export is byte-identical
+    # whether the other features are on or off.
+    export, needs = _EXPORTS[feature]
+    everything = {"trace", "metrics", "capture", "journey"}
+    alone = _export_bytes(experiment, params, needs, export, tmp_path,
+                          monkeypatch)
+    together = _export_bytes(experiment, params, everything, export,
+                             tmp_path, monkeypatch)
+    assert len(alone) > 100
+    assert together == alone
+
+
+def test_stored_observations_hold_no_simulation_objects():
+    # Records carry packets, frames and aggregates to the listeners; what a
+    # listener keeps must not pin them (retained frames cost memory and GC).
+    scalars = (str, int, float, bool, type(None))
+    with observe(trace=True, metrics=True, capture=True,
+                 journey=True) as session:
+        rt02_overhead_scaling.run(**TINY_RT02, seed=3)
+    stored = [value for store in session.trace_stores
+              for record in store.records for value in record.fields.values()]
+    stored += [value for _, recorder in session.journey_recorders()
+               for journey in recorder.journeys for event in journey.events
+               for value in (event.fields or {}).values()]
+    assert stored
+    assert all(isinstance(value, scalars) for value in stored)
+    for entry in session.capture.entries:
+        json.dumps(entry)  # plain data only: no ``default=`` fallback needed
 
 
 def test_observed_inline_campaign_matches_unobserved_pool_workers():

@@ -426,13 +426,22 @@ class TestRPR005:
             "mac/extra.py")
         assert "RPR005" in rule_ids(report)
 
+    @staticmethod
+    def _emitters(*specs):
+        """A config whose RPR005 emitter list is ``specs``."""
+        config = LintConfig()
+        config.rules["RPR005"]["guarded_calls"] = list(specs)
+        return config
+
     def test_flags_unguarded_metrics_inc(self):
+        # Not a default emitter; configured, it matches through an
+        # underscored receiver.
         report = lint(
             """
             def on_drop(self):
                 self._metrics.inc("mac.queue_drops", node=self.name)
             """,
-            "mac/extra.py")
+            "mac/extra.py", config=self._emitters("metrics.inc"))
         assert "RPR005" in rule_ids(report)
 
     def test_flags_unguarded_journey_record(self):
@@ -442,7 +451,7 @@ class TestRPR005:
                 self._journey.record(self.sim.now, self.name, "mac",
                                      "deliver", subframe.packet)
             """,
-            "mac/extra.py")
+            "mac/extra.py", config=self._emitters("journey.record"))
         assert "RPR005" in rule_ids(report)
 
     def test_flags_unguarded_journey_begin(self):
@@ -452,7 +461,28 @@ class TestRPR005:
                 journey = self.sim.journey
                 journey.begin(self.sim.now, self.name, "net", packet)
             """,
+            "mac/extra.py", config=self._emitters("journey.begin"))
+        assert "RPR005" in rule_ids(report)
+
+    def test_the_tracer_is_the_only_default_emitter(self):
+        assert LintConfig().guarded_calls("RPR005") == frozenset({"tracer.emit"})
+        report = lint(
+            """
+            def on_drop(self):
+                self._metrics.inc("mac.queue_drops", node=self.name)
+            """,
             "mac/extra.py")
+        assert report.ok
+
+    @pytest.mark.parametrize("rel_path", ["net/extra.py", "transport/extra.py",
+                                          "apps/extra.py"])
+    def test_upper_layers_are_in_scope(self, rel_path):
+        report = lint(
+            """
+            def on_neighbor(self, ip):
+                self.sim.tracer.emit(self.name, "discovery", "up", ip=str(ip))
+            """,
+            rel_path)
         assert "RPR005" in rule_ids(report)
 
     def test_guarded_calls_are_clean(self):
@@ -462,13 +492,6 @@ class TestRPR005:
                 tracer = self.sim.tracer
                 if tracer.enabled:
                     tracer.emit(self.name, "mac", "send", size=frame.size)
-                metrics = self._metrics
-                if metrics.enabled:
-                    metrics.inc("mac.sent", node=self.name)
-                journey = self._journey
-                if journey.enabled:
-                    journey.record(self.sim.now, self.name, "mac", "tx",
-                                   frame.packet)
             """,
             "mac/extra.py")
         assert report.ok

@@ -215,10 +215,10 @@ def test_queue_overflow_counted():
 
 
 def test_queue_drop_metric_is_labelled_by_queue_kind():
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.session import observe
 
-    sim = Simulator(seed=42)
-    sim.metrics = MetricsRegistry(enabled=True)
+    with observe(metrics=True):
+        sim = Simulator(seed=42)
     channel = WirelessChannel(sim)
     phy = Phy(sim, channel, position=(0.0, 0.0), name="solo")
     config = MacConfig(address=MacAddress.node(1), unicast_rate=RATES.by_mbps(1.3),

@@ -14,8 +14,11 @@ from repro.net.dynamic_routing import DynamicRoutingTable, INFINITE_METRIC
 from repro.net.on_demand import AodvConfig, AodvRouter
 from repro.net.routing import RoutingTable
 from repro.node.node import Node, VALID_ROUTING_MODES
+from repro.obs.session import observe
 from repro.sim.simulator import Simulator
 from repro.topology.mobile import MobileScenario
+
+from helpers.obs import audit_balanced, journey_events, trace_records
 
 FAST_AODV = AodvConfig(hello=HelloConfig(hello_interval=0.4),
                        active_route_lifetime=30.0,
@@ -221,21 +224,36 @@ class TestRouteDiscovery:
         assert signature(1) != signature(2)
 
 
+def _unreachable_pair(config, stop_time):
+    """Two AODV nodes far beyond decodability of each other."""
+    sim = Simulator(seed=1)
+    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
+                              stop_time=stop_time, routing="aodv",
+                              routing_config=config)
+    scenario.add_node((0.0, 0.0))
+    scenario.add_node((200.0, 0.0))
+    return sim, scenario
+
+
+EXHAUSTING_AODV = AodvConfig(hello=HelloConfig(hello_interval=0.4),
+                             ring_start_ttl=1, ring_ttl_increment=2,
+                             ring_max_ttl=3, rreq_retries=1,
+                             ring_timeout_per_ttl=0.1)
+
+#: Discovery that never gives up within the test horizon, with a 3-packet
+#: buffer, so a steady source overflows it.
+BUFFERING_AODV = AodvConfig(hello=HelloConfig(hello_interval=0.4),
+                            ring_start_ttl=1, ring_max_ttl=2,
+                            rreq_retries=20, ring_timeout_per_ttl=5.0,
+                            buffer_packets=3)
+
+
 class TestUnreachableDestination:
     def test_exhausted_ring_search_raises_the_same_routing_error(self):
         # Two nodes far beyond decodability: the expanding-ring search must
         # exhaust and the destination must surface exactly like a missing
         # static route — a RoutingError from next_hop(), a drop from send().
-        config = AodvConfig(hello=HelloConfig(hello_interval=0.4),
-                            ring_start_ttl=1, ring_ttl_increment=2,
-                            ring_max_ttl=3, rreq_retries=1,
-                            ring_timeout_per_ttl=0.1)
-        sim = Simulator(seed=1)
-        scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                                  stop_time=8.0, routing="aodv",
-                                  routing_config=config)
-        scenario.add_node((0.0, 0.0))
-        scenario.add_node((200.0, 0.0))
+        sim, scenario = _unreachable_pair(EXHAUSTING_AODV, stop_time=8.0)
         _send_probe(scenario, 1, 2, at=1.0)
         sim.run(until=8.0)
         origin = scenario.network.node(1)
@@ -254,16 +272,7 @@ class TestUnreachableDestination:
         assert type(aodv_error.value) is type(static_error.value)
 
     def test_buffer_bound_drops_oldest(self):
-        config = AodvConfig(hello=HelloConfig(hello_interval=0.4),
-                            ring_start_ttl=1, ring_max_ttl=2,
-                            rreq_retries=20, ring_timeout_per_ttl=5.0,
-                            buffer_packets=3)
-        sim = Simulator(seed=1)
-        scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                                  stop_time=6.0, routing="aodv",
-                                  routing_config=config)
-        scenario.add_node((0.0, 0.0))
-        scenario.add_node((200.0, 0.0))
+        sim, scenario = _unreachable_pair(BUFFERING_AODV, stop_time=6.0)
         source = CbrSource(scenario.network.node(1), scenario.network.node(2).ip,
                            interval=0.2, payload_bytes=64)
         source.start(1.0)
@@ -271,6 +280,43 @@ class TestUnreachableDestination:
         router = scenario.network.node(1).router
         assert router.buffered_packets_dropped > 0
         assert len(router._pending[scenario.network.node(2).ip].buffered) == 3
+
+    def test_exhausted_discovery_is_traced_and_drops_on_the_journey(self):
+        with observe(trace=True, metrics=True, journey=True) as session:
+            sim, scenario = _unreachable_pair(EXHAUSTING_AODV, stop_time=8.0)
+            _send_probe(scenario, 1, 2, at=1.0)
+            sim.run(until=8.0)
+        assert trace_records(session, "aodv", "discovery_failed") == [
+            {"dest": str(scenario.network.node(2).ip), "dropped": 1}]
+        drops = [key for key in journey_events(session) if key[1] == "drop"]
+        assert drops == [("net", "drop", "rreq_exhausted", "node1")]
+        assert audit_balanced(session)
+
+    def test_buffer_overflow_drops_on_the_journey(self):
+        with observe(trace=True, metrics=True, journey=True) as session:
+            sim, scenario = _unreachable_pair(BUFFERING_AODV, stop_time=6.0)
+            source = CbrSource(scenario.network.node(1),
+                               scenario.network.node(2).ip,
+                               interval=0.2, payload_bytes=64)
+            source.start(1.0)
+            sim.run(until=4.0)
+        router = scenario.network.node(1).router
+        drops = [key for key in journey_events(session) if key[1] == "drop"]
+        assert drops == ([("net", "drop", "buffer_full", "node1")]
+                         * router.buffered_packets_dropped)
+        assert audit_balanced(session)
+
+    def test_stopping_the_router_drops_its_buffer_on_the_journey(self):
+        with observe(trace=True, metrics=True, journey=True) as session:
+            sim, scenario = _unreachable_pair(BUFFERING_AODV, stop_time=6.0)
+            _send_probe(scenario, 1, 2, at=1.0)
+            sim.run(until=2.0)
+            router = scenario.network.node(1).router
+            router.stop()
+        assert router.buffered_packets_dropped == 1
+        drops = [key for key in journey_events(session) if key[1] == "drop"]
+        assert drops == [("net", "drop", "shutdown", "node1")]
+        assert audit_balanced(session)
 
 
 class TestLinkBreakRerr:
@@ -298,6 +344,23 @@ class TestLinkBreakRerr:
         assert stale.metric == INFINITE_METRIC
         assert stale.sequence > broken_entry.sequence
         assert not first.routing_table.has_route(last.ip)
+
+    def test_rerr_broadcast_is_traced(self):
+        with observe(trace=True, metrics=True, journey=True) as session:
+            sim, scenario = _chain_scenario(node_count=3, duration=60.0)
+            network = scenario.network
+            UdpSink(network.node(3))
+            source = CbrSource(network.node(1), network.node(3).ip,
+                               interval=0.2, payload_bytes=120)
+            source.start(1.0)
+            sim.run(until=6.0)
+            network.node(3).position = (500.0, 0.0)
+            sim.run(until=6.0 + 4 * FAST_AODV.hello.hold_time)
+        records = trace_records(session, "aodv", "rerr_tx")
+        assert network.node(2).router.rerrs_sent >= 1
+        assert len(records) == sum(node.router.rerrs_sent for node in network.nodes)
+        assert {"destinations": 1} in records
+        assert audit_balanced(session)
 
     def test_route_rediscovered_after_break_heals(self):
         sim, scenario = _chain_scenario(node_count=3, duration=60.0)

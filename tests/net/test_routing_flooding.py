@@ -10,10 +10,13 @@ from repro.net.address import IpAddress
 from repro.net.flooding import FloodingSource
 from repro.net.packet import Packet, TcpHeader
 from repro.net.routing import BROADCAST_IP, NeighborTable, RoutingTable, StaticRoute
+from repro.obs.session import observe
 from repro.sim import Simulator
 from repro.topology import build_linear_chain
 from repro.errors import ConfigurationError
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
+
+from helpers.obs import audit_balanced, journey_events
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +94,22 @@ def test_unhandled_protocol_counted():
     packet = Packet(ip=IpHeader(src=node.ip, dst=node.ip, protocol="raw"), payload_bytes=10)
     node.network.send(packet)
     assert node.network.stats.unhandled_protocol_drops == 1
+
+
+def test_ttl_expiry_at_a_relay_drops_on_the_journey():
+    from repro.net.packet import IpHeader
+    with observe(trace=True, metrics=True, journey=True) as session:
+        sim = Simulator(seed=11)
+        network = build_chain(sim)
+        packet = Packet(ip=IpHeader(src=network.node(1).ip, dst=network.node(3).ip,
+                                    protocol="raw", ttl=1), payload_bytes=100)
+        assert network.node(1).network.send(packet)
+        sim.run(until=2.0)
+    assert network.node(2).network.stats.ttl_drops == 1
+    assert network.node(3).network.stats.delivered_local == 0
+    drops = [key for key in journey_events(session) if key[1] == "drop"]
+    assert drops == [("net", "drop", "ttl", "node2")]
+    assert audit_balanced(session)
 
 
 def test_no_route_drop():

@@ -14,11 +14,6 @@ RATE = hydra_rate_table().by_mbps(0.65)
 
 
 @dataclass
-class StubPhy:
-    name: str = "node1.phy"
-
-
-@dataclass
 class StubSubframe:
     size_bytes: int
     src: str = "02:00:00:00:00:01"
@@ -41,7 +36,7 @@ def data_frame():
 
 def test_record_tx_data_frame_entry():
     capture = FrameCapture()
-    capture.record_tx(0.25, StubPhy(), data_frame(), duration=0.01)
+    capture.record_tx(0.25, "node1.phy", data_frame(), duration=0.01)
     (entry,) = capture.entries
     assert entry["t"] == 0.25
     assert entry["node"] == "node1.phy"
@@ -58,7 +53,7 @@ def test_record_tx_data_frame_entry():
 def test_record_tx_control_frame_entry():
     capture = FrameCapture()
     frame = PhyFrame.control_frame(FrameKind.RTS, StubControl(), RATE)
-    capture.record_tx(0.5, StubPhy(), frame, duration=0.001)
+    capture.record_tx(0.5, "node1.phy", frame, duration=0.001)
     (entry,) = capture.entries
     assert entry["kind"] == "rts"
     assert entry["control"]["dst"] == "02:00:00:00:00:02"
@@ -70,7 +65,7 @@ def test_record_rx_outcome_fields():
     capture = FrameCapture()
     result = ReceptionResult(frame=data_frame(), snr_db=17.456, collided=False,
                              broadcast_ok=[True], unicast_ok=[False])
-    capture.record_rx(1.0, StubPhy("node2.phy"), result)
+    capture.record_rx(1.0, "node2.phy", result)
     (entry,) = capture.entries
     assert entry["dir"] == "rx"
     assert entry["snr_db"] == 17.46
@@ -84,16 +79,16 @@ def test_record_rx_outcome_fields():
 def test_max_frames_counts_drops():
     capture = FrameCapture(max_frames=1)
     for _ in range(3):
-        capture.record_tx(0.0, StubPhy(), data_frame(), duration=0.01)
+        capture.record_tx(0.0, "node1.phy", data_frame(), duration=0.01)
     assert len(capture) == 1
     assert capture.dropped == 2
 
 
 def test_jsonl_round_trip(tmp_path):
     capture = FrameCapture()
-    capture.record_tx(0.1, StubPhy(), data_frame(), duration=0.01)
+    capture.record_tx(0.1, "node1.phy", data_frame(), duration=0.01)
     result = ReceptionResult(frame=data_frame(), snr_db=20.0, collided=True)
-    capture.record_rx(0.2, StubPhy("node2.phy"), result)
+    capture.record_rx(0.2, "node2.phy", result)
     path = tmp_path / "frames.jsonl"
     assert capture.to_jsonl(str(path)) == 2
     lines = path.read_text().strip().splitlines()

@@ -14,7 +14,6 @@ import itertools
 import pytest
 
 from repro.obs.journey import (
-    NULL_JOURNEY,
     JourneyRecorder,
     conservation_audit,
     flow_arrows,
@@ -46,7 +45,6 @@ class _Packet:
 
 
 def _recorder(**kwargs) -> JourneyRecorder:
-    kwargs.setdefault("enabled", True)
     return JourneyRecorder(**kwargs)
 
 
@@ -86,11 +84,6 @@ def test_cap_counts_overflow_and_keeps_capped_packets_untracked():
     assert len(recorder.journeys[0].events) == 1
     audit = conservation_audit(recorder)
     assert audit["truncated"] == 1
-
-
-def test_null_journey_is_disabled():
-    assert NULL_JOURNEY.enabled is False
-    assert len(NULL_JOURNEY) == 0
 
 
 # ----------------------------------------------------------------------

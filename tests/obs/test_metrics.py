@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_METRICS,
-    Histogram,
-    MetricsRegistry,
-    _NULL_COUNTER,
-    _NULL_GAUGE,
-    _NULL_HISTOGRAM,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +54,11 @@ def test_histogram_bounds_are_sorted_and_defaulted():
 
 
 # ---------------------------------------------------------------------------
-# Disabled registry: zero storage, shared null instruments
+# Disabled registry: zero storage
 # ---------------------------------------------------------------------------
 
 def test_disabled_registry_stores_nothing():
     registry = MetricsRegistry(enabled=False)
-    assert registry.counter("a", node="x") is _NULL_COUNTER
-    assert registry.gauge("b") is _NULL_GAUGE
-    assert registry.histogram("c") is _NULL_HISTOGRAM
     registry.inc("a", node="x")
     registry.set_gauge("b", 1.0)
     registry.observe("c", 2.0)
@@ -77,14 +66,6 @@ def test_disabled_registry_stores_nothing():
     assert len(registry) == 0
     snapshot = registry.snapshot()
     assert snapshot == {"counters": [], "gauges": [], "histograms": []}
-
-
-def test_null_instruments_accept_calls():
-    NULL_METRICS.counter("x").inc()
-    NULL_METRICS.gauge("y").set(1.0)
-    NULL_METRICS.gauge("y").add(1.0)
-    NULL_METRICS.histogram("z").observe(3.0)
-    assert len(NULL_METRICS) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from repro.obs.cli import main as obs_main
+from repro.obs import cli
+from repro.obs.cli import build_parser, main as obs_main
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.session import ObsConfig, ObsSession, active_session, observe
 from repro.sim import Simulator
@@ -20,7 +22,6 @@ def test_no_session_leaves_simulator_unobserved():
     assert active_session() is None
     sim = Simulator(seed=1)
     assert sim.metrics is NULL_METRICS
-    assert sim.capture is None
     assert not sim.tracer.enabled
 
 
@@ -32,21 +33,26 @@ def test_observe_adopts_simulators_created_inside():
         second = Simulator(seed=2)
     assert active_session() is None
     assert session.simulators == [first, second]
-    for sim in (first, second):
+    for sim, store in zip((first, second), session.trace_stores):
         assert sim.tracer.enabled
-        assert sim.tracer.max_records == 123
+        assert store.max_records == 123
         assert sim.metrics.enabled
         assert sim.metrics is not NULL_METRICS
-        assert sim.capture is session.capture
-    # metrics registries are per-simulator, the capture is shared
+    # timeline stores and metrics registries are per-simulator, the capture
+    # is shared
+    assert session.trace_stores[0] is not session.trace_stores[1]
     assert first.metrics is not second.metrics
+    assert session.capture is not None
 
 
 def test_observe_features_are_independent():
     with observe(metrics=True) as session:
         sim = Simulator(seed=1)
     assert session.capture is None
-    assert not sim.tracer.enabled
+    assert session.trace_stores == [None]
+    assert session.journeys == [None]
+    # Live metrics are derived from trace records, so the tracer is on.
+    assert sim.tracer.enabled
     assert sim.metrics.enabled
 
 
@@ -79,9 +85,9 @@ def _traced_session():
     with observe(trace=True, metrics=True) as session:
         for seed in (1, 2):
             sim = Simulator(seed=seed)
-            sim.tracer.emit("node1.phy", "phy", "tx_start")
-            sim.tracer.emit("node1.phy", "phy", "tx_end")
-            sim.metrics.inc("demo.counter", node="n1")
+            sim.tracer.emit("node1.phy", "phy", "tx_start", kind="data",
+                            bytes=100, duration=0.001)
+            sim.tracer.emit("node1.phy", "phy", "tx_end", kind="data")
     return session
 
 
@@ -109,8 +115,9 @@ def test_metrics_document_and_export(tmp_path):
     session = _traced_session()
     document = session.metrics_document()
     assert [s["simulation"] for s in document["simulations"]] == [0, 1]
-    assert document["simulations"][0]["metrics"]["counters"][0]["name"] == \
-        "demo.counter"
+    counters = document["simulations"][0]["metrics"]["counters"]
+    assert [c["name"] for c in counters] == ["channel.transmissions",
+                                             "phy.tx_frames"]
     path = tmp_path / "metrics.json"
     session.export_metrics(str(path))
     assert json.loads(path.read_text()) == json.loads(
@@ -189,6 +196,29 @@ def test_cli_journey_export_flow_report_and_audit(tmp_path, capsys):
     trace = json.loads(trace_path.read_text())
     phases = {e["ph"] for e in trace["traceEvents"]}
     assert {"s", "t", "f"} <= phases
+
+
+def test_cli_capture_overflow_note_names_only_real_flags(tmp_path, capsys,
+                                                        monkeypatch):
+    # The capture bound is not a CLI option; patch it low to make it overflow.
+    real_observe = cli.observe
+    monkeypatch.setattr(cli, "observe", lambda **kwargs: real_observe(
+        **kwargs, max_capture_frames=5))
+    exit_code = obs_main([
+        "run", "fig09", "--seed", "1",
+        "--set", "flooding_intervals=(2.0,)", "--set", "duration=2.0",
+        "--capture-out", str(tmp_path / "frames.jsonl"),
+    ])
+    assert exit_code == 0
+    output = capsys.readouterr().out
+    assert "capture: 5 frame(s)" in output
+    run_parser = next(action for action in build_parser()._actions
+                      if action.dest == "command").choices["run"]
+    options = {option for action in run_parser._actions
+               for option in action.option_strings}
+    named = set(re.findall(r"--[a-z][a-z-]*", output))
+    assert named <= options, named - options
+    assert "dropped past the capture bound of 5 frames" in output
 
 
 def test_cli_flow_requires_src_comma_dst(capsys):

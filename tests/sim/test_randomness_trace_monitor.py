@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.obs.timeline import TraceStore
 from repro.sim.randomness import RandomStreams
 
 
@@ -47,50 +48,59 @@ def test_fork_derives_independent_root():
 # ---------------------------------------------------------------------------
 
 def test_tracer_disabled_records_nothing(sim):
-    sim.tracer.emit("node1", "mac", "tx", bytes=100)
-    assert sim.tracer.records == []
+    # No listener is attached, so the tracer is off and emit() is a no-op.
+    assert not sim.tracer.enabled
+    sim.tracer.emit("node1.mac", "mac", "enqueue", queue="ucast", bytes=100)
+    store = TraceStore()
+    sim.tracer.add_listener(store.on_record)
+    assert sim.tracer.enabled
+    assert store.records == []
 
 
-def test_tracer_records_and_filters(traced_sim):
-    traced_sim.tracer.emit("node1", "mac", "tx", bytes=100)
-    traced_sim.tracer.emit("node2", "mac", "rx", bytes=100)
-    traced_sim.tracer.emit("node1", "phy", "tx_start")
-    assert len(traced_sim.tracer.records) == 3
-    assert len(traced_sim.tracer.filter(category="mac")) == 2
-    assert len(traced_sim.tracer.filter(source="node1")) == 2
-    assert len(traced_sim.tracer.filter(category="mac", event="rx")) == 1
-    text = str(traced_sim.tracer.records[0])
-    assert "mac.tx" in text
+def test_tracer_records_and_filters(sim):
+    # The timeline store keeps timeline events with their scalar fields and
+    # filters out journey-only events and the objects a record carries.
+    store = TraceStore()
+    sim.tracer.add_listener(store.on_record)
+    packet = object()
+    sim.tracer.emit("node1.mac", "mac", "enqueue", queue="ucast", bytes=100,
+                    packet=packet)
+    sim.tracer.emit("node1.net", "net", "forward", ttl=3, packet=packet)
+    sim.tracer.emit("node2.mac", "mac", "rts", dst="02:00:00:00:00:01")
+    sim.tracer.emit("node1.phy", "phy", "tx_start")
+    assert [(r.source, r.category, r.event) for r in store.records] == [
+        ("node1.mac", "mac", "enqueue"), ("node2.mac", "mac", "rts"),
+        ("node1.phy", "phy", "tx_start")]
+    assert store.records[0].fields == {"queue": "ucast", "bytes": 100}
+    text = str(store.records[0])
+    assert "mac.enqueue" in text
 
 
-def test_tracer_listener_invoked(traced_sim):
+def test_tracer_listener_invoked(sim):
     seen = []
-    traced_sim.tracer.add_listener(seen.append)
-    traced_sim.tracer.emit("n", "cat", "ev")
+    sim.tracer.add_listener(seen.append)
+    sim.tracer.emit("n", "cat", "ev", source="a field named source")
     assert len(seen) == 1 and seen[0].event == "ev"
+    assert seen[0].fields == {"source": "a field named source"}
 
 
 def test_tracer_max_records(sim):
-    sim.tracer.enabled = True
-    sim.tracer.max_records = 2
+    store = TraceStore(max_records=2)
+    sim.tracer.add_listener(store.on_record)
     for i in range(5):
-        sim.tracer.emit("n", "c", f"e{i}")
-    assert len(sim.tracer.records) == 2
-    assert sim.tracer.dropped == 3
+        sim.tracer.emit("n.phy", "phy", "tx_end", kind=f"k{i}")
+    assert len(store.records) == 2
+    assert store.dropped == 3
 
 
 def test_tracer_overflow_still_reaches_listeners(sim):
     """Storage truncates at max_records but the listener stream is complete."""
-    sim.tracer.enabled = True
-    sim.tracer.max_records = 1
+    store = TraceStore(max_records=1)
+    sim.tracer.add_listener(store.on_record)
     seen = []
     sim.tracer.add_listener(seen.append)
     for i in range(4):
-        sim.tracer.emit("n", "c", f"e{i}")
-    assert [record.event for record in sim.tracer.records] == ["e0"]
-    assert sim.tracer.dropped == 3
-    assert [record.event for record in seen] == ["e0", "e1", "e2", "e3"]
-    sim.tracer.clear()
-    assert sim.tracer.records == []
-    assert sim.tracer.dropped == 0
-
+        sim.tracer.emit("n.phy", "phy", "tx_end", kind=f"k{i}")
+    assert [record.fields["kind"] for record in store.records] == ["k0"]
+    assert store.dropped == 3
+    assert [record.fields["kind"] for record in seen] == ["k0", "k1", "k2", "k3"]

@@ -13,10 +13,15 @@ from typing import Callable, Optional
 
 import pytest
 
+from repro.core import broadcast_aggregation
 from repro.net.address import IpAddress
 from repro.net.packet import Packet
+from repro.obs.session import observe
 from repro.sim import Simulator
+from repro.topology import build_linear_chain
 from repro.transport.tcp.connection import TcpConnection, TcpState
+
+from helpers.obs import audit_balanced, journey_events
 
 CLIENT_IP, SERVER_IP = IpAddress("10.0.0.1"), IpAddress("10.0.0.2")
 
@@ -207,3 +212,19 @@ def test_send_in_invalid_state_rejected():
     client.close()
     with pytest.raises(TcpStateError):
         client.send(100)  # after close()
+
+
+def test_syn_to_a_closed_port_drops_on_the_journey():
+    # Over a real 1-hop stack: nobody listens on the server port, so every
+    # SYN (and each retransmitted SYN) is dropped by the TCP demultiplexer.
+    with observe(trace=True, metrics=True, journey=True) as session:
+        sim = Simulator(seed=5)
+        network = build_linear_chain(sim, hops=1, policy=broadcast_aggregation(),
+                                     unicast_rate_mbps=1.3)
+        network.node(1).tcp.connect(network.node(2).ip, 5001)
+        sim.run(until=2.0)
+    server = network.node(2).tcp
+    assert server.segments_dropped >= 1
+    drops = [key for key in journey_events(session) if key[1] == "drop"]
+    assert drops == [("tcp", "drop", "no_connection", "node2")] * server.segments_dropped
+    assert audit_balanced(session)

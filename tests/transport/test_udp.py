@@ -6,8 +6,11 @@ import pytest
 
 from repro.core import broadcast_aggregation
 from repro.errors import TransportError
+from repro.obs.session import observe
 from repro.sim import Simulator
 from repro.topology import build_linear_chain
+
+from helpers.obs import audit_balanced, journey_events
 
 
 def build(sim):
@@ -37,6 +40,22 @@ def test_unbound_port_drops():
     sender.send_to(network.node(3).ip, 12345, 100)
     sim.run(until=2.0)
     assert network.node(3).udp.no_port_drops == 1
+
+
+def test_unbound_port_drop_reclassifies_the_delivery_on_the_journey():
+    with observe(trace=True, metrics=True, journey=True) as session:
+        sim = Simulator(seed=22)
+        network = build(sim)
+        sender = network.node(1).udp.bind(9000)
+        sender.send_to(network.node(3).ip, 12345, 100)
+        sim.run(until=2.0)
+    events = journey_events(session)
+    assert ("net", "deliver", None, "node3") in events
+    assert [key for key in events if key[1] == "drop"] == [
+        ("udp", "drop", "no_port", "node3")]
+    audit = session.conservation_report()["simulations"][0]["audit"]
+    assert audit["nodes"]["node3"]["drops"] == {"no_port": 1}
+    assert audit_balanced(session)
 
 
 def test_double_bind_rejected():
