@@ -15,7 +15,7 @@ from repro.channel.propagation import (
     PropagationModel,
     hydra_indoor_propagation,
 )
-from repro.channel.medium import Transmission, WirelessChannel
+from repro.channel.medium import WirelessChannel
 
 __all__ = [
     "PropagationModel",
@@ -24,6 +24,5 @@ __all__ = [
     "LogDistancePathLoss",
     "LogNormalShadowing",
     "hydra_indoor_propagation",
-    "Transmission",
     "WirelessChannel",
 ]

@@ -21,7 +21,13 @@ revalidates the cached entry against the exact positions and the model's
 ``cache_epoch`` on every use: stationary links hit the cache on every frame,
 while a link whose endpoint moved (or whose shadowing epoch rolled over)
 recomputes — so results are bit-for-bit identical with the memo on or off
-(``link_budget_memo=False`` disables it for A/B verification).
+(tests patch :data:`LINK_BUDGET_MEMO` to compare the two).
+
+Every PHY has one identity on the medium: the registration index
+:meth:`WirelessChannel.register` writes to ``phy.channel_index``.  Indices
+are never reused — a PHY that leaves and registers again gets a fresh one —
+so a departed PHY's memo rows and grid entry can never be served to another
+PHY, and ordering candidates by index is ordering them by registration.
 
 Candidate enumeration scales past tens of nodes on its own: up to
 :data:`AUTO_SPATIAL_THRESHOLD` registered PHYs the channel budgets every PHY
@@ -34,8 +40,10 @@ run) is identical on either side of the threshold;
 ``tests/integration/test_spatial_determinism.py`` is the differential proof.
 
 Deliveries are fire-and-forget: the channel keeps no handle to the
-begin/end-reception events it schedules, so a frame, its ``Transmission``
-and its packets are freed once the last receiver has processed them.
+begin/end-reception events it schedules and no record of the frame beyond
+them — each receiver is handed the :class:`~repro.phy.frame.PhyFrame`
+itself — so a frame and its packets are freed once the last receiver has
+processed them.
 :meth:`WirelessChannel.unregister` finds a leaving PHY's pending deliveries
 by walking the scheduler's queue (:meth:`~repro.sim.scheduler.Scheduler.cancel_where`),
 which costs O(queued events) on that rare call instead of a handle list per
@@ -45,12 +53,12 @@ receiver on every frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.channel.propagation import PropagationModel, distance_between, hydra_indoor_propagation
 from repro.channel.spatial import UniformGridIndex
 from repro.errors import ConfigurationError
+from repro.phy.device import NOISE_FLOOR_DBM
 from repro.phy.frame import PhyFrame
 from repro.sim.simulator import Simulator
 
@@ -69,61 +77,38 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: send, so tests force either side by patching it.
 AUTO_SPATIAL_THRESHOLD = 64
 
+#: Whether a channel memoises link budgets.  The memo never changes bytes
+#: (see the module docstring); read when a channel is built, so tests turn
+#: it off by patching it first.
+LINK_BUDGET_MEMO = True
+
 _UNSET = object()
-
-
-@dataclass(slots=True)
-class Transmission:
-    """One frame in flight on the medium."""
-
-    sender: "Phy"
-    frame: PhyFrame
-    start_time: float
-    duration: float
-    power_dbm: float
-
-    @property
-    def end_time(self) -> float:
-        """Simulated time at which the transmission ends."""
-        return self.start_time + self.duration
 
 
 class WirelessChannel:
     """Single shared broadcast medium connecting all registered PHYs."""
 
-    __slots__ = ("sim", "propagation", "noise_floor_dbm",
-                 "propagation_delay_enabled", "_phys", "_phy_ids",
-                 "_link_aware", "_cache_epoch",
-                 "_budget_cache", "_active", "_spatial", "_min_detect_floor",
+    __slots__ = ("sim", "propagation", "_phys", "_next_index", "_link_aware",
+                 "_cache_epoch", "_budget_cache", "_spatial", "_min_detect_floor",
                  "_max_tx_power", "_max_range_cache", "total_transmissions",
                  "total_airtime", "total_candidates", "total_deliveries",
                  "total_culled")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        propagation: Optional[PropagationModel] = None,
-        noise_floor_dbm: float = -94.0,
-        propagation_delay_enabled: bool = True,
-        link_budget_memo: bool = True,
-    ) -> None:
+    def __init__(self, sim: Simulator, propagation: Optional[PropagationModel] = None) -> None:
         self.sim = sim
         self.propagation = propagation or hydra_indoor_propagation()
         if hasattr(self.propagation, "bind"):
             # Link-aware models (e.g. LogNormalShadowing) draw per-link
             # offsets from the simulator's seeded streams.
             self.propagation.bind(sim.random)
-        self.noise_floor_dbm = noise_floor_dbm
-        self.propagation_delay_enabled = propagation_delay_enabled
-        self._phys: List["Phy"] = []
-        self._phy_ids: set = set()
+        # Registration index -> PHY; insertion order is registration order.
+        self._phys: Dict[int, "Phy"] = {}
+        self._next_index = 0
         self._link_aware = hasattr(self.propagation, "path_loss_between")
         self._cache_epoch = getattr(self.propagation, "cache_epoch", None)
-        # (id(sender), id(receiver)) -> (epoch, tx_pos, rx_pos, loss, distance)
+        # (sender index, receiver index) -> (epoch, tx_pos, rx_pos, loss, distance)
         self._budget_cache: Optional[Dict[Tuple[int, int], tuple]] = (
-            {} if link_budget_memo else None)
-        # One transmission per id for O(1) retirement.
-        self._active: Dict[int, Transmission] = {}
+            {} if LINK_BUDGET_MEMO else None)
         # Spatial candidate pruning: the grid index is built lazily on the
         # first broadcast that wants it (so registration order — which fixes
         # candidate order — is complete by then).
@@ -147,22 +132,28 @@ class WirelessChannel:
     # Registration
     # ------------------------------------------------------------------
     def register(self, phy: "Phy") -> None:
-        """Attach a PHY to the medium (idempotent).
+        """Attach one of this channel's PHYs to the medium (idempotent).
 
-        The pruning bounds (min detect floor, max tx power) are snapshots of
-        the PHY's config taken here; configure thresholds before registering.
+        The PHY gets the next registration index as ``phy.channel_index``,
+        also when it registers again after leaving.  The pruning bounds (min
+        detect floor, max tx power) are snapshots of the PHY's config taken
+        here; configure thresholds before registering.
         """
-        if id(phy) not in self._phy_ids:
-            self._phys.append(phy)
-            self._phy_ids.add(id(phy))
-            floor = phy.config.detect_floor_dbm
-            if floor < self._min_detect_floor:
-                self._min_detect_floor = floor
-                self._max_range_cache.clear()
-            if phy.config.tx_power_dbm > self._max_tx_power:
-                self._max_tx_power = phy.config.tx_power_dbm
-            if self._spatial is not None:
-                self._spatial.register(phy, self.sim.now)
+        if phy.channel is not self:
+            raise ConfigurationError(f"{phy.name} belongs to another channel")
+        if self._phys.get(phy.channel_index) is phy:
+            return
+        index = phy.channel_index = self._next_index
+        self._next_index += 1
+        self._phys[index] = phy
+        floor = phy.config.detect_floor_dbm
+        if floor < self._min_detect_floor:
+            self._min_detect_floor = floor
+            self._max_range_cache.clear()
+        if phy.config.tx_power_dbm > self._max_tx_power:
+            self._max_tx_power = phy.config.tx_power_dbm
+        if self._spatial is not None:
+            self._spatial.register(phy, self.sim.now)
 
     def unregister(self, phy: "Phy") -> None:
         """Detach a PHY from the medium.
@@ -171,46 +162,38 @@ class WirelessChannel:
         walking the scheduler's queue; see the module docstring) and any
         reception it has in progress is aborted, so a detached PHY never
         hears the tail of a frame that was in flight when it left.  Its own
-        transmission, if any, still completes.
+        transmission, if any, still completes.  Its memo rows stay behind,
+        keyed by an index no other registration will ever get.
         """
-        phy_id = id(phy)
-        if phy_id not in self._phy_ids:
+        index = phy.channel_index
+        if self._phys.get(index) is not phy:
             return
-        self._phy_ids.discard(phy_id)
-        self._phys.remove(phy)
+        del self._phys[index]
         begin, end = phy.begin_reception, phy.end_reception
         self.sim._scheduler.cancel_where(
             lambda event: event.callback == begin or event.callback == end)
-        if self._budget_cache is not None:
-            # id() values can be recycled once the PHY is garbage collected;
-            # purge its cache rows so a future PHY can never inherit them.
-            stale = [key for key in self._budget_cache if phy_id in key]
-            for key in stale:
-                del self._budget_cache[key]
         if self._spatial is not None:
-            # Purge the grid entry too: a later PHY recycling this one's
-            # id() must never inherit its cell.
             self._spatial.unregister(phy)
         phy.abort_receptions()
 
     def phy_position_changed(self, phy: "Phy") -> None:
         """Hook fired by ``Phy.position``'s setter: re-bucket the PHY.
 
-        No-op for PHYs not (yet) registered — the setter also fires during
-        ``Phy.__init__``, before registration.
+        The grid ignores PHYs it does not hold, so this is a no-op for a PHY
+        that has left the medium.
         """
-        if self._spatial is not None and id(phy) in self._phy_ids:
+        if self._spatial is not None:
             self._spatial.position_changed(phy)
 
     def phy_mobility_changed(self, phy: "Phy") -> None:
         """Hook fired by ``Phy.set_mobility``: revalidate this PHY per query."""
-        if self._spatial is not None and id(phy) in self._phy_ids:
+        if self._spatial is not None:
             self._spatial.mobility_changed(phy)
 
     @property
     def phys(self) -> List["Phy"]:
-        """All PHYs currently attached."""
-        return list(self._phys)
+        """All PHYs currently attached, in registration order."""
+        return list(self._phys.values())
 
     # ------------------------------------------------------------------
     # Link budget helpers
@@ -229,7 +212,7 @@ class WirelessChannel:
         epoch = 0 if self._cache_epoch is None else self._cache_epoch(when)
         cache = self._budget_cache
         if cache is not None:
-            key = (id(sender), id(receiver))
+            key = (sender.channel_index, receiver.channel_index)
             entry = cache.get(key)
             if (entry is not None and entry[0] == epoch
                     and entry[1] == tx_position and entry[2] == rx_position):
@@ -259,36 +242,25 @@ class WirelessChannel:
                     tx_power_dbm: Optional[float] = None) -> float:
         """Nominal SNR of the ``sender`` → ``receiver`` link (no interference)."""
         power = sender.config.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
-        return self.received_power_dbm(sender, receiver, power) - self.noise_floor_dbm
-
-    def propagation_delay(self, sender: "Phy", receiver: "Phy") -> float:
-        """One-way propagation delay between two PHYs (at their positions now)."""
-        if not self.propagation_delay_enabled:
-            return 0.0
-        _, distance = self._link_budget(sender, receiver, self.sim.now)
-        return distance / SPEED_OF_LIGHT
+        return self.received_power_dbm(sender, receiver, power) - NOISE_FLOOR_DBM
 
     # ------------------------------------------------------------------
-    # Transmission
+    # Broadcast
     # ------------------------------------------------------------------
     def broadcast(self, sender: "Phy", frame: PhyFrame, duration: float,
-                  power_dbm: float) -> Transmission:
-        """Deliver ``frame`` from ``sender`` to every other registered PHY."""
-        if id(sender) not in self._phy_ids:
+                  power_dbm: float) -> None:
+        """Deliver ``frame`` from ``sender`` to every other registered PHY.
+
+        Each receiver gets ``begin_reception(frame, rx_power_dbm)`` and
+        ``end_reception(frame)``.  Raises before scheduling anything if
+        ``sender`` is not registered here or ``duration`` is not positive.
+        """
+        if self._phys.get(sender.channel_index) is not sender:
             raise ConfigurationError("transmitting PHY is not registered with the channel")
         if duration <= 0:
             raise ConfigurationError(f"transmission duration must be positive, got {duration}")
         sim = self.sim
         now = sim.now
-        self._prune_active(now)
-        transmission = Transmission(
-            sender=sender,
-            frame=frame,
-            start_time=now,
-            duration=duration,
-            power_dbm=power_dbm,
-        )
-        self._active[id(transmission)] = transmission
         self.total_transmissions += 1
         self.total_airtime += duration
 
@@ -298,8 +270,8 @@ class WirelessChannel:
         # because every receiver the grid prunes is provably below its
         # detect floor and the loop below culls exactly those receivers on
         # both paths — so the threshold changes speed, never bytes.
-        receivers: List["Phy"] = self._phys
-        if len(receivers) > AUTO_SPATIAL_THRESHOLD:
+        receivers: Iterable["Phy"] = self._phys.values()
+        if len(self._phys) > AUTO_SPATIAL_THRESHOLD:
             reach = self._max_range_for(power_dbm)
             if reach is not None:
                 spatial = self._ensure_spatial()
@@ -314,7 +286,7 @@ class WirelessChannel:
         # are dropped on purpose (see the module docstring).
         push = sim._scheduler.push
         priority = Simulator.PRIORITY_PHY
-        delay_enabled = self.propagation_delay_enabled
+        end_args = (frame,)
         considered = 0
         culled = 0
         for receiver in receivers:
@@ -335,15 +307,12 @@ class WirelessChannel:
                 # defines who hears a frame.
                 culled += 1
                 continue
-            delay = distance / SPEED_OF_LIGHT if delay_enabled else 0.0
-            push(now + delay, receiver.begin_reception,
-                 (transmission, rx_power), priority)
-            push(now + delay + duration, receiver.end_reception,
-                 (transmission,), priority)
+            delay = distance / SPEED_OF_LIGHT
+            push(now + delay, receiver.begin_reception, (frame, rx_power), priority)
+            push(now + delay + duration, receiver.end_reception, end_args, priority)
         self.total_candidates += considered
         self.total_culled += culled
         self.total_deliveries += considered - culled
-        return transmission
 
     def _max_range_for(self, power_dbm: float) -> Optional[float]:
         """Conservative pruning radius for a transmission at ``power_dbm``.
@@ -378,7 +347,7 @@ class WirelessChannel:
                 return None
             spatial = UniformGridIndex(max(reach, 1.0))
             now = self.sim.now
-            for phy in self._phys:
+            for phy in self._phys.values():
                 spatial.register(phy, now)
             self._spatial = spatial
         return spatial
@@ -398,31 +367,5 @@ class WirelessChannel:
             "channel.spatial_cells",
             0 if self._spatial is None else self._spatial.cell_count)
 
-    def _prune_active(self, now: float) -> None:
-        """Retire transmissions whose airtime has elapsed.
-
-        Retirement is lazy (on access) rather than event-driven: a dedicated
-        retire event per frame bought nothing — no protocol state depends on
-        it — and cost a full push/pop cycle per transmission.
-        """
-        active = self._active
-        if active:
-            expired = [key for key, t in active.items()
-                       if t.start_time + t.duration <= now]
-            for key in expired:
-                del active[key]
-
-    @property
-    def active_transmissions(self) -> List[Transmission]:
-        """Transmissions currently on the air."""
-        self._prune_active(self.sim.now)
-        return list(self._active.values())
-
-    @property
-    def busy(self) -> bool:
-        """True while any transmission is on the air."""
-        self._prune_active(self.sim.now)
-        return bool(self._active)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WirelessChannel phys={len(self._phys)} active={len(self._active)}>"
+        return f"<WirelessChannel phys={len(self._phys)}>"

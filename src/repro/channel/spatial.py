@@ -18,9 +18,9 @@ floor, so grid-indexed and full-scan runs produce byte-identical outcomes;
 
 Determinism rules baked in:
 
-* **Candidate order is registration order.**  Cells store entries in
-  insertion order and the final candidate list is sorted by each entry's
-  registration sequence number — never by cell hash or set iteration — so
+* **Candidate order is registration order.**  Entries are keyed by the
+  channel's registration index (``phy.channel_index``) and the final
+  candidate list is sorted by it — never by cell hash or set iteration — so
   deliveries are scheduled in exactly the order the full scan would use.
 * **Lazy revalidation against exact positions.**  Mobile PHYs (those
   carrying a mobility model) are revalidated on every query against
@@ -31,13 +31,15 @@ Determinism rules baked in:
   the PHY's ``position`` setter fires, so a reassigned static position moves
   its entry immediately.
 * **Purge on unregister.**  Unregistering removes the entry from its cell,
-  the mobile list and the entry table, and drops emptied cells — a departed
-  PHY can never shadow a later one that recycles its ``id()``.
+  the mobile list and the entry table, and drops emptied cells, so a
+  departed PHY is never a candidate.  The channel never reuses an index: a
+  PHY that registers again gets a new entry, last in candidate order.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -49,14 +51,12 @@ Cell = Tuple[int, int]
 
 
 class _GridEntry:
-    """One registered PHY: its cached position, cell and registration rank."""
+    """One registered PHY: its cached position and cell."""
 
-    __slots__ = ("phy", "seq", "position", "cell", "mobile")
+    __slots__ = ("phy", "position", "cell", "mobile")
 
-    def __init__(self, phy: "Phy", seq: int, position: tuple, cell: Cell,
-                 mobile: bool) -> None:
+    def __init__(self, phy: "Phy", position: tuple, cell: Cell, mobile: bool) -> None:
         self.phy = phy
-        self.seq = seq
         self.position = position
         self.cell = cell
         self.mobile = mobile
@@ -65,41 +65,38 @@ class _GridEntry:
 class UniformGridIndex:
     """Square-cell spatial hash with registration-ordered candidate queries."""
 
-    __slots__ = ("cell_size_m", "_entries", "_cells", "_mobile", "_next_seq")
+    __slots__ = ("cell_size_m", "_entries", "_cells", "_mobile")
 
     def __init__(self, cell_size_m: float) -> None:
         if not (cell_size_m > 0.0) or math.isinf(cell_size_m):
             raise ConfigurationError(
                 f"cell size must be positive and finite, got {cell_size_m}")
         self.cell_size_m = cell_size_m
-        # id(phy) -> entry; insertion order is registration order.
+        # phy.channel_index -> entry.
         self._entries: Dict[int, _GridEntry] = {}
-        # cell -> entries, each list in registration order.
+        # cell -> entries.
         self._cells: Dict[Cell, List[_GridEntry]] = {}
         # Entries carrying a mobility model, revalidated on every query.
         self._mobile: List[_GridEntry] = []
-        self._next_seq = 0
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
     def register(self, phy: "Phy", now: float) -> None:
         """Add ``phy`` at its exact position at ``now`` (idempotent)."""
-        if id(phy) in self._entries:
+        if phy.channel_index in self._entries:
             return
         position = phy.position_at(now)
         cell = self.cell_for(position)
-        entry = _GridEntry(phy, self._next_seq, position, cell,
-                           mobile=phy.mobility is not None)
-        self._next_seq += 1
-        self._entries[id(phy)] = entry
+        entry = _GridEntry(phy, position, cell, mobile=phy.mobility is not None)
+        self._entries[phy.channel_index] = entry
         self._cells.setdefault(cell, []).append(entry)
         if entry.mobile:
             self._mobile.append(entry)
 
     def unregister(self, phy: "Phy") -> None:
         """Remove ``phy`` and purge its cell entry (idempotent)."""
-        entry = self._entries.pop(id(phy), None)
+        entry = self._entries.pop(phy.channel_index, None)
         if entry is None:
             return
         self._drop_from_cell(entry)
@@ -114,14 +111,14 @@ class UniformGridIndex:
         periodically copy the analytic position into ``phy.position``) land
         here too and are folded in for free.
         """
-        entry = self._entries.get(id(phy))
+        entry = self._entries.get(phy.channel_index)
         if entry is None:
             return
         self._move(entry, phy.position)
 
     def mobility_changed(self, phy: "Phy") -> None:
         """Promote ``phy`` to the per-query revalidation list."""
-        entry = self._entries.get(id(phy))
+        entry = self._entries.get(phy.channel_index)
         if entry is None or entry.mobile:
             return
         entry.mobile = True
@@ -153,7 +150,7 @@ class UniformGridIndex:
                 bucket = cells.get((cx, cy))
                 if bucket is not None:
                     found.extend(bucket)
-        found.sort(key=_entry_seq)
+        found.sort(key=_registration_index)
         return [entry.phy for entry in found]
 
     def cell_for(self, position: tuple) -> Cell:
@@ -169,7 +166,7 @@ class UniformGridIndex:
         return len(self._entries)
 
     def __contains__(self, phy: "Phy") -> bool:
-        return id(phy) in self._entries
+        return phy.channel_index in self._entries
 
     @property
     def cell_count(self) -> int:
@@ -183,7 +180,7 @@ class UniformGridIndex:
 
     def stored_cell_of(self, phy: "Phy") -> Optional[Cell]:
         """The cell the index currently files ``phy`` under (None if absent)."""
-        entry = self._entries.get(id(phy))
+        entry = self._entries.get(phy.channel_index)
         return entry.cell if entry is not None else None
 
     def audit(self) -> None:
@@ -214,5 +211,4 @@ class UniformGridIndex:
             del self._cells[entry.cell]
 
 
-def _entry_seq(entry: _GridEntry) -> int:
-    return entry.seq
+_registration_index = attrgetter("phy.channel_index")

@@ -105,13 +105,6 @@ class TransmitQueues:
             return None
         return self._broadcast.popleft()
 
-    def remove_unicast(self, subframe: MacSubframe) -> None:
-        """Remove a specific subframe from the unicast queue."""
-        try:
-            self._unicast.remove(subframe)
-        except ValueError:  # pragma: no cover - defensive
-            pass
-
     def take_unicast_for(self, destination: MacAddress, max_subframes: int,
                          fits) -> List[MacSubframe]:
         """Remove and return unicast subframes for ``destination``.

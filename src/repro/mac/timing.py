@@ -49,10 +49,6 @@ class MacTimingProfile:
         """Extended interframe space used after a reception error (simplified)."""
         return self.difs + self.sifs
 
-    def average_backoff(self) -> float:
-        """Mean initial backoff duration (used for documentation/calibration)."""
-        return (self.cw_min - 1) / 2.0 * self.slot_time
-
     def response_timeout(self, response_airtime: float) -> float:
         """Timeout for an expected SIFS-separated response (CTS or ACK)."""
         return self.sifs + response_airtime + self.timeout_guard

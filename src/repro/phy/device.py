@@ -21,8 +21,12 @@ from repro.phy.timing import PhyTimingConfig
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.channel.medium import Transmission, WirelessChannel
+    from repro.channel.medium import WirelessChannel
     from repro.mobility.models import MobilityModel
+
+#: Thermal noise floor every receiver measures SINR against.
+NOISE_FLOOR_DBM = -94.0
+_NOISE_FLOOR_MW = 10.0 ** (NOISE_FLOOR_DBM / 10.0)
 
 
 class PhyListener(Protocol):
@@ -82,7 +86,7 @@ class PhyConfig:
 class _ReceptionAttempt:
     """Book-keeping for one in-flight reception."""
 
-    transmission: "Transmission"
+    frame: PhyFrame
     rx_power_dbm: float
     interference_mw: float = 0.0
     doomed: bool = False
@@ -100,11 +104,10 @@ class _ReceptionAttempt:
 class Phy:
     """Half-duplex PHY with carrier sensing, capture and subframe decoding."""
 
-    __slots__ = ("sim", "channel", "config", "_position", "mobility", "name",
-                 "error_model", "_rng", "_listener", "_transmitting",
-                 "_current_tx_frame", "_receptions", "_carrier_count",
-                 "_carrier_busy_reported", "_noise_cache_dbm",
-                 "_noise_cache_mw", "frames_sent", "frames_received",
+    __slots__ = ("sim", "channel", "channel_index", "config", "_position",
+                 "mobility", "name", "error_model", "_rng", "_listener",
+                 "_transmitting", "_receptions", "_carrier_count",
+                 "_carrier_busy_reported", "frames_sent", "frames_received",
                  "frames_collided", "tx_airtime")
 
     def __init__(
@@ -117,6 +120,8 @@ class Phy:
     ) -> None:
         self.sim = sim
         self.channel = channel
+        #: This PHY's identity on ``channel``, assigned by its ``register()``.
+        self.channel_index: Optional[int] = None
         self.config = config or PhyConfig()
         # Direct slot write: the position property's setter notifies the
         # channel's spatial index, which cannot know this PHY yet (register()
@@ -128,14 +133,10 @@ class Phy:
         self._rng = sim.random.stream(f"phy.{name}")
         self._listener: Optional[PhyListener] = None
         self._transmitting = False
-        self._current_tx_frame: Optional[PhyFrame] = None
+        # id(frame) -> attempt; the attempt keeps its frame alive.
         self._receptions: Dict[int, _ReceptionAttempt] = {}
         self._carrier_count = 0
         self._carrier_busy_reported = False
-        # Cached linear noise floor, revalidated against the channel's dBm
-        # setting on every delivery (10**x per frame per receiver adds up).
-        self._noise_cache_dbm: Optional[float] = None
-        self._noise_cache_mw = 0.0
         # statistics
         self.frames_sent = 0
         self.frames_received = 0
@@ -224,19 +225,22 @@ class Phy:
     # Transmit path
     # ------------------------------------------------------------------
     def send(self, frame: PhyFrame) -> float:
-        """Transmit ``frame``; returns its airtime in seconds."""
+        """Transmit ``frame``; returns its airtime in seconds.
+
+        A send the channel refuses (this PHY is not registered with it)
+        raises before any PHY state or counter changes.
+        """
         if self._transmitting:
             raise PhyError(f"{self.name}: send() while already transmitting")
         frame.sender = self
         duration = frame.airtime(self.config.timing)
+        self.channel.broadcast(self, frame, duration, self.config.tx_power_dbm)
         self._transmitting = True
-        self._current_tx_frame = frame
         self.frames_sent += 1
         self.tx_airtime += duration
         # Transmitting while receiving destroys the receptions in progress.
         for attempt in self._receptions.values():
             attempt.doomed = True
-        self.channel.broadcast(self, frame, duration, self.config.tx_power_dbm)
         sim = self.sim
         sim._scheduler.push(sim.now + duration, self._finish_transmission, (frame,),
                             Simulator.PRIORITY_PHY)
@@ -248,7 +252,6 @@ class Phy:
 
     def _finish_transmission(self, frame: PhyFrame) -> None:
         self._transmitting = False
-        self._current_tx_frame = None
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(self.name, "phy", "tx_end", kind=frame.kind.value)
@@ -259,8 +262,8 @@ class Phy:
     # ------------------------------------------------------------------
     # Receive path (driven by the channel)
     # ------------------------------------------------------------------
-    def begin_reception(self, transmission: "Transmission", rx_power_dbm: float) -> None:
-        """Called by the channel when a remote transmission starts arriving."""
+    def begin_reception(self, frame: PhyFrame, rx_power_dbm: float) -> None:
+        """Called by the channel when a remote frame starts arriving."""
         config = self.config
         if (rx_power_dbm < config.carrier_sense_threshold_dbm
                 and rx_power_dbm < config.reception_threshold_dbm):
@@ -276,17 +279,17 @@ class Phy:
             self._update_carrier()
 
         decodable = rx_power_dbm >= self.config.reception_threshold_dbm
-        attempt = _ReceptionAttempt(transmission=transmission, rx_power_dbm=rx_power_dbm,
+        attempt = _ReceptionAttempt(frame=frame, rx_power_dbm=rx_power_dbm,
                                     doomed=not decodable or self._transmitting)
         # Mutual interference with every reception already in progress.
         for other in self._receptions.values():
             other.add_interference_dbm(rx_power_dbm)
             attempt.add_interference_dbm(other.rx_power_dbm)
-        self._receptions[id(transmission)] = attempt
+        self._receptions[id(frame)] = attempt
 
-    def end_reception(self, transmission: "Transmission") -> None:
-        """Called by the channel when a remote transmission stops arriving."""
-        attempt = self._receptions.pop(id(transmission), None)
+    def end_reception(self, frame: PhyFrame) -> None:
+        """Called by the channel when a remote frame stops arriving."""
+        attempt = self._receptions.pop(id(frame), None)
         if attempt is None:  # pragma: no cover - defensive
             return
         if attempt.rx_power_dbm >= self.config.carrier_sense_threshold_dbm:
@@ -311,13 +314,9 @@ class Phy:
         self._update_carrier()
 
     def _deliver(self, attempt: _ReceptionAttempt) -> None:
-        frame = attempt.transmission.frame
-        noise_dbm = self.channel.noise_floor_dbm
-        if noise_dbm != self._noise_cache_dbm:
-            self._noise_cache_dbm = noise_dbm
-            self._noise_cache_mw = 10.0 ** (noise_dbm / 10.0)
-        noise_mw = self._noise_cache_mw
-        sinr_db = attempt.rx_power_dbm - 10.0 * math.log10(noise_mw + attempt.interference_mw)
+        frame = attempt.frame
+        sinr_db = (attempt.rx_power_dbm
+                   - 10.0 * math.log10(_NOISE_FLOOR_MW + attempt.interference_mw))
         captured = True
         if attempt.interference_mw > 0.0:
             captured = (attempt.rx_power_dbm - attempt.interference_dbm

@@ -10,7 +10,7 @@ rates with cyclic delay diversity (a single spatial stream).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.phy.coding import CodingRate
@@ -126,15 +126,6 @@ class RateTable:
         """The next faster rate (or ``rate`` itself if already the fastest)."""
         index = self.index_of(rate)
         return self._rates[min(len(self._rates) - 1, index + 1)]
-
-    def highest_supported(self, snr_db: float, required_margin_db: float = 0.0,
-                          error_model: Optional["object"] = None) -> PhyRate:
-        """Pick the fastest rate whose required SNR is met (used by RBAR)."""
-        chosen = self.base_rate
-        for rate in self._rates:
-            if snr_db - required_margin_db >= required_snr_db(rate):
-                chosen = rate
-        return chosen
 
 
 def required_snr_db(rate: PhyRate) -> float:

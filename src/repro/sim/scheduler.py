@@ -158,19 +158,6 @@ class Scheduler:
         self._pending -= 1
         return event
 
-    def clear(self) -> None:
-        """Drop every pending event.
-
-        Each dropped event is marked cancelled so that handles issued for it
-        go inactive; cancelling such a handle afterwards is a no-op instead of
-        driving the live-event count negative.
-        """
-        for entry in self._heap:
-            entry[3].cancelled = True
-        self._heap.clear()
-        self._pending = 0
-        self._cancelled_in_heap = 0
-
     def _discard_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0][3].cancelled:

@@ -168,17 +168,6 @@ class Simulator:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero.
-
-        Random streams are *not* re-seeded; construct a new simulator for a
-        fully fresh run.
-        """
-        self._scheduler.clear()
-        self._now = 0.0
-        self._stopped = False
-        self._events_processed = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Simulator now={self._now:.6f}s pending={self.pending_events} "

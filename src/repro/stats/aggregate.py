@@ -90,6 +90,9 @@ def _check_alignment(results: Sequence[ExperimentResult]) -> None:
             if other_table.columns != table.columns or set(other_table.rows) != set(table.rows):
                 raise ExperimentError(
                     f"table shape of {table.title!r} differs between replicas")
+        if set(other.metrics) != set(first.metrics):
+            raise ExperimentError(
+                f"metric names differ between replicas of {first.experiment_id!r}")
 
 
 def aggregate_experiment_results(results: Sequence[ExperimentResult]) -> ExperimentResult:

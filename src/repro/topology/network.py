@@ -64,9 +64,5 @@ class Network:
         for node in self.nodes:
             node.set_broadcast_rate(rate_mbps)
 
-    def total_mac_transmissions(self) -> int:
-        """Total DATA transmissions across all nodes (Table 3 / 7)."""
-        return sum(node.mac_stats.data_transmissions for node in self.nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Network nodes={len(self._nodes)}>"

@@ -146,5 +146,10 @@ def test_aggregate_rejects_misaligned_replicas():
     other_id.experiment_id = "figY"
     with pytest.raises(ExperimentError, match="cannot aggregate"):
         aggregate_experiment_results([good, other_id])
+    extra_metric = _replica([10.0, 1.0], 4.0, 0.1)
+    extra_metric.add_metric("extra", 1.0)
+    for order in ([good, extra_metric], [extra_metric, good]):
+        with pytest.raises(ExperimentError, match="metric names"):
+            aggregate_experiment_results(order)
     with pytest.raises(ExperimentError):
         aggregate_experiment_results([])

@@ -9,12 +9,11 @@ placements, querying a :class:`UniformGridIndex` built at each cell size
 with the channel's own pruning radius.  It also pins the lifecycle
 invariants of the index the channel builds for itself, at its default cell
 size (purge on unregister, re-bucketing on moves, no inheritance across
-id() recycling).
+re-registration).
 """
 
 from __future__ import annotations
 
-import gc
 import random
 
 import pytest
@@ -192,18 +191,12 @@ def test_move_across_cells_then_unregister_leaves_nothing_behind():
     assert spatial.stored_cell_of(mover) == spatial.cell_for((32.0, 37.0))
     assert spatial.stored_cell_of(mover) == (2, 2)
     spatial.audit()
-    # Populate budget-cache rows for the doomed link, both directions.
-    channel.received_power_dbm(mover, anchor, TX_POWER_DBM)
-    channel.received_power_dbm(anchor, mover, TX_POWER_DBM)
-    mover_id = id(mover)
-    assert any(mover_id in key for key in channel._budget_cache)
 
     channel.unregister(mover)
     assert mover not in spatial
     assert spatial.stored_cell_of(mover) is None
     assert len(spatial) == 1
     spatial.audit()
-    assert not any(mover_id in key for key in channel._budget_cache)
 
 
 def test_mobile_entry_unregisters_cleanly_mid_flight():
@@ -223,36 +216,46 @@ def test_mobile_entry_unregisters_cleanly_mid_flight():
     spatial.audit()
 
 
-def test_reregistration_after_id_recycling_never_inherits():
+def test_reregistration_never_inherits_a_departed_identity():
+    """No PHY registering after another left is served its memo rows or cell.
+
+    The departed PHY's memo rows are poisoned while they still record it at
+    ``here``, and the grid files it at ``there``, in another cell.  A
+    newcomer and the departed PHY itself, re-registered, then both stand at
+    ``here``, where only the registration index keeps those rows from being
+    served.
+    """
     sim = Simulator(seed=3)
-    channel, (anchor, ghost) = _build(sim, [(0.0, 0.0), (23.0, 23.0)])
+    here, there = (23.0, 23.0), (3.0, 40.0)
+    channel, (anchor, ghost) = _build(sim, [(0.0, 0.0), here])
     spatial = channel._ensure_spatial()
-    ghost_cell = spatial.stored_cell_of(ghost)
-    channel.received_power_dbm(ghost, anchor, TX_POWER_DBM)
-    ghost_id = id(ghost)
+    honest = (channel.received_power_dbm(ghost, anchor, TX_POWER_DBM),
+              channel.received_power_dbm(anchor, ghost, TX_POWER_DBM))
+    departed = ghost.channel_index
+    cache = channel._budget_cache
+    stale = [key for key in cache if departed in key]
+    assert len(stale) == 2
+    for key in stale:
+        epoch, tx_position, rx_position, _, distance = cache[key]
+        cache[key] = (epoch, tx_position, rx_position, -1000.0, distance)
+    ghost.position = there
+    assert spatial.stored_cell_of(ghost) == spatial.cell_for(there)
+    assert spatial.cell_for(there) != spatial.cell_for(here)
+
     channel.unregister(ghost)
-    del ghost
-    gc.collect()
-    # CPython routinely recycles the freed object's address for the next
-    # same-shaped allocation; keep allocating until it does.  The property
-    # under test is "no inheritance WHEN recycled", so bail out otherwise.
-    fresh = None
-    for attempt in range(512):
-        candidate = Phy(sim, channel, position=(1.0, 1.0),
-                        name=f"fresh{attempt}")
-        if id(candidate) == ghost_id:
-            fresh = candidate
-            break
-        channel.unregister(candidate)
-        del candidate
-        gc.collect()
-    if fresh is None:
-        pytest.skip("id() was not recycled within 512 allocations")
-    assert spatial.stored_cell_of(fresh) == spatial.cell_for((1.0, 1.0))
-    assert spatial.stored_cell_of(fresh) != ghost_cell
-    assert not any(ghost_id in key and key != (ghost_id, ghost_id)
-                   for key in channel._budget_cache), (
-        "recycled id inherited budget-cache rows")
+    ghost.position = here
+    fresh = Phy(sim, channel, position=here, name="fresh")
+    channel.register(ghost)
+
+    assert departed not in (fresh.channel_index, ghost.channel_index)
+    for phy in (fresh, ghost):
+        assert (channel.received_power_dbm(phy, anchor, TX_POWER_DBM),
+                channel.received_power_dbm(anchor, phy, TX_POWER_DBM)) == honest
+        assert spatial.stored_cell_of(phy) == spatial.cell_for(here)
+    # The re-registered PHY is last in candidate order on both paths.
+    assert channel.phys == [anchor, fresh, ghost]
+    assert spatial.candidates(anchor.position, 100.0, sim.now) == [anchor, fresh, ghost]
+    assert len(spatial) == 3
     spatial.audit()
 
 

@@ -1,19 +1,23 @@
 """Determinism of the hot-path optimisation layer.
 
 The speed overhaul added several caches along the per-frame path: the
-channel's per-link budget memo, the error model's probability memo, the
-PHY's linear-noise cache and the frame's sample-offset cache.  Every one of
-them is only sound if it changes *when math runs*, never *which numbers come
-out* — this file pins that contract in the nastiest configuration we can
-build (time-varying shadowing + node mobility, where the memo must
-invalidate on both coherence epochs and position changes), in-process and
-across campaign pool workers.
+channel's per-link budget memo, the error model's probability memo and the
+frame's sample-offset cache.  Every one of them is only sound if it changes
+*when math runs*, never *which numbers come out* — this file pins that
+contract in the nastiest configuration we can build (time-varying
+shadowing + node mobility, where the memo must invalidate on both coherence
+epochs and position changes), in-process and across campaign pool workers.
+The memo is turned off by patching ``repro.channel.medium.LINK_BUDGET_MEMO``
+while the channel is built.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 from repro.apps.cbr import CbrSource, UdpSink
 from repro.campaign.runner import CampaignRunner
+from repro.channel import medium
 from repro.channel.medium import WirelessChannel
 from repro.channel.propagation import LogNormalShadowing
 from repro.core.policies import broadcast_aggregation
@@ -37,8 +41,8 @@ def _mobile_udp_signature(seed: int, link_budget_memo: bool) -> str:
     """
     sim = Simulator(seed=seed)
     propagation = LogNormalShadowing(sigma_db=4.0, coherence_time=0.5)
-    channel = WirelessChannel(sim, propagation=propagation,
-                              link_budget_memo=link_budget_memo)
+    with mock.patch.object(medium, "LINK_BUDGET_MEMO", link_budget_memo):
+        channel = WirelessChannel(sim, propagation=propagation)
     network = build_linear_chain(sim, hops=2, policy=broadcast_aggregation(),
                                  unicast_rate_mbps=0.65, channel=channel)
     relay = network.node(2)
@@ -87,7 +91,7 @@ def test_mobile_memo_runs_still_diverge_across_seeds():
 
 
 def test_repeated_runs_in_one_process_are_byte_identical():
-    # The probability/offset/noise caches live on per-run objects, but a
+    # The probability/offset caches live on per-run objects, but a
     # second run in the same process must not see any process-level leakage
     # (e.g. a module-global memo keyed on something seed-independent).
     first = _mobile_udp_signature(7, link_budget_memo=True)
@@ -97,9 +101,9 @@ def test_repeated_runs_in_one_process_are_byte_identical():
 
 def test_stationary_campaign_across_pool_workers_matches_inline():
     # The stationary fast path (memoised link budgets validated by identity
-    # of the static position tuples, lazy transmission retirement) must
-    # replicate byte for byte in fresh pool workers, or the campaign cache
-    # would mix histories across machines/processes.
+    # of the static position tuples) must replicate byte for byte in fresh
+    # pool workers, or the campaign cache would mix histories across
+    # machines/processes.
     inline = CampaignRunner(jobs=1).run_campaign("table02", seeds=[1, 2],
                                                  overrides=TINY_TABLE02)
     pooled = CampaignRunner(jobs=2).run_campaign("table02", seeds=[1, 2],

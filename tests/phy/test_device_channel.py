@@ -190,9 +190,7 @@ def test_channel_statistics_and_registration():
     channel, tx, rx, *_ = build_pair(sim)
     assert len(channel.phys) == 2
     tx.send(data_frame())
-    assert channel.busy
     sim.run()
-    assert not channel.busy
     assert channel.total_transmissions == 1
     assert channel.total_airtime > 0
     channel.unregister(rx)
@@ -206,6 +204,36 @@ def test_unregistered_phy_cannot_transmit():
     phy = Phy(sim, other_channel, name="elsewhere")
     with pytest.raises(ConfigurationError):
         channel.broadcast(phy, data_frame(), 0.01, 8.9)
+    # A PHY has one identity, on its own channel: no other channel takes it.
+    with pytest.raises(ConfigurationError):
+        channel.register(phy)
+    assert channel.phys == []
+
+
+def test_refused_send_leaves_the_phy_idle():
+    """A send the channel refuses must not wedge the PHY.
+
+    Regression: send() marked the PHY transmitting and counted the frame
+    before the channel refused an unregistered sender, so the PHY stayed
+    TRANSMITTING forever and every later send() raised PhyError.
+    """
+    sim = Simulator(seed=25)
+    channel, tx, rx, tx_l, rx_l = build_pair(sim)
+    channel.unregister(tx)
+    with pytest.raises(ConfigurationError):
+        tx.send(data_frame())
+    assert tx.state is PhyState.IDLE
+    assert not tx.carrier_busy
+    assert (tx.frames_sent, tx.tx_airtime) == (0, 0.0)
+    assert sim.pending_events == 0
+    channel.register(tx)
+    frame = data_frame()
+    tx.send(frame)
+    sim.run()
+    assert tx_l.tx_complete == [frame]
+    assert tx.frames_sent == 1
+    assert len(rx_l.received) == 1
+    assert rx_l.received[0].all_unicast_ok
 
 
 def test_unregister_mid_flight_stops_delivery(monkeypatch):
@@ -232,8 +260,6 @@ def test_unregister_mid_flight_stops_delivery(monkeypatch):
         sim.run()
         assert rx_l.received == []
         assert rx.frames_received == 0
-        # The medium itself still retires the transmission normally.
-        assert not channel.busy
         assert channel.total_transmissions == 1
 
 
@@ -321,12 +347,14 @@ def test_delivered_frames_are_not_retained(monkeypatch, threshold):
     assert live_phy_events() == []
 
 
-def test_link_budget_memo_matches_uncached_channel():
+def test_link_budget_memo_matches_uncached_channel(monkeypatch):
     """The per-link budget memo must be invisible in the numbers."""
     sim = Simulator(seed=23)
     observed = {}
     for memo in (True, False):
-        channel = WirelessChannel(sim, link_budget_memo=memo)
+        monkeypatch.setattr(medium, "LINK_BUDGET_MEMO", memo)
+        channel = WirelessChannel(sim)
+        assert (channel._budget_cache is not None) == memo
         a = Phy(sim, channel, position=(0.0, 0.0), name="a")
         b = Phy(sim, channel, position=(2.5, 0.0), name="b")
         # Twice: the second call exercises the cache-hit path.

@@ -126,15 +126,6 @@ def test_cancel_where_survives_compaction_mid_walk():
     assert times == [float(i) for i in range(10)]
 
 
-def test_clear_empties_queue():
-    sched = Scheduler()
-    for i in range(10):
-        sched.push(float(i), lambda: None)
-    sched.clear()
-    assert sched.empty
-    assert sched.pop() is None
-
-
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
 def test_pop_order_is_always_sorted(times):
     sched = Scheduler()

@@ -1,10 +1,10 @@
 """Property and regression tests for the scheduler's ordering invariants.
 
-A randomized (seeded) op-sequence test interleaves push/cancel/pop/peek/clear
+A randomized (seeded) op-sequence test interleaves push/cancel/pop/peek
 against a sorted-list reference model, checking the ``(time, priority,
 sequence)`` contract after every step; explicit regression tests pin the
-``clear()`` stale-handle bug (cancelling a cleared event used to drive the
-live-event count negative).
+stale-handle bugs (cancelling a retired event used to drive the live-event
+count negative).
 """
 
 from __future__ import annotations
@@ -18,22 +18,8 @@ from repro.sim.simulator import Simulator
 
 
 # ---------------------------------------------------------------------------
-# clear() stale-handle regression
+# Stale-handle regressions
 # ---------------------------------------------------------------------------
-
-def test_clear_deactivates_outstanding_handles():
-    sched = Scheduler()
-    handles = [sched.push(float(t), lambda: None) for t in range(3)]
-    sched.clear()
-    assert len(sched) == 0
-    for handle in handles:
-        assert not handle.active
-        sched.cancel(handle)  # must be a no-op, not a negative-count bug
-        assert len(sched) == 0
-    assert sched.empty
-    sched.push(1.0, lambda: None)
-    assert len(sched) == 1
-
 
 def test_direct_handle_cancel_keeps_count_and_clock_consistent():
     # EventHandle.cancel() used to bypass the scheduler's accounting, leaving
@@ -46,18 +32,6 @@ def test_direct_handle_cancel_keeps_count_and_clock_consistent():
     handle.cancel()  # idempotent, never double-decrements
     assert sim.pending_events == 0
 
-
-def test_simulator_cancel_after_reset_keeps_pending_nonnegative():
-    sim = Simulator(seed=7)
-    handles = [sim.schedule(delay, lambda: None) for delay in (0.5, 1.0, 2.0)]
-    sim.reset()
-    assert sim.pending_events == 0
-    for handle in handles:
-        sim.cancel(handle)
-        assert sim.pending_events == 0
-    sim.schedule(0.1, lambda: None)
-    assert sim.pending_events == 1
-    assert sim.run() == pytest.approx(0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +67,12 @@ def test_scheduler_matches_reference_model(seed):
     sched = Scheduler()
     model = _ReferenceModel()
     live = []       # (handle, token) for events the model believes are queued
-    retired = []    # handles already popped, cancelled or cleared
+    retired = []    # handles already popped or cancelled
     push_index = 0
 
     for _ in range(400):
-        op = rng.choices(["push", "pop", "cancel", "peek", "stale_cancel", "clear"],
-                         weights=[40, 25, 15, 10, 8, 2])[0]
+        op = rng.choices(["push", "pop", "cancel", "peek", "stale_cancel"],
+                         weights=[40, 25, 15, 10, 8])[0]
         if op == "push":
             # A coarse grid of times/priorities forces plenty of ties, which
             # is exactly where the (time, priority, sequence) contract bites.
@@ -135,16 +109,11 @@ def test_scheduler_matches_reference_model(seed):
         elif op == "peek":
             assert sched.peek_time() == model.peek_time()
         elif op == "stale_cancel" and retired:
-            # Cancelling a fired/cancelled/cleared handle must never change
+            # Cancelling a fired/cancelled handle must never change
             # the live count.
             before = len(sched)
             sched.cancel(rng.choice(retired))
             assert len(sched) == before
-        elif op == "clear":
-            sched.clear()
-            retired.extend(handle for handle, _ in live)
-            live.clear()
-            model.entries.clear()
 
         assert len(sched) == len(model)
         assert len(sched) >= 0

@@ -163,15 +163,6 @@ def test_max_events_limits_run(sim):
     assert sim.pending_events == 6
 
 
-def test_reset_clears_queue_and_clock(sim):
-    sim.schedule(5.0, lambda: None)
-    sim.schedule(1.0, lambda: None)
-    sim.run(until=2.0)
-    sim.reset()
-    assert sim.now == 0.0
-    assert sim.pending_events == 0
-
-
 def test_nested_run_rejected(sim):
     def reenter():
         with pytest.raises(SimulationError):
