@@ -10,18 +10,21 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.sim.simulator import Simulator
+from repro.sim.timer import Timer
 
 
 class NetworkAllocationVector:
     """Tracks the time until which the medium is virtually reserved."""
 
-    __slots__ = ("_sim", "_until", "_on_expire", "_expiry_event", "updates")
+    __slots__ = ("_sim", "_until", "_on_expire", "_expiry", "updates")
 
     def __init__(self, sim: Simulator, on_expire: Optional[Callable[[], None]] = None) -> None:
         self._sim = sim
         self._until = 0.0
         self._on_expire = on_expire
-        self._expiry_event = None
+        #: Fires when the reservation ends; only needed to call ``on_expire``.
+        self._expiry = None if on_expire is None else Timer(
+            sim, self._expired, priority=Simulator.PRIORITY_MAC, name="nav")
         self.updates = 0
 
     @property
@@ -46,25 +49,15 @@ class NetworkAllocationVector:
         if candidate > self._until:
             self._until = candidate
             self.updates += 1
-            self._schedule_expiry()
+            if self._expiry is not None:
+                self._expiry.start(self.remaining())
 
     def clear(self) -> None:
         """Cancel any reservation."""
         self._until = 0.0
-        if self._expiry_event is not None:
-            self._sim.cancel(self._expiry_event)
-            self._expiry_event = None
-
-    def _schedule_expiry(self) -> None:
-        if self._on_expire is None:
-            return
-        if self._expiry_event is not None:
-            self._sim.cancel(self._expiry_event)
-        self._expiry_event = self._sim.schedule(
-            self.remaining(), self._expired, priority=Simulator.PRIORITY_MAC
-        )
+        if self._expiry is not None:
+            self._expiry.cancel()
 
     def _expired(self) -> None:
-        self._expiry_event = None
-        if not self.busy and self._on_expire is not None:
+        if not self.busy:
             self._on_expire()

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.sim.timer import PeriodicTimer
 
 Position = Tuple[float, float]
 Velocity = Tuple[float, float]
@@ -111,7 +112,7 @@ class MobilityModel:
         self._start_time = 0.0
         self._phy = None
         self._sim = None
-        self._update_handle = None
+        self._updater: Optional[PeriodicTimer] = None
         self._stop_time: Optional[float] = None
         self.updates = 0
 
@@ -146,6 +147,9 @@ class MobilityModel:
                   start_time=sim.now)
         self._phy = phy
         self._sim = sim
+        if not self.is_static:
+            self._updater = PeriodicTimer(sim, self.update_interval, self._on_update,
+                                          name="mobility")
         return self
 
     def _on_bound(self) -> None:
@@ -169,24 +173,22 @@ class MobilityModel:
         """Schedule periodic position updates (no-op for static models)."""
         if self._sim is None:
             raise ConfigurationError("attach() the model to a PHY before start()")
-        if self.is_static or self._update_handle is not None:
+        if self.is_static or self._updater.running:
             return
         self._stop_time = stop_time
-        self._update_handle = self._sim.schedule(self.update_interval, self._on_update)
+        self._updater.start()
 
     def stop(self) -> None:
         """Cancel pending update events."""
-        if self._sim is not None and self._update_handle is not None:
-            self._sim.cancel(self._update_handle)
-        self._update_handle = None
+        if self._updater is not None:
+            self._updater.stop()
 
     def _on_update(self) -> None:
-        self._update_handle = None
         self.updates += 1
-        self._phy.position = self.position_at(self._sim.now)
-        next_time = self._sim.now + self.update_interval
-        if self._stop_time is None or next_time <= self._stop_time:
-            self._update_handle = self._sim.schedule(self.update_interval, self._on_update)
+        now = self._sim.now
+        self._phy.position = self.position_at(now)
+        if self._stop_time is not None and not now + self.update_interval <= self._stop_time:
+            self._updater.stop()
 
     # ------------------------------------------------------------------
     # Query interface

@@ -1,33 +1,56 @@
-"""Binary-heap event scheduler.
+"""Binary-heap event scheduler and the one object per scheduled event.
+
+:meth:`Scheduler.push` returns an :class:`Event`, and that same object is
+what the caller keeps to cancel it and what :meth:`Scheduler.pop_next` hands
+back when it is due.  Its ``active`` flag is True from ``push`` until the
+event is popped or cancelled.
 
 The heap stores ``(time, priority, sequence, event)`` tuples, so heap
-sifting compares in C (floats/ints) and never calls a Python ``__lt__`` —
-``sequence`` is globally unique, which guarantees the :class:`Event` in the
-last slot is never reached by a comparison.
+sifting compares in C (floats/ints) and never reaches the :class:`Event`:
+``sequence`` comes from the scheduler's own counter and is unique within
+it.  Ties at equal ``(time, priority)`` therefore fire in scheduling order
+(FIFO), which keeps protocol state machines deterministic.
 
 Cancellation is lazy — cancelled events stay in the heap and are discarded
-when they surface — but no longer unbounded: restart-heavy workloads (TCP
-RTO backoff, HELLO jitter, AODV ring timeouts) cancel far more events than
-they pop, and before compaction the heap grew without limit.  The scheduler
-counts cancelled entries still buried in the heap and rebuilds the heap
-without them once they are the majority (and above a floor that keeps tiny
-heaps free of compaction overhead), bounding heap size at roughly twice the
-live-event count.
+when they surface — but bounded: restart-heavy workloads (TCP RTO backoff,
+HELLO jitter, AODV ring timeouts) cancel far more events than they pop.  The
+scheduler counts cancelled entries still buried in the heap and rebuilds the
+heap without them once they are the majority (and above a floor that keeps
+tiny heaps free of compaction overhead), bounding heap size at roughly twice
+the live-event count.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.sim.events import Event, EventHandle, next_sequence
+
+
+class Event:
+    """A scheduled ``callback(*args)`` at simulated ``time``.
+
+    ``__slots__`` keeps it small: the simulator allocates one per scheduled
+    callback, hundreds of thousands per experiment.
+    """
+
+    __slots__ = ("time", "callback", "args", "active")
+
+    def __init__(self, time: float, callback: Callable[..., Any],
+                 args: Tuple[Any, ...]) -> None:
+        self.time = time
+        self.callback = callback
+        self.args = args
+        #: True while queued; popping or cancelling the event clears it.
+        self.active = True
 
 
 class Scheduler:
     """Priority queue of pending simulation events."""
 
-    __slots__ = ("_heap", "_pending", "_cancelled_in_heap")
+    __slots__ = ("_heap", "_pending", "_cancelled_in_heap", "_tiebreak")
 
     #: Compaction floor: never rebuild heaps with fewer buried cancellations.
     COMPACT_MIN_CANCELLED = 64
@@ -38,6 +61,8 @@ class Scheduler:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._pending = 0
         self._cancelled_in_heap = 0
+        # Bound to the counter's C-level ``__next__``: it runs once per push.
+        self._tiebreak = itertools.count().__next__
 
     def __len__(self) -> int:
         """Number of *live* (not cancelled) events still queued."""
@@ -64,7 +89,7 @@ class Scheduler:
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> Event:
         """Queue ``callback(*args)`` to run at simulated ``time``.
 
         ``priority`` breaks ties at equal times (lower runs first); equal
@@ -73,42 +98,16 @@ class Scheduler:
         if not callable(callback):
             raise SchedulingError(f"callback must be callable, got {callback!r}")
         time = float(time)
-        priority = int(priority)
-        sequence = next_sequence()
-        event = Event(time, priority, sequence, callback, tuple(args))
-        heapq.heappush(self._heap, (time, priority, sequence, event))
+        event = Event(time, callback, tuple(args))
+        heapq.heappush(self._heap, (time, int(priority), self._tiebreak(), event))
         self._pending += 1
-        return EventHandle(event, self)
+        return event
 
-    def cancel(self, handle: EventHandle) -> None:
-        """Cancel a previously scheduled event (no-op if already fired).
-
-        ``EventHandle.cancel`` routes here too, so the live-event count is
-        decremented exactly once per cancellation regardless of the path.
-        """
-        self._cancel_event(handle._event)
-
-    def cancel_where(self, predicate: Callable[[Event], bool]) -> int:
-        """Cancel every queued event for which ``predicate(event)`` holds.
-
-        Returns how many events were cancelled.  This walks the whole heap,
-        so it is meant for rare structural changes (a PHY leaving the
-        medium), not for per-frame use: callers that cancel often keep the
-        handle instead.  It iterates over a snapshot because a cancellation
-        can trigger compaction, which replaces the heap.
-        """
-        cancelled = 0
-        for entry in list(self._heap):
-            event = entry[3]
-            if not event.cancelled and predicate(event):
-                self._cancel_event(event)
-                cancelled += 1
-        return cancelled
-
-    def _cancel_event(self, event: Event) -> None:
-        if event.dequeued or event.cancelled:
+    def cancel(self, event: Event) -> None:
+        """Cancel a queued event; a popped or cancelled one is left alone."""
+        if not event.active:
             return
-        event.cancelled = True
+        event.active = False
         self._pending -= 1
         self._cancelled_in_heap += 1
         if (self._cancelled_in_heap >= self.COMPACT_MIN_CANCELLED
@@ -116,50 +115,43 @@ class Scheduler:
                 >= self.COMPACT_FRACTION * len(self._heap)):
             self._compact()
 
+    def cancel_where(self, predicate: Callable[[Event], bool]) -> int:
+        """Cancel every queued event for which ``predicate(event)`` holds.
+
+        Returns how many events were cancelled.  This walks the whole heap,
+        so it is meant for rare structural changes (a PHY leaving the
+        medium), not for per-frame use: callers that cancel often keep the
+        event instead.  It iterates over a snapshot because a cancellation
+        can trigger compaction, which replaces the heap.
+        """
+        cancelled = 0
+        for entry in list(self._heap):
+            event = entry[3]
+            if event.active and predicate(event):
+                self.cancel(event)
+                cancelled += 1
+        return cancelled
+
     def _compact(self) -> None:
         """Rebuild the heap without the lazily-cancelled entries."""
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
+        self._heap = [entry for entry in self._heap if entry[3].active]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` when empty."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` when empty."""
-        self._discard_cancelled()
-        if not self._heap:
-            return None
-        event = heapq.heappop(self._heap)[3]
-        event.dequeued = True
-        self._pending -= 1
-        return event
-
     def pop_next(self, until: Optional[float] = None) -> Optional[Event]:
-        """Fused peek-and-pop for the run loop.
+        """Remove and return the next live event.
 
-        Returns the next live event, or ``None`` when the queue is empty *or*
-        the next live event lies strictly beyond ``until`` (in which case it
-        stays queued).
+        Returns ``None`` when the queue is empty *or* the next live event
+        lies strictly beyond ``until`` (in which case it stays queued).
         """
         heap = self._heap
         heappop = heapq.heappop
-        while heap and heap[0][3].cancelled:
+        while heap and not heap[0][3].active:
             heappop(heap)
             self._cancelled_in_heap -= 1
         if not heap or (until is not None and heap[0][0] > until):
             return None
         event = heappop(heap)[3]
-        event.dequeued = True
+        event.active = False
         self._pending -= 1
         return event
-
-    def _discard_cancelled(self) -> None:
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1

@@ -8,14 +8,14 @@ with time exclusively through it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+import math
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.session import on_simulator_created
-from repro.sim.events import EventHandle
 from repro.sim.randomness import RandomStreams
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Event, Scheduler
 from repro.sim.telemetry import TELEMETRY
 from repro.sim.trace import Tracer
 
@@ -88,7 +88,7 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Negative and NaN delays are rejected.
@@ -103,7 +103,7 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulated time.
 
         Times before :attr:`now`, and NaN, are rejected.
@@ -114,10 +114,10 @@ class Simulator:
             )
         return self._scheduler.push(time, callback, args, priority)
 
-    def cancel(self, handle: Optional[EventHandle]) -> None:
-        """Cancel a pending event; ``None`` and already-fired handles are ignored."""
-        if handle is not None:
-            self._scheduler.cancel(handle)
+    def cancel(self, event: Optional[Event]) -> None:
+        """Cancel a pending event; ``None`` and fired or cancelled events are ignored."""
+        if event is not None:
+            self._scheduler.cancel(event)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -125,16 +125,24 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or ``stop()``.
 
-        Returns the simulated time at which the run loop exited.  A horizon
-        earlier than :attr:`now` (or NaN) is rejected: the clock never moves
-        backwards.
+        Returns the simulated time at which the run loop exited.  At most
+        ``max_events`` events run.  A horizon earlier than :attr:`now` (or
+        NaN) is rejected, since the clock never moves backwards, and so is an
+        infinite one, which would leave the clock at infinity once the queue
+        drains.  A negative ``max_events`` is rejected too.
         """
         if self._running:
             raise SimulationError("simulator is already running")
-        if until is not None and not until >= self._now:
-            raise SimulationError(
-                f"cannot run into the past (until={until}, now={self._now})"
-            )
+        if until is not None:
+            if not until >= self._now:
+                raise SimulationError(
+                    f"cannot run into the past (until={until}, now={self._now})"
+                )
+            if until == math.inf:
+                raise SimulationError("run horizon must be finite (until=inf)")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be >= 0, got {max_events}")
+        budget = math.inf if max_events is None else max_events
         self._running = True
         self._stopped = False
         processed_this_run = 0
@@ -142,7 +150,7 @@ class Simulator:
         scheduler = self._scheduler
         pop_next = scheduler.pop_next
         try:
-            while not self._stopped:
+            while not self._stopped and processed_this_run < budget:
                 event = pop_next(until)
                 if event is None:
                     if until is not None and not scheduler.empty:
@@ -150,12 +158,9 @@ class Simulator:
                         self._now = until
                     break
                 self._now = event.time
-                event.fired = True
                 event.callback(*event.args)
                 self._events_processed += 1
                 processed_this_run += 1
-                if max_events is not None and processed_this_run >= max_events:
-                    break
             if until is not None and not self._stopped and scheduler.empty:
                 # Queue drained before the horizon: advance the clock to it.
                 self._now = max(self._now, until)

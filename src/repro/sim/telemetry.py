@@ -49,12 +49,6 @@ class SimTelemetry:
         """Current ``(events, sim_seconds, runs)`` totals."""
         return (self.events, self.sim_seconds, self.runs)
 
-    def reset(self) -> None:
-        """Zero the counters (unit tests)."""
-        self.events = 0
-        self.sim_seconds = 0.0
-        self.runs = 0
-
 
 #: The process-wide accumulator written by every simulator in this process.
 TELEMETRY = SimTelemetry()

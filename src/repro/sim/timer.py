@@ -1,8 +1,12 @@
-"""Restartable one-shot timers.
+"""Restartable one-shot and periodic timers.
 
-Protocol code (MAC retransmission timeouts, TCP RTO, DBA flush timers, CBR
-sources) needs timers that can be started, restarted and cancelled without the
-caller tracking :class:`~repro.sim.events.EventHandle` objects by hand.
+Protocol code (MAC retransmission timeouts and the NAV, TCP RTO, DBA flush
+timers, CBR sources, mobility updates) needs timers that can be started,
+restarted and cancelled.  A :class:`Timer` is the only object outside the
+scheduler that keeps a pending :class:`~repro.sim.scheduler.Event`: everything
+else either fires and forgets (channel deliveries, PHY transmit ends) or holds
+a ``Timer``.  :class:`PeriodicTimer` re-arms its ``Timer`` through
+:meth:`Timer.start` after each tick.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import EventHandle
+from repro.sim.scheduler import Event
 from repro.sim.simulator import Simulator
 
 
@@ -22,7 +26,7 @@ class Timer:
     expiration is cancelled).
     """
 
-    __slots__ = ("_sim", "_callback", "_priority", "_handle", "name",
+    __slots__ = ("_sim", "_callback", "_priority", "_event", "name",
                  "expirations")
 
     def __init__(
@@ -37,20 +41,20 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self._priority = priority
-        self._handle: Optional[EventHandle] = None
+        self._event: Optional[Event] = None
         self.name = name
         self.expirations = 0
 
     @property
     def running(self) -> bool:
         """True while an expiration is pending."""
-        return self._handle is not None and self._handle.active
+        return self._event is not None and self._event.active
 
     @property
     def expiry_time(self) -> Optional[float]:
         """Absolute simulated time of the pending expiration, if any."""
         if self.running:
-            return self._handle.time
+            return self._event.time
         return None
 
     def start(self, delay: float) -> None:
@@ -62,34 +66,34 @@ class Timer:
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         sim = self._sim
-        handle = self._handle
-        if handle is not None:
-            sim.cancel(handle)
+        event = self._event
+        if event is not None:
+            sim.cancel(event)
         # Push straight onto the scheduler: timers are restarted on nearly
         # every frame (backoff, response timeouts), making this one of the
         # hottest scheduling call sites.
-        self._handle = sim._scheduler.push(sim.now + delay, self._fire, (),
-                                           self._priority)
+        self._event = sim._scheduler.push(sim.now + delay, self._fire, (),
+                                          self._priority)
 
     def cancel(self) -> None:
         """Disarm the timer if it is running (idempotent)."""
-        if self._handle is not None:
-            self._sim.cancel(self._handle)
-            self._handle = None
+        if self._event is not None:
+            self._sim.cancel(self._event)
+            self._event = None
 
     def remaining(self) -> float:
         """Seconds until expiration (0.0 when not running)."""
         if not self.running:
             return 0.0
-        return max(0.0, self._handle.time - self._sim.now)
+        return max(0.0, self._event.time - self._sim.now)
 
     def _fire(self) -> None:
-        self._handle = None
+        self._event = None
         self.expirations += 1
         self._callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"expires@{self._handle.time:.6f}" if self.running else "idle"
+        state = f"expires@{self._event.time:.6f}" if self.running else "idle"
         return f"<Timer {self.name} {state}>"
 
 
@@ -147,10 +151,5 @@ class PeriodicTimer:
         # The callback may have stopped the timer (the flag, not the
         # underlying one-shot, records that) or restarted it itself; only
         # re-arm when neither happened.
-        timer = self._timer
-        if not self._stopped and not timer.running:
-            # Direct re-arm: _fire already cleared the handle, so the cancel
-            # half of Timer.start is dead weight on this per-tick path.
-            sim = timer._sim
-            timer._handle = sim._scheduler.push(
-                sim.now + self._period, timer._fire, (), timer._priority)
+        if not self._stopped and not self._timer.running:
+            self._timer.start(self._period)

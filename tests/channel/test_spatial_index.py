@@ -14,6 +14,8 @@ re-registration).
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
@@ -82,22 +84,27 @@ def _assert_superset_and_ordered(channel, spatial, phys, now):
 # Superset property
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def connected_layouts():
-    """Six connected 8-node layouts, shared by every cell size.
+def _uniform_layout(rng, node_count=8, side_m=24.0):
+    """``node_count`` positions drawn uniformly in a ``side_m`` square.
 
-    Rejection sampling makes each layout expensive, and the layouts do not
-    depend on the cell size, so they are drawn once per module.
+    Connectivity is irrelevant to the property, so, unlike the routing
+    harness's placements, nothing is rejected.
     """
-    return [connected_placement(random.Random(1000 + trial), 8, 24.0)
-            for trial in range(6)]
+    return [(rng.uniform(0.0, side_m), rng.uniform(0.0, side_m))
+            for _ in range(node_count)]
 
 
 @pytest.mark.parametrize("cell", CELL_SIZES_M)
-def test_superset_on_random_connected_placements(cell, connected_layouts):
-    for trial, positions in enumerate(connected_layouts):
+def test_superset_on_random_placements(cell):
+    for trial in range(6):
+        positions = _uniform_layout(random.Random(1000 + trial))
         sim = Simulator(seed=trial + 1)
         channel, phys = _build(sim, positions)
+        # Pairs on both sides of the pruning radius, so the check can pass
+        # neither by every receiver being in reach nor by none being.
+        reach = channel._max_range_for(TX_POWER_DBM)
+        distances = [math.dist(a, b) for a, b in itertools.combinations(positions, 2)]
+        assert min(distances) < reach < max(distances)
         _assert_superset_and_ordered(channel, _grid(phys, cell), phys, now=0.0)
 
 

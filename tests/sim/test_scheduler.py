@@ -9,6 +9,12 @@ from repro.errors import SchedulingError
 from repro.sim.scheduler import Scheduler
 
 
+def _fire_all(sched):
+    """Pop and run every live event, as the simulator's run loop does."""
+    while (event := sched.pop_next()) is not None:
+        event.callback(*event.args)
+
+
 def test_push_and_pop_in_time_order():
     sched = Scheduler()
     fired = []
@@ -17,11 +23,28 @@ def test_push_and_pop_in_time_order():
     sched.push(3.0, fired.append, ("c",))
     times = []
     while not sched.empty:
-        event = sched.pop()
+        event = sched.pop_next()
         times.append(event.time)
-        event.fire()
+        event.callback(*event.args)
     assert times == [1.0, 2.0, 3.0]
     assert fired == ["a", "b", "c"]
+
+
+def test_push_returns_the_event_that_pop_next_yields():
+    # One object per scheduled event: the caller's handle is the queued
+    # record, and ``active`` clears on pop as well as on cancel.
+    sched = Scheduler()
+    log = []
+    popped = sched.push(1.0, log.append, ("x",))
+    cancelled = sched.push(2.0, log.append, ("y",))
+    assert popped.active and cancelled.active
+    sched.cancel(cancelled)
+    assert not cancelled.active
+    assert popped.active
+    assert sched.pop_next() is popped
+    assert not popped.active
+    assert (popped.time, popped.callback, popped.args) == (1.0, log.append, ("x",))
+    assert sched.pop_next() is None
 
 
 def test_equal_times_fire_in_scheduling_order():
@@ -29,8 +52,7 @@ def test_equal_times_fire_in_scheduling_order():
     order = []
     for label in range(5):
         sched.push(1.0, order.append, (label,))
-    while not sched.empty:
-        sched.pop().fire()
+    _fire_all(sched)
     assert order == [0, 1, 2, 3, 4]
 
 
@@ -39,18 +61,17 @@ def test_priority_breaks_ties_before_sequence():
     order = []
     sched.push(1.0, order.append, ("low",), priority=10)
     sched.push(1.0, order.append, ("high",), priority=0)
-    while not sched.empty:
-        sched.pop().fire()
+    _fire_all(sched)
     assert order == ["high", "low"]
 
 
 def test_cancel_removes_event_from_live_count():
     sched = Scheduler()
-    handle = sched.push(1.0, lambda: None)
+    event = sched.push(1.0, lambda: None)
     assert len(sched) == 1
-    sched.cancel(handle)
+    sched.cancel(event)
     assert len(sched) == 0
-    assert sched.pop() is None
+    assert sched.pop_next() is None
 
 
 def test_cancelled_event_does_not_fire():
@@ -59,29 +80,17 @@ def test_cancelled_event_does_not_fire():
     keep = sched.push(1.0, fired.append, ("keep",))
     drop = sched.push(1.0, fired.append, ("drop",))
     sched.cancel(drop)
-    while True:
-        event = sched.pop()
-        if event is None:
-            break
-        event.fire()
+    _fire_all(sched)
     assert fired == ["keep"]
-    assert keep.active is False or keep.fired is False  # handle survives
+    assert not keep.active and not drop.active
 
 
 def test_cancel_is_idempotent():
     sched = Scheduler()
-    handle = sched.push(1.0, lambda: None)
-    sched.cancel(handle)
-    sched.cancel(handle)
+    event = sched.push(1.0, lambda: None)
+    sched.cancel(event)
+    sched.cancel(event)
     assert len(sched) == 0
-
-
-def test_peek_time_skips_cancelled_head():
-    sched = Scheduler()
-    first = sched.push(1.0, lambda: None)
-    sched.push(2.0, lambda: None)
-    sched.cancel(first)
-    assert sched.peek_time() == 2.0
 
 
 def test_non_callable_callback_rejected():
@@ -103,8 +112,7 @@ def test_cancel_where_cancels_only_matching_events():
     assert sched.cancel_where(lambda event: event.callback == drop) == 4
     assert len(sched) == 4
     assert sched.cancel_where(lambda event: event.callback == drop) == 0
-    while not sched.empty:
-        sched.pop().fire()
+    _fire_all(sched)
     assert fired == [0, 1, 2, 3]
 
 
@@ -118,11 +126,11 @@ def test_cancel_where_survives_compaction_mid_walk():
     # cancelled exactly once and the live count stays exact.
     assert sched.heap_size < heap_before
     assert len(sched) == len(kept)
-    assert not any(handle.active for handle in doomed)
-    assert all(handle.active for handle in kept)
+    assert not any(event.active for event in doomed)
+    assert all(event.active for event in kept)
     times = []
     while not sched.empty:
-        times.append(sched.pop().time)
+        times.append(sched.pop_next().time)
     assert times == [float(i) for i in range(10)]
 
 
@@ -133,5 +141,5 @@ def test_pop_order_is_always_sorted(times):
         sched.push(t, lambda: None)
     popped = []
     while not sched.empty:
-        popped.append(sched.pop().time)
+        popped.append(sched.pop_next().time)
     assert popped == sorted(times)

@@ -1,10 +1,10 @@
 """Property and regression tests for the scheduler's ordering invariants.
 
-A randomized (seeded) op-sequence test interleaves push/cancel/pop/peek
-against a sorted-list reference model, checking the ``(time, priority,
-sequence)`` contract after every step; explicit regression tests pin the
-stale-handle bugs (cancelling a retired event used to drive the live-event
-count negative).
+A randomized (seeded) op-sequence test interleaves push/cancel/pop against a
+sorted-list reference model, checking the ``(time, priority, sequence)``
+contract after every step; explicit regression tests pin the stale-handle
+bugs (cancelling a retired event used to drive the live-event count
+negative).
 """
 
 from __future__ import annotations
@@ -22,14 +22,15 @@ from repro.sim.simulator import Simulator
 # ---------------------------------------------------------------------------
 
 def test_direct_handle_cancel_keeps_count_and_clock_consistent():
-    # EventHandle.cancel() used to bypass the scheduler's accounting, leaving
-    # pending_events overcounted and run(until=...) unable to advance.
+    # The event schedule() returns is the caller's handle.  A cancel that
+    # bypassed the scheduler's accounting used to leave pending_events
+    # overcounted and run(until=...) unable to advance.
     sim = Simulator(seed=7)
-    handle = sim.schedule(5.0, lambda: None)
-    handle.cancel()
+    event = sim.schedule(5.0, lambda: None)
+    sim.cancel(event)
     assert sim.pending_events == 0
     assert sim.run(until=10.0) == pytest.approx(10.0)
-    handle.cancel()  # idempotent, never double-decrements
+    sim.cancel(event)  # idempotent, never double-decrements
     assert sim.pending_events == 0
 
 
@@ -54,9 +55,6 @@ class _ReferenceModel:
     def pop_expected(self):
         return self.entries.pop(0) if self.entries else None
 
-    def peek_time(self):
-        return self.entries[0][0] if self.entries else None
-
     def __len__(self):
         return len(self.entries)
 
@@ -66,50 +64,46 @@ def test_scheduler_matches_reference_model(seed):
     rng = random.Random(seed)
     sched = Scheduler()
     model = _ReferenceModel()
-    live = []       # (handle, token) for events the model believes are queued
-    retired = []    # handles already popped or cancelled
+    live = []       # (event, token) for events the model believes are queued
+    retired = []    # events already popped or cancelled
     push_index = 0
 
     for _ in range(400):
-        op = rng.choices(["push", "pop", "cancel", "peek", "stale_cancel"],
-                         weights=[40, 25, 15, 10, 8])[0]
+        op = rng.choices(["push", "pop", "cancel", "stale_cancel"],
+                         weights=[40, 25, 15, 8])[0]
         if op == "push":
             # A coarse grid of times/priorities forces plenty of ties, which
             # is exactly where the (time, priority, sequence) contract bites.
             time = float(rng.randrange(10))
             priority = rng.choice((0, 10, 50))
             token = object()
-            handle = sched.push(time, lambda _: None, args=(token,), priority=priority)
+            event = sched.push(time, lambda _: None, args=(token,), priority=priority)
             model.push(time, priority, push_index, token)
-            live.append((handle, token))
+            live.append((event, token))
             push_index += 1
         elif op == "pop":
-            event = sched.pop()
+            event = sched.pop_next()
             expected = model.pop_expected()
             if expected is None:
                 assert event is None
             else:
-                exp_time, exp_priority, _, exp_token = expected
-                assert (event.time, event.priority) == (exp_time, exp_priority)
-                # FIFO among ties: the popped event must be *exactly* the one
-                # the model predicts, not merely an equal-keyed sibling.
+                exp_time, _, _, exp_token = expected
+                assert event.time == exp_time
+                # Priority and FIFO among ties: the popped event must be
+                # *exactly* the one the model predicts, not merely an
+                # equal-time sibling.
                 assert event.args[0] is exp_token
                 index = next(i for i, (_, token) in enumerate(live)
                              if token is exp_token)
                 retired.append(live.pop(index)[0])
         elif op == "cancel" and live:
             index = rng.randrange(len(live))
-            handle, token = live.pop(index)
-            if rng.random() < 0.5:
-                handle.cancel()  # direct handle path must account identically
-            else:
-                sched.cancel(handle)
+            event, token = live.pop(index)
+            sched.cancel(event)
             model.remove(token)
-            retired.append(handle)
-        elif op == "peek":
-            assert sched.peek_time() == model.peek_time()
+            retired.append(event)
         elif op == "stale_cancel" and retired:
-            # Cancelling a fired/cancelled handle must never change
+            # Cancelling a fired/cancelled event must never change
             # the live count.
             before = len(sched)
             sched.cancel(rng.choice(retired))
@@ -121,12 +115,12 @@ def test_scheduler_matches_reference_model(seed):
 
     # Drain: the full (time, priority, FIFO) order must match the model.
     while True:
-        event = sched.pop()
+        event = sched.pop_next()
         expected = model.pop_expected()
         if event is None:
             assert expected is None
             break
-        assert (event.time, event.priority) == expected[:2]
+        assert event.time == expected[0]
         assert event.args[0] is expected[3]
 
 
@@ -139,11 +133,11 @@ def test_restart_heavy_workload_keeps_heap_bounded():
     # compaction every cancelled event stayed buried until its (ever later)
     # time surfaced, so frequent restarts grew the heap without limit.
     sched = Scheduler()
-    handle = sched.push(1.0, lambda: None)
+    event = sched.push(1.0, lambda: None)
     for restart in range(2, 50_002):
-        new_handle = sched.push(float(restart), lambda: None)
-        sched.cancel(handle)
-        handle = new_handle
+        new_event = sched.push(float(restart), lambda: None)
+        sched.cancel(event)
+        event = new_event
     assert len(sched) == 1
     # Bound: live events plus at most the compaction threshold's worth of
     # cancelled stragglers (the fraction only bites above the floor).
@@ -163,8 +157,8 @@ def test_many_timers_restarting_stays_bounded_and_pops_in_order():
     for _ in range(8_000):
         slot = rng.randrange(32)
         if slot in timers:
-            old_handle, old_token = timers.pop(slot)
-            sched.cancel(old_handle)
+            old_event, old_token = timers.pop(slot)
+            sched.cancel(old_event)
             model.remove(old_token)
         time = float(rng.randrange(1, 10_000))
         token = object()
@@ -175,7 +169,7 @@ def test_many_timers_restarting_stays_bounded_and_pops_in_order():
         assert sched.heap_size <= max(
             2 * len(model), 2 * Scheduler.COMPACT_MIN_CANCELLED + len(model))
     while True:
-        event = sched.pop()
+        event = sched.pop_next()
         expected = model.pop_expected()
         if event is None:
             assert expected is None
@@ -189,7 +183,7 @@ def test_compaction_preserves_handle_semantics():
     keep = sched.push(5.0, lambda: None)
     victims = [sched.push(float(i + 10), lambda: None) for i in range(200)]
     for victim in victims:
-        victim.cancel()  # direct handle path routes through the scheduler
+        sched.cancel(victim)
     assert len(sched) == 1
     assert sched.heap_size < 200  # compaction ran
     for victim in victims:
@@ -197,5 +191,5 @@ def test_compaction_preserves_handle_semantics():
         sched.cancel(victim)  # still a no-op after compaction
     assert len(sched) == 1
     assert keep.active
-    assert sched.pop().time == 5.0
-    assert sched.pop() is None
+    assert sched.pop_next() is keep
+    assert sched.pop_next() is None

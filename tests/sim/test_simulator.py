@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -99,6 +101,21 @@ def test_run_until_in_the_past_is_rejected_and_keeps_the_clock(sim):
     assert sim.now == 10.0
 
 
+def test_run_until_infinity_is_rejected_and_keeps_the_clock(sim):
+    # An infinite horizon used to leave the clock at inf once the queue
+    # drained, after which every finite schedule_at was "in the past".
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.now))
+    with pytest.raises(SimulationError):
+        sim.run(until=math.inf)
+    assert sim.now == 0.0
+    assert seen == []
+    assert sim.run() == 1.0
+    sim.schedule_at(2.0, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [1.0, 2.0]
+
+
 def test_stop_halts_run_loop(sim):
     seen = []
 
@@ -158,6 +175,14 @@ def test_events_processed_counter(sim):
 def test_max_events_limits_run(sim):
     for i in range(10):
         sim.schedule(float(i), lambda: None)
+    # The budget is checked before an event runs: 0 runs none (it used to
+    # run one), and a negative budget is an error (it used to run one too).
+    sim.run(max_events=0)
+    assert sim.events_processed == 0
+    with pytest.raises(SimulationError):
+        sim.run(max_events=-1)
+    assert sim.events_processed == 0
+    assert sim.pending_events == 10
     sim.run(max_events=4)
     assert sim.events_processed == 4
     assert sim.pending_events == 6
