@@ -17,15 +17,12 @@ from bench_common import BENCH_FILE_BYTES, run_once
 
 from repro.core import broadcast_aggregation
 from repro.experiments import run_tcp_transfer
-from repro.node.hydra import default_hydra_profile
 
 
 def _throughput_with(use_rts_cts=True, use_block_ack=False):
-    profile = default_hydra_profile()
-    profile.use_rts_cts = use_rts_cts
     outcome = run_tcp_transfer(broadcast_aggregation(), hops=2, rate_mbps=2.6,
-                               file_bytes=BENCH_FILE_BYTES, seed=5, profile=profile,
-                               use_block_ack=use_block_ack)
+                               file_bytes=BENCH_FILE_BYTES, seed=5,
+                               use_block_ack=use_block_ack, use_rts_cts=use_rts_cts)
     return outcome.throughput_mbps
 
 

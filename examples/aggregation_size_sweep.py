@@ -13,8 +13,8 @@ Run with::
 from __future__ import annotations
 
 from repro.experiments import fig07_aggregation_size
-from repro.phy.timing import PhyTimingConfig
-from repro.phy.rates import hydra_rate_table
+from repro.phy.rates import HYDRA_RATE_TABLE
+from repro.phy.timing import HYDRA_PHY_TIMING
 from repro.units import kilobytes
 
 
@@ -24,12 +24,10 @@ def main() -> None:
                                         duration=10.0)
     print(result.to_text())
 
-    timing = PhyTimingConfig()
-    rates = hydra_rate_table()
     print("\nAggregation sizes at the 120 Ksample coherence ceiling:")
     for mbps in (0.65, 1.3, 1.95):
-        rate = rates.by_mbps(mbps)
-        ceiling_bytes = timing.bytes_for_samples(120_000, rate)
+        rate = HYDRA_RATE_TABLE.by_mbps(mbps)
+        ceiling_bytes = HYDRA_PHY_TIMING.bytes_for_samples(120_000, rate)
         print(f"  {mbps:>5} Mbps: {ceiling_bytes / 1024:.1f} KB")
     print("\nThe paper picks 5 KB so that every supported rate stays below the ceiling.")
     chosen = kilobytes(5)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import tempfile
 
 from repro.campaign import CampaignRunner, ResultCache
+from repro.obs import ProgressReporter
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="campaign-cache-") as cache_dir:
         cache = ResultCache(cache_dir)
-        runner = CampaignRunner(jobs=4, cache=cache, timeout=300.0,
-                                progress=lambda line: print(f"  {line}"))
+        reporter = ProgressReporter(emit=lambda line: print(f"  {line}"), workers=4)
+        runner = CampaignRunner(jobs=4, cache=cache, timeout=300.0, observer=reporter)
 
         print("first pass (cold cache):")
         outcome = runner.run_campaign("fig09", seeds=[1, 2, 3, 4, 5])

@@ -32,20 +32,19 @@ from repro.core import (
     unicast_aggregation,
 )
 from repro.phy import (
+    HYDRA_RATE_TABLE,
     ErrorModel,
     ErrorModelConfig,
     Phy,
-    PhyConfig,
     PhyFrame,
     PhyRate,
     PhyTimingConfig,
-    hydra_rate_table,
 )
 from repro.channel import WirelessChannel, hydra_indoor_propagation
 from repro.mac import AggregatingMac, MacAddress, MacConfig, MacTimingProfile
 from repro.net import ForwardingEngine, IpAddress, Packet, RoutingTable
 from repro.transport import TcpConnection, TcpLayer, UdpLayer
-from repro.node import HydraProfile, Node, default_hydra_profile
+from repro.node import Node
 from repro.topology import Network, build_linear_chain, build_star
 from repro.stats import ExperimentResult, Series, TableResult
 
@@ -65,13 +64,12 @@ __all__ = [
     "delayed_broadcast_aggregation",
     # PHY / channel
     "Phy",
-    "PhyConfig",
     "PhyFrame",
     "PhyRate",
     "PhyTimingConfig",
     "ErrorModel",
     "ErrorModelConfig",
-    "hydra_rate_table",
+    "HYDRA_RATE_TABLE",
     "WirelessChannel",
     "hydra_indoor_propagation",
     # MAC
@@ -89,8 +87,6 @@ __all__ = [
     "UdpLayer",
     # nodes and topologies
     "Node",
-    "HydraProfile",
-    "default_hydra_profile",
     "Network",
     "build_linear_chain",
     "build_star",

@@ -2,7 +2,7 @@
 
 Jobs fan out over a :class:`concurrent.futures.ProcessPoolExecutor` (or run
 inline when ``jobs=1``), consult the :class:`~repro.campaign.cache.ResultCache`
-before executing, and report progress through a callback.  Workers return the
+before executing, and report progress to an observer.  Workers return the
 ``to_dict()`` form of :class:`~repro.stats.results.ExperimentResult` so only
 plain JSON-compatible data crosses the process boundary.
 """
@@ -13,7 +13,7 @@ import concurrent.futures
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.campaign.cache import ResultCache, job_key
 from repro.campaign.registry import get_registry
@@ -133,9 +133,6 @@ def _timed_execute_job(experiment_id: str, params: Mapping[str, Any],
             (events1 - events0, sim1 - sim0, runs1 - runs0))
 
 
-ProgressCallback = Callable[[str], None]
-
-
 class CampaignRunner:
     """Executes batches of :class:`CampaignJob` with caching and parallelism.
 
@@ -151,26 +148,22 @@ class CampaignRunner:
         Setting it routes execution through the pool even when ``jobs=1``
         (a job cannot time itself out), and a timed-out batch terminates
         its remaining workers instead of joining them.
-    progress:
-        Callback invoked with one line per finished job.
     observer:
         Object with any of ``batch_started(batch)``, ``job_started(job)``,
         ``job_finished(outcome)`` — invoked from the coordinating process as
         jobs are submitted and complete (see
         :class:`~repro.obs.progress.ProgressReporter`).  Missing methods are
-        skipped; the legacy string ``progress`` callback still fires.
+        skipped.
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
                  timeout: Optional[float] = None,
-                 progress: Optional[ProgressCallback] = None,
                  observer: Optional[Any] = None) -> None:
         if jobs < 1:
             raise ExperimentError("jobs must be >= 1")
         self.jobs = jobs
         self.cache = cache
         self.timeout = timeout
-        self.progress = progress or (lambda message: None)
         self.observer = observer
 
     def _notify(self, method: str, *args: Any) -> None:
@@ -209,7 +202,6 @@ class CampaignRunner:
                 outcomes[index] = JobOutcome(
                     job=job, status="cached",
                     result=ExperimentResult.from_dict(cached))
-                self.progress(f"{job.describe()}: cached")
                 self._notify("job_finished", outcomes[index])
             else:
                 pending.append(index)
@@ -227,8 +219,6 @@ class CampaignRunner:
             outcomes[index] = JobOutcome(
                 job=batch[index], status="deduped",
                 result=primary.result, error=primary.error)
-            self.progress(f"{batch[index].describe()}: deduped "
-                          f"(same coordinates as job #{primary_index})")
             self._notify("job_finished", outcomes[index])
         return [outcomes[index] for index in range(len(batch))]
 
@@ -242,13 +232,11 @@ class CampaignRunner:
             job=job, status="ran",
             result=ExperimentResult.from_dict(result_dict), elapsed=elapsed,
             events=telemetry[0], sim_seconds=telemetry[1])
-        self.progress(f"{job.describe()}: done in {elapsed:.2f}s")
         self._notify("job_finished", outcomes[index])
 
     def _fail(self, index: int, job: CampaignJob, status: str, error: str,
               outcomes: Dict[int, JobOutcome]) -> None:
         outcomes[index] = JobOutcome(job=job, status=status, error=error)
-        self.progress(f"{job.describe()}: {status} ({error.splitlines()[-1] if error else status})")
         self._notify("job_finished", outcomes[index])
 
     def _run_inline(self, batch: Sequence[CampaignJob], pending: Sequence[int],

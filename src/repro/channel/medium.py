@@ -29,15 +29,19 @@ are never reused — a PHY that leaves and registers again gets a fresh one —
 so a departed PHY's memo rows and grid entry can never be served to another
 PHY, and ordering candidates by index is ordering them by registration.
 
-Candidate enumeration scales past tens of nodes on its own: up to
-:data:`AUTO_SPATIAL_THRESHOLD` registered PHYs the channel budgets every PHY
-per frame (the exhaustive scan, O(N)); above it, it asks a
-:class:`~repro.channel.spatial.UniformGridIndex` for the PHYs within the
-propagation model's conservative ``max_range_m`` cutoff (O(neighbours)).
-Both paths cull deliveries below the receiver's detect floor before
-scheduling them, so the scheduled event set (and therefore every byte of a
-run) is identical on either side of the threshold;
-``tests/integration/test_spatial_determinism.py`` is the differential proof.
+Every PHY transmits at :data:`~repro.phy.device.TX_POWER_DBM` and ignores
+arrivals below :data:`~repro.phy.device.DETECT_FLOOR_DBM`, so a channel has
+one reach: the propagation model's conservative ``max_range_m`` for that
+budget, computed once at construction (``None`` when the model cannot
+bound it).  Candidate enumeration scales past tens of nodes on its own: up
+to :data:`AUTO_SPATIAL_THRESHOLD` registered PHYs, or without a reach, the
+channel budgets every PHY per frame (the exhaustive scan, O(N)); above it,
+it asks a :class:`~repro.channel.spatial.UniformGridIndex` for the PHYs
+within the reach (O(neighbours)).  Both paths cull deliveries below the
+detect floor before scheduling them, so the scheduled event set (and
+therefore every byte of a run) is identical on either side of the
+threshold; ``tests/integration/test_spatial_determinism.py`` is the
+differential proof.
 
 Deliveries are fire-and-forget: the channel keeps no handle to the
 begin/end-reception events it schedules and no record of the frame beyond
@@ -52,13 +56,12 @@ receiver on every frame.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.channel.propagation import PropagationModel, distance_between, hydra_indoor_propagation
 from repro.channel.spatial import UniformGridIndex
 from repro.errors import ConfigurationError
-from repro.phy.device import NOISE_FLOOR_DBM
+from repro.phy.device import DETECT_FLOOR_DBM, NOISE_FLOOR_DBM, TX_POWER_DBM
 from repro.phy.frame import PhyFrame
 from repro.sim.simulator import Simulator
 
@@ -82,17 +85,14 @@ AUTO_SPATIAL_THRESHOLD = 64
 #: it off by patching it first.
 LINK_BUDGET_MEMO = True
 
-_UNSET = object()
-
 
 class WirelessChannel:
     """Single shared broadcast medium connecting all registered PHYs."""
 
     __slots__ = ("sim", "propagation", "_phys", "_next_index", "_link_aware",
-                 "_cache_epoch", "_budget_cache", "_spatial", "_min_detect_floor",
-                 "_max_tx_power", "_max_range_cache", "total_transmissions",
-                 "total_airtime", "total_candidates", "total_deliveries",
-                 "total_culled")
+                 "_cache_epoch", "_budget_cache", "_reach", "_spatial",
+                 "total_transmissions", "total_airtime", "total_candidates",
+                 "total_deliveries", "total_culled")
 
     def __init__(self, sim: Simulator, propagation: Optional[PropagationModel] = None) -> None:
         self.sim = sim
@@ -109,17 +109,15 @@ class WirelessChannel:
         # (sender index, receiver index) -> (epoch, tx_pos, rx_pos, loss, distance)
         self._budget_cache: Optional[Dict[Tuple[int, int], tuple]] = (
             {} if LINK_BUDGET_MEMO else None)
+        # Farthest distance at which any frame can be detected (None = the
+        # model cannot bound it, so every send scans all PHYs).
+        bound = getattr(self.propagation, "max_range_m", None)
+        self._reach: Optional[float] = (
+            None if bound is None else bound(TX_POWER_DBM - DETECT_FLOOR_DBM))
         # Spatial candidate pruning: the grid index is built lazily on the
         # first broadcast that wants it (so registration order — which fixes
         # candidate order — is complete by then).
         self._spatial: Optional[UniformGridIndex] = None
-        # Running min detect floor / max tx power over every PHY ever
-        # registered.  Kept conservative on unregister (a stale low floor or
-        # high power only widens the pruning range, never narrows it).
-        self._min_detect_floor = math.inf
-        self._max_tx_power = -math.inf
-        # tx power -> conservative max range (None = model can't bound it).
-        self._max_range_cache: Dict[float, Optional[float]] = {}
         # statistics
         self.total_transmissions = 0
         self.total_airtime = 0.0
@@ -135,9 +133,7 @@ class WirelessChannel:
         """Attach one of this channel's PHYs to the medium (idempotent).
 
         The PHY gets the next registration index as ``phy.channel_index``,
-        also when it registers again after leaving.  The pruning bounds (min
-        detect floor, max tx power) are snapshots of the PHY's config taken
-        here; configure thresholds before registering.
+        also when it registers again after leaving.
         """
         if phy.channel is not self:
             raise ConfigurationError(f"{phy.name} belongs to another channel")
@@ -146,12 +142,6 @@ class WirelessChannel:
         index = phy.channel_index = self._next_index
         self._next_index += 1
         self._phys[index] = phy
-        floor = phy.config.detect_floor_dbm
-        if floor < self._min_detect_floor:
-            self._min_detect_floor = floor
-            self._max_range_cache.clear()
-        if phy.config.tx_power_dbm > self._max_tx_power:
-            self._max_tx_power = phy.config.tx_power_dbm
         if self._spatial is not None:
             self._spatial.register(phy, self.sim.now)
 
@@ -227,7 +217,7 @@ class WirelessChannel:
             cache[key] = (epoch, tx_position, rx_position, loss, distance)
         return loss, distance
 
-    def received_power_dbm(self, sender: "Phy", receiver: "Phy", tx_power_dbm: float,
+    def received_power_dbm(self, sender: "Phy", receiver: "Phy",
                            time: Optional[float] = None) -> float:
         """Received power at ``receiver`` for a transmission by ``sender``.
 
@@ -236,19 +226,16 @@ class WirelessChannel:
         """
         when = self.sim.now if time is None else time
         loss, _ = self._link_budget(sender, receiver, when)
-        return tx_power_dbm - loss
+        return TX_POWER_DBM - loss
 
-    def link_snr_db(self, sender: "Phy", receiver: "Phy",
-                    tx_power_dbm: Optional[float] = None) -> float:
+    def link_snr_db(self, sender: "Phy", receiver: "Phy") -> float:
         """Nominal SNR of the ``sender`` → ``receiver`` link (no interference)."""
-        power = sender.config.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
-        return self.received_power_dbm(sender, receiver, power) - NOISE_FLOOR_DBM
+        return self.received_power_dbm(sender, receiver) - NOISE_FLOOR_DBM
 
     # ------------------------------------------------------------------
     # Broadcast
     # ------------------------------------------------------------------
-    def broadcast(self, sender: "Phy", frame: PhyFrame, duration: float,
-                  power_dbm: float) -> None:
+    def broadcast(self, sender: "Phy", frame: PhyFrame, duration: float) -> None:
         """Deliver ``frame`` from ``sender`` to every other registered PHY.
 
         Each receiver gets ``begin_reception(frame, rx_power_dbm)`` and
@@ -267,17 +254,14 @@ class WirelessChannel:
         # Candidate enumeration: either the full registration list or the
         # grid index's superset of in-range PHYs (also in registration
         # order).  The two enumerations schedule the *identical* event set,
-        # because every receiver the grid prunes is provably below its
+        # because every receiver the grid prunes is provably below the
         # detect floor and the loop below culls exactly those receivers on
         # both paths — so the threshold changes speed, never bytes.
         receivers: Iterable["Phy"] = self._phys.values()
-        if len(self._phys) > AUTO_SPATIAL_THRESHOLD:
-            reach = self._max_range_for(power_dbm)
-            if reach is not None:
-                spatial = self._ensure_spatial()
-                if spatial is not None:
-                    receivers = spatial.candidates(
-                        sender.position_at(now), reach, now)
+        reach = self._reach
+        if reach is not None and len(self._phys) > AUTO_SPATIAL_THRESHOLD:
+            receivers = self._ensure_spatial().candidates(
+                sender.position_at(now), reach, now)
 
         # Direct scheduler pushes: this loop schedules two events per
         # receiver per frame, and the Simulator.schedule wrapper (which only
@@ -294,17 +278,13 @@ class WirelessChannel:
                 continue
             considered += 1
             loss, distance = self._link_budget(sender, receiver, now)
-            rx_power = power_dbm - loss
-            config = receiver.config
-            floor = config.carrier_sense_threshold_dbm
-            if config.reception_threshold_dbm < floor:
-                floor = config.reception_threshold_dbm
-            if rx_power < floor:
-                # Below the receiver's detect floor the frame would have no
-                # observable effect (Phy.begin_reception ignores it), so the
-                # two events are never scheduled.  Applied uniformly on the
-                # scan and grid paths — this cull, not the index, is what
-                # defines who hears a frame.
+            rx_power = TX_POWER_DBM - loss
+            if rx_power < DETECT_FLOOR_DBM:
+                # Below the detect floor the frame would have no observable
+                # effect (Phy.begin_reception ignores it), so the two events
+                # are never scheduled.  Applied uniformly on the scan and
+                # grid paths — this cull, not the index, is what defines who
+                # hears a frame.
                 culled += 1
                 continue
             delay = distance / SPEED_OF_LIGHT
@@ -314,38 +294,18 @@ class WirelessChannel:
         self.total_culled += culled
         self.total_deliveries += considered - culled
 
-    def _max_range_for(self, power_dbm: float) -> Optional[float]:
-        """Conservative pruning radius for a transmission at ``power_dbm``.
+    def _ensure_spatial(self) -> UniformGridIndex:
+        """Build the grid index on first use.
 
-        ``None`` when the propagation model cannot bound its own reach — the
-        caller then falls back to the exhaustive scan.  Cached per tx power;
-        the cache is invalidated whenever a newly registered PHY lowers the
-        fleet's min detect floor.
-        """
-        cache = self._max_range_cache
-        value = cache.get(power_dbm, _UNSET)
-        if value is _UNSET:
-            bound = getattr(self.propagation, "max_range_m", None)
-            value = (None if bound is None
-                     else bound(power_dbm - self._min_detect_floor))
-            cache[power_dbm] = value
-        return value
-
-    def _ensure_spatial(self) -> Optional[UniformGridIndex]:
-        """Build the grid index on first use (None if the model is unbounded).
-
-        The cell size is the fleet-wide max range (so a query scans at most
-        a 3×3 block of cells); correctness is independent of the choice
-        because ``candidates`` derives the cell span from the exact query
-        radius.  PHYs are inserted in registration order, which fixes
-        candidate ordering forever after.
+        The cell size is the reach (so a query scans at most a 3×3 block of
+        cells); correctness is independent of the choice because
+        ``candidates`` derives the cell span from the exact query radius.
+        PHYs are inserted in registration order, which fixes candidate
+        ordering forever after.
         """
         spatial = self._spatial
         if spatial is None:
-            reach = self._max_range_for(self._max_tx_power)
-            if reach is None:
-                return None
-            spatial = UniformGridIndex(max(reach, 1.0))
+            spatial = UniformGridIndex(max(self._reach, 1.0))
             now = self.sim.now
             for phy in self._phys.values():
                 spatial.register(phy, now)

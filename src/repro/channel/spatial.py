@@ -12,7 +12,7 @@ The index is deliberately *not* trusted with physics: it returns a candidate
 **superset** — every registered PHY whose exact position lies within the
 queried range is guaranteed to be a candidate (plus possibly a few just
 outside it, from partially covered cells).  The channel still evaluates the
-exact link budget for every candidate and culls receivers below their detect
+exact link budget for every candidate and culls receivers below the detect
 floor, so grid-indexed and full-scan runs produce byte-identical outcomes;
 ``tests/integration/test_spatial_determinism.py`` pins that contract.
 

@@ -14,14 +14,14 @@ turns:
   minimum number of frames is queued before contending for the floor.
 
 The remaining fields cover the experiment-specific variations: the maximum
-aggregation size swept in Figure 7, the pinned broadcast rate of Figure 10
-and the forward-aggregation switch of Figure 14.
+aggregation size swept in Figure 7 and the forward-aggregation switch of
+Figure 14.  Rates are not part of a policy: Figure 10's pinned broadcast rate
+is the topology builders' ``broadcast_rate_mbps``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.units import kilobytes, milliseconds
@@ -55,9 +55,6 @@ class AggregationPolicy:
     #: Safety valve for the delayed policy: transmit whatever is queued after
     #: this long even if the minimum frame count was not reached.
     delayed_flush_timeout: float = milliseconds(30.0)
-    #: Fixed PHY rate for the broadcast portion in Mbps; ``None`` transmits
-    #: broadcasts at the same rate as the unicast portion (Figure 10 vs 11).
-    broadcast_rate_mbps: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_aggregate_bytes < MIN_REASONABLE_AGGREGATE_BYTES:
@@ -105,10 +102,6 @@ class AggregationPolicy:
         """Copy of the policy with a different aggregation size budget."""
         return replace(self, max_aggregate_bytes=max_bytes)
 
-    def with_broadcast_rate(self, rate_mbps: Optional[float]) -> "AggregationPolicy":
-        """Copy of the policy with a pinned broadcast-portion rate."""
-        return replace(self, broadcast_rate_mbps=rate_mbps)
-
     def without_forward_aggregation(self) -> "AggregationPolicy":
         """Copy of the policy with forward aggregation disabled (Figure 14)."""
         return replace(self, name=f"{self.name}-noFwd", forward_aggregation=False)
@@ -140,8 +133,7 @@ def unicast_aggregation(max_aggregate_bytes: int = DEFAULT_MAX_AGGREGATE_BYTES) 
     )
 
 
-def broadcast_aggregation(max_aggregate_bytes: int = DEFAULT_MAX_AGGREGATE_BYTES,
-                          broadcast_rate_mbps: Optional[float] = None) -> AggregationPolicy:
+def broadcast_aggregation(max_aggregate_bytes: int = DEFAULT_MAX_AGGREGATE_BYTES) -> AggregationPolicy:
     """BA: unicast + broadcast aggregation with TCP ACKs classified as broadcasts."""
     return AggregationPolicy(
         name="BA",
@@ -149,7 +141,6 @@ def broadcast_aggregation(max_aggregate_bytes: int = DEFAULT_MAX_AGGREGATE_BYTES
         aggregate_broadcast=True,
         classify_tcp_acks_as_broadcast=True,
         max_aggregate_bytes=max_aggregate_bytes,
-        broadcast_rate_mbps=broadcast_rate_mbps,
     )
 
 

@@ -37,10 +37,9 @@ def run(unicast_rates_mbps: Sequence[float] = DEFAULT_UNICAST_RATES_MBPS,
     for broadcast_rate in broadcast_rates_mbps:
         series = result.add_series(Series(label=f"BA (bcast {broadcast_rate} Mbps)"))
         for rate in unicast_rates_mbps:
-            ba = run_tcp_transfer(
-                broadcast_aggregation(broadcast_rate_mbps=broadcast_rate),
-                hops=hops, rate_mbps=rate, broadcast_rate_mbps=broadcast_rate,
-                file_bytes=file_bytes, seed=seed)
+            ba = run_tcp_transfer(broadcast_aggregation(), hops=hops, rate_mbps=rate,
+                                  broadcast_rate_mbps=broadcast_rate,
+                                  file_bytes=file_bytes, seed=seed)
             series.add(rate, ba.throughput_mbps)
         # Record where this pinned rate stops beating UA.
         advantage = [ba_y - ua_y for ba_y, ua_y in zip(series.y_values, ua_series.y_values)]

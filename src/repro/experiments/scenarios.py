@@ -25,7 +25,6 @@ from repro.apps.file_transfer import (
 from repro.core.policies import AggregationPolicy
 from repro.errors import ExperimentError
 from repro.net.flooding import FloodingSource
-from repro.node.hydra import HydraProfile, default_hydra_profile
 from repro.sim.simulator import Simulator
 from repro.topology.builders import build_linear_chain, build_star
 from repro.topology.network import Network
@@ -68,15 +67,15 @@ def run_tcp_transfer(policy: AggregationPolicy, hops: int = 2, rate_mbps: float 
                      broadcast_rate_mbps: Optional[float] = None,
                      file_bytes: int = PAPER_FILE_BYTES, seed: int = 1,
                      relay_policy: Optional[AggregationPolicy] = None,
-                     profile: Optional[HydraProfile] = None,
                      use_block_ack: bool = False,
+                     use_rts_cts: bool = True,
                      max_sim_time: float = 600.0) -> TcpRunResult:
     """One-way file transfer from node 1 to node ``hops + 1`` (Figure 5)."""
     sim = Simulator(seed=seed)
     network = build_linear_chain(
         sim, hops=hops, policy=_policy_map(policy, hops + 1, relay_policy),
-        profile=profile, unicast_rate_mbps=rate_mbps,
-        broadcast_rate_mbps=broadcast_rate_mbps, use_block_ack=use_block_ack,
+        unicast_rate_mbps=rate_mbps, broadcast_rate_mbps=broadcast_rate_mbps,
+        use_block_ack=use_block_ack, use_rts_cts=use_rts_cts,
     )
     sender, receiver = run_file_transfer_pair(network.node(1), network.node(hops + 1),
                                               file_bytes=file_bytes)
@@ -108,15 +107,13 @@ def run_star_tcp(policy: AggregationPolicy, rate_mbps: float = 0.65,
                  broadcast_rate_mbps: Optional[float] = None,
                  file_bytes: int = PAPER_FILE_BYTES, seed: int = 1,
                  relay_policy: Optional[AggregationPolicy] = None,
-                 profile: Optional[HydraProfile] = None,
                  max_sim_time: float = 1200.0) -> StarRunResult:
     """Two TCP sessions (3 → 1 and 4 → 1) through the central relay (node 2)."""
     sim = Simulator(seed=seed)
     policies = policy
     if relay_policy is not None:
         policies = {1: policy, 2: relay_policy, 3: policy, 4: policy}
-    network = build_star(sim, policy=policies, profile=profile,
-                         unicast_rate_mbps=rate_mbps,
+    network = build_star(sim, policy=policies, unicast_rate_mbps=rate_mbps,
                          broadcast_rate_mbps=broadcast_rate_mbps)
 
     receivers: List[FileTransferReceiver] = []
@@ -161,13 +158,12 @@ def run_udp_saturation(policy: AggregationPolicy, hops: int = 2, rate_mbps: floa
                        offered_overdrive: float = 2.0,
                        flooding_interval: Optional[float] = None,
                        flooding_payload_bytes: int = 64,
-                       warmup: float = 1.0,
-                       profile: Optional[HydraProfile] = None) -> UdpRunResult:
+                       warmup: float = 1.0) -> UdpRunResult:
     """Saturating UDP flow from node 1 to node ``hops + 1``, optional flooding on all nodes."""
     if duration <= warmup:
         raise ExperimentError("duration must exceed the warmup period")
     sim = Simulator(seed=seed)
-    network = build_linear_chain(sim, hops=hops, policy=policy, profile=profile,
+    network = build_linear_chain(sim, hops=hops, policy=policy,
                                  unicast_rate_mbps=rate_mbps)
     source_node = network.node(1)
     sink_node = network.node(hops + 1)

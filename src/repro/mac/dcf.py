@@ -22,7 +22,7 @@ keeps explicit state (idle / contending / waiting for CTS / waiting for ACK).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.core.aggregator import AggregateBuild, Aggregator
@@ -43,12 +43,12 @@ from repro.mac.frames import (
 from repro.mac.nav import NetworkAllocationVector
 from repro.mac.queues import TransmitQueues
 from repro.mac.stats import MacStatistics
-from repro.mac.timing import HYDRA_MAC_TIMING, MacTimingProfile
+from repro.mac.timing import HYDRA_MAC_TIMING
 from repro.net.packet import Packet
 from repro.phy.device import Phy
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
-from repro.phy.link_adaptation import FixedRate, RateController
-from repro.phy.rates import HYDRA_SISO_RATES, PhyRate
+from repro.phy.rates import HYDRA_BASE_RATE, PhyRate
+from repro.phy.timing import HYDRA_PHY_TIMING
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
 
@@ -68,22 +68,23 @@ class MacState(enum.Enum):
 
 @dataclass(slots=True)
 class MacConfig:
-    """Static configuration of one MAC instance."""
+    """Static configuration of one MAC instance.
+
+    Control frames (RTS/CTS/ACK) always go out at
+    :data:`~repro.phy.rates.HYDRA_BASE_RATE` and the MAC always follows
+    :data:`~repro.mac.timing.HYDRA_MAC_TIMING`.
+    """
 
     address: MacAddress
+    #: Pinned rate of the unicast portion (the paper uses no rate adaptation).
     unicast_rate: PhyRate
     #: Rate for the broadcast portion; ``None`` means "same as unicast"
-    #: unless the aggregation policy pins a rate (Figure 10).
+    #: (Figure 10 pins it).
     broadcast_rate: Optional[PhyRate] = None
-    #: Rate for control frames (RTS/CTS/ACK); Hydra sends them at the base rate.
-    basic_rate: PhyRate = HYDRA_SISO_RATES[0]
-    timing: MacTimingProfile = field(default_factory=lambda: HYDRA_MAC_TIMING)
+    #: Precede every frame with a unicast portion by an RTS/CTS exchange.
     use_rts_cts: bool = True
-    #: Unicast portions at least this large use the RTS/CTS exchange.
-    rts_threshold_bytes: int = 0
     queue_capacity: int = 50
     use_block_ack: bool = False
-    dedup_cache_size: int = 128
 
 
 class AggregatingMac:
@@ -91,7 +92,7 @@ class AggregatingMac:
 
     __slots__ = ("sim", "phy", "config", "policy", "name", "address",
                  "timing", "queues", "classifier", "aggregator",
-                 "duplicates", "stats", "rate_controller", "scoreboard",
+                 "duplicates", "stats", "scoreboard",
                  "backoff", "nav", "state", "_current", "_pending_retry",
                  "_retry_count", "_flush_forced", "_drawn_slots",
                  "_backoff_resumed_at", "_access_timer", "_response_timer",
@@ -103,7 +104,6 @@ class AggregatingMac:
         phy: Phy,
         config: MacConfig,
         policy: Optional[AggregationPolicy] = None,
-        rate_controller: Optional[RateController] = None,
         name: Optional[str] = None,
     ) -> None:
         self.sim = sim
@@ -112,14 +112,13 @@ class AggregatingMac:
         self.policy = policy or broadcast_aggregation()
         self.name = name or f"mac-{config.address}"
         self.address = config.address
-        self.timing = config.timing
+        self.timing = HYDRA_MAC_TIMING
 
         self.queues = TransmitQueues(capacity=config.queue_capacity)
         self.classifier = TcpAckClassifier(enabled=self.policy.classify_tcp_acks_as_broadcast)
         self.aggregator = Aggregator(self.policy)
-        self.duplicates = DuplicateDetector(cache_size=config.dedup_cache_size)
+        self.duplicates = DuplicateDetector()
         self.stats = MacStatistics(name=self.name)
-        self.rate_controller = rate_controller or FixedRate(config.unicast_rate)
         self.scoreboard = BlockAckScoreboard()
 
         rng = sim.random.stream(f"mac.{self.name}")
@@ -161,14 +160,14 @@ class AggregatingMac:
     @property
     def unicast_rate(self) -> PhyRate:
         """Rate used for the unicast portion of data frames."""
-        return self.rate_controller.current_rate()
+        return self.config.unicast_rate
 
     @property
     def broadcast_rate(self) -> PhyRate:
         """Rate used for the broadcast portion of data frames."""
         if self.config.broadcast_rate is not None:
             return self.config.broadcast_rate
-        return self.unicast_rate
+        return self.config.unicast_rate
 
     # ------------------------------------------------------------------
     # Transmit path: enqueue
@@ -279,22 +278,17 @@ class AggregatingMac:
         if tracer.enabled:
             tracer.emit(self.name, "mac", "aggregate", build=self._current)
 
-        needs_rts = (
-            self._current.has_unicast
-            and self.config.use_rts_cts
-            and self._current.unicast_bytes >= self.config.rts_threshold_bytes
-        )
-        if needs_rts:
+        if self._current.has_unicast and self.config.use_rts_cts:
             self._send_rts()
         else:
             self._send_data_frame()
 
     def _control_airtime(self, size_bytes: int) -> float:
-        return self.phy.config.timing.control_airtime(size_bytes, self.config.basic_rate)
+        return HYDRA_PHY_TIMING.control_airtime(size_bytes, HYDRA_BASE_RATE)
 
     def _build_data_frame(self) -> PhyFrame:
         assert self._current is not None
-        frame = self._current.to_phy_frame(self.unicast_rate, self._resolved_broadcast_rate())
+        frame = self._current.to_phy_frame(self.unicast_rate, self.broadcast_rate)
         # Virtual carrier sensing: the duration field of the first unicast
         # subframe reserves the medium for the SIFS + ACK that follows.
         ack_time = self._control_airtime(AckFrame(dst=self.address).size_bytes)
@@ -303,18 +297,15 @@ class AggregatingMac:
             subframe.duration = reservation
         return frame
 
-    def _resolved_broadcast_rate(self) -> PhyRate:
-        return self.broadcast_rate
-
     def _send_rts(self) -> None:
         assert self._current is not None
         data_frame = self._build_data_frame()
         cts_time = self._control_airtime(CtsFrame(dst=self.address).size_bytes)
         ack_time = self._control_airtime(AckFrame(dst=self.address).size_bytes)
-        data_time = data_frame.airtime(self.phy.config.timing)
+        data_time = data_frame.airtime(HYDRA_PHY_TIMING)
         reservation = 3 * self.timing.sifs + cts_time + data_time + ack_time
         rts = RtsFrame(src=self.address, dst=self._current.destination, duration=reservation)
-        frame = PhyFrame.control_frame(FrameKind.RTS, rts, self.config.basic_rate)
+        frame = PhyFrame.control_frame(FrameKind.RTS, rts, HYDRA_BASE_RATE)
         self._pause_backoff()
         airtime = self.phy.send(frame)
         self.stats.record_control_frame("rts", airtime)
@@ -329,7 +320,7 @@ class AggregatingMac:
         frame = self._build_data_frame()
         self._pause_backoff()
         self.phy.send(frame)
-        self.stats.record_data_frame(frame, self.phy.config.timing)
+        self.stats.record_data_frame(frame, HYDRA_PHY_TIMING)
         if self.config.use_block_ack and frame.has_unicast:
             self.scoreboard.register(list(frame.unicast_subframes))
         tracer = self.sim.tracer
@@ -412,9 +403,8 @@ class AggregatingMac:
         cts: CtsFrame = result.frame.control
         if cts.dst == self.address and self.state is MacState.WAIT_CTS:
             self._response_timer.cancel()
-            self.stats.record_control_frame("cts_rx", result.frame.airtime(self.phy.config.timing))
+            self.stats.record_control_frame("cts_rx", result.frame.airtime(HYDRA_PHY_TIMING))
             self.stats.record_ifs(self.timing.sifs)
-            self.rate_controller.on_feedback(result.snr_db)
             self.sim.schedule(self.timing.sifs, self._send_data_frame,
                               priority=Simulator.PRIORITY_MAC)
         elif cts.dst != self.address:
@@ -429,7 +419,7 @@ class AggregatingMac:
             return
         self._response_timer.cancel()
         self.stats.acks_received += 1
-        self.stats.record_control_frame("ack_rx", result.frame.airtime(self.phy.config.timing))
+        self.stats.record_control_frame("ack_rx", result.frame.airtime(HYDRA_PHY_TIMING))
         self.stats.record_ifs(self.timing.sifs)
         if self.config.use_block_ack and isinstance(control, BlockAck):
             missing = self.scoreboard.apply(control)
@@ -444,7 +434,7 @@ class AggregatingMac:
         if self.phy.state.value == "transmitting":  # pragma: no cover - defensive
             return
         self._pause_backoff()
-        frame = PhyFrame.control_frame(kind, control_frame, self.config.basic_rate)
+        frame = PhyFrame.control_frame(kind, control_frame, HYDRA_BASE_RATE)
         airtime = self.phy.send(frame)
         self.stats.record_control_frame(kind.value, airtime)
 
@@ -492,7 +482,6 @@ class AggregatingMac:
         current = self._current
         retries = self._retry_count
         self.backoff.on_success()
-        self.rate_controller.on_success()
         self._retry_count = 0
         self._current = None
         self._pending_retry = None
@@ -518,7 +507,6 @@ class AggregatingMac:
             return
         self.stats.retransmissions += 1
         self.backoff.on_failure()
-        self.rate_controller.on_failure()
         self._retry_count += 1
 
         current = self._current

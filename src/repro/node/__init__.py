@@ -1,6 +1,5 @@
 """Node assembly: the full Hydra protocol stack wired together."""
 
-from repro.node.hydra import HydraProfile, default_hydra_profile
 from repro.node.node import Node
 
-__all__ = ["Node", "HydraProfile", "default_hydra_profile"]
+__all__ = ["Node"]

@@ -4,6 +4,19 @@ This mirrors the Hydra block diagram (Figure 3 of the paper): the radio/PHY
 at the bottom, the Click-based MAC and routing in the middle and the Linux
 protocol stack (here: the ``repro`` UDP/TCP implementations) on top.
 
+Every node runs at the prototype's one operating point, fixed by Table 1 of
+the paper and the experimental setup of Section 5: 1 MHz of bandwidth in the
+2.4 GHz band, 7.7 mW transmit power giving ~25 dB SNR at the 2.5 m node
+spacing (:mod:`repro.phy.device`), SISO data rates of 0.65–6.5 Mbps of
+which the experiments pin one of the lowest four
+(:data:`~repro.phy.rates.HYDRA_RATE_TABLE`), cyclic-delay-diversity MIMO (a
+single spatial stream), DCF with RTS/CTS
+(:data:`~repro.mac.timing.HYDRA_MAC_TIMING`), and a maximum aggregation size
+of 5 KB chosen from the Figure 7 sweep
+(:data:`~repro.core.policies.DEFAULT_MAX_AGGREGATE_BYTES`).  What a node
+varies per run is its data rates, its aggregation policy, block ACKs and,
+for the ablation, whether it uses RTS/CTS.
+
 Beyond the paper's stationary testbed, a node may carry a
 :mod:`repro.mobility` model (:meth:`Node.set_mobility`); ``position`` then
 tracks the model's scheduler-driven updates and :meth:`Node.position_at`
@@ -29,13 +42,8 @@ from repro.net.address import IpAddress
 from repro.net.dynamic_routing import DsdvConfig, DsdvRouter, DynamicRoutingTable
 from repro.net.on_demand import AodvConfig, AodvRouter
 from repro.net.routing import ForwardingEngine, NeighborTable, RoutingTable
-from repro.node.hydra import (
-    HydraProfile,
-    default_aodv_config,
-    default_dsdv_config,
-    default_hydra_profile,
-)
 from repro.phy.device import Phy
+from repro.phy.rates import HYDRA_BASE_RATE, HYDRA_RATE_TABLE
 from repro.sim.simulator import Simulator
 from repro.transport.tcp.layer import TcpLayer
 from repro.transport.udp import UdpLayer
@@ -66,7 +74,12 @@ def validate_routing_mode(routing: str) -> str:
 
 
 class Node:
-    """A complete wireless node."""
+    """A complete wireless node.
+
+    ``unicast_rate_mbps=None`` pins the base rate (0.65 Mbps), and
+    ``broadcast_rate_mbps=None`` sends the broadcast portion at the unicast
+    rate.
+    """
 
     def __init__(
         self,
@@ -75,8 +88,10 @@ class Node:
         index: int,
         position: Tuple[float, float] = (0.0, 0.0),
         policy: Optional[AggregationPolicy] = None,
-        profile: Optional[HydraProfile] = None,
+        unicast_rate_mbps: Optional[float] = None,
+        broadcast_rate_mbps: Optional[float] = None,
         neighbors: Optional[NeighborTable] = None,
+        use_rts_cts: bool = True,
         use_block_ack: bool = False,
         routing: str = "static",
         routing_config: Optional[RoutingConfig] = None,
@@ -85,7 +100,6 @@ class Node:
         self.sim = sim
         self.channel = channel
         self.index = index
-        self.profile = profile or default_hydra_profile()
         self.policy = policy or broadcast_aggregation()
 
         self.ip = IpAddress.host(index)
@@ -93,21 +107,16 @@ class Node:
         self.name = f"node{index}"
 
         # --- PHY -----------------------------------------------------------
-        self.phy = Phy(sim, channel, config=self.profile.phy_config(),
-                       position=position, name=f"{self.name}.phy")
+        self.phy = Phy(sim, channel, position=position, name=f"{self.name}.phy")
 
         # --- MAC -----------------------------------------------------------
-        broadcast_rate = self.profile.broadcast_rate()
-        if self.policy.broadcast_rate_mbps is not None:
-            broadcast_rate = self.profile.rate_table.by_mbps(self.policy.broadcast_rate_mbps)
         mac_config = MacConfig(
             address=self.mac_address,
-            unicast_rate=self.profile.unicast_rate(),
-            broadcast_rate=broadcast_rate,
-            basic_rate=self.profile.rate_table.base_rate,
-            timing=self.profile.mac_timing,
-            use_rts_cts=self.profile.use_rts_cts,
-            queue_capacity=self.profile.queue_capacity,
+            unicast_rate=(HYDRA_BASE_RATE if unicast_rate_mbps is None
+                          else HYDRA_RATE_TABLE.by_mbps(unicast_rate_mbps)),
+            broadcast_rate=(None if broadcast_rate_mbps is None
+                            else HYDRA_RATE_TABLE.by_mbps(broadcast_rate_mbps)),
+            use_rts_cts=use_rts_cts,
             use_block_ack=use_block_ack,
         )
         self.mac = AggregatingMac(sim, self.phy, mac_config, policy=self.policy,
@@ -136,7 +145,7 @@ class Node:
                     f"routing='dsdv' takes a DsdvConfig, got "
                     f"{type(routing_config).__name__}")
             self.router = DsdvRouter(sim, self.network, self.routing_table,
-                                     config=routing_config or default_dsdv_config(),
+                                     config=routing_config,
                                      name=f"{self.name}.dsdv")
         elif routing == "aodv":
             if routing_config is not None and not isinstance(routing_config, AodvConfig):
@@ -144,7 +153,7 @@ class Node:
                     f"routing='aodv' takes an AodvConfig, got "
                     f"{type(routing_config).__name__}")
             self.router = AodvRouter(sim, self.network, self.routing_table,
-                                     config=routing_config or default_aodv_config(),
+                                     config=routing_config,
                                      name=f"{self.name}.aodv")
 
         # --- transport layers ------------------------------------------------
@@ -196,19 +205,6 @@ class Node:
         """
         if self.router is not None:
             self.router.start(stop_time=stop_time)
-
-    def set_unicast_rate(self, rate_mbps: float) -> None:
-        """Pin the unicast PHY rate of this node's MAC."""
-        rate = self.profile.rate_table.by_mbps(rate_mbps)
-        self.mac.rate_controller.set_rate(rate)
-        self.mac.config.unicast_rate = rate
-
-    def set_broadcast_rate(self, rate_mbps: Optional[float]) -> None:
-        """Pin (or unpin) the broadcast-portion PHY rate of this node's MAC."""
-        if rate_mbps is None:
-            self.mac.config.broadcast_rate = None
-        else:
-            self.mac.config.broadcast_rate = self.profile.rate_table.by_mbps(rate_mbps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.index} ip={self.ip} mac={self.mac_address}>"

@@ -16,20 +16,20 @@ experiments:
 
 from repro.phy.modulation import Modulation
 from repro.phy.coding import CodingRate
-from repro.phy.rates import PhyRate, RateTable, HYDRA_SISO_RATES, hydra_rate_table
-from repro.phy.timing import PhyTimingConfig
+from repro.phy.rates import PhyRate, RateTable, HYDRA_RATE_TABLE, HYDRA_SISO_RATES
+from repro.phy.timing import HYDRA_PHY_TIMING, PhyTimingConfig
 from repro.phy.error_model import ErrorModel, ErrorModelConfig
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
-from repro.phy.device import Phy, PhyConfig, PhyListener, PhyState
-from repro.phy.link_adaptation import AutoRateFallback, ReceiverBasedAutoRate
+from repro.phy.device import Phy, PhyListener, PhyState
 
 __all__ = [
     "Modulation",
     "CodingRate",
     "PhyRate",
     "RateTable",
+    "HYDRA_RATE_TABLE",
     "HYDRA_SISO_RATES",
-    "hydra_rate_table",
+    "HYDRA_PHY_TIMING",
     "PhyTimingConfig",
     "ErrorModel",
     "ErrorModelConfig",
@@ -37,9 +37,6 @@ __all__ = [
     "PhyFrame",
     "ReceptionResult",
     "Phy",
-    "PhyConfig",
     "PhyListener",
     "PhyState",
-    "AutoRateFallback",
-    "ReceiverBasedAutoRate",
 ]

@@ -5,19 +5,24 @@ shared :class:`~repro.channel.medium.WirelessChannel` and *up* to a
 :class:`PhyListener` (the MAC).  It is deliberately half-duplex: a frame that
 arrives while the node is transmitting is lost, and overlapping receptions
 interfere with each other (SINR-based capture).
+
+Every PHY runs at the Hydra operating point of Table 1 and Section 5: the
+transmit power, the carrier-sense and reception thresholds and the capture
+threshold are the module constants below, and airtime follows
+:data:`~repro.phy.timing.HYDRA_PHY_TIMING`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Protocol
 
 from repro.errors import PhyError
-from repro.phy.error_model import ErrorModel, ErrorModelConfig
+from repro.phy.error_model import ErrorModel
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
-from repro.phy.timing import PhyTimingConfig
+from repro.phy.timing import HYDRA_PHY_TIMING
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,6 +32,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Thermal noise floor every receiver measures SINR against.
 NOISE_FLOOR_DBM = -94.0
 _NOISE_FLOOR_MW = 10.0 ** (NOISE_FLOOR_DBM / 10.0)
+
+#: Transmit power; the paper uses 7.7 mW ~= 8.9 dBm.
+TX_POWER_DBM = 8.9
+#: Energy level above which the medium is reported busy to the MAC.
+CARRIER_SENSE_THRESHOLD_DBM = -92.0
+#: Minimum received power for a frame to be decodable at all.
+RECEPTION_THRESHOLD_DBM = -90.0
+#: A frame survives interference if it is this many dB above the sum of
+#: interferers (simple capture model).
+CAPTURE_THRESHOLD_DB = 10.0
+#: Below both thresholds a frame cannot be sensed, decoded or counted: the
+#: PHY ignores it entirely (see :meth:`Phy.begin_reception`), which is what
+#: lets the channel cull such deliveries without changing a byte of any run.
+DETECT_FLOOR_DBM = min(CARRIER_SENSE_THRESHOLD_DBM, RECEPTION_THRESHOLD_DBM)
 
 
 class PhyListener(Protocol):
@@ -54,35 +73,6 @@ class PhyState(enum.Enum):
 
 
 @dataclass(slots=True)
-class PhyConfig:
-    """Static configuration of a PHY device."""
-
-    timing: PhyTimingConfig = field(default_factory=PhyTimingConfig)
-    error: ErrorModelConfig = field(default_factory=ErrorModelConfig)
-    #: Transmit power; the paper uses 7.7 mW ~= 8.9 dBm.
-    tx_power_dbm: float = 8.9
-    #: Energy level above which the medium is reported busy to the MAC.
-    carrier_sense_threshold_dbm: float = -92.0
-    #: Minimum received power for a frame to be decodable at all.
-    reception_threshold_dbm: float = -90.0
-    #: A frame survives interference if it is this many dB above the sum of
-    #: interferers (simple capture model).
-    capture_threshold_db: float = 10.0
-
-    @property
-    def detect_floor_dbm(self) -> float:
-        """Weakest received power with any observable effect on this PHY.
-
-        Below both the carrier-sense and reception thresholds a frame cannot
-        be sensed, decoded, or counted — the PHY ignores it entirely (see
-        :meth:`Phy.begin_reception`), which is what lets the channel cull
-        such deliveries before scheduling them without changing a single
-        byte of any run.
-        """
-        return min(self.carrier_sense_threshold_dbm, self.reception_threshold_dbm)
-
-
-@dataclass(slots=True)
 class _ReceptionAttempt:
     """Book-keeping for one in-flight reception."""
 
@@ -104,7 +94,7 @@ class _ReceptionAttempt:
 class Phy:
     """Half-duplex PHY with carrier sensing, capture and subframe decoding."""
 
-    __slots__ = ("sim", "channel", "channel_index", "config", "_position",
+    __slots__ = ("sim", "channel", "channel_index", "_position",
                  "mobility", "name", "error_model", "_rng", "_listener",
                  "_transmitting", "_receptions", "_carrier_count",
                  "_carrier_busy_reported", "frames_sent", "frames_received",
@@ -114,7 +104,6 @@ class Phy:
         self,
         sim: Simulator,
         channel: "WirelessChannel",
-        config: Optional[PhyConfig] = None,
         position: tuple = (0.0, 0.0),
         name: str = "phy",
     ) -> None:
@@ -122,14 +111,13 @@ class Phy:
         self.channel = channel
         #: This PHY's identity on ``channel``, assigned by its ``register()``.
         self.channel_index: Optional[int] = None
-        self.config = config or PhyConfig()
         # Direct slot write: the position property's setter notifies the
         # channel's spatial index, which cannot know this PHY yet (register()
         # runs at the end of __init__).
         self._position = position
         self.mobility: Optional["MobilityModel"] = None
         self.name = name
-        self.error_model = ErrorModel(self.config.error)
+        self.error_model = ErrorModel()
         self._rng = sim.random.stream(f"phy.{name}")
         self._listener: Optional[PhyListener] = None
         self._transmitting = False
@@ -233,8 +221,8 @@ class Phy:
         if self._transmitting:
             raise PhyError(f"{self.name}: send() while already transmitting")
         frame.sender = self
-        duration = frame.airtime(self.config.timing)
-        self.channel.broadcast(self, frame, duration, self.config.tx_power_dbm)
+        duration = frame.airtime(HYDRA_PHY_TIMING)
+        self.channel.broadcast(self, frame, duration)
         self._transmitting = True
         self.frames_sent += 1
         self.tx_airtime += duration
@@ -264,9 +252,7 @@ class Phy:
     # ------------------------------------------------------------------
     def begin_reception(self, frame: PhyFrame, rx_power_dbm: float) -> None:
         """Called by the channel when a remote frame starts arriving."""
-        config = self.config
-        if (rx_power_dbm < config.carrier_sense_threshold_dbm
-                and rx_power_dbm < config.reception_threshold_dbm):
+        if rx_power_dbm < DETECT_FLOOR_DBM:
             # Below the detect floor the frame is invisible: no carrier
             # energy, no reception attempt, no interference contribution, no
             # counters.  This is the PHY-side half of the conservative-cutoff
@@ -274,11 +260,11 @@ class Phy:
             # zero observable effect, the channel may skip scheduling it — in
             # every enumeration mode — without changing any byte of a run.
             return
-        if rx_power_dbm >= self.config.carrier_sense_threshold_dbm:
+        if rx_power_dbm >= CARRIER_SENSE_THRESHOLD_DBM:
             self._carrier_count += 1
             self._update_carrier()
 
-        decodable = rx_power_dbm >= self.config.reception_threshold_dbm
+        decodable = rx_power_dbm >= RECEPTION_THRESHOLD_DBM
         attempt = _ReceptionAttempt(frame=frame, rx_power_dbm=rx_power_dbm,
                                     doomed=not decodable or self._transmitting)
         # Mutual interference with every reception already in progress.
@@ -292,7 +278,7 @@ class Phy:
         attempt = self._receptions.pop(id(frame), None)
         if attempt is None:  # pragma: no cover - defensive
             return
-        if attempt.rx_power_dbm >= self.config.carrier_sense_threshold_dbm:
+        if attempt.rx_power_dbm >= CARRIER_SENSE_THRESHOLD_DBM:
             self._carrier_count = max(0, self._carrier_count - 1)
         # Transmitting at the instant reception completes also kills it.
         if self._transmitting:
@@ -320,16 +306,15 @@ class Phy:
         captured = True
         if attempt.interference_mw > 0.0:
             captured = (attempt.rx_power_dbm - attempt.interference_dbm
-                        >= self.config.capture_threshold_db)
+                        >= CAPTURE_THRESHOLD_DB)
         collided = attempt.doomed or not captured
 
         result = ReceptionResult(frame=frame, snr_db=sinr_db, collided=collided)
-        timing = self.config.timing
         if frame.kind.is_control:
             result.control_ok = (not collided) and self.error_model.control_frame_survives(
                 self._rng, sinr_db, frame.unicast_rate, frame.control_bytes)
         else:
-            broadcast_offsets, unicast_offsets = frame.sample_offsets(timing)
+            broadcast_offsets, unicast_offsets = frame.sample_offsets(HYDRA_PHY_TIMING)
             broadcast_rate = frame.broadcast_rate or frame.unicast_rate
             for subframe, offset in zip(frame.broadcast_subframes, broadcast_offsets):
                 ok = (not collided) and self.error_model.subframe_survives(

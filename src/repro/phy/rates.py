@@ -2,9 +2,10 @@
 
 The Hydra prototype supports SISO data rates of 0.65, 1.30, 1.95, 2.60, 3.90,
 5.20, 5.85 and 6.50 Mbps (Table 1) — exactly the 802.11n MCS 0–7 rates scaled
-down by a factor of ten because of USB/processing limits — plus MIMO modes at
-2x/3x/4x those rates.  The experiments in the paper use the first four SISO
-rates with cyclic delay diversity (a single spatial stream).
+down by a factor of ten because of USB/processing limits.  The experiments in
+the paper use the first four SISO rates with cyclic delay diversity (a single
+spatial stream), pinned per run; Table 1's 2x/3x/4x MIMO modes and Hydra's
+RBAR/ARF rate adaptation (Section 4.1.2) are not modelled.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class PhyRate:
     modulation: Modulation
     coding: CodingRate
     data_rate_bps: float
-    spatial_streams: int = 1
 
     @property
     def data_rate_mbps(self) -> float:
@@ -113,61 +113,6 @@ class RateTable:
                 return rate
         raise ConfigurationError(f"no PHY rate close to {rate_mbps} Mbps in table")
 
-    def index_of(self, rate: PhyRate) -> int:
-        """Position of ``rate`` in the (ascending) table."""
-        return self._rates.index(rate)
 
-    def next_lower(self, rate: PhyRate) -> PhyRate:
-        """The next slower rate (or ``rate`` itself if already the slowest)."""
-        index = self.index_of(rate)
-        return self._rates[max(0, index - 1)]
-
-    def next_higher(self, rate: PhyRate) -> PhyRate:
-        """The next faster rate (or ``rate`` itself if already the fastest)."""
-        index = self.index_of(rate)
-        return self._rates[min(len(self._rates) - 1, index + 1)]
-
-
-def required_snr_db(rate: PhyRate) -> float:
-    """Rule-of-thumb SNR (dB) needed for reliable operation at ``rate``.
-
-    These figures are used only by the RBAR link-adaptation algorithm (which
-    the paper's experiments leave disabled); they are the conventional
-    802.11a/n receiver sensitivities shifted to this model's scale.
-    """
-    thresholds = {
-        ("BPSK", "1/2"): 5.0,
-        ("QPSK", "1/2"): 8.0,
-        ("QPSK", "3/4"): 11.0,
-        ("16-QAM", "1/2"): 14.0,
-        ("16-QAM", "3/4"): 18.0,
-        ("64-QAM", "2/3"): 26.0,
-        ("64-QAM", "3/4"): 28.0,
-        ("64-QAM", "5/6"): 30.0,
-    }
-    return thresholds.get((rate.modulation.label, str(rate.coding)), 30.0)
-
-
-def hydra_rate_table(mimo_multiplier: int = 1) -> RateTable:
-    """Build the Hydra rate table.
-
-    Parameters
-    ----------
-    mimo_multiplier:
-        1 for SISO (and cyclic delay diversity, which carries a single spatial
-        stream), 2/3/4 for the spatial-multiplexing MIMO modes listed in
-        Table 1 of the paper.
-    """
-    if mimo_multiplier < 1 or mimo_multiplier > 4:
-        raise ConfigurationError("mimo_multiplier must be between 1 and 4")
-    rates = [
-        PhyRate(
-            name=rate.name if mimo_multiplier == 1 else f"{rate.name}x{mimo_multiplier}",
-            modulation=rate.modulation,
-            coding=rate.coding,
-            data_rate_bps=rate.data_rate_bps * mimo_multiplier,
-            spatial_streams=mimo_multiplier,
-        )
-        for rate in HYDRA_SISO_RATES
-    ]
-    return RateTable(rates)
+#: The Hydra rate table every MAC resolves its rates from.
+HYDRA_RATE_TABLE = RateTable(HYDRA_SISO_RATES)

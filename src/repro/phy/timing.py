@@ -114,3 +114,7 @@ class PhyTimingConfig:
             cumulative += self.samples_for_bytes(size, rate)
             offsets.append(cumulative)
         return offsets
+
+
+#: Timing of the Hydra prototype PHY; every PHY in a scenario uses it.
+HYDRA_PHY_TIMING = PhyTimingConfig()

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.channel.medium import WirelessChannel
 from repro.core.policies import AggregationPolicy
 from repro.errors import ConfigurationError
-from repro.node.hydra import HydraProfile, default_hydra_profile
 from repro.node.node import Node
 from repro.sim.simulator import Simulator
 from repro.topology.network import Network
@@ -53,18 +52,15 @@ def _install_chain_routes(network: Network, indices: Sequence[int]) -> None:
 
 
 def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
-                       profile: Optional[HydraProfile] = None,
                        unicast_rate_mbps: Optional[float] = None,
                        broadcast_rate_mbps: Optional[float] = None,
                        spacing: float = PAPER_NODE_SPACING_M,
                        channel: Optional[WirelessChannel] = None,
-                       use_block_ack: bool = False) -> Network:
+                       use_block_ack: bool = False,
+                       use_rts_cts: bool = True) -> Network:
     """Build the linear topology of Figure 5 with ``hops`` hops (``hops+1`` nodes)."""
     if hops < 1:
         raise ConfigurationError("a chain needs at least one hop")
-    profile = profile or default_hydra_profile()
-    if unicast_rate_mbps is not None:
-        profile = profile.with_rates(unicast_rate_mbps, broadcast_rate_mbps)
     channel = channel or WirelessChannel(sim)
     network = Network(sim, channel)
 
@@ -72,8 +68,11 @@ def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
     for index in range(1, node_count + 1):
         position = ((index - 1) * spacing, 0.0)
         node = Node(sim, channel, index=index, position=position,
-                    policy=_policy_for(policy, index), profile=profile,
-                    neighbors=network.neighbors, use_block_ack=use_block_ack)
+                    policy=_policy_for(policy, index),
+                    unicast_rate_mbps=unicast_rate_mbps,
+                    broadcast_rate_mbps=broadcast_rate_mbps,
+                    neighbors=network.neighbors, use_rts_cts=use_rts_cts,
+                    use_block_ack=use_block_ack)
         network.add_node(node)
 
     _install_chain_routes(network, list(range(1, node_count + 1)))
@@ -81,7 +80,6 @@ def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
 
 
 def build_star(sim: Simulator, policy: PolicySpec,
-               profile: Optional[HydraProfile] = None,
                unicast_rate_mbps: Optional[float] = None,
                broadcast_rate_mbps: Optional[float] = None,
                spacing: float = PAPER_NODE_SPACING_M,
@@ -96,9 +94,6 @@ def build_star(sim: Simulator, policy: PolicySpec,
     — exactly the situation where broadcast aggregation helps and unicast-only
     aggregation cannot (Table 5).
     """
-    profile = profile or default_hydra_profile()
-    if unicast_rate_mbps is not None:
-        profile = profile.with_rates(unicast_rate_mbps, broadcast_rate_mbps)
     channel = channel or WirelessChannel(sim)
     network = Network(sim, channel)
 
@@ -110,7 +105,9 @@ def build_star(sim: Simulator, policy: PolicySpec,
     }
     for index in (1, 2, 3, 4):
         node = Node(sim, channel, index=index, position=positions[index],
-                    policy=_policy_for(policy, index), profile=profile,
+                    policy=_policy_for(policy, index),
+                    unicast_rate_mbps=unicast_rate_mbps,
+                    broadcast_rate_mbps=broadcast_rate_mbps,
                     neighbors=network.neighbors, use_block_ack=use_block_ack)
         network.add_node(node)
 

@@ -44,7 +44,6 @@ from repro.channel.propagation import PropagationModel
 from repro.core.policies import AggregationPolicy
 from repro.errors import ConfigurationError
 from repro.mobility.models import MobilityModel
-from repro.node.hydra import HydraProfile, default_hydra_profile
 from repro.node.node import Node, RoutingConfig, validate_routing_mode
 from repro.sim.simulator import Simulator
 from repro.topology.builders import _install_chain_routes
@@ -60,7 +59,6 @@ class MobileScenario:
     """
 
     def __init__(self, sim: Simulator, policy: AggregationPolicy,
-                 profile: Optional[HydraProfile] = None,
                  propagation: Optional[PropagationModel] = None,
                  unicast_rate_mbps: Optional[float] = None,
                  broadcast_rate_mbps: Optional[float] = None,
@@ -72,10 +70,8 @@ class MobileScenario:
         validate_routing_mode(routing)
         self.sim = sim
         self.policy = policy
-        profile = profile or default_hydra_profile()
-        if unicast_rate_mbps is not None:
-            profile = profile.with_rates(unicast_rate_mbps, broadcast_rate_mbps)
-        self.profile = profile
+        self.unicast_rate_mbps = unicast_rate_mbps
+        self.broadcast_rate_mbps = broadcast_rate_mbps
         self.use_block_ack = use_block_ack
         self.stop_time = stop_time
         self.routing = routing
@@ -99,7 +95,9 @@ class MobileScenario:
         if index is None:
             index = self._next_index
         node = Node(self.sim, self.channel, index=index, position=position,
-                    policy=policy or self.policy, profile=self.profile,
+                    policy=policy or self.policy,
+                    unicast_rate_mbps=self.unicast_rate_mbps,
+                    broadcast_rate_mbps=self.broadcast_rate_mbps,
                     neighbors=self.network.neighbors,
                     use_block_ack=self.use_block_ack,
                     routing=self.routing, routing_config=self.routing_config)

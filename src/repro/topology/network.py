@@ -54,15 +54,5 @@ class Network:
         """Run the underlying simulator."""
         return self.sim.run(until=until)
 
-    def set_unicast_rate(self, rate_mbps: float) -> None:
-        """Pin the unicast PHY rate on every node."""
-        for node in self.nodes:
-            node.set_unicast_rate(rate_mbps)
-
-    def set_broadcast_rate(self, rate_mbps: Optional[float]) -> None:
-        """Pin the broadcast-portion PHY rate on every node."""
-        for node in self.nodes:
-            node.set_broadcast_rate(rate_mbps)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Network nodes={len(self._nodes)}>"

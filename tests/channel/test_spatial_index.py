@@ -9,7 +9,8 @@ placements, querying a :class:`UniformGridIndex` built at each cell size
 with the channel's own pruning radius.  It also pins the lifecycle
 invariants of the index the channel builds for itself, at its default cell
 size (purge on unregister, re-bucketing on moves, no inheritance across
-re-registration).
+re-registration), and the fallback to the exhaustive scan for propagation
+models that cannot bound their reach.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ import pytest
 
 from helpers.routing import connected_placement
 
+from repro.channel import medium
 from repro.channel.medium import WirelessChannel
-from repro.channel.propagation import LogNormalShadowing
+from repro.channel.propagation import LogNormalShadowing, hydra_indoor_propagation
 from repro.channel.spatial import UniformGridIndex
 from repro.errors import ConfigurationError
-from repro.phy.device import Phy, PhyConfig
+from repro.phy.device import DETECT_FLOOR_DBM, TX_POWER_DBM, Phy
+from repro.phy.frame import PhyFrame
+from repro.phy.rates import HYDRA_BASE_RATE
 from repro.sim.simulator import Simulator
 from repro.topology.city import city_positions
-
-TX_POWER_DBM = PhyConfig().tx_power_dbm
-DETECT_FLOOR_DBM = PhyConfig().detect_floor_dbm
 
 #: Cell sizes spanning much-smaller-than-range through much-larger (the
 #: superset property must be independent of the cell size).
@@ -54,19 +55,18 @@ def _grid(phys, cell, now=0.0):
 
 
 def _detectable_receivers(channel, sender, phys, now):
-    """Brute force: every PHY whose exact received power clears its floor."""
+    """Brute force: every PHY whose exact received power clears the floor."""
     receivers = []
     for phy in phys:
         if phy is sender:
             continue
-        power = channel.received_power_dbm(sender, phy, TX_POWER_DBM, time=now)
-        if power >= phy.config.detect_floor_dbm:
+        if channel.received_power_dbm(sender, phy, time=now) >= DETECT_FLOOR_DBM:
             receivers.append(phy)
     return receivers
 
 
 def _assert_superset_and_ordered(channel, spatial, phys, now):
-    reach = channel._max_range_for(TX_POWER_DBM)
+    reach = channel._reach
     assert reach is not None
     order = {id(phy): i for i, phy in enumerate(phys)}
     for sender in phys:
@@ -102,7 +102,7 @@ def test_superset_on_random_placements(cell):
         channel, phys = _build(sim, positions)
         # Pairs on both sides of the pruning radius, so the check can pass
         # neither by every receiver being in reach nor by none being.
-        reach = channel._max_range_for(TX_POWER_DBM)
+        reach = channel._reach
         distances = [math.dist(a, b) for a, b in itertools.combinations(positions, 2)]
         assert min(distances) < reach < max(distances)
         _assert_superset_and_ordered(channel, _grid(phys, cell), phys, now=0.0)
@@ -236,8 +236,8 @@ def test_reregistration_never_inherits_a_departed_identity():
     here, there = (23.0, 23.0), (3.0, 40.0)
     channel, (anchor, ghost) = _build(sim, [(0.0, 0.0), here])
     spatial = channel._ensure_spatial()
-    honest = (channel.received_power_dbm(ghost, anchor, TX_POWER_DBM),
-              channel.received_power_dbm(anchor, ghost, TX_POWER_DBM))
+    honest = (channel.received_power_dbm(ghost, anchor),
+              channel.received_power_dbm(anchor, ghost))
     departed = ghost.channel_index
     cache = channel._budget_cache
     stale = [key for key in cache if departed in key]
@@ -256,8 +256,8 @@ def test_reregistration_never_inherits_a_departed_identity():
 
     assert departed not in (fresh.channel_index, ghost.channel_index)
     for phy in (fresh, ghost):
-        assert (channel.received_power_dbm(phy, anchor, TX_POWER_DBM),
-                channel.received_power_dbm(anchor, phy, TX_POWER_DBM)) == honest
+        assert (channel.received_power_dbm(phy, anchor),
+                channel.received_power_dbm(anchor, phy)) == honest
         assert spatial.stored_cell_of(phy) == spatial.cell_for(here)
     # The re-registered PHY is last in candidate order on both paths.
     assert channel.phys == [anchor, fresh, ghost]
@@ -275,6 +275,51 @@ def test_unregister_is_idempotent_and_audit_stays_clean():
     spatial.unregister(phys[1])
     assert len(spatial) == 2
     spatial.audit()
+
+
+class _Unbounded:
+    """The paper's path loss behind a model that cannot bound its reach."""
+
+    def __init__(self):
+        self._base = hydra_indoor_propagation()
+
+    def path_loss_db(self, tx_position, rx_position):
+        return self._base.path_loss_db(tx_position, rx_position)
+
+
+class _Subframe:
+    size_bytes = 1464
+
+
+def _one_send(propagation):
+    """Eight PHYs 3 m apart on a line; the first sends one data frame."""
+    sim = Simulator(seed=5)
+    channel, phys = _build(sim, [(3.0 * i, 0.0) for i in range(8)], propagation)
+    phys[0].send(PhyFrame.data([], [_Subframe()], unicast_rate=HYDRA_BASE_RATE))
+    sim.run()
+    counts = (channel.total_candidates, channel.total_deliveries, channel.total_culled)
+    return channel, counts, [phy.frames_received for phy in phys]
+
+
+@pytest.mark.parametrize("shadowed", (False, True), ids=("plain", "shadowed"))
+def test_models_without_a_reach_bound_fall_back_to_the_scan(monkeypatch, shadowed):
+    """docs/DETERMINISM.md: an unbounded model scans every PHY above the
+    threshold, and hears exactly what the bounded model's grid path hears."""
+    monkeypatch.setattr(medium, "AUTO_SPATIAL_THRESHOLD", 0)
+
+    def model(base):
+        return LogNormalShadowing(base, sigma_db=6.0) if shadowed else base
+
+    bounded_model = model(hydra_indoor_propagation())
+    bounded, bounded_counts, bounded_heard = _one_send(bounded_model)
+    unbounded, unbounded_counts, unbounded_heard = _one_send(model(_Unbounded()))
+
+    assert bounded._reach == bounded_model.max_range_m(TX_POWER_DBM - DETECT_FLOOR_DBM)
+    assert bounded._spatial is not None
+    assert unbounded._reach is None
+    assert unbounded._spatial is None
+    assert unbounded_counts == bounded_counts
+    assert unbounded_heard == bounded_heard
 
 
 def test_cell_size_must_be_positive_and_finite():

@@ -18,14 +18,14 @@ from repro.mac.queues import TransmitQueues
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.obs.session import observe
-from repro.phy.rates import hydra_rate_table
+from repro.phy.rates import HYDRA_RATE_TABLE
 from repro.sim import Simulator
 from repro.topology import build_linear_chain
 from repro.units import kilobytes
 
 from helpers.obs import audit_balanced
 
-RATES = hydra_rate_table()
+RATES = HYDRA_RATE_TABLE
 
 
 def data_subframe(dst_index=2, payload=1357):

@@ -116,9 +116,9 @@ def test_policy_variants_are_copies():
     resized = base.with_max_aggregate_bytes(kilobytes(11))
     assert base.max_aggregate_bytes == kilobytes(5)
     assert resized.max_aggregate_bytes == kilobytes(11)
-    pinned = base.with_broadcast_rate(0.65)
-    assert pinned.broadcast_rate_mbps == 0.65
-    assert base.broadcast_rate_mbps is None
+    unforwarded = base.without_forward_aggregation()
+    assert not unforwarded.forward_aggregation
+    assert base.forward_aggregation
 
 
 def test_policy_validation():

@@ -13,13 +13,13 @@ from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.obs.session import observe
 from repro.phy.frame import PhyFrame, ReceptionResult
-from repro.phy.rates import hydra_rate_table
+from repro.phy.rates import HYDRA_RATE_TABLE
 from repro.sim import Simulator
 from repro.topology import build_linear_chain
 
 from helpers.obs import audit_balanced, journey_event_fields
 
-RATES = hydra_rate_table()
+RATES = HYDRA_RATE_TABLE
 ME = MacAddress.node(2)
 SENDER = MacAddress.node(1)
 

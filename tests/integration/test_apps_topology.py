@@ -6,11 +6,14 @@ import pytest
 
 from repro.apps.cbr import PAPER_UDP_PAYLOAD_BYTES, CbrSource, UdpSink
 from repro.apps.file_transfer import run_file_transfer_pair
+from repro.channel import WirelessChannel
 from repro.core import broadcast_aggregation, no_aggregation, unicast_aggregation
 from repro.errors import ConfigurationError
-from repro.node.hydra import default_hydra_profile
+from repro.node import Node
+from repro.phy.device import TX_POWER_DBM
+from repro.phy.rates import HYDRA_BASE_RATE, HYDRA_RATE_TABLE
 from repro.sim import Simulator
-from repro.topology import build_linear_chain, build_star
+from repro.topology import MobileScenario, build_linear_chain, build_star
 from repro.units import mbps
 
 
@@ -60,25 +63,32 @@ def test_per_node_policy_mapping():
 
 
 def test_hydra_profile_defaults_match_paper_table1():
-    profile = default_hydra_profile()
-    assert [round(r.data_rate_mbps, 2) for r in profile.rate_table][:4] == [0.65, 1.3, 1.95, 2.6]
-    assert profile.tx_power_dbm == pytest.approx(8.9, abs=0.2)  # 7.7 mW
-    assert profile.use_rts_cts
-    resolved = profile.with_rates(2.6, 0.65)
-    assert resolved.unicast_rate().data_rate_mbps == 2.6
-    assert resolved.broadcast_rate().data_rate_mbps == 0.65
-    assert profile.broadcast_rate() is None
-
-
-def test_network_rate_setters():
+    assert [round(r.data_rate_mbps, 2) for r in HYDRA_RATE_TABLE][:4] == [0.65, 1.3, 1.95, 2.6]
+    assert TX_POWER_DBM == pytest.approx(8.9, abs=0.2)  # 7.7 mW
     sim = Simulator(seed=55)
-    network = build_linear_chain(sim, hops=2, policy=broadcast_aggregation(),
-                                 unicast_rate_mbps=0.65)
-    network.set_unicast_rate(2.6)
-    network.set_broadcast_rate(1.3)
-    for node in network.nodes:
-        assert node.mac.unicast_rate.data_rate_mbps == 2.6
-        assert node.mac.broadcast_rate.data_rate_mbps == 1.3
+    channel = WirelessChannel(sim)
+    default = Node(sim, channel, index=1)
+    assert default.mac.config.use_rts_cts
+    assert default.mac.unicast_rate is HYDRA_BASE_RATE
+    assert default.mac.broadcast_rate is HYDRA_BASE_RATE  # follows the unicast rate
+    pinned = Node(sim, channel, index=2, unicast_rate_mbps=2.6, broadcast_rate_mbps=0.65)
+    assert pinned.mac.unicast_rate.data_rate_mbps == 2.6
+    assert pinned.mac.broadcast_rate.data_rate_mbps == 0.65
+
+
+@pytest.mark.parametrize("unicast_rate_mbps", [None, 2.6])
+def test_builders_apply_the_broadcast_rate(unicast_rate_mbps):
+    """A pinned broadcast rate reaches every MAC, with or without a unicast rate."""
+    rates = {"unicast_rate_mbps": unicast_rate_mbps, "broadcast_rate_mbps": 1.3}
+    sim = Simulator(seed=55)
+    chain = build_linear_chain(sim, hops=2, policy=broadcast_aggregation(), **rates)
+    star = build_star(sim, policy=broadcast_aggregation(), **rates)
+    scenario = MobileScenario(sim, policy=broadcast_aggregation(), **rates)
+    mobile = [scenario.add_node((2.5 * i, 0.0)) for i in range(2)]
+    unicast = 0.65 if unicast_rate_mbps is None else unicast_rate_mbps
+    for node in chain.nodes + star.nodes + mobile:
+        assert node.mac.unicast_rate.data_rate_mbps == pytest.approx(unicast)
+        assert node.mac.broadcast_rate.data_rate_mbps == pytest.approx(1.3)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from repro.mac.dcf import AggregatingMac, MacConfig, MacState
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.phy.device import Phy
-from repro.phy.rates import hydra_rate_table
+from repro.phy.rates import HYDRA_RATE_TABLE
 from repro.sim import Simulator
 
-RATES = hydra_rate_table()
+RATES = HYDRA_RATE_TABLE
 
 
 def build_pair(sim, policy_a=None, policy_b=None, rate_mbps=1.3, use_rts=True,
@@ -245,7 +245,7 @@ def test_unreachable_destination_gives_up_after_retry_limit():
     mac = AggregatingMac(sim, phy, config, policy=unicast_aggregation(), name="lonely-mac")
     mac.enqueue(tcp_data(), MacAddress.node(2))
     sim.run(until=10.0)
-    assert mac.stats.retransmissions >= config.timing.retry_limit
+    assert mac.stats.retransmissions >= mac.timing.retry_limit
     assert mac.stats.unicast_drops == 1
     assert mac.state is MacState.IDLE
     assert mac.idle

@@ -22,7 +22,7 @@ from repro.channel.propagation import (
 from repro.core.policies import unicast_aggregation
 from repro.errors import ConfigurationError, PhyError
 from repro.mobility.models import CircularOrbit, Stationary
-from repro.phy.device import Phy
+from repro.phy.device import TX_POWER_DBM, Phy
 from repro.sim.simulator import Simulator
 from repro.topology.builders import build_linear_chain
 from repro.topology.mobile import MobileScenario
@@ -70,10 +70,8 @@ def test_received_power_uses_positions_at_the_given_time():
                                  phase_rad=math.pi), start=False)
     loss = hydra_indoor_propagation()
     for t in (0.0, 1.3, 4.0):
-        expected = a.config.tx_power_dbm - loss.path_loss_db(
-            a.position_at(t), b.position_at(t))
-        assert channel.received_power_dbm(a, b, a.config.tx_power_dbm,
-                                          time=t) == pytest.approx(expected)
+        expected = TX_POWER_DBM - loss.path_loss_db(a.position_at(t), b.position_at(t))
+        assert channel.received_power_dbm(a, b, time=t) == pytest.approx(expected)
 
 
 def test_attaching_a_second_mobility_model_is_rejected():
@@ -129,8 +127,7 @@ def test_shadowing_applies_on_top_of_the_base_model():
     model = LogNormalShadowing(base=base, sigma_db=6.0)
     channel, a, b = _two_phys(sim, propagation=model)
     expected = base.path_loss_db(a.position, b.position) + model.shadowing_db("a", "b")
-    measured = a.config.tx_power_dbm - channel.received_power_dbm(
-        a, b, a.config.tx_power_dbm)
+    measured = TX_POWER_DBM - channel.received_power_dbm(a, b)
     assert measured == pytest.approx(expected)
     # The position-only protocol cannot know the link: base loss only.
     assert model.path_loss_db(a.position, b.position) == base.path_loss_db(

@@ -10,11 +10,11 @@ import pytest
 
 from repro.channel import LogDistancePathLoss, WirelessChannel, medium
 from repro.errors import ConfigurationError, PhyError
-from repro.phy import FrameKind, Phy, PhyConfig, PhyFrame, PhyState, ReceptionResult
-from repro.phy.rates import hydra_rate_table
+from repro.phy import FrameKind, Phy, PhyFrame, PhyState, ReceptionResult
+from repro.phy.rates import HYDRA_RATE_TABLE
 from repro.sim import Event, Simulator
 
-RATES = hydra_rate_table()
+RATES = HYDRA_RATE_TABLE
 RATE_065 = RATES.by_mbps(0.65)
 RATE_26 = RATES.by_mbps(2.6)
 
@@ -203,7 +203,7 @@ def test_unregistered_phy_cannot_transmit():
     other_channel = WirelessChannel(sim)
     phy = Phy(sim, other_channel, name="elsewhere")
     with pytest.raises(ConfigurationError):
-        channel.broadcast(phy, data_frame(), 0.01, 8.9)
+        channel.broadcast(phy, data_frame(), 0.01)
     # A PHY has one identity, on its own channel: no other channel takes it.
     with pytest.raises(ConfigurationError):
         channel.register(phy)
@@ -358,11 +358,11 @@ def test_link_budget_memo_matches_uncached_channel(monkeypatch):
         a = Phy(sim, channel, position=(0.0, 0.0), name="a")
         b = Phy(sim, channel, position=(2.5, 0.0), name="b")
         # Twice: the second call exercises the cache-hit path.
-        first = channel.received_power_dbm(a, b, 8.9)
-        assert channel.received_power_dbm(a, b, 8.9) == first
+        first = channel.received_power_dbm(a, b)
+        assert channel.received_power_dbm(a, b) == first
         # Moving an endpoint invalidates via the position equality check.
         b.position = (5.0, 0.0)
-        moved = channel.received_power_dbm(a, b, 8.9)
+        moved = channel.received_power_dbm(a, b)
         assert moved < first
         observed[memo] = (first, moved)
     assert observed[True] == observed[False]

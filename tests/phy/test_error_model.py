@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.phy.error_model import ErrorModel, ErrorModelConfig
-from repro.phy.rates import hydra_rate_table
+from repro.phy.rates import HYDRA_RATE_TABLE
 
-RATES = hydra_rate_table()
+RATES = HYDRA_RATE_TABLE
 PAPER_SNR_DB = 25.0
 
 

@@ -8,10 +8,10 @@ import pytest
 
 from repro.errors import PhyError
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
-from repro.phy.rates import hydra_rate_table
+from repro.phy.rates import HYDRA_RATE_TABLE
 from repro.phy.timing import PhyTimingConfig
 
-RATES = hydra_rate_table()
+RATES = HYDRA_RATE_TABLE
 TIMING = PhyTimingConfig()
 
 

@@ -5,13 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.phy.rates import (
-    HYDRA_BASE_RATE,
-    HYDRA_SISO_RATES,
-    RateTable,
-    hydra_rate_table,
-    required_snr_db,
-)
+from repro.phy.rates import HYDRA_BASE_RATE, HYDRA_RATE_TABLE, HYDRA_SISO_RATES, RateTable
 
 
 def test_hydra_siso_rates_match_table1_of_paper():
@@ -26,13 +20,13 @@ def test_base_rate_is_bpsk_half():
 
 
 def test_transmission_time():
-    rate = hydra_rate_table().by_mbps(1.3)
+    rate = HYDRA_RATE_TABLE.by_mbps(1.3)
     assert rate.transmission_time(1300) == pytest.approx(1300 * 8 / 1.3e6)
     assert rate.bits_in_time(1.0) == pytest.approx(1.3e6)
 
 
 def test_rate_table_lookup_by_name_and_mbps():
-    table = hydra_rate_table()
+    table = HYDRA_RATE_TABLE
     assert table.by_name("MCS2").data_rate_mbps == pytest.approx(1.95)
     assert table.by_mbps(2.6).name == "MCS3"
     with pytest.raises(ConfigurationError):
@@ -42,29 +36,12 @@ def test_rate_table_lookup_by_name_and_mbps():
 
 
 def test_rate_table_ordering_and_neighbours():
-    table = hydra_rate_table()
+    table = RateTable(reversed(HYDRA_SISO_RATES))
     assert table.base_rate.name == "MCS0"
     assert table.max_rate.name == "MCS7"
-    mcs3 = table.by_name("MCS3")
-    assert table.next_higher(mcs3).name == "MCS4"
-    assert table.next_lower(mcs3).name == "MCS2"
-    assert table.next_lower(table.base_rate) is table.base_rate
-    assert table.next_higher(table.max_rate) is table.max_rate
-
-
-def test_mimo_multiplier_scales_rates():
-    table2 = hydra_rate_table(mimo_multiplier=2)
-    assert table2.base_rate.data_rate_mbps == pytest.approx(1.3)
-    assert table2.max_rate.data_rate_mbps == pytest.approx(13.0)
-    assert table2.base_rate.spatial_streams == 2
-    with pytest.raises(ConfigurationError):
-        hydra_rate_table(mimo_multiplier=5)
-
-
-def test_required_snr_monotone_in_rate():
-    table = hydra_rate_table()
-    thresholds = [required_snr_db(rate) for rate in table]
-    assert thresholds == sorted(thresholds)
+    # Neighbours in the table are neighbours in speed, whatever the input order.
+    assert [rate.name for rate in table] == [f"MCS{i}" for i in range(8)]
+    assert HYDRA_RATE_TABLE.base_rate is HYDRA_BASE_RATE
 
 
 def test_empty_rate_table_rejected():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.phy.rates import hydra_rate_table
+from repro.phy.rates import HYDRA_RATE_TABLE
 from repro.phy.timing import PhyTimingConfig
 from repro.units import microseconds
 
-RATES = hydra_rate_table()
+RATES = HYDRA_RATE_TABLE
 
 
 def test_payload_airtime_matches_rate_arithmetic():

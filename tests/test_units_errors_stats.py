@@ -11,10 +11,10 @@ from repro.mac.stats import MacStatistics
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.phy.frame import PhyFrame
-from repro.phy.rates import hydra_rate_table
+from repro.phy.rates import HYDRA_RATE_TABLE
 from repro.phy.timing import PhyTimingConfig
 
-RATES = hydra_rate_table()
+RATES = HYDRA_RATE_TABLE
 
 
 # ---------------------------------------------------------------------------
