@@ -11,8 +11,8 @@ single-process run.  This package turns those runners into a campaign system:
   dedup (identical jobs submitted twice execute once),
 * :mod:`repro.campaign.cache` makes re-runs incremental via an on-disk JSON
   cache keyed by (experiment id, params, seed, code version) — the code
-  version is the runner module's source digest, so editing a runner
-  invalidates its cached results automatically,
+  version is the digest of the whole ``repro`` package's source, so editing
+  any simulator module invalidates every cached result automatically,
 * :mod:`repro.stats.aggregate` condenses the per-seed replicas into per-point
   mean ± 95% confidence intervals.
 
@@ -64,7 +64,7 @@ from repro.campaign.registry import (
     ParameterSpec,
     discover,
     get_registry,
-    module_source_digest,
+    package_source_digest,
 )
 from repro.campaign.runner import (
     CampaignJob,
@@ -87,5 +87,5 @@ __all__ = [
     "execute_job",
     "get_registry",
     "job_key",
-    "module_source_digest",
+    "package_source_digest",
 ]

@@ -7,11 +7,11 @@ per-seed results.  Keys are SHA-256 digests of the canonical (sorted-keys)
 JSON encoding of the coordinates, which makes re-runs incremental: only jobs
 whose (experiment, params, seed) triple has never completed are executed.
 
-The optional ``code_version`` coordinate (the runner module's source digest,
-see :func:`repro.campaign.registry.module_source_digest`) versions entries
-against the code that produced them: editing a runner changes its digest,
-orphaning every cache entry it wrote, so stale results are never served
-across code changes.
+The optional ``code_version`` coordinate (the digest of the whole ``repro``
+package's source, see :func:`repro.campaign.registry.package_source_digest`)
+versions entries against the code that produced them: editing any simulator
+module changes the digest, orphaning every cache entry written before the
+edit, so stale results are never served across code changes.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ callable and an ``EXPERIMENT_ID`` string is registered under that id
 (``fig07`` … ``table08``).  The registry records each runner's parameter
 schema (name, default, annotation) introspected from the ``run`` signature,
 plus the module's ``FAST_PARAMS`` — a reduced sweep that keeps campaign runs
-and CI smoke tests fast.
+and CI smoke tests fast — and the digest of the whole ``repro`` package's
+source, which versions every cached result.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import inspect
+import os
 import pkgutil
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -21,24 +23,24 @@ import repro.experiments
 from repro.errors import ExperimentError
 
 
-def module_source_digest(module: Any) -> str:
-    """Digest of a module's source code, used to version cache entries.
+def package_source_digest(root: str) -> str:
+    """Digest of every ``.py`` file under ``root``: sorted relative path plus bytes.
 
-    Editing a runner module changes this digest, which changes every cache
-    key derived from it — so stale results can never be served across code
-    changes.  The module *file* is read directly (not ``inspect.getsource``)
-    because the latter serves stale text from ``linecache`` after an edit.
+    A result depends on the whole simulator, not only on its runner, so the
+    cache keys results by this digest and any source edit turns them into
+    misses.  Files are read directly: ``linecache`` can serve stale text.
     """
-    source_file = getattr(module, "__file__", None)
-    try:
-        with open(source_file, "rb") as handle:
+    paths = sorted(
+        os.path.relpath(os.path.join(directory, name), root).replace(os.sep, "/")
+        for directory, _, names in os.walk(root)
+        for name in names if name.endswith(".py"))
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(os.path.join(root, path), "rb") as handle:
             source = handle.read()
-    except (OSError, TypeError):
-        try:
-            source = inspect.getsource(module).encode("utf-8")
-        except (OSError, TypeError):
-            return ""
-    return hashlib.sha256(source).hexdigest()[:16]
+        digest.update(f"{path}\0{len(source)}\0".encode("utf-8"))
+        digest.update(source)
+    return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class ExperimentSpec:
     run: Callable[..., Any]
     parameters: Tuple[ParameterSpec, ...]
     fast_params: Mapping[str, Any]
-    #: Digest of the runner module's source; folded into cache keys so
-    #: editing a runner invalidates its cached results.
+    #: Digest of the ``repro`` package's source; folded into cache keys so
+    #: editing any simulator module invalidates every cached result.
     source_digest: str = ""
 
     @property
@@ -128,7 +130,7 @@ class ExperimentRegistry:
         return experiment_id in self._specs
 
 
-def _spec_from_module(module: Any) -> ExperimentSpec:
+def _spec_from_module(module: Any, source_digest: str) -> ExperimentSpec:
     """Build a spec from a hooked experiment module."""
     run = module.run
     parameters = tuple(
@@ -158,17 +160,22 @@ def _spec_from_module(module: Any) -> ExperimentSpec:
         run=run,
         parameters=parameters,
         fast_params=fast_params,
-        source_digest=module_source_digest(module),
+        source_digest=source_digest,
     )
 
 
 def discover() -> ExperimentRegistry:
-    """Import every ``repro.experiments`` module and register the hooked ones."""
+    """Import every ``repro.experiments`` module and register the hooked ones.
+
+    Every spec carries the same :func:`package_source_digest` of the
+    ``repro`` package, computed once per discovery.
+    """
     registry = ExperimentRegistry()
+    source_digest = package_source_digest(os.path.dirname(repro.__file__))
     for info in pkgutil.iter_modules(repro.experiments.__path__):
         module = importlib.import_module(f"repro.experiments.{info.name}")
         if hasattr(module, "run") and hasattr(module, "EXPERIMENT_ID"):
-            registry.register(_spec_from_module(module))
+            registry.register(_spec_from_module(module, source_digest))
     return registry
 
 

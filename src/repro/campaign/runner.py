@@ -27,9 +27,9 @@ from repro.stats.results import ExperimentResult
 class CampaignJob:
     """One unit of work: an experiment at fixed parameters with one seed.
 
-    ``code_version`` (the runner module's source digest) versions the job's
-    cache entries; :meth:`CampaignRunner.run_campaign` fills it in from the
-    registry spec.
+    ``code_version`` (the ``repro`` package's source digest) versions the
+    job's cache entries; :meth:`CampaignRunner.run_campaign` fills it in from
+    the registry spec.
     """
 
     experiment_id: str

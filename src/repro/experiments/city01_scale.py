@@ -47,7 +47,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.apps.cbr import CbrSource, UdpSink
 from repro.core.policies import AggregationPolicy, broadcast_aggregation
 from repro.errors import ExperimentError
-from repro.net.discovery import HelloConfig
 from repro.net.dynamic_routing import DsdvConfig
 from repro.net.flooding import FloodingSource
 from repro.net.on_demand import AodvConfig
@@ -70,20 +69,15 @@ def _build_scenario(sim: Simulator, policy: AggregationPolicy, protocol: str,
                     node_count: int, spacing_m: float, placement: str,
                     rate_mbps: float, duration: float,
                     hello_interval: float) -> MobileScenario:
-    routing = "static"
-    config = None
+    routing = None
     if protocol == "dsdv":
-        routing = "dsdv"
-        config = DsdvConfig(hello=HelloConfig(hello_interval=hello_interval))
+        routing = DsdvConfig(hello_interval=hello_interval)
     elif protocol == "aodv":
-        routing = "aodv"
-        # TTL-1 expanding ring: a local flow's discovery reaches its grid
-        # neighbourhood, not the whole city.
-        config = AodvConfig(hello=HelloConfig(hello_interval=hello_interval),
-                            ring_start_ttl=1, ring_ttl_increment=2)
+        # AODV's expanding ring starts at TTL 1: a local flow's discovery
+        # reaches its grid neighbourhood, not the whole city.
+        routing = AodvConfig(hello_interval=hello_interval)
     scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
-                              stop_time=duration, routing=routing,
-                              routing_config=config)
+                              stop_time=duration, routing=routing)
     populate_city(scenario, node_count, spacing_m=spacing_m,
                   placement=placement)
     return scenario

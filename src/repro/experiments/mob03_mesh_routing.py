@@ -35,7 +35,6 @@ from repro.core.policies import (
 )
 from repro.errors import ExperimentError
 from repro.mobility.models import RandomWaypoint
-from repro.net.discovery import HelloConfig
 from repro.net.dynamic_routing import DsdvConfig
 from repro.sim.simulator import Simulator
 from repro.stats.results import ExperimentResult, Series
@@ -56,11 +55,10 @@ def _run_once(policy: AggregationPolicy, speed: float, grid_side: int,
               rate_mbps: float, seed: int) -> Tuple[float, float, float]:
     """One mesh run; returns (delivery ratio, mean repair latency, ctrl fraction)."""
     sim = Simulator(seed=seed)
-    config = DsdvConfig(hello=HelloConfig(hello_interval=hello_interval),
-                        advertise_interval=advertise_interval)
+    routing = DsdvConfig(hello_interval=hello_interval,
+                         advertise_interval=advertise_interval)
     scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
-                              stop_time=duration, routing="dsdv",
-                              routing_config=config)
+                              stop_time=duration, routing=routing)
 
     # Corner nodes (source and destination) stay pinned; every interior node
     # roams the grid's bounding box under random waypoint.

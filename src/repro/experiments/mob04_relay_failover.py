@@ -42,7 +42,6 @@ from repro.apps.cbr import CbrSource, UdpSink
 from repro.core.policies import AggregationPolicy, broadcast_aggregation
 from repro.errors import ExperimentError
 from repro.mobility.models import CircularOrbit
-from repro.net.discovery import HelloConfig
 from repro.net.dynamic_routing import DsdvConfig
 from repro.sim.simulator import Simulator
 from repro.stats.results import ExperimentResult, Series
@@ -63,11 +62,11 @@ def _run_once(policy: AggregationPolicy, routing: str, orbit_period: float,
               rate_mbps: float, seed: int) -> Tuple[float, float, float]:
     """One failover run; returns (delivery ratio, mean repair s, max arrival gap s)."""
     sim = Simulator(seed=seed)
-    config = DsdvConfig(hello=HelloConfig(hello_interval=hello_interval),
-                        advertise_interval=advertise_interval)
+    dsdv = DsdvConfig(hello_interval=hello_interval,
+                      advertise_interval=advertise_interval)
     scenario = MobileScenario(
         sim, policy=policy, unicast_rate_mbps=rate_mbps, stop_time=duration,
-        routing=routing, routing_config=config if routing == "dsdv" else None)
+        routing=dsdv if routing == "dsdv" else None)
 
     half = endpoint_gap_m / 2.0
     a = scenario.add_node((-half, 0.0))

@@ -35,7 +35,6 @@ from repro.core.policies import (
     no_aggregation,
 )
 from repro.errors import ExperimentError
-from repro.net.discovery import HelloConfig
 from repro.net.dynamic_routing import DsdvConfig
 from repro.sim.simulator import Simulator
 from repro.stats.results import ExperimentResult, Series
@@ -54,12 +53,10 @@ def _run_once(policy: AggregationPolicy, hello_interval: float,
               rate_mbps: float, seed: int) -> Tuple[float, float, float]:
     """One chain run; returns (ctrl fraction, UDP goodput Mbps, ctrl tx/s)."""
     sim = Simulator(seed=seed)
-    config = DsdvConfig(
-        hello=HelloConfig(hello_interval=hello_interval),
-        advertise_interval=hello_interval * advertise_ratio)
+    routing = DsdvConfig(hello_interval=hello_interval,
+                         advertise_interval=hello_interval * advertise_ratio)
     scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
-                              stop_time=duration, routing="dsdv",
-                              routing_config=config)
+                              stop_time=duration, routing=routing)
     for i in range(node_count):
         scenario.add_node((i * CHAIN_SPACING_M, 0.0))
 

@@ -55,7 +55,6 @@ from repro.core.policies import (
 )
 from repro.errors import ExperimentError
 from repro.mobility.models import RandomWaypoint
-from repro.net.discovery import HelloConfig
 from repro.net.dynamic_routing import DsdvConfig
 from repro.net.on_demand import AodvConfig
 from repro.sim.simulator import Simulator
@@ -149,7 +148,7 @@ def _run_once(policy: AggregationPolicy, routing: str, flow_count: int,
     sim = Simulator(seed=seed)
     config = None
     if routing == "dsdv":
-        config = DsdvConfig(hello=HelloConfig(hello_interval=hello_interval),
+        config = DsdvConfig(hello_interval=hello_interval,
                             advertise_interval=advertise_interval)
     elif routing == "aodv":
         # Near the RFC 3561 operating point: 1 s HELLOs and an expanding
@@ -159,12 +158,10 @@ def _run_once(policy: AggregationPolicy, routing: str, flow_count: int,
         # packet spacings at the two ends of the sweep, so splitting the
         # fixed load across more destinations pushes flows into the
         # rediscovery-per-packet regime.
-        config = AodvConfig(hello=HelloConfig(hello_interval=aodv_hello_interval),
-                            active_route_lifetime=route_lifetime,
-                            ring_start_ttl=1, ring_ttl_increment=2)
+        config = AodvConfig(hello_interval=aodv_hello_interval,
+                            active_route_lifetime=route_lifetime)
     scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
-                              stop_time=duration, routing=routing,
-                              routing_config=config)
+                              stop_time=duration, routing=config)
     model_factory = None
     if speed > 0:
         model_factory = lambda row, col, area: RandomWaypoint(

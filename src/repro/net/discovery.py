@@ -9,8 +9,8 @@ jittered HELLO beacons **through the real MAC**.  Beacons therefore contend
 for the medium, ride inside aggregated frames under the UA/BA policies, and
 are lost to collisions and fading exactly like data traffic; a neighbor whose
 beacons stop arriving is *expired* after a hold time and a link-down event is
-delivered to whoever registered for it (the DSDV control plane in
-:mod:`repro.net.dynamic_routing`).
+delivered to whoever registered for it (the DSDV and AODV control planes in
+:mod:`repro.net.dynamic_routing` and :mod:`repro.net.on_demand`).
 
 Design notes:
 
@@ -26,13 +26,14 @@ Design notes:
   possible expiry instant, so neighbor-down latency is bounded by the hold
   time itself, not by any polling granularity.
 * Any received control packet can refresh liveness (:meth:`heard`): the DSDV
-  router calls it for routing updates, matching the common optimisation where
-  data-plane evidence of a link substitutes for a missed beacon.
+  and AODV routers call it for their control packets, matching the common
+  optimisation where other evidence of a link substitutes for a missed
+  beacon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -46,81 +47,69 @@ from repro.sim.timer import PeriodicTimer, Timer
 #: IP protocol tag carried by HELLO beacons.
 HELLO_PROTOCOL = "hello"
 
+#: Each beacon or advertisement period is multiplied by
+#: ``1 + uniform(-JITTER_FRACTION, +JITTER_FRACTION)`` so nodes with the same
+#: nominal interval never phase-lock.
+JITTER_FRACTION = 0.1
 
-@dataclass(frozen=True)
-class HelloConfig:
-    """Static configuration of one node's neighbor discovery."""
+#: A neighbor is expired after this many nominal HELLO intervals of silence
+#: (3.5 tolerates two consecutive lost beacons plus jitter).
+HOLD_INTERVALS = 3.5
 
-    #: Nominal beacon interval in seconds.
-    hello_interval: float = 1.0
-    #: Each beacon period is multiplied by ``1 + uniform(-j, +j)`` so nodes
-    #: with the same nominal interval never phase-lock their beacons.
-    jitter_fraction: float = 0.1
-    #: A neighbor is expired after this many nominal intervals of silence
-    #: (3.5 tolerates two consecutive lost beacons plus jitter).
-    hold_intervals: float = 3.5
-    #: HELLO payload size in bytes (sender address + sequence + padding).
-    payload_bytes: int = 20
-
-    def __post_init__(self) -> None:
-        if self.hello_interval <= 0:
-            raise ConfigurationError("hello_interval must be positive")
-        if not 0 <= self.jitter_fraction < 1:
-            raise ConfigurationError("jitter_fraction must be in [0, 1)")
-        if self.hold_intervals <= 1:
-            raise ConfigurationError("hold_intervals must exceed one interval")
-        if self.payload_bytes < 0:
-            raise ConfigurationError("payload_bytes must be non-negative")
-
-    @property
-    def hold_time(self) -> float:
-        """Silence (seconds) after which a neighbor is declared down."""
-        return self.hold_intervals * self.hello_interval
-
-
-@dataclass
-class NeighborEntry:
-    """Liveness record for one discovered neighbor."""
-
-    ip: IpAddress
-    first_heard: float
-    last_heard: float
-    hellos_heard: int = 0
-
+#: HELLO payload size in bytes (sender address + sequence + padding).
+HELLO_PAYLOAD_BYTES = 20
 
 #: Callback signature for link events: ``callback(neighbor_ip)``.
 NeighborCallback = Callable[[IpAddress], None]
 
 
-def rejitter(timer: PeriodicTimer, base_period: float, rng,
-             jitter_fraction: float) -> None:
+def require_positive_seconds(name: str, value: object) -> float:
+    """Return ``value`` if it is a positive, finite number of seconds.
+
+    Routing intervals and lifetimes can arrive from a campaign ``--set``
+    override as any Python literal, so anything else (zero, a negative,
+    infinity, NaN, a bool, a string, ``None``) raises
+    :class:`~repro.errors.ConfigurationError` naming the setting.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value < math.inf):
+        raise ConfigurationError(
+            f"{name} must be a positive, finite number of seconds, got {value!r}")
+    return value
+
+
+def rejitter(timer: PeriodicTimer, base_period: float, rng) -> None:
     """Re-draw a periodic timer's next period around its nominal value.
 
-    Shared by HELLO beaconing and DSDV advertisements so both protocols
-    desynchronise identically: each period is ``base * (1 + uniform(-j, +j))``.
+    Shared by HELLO beaconing, DSDV advertisements and flooding so all of
+    them desynchronise identically: each period is
+    ``base * (1 + uniform(-JITTER_FRACTION, +JITTER_FRACTION))``.
     """
-    if jitter_fraction > 0:
-        timer.period = base_period * (1.0 + rng.uniform(-jitter_fraction,
-                                                        jitter_fraction))
+    timer.period = base_period * (1.0 + rng.uniform(-JITTER_FRACTION,
+                                                    JITTER_FRACTION))
 
 
 class NeighborDiscovery:
     """Maintains the live neighbor set of one node via HELLO beacons."""
 
-    def __init__(self, sim: Simulator, network, config: Optional[HelloConfig] = None,
+    def __init__(self, sim: Simulator, network, hello_interval: float,
                  name: Optional[str] = None) -> None:
         self.sim = sim
         self.network = network
-        self.config = config or HelloConfig()
+        self.hello_interval = require_positive_seconds("hello_interval",
+                                                       hello_interval)
+        #: Silence (seconds) after which a neighbor is declared down.
+        self.hold_time = HOLD_INTERVALS * hello_interval
         self.address = IpAddress(network.address)
         self.name = name or f"hello-{self.address}"
         self._rng = sim.random.stream(f"discovery.{self.name}")
-        self._entries: Dict[IpAddress, NeighborEntry] = {}
+        #: Live neighbors → simulated time they were last heard.
+        self._last_heard: Dict[IpAddress, float] = {}
         self._up_callbacks: List[NeighborCallback] = []
         self._down_callbacks: List[NeighborCallback] = []
         self._stop_time: Optional[float] = None
         self._stopped = False
-        self._beacon = PeriodicTimer(sim, self.config.hello_interval, self._emit,
+        self._beacon = PeriodicTimer(sim, hello_interval, self._emit,
                                      priority=Simulator.PRIORITY_NET,
                                      name=f"{self.name}.beacon")
         self._expiry = Timer(sim, self._expire, priority=Simulator.PRIORITY_NET,
@@ -141,10 +130,12 @@ class NeighborDiscovery:
 
         ``stop_time`` bounds beaconing (and expiry sweeps) so runs whose
         traffic drains do not keep the event queue alive to the horizon.
+        Neighbors heard before a :meth:`stop` still expire after a restart.
         """
         self._stop_time = stop_time
         self._stopped = False
-        self._beacon.start(self._rng.uniform(0.0, self.config.hello_interval))
+        self._beacon.start(self._rng.uniform(0.0, self.hello_interval))
+        self._rearm_expiry()
 
     def stop(self) -> None:
         """Stop beaconing and liveness processing entirely.
@@ -177,21 +168,12 @@ class NeighborDiscovery:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def neighbors(self) -> List[IpAddress]:
-        """Currently live neighbors, sorted for deterministic iteration."""
-        return sorted(self._entries)
-
     def is_neighbor(self, ip: IpAddress) -> bool:
         """True while ``ip`` is considered alive."""
-        return IpAddress(ip) in self._entries
-
-    def entry(self, ip: IpAddress) -> NeighborEntry:
-        """The liveness record for ``ip`` (KeyError when unknown)."""
-        return self._entries[IpAddress(ip)]
+        return IpAddress(ip) in self._last_heard
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._last_heard)
 
     # ------------------------------------------------------------------
     # Beacon emission
@@ -203,12 +185,11 @@ class NeighborDiscovery:
         packet = Packet(
             ip=IpHeader(src=self.address, dst=BROADCAST_IP,
                         protocol=HELLO_PROTOCOL, ttl=1),
-            payload_bytes=self.config.payload_bytes, created_at=self.sim.now,
+            payload_bytes=HELLO_PAYLOAD_BYTES, created_at=self.sim.now,
             annotations={"hello_seq": self.hellos_sent})
         self.hellos_sent += 1
         self.network.send(packet)
-        rejitter(self._beacon, self.config.hello_interval, self._rng,
-                 self.config.jitter_fraction)
+        rejitter(self._beacon, self.hello_interval, self._rng)
 
     # ------------------------------------------------------------------
     # Beacon reception and liveness
@@ -224,37 +205,31 @@ class NeighborDiscovery:
         ip = IpAddress(ip)
         if ip == self.address:
             return
-        entry = self._entries.get(ip)
-        if entry is None:
-            entry = NeighborEntry(ip=ip, first_heard=self.sim.now,
-                                  last_heard=self.sim.now, hellos_heard=1)
-            self._entries[ip] = entry
+        known = ip in self._last_heard
+        self._last_heard[ip] = self.sim.now
+        if not known:
             self.neighbor_up_events += 1
             tracer = self.sim.tracer
             if tracer.enabled:
                 tracer.emit(self.name, "discovery", "neighbor_up", ip=str(ip))
             for callback in list(self._up_callbacks):
                 callback(ip)
-        else:
-            entry.last_heard = self.sim.now
-            entry.hellos_heard += 1
         self._rearm_expiry()
 
     def _rearm_expiry(self) -> None:
-        if not self._entries:
+        if not self._last_heard:
             self._expiry.cancel()
             return
-        earliest = min(entry.last_heard for entry in self._entries.values())
-        deadline = earliest + self.config.hold_time
+        deadline = min(self._last_heard.values()) + self.hold_time
         self._expiry.start(max(0.0, deadline - self.sim.now))
 
     def _expire(self) -> None:
         now = self.sim.now
-        hold = self.config.hold_time
-        expired = sorted(ip for ip, entry in self._entries.items()
-                         if now - entry.last_heard >= hold - 1e-12)
+        hold = self.hold_time
+        expired = sorted(ip for ip, last_heard in self._last_heard.items()
+                         if now - last_heard >= hold - 1e-12)
         for ip in expired:
-            del self._entries[ip]
+            del self._last_heard[ip]
             self.neighbor_down_events += 1
             tracer = self.sim.tracer
             if tracer.enabled:
@@ -268,11 +243,11 @@ class NeighborDiscovery:
         registry.set_gauge("discovery.hellos_sent", self.hellos_sent, node=self.name)
         registry.set_gauge("discovery.hellos_received", self.hellos_received,
                            node=self.name)
-        registry.set_gauge("discovery.neighbors", len(self._entries), node=self.name)
+        registry.set_gauge("discovery.neighbors", len(self._last_heard), node=self.name)
         registry.set_gauge("discovery.neighbor_up_events", self.neighbor_up_events,
                            node=self.name)
         registry.set_gauge("discovery.neighbor_down_events",
                            self.neighbor_down_events, node=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<NeighborDiscovery {self.name} neighbors={len(self._entries)}>"
+        return f"<NeighborDiscovery {self.name} neighbors={len(self._last_heard)}>"

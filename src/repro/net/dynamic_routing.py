@@ -32,11 +32,14 @@ information with a larger metric — excluded by the update rule above.
 
 Implementation notes:
 
-* :class:`DynamicRoutingTable` implements the full
-  :class:`~repro.net.routing.RoutingTable` interface, so the
-  :class:`~repro.net.routing.ForwardingEngine`, TCP, UDP and flooding all
-  work unmodified on top of it; withdrawn routes raise the same
-  :class:`~repro.errors.RoutingError` a missing static route would.
+* Routes live in the node's one :class:`~repro.net.routing.RoutingTable`,
+  so the :class:`~repro.net.routing.ForwardingEngine`, TCP, UDP and flooding
+  all work unmodified on top of it; withdrawn routes raise the same
+  :class:`~repro.errors.RoutingError` a missing static route would, and a
+  static route installed by hand (:data:`~repro.net.routing.STATIC_SEQUENCE`)
+  is never advertised.
+* ``routing=DsdvConfig(...)`` selects this protocol; the config holds only the
+  two intervals the experiments vary, everything else is a module constant.
 * Updates are broadcast packets (IP protocol ``"dsdv"``) sent through the
   real MAC: they contend, aggregate under the UA/BA policies, and are lost
   like data.  Each update carries the full table (a *full dump*; the
@@ -54,171 +57,72 @@ Implementation notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, RoutingError
 from repro.mac.addresses import MacAddress
 from repro.net.address import IpAddress
-from repro.net.discovery import HelloConfig, NeighborDiscovery, rejitter
+from repro.net.discovery import (
+    NeighborDiscovery,
+    rejitter,
+    require_positive_seconds,
+)
 from repro.net.packet import IpHeader, Packet
-from repro.net.routing import BROADCAST_IP, RoutingTable
+from repro.net.routing import (
+    BROADCAST_IP,
+    INFINITE_METRIC,
+    RouteEntry,
+    RoutingTable,
+)
 from repro.sim.simulator import Simulator
 from repro.sim.timer import PeriodicTimer, Timer
 
 #: IP protocol tag carried by DSDV route updates.
 DSDV_PROTOCOL = "dsdv"
 
-#: Metric denoting "unreachable" (hop counts are far below this in practice).
-INFINITE_METRIC = 16
+#: Settling delay (seconds) before a triggered update is sent, so several
+#: simultaneous changes coalesce into one broadcast.
+TRIGGERED_DELAY = 0.1
 
-#: Sequence number used for locally injected (static) entries; any protocol
-#: update carries a non-negative sequence number and therefore supersedes it.
-STATIC_SEQUENCE = -1
-
-
-@dataclass(frozen=True)
-class RouteEntry:
-    """One DSDV routing-table entry."""
-
-    destination: IpAddress
-    next_hop: IpAddress
-    metric: int
-    sequence: int
-    installed_at: float = 0.0
-
-    @property
-    def valid(self) -> bool:
-        """True while the route can actually forward packets."""
-        return self.metric < INFINITE_METRIC
-
-    def __str__(self) -> str:
-        state = f"{self.metric} hops" if self.valid else "unreachable"
-        return (f"{self.destination} via {self.next_hop} ({state}, "
-                f"seq {self.sequence})")
-
-
-class DynamicRoutingTable(RoutingTable):
-    """A sequence-numbered routing table, drop-in for :class:`RoutingTable`.
-
-    The forwarding plane only ever calls :meth:`next_hop` / :meth:`has_route`;
-    both consider *valid* entries only, so a withdrawn route behaves exactly
-    like a route that was never installed.  The control plane installs and
-    withdraws entries via :meth:`install`; :meth:`add_route` keeps the static
-    interface working by injecting entries with :data:`STATIC_SEQUENCE`.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._entries: Dict[IpAddress, RouteEntry] = {}
-        #: Monotone change counter (bumped on every install/withdraw that
-        #: alters forwarding state); cheap to compare in tests and stats.
-        self.revision = 0
-
-    # ------------------------------------------------------------------
-    # RoutingTable interface
-    # ------------------------------------------------------------------
-    def add_route(self, destination: IpAddress, next_hop: IpAddress) -> None:
-        """Install a static route (superseded by any protocol update)."""
-        self.install(RouteEntry(destination=IpAddress(destination),
-                                next_hop=IpAddress(next_hop),
-                                metric=1, sequence=STATIC_SEQUENCE))
-
-    def next_hop(self, destination: IpAddress) -> IpAddress:
-        destination = IpAddress(destination)
-        entry = self._entries.get(destination)
-        if entry is not None and entry.valid:
-            return entry.next_hop
-        if self._default is not None:
-            return self._default
-        raise RoutingError(f"no route to {destination}")
-
-    def has_route(self, destination: IpAddress) -> bool:
-        entry = self._entries.get(IpAddress(destination))
-        if entry is not None and entry.valid:
-            return True
-        return self._default is not None
-
-    @property
-    def routes(self) -> Dict[IpAddress, IpAddress]:
-        """Valid destination → next-hop pairs (the static-table view)."""
-        return {destination: entry.next_hop
-                for destination, entry in self._entries.items() if entry.valid}
-
-    def __len__(self) -> int:
-        return sum(1 for entry in self._entries.values() if entry.valid)
-
-    # ------------------------------------------------------------------
-    # Control-plane interface
-    # ------------------------------------------------------------------
-    def entry_for(self, destination: IpAddress) -> Optional[RouteEntry]:
-        """The stored entry (valid or withdrawn) for ``destination``."""
-        return self._entries.get(IpAddress(destination))
-
-    def install(self, entry: RouteEntry) -> None:
-        """Store ``entry`` unconditionally (the router applies the DSDV rules)."""
-        self._entries[entry.destination] = entry
-        self.revision += 1
-
-    def entries(self) -> List[RouteEntry]:
-        """All entries in sorted destination order (deterministic iteration)."""
-        return [self._entries[destination] for destination in sorted(self._entries)]
-
-    def valid_entries(self) -> List[RouteEntry]:
-        """Currently forwarding entries in sorted destination order."""
-        return [entry for entry in self.entries() if entry.valid]
+#: Wire-size model of an update: a fixed header plus this many bytes per
+#: advertised entry (destination + metric + sequence number).
+UPDATE_HEADER_BYTES = 8
+UPDATE_ENTRY_BYTES = 12
 
 
 @dataclass(frozen=True)
 class DsdvConfig:
-    """Static configuration of one DSDV router.
+    """Routing value that makes a node run DSDV: ``Node(routing=DsdvConfig())``.
 
-    The defaults, which every ``routing="dsdv"`` node uses unless given
-    another config, suit Hydra's sub-megabit rates: at 0.65 Mbps a HELLO
-    beacon occupies well under a millisecond of air, so one beacon per second
-    and a full-dump advertisement every three seconds keep control overhead
-    in the low percent range while bounding neighbor-loss detection at
-    ~3.5 s (the HELLO hold time) — commensurate with the seconds-scale
-    outages the mobile scenarios produce.
+    The defaults suit Hydra's sub-megabit rates: at 0.65 Mbps a HELLO beacon
+    occupies well under a millisecond of air, so one beacon per second and a
+    full-dump advertisement every three seconds keep control overhead in the
+    low percent range while bounding neighbor-loss detection at ~3.5 s (the
+    HELLO hold time) — commensurate with the seconds-scale outages the mobile
+    scenarios produce.
     """
 
-    #: Neighbor discovery (HELLO) parameters.
-    hello: HelloConfig = HelloConfig()
+    #: Nominal HELLO beacon interval in seconds.
+    hello_interval: float = 1.0
     #: Nominal period of full-dump advertisements in seconds.
     advertise_interval: float = 3.0
-    #: Advertisement periods are multiplied by ``1 + uniform(-j, +j)``.
-    jitter_fraction: float = 0.1
-    #: Settling delay before a triggered update is sent, so several
-    #: simultaneous changes coalesce into one broadcast.
-    triggered_delay: float = 0.1
-    #: Wire-size model of an update: fixed header plus this many bytes per
-    #: advertised entry (destination + metric + sequence number).
-    header_bytes: int = 8
-    entry_bytes: int = 12
 
     def __post_init__(self) -> None:
-        if self.advertise_interval <= 0:
-            raise ConfigurationError("advertise_interval must be positive")
-        if not 0 <= self.jitter_fraction < 1:
-            raise ConfigurationError("jitter_fraction must be in [0, 1)")
-        if self.triggered_delay < 0:
-            raise ConfigurationError("triggered_delay must be non-negative")
-        if self.header_bytes < 0 or self.entry_bytes <= 0:
-            raise ConfigurationError("update size model must be non-negative")
+        require_positive_seconds("hello_interval", self.hello_interval)
+        require_positive_seconds("advertise_interval", self.advertise_interval)
 
 
 class DsdvRouter:
     """The DSDV control plane of one node.
 
-    Owns the node's :class:`DynamicRoutingTable` and
+    Maintains the node's :class:`~repro.net.routing.RoutingTable`, owns its
     :class:`~repro.net.discovery.NeighborDiscovery`, broadcasts periodic and
     triggered route updates, and applies the sequence-number rules documented
     in the module docstring.
     """
 
-    def __init__(self, sim: Simulator, network, table: DynamicRoutingTable,
+    def __init__(self, sim: Simulator, network, table: RoutingTable,
                  config: Optional[DsdvConfig] = None,
-                 discovery: Optional[NeighborDiscovery] = None,
                  name: Optional[str] = None) -> None:
         self.sim = sim
         self.network = network
@@ -226,8 +130,8 @@ class DsdvRouter:
         self.config = config or DsdvConfig()
         self.address = IpAddress(network.address)
         self.name = name or f"dsdv-{self.address}"
-        self.discovery = discovery or NeighborDiscovery(
-            sim, network, config=self.config.hello, name=f"{self.name}.hello")
+        self.discovery = NeighborDiscovery(sim, network, self.config.hello_interval,
+                                           name=f"{self.name}.hello")
         self.discovery.on_neighbor_up(self._on_neighbor_up)
         self.discovery.on_neighbor_down(self._on_neighbor_down)
         self._rng = sim.random.stream(f"dsdv.{self.name}")
@@ -290,7 +194,7 @@ class DsdvRouter:
 
     def _broadcast_update(self, triggered: bool) -> None:
         routes = self._wire_routes()
-        payload = self.config.header_bytes + len(routes) * self.config.entry_bytes
+        payload = UPDATE_HEADER_BYTES + len(routes) * UPDATE_ENTRY_BYTES
         packet = Packet(
             ip=IpHeader(src=self.address, dst=BROADCAST_IP,
                         protocol=DSDV_PROTOCOL, ttl=1),
@@ -313,15 +217,14 @@ class DsdvRouter:
         # periodic advertisement (rule 1 of the module docstring).
         self._own_sequence += 2
         self._broadcast_update(triggered=False)
-        rejitter(self._advert_timer, self.config.advertise_interval, self._rng,
-                 self.config.jitter_fraction)
+        rejitter(self._advert_timer, self.config.advertise_interval, self._rng)
 
     def _schedule_triggered(self) -> None:
         if self._triggered_timer.running or not self.running:
             return
         if self._stop_time is not None and self.sim.now > self._stop_time:
             return
-        self._triggered_timer.start(self.config.triggered_delay)
+        self._triggered_timer.start(TRIGGERED_DELAY)
 
     def _on_triggered(self) -> None:
         self._broadcast_update(triggered=True)
@@ -367,13 +270,12 @@ class DsdvRouter:
                 return False
             if (not current.valid and new_metric >= INFINITE_METRIC):
                 # Already withdrawn; just remember the fresher break epoch.
-                self.table.install(replace(current, sequence=sequence))
+                self.table.install(RouteEntry(destination, current.next_hop,
+                                              current.metric, sequence))
                 return False
         elif new_metric >= INFINITE_METRIC:
             return False  # never heard of it and it is unreachable: ignore
-        entry = RouteEntry(destination=destination, next_hop=sender,
-                           metric=new_metric, sequence=sequence,
-                           installed_at=self.sim.now)
+        entry = RouteEntry(destination, sender, new_metric, sequence)
         was_valid = current is not None and current.valid
         self.table.install(entry)
         if entry.valid and not was_valid:
@@ -405,10 +307,9 @@ class DsdvRouter:
                 continue
             # Rule 2: link-break routes get the old sequence number plus one
             # (odd = unreachable epoch) and an infinite metric.
-            self.table.install(replace(
-                entry, metric=INFINITE_METRIC,
-                sequence=entry.sequence + 1 if entry.sequence >= 0 else 1,
-                installed_at=self.sim.now))
+            self.table.install(RouteEntry(
+                entry.destination, entry.next_hop, INFINITE_METRIC,
+                entry.sequence + 1 if entry.sequence >= 0 else 1))
             self.route_breaks += 1
             self.route_changes += 1
             self._log(entry.destination, "broken")

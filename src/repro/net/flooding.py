@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.net.address import IpAddress
+from repro.net.discovery import rejitter
 from repro.net.packet import Packet
 from repro.sim.simulator import Simulator
 from repro.sim.timer import PeriodicTimer
@@ -25,7 +26,7 @@ class FloodingSource:
 
     def __init__(self, sim: Simulator, network, source_ip: IpAddress,
                  interval: float, payload_bytes: int = 64,
-                 jitter_fraction: float = 0.1, name: Optional[str] = None) -> None:
+                 name: Optional[str] = None) -> None:
         if interval <= 0:
             raise ConfigurationError("flooding interval must be positive")
         if payload_bytes < 0:
@@ -35,7 +36,6 @@ class FloodingSource:
         self.source_ip = IpAddress(source_ip)
         self.interval = interval
         self.payload_bytes = payload_bytes
-        self.jitter_fraction = jitter_fraction
         self.name = name or f"flood-{source_ip}"
         self._rng = sim.random.stream(f"flooding.{self.name}")
         self._timer = PeriodicTimer(sim, interval, self._emit,
@@ -75,6 +75,4 @@ class FloodingSource:
         self.network.send(packet)
         # Small jitter on subsequent emissions avoids lock-step collisions
         # between nodes flooding at the same nominal rate.
-        if self.jitter_fraction > 0:
-            jitter = 1.0 + self._rng.uniform(-self.jitter_fraction, self.jitter_fraction)
-            self._timer.period = self.interval * jitter
+        rejitter(self._timer, self.interval, self._rng)

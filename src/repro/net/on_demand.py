@@ -18,7 +18,7 @@ Protocol rules (the loop-freedom invariant)
   they heard the RREQ from, and rebroadcast with the TTL decremented after a
   small seeded jitter.  Discovery uses an **expanding ring**: the first RREQ
   carries a small TTL, and each timeout retries with a larger ring until the
-  configured network-diameter TTL has been retried ``rreq_retries`` times —
+  network-diameter TTL has been retried :data:`RREQ_RETRIES` times —
   only then is the destination declared unreachable and the buffered packets
   dropped (the same :class:`~repro.errors.RoutingError` surface a missing
   static route has).
@@ -42,11 +42,15 @@ Protocol rules (the loop-freedom invariant)
 
 Implementation notes:
 
-* Routes live in the same :class:`~repro.net.dynamic_routing.DynamicRoutingTable`
-  DSDV uses, so the :class:`~repro.net.routing.ForwardingEngine`, TCP, UDP
-  and flooding run unmodified; the on-demand trigger is the forwarding
-  engine's *no-route handler* hook (a packet that would have been a
-  ``no_route_drop`` is buffered here instead while discovery runs).
+* Routes live in the node's one :class:`~repro.net.routing.RoutingTable`,
+  shared with static routes and DSDV, so the
+  :class:`~repro.net.routing.ForwardingEngine`, TCP, UDP and flooding run
+  unmodified; the on-demand trigger is the forwarding engine's *no-route
+  handler* hook (a packet that would have been a ``no_route_drop`` is
+  buffered here instead while discovery runs).
+* ``routing=AodvConfig(...)`` selects this protocol; the config holds only the
+  HELLO interval and the active-route lifetime, everything else is a module
+  constant.
 * All control messages (IP protocol ``"aodv"``) travel through the real MAC:
   they contend, aggregate under the UA/BA policies, are lost like data, and
   are broken out in ``mac.stats`` (``routing_*`` counters) so goodput numbers
@@ -59,20 +63,19 @@ Implementation notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.mac.addresses import MacAddress
 from repro.net.address import IpAddress
-from repro.net.discovery import HelloConfig, NeighborDiscovery
-from repro.net.dynamic_routing import (
-    INFINITE_METRIC,
-    DynamicRoutingTable,
-    RouteEntry,
-)
+from repro.net.discovery import NeighborDiscovery, require_positive_seconds
 from repro.net.packet import IpHeader, Packet
-from repro.net.routing import BROADCAST_IP
+from repro.net.routing import (
+    BROADCAST_IP,
+    INFINITE_METRIC,
+    RouteEntry,
+    RoutingTable,
+)
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
 
@@ -82,80 +85,62 @@ AODV_PROTOCOL = "aodv"
 #: Sequence number meaning "origin knows no destination sequence number yet".
 UNKNOWN_SEQUENCE = -1
 
+#: Expanding-ring search: TTL of the first RREQ, the increment applied on
+#: every timeout, and the network-diameter ceiling.
+RING_START_TTL = 1
+RING_TTL_INCREMENT = 2
+RING_MAX_TTL = 7
 
-def _is_data(packet: Packet) -> bool:
-    """True for real buffered traffic (not a :meth:`AodvRouter.discover` probe)."""
-    return not packet.annotations.get("aodv_probe", False)
+#: Extra attempts at the diameter TTL before the destination is declared
+#: unreachable (RFC 3561's RREQ_RETRIES).
+RREQ_RETRIES = 2
+
+#: Seconds waited for a RREP per unit of RREQ TTL (the ring traversal time:
+#: one TTL unit of flooding out plus the reply back).
+RING_TIMEOUT_PER_TTL = 0.2
+
+#: RREQ rebroadcasts are delayed by ``uniform(0, REBROADCAST_JITTER)`` seconds
+#: so relays hearing the same flood do not retransmit in lockstep.
+REBROADCAST_JITTER = 0.02
+
+#: Data packets buffered per destination while discovery runs; the oldest
+#: packet is dropped when a new one would exceed the bound.
+BUFFER_PACKETS = 32
+
+#: Seconds a seen (origin, request id) pair is remembered for duplicate
+#: suppression (RFC 3561's PATH_DISCOVERY_TIME).  Request ids are never
+#: reused, so pruning only bounds memory — it cannot re-admit a flood.
+PATH_DISCOVERY_TIME = 10.0
+
+#: Wire-size model of the control messages (payload bytes on top of the IP
+#: header the packet model already accounts).
+RREQ_BYTES = 24
+RREP_BYTES = 20
+RERR_HEADER_BYTES = 8
+RERR_ENTRY_BYTES = 8
 
 
 @dataclass(frozen=True)
 class AodvConfig:
-    """Static configuration of one AODV router.
+    """Routing value that makes a node run AODV: ``Node(routing=AodvConfig())``.
 
-    The defaults, which every ``routing="aodv"`` node uses unless given
-    another config, match the DSDV operating point: the same 1 s HELLO
-    beacons bound link-break detection at ~3.5 s, while discovery timing
-    suits Hydra's sub-megabit rates — at 0.65 Mbps a RREQ crosses a hop in
-    well under ``ring_timeout_per_ttl`` even under contention, so an
+    The defaults match the DSDV operating point: the same 1 s HELLO beacons
+    bound link-break detection at ~3.5 s, while discovery timing suits
+    Hydra's sub-megabit rates — at 0.65 Mbps a RREQ crosses a hop in well
+    under :data:`RING_TIMEOUT_PER_TTL` even under contention, so an
     expanding-ring round trip comfortably fits its timeout.
     """
 
-    #: Neighbor discovery (HELLO) parameters — link-break detection only;
+    #: Nominal HELLO beacon interval in seconds — link-break detection only;
     #: AODV never advertises routes proactively.
-    hello: HelloConfig = HelloConfig()
+    hello_interval: float = 1.0
     #: Seconds an installed route stays valid without forwarding data.
     active_route_lifetime: float = 6.0
-    #: Expanding-ring search: TTL of the first RREQ, the increment applied on
-    #: every timeout, and the network-diameter ceiling.
-    ring_start_ttl: int = 2
-    ring_ttl_increment: int = 2
-    ring_max_ttl: int = 7
-    #: Extra attempts at the diameter TTL before the destination is declared
-    #: unreachable (RFC 3561's RREQ_RETRIES).
-    rreq_retries: int = 2
-    #: Seconds waited for a RREP per unit of RREQ TTL (the ring traversal
-    #: time: one TTL unit of flooding out plus the reply back).
-    ring_timeout_per_ttl: float = 0.2
-    #: RREQ rebroadcasts are delayed by ``uniform(0, j)`` seconds so relays
-    #: hearing the same flood do not retransmit in lockstep.
-    rebroadcast_jitter: float = 0.02
-    #: Data packets buffered per destination while discovery runs; the oldest
-    #: packet is dropped when a new one would exceed the bound.
-    buffer_packets: int = 32
-    #: Seconds a seen (origin, request id) pair is remembered for duplicate
-    #: suppression (RFC 3561's PATH_DISCOVERY_TIME).  Request ids are never
-    #: reused, so pruning only bounds memory — it cannot re-admit a flood.
-    path_discovery_time: float = 10.0
-    #: Wire-size model of the control messages (payload bytes on top of the
-    #: IP header the packet model already accounts).
-    rreq_bytes: int = 24
-    rrep_bytes: int = 20
-    rerr_header_bytes: int = 8
-    rerr_entry_bytes: int = 8
 
     def __post_init__(self) -> None:
-        if self.active_route_lifetime <= 0:
-            raise ConfigurationError("active_route_lifetime must be positive")
-        if self.ring_start_ttl < 1:
-            raise ConfigurationError("ring_start_ttl must be at least 1")
-        if self.ring_ttl_increment < 1:
-            raise ConfigurationError("ring_ttl_increment must be at least 1")
-        if self.ring_max_ttl < self.ring_start_ttl:
-            raise ConfigurationError(
-                "ring_max_ttl must be at least ring_start_ttl")
-        if self.rreq_retries < 0:
-            raise ConfigurationError("rreq_retries must be non-negative")
-        if self.ring_timeout_per_ttl <= 0:
-            raise ConfigurationError("ring_timeout_per_ttl must be positive")
-        if self.rebroadcast_jitter < 0:
-            raise ConfigurationError("rebroadcast_jitter must be non-negative")
-        if self.buffer_packets < 1:
-            raise ConfigurationError("buffer_packets must be at least 1")
-        if self.path_discovery_time <= 0:
-            raise ConfigurationError("path_discovery_time must be positive")
-        if min(self.rreq_bytes, self.rrep_bytes, self.rerr_header_bytes) < 0 \
-                or self.rerr_entry_bytes <= 0:
-            raise ConfigurationError("control message size model is invalid")
+        require_positive_seconds("hello_interval", self.hello_interval)
+        require_positive_seconds("active_route_lifetime",
+                                 self.active_route_lifetime)
 
 
 @dataclass
@@ -173,15 +158,14 @@ class RouteRequestState:
 class AodvRouter:
     """The AODV control plane of one node.
 
-    Owns the node's :class:`DynamicRoutingTable` and
+    Maintains the node's :class:`~repro.net.routing.RoutingTable`, owns its
     :class:`~repro.net.discovery.NeighborDiscovery`, reacts to no-route
     events from the forwarding engine with expanding-ring route discovery,
     and maintains active-route lifetimes from forwarded data.
     """
 
-    def __init__(self, sim: Simulator, network, table: DynamicRoutingTable,
+    def __init__(self, sim: Simulator, network, table: RoutingTable,
                  config: Optional[AodvConfig] = None,
-                 discovery: Optional[NeighborDiscovery] = None,
                  name: Optional[str] = None) -> None:
         self.sim = sim
         self.network = network
@@ -189,8 +173,8 @@ class AodvRouter:
         self.config = config or AodvConfig()
         self.address = IpAddress(network.address)
         self.name = name or f"aodv-{self.address}"
-        self.discovery = discovery or NeighborDiscovery(
-            sim, network, config=self.config.hello, name=f"{self.name}.hello")
+        self.discovery = NeighborDiscovery(sim, network, self.config.hello_interval,
+                                           name=f"{self.name}.hello")
         self.discovery.on_neighbor_down(self._on_neighbor_down)
         self._rng = sim.random.stream(f"aodv.{self.name}")
         self._own_sequence = 0
@@ -206,9 +190,6 @@ class AodvRouter:
         self._expiry_timer = Timer(sim, self._on_expiry,
                                    priority=Simulator.PRIORITY_NET,
                                    name=f"{self.name}.expiry")
-        #: Route lifecycle log: (time, destination, event) with event one of
-        #: ``"installed"``, ``"restored"``, ``"broken"`` or ``"expired"``.
-        self.route_log: List[Tuple[float, IpAddress, str]] = []
         # statistics
         self.rreqs_sent = 0
         self.rreqs_forwarded = 0
@@ -251,18 +232,12 @@ class AodvRouter:
             if state.timer is not None:
                 state.timer.cancel()
             for packet in state.buffered:
-                if _is_data(packet):
-                    self.buffered_packets_dropped += 1
-                    # Buffered packets are in the network layer's custody.
-                    if tracer.enabled:
-                        tracer.emit(self.network.name, "net", "drop",
-                                    reason="shutdown", packet=packet)
+                self.buffered_packets_dropped += 1
+                # Buffered packets are in the network layer's custody.
+                if tracer.enabled:
+                    tracer.emit(self.network.name, "net", "drop",
+                                reason="shutdown", packet=packet)
         self._pending.clear()
-
-    @property
-    def running(self) -> bool:
-        """True while the control plane reacts to traffic and link events."""
-        return not self._stopped
 
     def _past_stop(self) -> bool:
         return (self._stopped
@@ -280,8 +255,7 @@ class AodvRouter:
         destination = IpAddress(packet.ip.dst)
         state = self._pending.get(destination)
         if state is None:
-            state = RouteRequestState(destination=destination,
-                                      ttl=self.config.ring_start_ttl)
+            state = RouteRequestState(destination=destination, ttl=RING_START_TTL)
             state.timer = Timer(self.sim,
                                 lambda: self._on_ring_timeout(destination),
                                 priority=Simulator.PRIORITY_NET,
@@ -291,35 +265,15 @@ class AodvRouter:
             state.buffered.append(packet)
             self._send_rreq(state)
         else:
-            if len(state.buffered) >= self.config.buffer_packets:
+            if len(state.buffered) >= BUFFER_PACKETS:
                 evicted = state.buffered.pop(0)
                 self.buffered_packets_dropped += 1
                 tracer = self.sim.tracer
-                if tracer.enabled and _is_data(evicted):
+                if tracer.enabled:
                     tracer.emit(self.network.name, "net", "drop",
                                 reason="buffer_full", packet=evicted)
             state.buffered.append(packet)
         return True
-
-    def discover(self, destination: IpAddress) -> None:
-        """Start a discovery for ``destination`` without offering a packet.
-
-        Useful for demand-driven warm-up in tests and experiments; a no-op
-        when a route already exists or a discovery is already pending.
-        """
-        destination = IpAddress(destination)
-        if self._past_stop() or destination in self._pending:
-            return
-        if self.table.has_route(destination):
-            return
-        # The probe exists only to enter the request buffer; the annotation
-        # keeps it out of the data plane (never re-injected, never counted
-        # as a dropped data packet).
-        probe = Packet(ip=IpHeader(src=self.address, dst=destination,
-                                   protocol="raw"),
-                       payload_bytes=0, created_at=self.sim.now,
-                       annotations={"aodv_probe": True})
-        self._on_no_route(probe)
 
     # ------------------------------------------------------------------
     # RREQ origination and the expanding ring
@@ -333,7 +287,7 @@ class AodvRouter:
         packet = Packet(
             ip=IpHeader(src=self.address, dst=BROADCAST_IP,
                         protocol=AODV_PROTOCOL, ttl=state.ttl),
-            payload_bytes=self.config.rreq_bytes, created_at=self.sim.now,
+            payload_bytes=RREQ_BYTES, created_at=self.sim.now,
             annotations={
                 "aodv_type": "rreq",
                 "aodv_rreq_id": self._rreq_id,
@@ -345,14 +299,14 @@ class AodvRouter:
             })
         self.rreqs_sent += 1
         state.attempts += 1
-        if state.ttl >= self.config.ring_max_ttl:
+        if state.ttl >= RING_MAX_TTL:
             state.attempts_at_max += 1
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(self.name, "aodv", "rreq_tx", dest=str(state.destination),
                         ttl=state.ttl, attempt=state.attempts)
         self.network.send(packet)
-        state.timer.start(self.config.ring_timeout_per_ttl * state.ttl)
+        state.timer.start(RING_TIMEOUT_PER_TTL * state.ttl)
 
     def _on_ring_timeout(self, destination: IpAddress) -> None:
         state = self._pending.get(destination)
@@ -361,10 +315,9 @@ class AodvRouter:
         if self._past_stop():
             self._fail_discovery(state)
             return
-        if state.ttl < self.config.ring_max_ttl:
-            state.ttl = min(state.ttl + self.config.ring_ttl_increment,
-                            self.config.ring_max_ttl)
-        elif state.attempts_at_max > self.config.rreq_retries:
+        if state.ttl < RING_MAX_TTL:
+            state.ttl = min(state.ttl + RING_TTL_INCREMENT, RING_MAX_TTL)
+        elif state.attempts_at_max > RREQ_RETRIES:
             self._fail_discovery(state)
             return
         self._send_rreq(state)
@@ -375,13 +328,13 @@ class AodvRouter:
             state.timer.cancel()
         self._pending.pop(state.destination, None)
         self.discoveries_failed += 1
-        dropped = [packet for packet in state.buffered if _is_data(packet)]
+        # Replaced, not cleared: the trace record keeps the dropped list.
+        dropped, state.buffered = state.buffered, []
         self.buffered_packets_dropped += len(dropped)
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(self.name, "aodv", "discovery_failed",
                         dest=str(state.destination), dropped=len(dropped), packets=dropped)
-        state.buffered.clear()
 
     def _complete_discovery(self, destination: IpAddress) -> None:
         state = self._pending.pop(destination, None)
@@ -395,8 +348,7 @@ class AodvRouter:
             tracer.emit(self.name, "aodv", "discovery_complete",
                         dest=str(destination), flushed=len(state.buffered))
         for packet in state.buffered:
-            if _is_data(packet):  # warm-up probes never enter the data plane
-                self.network.reinject(packet)
+            self.network.reinject(packet)
         state.buffered.clear()
 
     # ------------------------------------------------------------------
@@ -450,10 +402,10 @@ class AodvRouter:
         rebroadcast = Packet(
             ip=IpHeader(src=self.address, dst=BROADCAST_IP,
                         protocol=AODV_PROTOCOL, ttl=ttl_remaining),
-            payload_bytes=self.config.rreq_bytes, created_at=self.sim.now,
+            payload_bytes=RREQ_BYTES, created_at=self.sim.now,
             annotations={**packet.annotations, "aodv_hops": hops})
         self.rreqs_forwarded += 1
-        delay = self._rng.uniform(0.0, self.config.rebroadcast_jitter)
+        delay = self._rng.uniform(0.0, REBROADCAST_JITTER)
         self.sim.schedule(delay, self._transmit_if_running, rebroadcast,
                           priority=Simulator.PRIORITY_NET)
 
@@ -464,7 +416,7 @@ class AodvRouter:
         entries cannot re-admit a duplicate — the sweep only keeps the seen
         set proportional to the discovery rate instead of the run length.
         """
-        cutoff = self.sim.now - self.config.path_discovery_time
+        cutoff = self.sim.now - PATH_DISCOVERY_TIME
         expired = [key for key, seen_at in self._seen_requests.items()
                    if seen_at < cutoff]
         for key in expired:
@@ -481,7 +433,7 @@ class AodvRouter:
         packet = Packet(
             ip=IpHeader(src=self.address, dst=next_hop,
                         protocol=AODV_PROTOCOL, ttl=1),
-            payload_bytes=self.config.rrep_bytes, created_at=self.sim.now,
+            payload_bytes=RREP_BYTES, created_at=self.sim.now,
             annotations={
                 "aodv_type": "rrep",
                 "aodv_origin": origin.value,
@@ -512,15 +464,14 @@ class AodvRouter:
         forwarded = Packet(
             ip=IpHeader(src=self.address, dst=reverse.next_hop,
                         protocol=AODV_PROTOCOL, ttl=1),
-            payload_bytes=self.config.rrep_bytes, created_at=self.sim.now,
+            payload_bytes=RREP_BYTES, created_at=self.sim.now,
             annotations={**packet.annotations, "aodv_hops": hops})
         self.rreps_forwarded += 1
         self.network.send(forwarded)
 
     # -- RERR ----------------------------------------------------------
     def _broadcast_rerr(self, unreachable: List[Tuple[int, int]]) -> None:
-        payload = (self.config.rerr_header_bytes
-                   + len(unreachable) * self.config.rerr_entry_bytes)
+        payload = RERR_HEADER_BYTES + len(unreachable) * RERR_ENTRY_BYTES
         packet = Packet(
             ip=IpHeader(src=self.address, dst=BROADCAST_IP,
                         protocol=AODV_PROTOCOL, ttl=1),
@@ -542,7 +493,7 @@ class AodvRouter:
             if entry is None or not entry.valid or entry.next_hop != sender:
                 continue  # we were not routing through the sender
             new_sequence = max(sequence, entry.sequence + 1)
-            self._invalidate(entry, new_sequence, "broken")
+            self._invalidate(entry, new_sequence)
             self.route_breaks += 1
             propagated.append((destination.value, new_sequence))
         if propagated:
@@ -566,14 +517,8 @@ class AodvRouter:
                     return False
             elif sequence < current.sequence:
                 return False  # older than the recorded break epoch
-        entry = RouteEntry(destination=destination, next_hop=next_hop,
-                           metric=metric, sequence=sequence,
-                           installed_at=self.sim.now)
-        was_valid = current is not None and current.valid
-        self.table.install(entry)
+        self.table.install(RouteEntry(destination, next_hop, metric, sequence))
         self.route_changes += 1
-        if not was_valid:
-            self._log(destination, "installed" if current is None else "restored")
         self._refresh(destination)
         return True
 
@@ -623,17 +568,15 @@ class AodvRouter:
         for destination in expired:
             entry = self.table.entry_for(destination)
             if entry is not None and entry.valid:
-                self._invalidate(entry, entry.sequence + 1, "expired")
+                self._invalidate(entry, entry.sequence + 1)
                 self.route_expirations += 1
         self._rearm_expiry()
 
-    def _invalidate(self, entry: RouteEntry, sequence: int, event: str) -> None:
-        self.table.install(replace(entry, metric=INFINITE_METRIC,
-                                   sequence=sequence,
-                                   installed_at=self.sim.now))
+    def _invalidate(self, entry: RouteEntry, sequence: int) -> None:
+        self.table.install(RouteEntry(entry.destination, entry.next_hop,
+                                      INFINITE_METRIC, sequence))
         self._expires.pop(entry.destination, None)
         self.route_changes += 1
-        self._log(entry.destination, event)
 
     # ------------------------------------------------------------------
     # Link events from neighbor discovery
@@ -646,7 +589,7 @@ class AodvRouter:
             if not entry.valid or entry.next_hop != neighbor:
                 continue
             new_sequence = entry.sequence + 1
-            self._invalidate(entry, new_sequence, "broken")
+            self._invalidate(entry, new_sequence)
             self.route_breaks += 1
             lost.append((entry.destination.value, new_sequence))
         if lost:
@@ -656,25 +599,6 @@ class AodvRouter:
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
-    def _log(self, destination: IpAddress, event: str) -> None:
-        self.route_log.append((self.sim.now, destination, event))
-
-    def repair_latencies(self, destination: IpAddress) -> List[float]:
-        """Broken/expired → restored gaps (seconds) for ``destination``."""
-        destination = IpAddress(destination)
-        latencies: List[float] = []
-        broken_at: Optional[float] = None
-        for time, dest, event in self.route_log:
-            if dest != destination:
-                continue
-            if event in ("broken", "expired"):
-                if broken_at is None:
-                    broken_at = time
-            elif event in ("restored", "installed") and broken_at is not None:
-                latencies.append(time - broken_at)
-                broken_at = None
-        return latencies
-
     def summary(self) -> dict:
         """Flat headline statistics (reports and tests)."""
         return {

@@ -1,18 +1,22 @@
-"""Static routing and packet forwarding.
+"""The routing table and packet forwarding.
 
 The paper's testbed forces its 2-hop, 3-hop and star topologies with static
 routes (Section 5) because every node is within radio range of every other
-node.  The :class:`RoutingTable` is therefore a plain destination → next-hop
-map and the :class:`ForwardingEngine` is the per-node network layer that
-glues the MAC to the transport protocols: it delivers local traffic up,
-forwards transit traffic to the next hop and hands broadcast (flooding)
-traffic to the registered handler.
+node.  Every node forwards through one :class:`RoutingTable` of
+:class:`RouteEntry` records: static routes are metric-1 entries, and the
+DSDV and AODV control planes of the mobile scenarios
+(:mod:`repro.net.dynamic_routing`, :mod:`repro.net.on_demand`) install and
+withdraw sequence-numbered entries in the same table.  The
+:class:`ForwardingEngine` is the per-node network layer that glues the MAC
+to the transport protocols: it delivers local traffic up, forwards transit
+traffic to the next hop and hands broadcast (flooding) traffic to the
+registered handler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import RoutingError
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
@@ -41,54 +45,89 @@ ForwardObserver = Callable[[Packet, IpAddress], None]
 BROADCAST_IP = IpAddress("255.255.255.255")
 
 
-@dataclass(frozen=True)
-class StaticRoute:
-    """One entry of a static routing table."""
+#: Metric denoting "unreachable" (hop counts are far below this in practice).
+INFINITE_METRIC = 16
 
-    destination: IpAddress
-    next_hop: IpAddress
+#: Sequence number of statically installed entries; any protocol update
+#: carries a non-negative sequence number and therefore supersedes it.
+STATIC_SEQUENCE = -1
+
+
+class RouteEntry:
+    """One routing-table entry.
+
+    Entries are never mutated: the control planes replace them.  A withdrawn
+    route keeps its entry (and the sequence number of the break) with an
+    infinite metric.
+    """
+
+    __slots__ = ("destination", "next_hop", "metric", "sequence")
+
+    def __init__(self, destination: IpAddress, next_hop: IpAddress,
+                 metric: int, sequence: int) -> None:
+        self.destination = destination
+        self.next_hop = next_hop
+        self.metric = metric
+        self.sequence = sequence
+
+    @property
+    def valid(self) -> bool:
+        """True while the route can actually forward packets."""
+        return self.metric < INFINITE_METRIC
 
     def __str__(self) -> str:
-        return f"{self.destination} via {self.next_hop}"
+        state = f"{self.metric} hops" if self.valid else "unreachable"
+        return (f"{self.destination} via {self.next_hop} ({state}, "
+                f"seq {self.sequence})")
 
 
 class RoutingTable:
-    """Destination → next-hop map with an optional default route."""
+    """Destination → :class:`RouteEntry` map shared by every routing mode.
+
+    :meth:`next_hop` (the forwarding plane's only call) and :meth:`has_route`
+    consider *valid* entries only, so a withdrawn route behaves exactly like
+    a route that was never installed.  Static routes enter through
+    :meth:`add_route`; the DSDV and AODV control planes install and withdraw
+    entries through :meth:`install`.
+    """
 
     def __init__(self) -> None:
-        self._routes: Dict[IpAddress, IpAddress] = {}
-        self._default: Optional[IpAddress] = None
+        self._entries: Dict[IpAddress, RouteEntry] = {}
 
     def add_route(self, destination: IpAddress, next_hop: IpAddress) -> None:
-        """Install (or replace) the route towards ``destination``."""
-        self._routes[IpAddress(destination)] = IpAddress(next_hop)
-
-    def set_default(self, next_hop: IpAddress) -> None:
-        """Install a default route."""
-        self._default = IpAddress(next_hop)
+        """Install a static route (superseded by any protocol update)."""
+        destination = IpAddress(destination)
+        self._entries[destination] = RouteEntry(destination, IpAddress(next_hop),
+                                                1, STATIC_SEQUENCE)
 
     def next_hop(self, destination: IpAddress) -> IpAddress:
         """Next hop towards ``destination`` (raises :class:`RoutingError` if none)."""
         if type(destination) is not IpAddress:
             destination = IpAddress(destination)
-        found = self._routes.get(destination)
-        if found is not None:
-            return found
-        if self._default is not None:
-            return self._default
+        entry = self._entries.get(destination)
+        if entry is not None and entry.metric < INFINITE_METRIC:
+            return entry.next_hop
         raise RoutingError(f"no route to {destination}")
 
     def has_route(self, destination: IpAddress) -> bool:
-        """True when a route (or default) exists for ``destination``."""
-        return IpAddress(destination) in self._routes or self._default is not None
+        """True when a valid route exists for ``destination``."""
+        entry = self._entries.get(IpAddress(destination))
+        return entry is not None and entry.valid
 
-    @property
-    def routes(self) -> Dict[IpAddress, IpAddress]:
-        """Copy of the explicit routes."""
-        return dict(self._routes)
+    def entry_for(self, destination: IpAddress) -> Optional[RouteEntry]:
+        """The stored entry (valid or withdrawn) for ``destination``."""
+        return self._entries.get(IpAddress(destination))
+
+    def install(self, entry: RouteEntry) -> None:
+        """Store ``entry`` unconditionally (the routers apply their own rules)."""
+        self._entries[entry.destination] = entry
+
+    def entries(self) -> List[RouteEntry]:
+        """All entries in sorted destination order (deterministic iteration)."""
+        return [self._entries[destination] for destination in sorted(self._entries)]
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return sum(1 for entry in self._entries.values() if entry.valid)
 
 
 class NeighborTable:

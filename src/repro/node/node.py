@@ -20,13 +20,16 @@ for the ablation, whether it uses RTS/CTS.
 Beyond the paper's stationary testbed, a node may carry a
 :mod:`repro.mobility` model (:meth:`Node.set_mobility`); ``position`` then
 tracks the model's scheduler-driven updates and :meth:`Node.position_at`
-answers exactly for any time.  With ``routing="dsdv"`` or ``routing="aodv"``
-the node additionally runs a dynamic control plane: its routing table is a
-:class:`~repro.net.dynamic_routing.DynamicRoutingTable` maintained either
-proactively by HELLO-based neighbor discovery plus DSDV advertisements
+answers exactly for any time.
+
+Every node forwards through one :class:`~repro.net.routing.RoutingTable`,
+and its routing is one value: ``routing=None`` (the default) keeps the
+paper's statically installed routes, while
+``routing=DsdvConfig(...)`` or ``routing=AodvConfig(...)`` additionally runs
+a dynamic control plane that maintains the same table, either proactively
+by HELLO-based neighbor discovery plus DSDV advertisements
 (:mod:`repro.net.dynamic_routing`) or reactively by AODV-style on-demand
-route discovery (:mod:`repro.net.on_demand`) instead of statically installed
-routes.
+route discovery (:mod:`repro.net.on_demand`).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.errors import ConfigurationError
 from repro.mac.addresses import MacAddress
 from repro.mac.dcf import AggregatingMac, MacConfig
 from repro.net.address import IpAddress
-from repro.net.dynamic_routing import DsdvConfig, DsdvRouter, DynamicRoutingTable
+from repro.net.dynamic_routing import DsdvConfig, DsdvRouter
 from repro.net.on_demand import AodvConfig, AodvRouter
 from repro.net.routing import ForwardingEngine, NeighborTable, RoutingTable
 from repro.phy.device import Phy
@@ -48,29 +51,9 @@ from repro.sim.simulator import Simulator
 from repro.transport.tcp.layer import TcpLayer
 from repro.transport.udp import UdpLayer
 
-#: The routing modes a node can be constructed with: statically installed
-#: routes (the paper's testbed), the proactive DSDV control plane, or the
-#: reactive AODV control plane.  :class:`~repro.topology.mobile.MobileScenario`
-#: validates against this same tuple, so the two never drift apart.
-VALID_ROUTING_MODES = ("static", "dsdv", "aodv")
-
-#: Configuration object accepted alongside the matching routing mode.
-RoutingConfig = Union[DsdvConfig, AodvConfig]
-
-
-def validate_routing_mode(routing: str) -> str:
-    """Fail fast (with a :class:`ValueError`) on an unknown routing mode.
-
-    :class:`~repro.errors.ConfigurationError` is also a :class:`ValueError`,
-    so an invalid ``routing=`` string surfaces at construction time with the
-    valid modes spelled out — never later as an ``AttributeError`` on a
-    router that was silently not built.
-    """
-    if routing not in VALID_ROUTING_MODES:
-        valid = ", ".join(repr(mode) for mode in VALID_ROUTING_MODES)
-        raise ConfigurationError(
-            f"unknown routing mode {routing!r}; valid modes: {valid}")
-    return routing
+#: A node's routing value: ``None`` for static routes, or the config of the
+#: dynamic control plane to run.
+RoutingConfig = Optional[Union[DsdvConfig, AodvConfig]]
 
 
 class Node:
@@ -93,10 +76,12 @@ class Node:
         neighbors: Optional[NeighborTable] = None,
         use_rts_cts: bool = True,
         use_block_ack: bool = False,
-        routing: str = "static",
-        routing_config: Optional[RoutingConfig] = None,
+        routing: RoutingConfig = None,
     ) -> None:
-        validate_routing_mode(routing)
+        if routing is not None and not isinstance(routing, (DsdvConfig, AodvConfig)):
+            raise ConfigurationError(
+                f"routing must be None (static routes), a DsdvConfig or an "
+                f"AodvConfig; got {routing!r}")
         self.sim = sim
         self.channel = channel
         self.index = index
@@ -123,9 +108,7 @@ class Node:
                                   name=f"{self.name}.mac")
 
         # --- network layer ---------------------------------------------------
-        self.routing_mode = routing
-        self.routing_table = (RoutingTable() if routing == "static"
-                              else DynamicRoutingTable())
+        self.routing_table = RoutingTable()
         self.neighbors = neighbors if neighbors is not None else NeighborTable()
         self.network = ForwardingEngine(sim, self.mac, self.ip,
                                         routing_table=self.routing_table,
@@ -135,26 +118,12 @@ class Node:
         # wires packet handlers only; call :meth:`start_routing` (or let the
         # scenario builder do it) to begin HELLOs and route maintenance.
         self.router: Optional[Union[DsdvRouter, AodvRouter]] = None
-        if routing == "static" and routing_config is not None:
-            raise ConfigurationError(
-                "routing_config was given but routing='static' ignores it; "
-                "did you mean routing='dsdv' or routing='aodv'?")
-        if routing == "dsdv":
-            if routing_config is not None and not isinstance(routing_config, DsdvConfig):
-                raise ConfigurationError(
-                    f"routing='dsdv' takes a DsdvConfig, got "
-                    f"{type(routing_config).__name__}")
+        if isinstance(routing, DsdvConfig):
             self.router = DsdvRouter(sim, self.network, self.routing_table,
-                                     config=routing_config,
-                                     name=f"{self.name}.dsdv")
-        elif routing == "aodv":
-            if routing_config is not None and not isinstance(routing_config, AodvConfig):
-                raise ConfigurationError(
-                    f"routing='aodv' takes an AodvConfig, got "
-                    f"{type(routing_config).__name__}")
+                                     config=routing, name=f"{self.name}.dsdv")
+        elif isinstance(routing, AodvConfig):
             self.router = AodvRouter(sim, self.network, self.routing_table,
-                                     config=routing_config,
-                                     name=f"{self.name}.aodv")
+                                     config=routing, name=f"{self.name}.aodv")
 
         # --- transport layers ------------------------------------------------
         self.udp = UdpLayer(sim, self.network, self.ip)

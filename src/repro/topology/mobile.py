@@ -25,11 +25,12 @@ Nodes added without a model stay stationary at zero overhead (no update
 events, identical link-budget floats), which is what lets mobile scenarios
 coexist with bit-for-bit reproduction of the paper's stationary experiments.
 
-``routing="dsdv"`` swaps the statically installed routes for the proactive
-control plane of :mod:`repro.net.dynamic_routing`: every node runs HELLO
-neighbor discovery plus DSDV advertisements (started automatically, bounded
-by ``stop_time``), and multi-hop paths repair themselves as nodes move.
-``routing="aodv"`` runs the reactive counterpart
+``routing`` is every node's routing value.  ``None`` (the default) keeps
+statically installed routes.  ``routing=DsdvConfig(...)`` swaps them for the
+proactive control plane of :mod:`repro.net.dynamic_routing`: every node runs
+HELLO neighbor discovery plus DSDV advertisements (started automatically,
+bounded by ``stop_time``), and multi-hop paths repair themselves as nodes
+move.  ``routing=AodvConfig(...)`` runs the reactive counterpart
 (:mod:`repro.net.on_demand`): no proactive advertisements — routes are
 discovered by RREQ flooding the first time traffic asks for them and kept
 alive only while data flows.
@@ -37,14 +38,14 @@ alive only while data flows.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.channel.medium import WirelessChannel
 from repro.channel.propagation import PropagationModel
 from repro.core.policies import AggregationPolicy
 from repro.errors import ConfigurationError
 from repro.mobility.models import MobilityModel
-from repro.node.node import Node, RoutingConfig, validate_routing_mode
+from repro.node.node import Node, RoutingConfig
 from repro.sim.simulator import Simulator
 from repro.topology.builders import _install_chain_routes
 from repro.topology.network import Network
@@ -65,9 +66,7 @@ class MobileScenario:
                  use_block_ack: bool = False,
                  channel: Optional[WirelessChannel] = None,
                  stop_time: Optional[float] = None,
-                 routing: str = "static",
-                 routing_config: Optional[RoutingConfig] = None) -> None:
-        validate_routing_mode(routing)
+                 routing: RoutingConfig = None) -> None:
         self.sim = sim
         self.policy = policy
         self.unicast_rate_mbps = unicast_rate_mbps
@@ -75,7 +74,6 @@ class MobileScenario:
         self.use_block_ack = use_block_ack
         self.stop_time = stop_time
         self.routing = routing
-        self.routing_config = routing_config
         if channel is not None and propagation is not None:
             raise ConfigurationError(
                 "pass either an existing channel or a propagation model, not "
@@ -100,7 +98,7 @@ class MobileScenario:
                     broadcast_rate_mbps=self.broadcast_rate_mbps,
                     neighbors=self.network.neighbors,
                     use_block_ack=self.use_block_ack,
-                    routing=self.routing, routing_config=self.routing_config)
+                    routing=self.routing)
         self.network.add_node(node)
         self._next_index = max(self._next_index, index) + 1
         if model is not None:
@@ -114,11 +112,11 @@ class MobileScenario:
     def connect_chain(self, *indices: int) -> None:
         """Install static chain routes along ``indices`` (in path order).
 
-        Under ``routing="static"`` this keeps the paper's assumption: routes
-        name the intended forwarding path, and mobility determines whether
-        each hop is currently usable.  Under ``routing="dsdv"`` or
-        ``routing="aodv"`` routes are discovered, so installing static ones
-        is a configuration error.
+        Under static routing (``routing=None``) this keeps the paper's
+        assumption: routes name the intended forwarding path, and mobility
+        determines whether each hop is currently usable.  Under DSDV or AODV
+        routes are discovered, so installing static ones is a configuration
+        error.
         """
         self._require_static("connect_chain")
         _install_chain_routes(self.network, list(indices))
@@ -131,32 +129,18 @@ class MobileScenario:
         node_b.add_route(node_a.ip, node_a.ip)
 
     def _require_static(self, operation: str) -> None:
-        if self.routing != "static":
+        if self.routing is not None:
             raise ConfigurationError(
                 f"{operation}() installs static routes, but this scenario uses "
                 f"routing={self.routing!r}, which discovers routes by itself")
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def mobile_nodes(self) -> Sequence[Node]:
-        """Nodes that carry a mobility model."""
-        return [node for node in self.network.nodes if node.mobility is not None]
-
-    @property
-    def routers(self) -> Sequence["object"]:
-        """The DSDV/AODV routers of all nodes (empty under static routing)."""
-        return [node.router for node in self.network.nodes
-                if node.router is not None]
 
     def run(self, until: Optional[float] = None) -> float:
         """Run the underlying simulator."""
         return self.network.run(until=until)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<MobileScenario nodes={len(self.network)} "
-                f"mobile={len(self.mobile_nodes)}>")
+        mobile = sum(1 for node in self.network.nodes if node.mobility is not None)
+        return f"<MobileScenario nodes={len(self.network)} mobile={mobile}>"
 
 
 #: Factory deciding each grid slot's mobility:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import json
+import os
 
 import pytest
 
+import repro
 import repro.campaign.cli as cli
 import repro.campaign.runner as runner_module
 from repro.campaign.cache import ResultCache, job_key
@@ -17,7 +18,7 @@ from repro.campaign.registry import (
     ExperimentSpec,
     ParameterSpec,
     get_registry,
-    module_source_digest,
+    package_source_digest,
 )
 from repro.campaign.runner import CampaignJob, CampaignRunner
 from repro.stats.results import ExperimentResult, Series
@@ -47,10 +48,12 @@ def test_cache_respects_the_code_version(tmp_path):
 
 
 def test_every_registered_spec_carries_a_source_digest():
+    # One digest of the whole package, stamped on every spec.
     registry = get_registry()
+    package_digest = package_source_digest(os.path.dirname(repro.__file__))
+    assert len(package_digest) == 16
     for experiment_id in registry.experiment_ids():
-        digest = registry.get(experiment_id).source_digest
-        assert digest and len(digest) == 16, experiment_id
+        assert registry.get(experiment_id).source_digest == package_digest, experiment_id
 
 
 def test_run_campaign_stamps_jobs_with_the_specs_digest(tmp_path):
@@ -62,8 +65,10 @@ def test_run_campaign_stamps_jobs_with_the_specs_digest(tmp_path):
 
 
 def test_editing_a_runner_module_busts_its_cache_entries(tmp_path):
-    """The end-to-end invalidation story on a real module file."""
-    module_path = tmp_path / "exp_demo.py"
+    """The end-to-end invalidation story on a real runner module file."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    module_path = package / "exp_demo.py"
     module_path.write_text(
         '"""Demo experiment."""\n'
         "EXPERIMENT_ID = 'demo'\n"
@@ -71,24 +76,58 @@ def test_editing_a_runner_module_busts_its_cache_entries(tmp_path):
         "def run(value=1.0, seed=1):\n"
         "    return value * seed\n")
 
-    def load():
-        spec = importlib.util.spec_from_file_location("exp_demo", module_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
     cache = ResultCache(str(tmp_path / "cache"))
     result = ExperimentResult(experiment_id="demo", description="demo")
-    digest_before = module_source_digest(load())
+    digest_before = package_source_digest(str(package))
     cache.put("demo", {"value": 1.0}, 1, result.to_dict(), code_version=digest_before)
     assert cache.get("demo", {"value": 1.0}, 1, code_version=digest_before) is not None
 
     # Edit the runner: the digest changes, so the entry is a miss now.
     module_path.write_text(module_path.read_text().replace(
         "value * seed", "value * seed + 1.0"))
-    digest_after = module_source_digest(load())
+    digest_after = package_source_digest(str(package))
     assert digest_after != digest_before
     assert cache.get("demo", {"value": 1.0}, 1, code_version=digest_after) is None
+
+
+def test_a_library_edit_busts_every_cache_entry(tmp_path):
+    """The end-to-end invalidation story on a real package tree.
+
+    The edited file is not the runner: a result depends on every module the
+    runner reaches, so a library edit must miss too.
+    """
+    package = tmp_path / "pkg"
+    (package / "experiments").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "experiments" / "exp_demo.py").write_text(
+        "from pkg.policies import SIZE\n"
+        "def run(value=1.0, seed=1):\n"
+        "    return value * seed * SIZE\n")
+    library = package / "policies.py"
+    library.write_text("SIZE = 5120\n")
+    (package / "notes.txt").write_text("not source")
+
+    cache = ResultCache(str(tmp_path / "cache"))
+    result = ExperimentResult(experiment_id="demo", description="demo")
+    digest_before = package_source_digest(str(package))
+    cache.put("demo", {"value": 1.0}, 1, result.to_dict(), code_version=digest_before)
+
+    # An unchanged tree (and a non-source file) keeps the key: a hit.
+    (package / "notes.txt").write_text("edited, but still not source")
+    assert package_source_digest(str(package)) == digest_before
+    assert cache.get("demo", {"value": 1.0}, 1, code_version=digest_before) is not None
+
+    # Edit the library module: the digest changes, so the entry is a miss.
+    library.write_text("SIZE = 2048\n")
+    digest_after = package_source_digest(str(package))
+    assert digest_after != digest_before
+    assert cache.get("demo", {"value": 1.0}, 1, code_version=digest_after) is None
+
+    # Moving a file changes the digest even when no byte changes.
+    library.write_text("SIZE = 5120\n")
+    assert package_source_digest(str(package)) == digest_before
+    library.rename(package / "experiments" / "policies.py")
+    assert package_source_digest(str(package)) != digest_before
 
 
 def test_campaign_reruns_when_the_digest_changes(tmp_path, monkeypatch):

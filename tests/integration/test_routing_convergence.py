@@ -37,20 +37,16 @@ from helpers.routing import (
 )
 from repro.core.policies import broadcast_aggregation
 from repro.mobility.models import RandomWaypoint
-from repro.net.discovery import HelloConfig
 from repro.net.dynamic_routing import DsdvConfig
 from repro.net.on_demand import AodvConfig
 from repro.sim.simulator import Simulator
 from repro.topology.mobile import MobileScenario
 
-FAST_DSDV = DsdvConfig(hello=HelloConfig(hello_interval=0.4),
-                       advertise_interval=1.2)
+FAST_DSDV = DsdvConfig(hello_interval=0.4, advertise_interval=1.2)
 
 #: Long active-route lifetime: the reactive property is about discovery
 #: correctness, so warmed-up routes must not expire before the assertions.
-FAST_AODV = AodvConfig(hello=HelloConfig(hello_interval=0.4),
-                       active_route_lifetime=120.0,
-                       ring_start_ttl=1, ring_ttl_increment=2)
+FAST_AODV = AodvConfig(hello_interval=0.4, active_route_lifetime=120.0)
 
 #: Advertisement periods within which DSDV convergence must complete: enough
 #: for initial HELLO discovery plus metric-by-metric propagation across the
@@ -71,8 +67,7 @@ def _random_scenario(protocol: str, seed: int):
     horizon = CONVERGENCE_PERIODS * FAST_DSDV.advertise_interval
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=horizon, routing=protocol,
-                              routing_config=config)
+                              stop_time=horizon, routing=config)
     for position in positions:
         scenario.add_node(position)
     return sim, scenario, positions, horizon
@@ -125,8 +120,7 @@ def test_convergence_after_motion_stops():
     chain_slots = ((6.5, 0.0), (13.0, 0.0), (19.5, 0.0))
     sim = Simulator(seed=7)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=roam_time, routing="dsdv",
-                              routing_config=FAST_DSDV)
+                              stop_time=roam_time, routing=FAST_DSDV)
     scenario.add_node((0.0, 0.0))
     scenario.add_node((26.0, 0.0))
     area = (0.0, -8.0, 26.0, 8.0)

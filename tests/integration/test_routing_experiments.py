@@ -4,8 +4,8 @@ The headline acceptance criterion lives here: ``mob04`` must demonstrate
 *measured route reconvergence* — delivery resumes via the backup path after
 the orbiting relay leaves — where the static-routing baseline shows a
 ``mob02``-style outage lasting until the orbit returns.  Static-routing
-construction itself is guarded bit-for-bit: a node built with the default
-``routing="static"`` is indistinguishable from a pre-PR node.
+construction itself is guarded: a node built with the default
+``routing=None`` carries no control plane and schedules nothing.
 """
 
 from __future__ import annotations

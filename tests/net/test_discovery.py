@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.policies import broadcast_aggregation
 from repro.errors import ConfigurationError
-from repro.net.discovery import HelloConfig, NeighborDiscovery
+from repro.net.discovery import NeighborDiscovery
 from repro.sim.simulator import Simulator
 from repro.topology.mobile import MobileScenario
 
@@ -18,27 +18,30 @@ def _two_node_scenario(seed: int = 1, spacing: float = 5.0, stop_time: float = 3
                               stop_time=stop_time)
     a = scenario.add_node((0.0, 0.0))
     b = scenario.add_node((spacing, 0.0))
-    config = HelloConfig(hello_interval=hello_interval)
-    da = NeighborDiscovery(sim, a.network, config=config, name="a")
-    db = NeighborDiscovery(sim, b.network, config=config, name="b")
+    da = NeighborDiscovery(sim, a.network, hello_interval, name="a")
+    db = NeighborDiscovery(sim, b.network, hello_interval, name="b")
     return sim, scenario, da, db
 
 
 class TestHelloConfig:
+    """HELLO's one setting, ``hello_interval``, and the hold time it implies."""
+
     def test_hold_time_is_intervals_times_interval(self):
-        config = HelloConfig(hello_interval=0.4, hold_intervals=3.5)
-        assert config.hold_time == pytest.approx(1.4)
+        _, _, da, _ = _two_node_scenario(hello_interval=0.4)
+        assert da.hold_time == pytest.approx(1.4)
 
     @pytest.mark.parametrize("kwargs", [
         {"hello_interval": 0.0},
-        {"jitter_fraction": 1.0},
-        {"jitter_fraction": -0.1},
-        {"hold_intervals": 1.0},
-        {"payload_bytes": -1},
+        {"hello_interval": -0.5},
+        {"hello_interval": float("inf")},
+        {"hello_interval": float("nan")},
+        {"hello_interval": "0.5"},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            HelloConfig(**kwargs)
+        sim = Simulator(seed=1)
+        node = MobileScenario(sim, policy=broadcast_aggregation()).add_node((0.0, 0.0))
+        with pytest.raises(ConfigurationError, match="hello_interval"):
+            NeighborDiscovery(sim, node.network, **kwargs)
 
 
 class TestNeighborLiveness:
@@ -71,9 +74,25 @@ class TestNeighborLiveness:
         down_events = []
         da.on_neighbor_down(down_events.append)
         db.stop()  # b falls silent
-        sim.run(until=2.0 + 3 * da.config.hold_time)
+        sim.run(until=2.0 + 3 * da.hold_time)
         assert not da.is_neighbor(db.address)
         assert down_events == [db.address]
+        assert da.neighbor_down_events == 1
+
+    def test_silent_neighbor_expires_after_a_restart(self):
+        # Regression: stop() cancels the expiry timer; start() must re-arm
+        # it, or a neighbor heard before the stop that never speaks again
+        # stays listed forever (and routes through it are never withdrawn).
+        sim, _, da, db = _two_node_scenario(hello_interval=0.5)
+        da.start()
+        db.start()
+        sim.run(until=3.0)
+        assert da.is_neighbor(db.address)
+        da.stop()
+        db.stop()
+        da.start()  # only a comes back; b stays silent
+        sim.run(until=30.0)
+        assert not da.is_neighbor(db.address)
         assert da.neighbor_down_events == 1
 
     def test_heard_refreshes_liveness_without_a_beacon(self):
@@ -85,7 +104,7 @@ class TestNeighborLiveness:
         # Keep refreshing a's record of b by hand (as the DSDV router does
         # when updates arrive): b must never expire.
         for _ in range(10):
-            sim.run(until=sim.now + da.config.hold_time / 2.0)
+            sim.run(until=sim.now + da.hold_time / 2.0)
             da.heard(db.address)
         assert da.is_neighbor(db.address)
 
@@ -108,7 +127,7 @@ class TestNeighborLiveness:
         assert not da._expiry.running
         down_events = []
         da.on_neighbor_down(down_events.append)
-        sim.run(until=2.0 + 5 * da.config.hold_time)
+        sim.run(until=2.0 + 5 * da.hold_time)
         assert down_events == []
         assert da.neighbor_down_events == 0
 

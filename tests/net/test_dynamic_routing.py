@@ -7,12 +7,13 @@ import pytest
 from repro.core.policies import broadcast_aggregation
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.address import IpAddress
-from repro.net.discovery import HelloConfig
-from repro.net.dynamic_routing import (
+from repro.net.discovery import HOLD_INTERVALS
+from repro.net.dynamic_routing import DsdvConfig
+from repro.net.routing import (
     INFINITE_METRIC,
-    DsdvConfig,
-    DynamicRoutingTable,
+    STATIC_SEQUENCE,
     RouteEntry,
+    RoutingTable,
 )
 from repro.sim.simulator import Simulator
 from repro.topology.mobile import MobileScenario
@@ -21,37 +22,34 @@ A = IpAddress("10.0.0.1")
 B = IpAddress("10.0.0.2")
 C = IpAddress("10.0.0.3")
 
-FAST_DSDV = DsdvConfig(hello=HelloConfig(hello_interval=0.4),
-                       advertise_interval=1.2)
+FAST_DSDV = DsdvConfig(hello_interval=0.4, advertise_interval=1.2)
+
+#: Silence after which FAST_DSDV's neighbor discovery declares a link down.
+FAST_HOLD_TIME = HOLD_INTERVALS * FAST_DSDV.hello_interval
 
 
 def _entry(dest, via, metric=1, seq=0):
-    return RouteEntry(destination=IpAddress(dest), next_hop=IpAddress(via),
-                      metric=metric, sequence=seq)
+    return RouteEntry(IpAddress(dest), IpAddress(via), metric, seq)
 
 
 class TestDynamicRoutingTable:
+    """The one :class:`RoutingTable` as the control planes drive it."""
+
     def test_implements_the_static_interface(self):
-        table = DynamicRoutingTable()
+        table = RoutingTable()
         table.add_route(B, C)
         assert table.next_hop(B) == C
         assert table.has_route(B)
         assert not table.has_route(A)
         assert len(table) == 1
-        assert table.routes == {B: C}
+        assert [(e.destination, e.next_hop) for e in table.entries()] == [(B, C)]
 
     def test_missing_route_raises_routing_error(self):
         with pytest.raises(RoutingError):
-            DynamicRoutingTable().next_hop(B)
-
-    def test_default_route_backstops_misses(self):
-        table = DynamicRoutingTable()
-        table.set_default(C)
-        assert table.next_hop(B) == C
-        assert table.has_route(B)
+            RoutingTable().next_hop(B)
 
     def test_withdrawn_route_behaves_like_no_route(self):
-        table = DynamicRoutingTable()
+        table = RoutingTable()
         table.install(_entry(B, C, metric=INFINITE_METRIC, seq=3))
         assert not table.has_route(B)
         assert len(table) == 0
@@ -61,32 +59,24 @@ class TestDynamicRoutingTable:
         assert table.entry_for(B).sequence == 3
 
     def test_protocol_entries_supersede_static_injections(self):
-        table = DynamicRoutingTable()
+        table = RoutingTable()
         table.add_route(B, C)
-        assert table.entry_for(B).sequence < 0
+        assert table.entry_for(B).sequence == STATIC_SEQUENCE < 0
         table.install(_entry(B, A, metric=2, seq=0))
         assert table.next_hop(B) == A
 
     def test_entries_iterate_in_sorted_destination_order(self):
-        table = DynamicRoutingTable()
+        table = RoutingTable()
         table.install(_entry(C, A))
         table.install(_entry(B, A))
         assert [e.destination for e in table.entries()] == [B, C]
-
-    def test_revision_counts_installs(self):
-        table = DynamicRoutingTable()
-        assert table.revision == 0
-        table.install(_entry(B, C))
-        table.install(_entry(C, B))
-        assert table.revision == 2
 
 
 def _chain_scenario(node_count=3, spacing=8.0, seed=1, duration=30.0,
                     config=FAST_DSDV):
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=duration, routing="dsdv",
-                              routing_config=config)
+                              stop_time=duration, routing=config)
     for i in range(node_count):
         scenario.add_node((i * spacing, 0.0))
     return sim, scenario
@@ -102,8 +92,9 @@ class TestDsdvProtocol:
 
     def test_unknown_routing_mode_rejected(self):
         sim = Simulator(seed=1)
-        with pytest.raises(ConfigurationError, match="'static', 'dsdv', 'aodv'"):
-            MobileScenario(sim, policy=broadcast_aggregation(), routing="olsr")
+        scenario = MobileScenario(sim, policy=broadcast_aggregation(), routing="olsr")
+        with pytest.raises(ConfigurationError, match="DsdvConfig or an AodvConfig"):
+            scenario.add_node((0.0, 0.0))
 
     def test_chain_converges_to_shortest_hop_count_routes(self):
         sim, scenario = _chain_scenario(node_count=4, duration=12.0)
@@ -152,7 +143,8 @@ class TestDsdvProtocol:
         # Every adopted route's sequence number originated at the destination
         # as an even number; no link ever broke in this static chain.
         for node in scenario.network.nodes:
-            for entry in node.router.table.valid_entries():
+            for entry in node.router.table.entries():
+                assert entry.valid
                 assert entry.sequence % 2 == 0
                 assert entry.sequence >= 0
 
@@ -164,11 +156,26 @@ class TestDsdvProtocol:
         assert first.routing_table.has_route(last.ip)
         # Carry the middle relay out of range; nothing else connects 1 and 3.
         scenario.network.node(2).position = (100.0, 100.0)
-        sim.run(until=6.0 + 4 * FAST_DSDV.hello.hold_time)
+        sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
         entry = first.router.table.entry_for(scenario.network.node(2).ip)
         assert entry is not None and not entry.valid
         assert entry.metric == INFINITE_METRIC
         assert entry.sequence % 2 == 1
+        assert not first.routing_table.has_route(last.ip)
+        assert first.router.route_breaks > 0
+
+    def test_restarted_router_withdraws_routes_through_a_silent_neighbor(self):
+        # Regression: a restart must re-arm neighbor expiry, or a neighbor
+        # heard before the stop that never speaks again keeps its routes.
+        sim, scenario = _chain_scenario(node_count=3, duration=40.0)
+        sim.run(until=6.0)
+        first, relay, last = scenario.network.nodes
+        assert first.routing_table.has_route(last.ip)
+        for node in scenario.network.nodes:
+            node.router.stop()
+        first.router.start(stop_time=40.0)  # only node 1 comes back
+        sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
+        assert not first.routing_table.has_route(relay.ip)
         assert not first.routing_table.has_route(last.ip)
         assert first.router.route_breaks > 0
 
@@ -178,7 +185,7 @@ class TestDsdvProtocol:
         origin = relay.position
         sim.run(until=6.0)
         relay.position = (100.0, 100.0)
-        sim.run(until=6.0 + 4 * FAST_DSDV.hello.hold_time)
+        sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
         first = scenario.network.node(1)
         last = scenario.network.node(3)
         assert not first.routing_table.has_route(last.ip)
@@ -186,6 +193,21 @@ class TestDsdvProtocol:
         sim.run(until=sim.now + 6 * FAST_DSDV.advertise_interval)
         assert first.routing_table.has_route(last.ip)
         assert first.router.repair_latencies(last.ip)
+
+    def test_static_routes_on_a_dsdv_node_are_never_advertised(self):
+        # A hand-installed route shares the table with DSDV's routes: it
+        # forwards on its own node, but carries STATIC_SEQUENCE and so never
+        # enters an advertisement.
+        sim, scenario = _chain_scenario(node_count=3, duration=10.0)
+        nodes = scenario.network.nodes
+        elsewhere = IpAddress("10.0.0.99")
+        nodes[0].add_route(elsewhere, nodes[1].ip)
+        sim.run(until=10.0)
+        assert [node.routing_table.has_route(elsewhere) for node in nodes] == [
+            True, False, False]
+        assert nodes[0].routing_table.entry_for(elsewhere).sequence == STATIC_SEQUENCE
+        # DSDV itself converged around the static entry.
+        assert nodes[0].routing_table.next_hop(nodes[2].ip) == nodes[1].ip
 
     def test_summary_is_flat(self):
         sim, scenario = _chain_scenario(duration=6.0)
@@ -210,12 +232,24 @@ class TestDsdvProtocol:
 
 
 class TestDsdvConfig:
+    """Both settings can arrive from a campaign ``--set`` override as any
+    Python literal; each must be a positive, finite number of seconds."""
+
     @pytest.mark.parametrize("kwargs", [
         {"advertise_interval": 0.0},
-        {"jitter_fraction": 1.0},
-        {"triggered_delay": -0.1},
-        {"entry_bytes": 0},
+        {"hello_interval": 0.0},
+        {"advertise_interval": -3.0},
+        {"hello_interval": -1.0},
+        {"advertise_interval": float("inf")},
+        {"hello_interval": float("nan")},
+        {"advertise_interval": "3.0"},
+        {"hello_interval": True},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
             DsdvConfig(**kwargs)
+
+    def test_whole_second_intervals_accepted(self):
+        # ``--set advertise_interval=3`` arrives as an int.
+        config = DsdvConfig(hello_interval=1, advertise_interval=3)
+        assert (config.hello_interval, config.advertise_interval) == (1, 3)

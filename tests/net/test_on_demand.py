@@ -9,28 +9,29 @@ from repro.channel.medium import WirelessChannel
 from repro.core.policies import broadcast_aggregation
 from repro.errors import ConfigurationError, RoutingError
 from repro.mac.stats import ROUTING_CONTROL_PROTOCOLS
-from repro.net.discovery import HelloConfig
-from repro.net.dynamic_routing import DynamicRoutingTable, INFINITE_METRIC
+from repro.net import on_demand
+from repro.net.discovery import HOLD_INTERVALS
+from repro.net.dynamic_routing import DsdvConfig
 from repro.net.on_demand import AodvConfig, AodvRouter
-from repro.net.routing import RoutingTable
-from repro.node.node import Node, VALID_ROUTING_MODES
+from repro.net.routing import INFINITE_METRIC, RoutingTable
+from repro.node.node import Node
 from repro.obs.session import observe
 from repro.sim.simulator import Simulator
 from repro.topology.mobile import MobileScenario
 
 from helpers.obs import audit_balanced, journey_events, trace_records
 
-FAST_AODV = AodvConfig(hello=HelloConfig(hello_interval=0.4),
-                       active_route_lifetime=30.0,
-                       ring_start_ttl=2, ring_ttl_increment=2)
+FAST_AODV = AodvConfig(hello_interval=0.4, active_route_lifetime=30.0)
+
+#: Silence after which FAST_AODV's neighbor discovery declares a link down.
+FAST_HOLD_TIME = HOLD_INTERVALS * FAST_AODV.hello_interval
 
 
 def _chain_scenario(node_count=3, spacing=8.0, seed=1, duration=20.0,
                     config=FAST_AODV):
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=duration, routing="aodv",
-                              routing_config=config)
+                              stop_time=duration, routing=config)
     for i in range(node_count):
         scenario.add_node((i * spacing, 0.0))
     return sim, scenario
@@ -46,25 +47,29 @@ def _send_probe(scenario, source_index, dest_index, at, port=9100):
 
 
 class TestAodvConfig:
+    """Both settings can arrive from a campaign ``--set`` override as any
+    Python literal; each must be a positive, finite number of seconds."""
+
     @pytest.mark.parametrize("kwargs", [
         {"active_route_lifetime": 0.0},
-        {"ring_start_ttl": 0},
-        {"ring_ttl_increment": 0},
-        {"ring_max_ttl": 1, "ring_start_ttl": 2},
-        {"rreq_retries": -1},
-        {"ring_timeout_per_ttl": 0.0},
-        {"rebroadcast_jitter": -0.01},
-        {"buffer_packets": 0},
-        {"rerr_entry_bytes": 0},
+        {"hello_interval": 0.0},
+        {"active_route_lifetime": -6.0},
+        {"hello_interval": -1.0},
+        {"active_route_lifetime": float("inf")},
+        {"hello_interval": float("inf")},
+        {"active_route_lifetime": float("nan")},
+        {"active_route_lifetime": "6.0"},
+        {"hello_interval": None},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
             AodvConfig(**kwargs)
 
 
 class TestRoutingModeValidation:
-    """Regression: an unknown ``routing=`` string fails fast at construction
-    with a ValueError naming the valid modes — never later as an attribute
+    """Regression: a ``routing=`` value that is neither ``None`` nor a
+    routing config (such as a mode string) fails fast when the node is built,
+    with a ValueError naming the valid values — never later as an attribute
     error on a router that was silently not built."""
 
     def _channel(self):
@@ -74,9 +79,9 @@ class TestRoutingModeValidation:
     def test_node_rejects_unknown_mode_with_value_error(self):
         sim, channel = self._channel()
         with pytest.raises(ValueError) as excinfo:
-            Node(sim, channel, index=1, routing="olsr")
-        for mode in VALID_ROUTING_MODES:
-            assert repr(mode) in str(excinfo.value)
+            Node(sim, channel, index=1, routing="dsdv")
+        for valid in ("None", "DsdvConfig", "AodvConfig"):
+            assert valid in str(excinfo.value)
 
     def test_node_rejection_is_also_a_configuration_error(self):
         sim, channel = self._channel()
@@ -85,34 +90,30 @@ class TestRoutingModeValidation:
 
     def test_scenario_rejects_unknown_mode_with_value_error(self):
         sim = Simulator(seed=1)
-        with pytest.raises(ValueError, match="'static', 'dsdv', 'aodv'"):
-            MobileScenario(sim, policy=broadcast_aggregation(), routing="Dsdv")
+        scenario = MobileScenario(sim, policy=broadcast_aggregation(), routing="aodv")
+        with pytest.raises(ValueError, match="DsdvConfig or an AodvConfig"):
+            scenario.add_node((0.0, 0.0))
 
     def test_mismatched_routing_config_rejected(self):
+        # The config class itself (a forgotten call) is not a config.
         sim, channel = self._channel()
         with pytest.raises(ConfigurationError, match="DsdvConfig"):
-            Node(sim, channel, index=1, routing="dsdv", routing_config=AodvConfig())
-
-    def test_static_mode_rejects_a_routing_config(self):
-        # A config with routing="static" means the caller almost certainly
-        # forgot to switch modes; dropping it silently would run the wrong
-        # control plane.
-        sim, channel = self._channel()
-        with pytest.raises(ConfigurationError, match="static"):
-            Node(sim, channel, index=1, routing="static",
-                 routing_config=AodvConfig())
+            Node(sim, channel, index=1, routing=DsdvConfig)
 
     def test_all_valid_modes_construct(self):
-        for mode in VALID_ROUTING_MODES:
+        for routing in (None, DsdvConfig(), AodvConfig()):
             sim = Simulator(seed=1)
-            node = Node(sim, WirelessChannel(sim), index=1, routing=mode)
-            assert node.routing_mode == mode
+            node = Node(sim, WirelessChannel(sim), index=1, routing=routing)
+            if routing is None:
+                assert node.router is None
+            else:  # the router of the kind the config selects, holding it
+                assert node.router.config is routing
 
     def test_aodv_node_wiring(self):
         sim, channel = self._channel()
-        node = Node(sim, channel, index=1, routing="aodv")
+        node = Node(sim, channel, index=1, routing=AodvConfig())
         assert isinstance(node.router, AodvRouter)
-        assert isinstance(node.routing_table, DynamicRoutingTable)
+        assert isinstance(node.routing_table, RoutingTable)
         assert node.router.table is node.routing_table
 
     def test_static_node_has_no_router_or_hooks(self):
@@ -155,10 +156,7 @@ class TestRouteDiscovery:
             assert entry is not None and entry.valid and entry.metric == 1
 
     def test_expanding_ring_escalates_ttl(self):
-        config = AodvConfig(hello=HelloConfig(hello_interval=0.4),
-                            active_route_lifetime=30.0,
-                            ring_start_ttl=1, ring_ttl_increment=2)
-        sim, scenario = _chain_scenario(node_count=4, config=config)
+        sim, scenario = _chain_scenario(node_count=4)
         _send_probe(scenario, 1, 4, at=1.0)
         sim.run(until=8.0)
         origin = scenario.network.node(1).router
@@ -174,8 +172,7 @@ class TestRouteDiscovery:
         # hears two copies but must reply only once.
         sim = Simulator(seed=3)
         scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                                  stop_time=10.0, routing="aodv",
-                                  routing_config=FAST_AODV)
+                                  stop_time=10.0, routing=FAST_AODV)
         scenario.add_node((0.0, 0.0))      # 1: origin
         scenario.add_node((6.0, 4.0))      # 2: relay up
         scenario.add_node((6.0, -4.0))     # 3: relay down
@@ -186,24 +183,6 @@ class TestRouteDiscovery:
         assert destination.rreps_sent == 1
         assert destination.duplicate_rreqs_ignored >= 1
         assert scenario.network.node(1).router.discoveries_completed == 1
-
-    def test_programmatic_discover_warms_up_without_traffic(self):
-        sim, scenario = _chain_scenario(node_count=3)
-        origin = scenario.network.node(1)
-        target = scenario.network.node(3)
-        sim.schedule_at(1.0, origin.router.discover, target.ip)
-        sim.run(until=5.0)
-        entry = origin.router.table.entry_for(target.ip)
-        assert entry is not None and entry.valid and entry.metric == 2
-        # The synthetic probe never enters the data plane: nothing reaches
-        # the destination's stack and nothing counts as a dropped packet.
-        assert target.network.stats.unhandled_protocol_drops == 0
-        assert target.network.stats.delivered_local == 0
-        assert origin.router.buffered_packets_dropped == 0
-        # Idempotent: discovering an already-routed destination is a no-op.
-        rreqs_before = origin.router.rreqs_sent
-        origin.router.discover(target.ip)
-        assert origin.router.rreqs_sent == rreqs_before
 
     def test_same_seed_runs_identical_different_seeds_diverge(self):
         def signature(seed):
@@ -224,36 +203,41 @@ class TestRouteDiscovery:
         assert signature(1) != signature(2)
 
 
-def _unreachable_pair(config, stop_time):
+def _unreachable_pair(stop_time):
     """Two AODV nodes far beyond decodability of each other."""
     sim = Simulator(seed=1)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=stop_time, routing="aodv",
-                              routing_config=config)
+                              stop_time=stop_time,
+                              routing=AodvConfig(hello_interval=0.4))
     scenario.add_node((0.0, 0.0))
     scenario.add_node((200.0, 0.0))
     return sim, scenario
 
 
-EXHAUSTING_AODV = AodvConfig(hello=HelloConfig(hello_interval=0.4),
-                             ring_start_ttl=1, ring_ttl_increment=2,
-                             ring_max_ttl=3, rreq_retries=1,
-                             ring_timeout_per_ttl=0.1)
+@pytest.fixture
+def exhausting_ring(monkeypatch):
+    """A short expanding ring: TTL 1, then 3, then one retry at TTL 3."""
+    monkeypatch.setattr(on_demand, "RING_MAX_TTL", 3)
+    monkeypatch.setattr(on_demand, "RREQ_RETRIES", 1)
+    monkeypatch.setattr(on_demand, "RING_TIMEOUT_PER_TTL", 0.1)
 
-#: Discovery that never gives up within the test horizon, with a 3-packet
-#: buffer, so a steady source overflows it.
-BUFFERING_AODV = AodvConfig(hello=HelloConfig(hello_interval=0.4),
-                            ring_start_ttl=1, ring_max_ttl=2,
-                            rreq_retries=20, ring_timeout_per_ttl=5.0,
-                            buffer_packets=3)
+
+@pytest.fixture
+def small_buffer(monkeypatch):
+    """Discovery that never gives up within the test horizon, with a
+    3-packet buffer, so a steady source overflows it."""
+    monkeypatch.setattr(on_demand, "RING_MAX_TTL", 2)
+    monkeypatch.setattr(on_demand, "RREQ_RETRIES", 20)
+    monkeypatch.setattr(on_demand, "RING_TIMEOUT_PER_TTL", 5.0)
+    monkeypatch.setattr(on_demand, "BUFFER_PACKETS", 3)
 
 
 class TestUnreachableDestination:
-    def test_exhausted_ring_search_raises_the_same_routing_error(self):
+    def test_exhausted_ring_search_raises_the_same_routing_error(self, exhausting_ring):
         # Two nodes far beyond decodability: the expanding-ring search must
         # exhaust and the destination must surface exactly like a missing
         # static route — a RoutingError from next_hop(), a drop from send().
-        sim, scenario = _unreachable_pair(EXHAUSTING_AODV, stop_time=8.0)
+        sim, scenario = _unreachable_pair(stop_time=8.0)
         _send_probe(scenario, 1, 2, at=1.0)
         sim.run(until=8.0)
         origin = scenario.network.node(1)
@@ -262,7 +246,7 @@ class TestUnreachableDestination:
         assert router.discoveries_failed == 1
         assert router.discoveries_completed == 0
         assert router.buffered_packets_dropped == 1
-        # ring 1, 3, then rreq_retries=1 extra attempts at the max TTL.
+        # ring 1, 3, then RREQ_RETRIES=1 extra attempts at the max TTL.
         assert router.rreqs_sent >= 3
         unreachable = scenario.network.node(2).ip
         with pytest.raises(RoutingError) as aodv_error:
@@ -271,8 +255,8 @@ class TestUnreachableDestination:
             RoutingTable().next_hop(unreachable)
         assert type(aodv_error.value) is type(static_error.value)
 
-    def test_buffer_bound_drops_oldest(self):
-        sim, scenario = _unreachable_pair(BUFFERING_AODV, stop_time=6.0)
+    def test_buffer_bound_drops_oldest(self, small_buffer):
+        sim, scenario = _unreachable_pair(stop_time=6.0)
         source = CbrSource(scenario.network.node(1), scenario.network.node(2).ip,
                            interval=0.2, payload_bytes=64)
         source.start(1.0)
@@ -281,9 +265,9 @@ class TestUnreachableDestination:
         assert router.buffered_packets_dropped > 0
         assert len(router._pending[scenario.network.node(2).ip].buffered) == 3
 
-    def test_exhausted_discovery_is_traced_and_drops_on_the_journey(self):
+    def test_exhausted_discovery_is_traced_and_drops_on_the_journey(self, exhausting_ring):
         with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _unreachable_pair(EXHAUSTING_AODV, stop_time=8.0)
+            sim, scenario = _unreachable_pair(stop_time=8.0)
             _send_probe(scenario, 1, 2, at=1.0)
             sim.run(until=8.0)
         assert trace_records(session, "aodv", "discovery_failed") == [
@@ -292,9 +276,9 @@ class TestUnreachableDestination:
         assert drops == [("net", "drop", "rreq_exhausted", "node1")]
         assert audit_balanced(session)
 
-    def test_buffer_overflow_drops_on_the_journey(self):
+    def test_buffer_overflow_drops_on_the_journey(self, small_buffer):
         with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _unreachable_pair(BUFFERING_AODV, stop_time=6.0)
+            sim, scenario = _unreachable_pair(stop_time=6.0)
             source = CbrSource(scenario.network.node(1),
                                scenario.network.node(2).ip,
                                interval=0.2, payload_bytes=64)
@@ -306,9 +290,9 @@ class TestUnreachableDestination:
                          * router.buffered_packets_dropped)
         assert audit_balanced(session)
 
-    def test_stopping_the_router_drops_its_buffer_on_the_journey(self):
+    def test_stopping_the_router_drops_its_buffer_on_the_journey(self, small_buffer):
         with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _unreachable_pair(BUFFERING_AODV, stop_time=6.0)
+            sim, scenario = _unreachable_pair(stop_time=6.0)
             _send_probe(scenario, 1, 2, at=1.0)
             sim.run(until=2.0)
             router = scenario.network.node(1).router
@@ -335,7 +319,7 @@ class TestLinkBreakRerr:
         # it invalidates its route to node 3 and broadcasts a RERR, and the
         # source — which was routing through the relay — invalidates too.
         last.position = (500.0, 0.0)
-        sim.run(until=6.0 + 4 * FAST_AODV.hello.hold_time)
+        sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
         assert relay.router.rerrs_sent >= 1
         assert first.router.rerrs_received >= 1
         assert first.router.route_breaks >= 1
@@ -355,7 +339,7 @@ class TestLinkBreakRerr:
             source.start(1.0)
             sim.run(until=6.0)
             network.node(3).position = (500.0, 0.0)
-            sim.run(until=6.0 + 4 * FAST_AODV.hello.hold_time)
+            sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
         records = trace_records(session, "aodv", "rerr_tx")
         assert network.node(2).router.rerrs_sent >= 1
         assert len(records) == sum(node.router.rerrs_sent for node in network.nodes)
@@ -373,7 +357,7 @@ class TestLinkBreakRerr:
         received_before = sink.packets_received
         origin_position = network.node(3).position
         network.node(3).position = (500.0, 0.0)
-        sim.run(until=6.0 + 4 * FAST_AODV.hello.hold_time)
+        sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
         assert not network.node(1).routing_table.has_route(network.node(3).ip)
         network.node(3).position = origin_position
         sim.run(until=sim.now + 10.0)
@@ -385,12 +369,10 @@ class TestLinkBreakRerr:
 
 class TestActiveRouteLifetime:
     def _pair(self, lifetime, duration=30.0, seed=1):
-        config = AodvConfig(hello=HelloConfig(hello_interval=0.4),
-                            active_route_lifetime=lifetime)
+        config = AodvConfig(hello_interval=0.4, active_route_lifetime=lifetime)
         sim = Simulator(seed=seed)
         scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                                  stop_time=duration, routing="aodv",
-                                  routing_config=config)
+                                  stop_time=duration, routing=config)
         scenario.add_node((0.0, 0.0))
         scenario.add_node((6.0, 0.0))
         return sim, scenario
@@ -431,14 +413,12 @@ class TestActiveRouteLifetime:
         assert router.route_expirations >= 1
         assert not router.table.entry_for(scenario.network.node(2).ip).valid
 
-    def test_seen_request_ids_are_pruned_after_the_discovery_window(self):
-        config = AodvConfig(hello=HelloConfig(hello_interval=0.4),
-                            active_route_lifetime=1.0,
-                            path_discovery_time=1.0)
+    def test_seen_request_ids_are_pruned_after_the_discovery_window(self, monkeypatch):
+        monkeypatch.setattr(on_demand, "PATH_DISCOVERY_TIME", 1.0)
+        config = AodvConfig(hello_interval=0.4, active_route_lifetime=1.0)
         sim = Simulator(seed=1)
         scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                                  stop_time=12.0, routing="aodv",
-                                  routing_config=config)
+                                  stop_time=12.0, routing=config)
         scenario.add_node((0.0, 0.0))
         scenario.add_node((6.0, 0.0))
         source = CbrSource(scenario.network.node(1), scenario.network.node(2).ip,

@@ -9,7 +9,7 @@ from repro.errors import RoutingError
 from repro.net.address import IpAddress
 from repro.net.flooding import FloodingSource
 from repro.net.packet import Packet, TcpHeader
-from repro.net.routing import BROADCAST_IP, NeighborTable, RoutingTable, StaticRoute
+from repro.net.routing import BROADCAST_IP, NeighborTable, RoutingTable
 from repro.obs.session import observe
 from repro.sim import Simulator
 from repro.topology import build_linear_chain
@@ -28,16 +28,20 @@ def test_routing_table_lookup_and_default():
     table.add_route("10.0.0.3", "10.0.0.2")
     assert table.next_hop("10.0.0.3") == IpAddress("10.0.0.2")
     assert table.has_route("10.0.0.3")
+    # There is no default route: every other destination misses.
+    assert not table.has_route("10.0.0.9")
     with pytest.raises(RoutingError):
         table.next_hop("10.0.0.9")
-    table.set_default("10.0.0.2")
-    assert table.next_hop("10.0.0.9") == IpAddress("10.0.0.2")
     assert len(table) == 1
 
 
 def test_static_route_repr():
-    route = StaticRoute(IpAddress("10.0.0.3"), IpAddress("10.0.0.2"))
+    # A static route is the entry add_route installs: one hop, no sequence.
+    table = RoutingTable()
+    table.add_route("10.0.0.3", "10.0.0.2")
+    (route,) = table.entries()
     assert "10.0.0.3" in str(route)
+    assert str(route) == "10.0.0.3 via 10.0.0.2 (1 hops, seq -1)"
 
 
 def test_neighbor_table_resolution():
@@ -143,7 +147,7 @@ def test_flooding_source_generates_packets_at_interval():
     sim = Simulator(seed=16)
     network = build_chain(sim)
     flooder = FloodingSource(sim, network.node(1).network, network.node(1).ip,
-                             interval=0.5, payload_bytes=64, jitter_fraction=0.0)
+                             interval=0.5, payload_bytes=64)
     flooder.start(initial_delay=0.1)
     sim.run(until=3.0)
     assert flooder.packets_sent >= 5
