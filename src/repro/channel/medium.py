@@ -7,37 +7,47 @@ every other PHY from the propagation model and delivers *begin-reception* and
 Collision and capture decisions are the receiving PHY's job; the channel only
 reports who hears what, and how loudly.
 
-Positions are **time-varying**: every link-budget computation asks each PHY
-for ``position_at(now)`` — the exact analytic position under its mobility
-model, evaluated at transmission start — instead of reading a cached static
+Positions are **time-varying**: link budgets ask each PHY for
+``position_at(now)`` — the exact analytic position under its mobility model,
+evaluated at transmission start — instead of reading a cached static
 coordinate.  For stationary PHYs (the paper's entire evaluation) this
 degenerates to the static position, bit for bit.  Link-aware propagation
 models (per-link shadowing) are consulted through ``path_loss_between``; see
 :mod:`repro.channel.propagation`.
 
-Because the budget of a link is a pure function of (endpoint identities,
-endpoint positions, propagation epoch), the channel memoises it per link and
-revalidates the cached entry against the exact positions and the model's
-``cache_epoch`` on every use: stationary links hit the cache on every frame,
-while a link whose endpoint moved (or whose shadowing epoch rolled over)
-recomputes — so results are bit-for-bit identical with the memo on or off
-(tests patch :data:`LINK_BUDGET_MEMO` to compare the two).
+What one broadcast schedules is a **delivery plan**: ``(epoch, considered,
+culled, deliveries)``, where each delivery is ``(receiver, rx_power_dbm,
+delay_s)`` in candidate (registration) order and the counts feed the
+channel's statistics.  Building a plan reads the sender's position once,
+then for each candidate its position and loss, culls it below the detect
+floor, and keeps distance / c as the delay.  A plan is a pure function of the
+registered PHYs, their positions and the propagation model's ``cache_epoch``,
+so while no registered PHY carries a mobility model (of any class — a
+``Stationary`` one counts too) the channel caches one plan per sender and
+serves it only in the epoch it was built in.  :meth:`WirelessChannel.register`,
+:meth:`~WirelessChannel.unregister`, :meth:`~WirelessChannel.phy_position_changed`
+and :meth:`~WirelessChannel.phy_mobility_changed` clear every cached plan.
+Once any PHY carries a model, each broadcast builds a fresh plan and keeps
+nothing.  Either way the pushes, their order and every float are the ones a
+fresh evaluation gives, so caching changes when the math runs, never which
+numbers come out (``tests/integration/test_perf_determinism.py`` compares
+cached plans with per-broadcast ones).
 
 Every PHY has one identity on the medium: the registration index
 :meth:`WirelessChannel.register` writes to ``phy.channel_index``.  Indices
 are never reused — a PHY that leaves and registers again gets a fresh one —
-so a departed PHY's memo rows and grid entry can never be served to another
-PHY, and ordering candidates by index is ordering them by registration.
+so a departed PHY's grid entry can never be served to another PHY, and
+ordering candidates by index is ordering them by registration.
 
 Every PHY transmits at :data:`~repro.phy.device.TX_POWER_DBM` and ignores
 arrivals below :data:`~repro.phy.device.DETECT_FLOOR_DBM`, so a channel has
 one reach: the propagation model's conservative ``max_range_m`` for that
 budget, computed once at construction (``None`` when the model cannot
 bound it).  Candidate enumeration scales past tens of nodes on its own: up
-to :data:`AUTO_SPATIAL_THRESHOLD` registered PHYs, or without a reach, the
-channel budgets every PHY per frame (the exhaustive scan, O(N)); above it,
-it asks a :class:`~repro.channel.spatial.UniformGridIndex` for the PHYs
-within the reach (O(neighbours)).  Both paths cull deliveries below the
+to :data:`AUTO_SPATIAL_THRESHOLD` registered PHYs, or without a reach, a
+plan budgets every PHY (the exhaustive scan, O(N)); above it, the channel
+asks a :class:`~repro.channel.spatial.UniformGridIndex` for the PHYs within
+the reach (O(neighbours)).  Both paths cull deliveries below the
 detect floor before scheduling them, so the scheduled event set (and
 therefore every byte of a run) is identical on either side of the
 threshold; ``tests/integration/test_spatial_determinism.py`` is the
@@ -56,7 +66,8 @@ receiver on every frame.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+import math
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 from repro.channel.propagation import PropagationModel, distance_between, hydra_indoor_propagation
 from repro.channel.spatial import UniformGridIndex
@@ -74,23 +85,19 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: The channel keeps the exhaustive scan at or below this many registered
 #: PHYs and switches to the grid index above it.  Crossing the threshold
 #: never changes bytes — both enumerations schedule the identical event set
-#: (see ``broadcast``) — so the constant is a pure speed choice; it sits far
+#: (see ``_plan``) — so the constant is a pure speed choice; it sits far
 #: above every paper scenario (≤ 21 nodes) to keep those runs on the exact
-#: code path the committed expectations were produced with.  Read at every
-#: send, so tests force either side by patching it.
+#: code path the committed expectations were produced with.  Read whenever
+#: a plan is built, so tests force either side by patching it before the
+#: first send.
 AUTO_SPATIAL_THRESHOLD = 64
-
-#: Whether a channel memoises link budgets.  The memo never changes bytes
-#: (see the module docstring); read when a channel is built, so tests turn
-#: it off by patching it first.
-LINK_BUDGET_MEMO = True
 
 
 class WirelessChannel:
     """Single shared broadcast medium connecting all registered PHYs."""
 
     __slots__ = ("sim", "propagation", "_phys", "_next_index", "_link_aware",
-                 "_cache_epoch", "_budget_cache", "_reach", "_spatial",
+                 "_cache_epoch", "_mobile", "_plans", "_reach", "_spatial",
                  "total_transmissions", "total_airtime", "total_candidates",
                  "total_deliveries", "total_culled")
 
@@ -106,16 +113,18 @@ class WirelessChannel:
         self._next_index = 0
         self._link_aware = hasattr(self.propagation, "path_loss_between")
         self._cache_epoch = getattr(self.propagation, "cache_epoch", None)
-        # (sender index, receiver index) -> (epoch, tx_pos, rx_pos, loss, distance)
-        self._budget_cache: Optional[Dict[Tuple[int, int], tuple]] = (
-            {} if LINK_BUDGET_MEMO else None)
+        # Registration indices of the registered PHYs that carry a mobility
+        # model; plans are cached only while this is empty.
+        self._mobile: Set[int] = set()
+        # Sender index -> (epoch, considered, culled, deliveries).
+        self._plans: Dict[int, tuple] = {}
         # Farthest distance at which any frame can be detected (None = the
-        # model cannot bound it, so every send scans all PHYs).
+        # model cannot bound it, so every plan scans all PHYs).
         bound = getattr(self.propagation, "max_range_m", None)
         self._reach: Optional[float] = (
             None if bound is None else bound(TX_POWER_DBM - DETECT_FLOOR_DBM))
         # Spatial candidate pruning: the grid index is built lazily on the
-        # first broadcast that wants it (so registration order — which fixes
+        # first plan that wants it (so registration order — which fixes
         # candidate order — is complete by then).
         self._spatial: Optional[UniformGridIndex] = None
         # statistics
@@ -142,6 +151,9 @@ class WirelessChannel:
         index = phy.channel_index = self._next_index
         self._next_index += 1
         self._phys[index] = phy
+        if phy.mobility is not None:
+            self._mobile.add(index)
+        self._plans.clear()
         if self._spatial is not None:
             self._spatial.register(phy, self.sim.now)
 
@@ -152,13 +164,14 @@ class WirelessChannel:
         walking the scheduler's queue; see the module docstring) and any
         reception it has in progress is aborted, so a detached PHY never
         hears the tail of a frame that was in flight when it left.  Its own
-        transmission, if any, still completes.  Its memo rows stay behind,
-        keyed by an index no other registration will ever get.
+        transmission, if any, still completes.
         """
         index = phy.channel_index
         if self._phys.get(index) is not phy:
             return
         del self._phys[index]
+        self._mobile.discard(index)
+        self._plans.clear()
         begin, end = phy.begin_reception, phy.end_reception
         self.sim._scheduler.cancel_where(
             lambda event: event.callback == begin or event.callback == end)
@@ -167,16 +180,20 @@ class WirelessChannel:
         phy.abort_receptions()
 
     def phy_position_changed(self, phy: "Phy") -> None:
-        """Hook fired by ``Phy.position``'s setter: re-bucket the PHY.
+        """Hook fired by ``Phy.position``'s setter: drop plans, re-bucket the PHY.
 
-        The grid ignores PHYs it does not hold, so this is a no-op for a PHY
-        that has left the medium.
+        The grid ignores PHYs it does not hold, so re-bucketing is a no-op
+        for a PHY that has left the medium.
         """
+        self._plans.clear()
         if self._spatial is not None:
             self._spatial.position_changed(phy)
 
     def phy_mobility_changed(self, phy: "Phy") -> None:
-        """Hook fired by ``Phy.set_mobility``: revalidate this PHY per query."""
+        """Hook fired by ``Phy.set_mobility``: stop caching plans, revalidate per query."""
+        if self._phys.get(phy.channel_index) is phy and phy.mobility is not None:
+            self._mobile.add(phy.channel_index)
+        self._plans.clear()
         if self._spatial is not None:
             self._spatial.mobility_changed(phy)
 
@@ -186,37 +203,8 @@ class WirelessChannel:
         return list(self._phys.values())
 
     # ------------------------------------------------------------------
-    # Link budget helpers
+    # Link budgets
     # ------------------------------------------------------------------
-    def _link_budget(self, sender: "Phy", receiver: "Phy", when: float) -> tuple:
-        """``(path_loss_db, distance_m)`` for one link at ``when``, memoised.
-
-        The cached entry is validated against the propagation epoch and the
-        *exact* endpoint positions, so it can only be served when recomputing
-        would produce the identical value: stationary PHYs return the same
-        position tuple every time (cheap identity compare), mobile PHYs fail
-        the equality check and recompute.
-        """
-        tx_position = sender.position_at(when)
-        rx_position = receiver.position_at(when)
-        epoch = 0 if self._cache_epoch is None else self._cache_epoch(when)
-        cache = self._budget_cache
-        if cache is not None:
-            key = (sender.channel_index, receiver.channel_index)
-            entry = cache.get(key)
-            if (entry is not None and entry[0] == epoch
-                    and entry[1] == tx_position and entry[2] == rx_position):
-                return entry[3], entry[4]
-        if self._link_aware:
-            loss = self.propagation.path_loss_between(
-                sender.name, receiver.name, tx_position, rx_position, when)
-        else:
-            loss = self.propagation.path_loss_db(tx_position, rx_position)
-        distance = distance_between(tx_position, rx_position)
-        if cache is not None:
-            cache[key] = (epoch, tx_position, rx_position, loss, distance)
-        return loss, distance
-
     def received_power_dbm(self, sender: "Phy", receiver: "Phy",
                            time: Optional[float] = None) -> float:
         """Received power at ``receiver`` for a transmission by ``sender``.
@@ -225,7 +213,13 @@ class WirelessChannel:
         start of the transmission being budgeted).
         """
         when = self.sim.now if time is None else time
-        loss, _ = self._link_budget(sender, receiver, when)
+        tx_position = sender.position_at(when)
+        rx_position = receiver.position_at(when)
+        if self._link_aware:
+            loss = self.propagation.path_loss_between(
+                sender.name, receiver.name, tx_position, rx_position, when)
+        else:
+            loss = self.propagation.path_loss_db(tx_position, rx_position)
         return TX_POWER_DBM - loss
 
     def link_snr_db(self, sender: "Phy", receiver: "Phy") -> float:
@@ -239,29 +233,26 @@ class WirelessChannel:
         """Deliver ``frame`` from ``sender`` to every other registered PHY.
 
         Each receiver gets ``begin_reception(frame, rx_power_dbm)`` and
-        ``end_reception(frame)``.  Raises before scheduling anything if
-        ``sender`` is not registered here or ``duration`` is not positive.
+        ``end_reception(frame)``.  Raises before counting or scheduling
+        anything if ``sender`` is not registered here or ``duration`` is not
+        a positive, finite number of seconds.
         """
         if self._phys.get(sender.channel_index) is not sender:
             raise ConfigurationError("transmitting PHY is not registered with the channel")
-        if duration <= 0:
-            raise ConfigurationError(f"transmission duration must be positive, got {duration}")
+        if not 0.0 < duration < math.inf:
+            raise ConfigurationError(
+                f"transmission duration must be positive and finite, got {duration}")
         sim = self.sim
-        now = sim.now
+        now = sim._now
         self.total_transmissions += 1
         self.total_airtime += duration
-
-        # Candidate enumeration: either the full registration list or the
-        # grid index's superset of in-range PHYs (also in registration
-        # order).  The two enumerations schedule the *identical* event set,
-        # because every receiver the grid prunes is provably below the
-        # detect floor and the loop below culls exactly those receivers on
-        # both paths — so the threshold changes speed, never bytes.
-        receivers: Iterable["Phy"] = self._phys.values()
-        reach = self._reach
-        if reach is not None and len(self._phys) > AUTO_SPATIAL_THRESHOLD:
-            receivers = self._ensure_spatial().candidates(
-                sender.position_at(now), reach, now)
+        epoch = 0 if self._cache_epoch is None else self._cache_epoch(now)
+        if self._mobile:
+            plan = self._plan(sender, now, epoch)
+        else:
+            plan = self._plans.get(sender.channel_index)
+            if plan is None or plan[0] != epoch:
+                plan = self._plans[sender.channel_index] = self._plan(sender, now, epoch)
 
         # Direct scheduler pushes: this loop schedules two events per
         # receiver per frame, and the Simulator.schedule wrapper (which only
@@ -271,13 +262,46 @@ class WirelessChannel:
         push = sim._scheduler.push
         priority = Simulator.PRIORITY_PHY
         end_args = (frame,)
+        for receiver, rx_power, delay in plan[3]:
+            push(now + delay, receiver.begin_reception, (frame, rx_power), priority)
+            push(now + delay + duration, receiver.end_reception, end_args, priority)
+        self.total_candidates += plan[1]
+        self.total_culled += plan[2]
+        self.total_deliveries += plan[1] - plan[2]
+
+    def _plan(self, sender: "Phy", now: float, epoch: int) -> tuple:
+        """``(epoch, considered, culled, deliveries)`` for a send by ``sender`` at ``now``.
+
+        Candidates are either the full registration list or the grid
+        index's superset of in-range PHYs (also in registration order).  The
+        two enumerations give the *identical* deliveries, because every
+        receiver the grid prunes is provably below the detect floor and the
+        loop below culls exactly those receivers on both paths — so the
+        threshold changes speed, never bytes.
+        """
+        tx_position = sender.position_at(now)
+        receivers: Iterable["Phy"] = self._phys.values()
+        reach = self._reach
+        if reach is not None and len(self._phys) > AUTO_SPATIAL_THRESHOLD:
+            receivers = self._ensure_spatial().candidates(tx_position, reach, now)
+        propagation = self.propagation
+        link_aware = self._link_aware
+        # (receiver, rx_power_dbm, delay_s), in candidate order.
+        deliveries: List[tuple] = []
         considered = 0
         culled = 0
         for receiver in receivers:
             if receiver is sender:
                 continue
             considered += 1
-            loss, distance = self._link_budget(sender, receiver, now)
+            # received_power_dbm's budget, inline: on a channel with a mobile
+            # PHY this runs for every candidate of every broadcast.
+            rx_position = receiver.position_at(now)
+            if link_aware:
+                loss = propagation.path_loss_between(
+                    sender.name, receiver.name, tx_position, rx_position, now)
+            else:
+                loss = propagation.path_loss_db(tx_position, rx_position)
             rx_power = TX_POWER_DBM - loss
             if rx_power < DETECT_FLOOR_DBM:
                 # Below the detect floor the frame would have no observable
@@ -287,12 +311,9 @@ class WirelessChannel:
                 # hears a frame.
                 culled += 1
                 continue
-            delay = distance / SPEED_OF_LIGHT
-            push(now + delay, receiver.begin_reception, (frame, rx_power), priority)
-            push(now + delay + duration, receiver.end_reception, end_args, priority)
-        self.total_candidates += considered
-        self.total_culled += culled
-        self.total_deliveries += considered - culled
+            delay = distance_between(tx_position, rx_position) / SPEED_OF_LIGHT
+            deliveries.append((receiver, rx_power, delay))
+        return (epoch, considered, culled, deliveries)
 
     def _ensure_spatial(self) -> UniformGridIndex:
         """Build the grid index on first use.

@@ -196,12 +196,12 @@ class LogNormalShadowing:
         self._offsets.clear()
 
     def cache_epoch(self, time: float) -> int:
-        """Validity token for channel-side link-budget memoisation.
+        """Validity token for the channel's cached delivery plans.
 
         Within one epoch, ``path_loss_between`` is a pure function of the
-        endpoint positions, so the channel may serve a cached budget as long
+        endpoint positions, so the channel may serve a cached plan as long
         as both the epoch and the positions are unchanged.  Each coherence
-        rollover yields a new token, forcing recomputation (and a fresh
+        rollover yields a new token, forcing a new plan (and a fresh
         shadowing draw).
         """
         if self.coherence_time is None:

@@ -6,7 +6,8 @@ tens of nodes.  :class:`UniformGridIndex` buckets PHYs into square cells of a
 configurable size and answers *"who could possibly hear a frame sent from
 here?"* by enumerating only the cells that intersect the propagation model's
 conservative max-range disc (:meth:`max_range_m` on the model, see
-:mod:`repro.channel.propagation`), so per-send cost is O(neighbours).
+:mod:`repro.channel.propagation`), so building a delivery plan costs
+O(neighbours).
 
 The index is deliberately *not* trusted with physics: it returns a candidate
 **superset** — every registered PHY whose exact position lies within the
@@ -24,9 +25,8 @@ Determinism rules baked in:
   deliveries are scheduled in exactly the order the full scan would use.
 * **Lazy revalidation against exact positions.**  Mobile PHYs (those
   carrying a mobility model) are revalidated on every query against
-  ``position_at(now)`` — the same pattern as the channel's link-budget memo:
-  the cached cell may only be used when recomputing it would give the same
-  answer.  Stationary PHYs are revalidated through the
+  ``position_at(now)``: the cached cell may only be used when recomputing
+  it would give the same answer.  Stationary PHYs are revalidated through the
   :meth:`~repro.channel.medium.WirelessChannel.phy_position_changed` hook
   the PHY's ``position`` setter fires, so a reassigned static position moves
   its entry immediately.

@@ -37,7 +37,7 @@ Reported per protocol over the swept node count:
   flooding, end-to-end for the routed protocols);
 * ``<protocol> ctrl frac`` — HELLO + routing bytes as a fraction of all MAC
   payload bytes (0 for flooding: no control plane);
-* ``<protocol> cand frac`` — mean link budgets per transmission / (N - 1).
+* ``<protocol> cand frac`` — mean candidate receivers per transmission / (N - 1).
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def run(node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
     max_n = max(node_counts)
     result.add_metric("max_node_count", float(max_n))
     # The sub-O(N) acceptance metric: across every protocol at the largest
-    # city, the channel evaluated far fewer link budgets per transmission
-    # than the N-1 a full scan would have (CI gates on this).
+    # city, the channel considered far fewer candidate receivers per
+    # transmission than the N-1 a full scan would have (CI gates on this).
     result.add_metric("candidates_fraction_max_n",
                       max(candidates_at_max.values()))
     if "flooding" in candidates_at_max:

@@ -138,9 +138,10 @@ def _install_grid_routes(network, flows: Sequence[Tuple[int, int]],
             network.node(hop).add_route(destination_ip, network.node(next_hop).ip)
 
 
-def _run_once(policy: AggregationPolicy, routing: str, flow_count: int,
-              speed: float, grid_side: int, grid_spacing_m: float,
-              hello_interval: float, aodv_hello_interval: float,
+def _run_once(policy: AggregationPolicy, routing: str,
+              flows: Sequence[Tuple[int, int]], speed: float, grid_side: int,
+              grid_spacing_m: float, hello_interval: float,
+              aodv_hello_interval: float,
               advertise_interval: float, route_lifetime: float,
               cbr_interval_s: float, cbr_payload_bytes: int, warmup: float,
               duration: float, rate_mbps: float, seed: int) -> Tuple[float, float]:
@@ -169,13 +170,12 @@ def _run_once(policy: AggregationPolicy, routing: str, flow_count: int,
     populate_grid(scenario, grid_side, grid_spacing_m, model_factory)
 
     network = scenario.network
-    node_indices = [node.index for node in network.nodes]
-    flows = _sample_flows(node_indices, flow_count, seed, grid_side)
     if routing == "static":
         _install_grid_routes(network, flows, grid_side)
 
     # Constant aggregate offered load: each of the k flows sends at 1/k of
     # the base rate, so data bytes do not scale with the flow count.
+    flow_count = len(flows)
     sinks: List[UdpSink] = []
     sources: List[CbrSource] = []
     for flow_index, (source_index, destination_index) in enumerate(flows):
@@ -229,6 +229,10 @@ def run(flow_counts: Sequence[int] = DEFAULT_FLOW_COUNTS,
         description="Control overhead scaling vs active flows: "
                     "DSDV vs AODV vs static (NA/UA/BA)",
     )
+    # The flow order depends only on the grid and the seed, and every flow
+    # count takes a prefix of it, so it is sampled once for the whole sweep.
+    flow_order = _sample_flows(range(1, grid_side * grid_side + 1), flow_counts[-1],
+                               seed, grid_side)
     variants = [("BA", broadcast_aggregation)]
     if include_unicast_aggregation:
         variants.insert(0, ("UA", unicast_aggregation))
@@ -247,7 +251,7 @@ def run(flow_counts: Sequence[int] = DEFAULT_FLOW_COUNTS,
                 for flow_count in flow_counts:
                     delivery, control = _run_once(
                         policy_factory(), routing=routing,
-                        flow_count=flow_count, speed=speed,
+                        flows=flow_order[:flow_count], speed=speed,
                         grid_side=grid_side, grid_spacing_m=grid_spacing_m,
                         hello_interval=hello_interval,
                         aodv_hello_interval=aodv_hello_interval,

@@ -34,6 +34,8 @@ from repro.errors import MacError
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.backoff import BackoffController
 from repro.mac.frames import (
+    ACK_FRAME_BYTES,
+    CTS_FRAME_BYTES,
     AckFrame,
     CtsFrame,
     MacSubframe,
@@ -55,6 +57,11 @@ from repro.sim.timer import Timer
 #: Callback signature for packets delivered to the network layer:
 #: ``callback(packet, source_mac)``.
 ReceiveCallback = Callable[[Packet, MacAddress], None]
+
+#: Airtimes of the CTS and ACK control frames, which always go out at
+#: :data:`~repro.phy.rates.HYDRA_BASE_RATE`.
+CTS_AIRTIME = HYDRA_PHY_TIMING.control_airtime(CTS_FRAME_BYTES, HYDRA_BASE_RATE)
+ACK_AIRTIME = HYDRA_PHY_TIMING.control_airtime(ACK_FRAME_BYTES, HYDRA_BASE_RATE)
 
 
 class MacState(enum.Enum):
@@ -123,7 +130,7 @@ class AggregatingMac:
 
         rng = sim.random.stream(f"mac.{self.name}")
         self.backoff = BackoffController(self.timing, rng)
-        self.nav = NetworkAllocationVector(sim, on_expire=self._on_medium_maybe_idle)
+        self.nav = NetworkAllocationVector(sim, on_expire=self._resume_backoff)
 
         self.state = MacState.IDLE
         self._current: Optional[AggregateBuild] = None
@@ -205,7 +212,11 @@ class AggregatingMac:
     # Transmit path: channel access
     # ------------------------------------------------------------------
     def _medium_busy(self) -> bool:
-        return self.phy.carrier_busy or self.nav.busy
+        # Physical carrier (Phy.carrier_busy) or virtual carrier (NAV.busy),
+        # read without the properties: this runs on every carrier upcall.
+        phy = self.phy
+        return (phy._transmitting or phy._carrier_count > 0
+                or self.sim._now < self.nav._until)
 
     def _try_start_access(self) -> None:
         if self.state is not MacState.IDLE:
@@ -240,13 +251,13 @@ class AggregatingMac:
         if self._access_timer.running:
             return
         delay = self.timing.difs + self.backoff.slots_remaining * self.timing.slot_time
-        self._backoff_resumed_at = self.sim.now
+        self._backoff_resumed_at = self.sim._now
         self._access_timer.start(delay)
 
     def _pause_backoff(self) -> None:
         if self.state is not MacState.CONTEND or not self._access_timer.running:
             return
-        elapsed = self.sim.now - self._backoff_resumed_at
+        elapsed = self.sim._now - self._backoff_resumed_at
         idle_slots = int(max(0.0, elapsed - self.timing.difs) / self.timing.slot_time)
         self.backoff.consume(idle_slots)
         self._access_timer.cancel()
@@ -283,27 +294,21 @@ class AggregatingMac:
         else:
             self._send_data_frame()
 
-    def _control_airtime(self, size_bytes: int) -> float:
-        return HYDRA_PHY_TIMING.control_airtime(size_bytes, HYDRA_BASE_RATE)
-
     def _build_data_frame(self) -> PhyFrame:
         assert self._current is not None
         frame = self._current.to_phy_frame(self.unicast_rate, self.broadcast_rate)
         # Virtual carrier sensing: the duration field of the first unicast
         # subframe reserves the medium for the SIFS + ACK that follows.
-        ack_time = self._control_airtime(AckFrame(dst=self.address).size_bytes)
-        reservation = self.timing.sifs + ack_time if frame.has_unicast else 0.0
-        for subframe in list(frame.broadcast_subframes) + list(frame.unicast_subframes):
+        reservation = self.timing.sifs + ACK_AIRTIME if frame.has_unicast else 0.0
+        for subframe in frame.broadcast_subframes + frame.unicast_subframes:
             subframe.duration = reservation
         return frame
 
     def _send_rts(self) -> None:
         assert self._current is not None
         data_frame = self._build_data_frame()
-        cts_time = self._control_airtime(CtsFrame(dst=self.address).size_bytes)
-        ack_time = self._control_airtime(AckFrame(dst=self.address).size_bytes)
         data_time = data_frame.airtime(HYDRA_PHY_TIMING)
-        reservation = 3 * self.timing.sifs + cts_time + data_time + ack_time
+        reservation = 3 * self.timing.sifs + CTS_AIRTIME + data_time + ACK_AIRTIME
         rts = RtsFrame(src=self.address, dst=self._current.destination, duration=reservation)
         frame = PhyFrame.control_frame(FrameKind.RTS, rts, HYDRA_BASE_RATE)
         self._pause_backoff()
@@ -334,8 +339,7 @@ class AggregatingMac:
     def on_transmit_complete(self, frame: PhyFrame) -> None:
         """PHY finished sending one of our frames."""
         if frame.kind is FrameKind.RTS:
-            cts_time = self._control_airtime(CtsFrame(dst=self.address).size_bytes)
-            self._response_timer.start(self.timing.response_timeout(cts_time))
+            self._response_timer.start(self.timing.response_timeout(CTS_AIRTIME))
         elif frame.kind is FrameKind.DATA and frame.sender is self.phy:
             if self.state in (MacState.CONTEND, MacState.IDLE, MacState.WAIT_CTS):
                 # Data sent by the exchange initiated by us.  The broadcast
@@ -345,16 +349,18 @@ class AggregatingMac:
                 if tracer.enabled:
                     tracer.emit(self.name, "mac", "sent_unacked", frame=frame)
                 if frame.has_unicast:
-                    ack_size = (BlockAck(dst=self.address, received_sequences=frozenset()).size_bytes
-                                if self.config.use_block_ack else AckFrame(dst=self.address).size_bytes)
-                    ack_time = self._control_airtime(ack_size)
+                    ack_time = ACK_AIRTIME
+                    if self.config.use_block_ack:
+                        ack_time = HYDRA_PHY_TIMING.control_airtime(
+                            BlockAck(dst=self.address, received_sequences=frozenset()).size_bytes,
+                            HYDRA_BASE_RATE)
                     self.state = MacState.WAIT_ACK
                     self._response_timer.start(self.timing.response_timeout(ack_time))
                 else:
                     self._complete_success(broadcast_only=True)
         elif frame.kind in (FrameKind.CTS, FrameKind.ACK):
             # We just answered someone else's exchange; resume our own work.
-            self._on_medium_maybe_idle()
+            self._resume_backoff()
         self._try_start_access()
 
     def on_carrier_busy(self) -> None:
@@ -363,23 +369,19 @@ class AggregatingMac:
 
     def on_carrier_idle(self) -> None:
         """PHY reports the medium went idle."""
-        self._on_medium_maybe_idle()
-
-    def _on_medium_maybe_idle(self) -> None:
-        if self.state is MacState.CONTEND and not self._medium_busy():
-            self._resume_backoff()
+        self._resume_backoff()
 
     def on_frame_received(self, result: ReceptionResult) -> None:
         """PHY delivered a decoded frame."""
-        frame = result.frame
-        if frame.kind is FrameKind.RTS:
-            self._handle_rts(result)
-        elif frame.kind is FrameKind.CTS:
-            self._handle_cts(result)
-        elif frame.kind is FrameKind.ACK:
-            self._handle_ack(result)
-        else:
+        kind = result.frame.kind
+        if kind is FrameKind.DATA:
             self._handle_data(result)
+        elif kind is FrameKind.RTS:
+            self._handle_rts(result)
+        elif kind is FrameKind.CTS:
+            self._handle_cts(result)
+        else:
+            self._handle_ack(result)
 
     # ------------------------------------------------------------------
     # Receive path: control frames

@@ -45,12 +45,13 @@ class NetworkAllocationVector:
         """Extend the NAV to ``now + duration`` if that is later than the current value."""
         if duration <= 0:
             return
-        candidate = self._sim.now + duration
+        now = self._sim._now
+        candidate = now + duration
         if candidate > self._until:
             self._until = candidate
             self.updates += 1
             if self._expiry is not None:
-                self._expiry.start(self.remaining())
+                self._expiry.start(max(0.0, candidate - now))
 
     def clear(self) -> None:
         """Cancel any reservation."""
@@ -59,5 +60,5 @@ class NetworkAllocationVector:
             self._expiry.cancel()
 
     def _expired(self) -> None:
-        if not self.busy:
+        if not self._sim._now < self._until:
             self._on_expire()

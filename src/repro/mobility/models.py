@@ -221,7 +221,8 @@ class Stationary(MobilityModel):
                             float(self._explicit_position[1]))
 
     def position_at(self, time: float) -> Position:
-        self._require_bound()
+        if self._rng is None:
+            self._require_bound()
         return self._origin
 
 
@@ -237,12 +238,16 @@ class _PiecewiseLinearMobility(MobilityModel):
         super().__init__(update_interval)
         self._legs: List[TrajectoryLeg] = []
         self._leg_starts: List[float] = []
+        # End time of the last leg, so a query inside the generated
+        # trajectory skips the checks; NaN (never >= a time) until a leg exists.
+        self._end_time = math.nan
 
     def _append_leg(self, leg: TrajectoryLeg) -> None:
         if leg.duration <= 0:
             raise ConfigurationError("trajectory legs must have positive duration")
         self._legs.append(leg)
         self._leg_starts.append(leg.start_time)
+        self._end_time = leg.end_time
 
     def _frontier(self) -> Tuple[float, Position]:
         """Time and position from which the next leg departs."""
@@ -262,12 +267,25 @@ class _PiecewiseLinearMobility(MobilityModel):
         raise NotImplementedError
 
     def position_at(self, time: float) -> Position:
-        self._require_bound()
-        if time <= self._start_time:
+        if not time <= self._end_time:
+            # Past the last leg, or no leg yet: check the binding and
+            # generate legs up to ``time``.
+            self._require_bound()
+            if time <= self._start_time:
+                return self._origin
+            self._extend_to(time)
+        elif time <= self._start_time:
             return self._origin
-        self._extend_to(time)
-        index = bisect.bisect_right(self._leg_starts, time) - 1
-        return self._legs[index].position_at(time)
+        # TrajectoryLeg.position_at, inline (the same clamp, as comparisons):
+        # this runs once per link budget.
+        leg = self._legs[bisect.bisect_right(self._leg_starts, time) - 1]
+        dt = time - leg.start_time
+        if 0.0 > dt:
+            dt = 0.0
+        elif leg.duration < dt:
+            dt = leg.duration
+        start, velocity = leg.start, leg.velocity
+        return (start[0] + velocity[0] * dt, start[1] + velocity[1] * dt)
 
     @property
     def legs(self) -> Tuple[TrajectoryLeg, ...]:
@@ -429,7 +447,8 @@ class CircularOrbit(MobilityModel):
         return self._center
 
     def position_at(self, time: float) -> Position:
-        self._require_bound()
+        if self._rng is None:
+            self._require_bound()
         elapsed = max(time - self._start_time, 0.0)
         angle = self.phase_rad + 2.0 * math.pi * elapsed / self.period
         return (self._center[0] + self.radius * math.cos(angle),

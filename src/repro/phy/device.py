@@ -78,17 +78,11 @@ class _ReceptionAttempt:
 
     frame: PhyFrame
     rx_power_dbm: float
+    #: ``rx_power_dbm`` in mW, computed once: every overlapping reception
+    #: adds it to its interference sum.
+    rx_power_mw: float
     interference_mw: float = 0.0
     doomed: bool = False
-
-    def add_interference_dbm(self, power_dbm: float) -> None:
-        self.interference_mw += 10.0 ** (power_dbm / 10.0)
-
-    @property
-    def interference_dbm(self) -> float:
-        if self.interference_mw <= 0.0:
-            return -math.inf
-        return 10.0 * math.log10(self.interference_mw)
 
 
 class Phy:
@@ -189,7 +183,7 @@ class Phy:
         regardless of the update-event granularity.
         """
         if self.mobility is None:
-            return self.position
+            return self._position
         return self.mobility.position_at(time)
 
     # ------------------------------------------------------------------
@@ -262,15 +256,17 @@ class Phy:
             return
         if rx_power_dbm >= CARRIER_SENSE_THRESHOLD_DBM:
             self._carrier_count += 1
-            self._update_carrier()
+            if not self._carrier_busy_reported:
+                self._update_carrier()
 
         decodable = rx_power_dbm >= RECEPTION_THRESHOLD_DBM
-        attempt = _ReceptionAttempt(frame=frame, rx_power_dbm=rx_power_dbm,
-                                    doomed=not decodable or self._transmitting)
+        rx_power_mw = 10.0 ** (rx_power_dbm / 10.0)
+        attempt = _ReceptionAttempt(frame, rx_power_dbm, rx_power_mw, 0.0,
+                                    not decodable or self._transmitting)
         # Mutual interference with every reception already in progress.
         for other in self._receptions.values():
-            other.add_interference_dbm(rx_power_dbm)
-            attempt.add_interference_dbm(other.rx_power_dbm)
+            other.interference_mw += rx_power_mw
+            attempt.interference_mw += other.rx_power_mw
         self._receptions[id(frame)] = attempt
 
     def end_reception(self, frame: PhyFrame) -> None:
@@ -301,29 +297,38 @@ class Phy:
 
     def _deliver(self, attempt: _ReceptionAttempt) -> None:
         frame = attempt.frame
-        sinr_db = (attempt.rx_power_dbm
-                   - 10.0 * math.log10(_NOISE_FLOOR_MW + attempt.interference_mw))
-        captured = True
-        if attempt.interference_mw > 0.0:
-            captured = (attempt.rx_power_dbm - attempt.interference_dbm
-                        >= CAPTURE_THRESHOLD_DB)
-        collided = attempt.doomed or not captured
+        rx_power_dbm = attempt.rx_power_dbm
+        interference_mw = attempt.interference_mw
+        sinr_db = rx_power_dbm - 10.0 * math.log10(_NOISE_FLOOR_MW + interference_mw)
+        collided = attempt.doomed or (
+            interference_mw > 0.0
+            and not rx_power_dbm - 10.0 * math.log10(interference_mw) >= CAPTURE_THRESHOLD_DB)
 
-        result = ReceptionResult(frame=frame, snr_db=sinr_db, collided=collided)
-        if frame.kind.is_control:
-            result.control_ok = (not collided) and self.error_model.control_frame_survives(
-                self._rng, sinr_db, frame.unicast_rate, frame.control_bytes)
-        else:
-            broadcast_offsets, unicast_offsets = frame.sample_offsets(HYDRA_PHY_TIMING)
-            broadcast_rate = frame.broadcast_rate or frame.unicast_rate
-            for subframe, offset in zip(frame.broadcast_subframes, broadcast_offsets):
-                ok = (not collided) and self.error_model.subframe_survives(
-                    self._rng, sinr_db, broadcast_rate, subframe.size_bytes, offset)
-                result.broadcast_ok.append(ok)
-            for subframe, offset in zip(frame.unicast_subframes, unicast_offsets):
-                ok = (not collided) and self.error_model.subframe_survives(
-                    self._rng, sinr_db, frame.unicast_rate, subframe.size_bytes, offset)
-                result.unicast_ok.append(ok)
+        result = ReceptionResult(frame, sinr_db, collided)
+        any_ok = False
+        if not collided:
+            survives = self.error_model.subframe_survives
+            rng = self._rng
+            if frame.kind is FrameKind.DATA:
+                broadcast_offsets, unicast_offsets = frame.sample_offsets(HYDRA_PHY_TIMING)
+                rate = frame.broadcast_rate or frame.unicast_rate
+                oks = result.broadcast_ok
+                for subframe, offset in zip(frame.broadcast_subframes, broadcast_offsets):
+                    ok = survives(rng, sinr_db, rate, subframe.size_bytes, offset)
+                    oks.append(ok)
+                    any_ok = any_ok or ok
+                rate = frame.unicast_rate
+                oks = result.unicast_ok
+                for subframe, offset in zip(frame.unicast_subframes, unicast_offsets):
+                    ok = survives(rng, sinr_db, rate, subframe.size_bytes, offset)
+                    oks.append(ok)
+                    any_ok = any_ok or ok
+            else:
+                any_ok = result.control_ok = survives(
+                    rng, sinr_db, frame.unicast_rate, frame.control_bytes, 0.0)
+        elif frame.kind is FrameKind.DATA:
+            result.broadcast_ok = [False] * len(frame.broadcast_subframes)
+            result.unicast_ok = [False] * len(frame.unicast_subframes)
 
         if collided:
             self.frames_collided += 1
@@ -332,7 +337,7 @@ class Phy:
         if tracer.enabled:
             tracer.emit(self.name, "phy", "rx_end", kind=frame.kind.value,
                         snr=round(sinr_db, 1), collided=collided, result=result)
-        if self._listener is not None and result.any_ok or self._listener is not None and collided:
+        if self._listener is not None and (any_ok or collided):
             self._listener.on_frame_received(result)
 
     def _collect_metrics(self, registry) -> None:
@@ -346,7 +351,7 @@ class Phy:
     # Carrier sense notification
     # ------------------------------------------------------------------
     def _update_carrier(self) -> None:
-        busy = self.carrier_busy
+        busy = self._transmitting or self._carrier_count > 0
         if busy and not self._carrier_busy_reported:
             self._carrier_busy_reported = True
             if self._listener is not None:

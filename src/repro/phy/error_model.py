@@ -22,7 +22,32 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.phy.rates import PhyRate
+from repro.phy.modulation import Modulation
+from repro.phy.rates import HYDRA_SISO_RATES, PhyRate
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _ber_constants(rate: PhyRate) -> tuple:
+    """What :meth:`Modulation.bit_error_rate` derives from ``rate`` alone.
+
+    ``(coding_gain_db, Eb/N0 denominator, is PSK, QAM coefficient, 3k,
+    M - 1)``, each computed by the same float operations the reference
+    functions run, so the miss path below reproduces them bit for bit.
+    """
+    modulation = rate.modulation
+    k = modulation.bits_per_symbol
+    m = modulation.constellation_size
+    return (rate.coding.coding_gain_db,
+            k * max(rate.coding.value_float, 1e-9),
+            modulation in (Modulation.BPSK, Modulation.QPSK),
+            (4.0 / k) * (1.0 - 1.0 / math.sqrt(m)),
+            3.0 * k,
+            m - 1.0)
+
+
+#: Per-rate constants of the error model's miss path, one entry per table rate.
+_BER_CONSTANTS = {rate: _ber_constants(rate) for rate in HYDRA_SISO_RATES}
 
 
 @dataclass(slots=True)
@@ -112,17 +137,52 @@ class ErrorModel:
 
     def subframe_error_probability(self, snr_db: float, rate: PhyRate, size_bytes: int,
                                    end_offset_samples: float = 0.0) -> float:
-        """Combined probability that a subframe fails its CRC (memoised)."""
+        """Combined probability that a subframe fails its CRC (memoised).
+
+        Equals ``1 - (1 - noise_error_probability) * (1 - aging_error_probability)``
+        exactly: the miss path runs the reference functions' float
+        operations, in the same order, on per-rate constants computed once.
+        """
         key = (snr_db, rate, size_bytes, end_offset_samples)
-        cached = self._probability_cache.get(key)
-        if cached is not None:
-            return cached
-        p_noise = self.noise_error_probability(snr_db, rate, size_bytes)
-        p_aging = self.aging_error_probability(end_offset_samples)
+        probability = self._probability_cache.get(key)
+        if probability is None:
+            probability = self._remember(key)
+        return probability
+
+    def _remember(self, key: tuple) -> float:
+        """Compute the probability for a memo miss and store it."""
+        snr_db, rate, size_bytes, end_offset_samples = key
+        config = self.config
+        gain_db, denominator, psk, coefficient, three_k, m_minus_one = (
+            _BER_CONSTANTS.get(rate) or _ber_constants(rate))
+        # Noise term: bit_error_rate -> Modulation.bit_error_rate -> q_function.
+        ebn0 = 10.0 ** ((snr_db + gain_db - config.implementation_loss_db) / 10.0) / denominator
+        if ebn0 <= 0:
+            ber = 0.5
+        elif psk:
+            ber = min(max(0.5 * math.erfc(math.sqrt(2.0 * ebn0) / _SQRT2), 0.0), 0.5)
+        else:
+            argument = math.sqrt(three_k * ebn0 / m_minus_one)
+            ber = min(max(coefficient * (0.5 * math.erfc(argument / _SQRT2)), 0.0), 0.5)
+        n_bits = max(size_bytes, 0) * 8
+        if ber <= 0.0 or n_bits == 0:
+            p_noise = 0.0
+        elif ber >= 0.5:
+            p_noise = 1.0
+        else:
+            p_noise = 1.0 - math.exp(n_bits * math.log1p(-ber))
+        # Aging term: aging_error_probability.
+        excess = end_offset_samples - config.coherence_samples
+        if excess <= 0:
+            p_aging = 0.0
+        else:
+            scale = config.coherence_samples * config.aging_scale_fraction
+            p_aging = 1.0 - math.exp(-excess / scale)
         probability = 1.0 - (1.0 - p_noise) * (1.0 - p_aging)
-        if len(self._probability_cache) >= self._CACHE_LIMIT:
-            self._probability_cache.clear()
-        self._probability_cache[key] = probability
+        cache = self._probability_cache
+        if len(cache) >= self._CACHE_LIMIT:
+            cache.clear()
+        cache[key] = probability
         return probability
 
     # ------------------------------------------------------------------
@@ -133,11 +193,10 @@ class ErrorModel:
         """Draw whether the subframe passes its CRC."""
         # Inline cache probe (this runs once per subframe per receiver; the
         # extra call into subframe_error_probability showed up in profiles).
-        p_error = self._probability_cache.get(
-            (snr_db, rate, size_bytes, end_offset_samples))
+        key = (snr_db, rate, size_bytes, end_offset_samples)
+        p_error = self._probability_cache.get(key)
         if p_error is None:
-            p_error = self.subframe_error_probability(
-                snr_db, rate, size_bytes, end_offset_samples)
+            p_error = self._remember(key)
         if p_error <= 0.0:
             return True
         if p_error >= 1.0:

@@ -19,9 +19,17 @@ from repro.phy.modulation import Modulation
 from repro.units import mbps
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PhyRate:
-    """A single (modulation, coding rate, data rate) operating point."""
+    """A single (modulation, coding rate, data rate) operating point.
+
+    The only instances are the members of :data:`HYDRA_SISO_RATES`, so a rate
+    hashes and compares by identity (``eq=False``): the error model probes
+    its memo with the rate once per subframe per receiver, and the generated
+    ``__hash__`` ran in Python and hashed two enums on every probe.  A
+    pickled rate loads as the table member of the same name, so identity
+    survives a trip through a worker process.
+    """
 
     name: str
     modulation: Modulation
@@ -40,6 +48,9 @@ class PhyRate:
     def bits_in_time(self, duration_s: float) -> float:
         """Number of information bits carried in ``duration_s`` seconds."""
         return duration_s * self.data_rate_bps
+
+    def __reduce__(self):
+        return (_siso_rate, (self.name,))
 
     def __str__(self) -> str:
         return f"{self.name} ({self.modulation} {self.coding}, {self.data_rate_mbps:.2f} Mbps)"
@@ -116,3 +127,8 @@ class RateTable:
 
 #: The Hydra rate table every MAC resolves its rates from.
 HYDRA_RATE_TABLE = RateTable(HYDRA_SISO_RATES)
+
+
+def _siso_rate(name: str) -> PhyRate:
+    """The table member called ``name`` (what a pickled rate loads as)."""
+    return HYDRA_RATE_TABLE.by_name(name)

@@ -66,19 +66,19 @@ class Timer:
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         sim = self._sim
+        scheduler = sim._scheduler
         event = self._event
         if event is not None:
-            sim.cancel(event)
+            scheduler.cancel(event)
         # Push straight onto the scheduler: timers are restarted on nearly
         # every frame (backoff, response timeouts), making this one of the
         # hottest scheduling call sites.
-        self._event = sim._scheduler.push(sim.now + delay, self._fire, (),
-                                          self._priority)
+        self._event = scheduler.push(sim._now + delay, self._fire, (), self._priority)
 
     def cancel(self) -> None:
         """Disarm the timer if it is running (idempotent)."""
         if self._event is not None:
-            self._sim.cancel(self._event)
+            self._sim._scheduler.cancel(self._event)
             self._event = None
 
     def remaining(self) -> float:

@@ -223,41 +223,48 @@ def test_mobile_entry_unregisters_cleanly_mid_flight():
     spatial.audit()
 
 
-def test_reregistration_never_inherits_a_departed_identity():
-    """No PHY registering after another left is served its memo rows or cell.
+def _planned_powers(channel, sender):
+    """``[(receiver, rx_power_dbm)]`` of the plan one send by ``sender`` uses."""
+    channel.broadcast(sender, PhyFrame.data([], [_Subframe()], unicast_rate=HYDRA_BASE_RATE),
+                      1e-3)
+    return [(receiver, power) for receiver, power, _ in channel._plans[sender.channel_index][3]]
 
-    The departed PHY's memo rows are poisoned while they still record it at
-    ``here``, and the grid files it at ``there``, in another cell.  A
-    newcomer and the departed PHY itself, re-registered, then both stand at
-    ``here``, where only the registration index keeps those rows from being
-    served.
+
+def test_reregistration_never_inherits_a_departed_identity():
+    """No PHY registering after another left is served its plans or cell.
+
+    While the departed PHY still stands registered at ``there``, in another
+    cell than ``here``, the cached plans of both senders are poisoned with
+    impossible powers on its link.  A newcomer and the departed PHY itself,
+    re-registered, then both stand at ``here``, in range of the anchor, and
+    every plan they take part in must carry the honest powers.
     """
     sim = Simulator(seed=3)
-    here, there = (23.0, 23.0), (3.0, 40.0)
+    here, there = (5.0, 5.0), (3.0, 40.0)
     channel, (anchor, ghost) = _build(sim, [(0.0, 0.0), here])
     spatial = channel._ensure_spatial()
     honest = (channel.received_power_dbm(ghost, anchor),
               channel.received_power_dbm(anchor, ghost))
+    assert min(honest) >= DETECT_FLOOR_DBM
     departed = ghost.channel_index
-    cache = channel._budget_cache
-    stale = [key for key in cache if departed in key]
-    assert len(stale) == 2
-    for key in stale:
-        epoch, tx_position, rx_position, _, distance = cache[key]
-        cache[key] = (epoch, tx_position, rx_position, -1000.0, distance)
     ghost.position = there
     assert spatial.stored_cell_of(ghost) == spatial.cell_for(there)
     assert spatial.cell_for(there) != spatial.cell_for(here)
+    _planned_powers(channel, anchor)
+    _planned_powers(channel, ghost)
+    channel._plans[departed] = (0, 1, 0, [(anchor, -1000.0, 0.0)])
+    channel._plans[anchor.channel_index] = (0, 1, 0, [(ghost, -1000.0, 0.0)])
 
     channel.unregister(ghost)
+    assert channel._plans == {}
     ghost.position = here
     fresh = Phy(sim, channel, position=here, name="fresh")
     channel.register(ghost)
 
     assert departed not in (fresh.channel_index, ghost.channel_index)
+    assert _planned_powers(channel, anchor) == [(fresh, honest[1]), (ghost, honest[1])]
     for phy in (fresh, ghost):
-        assert (channel.received_power_dbm(phy, anchor),
-                channel.received_power_dbm(anchor, phy)) == honest
+        assert _planned_powers(channel, phy)[0] == (anchor, honest[0])
         assert spatial.stored_cell_of(phy) == spatial.cell_for(here)
     # The re-registered PHY is last in candidate order on both paths.
     assert channel.phys == [anchor, fresh, ghost]

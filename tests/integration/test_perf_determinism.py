@@ -1,19 +1,25 @@
-"""Determinism of the hot-path optimisation layer.
+"""Determinism of the hot-path caches.
 
-The speed overhaul added several caches along the per-frame path: the
-channel's per-link budget memo, the error model's probability memo and the
-frame's sample-offset cache.  Every one of them is only sound if it changes
-*when math runs*, never *which numbers come out* — this file pins that
-contract in the nastiest configuration we can build (time-varying
-shadowing + node mobility, where the memo must invalidate on both coherence
-epochs and position changes), in-process and across campaign pool workers.
-The memo is turned off by patching ``repro.channel.medium.LINK_BUDGET_MEMO``
-while the channel is built.
+Three structures along the per-frame path reuse work: the channel's
+per-sender delivery plans, the error model's probability memo and the
+frame's sample-offset memo.  Each is sound only if it changes *when math
+runs*, never *which numbers come out*.  This file pins that contract,
+in-process and across campaign pool workers.
+
+Delivery plans are compared against themselves: a ``Stationary()`` model
+on a PHY that never moves draws nothing and schedules nothing, but stops
+the channel from caching plans, so the same run is made once with cached
+plans and once with a plan built per broadcast.  The two must be
+byte-identical through every event that has to drop a cached plan:
+shadowing epoch rollovers, a position reassigned mid-run, PHYs registering
+and leaving mid-run, and the grid path above ``AUTO_SPATIAL_THRESHOLD``.
+Each comparison also counts the plans built, so none can pass without the
+cache having served some sends.
 """
 
 from __future__ import annotations
 
-from unittest import mock
+import pytest
 
 from repro.apps.cbr import CbrSource, UdpSink
 from repro.campaign.runner import CampaignRunner
@@ -21,28 +27,167 @@ from repro.channel import medium
 from repro.channel.medium import WirelessChannel
 from repro.channel.propagation import LogNormalShadowing
 from repro.core.policies import broadcast_aggregation
-from repro.mobility.models import RandomWaypoint
+from repro.mobility.models import RandomWaypoint, Stationary
+from repro.net.flooding import FloodingSource
+from repro.phy.device import Phy
 from repro.phy.error_model import ErrorModel
 from repro.sim.simulator import Simulator
 from repro.topology.builders import build_linear_chain
+from repro.topology.city import populate_city
+from repro.topology.mobile import MobileScenario
 from repro.units import mbps
 
 DURATION = 3.0
 TINY_TABLE02 = {"rates_mbps": (0.65,), "duration": 2.5}
 
 
-def _mobile_udp_signature(seed: int, link_budget_memo: bool) -> str:
+def _phy_counters(phys) -> tuple:
+    return ([phy.frames_sent for phy in phys],
+            [phy.frames_received for phy in phys],
+            [phy.frames_collided for phy in phys],
+            [phy.tx_airtime for phy in phys])
+
+
+def _channel_counters(channel: WirelessChannel) -> tuple:
+    return (channel.total_transmissions, channel.total_airtime,
+            channel.total_candidates, channel.total_deliveries, channel.total_culled)
+
+
+def _chain_signature(seed: int, per_broadcast: bool, propagation=None,
+                     during=None) -> str:
+    """Full observable outcome of a saturating UDP run over a static 3-hop chain.
+
+    ``per_broadcast`` attaches ``Stationary()`` to the source, which never
+    moves.  ``during(sim, channel, network)`` schedules mid-run events and
+    returns any extra PHYs whose counters belong in the signature.
+    """
+    sim = Simulator(seed=seed)
+    channel = WirelessChannel(sim, propagation=propagation)
+    network = build_linear_chain(sim, hops=3, policy=broadcast_aggregation(),
+                                 unicast_rate_mbps=0.65, channel=channel)
+    if per_broadcast:
+        network.node(1).set_mobility(Stationary())
+    extra = during(sim, channel, network) if during is not None else []
+    sink_node = network.node(4)
+    sink = UdpSink(sink_node)
+    source = CbrSource.saturating(network.node(1), sink_node.ip,
+                                  link_rate_bps=mbps(0.65), overdrive=1.5)
+    source.start(0.001)
+    sim.run(until=DURATION)
+    phys = [node.phy for node in network.nodes] + list(extra)
+    return repr((sink.packets_received, sink.bytes_received, sink.first_arrival,
+                 sink.last_arrival, _phy_counters(phys), _channel_counters(channel)))
+
+
+def _plans_built(run):
+    """``run()``'s output and the epoch of every delivery plan it built."""
+    epochs = []
+    plan = WirelessChannel._plan
+
+    def counted(channel, sender, now, epoch):
+        epochs.append(epoch)
+        return plan(channel, sender, now, epoch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WirelessChannel, "_plan", counted)
+        output = run()
+    return output, epochs
+
+
+def _assert_cached_plans_match_per_broadcast_plans(run) -> list:
+    """``run(per_broadcast)`` agrees both ways; returns the cached run's plan epochs."""
+    cached, cached_epochs = _plans_built(lambda: run(False))
+    fresh, fresh_epochs = _plans_built(lambda: run(True))
+    assert cached == fresh
+    assert 0 < len(cached_epochs) < len(fresh_epochs)
+    return cached_epochs
+
+
+def test_plans_match_per_broadcast_across_shadowing_epochs():
+    # Shadowing redrawn every 0.5 s: a plan served past its epoch would
+    # carry the previous epoch's powers.
+    def run(per_broadcast):
+        return _chain_signature(
+            1, per_broadcast,
+            propagation=LogNormalShadowing(sigma_db=4.0, coherence_time=0.5))
+
+    epochs = _assert_cached_plans_match_per_broadcast_plans(run)
+    assert set(epochs) == set(range(int(DURATION / 0.5)))
+
+
+def test_plans_match_per_broadcast_after_a_scheduled_move():
+    # The sink walks out of range and back: a stale plan would keep
+    # delivering to it, or keep it out, after each move.
+    def during(sim, channel, network):
+        sink_phy = network.node(4).phy
+        home = sink_phy.position
+        sim.schedule(1.0, setattr, sink_phy, "position", (60.0, 0.0))
+        sim.schedule(1.8, setattr, sink_phy, "position", home)
+        return []
+
+    _assert_cached_plans_match_per_broadcast_plans(
+        lambda per_broadcast: _chain_signature(2, per_broadcast, during=during))
+
+
+def test_plans_match_per_broadcast_when_phys_join_and_leave():
+    # The sink leaves and comes back, and a listening PHY joins in between:
+    # a stale plan would deliver to the departed sink or miss the newcomer.
+    def during(sim, channel, network):
+        sink_phy = network.node(4).phy
+        late = []
+        sim.schedule(1.0, channel.unregister, sink_phy)
+        sim.schedule(1.4, lambda: late.append(
+            Phy(sim, channel, position=(6.0, 1.0), name="late")))
+        sim.schedule(1.8, channel.register, sink_phy)
+        return late
+
+    _assert_cached_plans_match_per_broadcast_plans(
+        lambda per_broadcast: _chain_signature(3, per_broadcast, during=during))
+
+
+def _city_flood_signature(seed: int, per_broadcast: bool) -> str:
+    """Observable outcome of flooding over an 80-node city, on the grid path."""
+    sim = Simulator(seed=seed)
+    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
+                              unicast_rate_mbps=0.65, stop_time=1.0)
+    nodes = populate_city(scenario, 80)
+    assert len(nodes) > medium.AUTO_SPATIAL_THRESHOLD
+    if per_broadcast:
+        nodes[-1].set_mobility(Stationary())
+    # A flooder moves two cells over mid-run: the grid re-buckets it and
+    # every cached plan has to go.
+    mover = nodes[13].phy
+    x, y = mover.position
+    sim.schedule(0.5, setattr, mover, "position", (x + 30.0, y))
+    flooders = []
+    for node in nodes[::13]:
+        flooder = FloodingSource(sim, node.network, node.ip, interval=0.2,
+                                 payload_bytes=64)
+        flooder.start()
+        flooders.append(flooder)
+    sim.run(until=1.0)
+    assert scenario.channel._spatial is not None
+    return repr(([flooder.packets_sent for flooder in flooders],
+                 [node.network.stats.delivered_broadcast for node in nodes],
+                 _phy_counters([node.phy for node in nodes]),
+                 _channel_counters(scenario.channel)))
+
+
+def test_plans_match_per_broadcast_on_the_grid_path():
+    _assert_cached_plans_match_per_broadcast_plans(
+        lambda per_broadcast: _city_flood_signature(5, per_broadcast))
+
+
+def _mobile_udp_signature(seed: int) -> str:
     """Full observable outcome of a mobile, time-varying-channel UDP run.
 
-    Deliberately the worst case for the link-budget memo: log-normal
-    shadowing redrawn every 0.5 s (coherence epochs) *and* a mobile relay
-    (positions change under the memo), so a stale cache entry anywhere would
-    shift a reception and change these counters.
+    Log-normal shadowing redrawn every 0.5 s (coherence epochs) *and* a
+    mobile relay, so moving links produce a fresh SNR almost every frame
+    and keep missing the error model's probability memo.
     """
     sim = Simulator(seed=seed)
     propagation = LogNormalShadowing(sigma_db=4.0, coherence_time=0.5)
-    with mock.patch.object(medium, "LINK_BUDGET_MEMO", link_budget_memo):
-        channel = WirelessChannel(sim, propagation=propagation)
+    channel = WirelessChannel(sim, propagation=propagation)
     network = build_linear_chain(sim, hops=2, policy=broadcast_aggregation(),
                                  unicast_rate_mbps=0.65, channel=channel)
     relay = network.node(2)
@@ -60,50 +205,38 @@ def _mobile_udp_signature(seed: int, link_budget_memo: bool) -> str:
         sink.bytes_received,
         sink.first_arrival,
         sink.last_arrival,
-        [node.phy.frames_sent for node in network.nodes],
-        [node.phy.frames_received for node in network.nodes],
-        [node.phy.frames_collided for node in network.nodes],
-        [node.phy.tx_airtime for node in network.nodes],
+        _phy_counters([node.phy for node in network.nodes]),
     ))
-
-
-def test_link_budget_memo_is_invisible_on_mobile_time_varying_channel():
-    # Memo on vs memo off must be byte-identical: the cache may only serve
-    # entries whose (coherence epoch, tx position, rx position) key still
-    # matches exactly, so mobility and epoch rollovers force recomputation.
-    assert (_mobile_udp_signature(1, link_budget_memo=True)
-            == _mobile_udp_signature(1, link_budget_memo=False))
 
 
 def test_error_memo_cap_is_invisible_on_mobile_run(monkeypatch):
     # The per-PHY error-probability memo is cleared whenever it reaches its
     # cap; a cap of 1 clears it on nearly every miss, which must not change
     # a byte of a run whose moving links miss it most of the time.
-    default = _mobile_udp_signature(1, link_budget_memo=True)
+    default = _mobile_udp_signature(1)
     monkeypatch.setattr(ErrorModel, "_CACHE_LIMIT", 1)
-    assert _mobile_udp_signature(1, link_budget_memo=True) == default
+    assert _mobile_udp_signature(1) == default
 
 
 def test_mobile_memo_runs_still_diverge_across_seeds():
-    # Guard against the signature degenerating into something seed-blind.
-    assert (_mobile_udp_signature(1, link_budget_memo=True)
-            != _mobile_udp_signature(2, link_budget_memo=True))
+    # Guard against the signatures degenerating into something seed-blind.
+    assert _mobile_udp_signature(1) != _mobile_udp_signature(2)
+    assert _chain_signature(1, False) != _chain_signature(2, False)
 
 
 def test_repeated_runs_in_one_process_are_byte_identical():
-    # The probability/offset caches live on per-run objects, but a
+    # Plans, probabilities and offsets live on per-run objects, but a
     # second run in the same process must not see any process-level leakage
     # (e.g. a module-global memo keyed on something seed-independent).
-    first = _mobile_udp_signature(7, link_budget_memo=True)
-    second = _mobile_udp_signature(7, link_budget_memo=True)
-    assert first == second
+    assert _mobile_udp_signature(7) == _mobile_udp_signature(7)
+    assert _chain_signature(7, False) == _chain_signature(7, False)
 
 
 def test_stationary_campaign_across_pool_workers_matches_inline():
-    # The stationary fast path (memoised link budgets validated by identity
-    # of the static position tuples) must replicate byte for byte in fresh
-    # pool workers, or the campaign cache would mix histories across
-    # machines/processes.
+    # The stationary fast path (delivery plans cached per sender, error
+    # probabilities memoised per rate by identity) must replicate byte for
+    # byte in fresh pool workers, or the campaign cache would mix histories
+    # across machines/processes.
     inline = CampaignRunner(jobs=1).run_campaign("table02", seeds=[1, 2],
                                                  overrides=TINY_TABLE02)
     pooled = CampaignRunner(jobs=2).run_campaign("table02", seeds=[1, 2],

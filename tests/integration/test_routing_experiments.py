@@ -1,4 +1,4 @@
-"""The dynamic-routing experiments (mob03, mob04, rt01) and their contracts.
+"""The dynamic-routing experiments (mob03, mob04, rt01, rt02) and their contracts.
 
 The headline acceptance criterion lives here: ``mob04`` must demonstrate
 *measured route reconvergence* — delivery resumes via the backup path after
@@ -17,6 +17,7 @@ from repro.experiments import (
     mob03_mesh_routing,
     mob04_relay_failover,
     rt01_control_overhead,
+    rt02_overhead_scaling,
 )
 
 #: Small-but-meaningful parameter sets (larger than the determinism TINY_*
@@ -152,3 +153,22 @@ class TestStaticRoutingUnchanged:
         node.start_routing()  # must be a no-op, not an error
         assert sim.pending_events == 0
         assert node.mac_stats.routing_subframes_sent == 0
+
+
+class TestRt02FlowOrder:
+    def test_every_flow_count_takes_a_prefix_of_one_order(self):
+        sample = rt02_overhead_scaling._sample_flows
+        full = sample(range(1, 10), 72, 5, 3)
+        assert len(set(full)) == 72
+        for count in (1, 2, 4, 6):
+            assert sample(range(1, 10), count, 5, 3) == full[:count]
+
+    def test_too_many_flows_are_refused_before_any_run(self, monkeypatch):
+        from repro.errors import ExperimentError
+
+        runs = []
+        monkeypatch.setattr(rt02_overhead_scaling, "_run_once",
+                            lambda *args, **kwargs: runs.append(kwargs) or (0.0, 0.0))
+        with pytest.raises(ExperimentError, match="cannot place 13 distinct flows on 4 nodes"):
+            rt02_overhead_scaling.run(flow_counts=(1, 13), grid_side=2)
+        assert runs == []

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass, field
 from typing import List
 
 import pytest
 
-from repro.channel import LogDistancePathLoss, WirelessChannel, medium
+from repro.channel import LogDistancePathLoss, LogNormalShadowing, WirelessChannel, medium
 from repro.errors import ConfigurationError, PhyError
+from repro.mobility.models import Stationary
 from repro.phy import FrameKind, Phy, PhyFrame, PhyState, ReceptionResult
 from repro.phy.rates import HYDRA_RATE_TABLE
 from repro.sim import Event, Simulator
@@ -347,25 +349,72 @@ def test_delivered_frames_are_not_retained(monkeypatch, threshold):
     assert live_phy_events() == []
 
 
-def test_link_budget_memo_matches_uncached_channel(monkeypatch):
-    """The per-link budget memo must be invisible in the numbers."""
+def test_cached_plans_are_dropped_by_every_event_that_can_change_them():
+    """A plan is served again only until something could change it.
+
+    Each step below is one such event: a coherence-epoch rollover, a
+    reassigned position, a PHY registering or leaving, and a mobility model
+    attached.  After each one the next send must build its plan afresh,
+    and that plan must equal one built from scratch.
+    """
     sim = Simulator(seed=23)
-    observed = {}
-    for memo in (True, False):
-        monkeypatch.setattr(medium, "LINK_BUDGET_MEMO", memo)
-        channel = WirelessChannel(sim)
-        assert (channel._budget_cache is not None) == memo
-        a = Phy(sim, channel, position=(0.0, 0.0), name="a")
-        b = Phy(sim, channel, position=(2.5, 0.0), name="b")
-        # Twice: the second call exercises the cache-hit path.
-        first = channel.received_power_dbm(a, b)
-        assert channel.received_power_dbm(a, b) == first
-        # Moving an endpoint invalidates via the position equality check.
-        b.position = (5.0, 0.0)
-        moved = channel.received_power_dbm(a, b)
-        assert moved < first
-        observed[memo] = (first, moved)
-    assert observed[True] == observed[False]
+    channel = WirelessChannel(sim, LogNormalShadowing(sigma_db=4.0, coherence_time=0.5))
+    a = Phy(sim, channel, position=(0.0, 0.0), name="a")
+    b = Phy(sim, channel, position=(2.5, 0.0), name="b")
+
+    def send():
+        channel.broadcast(a, data_frame(), 1e-3)
+        return channel._plans.get(a.channel_index)
+
+    def fresh():
+        return channel._plan(a, sim.now, channel.propagation.cache_epoch(sim.now))
+
+    def powers(plan):
+        return [(receiver.name, power) for receiver, power, _ in plan[3]]
+
+    first = send()
+    assert first == fresh() and first[0] == 0
+    assert send() is first
+
+    sim.run(until=0.6)  # the shadowing redraws in epoch 1
+    rolled = send()
+    assert rolled is not first and rolled == fresh() and rolled[0] == 1
+    assert powers(rolled) != powers(first)
+
+    b.position = (5.0, 0.0)
+    assert channel._plans == {}
+    moved = send()
+    assert moved == fresh() and powers(moved)[0][1] < powers(rolled)[0][1]
+
+    c = Phy(sim, channel, position=(0.0, 2.5), name="c")
+    assert channel._plans == {}
+    joined = send()
+    assert joined == fresh() and [name for name, _ in powers(joined)] == ["b", "c"]
+
+    channel.unregister(c)
+    assert channel._plans == {}
+    assert powers(send()) == powers(moved)
+
+    b.set_mobility(Stationary())
+    assert channel._plans == {}
+    assert send() is None  # per-broadcast plans from now on
+    assert channel.total_transmissions == 7
+
+
+@pytest.mark.parametrize("duration", (math.nan, math.inf), ids=("nan", "inf"))
+def test_broadcast_refuses_a_duration_that_is_not_finite(duration):
+    """Regression: only ``duration <= 0`` was refused, so a NaN airtime ran
+    the clock to NaN and an infinite one held every carrier busy forever."""
+    sim = Simulator(seed=24)
+    channel, tx, rx, *_ = build_pair(sim, spacing=3.0)
+    ack = PhyFrame.control_frame(FrameKind.ACK, StubSubframe(14), RATE_065)
+    with pytest.raises(ConfigurationError):
+        channel.broadcast(tx, ack, duration)
+    assert channel.total_transmissions == 0
+    assert channel.total_airtime == 0.0
+    assert sim.pending_events == 0
+    assert sim.run(until=1.0) == 1.0
+    assert not rx.carrier_busy
 
 
 def test_propagation_models_monotone_in_distance():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.phy.error_model import ErrorModel, ErrorModelConfig
-from repro.phy.rates import HYDRA_RATE_TABLE
+from repro.phy.rates import HYDRA_RATE_TABLE, HYDRA_SISO_RATES
 
 RATES = HYDRA_RATE_TABLE
 PAPER_SNR_DB = 25.0
@@ -128,3 +130,29 @@ def test_probability_memo_never_exceeds_its_cap():
             model.subframe_error_probability(snr, rate, 1464)
         sizes.append(len(model._probability_cache))
     assert max(sizes) == ErrorModel._CACHE_LIMIT
+
+
+#: SNRs from -10 dB to 40 dB in 0.37 dB steps.
+SWEEP_SNRS_DB = [-10.0 + 0.37 * step for step in range(136)]
+
+
+@pytest.mark.parametrize("rate", HYDRA_SISO_RATES, ids=lambda rate: rate.name)
+def test_memo_miss_path_equals_the_reference_functions_exactly(rate):
+    """The miss path reruns the reference float operations on per-rate
+    constants; every probability must come out bit-identical (``==``)."""
+    for snr in SWEEP_SNRS_DB:
+        for size in (0, 14, 160, 1464, 11_000):
+            for offset in (0.0, 119_999.0, 130_000.0):
+                reference = ErrorModel()
+                expected = 1.0 - ((1.0 - reference.noise_error_probability(snr, rate, size))
+                                  * (1.0 - reference.aging_error_probability(offset)))
+                assert ErrorModel().subframe_error_probability(
+                    snr, rate, size, offset) == expected, (snr, size, offset)
+
+
+def test_rates_keep_their_identity_through_pickling_and_copying():
+    for rate in HYDRA_SISO_RATES:
+        assert pickle.loads(pickle.dumps(rate)) is rate
+        assert copy.deepcopy(rate) is rate
+        assert RATES.by_name(rate.name) is rate
+    assert len(set(HYDRA_SISO_RATES)) == len(HYDRA_SISO_RATES)
