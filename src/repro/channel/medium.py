@@ -22,16 +22,17 @@ channel's statistics.  Building a plan reads the sender's position once,
 then for each candidate its position and loss, culls it below the detect
 floor, and keeps distance / c as the delay.  A plan is a pure function of the
 registered PHYs, their positions and the propagation model's ``cache_epoch``,
-so while no registered PHY carries a mobility model (of any class — a
-``Stationary`` one counts too) the channel caches one plan per sender and
+so while no registered PHY was built with a mobility model (of any class,
+one that never moves included) the channel caches one plan per sender and
 serves it only in the epoch it was built in.  :meth:`WirelessChannel.register`,
-:meth:`~WirelessChannel.unregister`, :meth:`~WirelessChannel.phy_position_changed`
-and :meth:`~WirelessChannel.phy_mobility_changed` clear every cached plan.
-Once any PHY carries a model, each broadcast builds a fresh plan and keeps
-nothing.  Either way the pushes, their order and every float are the ones a
-fresh evaluation gives, so caching changes when the math runs, never which
-numbers come out (``tests/integration/test_perf_determinism.py`` compares
-cached plans with per-broadcast ones).
+:meth:`~WirelessChannel.unregister` and
+:meth:`~WirelessChannel.phy_position_changed` clear every cached plan.
+While any registered PHY carries a model, each broadcast builds a fresh
+plan and keeps nothing.  Either way the pushes, their order and every float
+are the ones a fresh evaluation gives, so caching changes when the math
+runs, never which numbers come out
+(``tests/integration/test_perf_determinism.py`` compares cached plans with
+per-broadcast ones).
 
 Every PHY has one identity on the medium: the registration index
 :meth:`WirelessChannel.register` writes to ``phy.channel_index``.  Indices
@@ -180,7 +181,7 @@ class WirelessChannel:
         phy.abort_receptions()
 
     def phy_position_changed(self, phy: "Phy") -> None:
-        """Hook fired by ``Phy.position``'s setter: drop plans, re-bucket the PHY.
+        """Hook fired when a static PHY is moved: drop plans, re-bucket the PHY.
 
         The grid ignores PHYs it does not hold, so re-bucketing is a no-op
         for a PHY that has left the medium.
@@ -188,14 +189,6 @@ class WirelessChannel:
         self._plans.clear()
         if self._spatial is not None:
             self._spatial.position_changed(phy)
-
-    def phy_mobility_changed(self, phy: "Phy") -> None:
-        """Hook fired by ``Phy.set_mobility``: stop caching plans, revalidate per query."""
-        if self._phys.get(phy.channel_index) is phy and phy.mobility is not None:
-            self._mobile.add(phy.channel_index)
-        self._plans.clear()
-        if self._spatial is not None:
-            self._spatial.mobility_changed(phy)
 
     @property
     def phys(self) -> List["Phy"]:

@@ -23,13 +23,13 @@ Determinism rules baked in:
   channel's registration index (``phy.channel_index``) and the final
   candidate list is sorted by it — never by cell hash or set iteration — so
   deliveries are scheduled in exactly the order the full scan would use.
-* **Lazy revalidation against exact positions.**  Mobile PHYs (those
-  carrying a mobility model) are revalidated on every query against
-  ``position_at(now)``: the cached cell may only be used when recomputing
-  it would give the same answer.  Stationary PHYs are revalidated through the
-  :meth:`~repro.channel.medium.WirelessChannel.phy_position_changed` hook
-  the PHY's ``position`` setter fires, so a reassigned static position moves
-  its entry immediately.
+* **Lazy revalidation against exact positions.**  A PHY built with a
+  mobility model is mobile for as long as it is registered, and its entry
+  is revalidated on every query against ``position_at(now)``: the cached
+  cell may only be used when recomputing it would give the same answer.  A
+  PHY built without one only moves when its position is assigned, which
+  fires :meth:`~repro.channel.medium.WirelessChannel.phy_position_changed`,
+  so its entry moves immediately.
 * **Purge on unregister.**  Unregistering removes the entry from its cell,
   the mobile list and the entry table, and drops emptied cells, so a
   departed PHY is never a candidate.  The channel never reuses an index: a
@@ -53,13 +53,12 @@ Cell = Tuple[int, int]
 class _GridEntry:
     """One registered PHY: its cached position and cell."""
 
-    __slots__ = ("phy", "position", "cell", "mobile")
+    __slots__ = ("phy", "position", "cell")
 
-    def __init__(self, phy: "Phy", position: tuple, cell: Cell, mobile: bool) -> None:
+    def __init__(self, phy: "Phy", position: tuple, cell: Cell) -> None:
         self.phy = phy
         self.position = position
         self.cell = cell
-        self.mobile = mobile
 
 
 class UniformGridIndex:
@@ -88,10 +87,10 @@ class UniformGridIndex:
             return
         position = phy.position_at(now)
         cell = self.cell_for(position)
-        entry = _GridEntry(phy, position, cell, mobile=phy.mobility is not None)
+        entry = _GridEntry(phy, position, cell)
         self._entries[phy.channel_index] = entry
         self._cells.setdefault(cell, []).append(entry)
-        if entry.mobile:
+        if phy.mobility is not None:
             self._mobile.append(entry)
 
     def unregister(self, phy: "Phy") -> None:
@@ -100,29 +99,19 @@ class UniformGridIndex:
         if entry is None:
             return
         self._drop_from_cell(entry)
-        if entry.mobile:
+        if phy.mobility is not None:
             self._mobile.remove(entry)
 
     def position_changed(self, phy: "Phy") -> None:
-        """Re-bucket ``phy`` after its static position snapshot was reassigned.
+        """Re-bucket static ``phy`` after its position was reassigned.
 
-        Mobile entries need no hook — every query revalidates them against
-        ``position_at(now)`` — but their snapshot updates (mobility models
-        periodically copy the analytic position into ``phy.position``) land
-        here too and are folded in for free.
+        Only static PHYs can be reassigned; mobile entries need no hook,
+        since every query revalidates them against ``position_at(now)``.
         """
         entry = self._entries.get(phy.channel_index)
         if entry is None:
             return
         self._move(entry, phy.position)
-
-    def mobility_changed(self, phy: "Phy") -> None:
-        """Promote ``phy`` to the per-query revalidation list."""
-        entry = self._entries.get(phy.channel_index)
-        if entry is None or entry.mobile:
-            return
-        entry.mobile = True
-        self._mobile.append(entry)
 
     # ------------------------------------------------------------------
     # Queries

@@ -53,7 +53,7 @@ def _run_once(policy: AggregationPolicy, speed: float, node_count: int, area_m: 
     if shadowing_sigma_db > 0:
         propagation = LogNormalShadowing(sigma_db=shadowing_sigma_db)
     scenario = MobileScenario(sim, policy=policy, propagation=propagation,
-                              unicast_rate_mbps=rate_mbps, stop_time=duration)
+                              unicast_rate_mbps=rate_mbps)
 
     # Two stationary anchors near the center carry the UDP flow.
     center = area_m / 2.0

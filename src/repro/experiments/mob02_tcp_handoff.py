@@ -50,8 +50,7 @@ def _run_once(policy: AggregationPolicy, orbit_period: Optional[float],
     does not complete within ``max_sim_time``.
     """
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
-                              stop_time=max_sim_time)
+    scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps)
     half = endpoint_gap_m / 2.0
     scenario.add_node((-half, 0.0))
     # The relay starts at the midpoint (in range of both endpoints); its

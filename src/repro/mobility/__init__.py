@@ -2,12 +2,13 @@
 
 The paper's evaluation is entirely stationary (Section 5: fixed indoor nodes
 at ~25 dB SNR).  This package extends the reproduction beyond that setup:
-mobility models advance node positions via scheduler events, the
-PHY/channel layer evaluates propagation against exact analytic positions at
-transmission start (see ``Phy.position_at`` and
-:class:`~repro.channel.medium.WirelessChannel`), and the
-:class:`~repro.channel.propagation.LogNormalShadowing` model makes motion
-change loss rather than just distance.
+a model given to a PHY when it is built (``Phy(..., mobility=model)``) is
+that PHY's one source of position, answered analytically for any time and
+never advanced by scheduler events; the PHY/channel layer evaluates
+propagation against those exact positions at transmission start (see
+``Phy.position_at`` and :class:`~repro.channel.medium.WirelessChannel`);
+and the :class:`~repro.channel.propagation.LogNormalShadowing` model makes
+motion change loss rather than just distance.
 
 See :mod:`repro.topology.mobile` for the scenario builder and the
 ``mob01``/``mob02`` modules in :mod:`repro.experiments` for ready-made
@@ -15,21 +16,17 @@ mobile-scenario experiments.
 """
 
 from repro.mobility.models import (
-    DEFAULT_UPDATE_INTERVAL_S,
     CircularOrbit,
     MobilityModel,
     RandomWalk,
     RandomWaypoint,
-    Stationary,
     TrajectoryLeg,
 )
 
 __all__ = [
-    "DEFAULT_UPDATE_INTERVAL_S",
     "CircularOrbit",
     "MobilityModel",
     "RandomWalk",
     "RandomWaypoint",
-    "Stationary",
     "TrajectoryLeg",
 ]

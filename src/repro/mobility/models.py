@@ -11,16 +11,16 @@ Design:
 
 * A model produces a **piecewise-linear trajectory** (or a closed form, for
   :class:`CircularOrbit`).  ``position_at(t)`` interpolates analytically
-  between waypoints, so positional precision never depends on how often the
-  scheduler ticks the model.
-* Scheduler **update events** at a configurable ``update_interval`` refresh
-  the attached PHY's ``position`` snapshot attribute (for code that reads the
-  plain attribute) and keep trajectory generation marching forward in time;
-  they carry no randomness of their own.
+  between waypoints, so a position is exact at any time and never depends
+  on how often, or in what order, it is queried.
+* A model is given to a PHY when the PHY is built
+  (``Phy(..., mobility=model)``), which binds it once; from then on the
+  PHY's ``position`` *is* ``position_at(now)``.  Nothing is scheduled on a
+  model's behalf: it does work only when a position is asked for.
 * Every random draw comes from a dedicated per-model stream derived from the
-  simulator's root seed (``mobility.<phy name>``), so attaching a model never
-  perturbs any other component's random sequence and same-seed runs are
-  byte-identical.
+  simulator's root seed (``mobility.<phy name>``), so giving a PHY a model
+  never perturbs any other component's random sequence and same-seed runs
+  are byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.timer import PeriodicTimer
 
 Position = Tuple[float, float]
 Velocity = Tuple[float, float]
@@ -40,14 +39,17 @@ Velocity = Tuple[float, float]
 #: Bounding box as (x_min, y_min, x_max, y_max) in metres.
 Area = Tuple[float, float, float, float]
 
-#: Default interval between scheduler update events (seconds).
-DEFAULT_UPDATE_INTERVAL_S = 0.1
+#: How long a random waypoint stays put when a draw gives it no hop to
+#: travel (zero distance or speed) and no pause is configured (seconds).
+_ZERO_HOP_PAUSE_S = 0.1
 
 _EPSILON = 1e-12
 
 
 def _check_area(area: Area) -> Area:
     x_min, y_min, x_max, y_max = (float(v) for v in area)
+    if not all(map(math.isfinite, (x_min, y_min, x_max, y_max))):
+        raise ConfigurationError(f"mobility area bounds must be finite, got {area}")
     if x_max <= x_min or y_max <= y_min:
         raise ConfigurationError(f"degenerate mobility area {area}")
     return (x_min, y_min, x_max, y_max)
@@ -55,7 +57,7 @@ def _check_area(area: Area) -> Area:
 
 def _check_speed_range(speed_range: Tuple[float, float]) -> Tuple[float, float]:
     low, high = (float(v) for v in speed_range)
-    if low < 0 or high < low:
+    if not (math.isfinite(low) and math.isfinite(high)) or low < 0 or high < low:
         raise ConfigurationError(f"invalid speed range {speed_range}")
     return (low, high)
 
@@ -93,36 +95,19 @@ class TrajectoryLeg:
 
 
 class MobilityModel:
-    """Base class: binding, update-event scheduling and the query interface.
+    """Base class: binding and the query interface.
 
-    A model is *bound* to an RNG stream and an origin (either directly via
-    :meth:`bind` for standalone/unit-test use, or via :meth:`attach`, which
-    derives both from a PHY), after which :meth:`position_at` answers for any
-    ``time >= start_time``.  :meth:`start` additionally schedules periodic
-    scheduler events that copy the current analytic position into the attached
-    PHY's ``position`` attribute.
+    A model is *bound* once to an RNG stream and an origin, after which
+    :meth:`position_at` answers for any ``time >= start_time``.  The PHY a
+    model is given to binds it in its constructor (see
+    :class:`~repro.phy.device.Phy`); standalone and unit-test use calls
+    :meth:`bind` directly.
     """
 
-    def __init__(self, update_interval: float = DEFAULT_UPDATE_INTERVAL_S) -> None:
-        if update_interval <= 0:
-            raise ConfigurationError("update_interval must be positive")
-        self.update_interval = update_interval
+    def __init__(self) -> None:
         self._rng: Optional[random.Random] = None
         self._origin: Position = (0.0, 0.0)
         self._start_time = 0.0
-        self._phy = None
-        self._sim = None
-        self._updater: Optional[PeriodicTimer] = None
-        self._stop_time: Optional[float] = None
-        self.updates = 0
-
-    # ------------------------------------------------------------------
-    # Binding
-    # ------------------------------------------------------------------
-    @property
-    def bound(self) -> bool:
-        """True once the model has an RNG and an origin."""
-        return self._rng is not None
 
     def bind(self, rng: random.Random, initial_position: Position,
              start_time: float = 0.0) -> "MobilityModel":
@@ -132,7 +117,7 @@ class MobilityModel:
         configuration error: the trajectory is a function of the stream, so a
         second binding would silently splice two incompatible histories.
         """
-        if self.bound:
+        if self._rng is not None:
             raise ConfigurationError("mobility model is already bound")
         self._rng = rng
         self._origin = (float(initial_position[0]), float(initial_position[1]))
@@ -140,90 +125,18 @@ class MobilityModel:
         self._on_bound()
         return self
 
-    def attach(self, phy) -> "MobilityModel":
-        """Bind to ``phy`` (its sim, name and current position)."""
-        sim = phy.sim
-        self.bind(sim.random.stream(f"mobility.{phy.name}"), tuple(phy.position),
-                  start_time=sim.now)
-        self._phy = phy
-        self._sim = sim
-        if not self.is_static:
-            self._updater = PeriodicTimer(sim, self.update_interval, self._on_update,
-                                          name="mobility")
-        return self
-
     def _on_bound(self) -> None:
         """Subclass hook invoked once the RNG and origin are available."""
 
     def _require_bound(self) -> None:
-        if not self.bound:
+        if self._rng is None:
             raise ConfigurationError(
-                f"{type(self).__name__} must be bound (attach() or bind()) "
-                "before positions can be queried")
+                f"{type(self).__name__} must be bound (give it to a Phy, or "
+                "bind()) before positions can be queried")
 
-    # ------------------------------------------------------------------
-    # Update events
-    # ------------------------------------------------------------------
-    @property
-    def is_static(self) -> bool:
-        """True when the trajectory never moves (no update events needed)."""
-        return False
-
-    def start(self, stop_time: Optional[float] = None) -> None:
-        """Schedule periodic position updates (no-op for static models)."""
-        if self._sim is None:
-            raise ConfigurationError("attach() the model to a PHY before start()")
-        if self.is_static or self._updater.running:
-            return
-        self._stop_time = stop_time
-        self._updater.start()
-
-    def stop(self) -> None:
-        """Cancel pending update events."""
-        if self._updater is not None:
-            self._updater.stop()
-
-    def _on_update(self) -> None:
-        self.updates += 1
-        now = self._sim.now
-        self._phy.position = self.position_at(now)
-        if self._stop_time is not None and not now + self.update_interval <= self._stop_time:
-            self._updater.stop()
-
-    # ------------------------------------------------------------------
-    # Query interface
-    # ------------------------------------------------------------------
     def position_at(self, time: float) -> Position:
         """Exact position at simulated ``time`` (>= the binding time)."""
         raise NotImplementedError
-
-
-class Stationary(MobilityModel):
-    """A node that never moves.
-
-    Attaching a ``Stationary`` model is observationally identical to
-    attaching no model at all: it draws nothing from its RNG stream and
-    schedules no events, so existing stationary experiments reproduce their
-    outputs bit-for-bit with or without it.
-    """
-
-    def __init__(self, position: Optional[Position] = None) -> None:
-        super().__init__()
-        self._explicit_position = position
-
-    @property
-    def is_static(self) -> bool:
-        return True
-
-    def _on_bound(self) -> None:
-        if self._explicit_position is not None:
-            self._origin = (float(self._explicit_position[0]),
-                            float(self._explicit_position[1]))
-
-    def position_at(self, time: float) -> Position:
-        if self._rng is None:
-            self._require_bound()
-        return self._origin
 
 
 class _PiecewiseLinearMobility(MobilityModel):
@@ -234,8 +147,8 @@ class _PiecewiseLinearMobility(MobilityModel):
     when or how often ``position_at`` is called.
     """
 
-    def __init__(self, update_interval: float = DEFAULT_UPDATE_INTERVAL_S) -> None:
-        super().__init__(update_interval)
+    def __init__(self) -> None:
+        super().__init__()
         self._legs: List[TrajectoryLeg] = []
         self._leg_starts: List[float] = []
         # End time of the last leg, so a query inside the generated
@@ -302,15 +215,15 @@ class RandomWaypoint(_PiecewiseLinearMobility):
     """
 
     def __init__(self, area: Area, speed_range: Tuple[float, float] = (0.5, 2.0),
-                 pause_time: float = 0.0,
-                 update_interval: float = DEFAULT_UPDATE_INTERVAL_S) -> None:
-        super().__init__(update_interval)
+                 pause_time: float = 0.0) -> None:
+        super().__init__()
         self.area = _check_area(area)
         self.speed_range = _check_speed_range(speed_range)
         if self.speed_range[1] <= 0:
             raise ConfigurationError("random waypoint needs a positive top speed")
-        if pause_time < 0:
-            raise ConfigurationError("pause_time must be non-negative")
+        if not 0.0 <= pause_time < math.inf:
+            raise ConfigurationError(
+                f"pause_time must be finite and non-negative, got {pause_time}")
         self.pause_time = pause_time
 
     def _next_legs(self, start_time: float, start: Position) -> Sequence[TrajectoryLeg]:
@@ -332,7 +245,7 @@ class RandomWaypoint(_PiecewiseLinearMobility):
         if not legs:
             # Zero-length hop with no pause: burn no time but keep the
             # trajectory advancing (treat it as a minimal pause).
-            legs.append(TrajectoryLeg(cursor, self.update_interval, start, (0.0, 0.0)))
+            legs.append(TrajectoryLeg(cursor, _ZERO_HOP_PAUSE_S, start, (0.0, 0.0)))
         return legs
 
 
@@ -346,13 +259,13 @@ class RandomWalk(_PiecewiseLinearMobility):
     """
 
     def __init__(self, area: Area, speed_range: Tuple[float, float] = (0.5, 2.0),
-                 leg_duration: float = 2.0,
-                 update_interval: float = DEFAULT_UPDATE_INTERVAL_S) -> None:
-        super().__init__(update_interval)
+                 leg_duration: float = 2.0) -> None:
+        super().__init__()
         self.area = _check_area(area)
         self.speed_range = _check_speed_range(speed_range)
-        if leg_duration <= 0:
-            raise ConfigurationError("leg_duration must be positive")
+        if not 0.0 < leg_duration < math.inf:
+            raise ConfigurationError(
+                f"leg_duration must be positive and finite, got {leg_duration}")
         self.leg_duration = leg_duration
 
     def _next_legs(self, start_time: float, start: Position) -> Sequence[TrajectoryLeg]:
@@ -415,18 +328,22 @@ class CircularOrbit(MobilityModel):
     The node orbits ``center`` at ``radius`` metres, completing one
     revolution every ``period`` seconds (negative = clockwise).  When no
     center is given, the binding position is taken as the point on the circle
-    at ``phase_rad``, which makes attaching natural: the node starts exactly
-    where the topology placed it and orbits from there.
+    at ``phase_rad``, so a PHY built with the orbit starts exactly where the
+    topology placed it and orbits from there.
     """
 
     def __init__(self, radius: float, period: float,
-                 center: Optional[Position] = None, phase_rad: float = -math.pi / 2.0,
-                 update_interval: float = DEFAULT_UPDATE_INTERVAL_S) -> None:
-        super().__init__(update_interval)
-        if radius <= 0:
-            raise ConfigurationError("orbit radius must be positive")
-        if period == 0:
-            raise ConfigurationError("orbit period must be non-zero")
+                 center: Optional[Position] = None,
+                 phase_rad: float = -math.pi / 2.0) -> None:
+        super().__init__()
+        if not 0.0 < radius < math.inf:
+            raise ConfigurationError(f"orbit radius must be positive and finite, got {radius}")
+        if not (math.isfinite(period) and period != 0):
+            raise ConfigurationError(f"orbit period must be finite and non-zero, got {period}")
+        if not math.isfinite(phase_rad):
+            raise ConfigurationError(f"orbit phase must be finite, got {phase_rad}")
+        if center is not None and not all(map(math.isfinite, center)):
+            raise ConfigurationError(f"orbit center must be finite, got {center}")
         self.radius = radius
         self.period = period
         self.phase_rad = phase_rad

@@ -157,7 +157,7 @@ class DsdvRouter:
         self.route_changes = 0
         self.route_breaks = 0
         sim.metrics.register_collector(self._collect_metrics)
-        network.register_handler(DSDV_PROTOCOL, self._on_update)
+        network.register_handler(DSDV_PROTOCOL, self._on_advertisement)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -232,7 +232,7 @@ class DsdvRouter:
     # ------------------------------------------------------------------
     # Advertisement reception
     # ------------------------------------------------------------------
-    def _on_update(self, packet: Packet, source_mac: MacAddress) -> None:
+    def _on_advertisement(self, packet: Packet, source_mac: MacAddress) -> None:
         sender = IpAddress(packet.ip.src)
         if sender == self.address:  # pragma: no cover - broadcasts never loop back
             return

@@ -17,10 +17,9 @@ of 5 KB chosen from the Figure 7 sweep
 varies per run is its data rates, its aggregation policy, block ACKs and,
 for the ablation, whether it uses RTS/CTS.
 
-Beyond the paper's stationary testbed, a node may carry a
-:mod:`repro.mobility` model (:meth:`Node.set_mobility`); ``position`` then
-tracks the model's scheduler-driven updates and :meth:`Node.position_at`
-answers exactly for any time.
+Beyond the paper's stationary testbed, a node may be built with a
+:mod:`repro.mobility` model (``Node(..., mobility=model)``): its PHY binds
+the model and takes every position from it (see :class:`~repro.phy.device.Phy`).
 
 Every node forwards through one :class:`~repro.net.routing.RoutingTable`,
 and its routing is one value: ``routing=None`` (the default) keeps the
@@ -41,6 +40,7 @@ from repro.core.policies import AggregationPolicy, broadcast_aggregation
 from repro.errors import ConfigurationError
 from repro.mac.addresses import MacAddress
 from repro.mac.dcf import AggregatingMac, MacConfig
+from repro.mobility.models import MobilityModel
 from repro.net.address import IpAddress
 from repro.net.dynamic_routing import DsdvConfig, DsdvRouter
 from repro.net.on_demand import AodvConfig, AodvRouter
@@ -77,6 +77,7 @@ class Node:
         use_rts_cts: bool = True,
         use_block_ack: bool = False,
         routing: RoutingConfig = None,
+        mobility: Optional[MobilityModel] = None,
     ) -> None:
         if routing is not None and not isinstance(routing, (DsdvConfig, AodvConfig)):
             raise ConfigurationError(
@@ -92,7 +93,8 @@ class Node:
         self.name = f"node{index}"
 
         # --- PHY -----------------------------------------------------------
-        self.phy = Phy(sim, channel, position=position, name=f"{self.name}.phy")
+        self.phy = Phy(sim, channel, position=position, name=f"{self.name}.phy",
+                       mobility=mobility)
 
         # --- MAC -----------------------------------------------------------
         mac_config = MacConfig(
@@ -130,29 +132,16 @@ class Node:
         self.tcp = TcpLayer(sim, self.network, self.ip)
 
     # ------------------------------------------------------------------
-    # Position and mobility (delegated to the PHY)
+    # Position (delegated to the PHY)
     # ------------------------------------------------------------------
     @property
     def position(self) -> Tuple[float, float]:
-        """Current position snapshot (the PHY's, kept fresh by mobility updates)."""
+        """Where the node is now (the PHY's :attr:`~repro.phy.device.Phy.position`)."""
         return self.phy.position
 
     @position.setter
     def position(self, value: Tuple[float, float]) -> None:
         self.phy.position = value
-
-    def position_at(self, time: float) -> Tuple[float, float]:
-        """Exact analytic position at simulated ``time``."""
-        return self.phy.position_at(time)
-
-    @property
-    def mobility(self):
-        """The attached mobility model, if any."""
-        return self.phy.mobility
-
-    def set_mobility(self, model, start: bool = True, stop_time: float = None):
-        """Attach a mobility model to this node's PHY."""
-        return self.phy.set_mobility(model, start=start, stop_time=stop_time)
 
     # ------------------------------------------------------------------
     # Convenience accessors

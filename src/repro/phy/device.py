@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Protocol
 
-from repro.errors import PhyError
+from repro.errors import ConfigurationError, PhyError
 from repro.phy.error_model import ErrorModel
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.phy.timing import HYDRA_PHY_TIMING
@@ -46,6 +46,13 @@ CAPTURE_THRESHOLD_DB = 10.0
 #: PHY ignores it entirely (see :meth:`Phy.begin_reception`), which is what
 #: lets the channel cull such deliveries without changing a byte of any run.
 DETECT_FLOOR_DBM = min(CARRIER_SENSE_THRESHOLD_DBM, RECEPTION_THRESHOLD_DBM)
+
+
+def _finite_position(position: tuple) -> tuple:
+    """``position`` itself, once both of its coordinates are known to be finite."""
+    if not (math.isfinite(position[0]) and math.isfinite(position[1])):
+        raise ConfigurationError(f"position must be finite, got {position!r}")
+    return position
 
 
 class PhyListener(Protocol):
@@ -86,10 +93,15 @@ class _ReceptionAttempt:
 
 
 class Phy:
-    """Half-duplex PHY with carrier sensing, capture and subframe decoding."""
+    """Half-duplex PHY with carrier sensing, capture and subframe decoding.
+
+    Its position has one source, chosen when it is built: ``position``,
+    or a ``mobility`` model bound to the ``mobility.<name>`` stream with
+    ``position`` as origin and ``sim.now`` as start time.
+    """
 
     __slots__ = ("sim", "channel", "channel_index", "_position",
-                 "mobility", "name", "error_model", "_rng", "_listener",
+                 "_mobility", "name", "error_model", "_rng", "_listener",
                  "_transmitting", "_receptions", "_carrier_count",
                  "_carrier_busy_reported", "frames_sent", "frames_received",
                  "frames_collided", "tx_airtime")
@@ -100,7 +112,14 @@ class Phy:
         channel: "WirelessChannel",
         position: tuple = (0.0, 0.0),
         name: str = "phy",
+        mobility: Optional["MobilityModel"] = None,
     ) -> None:
+        _finite_position(position)
+        if mobility is not None:
+            # Before anything registers this PHY: binding refuses a model
+            # that another PHY already holds.
+            mobility.bind(sim.random.stream(f"mobility.{name}"), position,
+                          start_time=sim.now)
         self.sim = sim
         self.channel = channel
         #: This PHY's identity on ``channel``, assigned by its ``register()``.
@@ -109,7 +128,7 @@ class Phy:
         # channel's spatial index, which cannot know this PHY yet (register()
         # runs at the end of __init__).
         self._position = position
-        self.mobility: Optional["MobilityModel"] = None
+        self._mobility = mobility
         self.name = name
         self.error_model = ErrorModel()
         self._rng = sim.random.stream(f"phy.{name}")
@@ -139,52 +158,41 @@ class Phy:
         """The attached MAC, if any."""
         return self._listener
 
-    def set_mobility(self, model: "MobilityModel", start: bool = True,
-                     stop_time: Optional[float] = None) -> "MobilityModel":
-        """Attach a mobility model (and start its position update events).
-
-        ``stop_time`` bounds the periodic updates so a mobile run whose
-        traffic has drained does not keep the event queue alive forever.
-        """
-        if self.mobility is not None:
-            raise PhyError(f"{self.name}: a mobility model is already attached")
-        self.mobility = model
-        model.attach(self)
-        # The spatial index revalidates mobile PHYs against position_at() on
-        # every query; tell the channel this one just became mobile.
-        self.channel.phy_mobility_changed(self)
-        if start:
-            model.start(stop_time=stop_time)
-        return model
+    @property
+    def mobility(self) -> Optional["MobilityModel"]:
+        """The mobility model this PHY was built with, if any (fixed for life)."""
+        return self._mobility
 
     @property
     def position(self) -> tuple:
-        """Latest position snapshot; refreshed by mobility update events.
+        """Where the PHY is now: ``position_at(sim.now)``.
 
-        Link budgets use :meth:`position_at` (exact) instead of this.
-        Assigning a new position notifies the channel so its spatial index
-        re-buckets the PHY immediately — a reassigned *static* position has
-        no mobility model to revalidate against, so the setter is the only
-        way the index learns about it.
+        Assigning moves a static PHY and notifies the channel, which drops
+        its cached delivery plans and re-buckets the PHY in its spatial
+        index at once.  A PHY built with a mobility model refuses the
+        assignment (:class:`~repro.errors.PhyError`): the model is its one
+        source of position.
         """
-        return self._position
+        return self.position_at(self.sim.now)
 
     @position.setter
     def position(self, value: tuple) -> None:
-        self._position = value
+        if self._mobility is not None:
+            raise PhyError(f"{self.name}: its position comes from its mobility model")
+        self._position = _finite_position(value)
         self.channel.phy_position_changed(self)
 
     def position_at(self, time: float) -> tuple:
         """Exact position at simulated ``time``.
 
-        Without a mobility model this is the static ``position`` attribute —
-        the same tuple object, so stationary scenarios are unchanged bit for
-        bit.  With one, the model interpolates analytically between waypoints
-        regardless of the update-event granularity.
+        Without a mobility model this is the static position — the same
+        tuple object at every time, so stationary scenarios are unchanged
+        bit for bit.  With one, it is the model's analytic position.
         """
-        if self.mobility is None:
+        mobility = self._mobility
+        if mobility is None:
             return self._position
-        return self.mobility.position_at(time)
+        return mobility.position_at(time)
 
     # ------------------------------------------------------------------
     # State

@@ -1,7 +1,7 @@
 """Restartable one-shot and periodic timers.
 
 Protocol code (MAC retransmission timeouts and the NAV, TCP RTO, DBA flush
-timers, CBR sources, mobility updates) needs timers that can be started,
+timers, CBR sources, routing beacons) needs timers that can be started,
 restarted and cancelled.  A :class:`Timer` is the only object outside the
 scheduler that keeps a pending :class:`~repro.sim.scheduler.Event`: everything
 else either fires and forgets (channel deliveries, PHY transmit ends) or holds

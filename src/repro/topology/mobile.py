@@ -11,8 +11,7 @@ Typical use::
 
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              propagation=LogNormalShadowing(sigma_db=4.0),
-                              stop_time=duration)
+                              propagation=LogNormalShadowing(sigma_db=4.0))
     anchor = scenario.add_node((10.0, 10.0))                      # stationary
     rover = scenario.add_node((5.0, 5.0),
                               RandomWaypoint(area=(0, 0, 20, 20),
@@ -21,9 +20,12 @@ Typical use::
     network = scenario.network
     sim.run(until=duration)
 
-Nodes added without a model stay stationary at zero overhead (no update
-events, identical link-budget floats), which is what lets mobile scenarios
-coexist with bit-for-bit reproduction of the paper's stationary experiments.
+A node's model is fixed when the node is built, and nothing is scheduled
+on its behalf: positions are computed only when a link budget or the
+spatial index asks for one.  Nodes added without a model stay where they
+are put, with identical link-budget floats, which is what lets mobile
+scenarios coexist with bit-for-bit reproduction of the paper's stationary
+experiments.
 
 ``routing`` is every node's routing value.  ``None`` (the default) keeps
 statically installed routes.  ``routing=DsdvConfig(...)`` swaps them for the
@@ -54,9 +56,10 @@ from repro.topology.network import Network
 class MobileScenario:
     """Builds a :class:`Network` whose nodes may carry mobility models.
 
-    Parameters mirror the static builders; ``stop_time`` bounds every model's
-    position-update events so runs whose traffic drains do not keep the event
-    queue alive to the horizon.
+    Parameters mirror the static builders.  ``stop_time`` bounds the
+    routing timers (HELLOs, advertisements, expiry sweeps) of a dynamic
+    control plane so runs whose traffic drains do not keep the event queue
+    alive to the horizon; under static routing nothing uses it.
     """
 
     def __init__(self, sim: Simulator, policy: AggregationPolicy,
@@ -98,11 +101,9 @@ class MobileScenario:
                     broadcast_rate_mbps=self.broadcast_rate_mbps,
                     neighbors=self.network.neighbors,
                     use_block_ack=self.use_block_ack,
-                    routing=self.routing)
+                    routing=self.routing, mobility=model)
         self.network.add_node(node)
         self._next_index = max(self._next_index, index) + 1
-        if model is not None:
-            node.set_mobility(model, stop_time=self.stop_time)
         node.start_routing(stop_time=self.stop_time)
         return node
 
@@ -139,7 +140,7 @@ class MobileScenario:
         return self.network.run(until=until)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mobile = sum(1 for node in self.network.nodes if node.mobility is not None)
+        mobile = sum(1 for node in self.network.nodes if node.phy.mobility is not None)
         return f"<MobileScenario nodes={len(self.network)} mobile={mobile}>"
 
 

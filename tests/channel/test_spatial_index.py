@@ -39,10 +39,12 @@ from repro.topology.city import city_positions
 CELL_SIZES_M = (2.0, 7.0, 14.6, 40.0)
 
 
-def _build(sim, positions, propagation=None):
+def _build(sim, positions, propagation=None, models=None):
+    """A channel and one PHY per position; ``models[i]``, if given, moves PHY i."""
     channel = WirelessChannel(sim, propagation=propagation)
-    phys = [Phy(sim, channel, position=position, name=f"phy{i + 1}")
-            for i, position in enumerate(positions)]
+    models = models or [None] * len(positions)
+    phys = [Phy(sim, channel, position=position, name=f"phy{i + 1}", mobility=model)
+            for i, (position, model) in enumerate(zip(positions, models))]
     return channel, phys
 
 
@@ -142,24 +144,19 @@ def test_superset_under_shadowing_draws():
 
 
 class _Glide:
-    """Minimal analytic mobility: constant velocity, no update events.
+    """Minimal analytic mobility: constant velocity from where it is bound.
 
-    Never copies its position into ``phy.position``, so the *only* way the
-    index can see this PHY's motion is per-query revalidation against
+    Nothing tells the index that this PHY moves, so the *only* way the
+    index can see its motion is per-query revalidation against
     ``position_at(now)`` — exactly the code path under test.
     """
 
     def __init__(self, velocity):
         self.velocity = velocity
         self.origin = None
-        self.phy = None
 
-    def attach(self, phy):
-        self.phy = phy
-        self.origin = phy.position
-
-    def start(self, stop_time=None):
-        pass
+    def bind(self, rng, initial_position, start_time=0.0):
+        self.origin = initial_position
 
     def position_at(self, time):
         return (self.origin[0] + self.velocity[0] * time,
@@ -170,12 +167,10 @@ def test_superset_mid_flight_without_snapshot_updates():
     for trial in range(4):
         rng = random.Random(4000 + trial)
         positions = connected_placement(rng, 6, 20.0)
+        models = [_Glide((rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)))
+                  if i % 2 == 1 else None for i in range(len(positions))]
         sim = Simulator(seed=trial + 1)
-        channel, phys = _build(sim, positions)
-        for i, phy in enumerate(phys):
-            if i % 2 == 1:
-                phy.set_mobility(_Glide((rng.uniform(-4.0, 4.0),
-                                         rng.uniform(-4.0, 4.0))))
+        channel, phys = _build(sim, positions, models=models)
         spatial = _grid(phys, 5.0)
         # Queries strictly after several cell-widths of travel: stale cells
         # everywhere unless revalidation works.
@@ -208,8 +203,8 @@ def test_move_across_cells_then_unregister_leaves_nothing_behind():
 
 def test_mobile_entry_unregisters_cleanly_mid_flight():
     sim = Simulator(seed=2)
-    channel, (anchor, rover) = _build(sim, [(0.0, 0.0), (2.0, 2.0)])
-    rover.set_mobility(_Glide((6.0, 0.0)))
+    channel, (anchor, rover) = _build(sim, [(0.0, 0.0), (2.0, 2.0)],
+                                      models=[None, _Glide((6.0, 0.0))])
     spatial = channel._ensure_spatial()
     assert spatial.mobile_count == 1
     assert spatial.stored_cell_of(rover) == (0, 0)

@@ -6,11 +6,14 @@ frame's sample-offset memo.  Each is sound only if it changes *when math
 runs*, never *which numbers come out*.  This file pins that contract,
 in-process and across campaign pool workers.
 
-Delivery plans are compared against themselves: a ``Stationary()`` model
-on a PHY that never moves draws nothing and schedules nothing, but stops
-the channel from caching plans, so the same run is made once with cached
-plans and once with a plan built per broadcast.  The two must be
-byte-identical through every event that has to drop a cached plan:
+Delivery plans are compared against themselves.  Each run registers one
+extra listening PHY out of everyone's reach: built plain, it leaves the
+channel caching plans; built with a model that never moves
+(``helpers.mobility.Fixed``), it makes the channel build a plan per
+broadcast.  Both sides hold the same PHYs at the same places, so the same
+run is made once with cached plans and once with a plan built per
+broadcast, and the two must be byte-identical, counters included, through
+every event that has to drop a cached plan:
 shadowing epoch rollovers, a position reassigned mid-run, PHYs registering
 and leaving mid-run, and the grid path above ``AUTO_SPATIAL_THRESHOLD``.
 Each comparison also counts the plans built, so none can pass without the
@@ -21,13 +24,15 @@ from __future__ import annotations
 
 import pytest
 
+from helpers.mobility import Fixed
+
 from repro.apps.cbr import CbrSource, UdpSink
 from repro.campaign.runner import CampaignRunner
 from repro.channel import medium
 from repro.channel.medium import WirelessChannel
 from repro.channel.propagation import LogNormalShadowing
 from repro.core.policies import broadcast_aggregation
-from repro.mobility.models import RandomWaypoint, Stationary
+from repro.mobility.models import RandomWaypoint
 from repro.net.flooding import FloodingSource
 from repro.phy.device import Phy
 from repro.phy.error_model import ErrorModel
@@ -39,6 +44,15 @@ from repro.units import mbps
 
 DURATION = 3.0
 TINY_TABLE02 = {"rates_mbps": (0.65,), "duration": 2.5}
+
+#: Where the extra listener stands: beyond every sender's reach.
+FAR_AWAY = (-500.0, -500.0)
+
+
+def _far_listener(sim, channel, per_broadcast: bool) -> Phy:
+    """The extra PHY of both sides; with a model on the per-broadcast side."""
+    return Phy(sim, channel, position=FAR_AWAY, name="listener",
+               mobility=Fixed() if per_broadcast else None)
 
 
 def _phy_counters(phys) -> tuple:
@@ -57,17 +71,17 @@ def _chain_signature(seed: int, per_broadcast: bool, propagation=None,
                      during=None) -> str:
     """Full observable outcome of a saturating UDP run over a static 3-hop chain.
 
-    ``per_broadcast`` attaches ``Stationary()`` to the source, which never
-    moves.  ``during(sim, channel, network)`` schedules mid-run events and
-    returns any extra PHYs whose counters belong in the signature.
+    ``per_broadcast`` picks the far listener's side (see the module
+    docstring).  ``during(sim, channel, network)`` schedules mid-run events
+    and returns any extra PHYs whose counters belong in the signature.
     """
     sim = Simulator(seed=seed)
     channel = WirelessChannel(sim, propagation=propagation)
     network = build_linear_chain(sim, hops=3, policy=broadcast_aggregation(),
                                  unicast_rate_mbps=0.65, channel=channel)
-    if per_broadcast:
-        network.node(1).set_mobility(Stationary())
-    extra = during(sim, channel, network) if during is not None else []
+    extra = [_far_listener(sim, channel, per_broadcast)]
+    if during is not None:
+        extra += during(sim, channel, network)
     sink_node = network.node(4)
     sink = UdpSink(sink_node)
     source = CbrSource.saturating(network.node(1), sink_node.ip,
@@ -149,11 +163,10 @@ def _city_flood_signature(seed: int, per_broadcast: bool) -> str:
     """Observable outcome of flooding over an 80-node city, on the grid path."""
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              unicast_rate_mbps=0.65, stop_time=1.0)
+                              unicast_rate_mbps=0.65)
     nodes = populate_city(scenario, 80)
+    listener = _far_listener(sim, scenario.channel, per_broadcast)
     assert len(nodes) > medium.AUTO_SPATIAL_THRESHOLD
-    if per_broadcast:
-        nodes[-1].set_mobility(Stationary())
     # A flooder moves two cells over mid-run: the grid re-buckets it and
     # every cached plan has to go.
     mover = nodes[13].phy
@@ -169,7 +182,7 @@ def _city_flood_signature(seed: int, per_broadcast: bool) -> str:
     assert scenario.channel._spatial is not None
     return repr(([flooder.packets_sent for flooder in flooders],
                  [node.network.stats.delivered_broadcast for node in nodes],
-                 _phy_counters([node.phy for node in nodes]),
+                 _phy_counters([node.phy for node in nodes] + [listener]),
                  _channel_counters(scenario.channel)))
 
 
@@ -186,14 +199,15 @@ def _mobile_udp_signature(seed: int) -> str:
     and keep missing the error model's probability memo.
     """
     sim = Simulator(seed=seed)
-    propagation = LogNormalShadowing(sigma_db=4.0, coherence_time=0.5)
-    channel = WirelessChannel(sim, propagation=propagation)
-    network = build_linear_chain(sim, hops=2, policy=broadcast_aggregation(),
-                                 unicast_rate_mbps=0.65, channel=channel)
-    relay = network.node(2)
-    relay.set_mobility(RandomWaypoint(area=(-5.0, -5.0, 10.0, 5.0),
-                                      speed_range=(1.0, 3.0)),
-                       stop_time=DURATION)
+    scenario = MobileScenario(
+        sim, policy=broadcast_aggregation(), unicast_rate_mbps=0.65,
+        propagation=LogNormalShadowing(sigma_db=4.0, coherence_time=0.5))
+    scenario.add_node((0.0, 0.0))
+    scenario.add_node((2.5, 0.0), RandomWaypoint(area=(-5.0, -5.0, 10.0, 5.0),
+                                                 speed_range=(1.0, 3.0)))
+    scenario.add_node((5.0, 0.0))
+    scenario.connect_chain(1, 2, 3)
+    network = scenario.network
     sink_node = network.node(3)
     sink = UdpSink(sink_node)
     source = CbrSource.saturating(network.node(1), sink_node.ip,

@@ -36,7 +36,7 @@ from helpers.routing import (
     connectivity,
 )
 from repro.core.policies import broadcast_aggregation
-from repro.mobility.models import RandomWaypoint
+from repro.mobility.models import MobilityModel, RandomWaypoint
 from repro.net.dynamic_routing import DsdvConfig
 from repro.net.on_demand import AodvConfig
 from repro.sim.simulator import Simulator
@@ -56,6 +56,21 @@ CONVERGENCE_PERIODS = 8
 #: Spacing between AODV warm-up probes; generous enough that an
 #: expanding-ring escalation for one pair finishes before the next begins.
 PROBE_SPACING_S = 0.15
+
+
+class _RoamThenPark(MobilityModel):
+    """Follows ``roam`` (bound to this model's stream) until ``until``, then
+    stands on ``slot``."""
+
+    def __init__(self, roam: MobilityModel, until: float, slot) -> None:
+        super().__init__()
+        self._roam, self._until, self._slot = roam, until, slot
+
+    def _on_bound(self) -> None:
+        self._roam.bind(self._rng, self._origin, self._start_time)
+
+    def position_at(self, time):
+        return self._roam.position_at(time) if time < self._until else self._slot
 
 
 def _random_scenario(protocol: str, seed: int):
@@ -124,17 +139,17 @@ def test_convergence_after_motion_stops():
     scenario.add_node((0.0, 0.0))
     scenario.add_node((26.0, 0.0))
     area = (0.0, -8.0, 26.0, 8.0)
-    for start in chain_slots:
-        scenario.add_node(start, RandomWaypoint(area=area, speed_range=(4.0, 4.0)))
+    for slot in chain_slots:
+        roam = RandomWaypoint(area=area, speed_range=(4.0, 4.0))
+        scenario.add_node(slot, _RoamThenPark(roam, roam_time, slot))
     sim.run(until=roam_time)
 
-    # Motion stops: drop the models and pin the relays on their chain slots.
+    # Motion has stopped: every relay stands on its chain slot, away from
+    # where it roamed.
     relays = scenario.network.nodes[2:]
-    for node, slot in zip(relays, chain_slots):
-        node.mobility.stop()
-        node.phy.mobility = None  # position queries return the snapshot again
-        node.position = slot
+    assert all(node.phy.position_at(roam_time / 2) != node.position for node in relays)
     frozen = [node.position for node in scenario.network.nodes]
+    assert frozen[2:] == list(chain_slots)
     assert not ambiguous(frozen)
     assert len(bfs_distances(connectivity(frozen), 0)) == len(frozen)
 

@@ -12,10 +12,8 @@ from repro.mobility.models import (
     CircularOrbit,
     RandomWalk,
     RandomWaypoint,
-    Stationary,
     TrajectoryLeg,
 )
-from repro.sim.simulator import Simulator
 
 AREA = (0.0, 0.0, 20.0, 20.0)
 
@@ -44,36 +42,21 @@ def test_trajectory_leg_interpolates_and_clamps():
 
 
 # ---------------------------------------------------------------------------
-# Stationary
+# Binding
 # ---------------------------------------------------------------------------
-
-def test_stationary_never_moves_and_schedules_nothing():
-    sim = Simulator(seed=1)
-    phy = type("PhyStub", (), {"sim": sim, "name": "stub", "position": (3.0, 4.0)})()
-    model = Stationary()
-    model.attach(phy)
-    model.start()
-    assert sim.pending_events == 0  # static models need no update events
-    assert model.position_at(0.0) == (3.0, 4.0)
-    assert model.position_at(123.4) == (3.0, 4.0)
-
-
-def test_stationary_explicit_position_overrides_binding_origin():
-    model = Stationary(position=(7.0, 8.0)).bind(random.Random(1), (0.0, 0.0))
-    assert model.position_at(5.0) == (7.0, 8.0)
-
 
 def test_models_require_binding_before_queries():
     with pytest.raises(ConfigurationError, match="bound"):
-        Stationary().position_at(0.0)
+        CircularOrbit(radius=1.0, period=4.0).position_at(0.0)
     with pytest.raises(ConfigurationError, match="bound"):
         RandomWaypoint(area=AREA).position_at(1.0)
 
 
 def test_rebinding_is_rejected():
-    model = Stationary().bind(random.Random(1), (0.0, 0.0))
-    with pytest.raises(ConfigurationError, match="already bound"):
-        model.bind(random.Random(2), (1.0, 1.0))
+    for model in (RandomWaypoint(area=AREA), CircularOrbit(radius=1.0, period=4.0)):
+        model.bind(random.Random(1), (0.0, 0.0))
+        with pytest.raises(ConfigurationError, match="already bound"):
+            model.bind(random.Random(2), (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,47 +198,32 @@ def test_circular_orbit_period_sign_sets_direction():
 
 
 # ---------------------------------------------------------------------------
-# Update events and precision independence
+# Query independence
 # ---------------------------------------------------------------------------
 
-def _attach_to_sim(model, seed=1, position=(0.0, 0.0)):
-    sim = Simulator(seed=seed)
-    phy = type("PhyStub", (), {"sim": sim, "name": "stub", "position": position})()
-    model.attach(phy)
-    return sim, phy
+@pytest.mark.parametrize("make", [
+    lambda: RandomWaypoint(area=AREA, speed_range=(1.0, 2.0), pause_time=0.3),
+    lambda: RandomWalk(area=AREA, speed_range=(1.0, 4.0), leg_duration=0.7),
+    lambda: CircularOrbit(radius=3.0, period=-5.0),
+], ids=["waypoint", "walk", "orbit"])
+def test_trajectory_is_independent_of_query_density_and_order(make):
+    """How often, and in what order, positions are asked for never matters.
 
-
-def test_update_events_refresh_the_position_snapshot():
-    model = CircularOrbit(radius=2.0, period=4.0, update_interval=0.25)
-    sim, phy = _attach_to_sim(model)
-    model.start()
-    sim.run(until=1.0)
-    # The snapshot tracks the analytic position at the last update event.
-    assert phy.position == pytest.approx(model.position_at(sim.now), abs=1e-6)
-    assert model.updates == 4
-
-
-def test_update_events_respect_stop_time():
-    model = CircularOrbit(radius=2.0, period=4.0, update_interval=0.25)
-    sim, _ = _attach_to_sim(model)
-    model.start(stop_time=1.0)
-    sim.run(until=50.0)
-    assert sim.now == 50.0
-    assert sim.pending_events == 0  # the queue drained at the stop time
-
-
-def test_position_at_is_independent_of_update_interval():
-    times = [0.3, 1.7, 4.9, 9.2]
-    samples = []
-    for interval in (0.05, 0.8):
-        model = RandomWaypoint(area=AREA, speed_range=(1.0, 2.0), update_interval=interval)
-        sim, _ = _attach_to_sim(model, seed=6, position=(10.0, 10.0))
-        model.start()
-        sim.run(until=10.0)
-        samples.append([model.position_at(t) for t in times])
-    # Positions interpolate analytically between waypoints: the scheduler
-    # tick rate affects snapshot freshness only, never the trajectory.
-    assert samples[0] == samples[1]
+    Nothing ticks a model: its trajectory is a function of its stream and
+    parameters alone, so a densely queried model, a sparsely queried one and
+    one asked for a far time first all give the same positions.
+    """
+    times = [0.3, 1.7, 4.9, 9.2, 30.05]
+    models = [make() for _ in range(3)]
+    for model in models:
+        model.bind(random.Random(6), (10.0, 10.0))
+    dense, sparse, far_first = models
+    for t in _sample_times(31.0, step=0.01):
+        dense.position_at(t)
+    far_first.position_at(60.0)
+    expected = [sparse.position_at(t) for t in times]
+    assert [dense.position_at(t) for t in times] == expected
+    assert [far_first.position_at(t) for t in times] == expected
 
 
 def test_invalid_parameters_are_rejected():
@@ -269,5 +237,3 @@ def test_invalid_parameters_are_rejected():
         CircularOrbit(radius=0.0, period=1.0)
     with pytest.raises(ConfigurationError):
         CircularOrbit(radius=1.0, period=0.0)
-    with pytest.raises(ConfigurationError):
-        RandomWalk(area=AREA, update_interval=0.0)

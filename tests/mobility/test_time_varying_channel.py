@@ -2,8 +2,8 @@
 
 The mobility subsystem's central promise: the channel evaluates propagation
 against exact positions at transmission start, per-link shadowing draws are
-deterministic per seed, and a scenario built with ``Stationary`` models (or
-no models at all) reproduces the static builders bit for bit.
+deterministic per seed, and a scenario whose nodes carry models that never
+move (or no models at all) reproduces the static builders bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 
 import pytest
+
+from helpers.mobility import Fixed
 
 from repro.apps.cbr import CbrSource, UdpSink
 from repro.channel.medium import WirelessChannel
@@ -20,8 +22,8 @@ from repro.channel.propagation import (
     hydra_indoor_propagation,
 )
 from repro.core.policies import unicast_aggregation
-from repro.errors import ConfigurationError, PhyError
-from repro.mobility.models import CircularOrbit, Stationary
+from repro.errors import ConfigurationError
+from repro.mobility.models import CircularOrbit
 from repro.phy.device import TX_POWER_DBM, Phy
 from repro.sim.simulator import Simulator
 from repro.topology.builders import build_linear_chain
@@ -29,11 +31,16 @@ from repro.topology.mobile import MobileScenario
 from repro.units import mbps
 
 
-def _two_phys(sim, propagation=None):
+def _two_phys(sim, propagation=None, b_position=(5.0, 0.0), b_mobility=None):
     channel = WirelessChannel(sim, propagation=propagation)
     a = Phy(sim, channel, position=(0.0, 0.0), name="a")
-    b = Phy(sim, channel, position=(5.0, 0.0), name="b")
+    b = Phy(sim, channel, position=b_position, name="b", mobility=b_mobility)
     return channel, a, b
+
+
+def _orbit_from_a_to_b():
+    """Orbits (5, 0) at 2.5 m, starting at (2.5, 0): half a period later at (7.5, 0)."""
+    return CircularOrbit(radius=2.5, period=8.0, center=(5.0, 0.0), phase_rad=math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +56,7 @@ def test_position_at_defaults_to_the_static_attribute():
 
 def test_link_budget_follows_the_mobile_node():
     sim = Simulator(seed=1)
-    channel, a, b = _two_phys(sim)
-    b.set_mobility(CircularOrbit(radius=2.5, period=8.0, center=(5.0, 0.0),
-                                 phase_rad=math.pi))  # starts at (2.5, 0)
+    channel, a, b = _two_phys(sim, b_position=(2.5, 0.0), b_mobility=_orbit_from_a_to_b())
     snr_near = channel.link_snr_db(a, b)
     samples = []
     sim.schedule(4.0, lambda: samples.append(channel.link_snr_db(a, b)))
@@ -65,21 +70,11 @@ def test_link_budget_follows_the_mobile_node():
 
 def test_received_power_uses_positions_at_the_given_time():
     sim = Simulator(seed=1)
-    channel, a, b = _two_phys(sim)
-    b.set_mobility(CircularOrbit(radius=2.5, period=8.0, center=(5.0, 0.0),
-                                 phase_rad=math.pi), start=False)
+    channel, a, b = _two_phys(sim, b_position=(2.5, 0.0), b_mobility=_orbit_from_a_to_b())
     loss = hydra_indoor_propagation()
     for t in (0.0, 1.3, 4.0):
         expected = TX_POWER_DBM - loss.path_loss_db(a.position_at(t), b.position_at(t))
         assert channel.received_power_dbm(a, b, time=t) == pytest.approx(expected)
-
-
-def test_attaching_a_second_mobility_model_is_rejected():
-    sim = Simulator(seed=1)
-    _, a, _ = _two_phys(sim)
-    a.set_mobility(Stationary())
-    with pytest.raises(PhyError, match="already attached"):
-        a.set_mobility(Stationary())
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +196,8 @@ def _mobile_chain(seed, with_models):
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=unicast_aggregation(),
                               unicast_rate_mbps=0.65)
-    scenario.add_node((0.0, 0.0), Stationary() if with_models else None)
-    scenario.add_node((2.5, 0.0), Stationary() if with_models else None)
+    scenario.add_node((0.0, 0.0), Fixed() if with_models else None)
+    scenario.add_node((2.5, 0.0), Fixed() if with_models else None)
     scenario.connect_chain(1, 2)
     return sim, scenario.network
 

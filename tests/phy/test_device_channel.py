@@ -9,9 +9,10 @@ from typing import List
 
 import pytest
 
+from helpers.mobility import Fixed
+
 from repro.channel import LogDistancePathLoss, LogNormalShadowing, WirelessChannel, medium
 from repro.errors import ConfigurationError, PhyError
-from repro.mobility.models import Stationary
 from repro.phy import FrameKind, Phy, PhyFrame, PhyState, ReceptionResult
 from repro.phy.rates import HYDRA_RATE_TABLE
 from repro.sim import Event, Simulator
@@ -353,9 +354,10 @@ def test_cached_plans_are_dropped_by_every_event_that_can_change_them():
     """A plan is served again only until something could change it.
 
     Each step below is one such event: a coherence-epoch rollover, a
-    reassigned position, a PHY registering or leaving, and a mobility model
-    attached.  After each one the next send must build its plan afresh,
-    and that plan must equal one built from scratch.
+    reassigned position, a PHY registering or leaving, and a PHY that
+    carries a mobility model registering (no plan is cached while it
+    stays) and leaving.  After each one the next send must build its plan
+    afresh, and that plan must equal one built from scratch.
     """
     sim = Simulator(seed=23)
     channel = WirelessChannel(sim, LogNormalShadowing(sigma_db=4.0, coherence_time=0.5))
@@ -395,10 +397,16 @@ def test_cached_plans_are_dropped_by_every_event_that_can_change_them():
     assert channel._plans == {}
     assert powers(send()) == powers(moved)
 
-    b.set_mobility(Stationary())
+    d = Phy(sim, channel, position=(0.0, 2.5), name="d", mobility=Fixed())
     assert channel._plans == {}
-    assert send() is None  # per-broadcast plans from now on
-    assert channel.total_transmissions == 7
+    assert send() is None  # per-broadcast plans while d is registered
+    assert send() is None
+
+    channel.unregister(d)
+    cached = send()
+    assert cached == fresh() and powers(cached) == powers(moved)
+    assert send() is cached
+    assert channel.total_transmissions == 10
 
 
 @pytest.mark.parametrize("duration", (math.nan, math.inf), ids=("nan", "inf"))
