@@ -40,7 +40,7 @@ from repro.phy import (
     PhyRate,
     PhyTimingConfig,
 )
-from repro.channel import WirelessChannel, hydra_indoor_propagation
+from repro.channel import WirelessChannel
 from repro.mac import AggregatingMac, MacAddress, MacConfig, MacTimingProfile
 from repro.net import ForwardingEngine, IpAddress, Packet, RoutingTable
 from repro.transport import TcpConnection, TcpLayer, UdpLayer
@@ -71,7 +71,6 @@ __all__ = [
     "ErrorModelConfig",
     "HYDRA_RATE_TABLE",
     "WirelessChannel",
-    "hydra_indoor_propagation",
     # MAC
     "AggregatingMac",
     "MacAddress",

@@ -11,20 +11,21 @@ Positions are **time-varying**: link budgets ask each PHY for
 ``position_at(now)`` — the exact analytic position under its mobility model,
 evaluated at transmission start — instead of reading a cached static
 coordinate.  For stationary PHYs (the paper's entire evaluation) this
-degenerates to the static position, bit for bit.  Link-aware propagation
-models (per-link shadowing) are consulted through ``path_loss_between``; see
-:mod:`repro.channel.propagation`.
+degenerates to the static position, bit for bit.  A link's loss is the
+channel's :class:`~repro.channel.propagation.IndoorPropagation` distance
+loss, plus the link's shadowing offset when the channel was built with
+``shadowing_sigma_db > 0``.
 
-What one broadcast schedules is a **delivery plan**: ``(epoch, considered,
-culled, deliveries)``, where each delivery is ``(receiver, rx_power_dbm,
-delay_s)`` in candidate (registration) order and the counts feed the
-channel's statistics.  Building a plan reads the sender's position once,
-then for each candidate its position and loss, culls it below the detect
-floor, and keeps distance / c as the delay.  A plan is a pure function of the
-registered PHYs, their positions and the propagation model's ``cache_epoch``,
-so while no registered PHY was built with a mobility model (of any class,
-one that never moves included) the channel caches one plan per sender and
-serves it only in the epoch it was built in.  :meth:`WirelessChannel.register`,
+What one broadcast schedules is a **delivery plan**: ``(considered, culled,
+deliveries)``, where each delivery is ``(receiver, rx_power_dbm, delay_s)``
+in candidate (registration) order and the counts feed the channel's
+statistics.  Building a plan reads the sender's position once, then for
+each candidate its position and loss, culls it below the detect floor, and
+keeps distance / c as the delay.  A plan is a pure function of the
+registered PHYs and their positions (a link's shadowing offset never
+changes), so while no registered PHY was built with a mobility model (of
+any class, one that never moves included) the channel caches one plan per
+sender.  :meth:`WirelessChannel.register`,
 :meth:`~WirelessChannel.unregister` and
 :meth:`~WirelessChannel.phy_position_changed` clear every cached plan.
 While any registered PHY carries a model, each broadcast builds a fresh
@@ -42,10 +43,9 @@ ordering candidates by index is ordering them by registration.
 
 Every PHY transmits at :data:`~repro.phy.device.TX_POWER_DBM` and ignores
 arrivals below :data:`~repro.phy.device.DETECT_FLOOR_DBM`, so a channel has
-one reach: the propagation model's conservative ``max_range_m`` for that
-budget, computed once at construction (``None`` when the model cannot
-bound it).  Candidate enumeration scales past tens of nodes on its own: up
-to :data:`AUTO_SPATIAL_THRESHOLD` registered PHYs, or without a reach, a
+one reach: the propagation's conservative ``max_range_m`` for that budget,
+computed once at construction.  Candidate enumeration scales past tens of
+nodes on its own: up to :data:`AUTO_SPATIAL_THRESHOLD` registered PHYs, a
 plan budgets every PHY (the exhaustive scan, O(N)); above it, the channel
 asks a :class:`~repro.channel.spatial.UniformGridIndex` for the PHYs within
 the reach (O(neighbours)).  Both paths cull deliveries below the
@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
-from repro.channel.propagation import PropagationModel, distance_between, hydra_indoor_propagation
+from repro.channel.propagation import IndoorPropagation, distance_between
 from repro.channel.spatial import UniformGridIndex
 from repro.errors import ConfigurationError
 from repro.phy.device import DETECT_FLOOR_DBM, NOISE_FLOOR_DBM, TX_POWER_DBM
@@ -95,35 +95,33 @@ AUTO_SPATIAL_THRESHOLD = 64
 
 
 class WirelessChannel:
-    """Single shared broadcast medium connecting all registered PHYs."""
+    """Single shared broadcast medium connecting all registered PHYs.
 
-    __slots__ = ("sim", "propagation", "_phys", "_next_index", "_link_aware",
-                 "_cache_epoch", "_mobile", "_plans", "_reach", "_spatial",
+    ``shadowing_sigma_db`` is the standard deviation of the per-link
+    log-normal shadowing (see :mod:`repro.channel.propagation`); the
+    default 0 leaves the paper's indoor distance loss alone.
+    """
+
+    __slots__ = ("sim", "propagation", "_phys", "_next_index", "_mobile",
+                 "_plans", "_reach", "_spatial",
                  "total_transmissions", "total_airtime", "total_candidates",
                  "total_deliveries", "total_culled")
 
-    def __init__(self, sim: Simulator, propagation: Optional[PropagationModel] = None) -> None:
+    def __init__(self, sim: Simulator, shadowing_sigma_db: float = 0.0) -> None:
         self.sim = sim
-        self.propagation = propagation or hydra_indoor_propagation()
-        if hasattr(self.propagation, "bind"):
-            # Link-aware models (e.g. LogNormalShadowing) draw per-link
-            # offsets from the simulator's seeded streams.
-            self.propagation.bind(sim.random)
+        # Raises on a sigma that is not a finite, non-negative number,
+        # before anything registers or draws.
+        self.propagation = IndoorPropagation(sim.random, shadowing_sigma_db)
         # Registration index -> PHY; insertion order is registration order.
         self._phys: Dict[int, "Phy"] = {}
         self._next_index = 0
-        self._link_aware = hasattr(self.propagation, "path_loss_between")
-        self._cache_epoch = getattr(self.propagation, "cache_epoch", None)
         # Registration indices of the registered PHYs that carry a mobility
         # model; plans are cached only while this is empty.
         self._mobile: Set[int] = set()
-        # Sender index -> (epoch, considered, culled, deliveries).
+        # Sender index -> (considered, culled, deliveries).
         self._plans: Dict[int, tuple] = {}
-        # Farthest distance at which any frame can be detected (None = the
-        # model cannot bound it, so every plan scans all PHYs).
-        bound = getattr(self.propagation, "max_range_m", None)
-        self._reach: Optional[float] = (
-            None if bound is None else bound(TX_POWER_DBM - DETECT_FLOOR_DBM))
+        # Farthest distance at which any frame can be detected.
+        self._reach = self.propagation.max_range_m(TX_POWER_DBM - DETECT_FLOOR_DBM)
         # Spatial candidate pruning: the grid index is built lazily on the
         # first plan that wants it (so registration order — which fixes
         # candidate order — is complete by then).
@@ -206,13 +204,10 @@ class WirelessChannel:
         start of the transmission being budgeted).
         """
         when = self.sim.now if time is None else time
-        tx_position = sender.position_at(when)
-        rx_position = receiver.position_at(when)
-        if self._link_aware:
-            loss = self.propagation.path_loss_between(
-                sender.name, receiver.name, tx_position, rx_position, when)
-        else:
-            loss = self.propagation.path_loss_db(tx_position, rx_position)
+        propagation = self.propagation
+        loss = propagation.path_loss_db(sender.position_at(when), receiver.position_at(when))
+        if propagation.sigma_db > 0.0:
+            loss += propagation.shadowing_db(sender.name, receiver.name)
         return TX_POWER_DBM - loss
 
     def link_snr_db(self, sender: "Phy", receiver: "Phy") -> float:
@@ -239,13 +234,12 @@ class WirelessChannel:
         now = sim._now
         self.total_transmissions += 1
         self.total_airtime += duration
-        epoch = 0 if self._cache_epoch is None else self._cache_epoch(now)
         if self._mobile:
-            plan = self._plan(sender, now, epoch)
+            plan = self._plan(sender, now)
         else:
             plan = self._plans.get(sender.channel_index)
-            if plan is None or plan[0] != epoch:
-                plan = self._plans[sender.channel_index] = self._plan(sender, now, epoch)
+            if plan is None:
+                plan = self._plans[sender.channel_index] = self._plan(sender, now)
 
         # Direct scheduler pushes: this loop schedules two events per
         # receiver per frame, and the Simulator.schedule wrapper (which only
@@ -255,15 +249,15 @@ class WirelessChannel:
         push = sim._scheduler.push
         priority = Simulator.PRIORITY_PHY
         end_args = (frame,)
-        for receiver, rx_power, delay in plan[3]:
+        for receiver, rx_power, delay in plan[2]:
             push(now + delay, receiver.begin_reception, (frame, rx_power), priority)
             push(now + delay + duration, receiver.end_reception, end_args, priority)
-        self.total_candidates += plan[1]
-        self.total_culled += plan[2]
-        self.total_deliveries += plan[1] - plan[2]
+        self.total_candidates += plan[0]
+        self.total_culled += plan[1]
+        self.total_deliveries += plan[0] - plan[1]
 
-    def _plan(self, sender: "Phy", now: float, epoch: int) -> tuple:
-        """``(epoch, considered, culled, deliveries)`` for a send by ``sender`` at ``now``.
+    def _plan(self, sender: "Phy", now: float) -> tuple:
+        """``(considered, culled, deliveries)`` for a send by ``sender`` at ``now``.
 
         Candidates are either the full registration list or the grid
         index's superset of in-range PHYs (also in registration order).  The
@@ -274,11 +268,12 @@ class WirelessChannel:
         """
         tx_position = sender.position_at(now)
         receivers: Iterable["Phy"] = self._phys.values()
-        reach = self._reach
-        if reach is not None and len(self._phys) > AUTO_SPATIAL_THRESHOLD:
-            receivers = self._ensure_spatial().candidates(tx_position, reach, now)
+        if len(self._phys) > AUTO_SPATIAL_THRESHOLD:
+            receivers = self._ensure_spatial().candidates(tx_position, self._reach, now)
         propagation = self.propagation
-        link_aware = self._link_aware
+        path_loss_db = propagation.path_loss_db
+        shadowing_db = propagation.shadowing_db if propagation.sigma_db > 0.0 else None
+        tx_name = sender.name
         # (receiver, rx_power_dbm, delay_s), in candidate order.
         deliveries: List[tuple] = []
         considered = 0
@@ -290,11 +285,9 @@ class WirelessChannel:
             # received_power_dbm's budget, inline: on a channel with a mobile
             # PHY this runs for every candidate of every broadcast.
             rx_position = receiver.position_at(now)
-            if link_aware:
-                loss = propagation.path_loss_between(
-                    sender.name, receiver.name, tx_position, rx_position, now)
-            else:
-                loss = propagation.path_loss_db(tx_position, rx_position)
+            loss = path_loss_db(tx_position, rx_position)
+            if shadowing_db is not None:
+                loss += shadowing_db(tx_name, receiver.name)
             rx_power = TX_POWER_DBM - loss
             if rx_power < DETECT_FLOOR_DBM:
                 # Below the detect floor the frame would have no observable
@@ -306,7 +299,7 @@ class WirelessChannel:
                 continue
             delay = distance_between(tx_position, rx_position) / SPEED_OF_LIGHT
             deliveries.append((receiver, rx_power, delay))
-        return (epoch, considered, culled, deliveries)
+        return (considered, culled, deliveries)
 
     def _ensure_spatial(self) -> UniformGridIndex:
         """Build the grid index on first use.

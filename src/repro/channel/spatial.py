@@ -4,10 +4,10 @@
 every registered PHY for every frame — O(N) per send, which caps scenarios at
 tens of nodes.  :class:`UniformGridIndex` buckets PHYs into square cells of a
 configurable size and answers *"who could possibly hear a frame sent from
-here?"* by enumerating only the cells that intersect the propagation model's
-conservative max-range disc (:meth:`max_range_m` on the model, see
-:mod:`repro.channel.propagation`), so building a delivery plan costs
-O(neighbours).
+here?"* by enumerating only the cells that intersect the channel's reach,
+the conservative max-range disc of
+:meth:`~repro.channel.propagation.IndoorPropagation.max_range_m`, so
+building a delivery plan costs O(neighbours).
 
 The index is deliberately *not* trusted with physics: it returns a candidate
 **superset** — every registered PHY whose exact position lies within the

@@ -19,10 +19,9 @@ Reported per policy (NA / UA / BA) over the swept node speed:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.apps.cbr import CbrSource, UdpSink
-from repro.channel.propagation import LogNormalShadowing
 from repro.core.policies import (
     AggregationPolicy,
     broadcast_aggregation,
@@ -49,10 +48,7 @@ def _run_once(policy: AggregationPolicy, speed: float, node_count: int, area_m: 
               seed: int) -> Tuple[float, float]:
     """One mobile flooding run; returns (delivery ratio, UDP goodput Mbps)."""
     sim = Simulator(seed=seed)
-    propagation: Optional[LogNormalShadowing] = None
-    if shadowing_sigma_db > 0:
-        propagation = LogNormalShadowing(sigma_db=shadowing_sigma_db)
-    scenario = MobileScenario(sim, policy=policy, propagation=propagation,
+    scenario = MobileScenario(sim, policy=policy, shadowing_sigma_db=shadowing_sigma_db,
                               unicast_rate_mbps=rate_mbps)
 
     # Two stationary anchors near the center carry the UDP flow.

@@ -52,8 +52,3 @@ class BackoffController:
     def on_success(self) -> None:
         """Reset the contention window to ``cw_min``."""
         self._cw = self.timing.cw_min
-
-    def reset(self) -> None:
-        """Reset both the contention window and any pending slot count."""
-        self._cw = self.timing.cw_min
-        self.slots_remaining = 0

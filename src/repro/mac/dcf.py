@@ -99,7 +99,7 @@ class AggregatingMac:
 
     __slots__ = ("sim", "phy", "config", "policy", "name", "address",
                  "timing", "queues", "classifier", "aggregator",
-                 "duplicates", "stats", "scoreboard",
+                 "duplicates", "stats", "scoreboard", "_sequence",
                  "backoff", "nav", "state", "_current", "_pending_retry",
                  "_retry_count", "_flush_forced", "_drawn_slots",
                  "_backoff_resumed_at", "_access_timer", "_response_timer",
@@ -127,6 +127,8 @@ class AggregatingMac:
         self.duplicates = DuplicateDetector()
         self.stats = MacStatistics(name=self.name)
         self.scoreboard = BlockAckScoreboard()
+        # Sequence number of this MAC's latest subframe (the first is 1).
+        self._sequence = 0
 
         rng = sim.random.stream(f"mac.{self.name}")
         self.backoff = BackoffController(self.timing, rng)
@@ -185,8 +187,9 @@ class AggregatingMac:
         Returns False when the relevant queue overflowed and the packet was
         dropped.
         """
+        self._sequence += 1
         subframe = subframe_for_packet(packet, src=self.address, dst=next_hop,
-                                       now=self.sim.now)
+                                       now=self.sim.now, sequence=self._sequence)
         use_broadcast_queue = self.classifier.belongs_in_broadcast_queue(
             packet, link_broadcast=next_hop.is_broadcast)
         if use_broadcast_queue:

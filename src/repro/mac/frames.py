@@ -16,7 +16,6 @@ those sizes exactly:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,8 +31,6 @@ RTS_FRAME_BYTES = 20
 CTS_FRAME_BYTES = 14
 ACK_FRAME_BYTES = 14
 
-_sequence_numbers = itertools.count(1)
-
 
 @dataclass(slots=True)
 class MacSubframe:
@@ -42,13 +39,14 @@ class MacSubframe:
     ``transmit_in_broadcast_portion`` records the queue the subframe was
     assigned to: pure TCP ACKs keep their unicast destination address but are
     carried (unacknowledged) in the broadcast portion of the frame
-    (Section 3.3).
+    (Section 3.3).  ``sequence`` is numbered per transmitter, as in 802.11:
+    each MAC counts its own subframes from 1.
     """
 
     src: MacAddress
     dst: MacAddress
     packet: Packet
-    sequence: int = field(default_factory=lambda: next(_sequence_numbers))
+    sequence: int = 0
     duration: float = 0.0
     transmit_in_broadcast_portion: bool = False
     retries: int = 0
@@ -116,12 +114,14 @@ class AckFrame:
 
 
 def subframe_for_packet(packet: Packet, src: MacAddress, dst: MacAddress,
-                        broadcast_portion: bool = False, now: float = 0.0) -> MacSubframe:
-    """Wrap a network packet into a MAC subframe."""
+                        broadcast_portion: bool = False, now: float = 0.0,
+                        sequence: int = 0) -> MacSubframe:
+    """Wrap a network packet into a MAC subframe numbered ``sequence``."""
     return MacSubframe(
         src=src,
         dst=dst,
         packet=packet,
+        sequence=sequence,
         transmit_in_broadcast_portion=broadcast_portion or dst.is_broadcast,
         enqueued_at=now,
     )

@@ -7,8 +7,9 @@ that PHY's one source of position, answered analytically for any time and
 never advanced by scheduler events; the PHY/channel layer evaluates
 propagation against those exact positions at transmission start (see
 ``Phy.position_at`` and :class:`~repro.channel.medium.WirelessChannel`);
-and the :class:`~repro.channel.propagation.LogNormalShadowing` model makes
-motion change loss rather than just distance.
+and a channel built with ``shadowing_sigma_db > 0`` gives each link its own
+log-normal shadowing offset, so motion changes loss rather than just
+distance.
 
 See :mod:`repro.topology.mobile` for the scenario builder and the
 ``mob01``/``mob02`` modules in :mod:`repro.experiments` for ready-made

@@ -55,13 +55,12 @@ def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
                        unicast_rate_mbps: Optional[float] = None,
                        broadcast_rate_mbps: Optional[float] = None,
                        spacing: float = PAPER_NODE_SPACING_M,
-                       channel: Optional[WirelessChannel] = None,
                        use_block_ack: bool = False,
                        use_rts_cts: bool = True) -> Network:
     """Build the linear topology of Figure 5 with ``hops`` hops (``hops+1`` nodes)."""
     if hops < 1:
         raise ConfigurationError("a chain needs at least one hop")
-    channel = channel or WirelessChannel(sim)
+    channel = WirelessChannel(sim)
     network = Network(sim, channel)
 
     node_count = hops + 1
@@ -83,7 +82,6 @@ def build_star(sim: Simulator, policy: PolicySpec,
                unicast_rate_mbps: Optional[float] = None,
                broadcast_rate_mbps: Optional[float] = None,
                spacing: float = PAPER_NODE_SPACING_M,
-               channel: Optional[WirelessChannel] = None,
                use_block_ack: bool = False) -> Network:
     """Build the star topology of Figure 6.
 
@@ -94,7 +92,7 @@ def build_star(sim: Simulator, policy: PolicySpec,
     — exactly the situation where broadcast aggregation helps and unicast-only
     aggregation cannot (Table 5).
     """
-    channel = channel or WirelessChannel(sim)
+    channel = WirelessChannel(sim)
     network = Network(sim, channel)
 
     positions = {

@@ -4,14 +4,15 @@ The paper's topologies (:mod:`repro.topology.builders`) are frozen at build
 time: stationary chains and stars with statically installed routes.
 :class:`MobileScenario` goes beyond that setup — it wires
 :mod:`repro.mobility` models to a :class:`~repro.topology.network.Network`,
-so node positions (and with :class:`~repro.channel.propagation.LogNormalShadowing`,
-link losses) change while traffic runs.
+so node positions change while traffic runs, and with
+``shadowing_sigma_db > 0`` each link's loss carries its own shadowing
+offset.
 
 Typical use::
 
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              propagation=LogNormalShadowing(sigma_db=4.0))
+                              shadowing_sigma_db=4.0)
     anchor = scenario.add_node((10.0, 10.0))                      # stationary
     rover = scenario.add_node((5.0, 5.0),
                               RandomWaypoint(area=(0, 0, 20, 20),
@@ -43,7 +44,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.channel.medium import WirelessChannel
-from repro.channel.propagation import PropagationModel
 from repro.core.policies import AggregationPolicy
 from repro.errors import ConfigurationError
 from repro.mobility.models import MobilityModel
@@ -56,18 +56,19 @@ from repro.topology.network import Network
 class MobileScenario:
     """Builds a :class:`Network` whose nodes may carry mobility models.
 
-    Parameters mirror the static builders.  ``stop_time`` bounds the
-    routing timers (HELLOs, advertisements, expiry sweeps) of a dynamic
-    control plane so runs whose traffic drains do not keep the event queue
-    alive to the horizon; under static routing nothing uses it.
+    Parameters mirror the static builders; ``shadowing_sigma_db`` goes to
+    the scenario's :class:`~repro.channel.medium.WirelessChannel`.
+    ``stop_time`` bounds the routing timers (HELLOs, advertisements, expiry
+    sweeps) of a dynamic control plane so runs whose traffic drains do not
+    keep the event queue alive to the horizon; under static routing nothing
+    uses it.
     """
 
     def __init__(self, sim: Simulator, policy: AggregationPolicy,
-                 propagation: Optional[PropagationModel] = None,
+                 shadowing_sigma_db: float = 0.0,
                  unicast_rate_mbps: Optional[float] = None,
                  broadcast_rate_mbps: Optional[float] = None,
                  use_block_ack: bool = False,
-                 channel: Optional[WirelessChannel] = None,
                  stop_time: Optional[float] = None,
                  routing: RoutingConfig = None) -> None:
         self.sim = sim
@@ -77,11 +78,7 @@ class MobileScenario:
         self.use_block_ack = use_block_ack
         self.stop_time = stop_time
         self.routing = routing
-        if channel is not None and propagation is not None:
-            raise ConfigurationError(
-                "pass either an existing channel or a propagation model, not "
-                "both: the channel's propagation would silently win")
-        self.channel = channel or WirelessChannel(sim, propagation=propagation)
+        self.channel = WirelessChannel(sim, shadowing_sigma_db)
         self.network = Network(sim, self.channel)
         self._next_index = 1
 

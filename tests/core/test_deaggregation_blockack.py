@@ -24,11 +24,12 @@ ME = MacAddress.node(2)
 SENDER = MacAddress.node(1)
 
 
-def subframe(dst, payload=1357, broadcast_portion=False):
+def subframe(dst, payload=1357, broadcast_portion=False, sequence=0):
     header = TcpHeader(src_port=1, dst_port=2, flags_ack=True)
     packet = Packet.tcp_segment(IpAddress("10.0.0.1"), IpAddress("10.0.0.9"), header,
                                 payload_bytes=payload)
-    return subframe_for_packet(packet, SENDER, dst, broadcast_portion=broadcast_portion)
+    return subframe_for_packet(packet, SENDER, dst, broadcast_portion=broadcast_portion,
+                               sequence=sequence)
 
 
 def reception(broadcast=(), unicast=(), broadcast_ok=None, unicast_ok=None):
@@ -133,7 +134,7 @@ def test_duplicate_detector_cache_eviction():
 # ---------------------------------------------------------------------------
 
 def test_block_ack_mode_accepts_partial_unicast():
-    good, bad = subframe(ME), subframe(ME)
+    good, bad = subframe(ME, sequence=1), subframe(ME, sequence=2)
     result = reception(unicast=[good, bad], unicast_ok=[True, False])
     outcome = process_received_aggregate(result, ME, block_ack_enabled=True)
     assert len(outcome.unicast_deliveries) == 1
@@ -144,7 +145,7 @@ def test_block_ack_mode_accepts_partial_unicast():
 
 def test_block_ack_scoreboard_tracks_missing_subframes():
     scoreboard = BlockAckScoreboard()
-    frames = [subframe(ME), subframe(ME), subframe(ME)]
+    frames = [subframe(ME, sequence=number) for number in (1, 2, 3)]
     scoreboard.register(frames)
     block_ack = BlockAck.for_outcome(SENDER, [frames[0].sequence, frames[2].sequence])
     missing = scoreboard.apply(block_ack)

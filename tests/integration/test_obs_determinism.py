@@ -10,7 +10,6 @@ inline campaign is compared against unobserved pool workers.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
@@ -20,7 +19,6 @@ from repro.core.policies import broadcast_aggregation, unicast_aggregation
 from repro.experiments import (fig09_udp_flooding, mob01_flooding_mobility,
                                rt02_overhead_scaling)
 from repro.experiments.scenarios import run_tcp_transfer, run_udp_saturation
-from repro.mac import frames
 from repro.obs.session import observe
 
 TINY_FIG09 = {"rates_mbps": (0.65,), "flooding_intervals": (0.5,),
@@ -127,10 +125,7 @@ _EXPORTS = {
 }
 
 
-def _export_bytes(experiment, params, features, export, tmp_path, monkeypatch):
-    # MAC subframe sequence numbers come from a process-wide counter and the
-    # capture prints them; restart it as a fresh process would.
-    monkeypatch.setattr(frames, "_sequence_numbers", itertools.count(1))
+def _export_bytes(experiment, params, features, export, tmp_path):
     with observe(**{feature: True for feature in features}) as session:
         experiment.run(**params, seed=2)
     path = tmp_path / f"{export}-{'-'.join(sorted(features))}"
@@ -144,18 +139,38 @@ def _export_bytes(experiment, params, features, export, tmp_path, monkeypatch):
 ], ids=["fig09", "rt02"])
 @pytest.mark.parametrize("feature", sorted(_EXPORTS))
 def test_each_export_is_independent_of_the_other_features(
-        experiment, params, feature, tmp_path, monkeypatch):
+        experiment, params, feature, tmp_path):
     # The exports share one record stream.  A listener must not depend on
     # which other listeners are attached: each export is byte-identical
     # whether the other features are on or off.
     export, needs = _EXPORTS[feature]
     everything = {"trace", "metrics", "capture", "journey"}
-    alone = _export_bytes(experiment, params, needs, export, tmp_path,
-                          monkeypatch)
-    together = _export_bytes(experiment, params, everything, export,
-                             tmp_path, monkeypatch)
+    alone = _export_bytes(experiment, params, needs, export, tmp_path)
+    together = _export_bytes(experiment, params, everything, export, tmp_path)
     assert len(alone) > 100
     assert together == alone
+
+
+def test_capture_of_a_repeated_run_is_byte_identical_in_one_process(tmp_path):
+    # The capture prints every subframe's sequence number.  Each MAC numbers
+    # its own subframes from 1, so a second run in the same process exports
+    # exactly what the first did (and what a fresh process would).
+    exports = []
+    for attempt in range(2):
+        with observe(capture=True) as session:
+            fig09_udp_flooding.run(**TINY_FIG09, seed=1)
+        path = tmp_path / f"capture-{attempt}.jsonl"
+        session.export_capture(str(path))
+        exports.append(path.read_bytes())
+    assert exports[1] == exports[0]
+    sent = [json.loads(line) for line in exports[0].splitlines()]
+    sequences = {}
+    for entry in sent:
+        if entry["dir"] == "tx":
+            for subframe in entry.get("subframes", ()):
+                sequences.setdefault(subframe["src"], []).append(subframe["seq"])
+    assert len(sequences) > 1
+    assert all(min(numbers) == 1 for numbers in sequences.values())
 
 
 def test_stored_observations_hold_no_simulation_objects():

@@ -105,13 +105,6 @@ def test_subframe_broadcast_flag_follows_destination():
     assert broadcast.is_link_broadcast
 
 
-def test_subframe_sequence_numbers_are_unique():
-    packet = tcp_packet(10)
-    first = subframe_for_packet(packet, MacAddress.node(1), MacAddress.node(2))
-    second = subframe_for_packet(packet, MacAddress.node(1), MacAddress.node(2))
-    assert first.sequence != second.sequence
-
-
 def test_control_frame_sizes():
     assert RtsFrame(MacAddress.node(1), MacAddress.node(2)).size_bytes == RTS_FRAME_BYTES == 20
     assert CtsFrame(MacAddress.node(1)).size_bytes == CTS_FRAME_BYTES == 14

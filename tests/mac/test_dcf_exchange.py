@@ -66,6 +66,19 @@ def test_single_unicast_exchange_with_rts_cts_and_ack():
     assert a.state is MacState.IDLE and a.queues.empty
 
 
+def test_each_mac_numbers_its_own_subframes_from_one():
+    """802.11 sequence numbers are per transmitter: 1, 2, 3 at one MAC, and
+    a second MAC starts at 1 again, whatever the first has sent."""
+    sim = Simulator(seed=33)
+    _, a, b = build_pair(sim)
+    for _ in range(3):
+        a.enqueue(tcp_data(), MacAddress.node(2))
+    b.enqueue(tcp_ack(), BROADCAST_MAC)
+    queued = a.queues.peek_unicast() + a.queues.peek_broadcast()
+    assert [subframe.sequence for subframe in queued] == [1, 2, 3]
+    assert [subframe.sequence for subframe in b.queues.peek_broadcast()] == [1]
+
+
 def test_exchange_without_rts_cts():
     sim = Simulator(seed=32)
     _, a, b = build_pair(sim, use_rts=False)

@@ -15,12 +15,8 @@ import pytest
 from helpers.mobility import Fixed
 
 from repro.apps.cbr import CbrSource, UdpSink
+from repro.campaign.cli import main as campaign_main
 from repro.channel.medium import WirelessChannel
-from repro.channel.propagation import (
-    LogDistancePathLoss,
-    LogNormalShadowing,
-    hydra_indoor_propagation,
-)
 from repro.core.policies import unicast_aggregation
 from repro.errors import ConfigurationError
 from repro.mobility.models import CircularOrbit
@@ -31,8 +27,8 @@ from repro.topology.mobile import MobileScenario
 from repro.units import mbps
 
 
-def _two_phys(sim, propagation=None, b_position=(5.0, 0.0), b_mobility=None):
-    channel = WirelessChannel(sim, propagation=propagation)
+def _two_phys(sim, shadowing_sigma_db=0.0, b_position=(5.0, 0.0), b_mobility=None):
+    channel = WirelessChannel(sim, shadowing_sigma_db)
     a = Phy(sim, channel, position=(0.0, 0.0), name="a")
     b = Phy(sim, channel, position=b_position, name="b", mobility=b_mobility)
     return channel, a, b
@@ -71,7 +67,7 @@ def test_link_budget_follows_the_mobile_node():
 def test_received_power_uses_positions_at_the_given_time():
     sim = Simulator(seed=1)
     channel, a, b = _two_phys(sim, b_position=(2.5, 0.0), b_mobility=_orbit_from_a_to_b())
-    loss = hydra_indoor_propagation()
+    loss = channel.propagation
     for t in (0.0, 1.3, 4.0):
         expected = TX_POWER_DBM - loss.path_loss_db(a.position_at(t), b.position_at(t))
         assert channel.received_power_dbm(a, b, time=t) == pytest.approx(expected)
@@ -85,96 +81,80 @@ def test_shadowing_offsets_are_deterministic_per_seed():
     offsets = []
     for _ in range(2):
         sim = Simulator(seed=5)
-        channel, a, b = _two_phys(sim, propagation=LogNormalShadowing(sigma_db=6.0))
-        offsets.append(channel.propagation.shadowing_db("a", "b", 0.0))
+        channel, a, b = _two_phys(sim, shadowing_sigma_db=6.0)
+        offsets.append(channel.propagation.shadowing_db("a", "b"))
     assert offsets[0] == offsets[1]
     sim = Simulator(seed=6)
-    channel, a, b = _two_phys(sim, propagation=LogNormalShadowing(sigma_db=6.0))
-    assert channel.propagation.shadowing_db("a", "b", 0.0) != offsets[0]
+    channel, a, b = _two_phys(sim, shadowing_sigma_db=6.0)
+    assert channel.propagation.shadowing_db("a", "b") != offsets[0]
 
 
 def test_shadowing_is_symmetric_and_link_specific():
-    sim = Simulator(seed=5)
-    model = LogNormalShadowing(sigma_db=6.0)
-    WirelessChannel(sim, propagation=model)
+    model = WirelessChannel(Simulator(seed=5), 6.0).propagation
     assert model.shadowing_db("a", "b") == model.shadowing_db("b", "a")
     assert model.shadowing_db("a", "b") != model.shadowing_db("a", "c")
-    asym = LogNormalShadowing(sigma_db=6.0, symmetric=False)
-    WirelessChannel(Simulator(seed=5), propagation=asym)
-    assert asym.shadowing_db("a", "b") != asym.shadowing_db("b", "a")
 
 
 def test_shadowing_offset_is_independent_of_evaluation_order():
-    sim = Simulator(seed=5)
-    first = LogNormalShadowing(sigma_db=6.0)
-    WirelessChannel(sim, propagation=first)
+    first = WirelessChannel(Simulator(seed=5), 6.0).propagation
     ab_first = first.shadowing_db("a", "b")
 
-    second = LogNormalShadowing(sigma_db=6.0)
-    WirelessChannel(Simulator(seed=5), propagation=second)
+    second = WirelessChannel(Simulator(seed=5), 6.0).propagation
     second.shadowing_db("c", "d")  # different link evaluated first
     assert second.shadowing_db("a", "b") == ab_first
 
 
 def test_shadowing_applies_on_top_of_the_base_model():
     sim = Simulator(seed=5)
-    base = LogDistancePathLoss()
-    model = LogNormalShadowing(base=base, sigma_db=6.0)
-    channel, a, b = _two_phys(sim, propagation=model)
-    expected = base.path_loss_db(a.position, b.position) + model.shadowing_db("a", "b")
+    channel, a, b = _two_phys(sim, shadowing_sigma_db=6.0)
+    model = channel.propagation
+    expected = model.path_loss_db(a.position, b.position) + model.shadowing_db("a", "b")
     measured = TX_POWER_DBM - channel.received_power_dbm(a, b)
     assert measured == pytest.approx(expected)
-    # The position-only protocol cannot know the link: base loss only.
-    assert model.path_loss_db(a.position, b.position) == base.path_loss_db(
-        a.position, b.position)
+    # The distance loss alone is the paper's indoor curve: 66 dB at 1 m,
+    # path-loss exponent 3.
+    assert model.path_loss_db(a.position, b.position) == pytest.approx(
+        66.0 + 30.0 * math.log10(5.0))
 
 
-def test_shadowing_coherence_time_redraws_per_epoch():
-    model = LogNormalShadowing(sigma_db=6.0, coherence_time=2.0)
-    WirelessChannel(Simulator(seed=5), propagation=model)
-    early = model.shadowing_db("a", "b", 0.5)
-    assert model.shadowing_db("a", "b", 1.9) == early  # same epoch
-    assert model.shadowing_db("a", "b", 2.1) != early  # next epoch
-    static = LogNormalShadowing(sigma_db=6.0)
-    WirelessChannel(Simulator(seed=5), propagation=static)
-    assert static.shadowing_db("a", "b", 0.0) == static.shadowing_db("a", "b", 99.0)
+def test_shadowing_offset_is_static_over_time():
+    sim = Simulator(seed=5)
+    channel, a, b = _two_phys(sim, shadowing_sigma_db=6.0)
+    early = channel.received_power_dbm(a, b)
+    assert channel.received_power_dbm(a, b, time=99.0) == early
+    sim.run(until=99.0)
+    assert channel.received_power_dbm(a, b) == early
 
 
-def test_unbound_shadowing_refuses_link_evaluation():
-    model = LogNormalShadowing(sigma_db=6.0)
-    with pytest.raises(ConfigurationError, match="not bound"):
-        model.shadowing_db("a", "b")
-    with pytest.raises(ConfigurationError):
-        LogNormalShadowing(sigma_db=-1.0)
-    with pytest.raises(ConfigurationError):
-        LogNormalShadowing(coherence_time=0.0)
+@pytest.mark.parametrize("sigma", (math.nan, math.inf, -1.0, True, "4.0"),
+                         ids=("nan", "inf", "negative", "bool", "string"))
+def test_shadowing_sigma_must_be_a_finite_non_negative_number(sigma):
+    """Regression: a NaN sigma made every budget NaN, which no cull refuses,
+    so a PHY 500 m away received the frame; a negative one silently ran
+    unshadowed.  The channel refuses such a sigma where it is given."""
+    sim = Simulator(seed=5)
+    with pytest.raises(ConfigurationError, match="shadowing_sigma_db"):
+        WirelessChannel(sim, sigma)
+    with pytest.raises(ConfigurationError, match="shadowing_sigma_db"):
+        MobileScenario(sim, policy=unicast_aggregation(), shadowing_sigma_db=sigma)
 
 
-def test_rebinding_shadowing_drops_offsets_from_the_previous_run():
-    # Reusing one model instance across simulators (e.g. a sweep loop) must
-    # serve each run the draws of *its* seed, not whatever ran first.
-    shared = LogNormalShadowing(sigma_db=6.0)
-    WirelessChannel(Simulator(seed=1), propagation=shared)
-    offset_seed1 = shared.shadowing_db("a", "b")
-    WirelessChannel(Simulator(seed=2), propagation=shared)
-    fresh = LogNormalShadowing(sigma_db=6.0)
-    WirelessChannel(Simulator(seed=2), propagation=fresh)
-    assert shared.shadowing_db("a", "b") == fresh.shadowing_db("a", "b")
-    assert shared.shadowing_db("a", "b") != offset_seed1
-
-
-def test_mobile_scenario_rejects_channel_plus_propagation():
-    sim = Simulator(seed=1)
-    channel = WirelessChannel(sim)
-    with pytest.raises(ConfigurationError, match="not.*both|both"):
-        MobileScenario(sim, policy=unicast_aggregation(), channel=channel,
-                       propagation=LogNormalShadowing(sigma_db=6.0))
+def test_mob01_refuses_a_negative_shadowing_sigma(tmp_path, monkeypatch, capsys):
+    # Regression: ``--set shadowing_sigma_db=-1.0`` ran without shadowing and
+    # exited 0.
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "mob01", "--seeds", "1", "--jobs", "1", "--timeout", "0",
+            "--no-cache", "--set", "shadowing_sigma_db=-1.0"]
+    assert campaign_main(argv) == 2
+    captured = capsys.readouterr()
+    assert "ConfigurationError: shadowing_sigma_db" in captured.out + captured.err
 
 
 def test_zero_sigma_shadowing_is_transparent():
-    model = LogNormalShadowing(sigma_db=0.0)
-    WirelessChannel(Simulator(seed=5), propagation=model)
-    assert model.shadowing_db("a", "b") == 0.0
+    for sigma in (0.0, 0):
+        channel, a, b = _two_phys(Simulator(seed=5), shadowing_sigma_db=sigma)
+        loss = channel.propagation.path_loss_db(a.position, b.position)
+        assert channel.received_power_dbm(a, b) == TX_POWER_DBM - loss
 
 
 # ---------------------------------------------------------------------------
