@@ -13,8 +13,9 @@ Run with::
 from __future__ import annotations
 
 from repro.experiments import fig07_aggregation_size
-from repro.phy.rates import HYDRA_RATE_TABLE
-from repro.phy.timing import HYDRA_PHY_TIMING
+from repro.phy.error_model import COHERENCE_SAMPLES
+from repro.phy.rates import rate_for_mbps
+from repro.phy.timing import bytes_for_samples
 from repro.units import kilobytes
 
 
@@ -24,10 +25,9 @@ def main() -> None:
                                         duration=10.0)
     print(result.to_text())
 
-    print("\nAggregation sizes at the 120 Ksample coherence ceiling:")
+    print(f"\nAggregation sizes at the {COHERENCE_SAMPLES / 1000:.0f} Ksample coherence ceiling:")
     for mbps in (0.65, 1.3, 1.95):
-        rate = HYDRA_RATE_TABLE.by_mbps(mbps)
-        ceiling_bytes = HYDRA_PHY_TIMING.bytes_for_samples(120_000, rate)
+        ceiling_bytes = bytes_for_samples(COHERENCE_SAMPLES, rate_for_mbps(mbps))
         print(f"  {mbps:>5} Mbps: {ceiling_bytes / 1024:.1f} KB")
     print("\nThe paper picks 5 KB so that every supported rate stays below the ceiling.")
     chosen = kilobytes(5)

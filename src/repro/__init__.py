@@ -31,17 +31,9 @@ from repro.core import (
     no_aggregation,
     unicast_aggregation,
 )
-from repro.phy import (
-    HYDRA_RATE_TABLE,
-    ErrorModel,
-    ErrorModelConfig,
-    Phy,
-    PhyFrame,
-    PhyRate,
-    PhyTimingConfig,
-)
+from repro.phy import ErrorModel, Phy, PhyFrame, PhyRate
 from repro.channel import WirelessChannel
-from repro.mac import AggregatingMac, MacAddress, MacConfig, MacTimingProfile
+from repro.mac import AggregatingMac, MacAddress, MacConfig
 from repro.net import ForwardingEngine, IpAddress, Packet, RoutingTable
 from repro.transport import TcpConnection, TcpLayer, UdpLayer
 from repro.node import Node
@@ -66,16 +58,12 @@ __all__ = [
     "Phy",
     "PhyFrame",
     "PhyRate",
-    "PhyTimingConfig",
     "ErrorModel",
-    "ErrorModelConfig",
-    "HYDRA_RATE_TABLE",
     "WirelessChannel",
     # MAC
     "AggregatingMac",
     "MacAddress",
     "MacConfig",
-    "MacTimingProfile",
     # network / transport
     "Packet",
     "IpAddress",

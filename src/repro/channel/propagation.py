@@ -86,7 +86,8 @@ class IndoorPropagation:
         offsets = self._offsets
         if link not in offsets:
             # The label, "#epoch0" included, seeds the draw: keep it as is.
-            stream = self._streams.stream(f"link.{link[0]}|{link[1]}#epoch0")
+            # The link draws once, so its generator is not kept.
+            stream = self._streams.fresh_stream(f"link.{link[0]}|{link[1]}#epoch0")
             bound = SHADOWING_CLAMP_SIGMAS * self.sigma_db
             draw = stream.gauss(0.0, self.sigma_db)
             offsets[link] = min(max(draw, -bound), bound)

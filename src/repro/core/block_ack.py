@@ -25,8 +25,14 @@ class BlockAck:
 
     dst: "MacAddress"
     received_sequences: frozenset
-    #: Size on air: a compressed block ACK is larger than a normal ACK.
-    size_bytes: int = 32
+
+    @property
+    def size_bytes(self) -> int:
+        """Size on air, :data:`repro.mac.frames.BLOCK_ACK_FRAME_BYTES`."""
+        # Imported on use: importing repro.mac loads the MAC, which imports
+        # this module.
+        from repro.mac.frames import BLOCK_ACK_FRAME_BYTES
+        return BLOCK_ACK_FRAME_BYTES
 
     @classmethod
     def for_outcome(cls, dst: "MacAddress", passed: Iterable[int]) -> "BlockAck":

@@ -14,12 +14,12 @@ from repro.mac.frames import (
     MacSubframe,
     RtsFrame,
     ACK_FRAME_BYTES,
+    BLOCK_ACK_FRAME_BYTES,
     CTS_FRAME_BYTES,
     MIN_SUBFRAME_BYTES,
     RTS_FRAME_BYTES,
     SUBFRAME_OVERHEAD_BYTES,
 )
-from repro.mac.timing import HYDRA_MAC_TIMING, MacTimingProfile
 from repro.mac.queues import TransmitQueues
 from repro.mac.backoff import BackoffController
 from repro.mac.nav import NetworkAllocationVector
@@ -38,8 +38,7 @@ __all__ = [
     "RTS_FRAME_BYTES",
     "CTS_FRAME_BYTES",
     "ACK_FRAME_BYTES",
-    "MacTimingProfile",
-    "HYDRA_MAC_TIMING",
+    "BLOCK_ACK_FRAME_BYTES",
     "TransmitQueues",
     "BackoffController",
     "NetworkAllocationVector",

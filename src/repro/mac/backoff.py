@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import random
 
-from repro.mac.timing import MacTimingProfile
+from repro.mac.timing import CW_MAX, CW_MIN
 
 
 class BackoffController:
     """Contention window and slot-count management for one MAC."""
 
-    __slots__ = ("timing", "_rng", "_cw", "slots_remaining", "draws")
+    __slots__ = ("_rng", "_cw", "slots_remaining")
 
-    def __init__(self, timing: MacTimingProfile, rng: random.Random) -> None:
-        self.timing = timing
+    def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        self._cw = timing.cw_min
+        self._cw = CW_MIN
         self.slots_remaining = 0
-        self.draws = 0
 
     @property
     def contention_window(self) -> int:
@@ -33,7 +31,6 @@ class BackoffController:
     def draw(self) -> int:
         """Draw a fresh backoff count uniformly from ``[0, cw)``."""
         self.slots_remaining = self._rng.randrange(self._cw)
-        self.draws += 1
         return self.slots_remaining
 
     def consume(self, slots: int) -> None:
@@ -46,9 +43,9 @@ class BackoffController:
         return self.slots_remaining == 0
 
     def on_failure(self) -> None:
-        """Double the contention window (bounded by ``cw_max``)."""
-        self._cw = min(self._cw * 2, self.timing.cw_max)
+        """Double the contention window (bounded by ``CW_MAX``)."""
+        self._cw = min(self._cw * 2, CW_MAX)
 
     def on_success(self) -> None:
-        """Reset the contention window to ``cw_min``."""
-        self._cw = self.timing.cw_min
+        """Reset the contention window to ``CW_MIN``."""
+        self._cw = CW_MIN

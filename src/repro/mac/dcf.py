@@ -35,6 +35,7 @@ from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.backoff import BackoffController
 from repro.mac.frames import (
     ACK_FRAME_BYTES,
+    BLOCK_ACK_FRAME_BYTES,
     CTS_FRAME_BYTES,
     AckFrame,
     CtsFrame,
@@ -45,12 +46,12 @@ from repro.mac.frames import (
 from repro.mac.nav import NetworkAllocationVector
 from repro.mac.queues import TransmitQueues
 from repro.mac.stats import MacStatistics
-from repro.mac.timing import HYDRA_MAC_TIMING
+from repro.mac.timing import DIFS, RETRY_LIMIT, SIFS, SLOT_TIME, TIMEOUT_GUARD
 from repro.net.packet import Packet
 from repro.phy.device import Phy
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.phy.rates import HYDRA_BASE_RATE, PhyRate
-from repro.phy.timing import HYDRA_PHY_TIMING
+from repro.phy.timing import control_airtime
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
 
@@ -60,8 +61,14 @@ ReceiveCallback = Callable[[Packet, MacAddress], None]
 
 #: Airtimes of the CTS and ACK control frames, which always go out at
 #: :data:`~repro.phy.rates.HYDRA_BASE_RATE`.
-CTS_AIRTIME = HYDRA_PHY_TIMING.control_airtime(CTS_FRAME_BYTES, HYDRA_BASE_RATE)
-ACK_AIRTIME = HYDRA_PHY_TIMING.control_airtime(ACK_FRAME_BYTES, HYDRA_BASE_RATE)
+CTS_AIRTIME = control_airtime(CTS_FRAME_BYTES, HYDRA_BASE_RATE)
+ACK_AIRTIME = control_airtime(ACK_FRAME_BYTES, HYDRA_BASE_RATE)
+#: How long a sender waits for each SIFS-separated response: SIFS, the
+#: response's airtime and :data:`~repro.mac.timing.TIMEOUT_GUARD`.
+CTS_TIMEOUT = SIFS + CTS_AIRTIME + TIMEOUT_GUARD
+ACK_TIMEOUT = SIFS + ACK_AIRTIME + TIMEOUT_GUARD
+BLOCK_ACK_TIMEOUT = (SIFS + control_airtime(BLOCK_ACK_FRAME_BYTES, HYDRA_BASE_RATE)
+                     + TIMEOUT_GUARD)
 
 
 class MacState(enum.Enum):
@@ -78,8 +85,9 @@ class MacConfig:
     """Static configuration of one MAC instance.
 
     Control frames (RTS/CTS/ACK) always go out at
-    :data:`~repro.phy.rates.HYDRA_BASE_RATE` and the MAC always follows
-    :data:`~repro.mac.timing.HYDRA_MAC_TIMING`.
+    :data:`~repro.phy.rates.HYDRA_BASE_RATE`, the MAC always follows the
+    constants of :mod:`repro.mac.timing`, and its queues hold
+    :class:`~repro.mac.queues.TransmitQueues`' default capacity.
     """
 
     address: MacAddress
@@ -90,7 +98,6 @@ class MacConfig:
     broadcast_rate: Optional[PhyRate] = None
     #: Precede every frame with a unicast portion by an RTS/CTS exchange.
     use_rts_cts: bool = True
-    queue_capacity: int = 50
     use_block_ack: bool = False
 
 
@@ -98,7 +105,7 @@ class AggregatingMac:
     """802.11 DCF MAC with the paper's aggregation extensions."""
 
     __slots__ = ("sim", "phy", "config", "policy", "name", "address",
-                 "timing", "queues", "classifier", "aggregator",
+                 "queues", "classifier", "aggregator",
                  "duplicates", "stats", "scoreboard", "_sequence",
                  "backoff", "nav", "state", "_current", "_pending_retry",
                  "_retry_count", "_flush_forced", "_drawn_slots",
@@ -119,9 +126,8 @@ class AggregatingMac:
         self.policy = policy or broadcast_aggregation()
         self.name = name or f"mac-{config.address}"
         self.address = config.address
-        self.timing = HYDRA_MAC_TIMING
 
-        self.queues = TransmitQueues(capacity=config.queue_capacity)
+        self.queues = TransmitQueues()
         self.classifier = TcpAckClassifier(enabled=self.policy.classify_tcp_acks_as_broadcast)
         self.aggregator = Aggregator(self.policy)
         self.duplicates = DuplicateDetector()
@@ -131,7 +137,7 @@ class AggregatingMac:
         self._sequence = 0
 
         rng = sim.random.stream(f"mac.{self.name}")
-        self.backoff = BackoffController(self.timing, rng)
+        self.backoff = BackoffController(rng)
         self.nav = NetworkAllocationVector(sim, on_expire=self._resume_backoff)
 
         self.state = MacState.IDLE
@@ -253,7 +259,7 @@ class AggregatingMac:
             return
         if self._access_timer.running:
             return
-        delay = self.timing.difs + self.backoff.slots_remaining * self.timing.slot_time
+        delay = DIFS + self.backoff.slots_remaining * SLOT_TIME
         self._backoff_resumed_at = self.sim._now
         self._access_timer.start(delay)
 
@@ -261,15 +267,15 @@ class AggregatingMac:
         if self.state is not MacState.CONTEND or not self._access_timer.running:
             return
         elapsed = self.sim._now - self._backoff_resumed_at
-        idle_slots = int(max(0.0, elapsed - self.timing.difs) / self.timing.slot_time)
+        idle_slots = int(max(0.0, elapsed - DIFS) / SLOT_TIME)
         self.backoff.consume(idle_slots)
         self._access_timer.cancel()
 
     def _on_backoff_complete(self) -> None:
         if self.state is not MacState.CONTEND:  # pragma: no cover - defensive
             return
-        self.stats.record_ifs(self.timing.difs)
-        self.stats.record_contention(self._drawn_slots * self.timing.slot_time)
+        self.stats.record_ifs(DIFS)
+        self.stats.record_contention(self._drawn_slots * SLOT_TIME)
         self.backoff.slots_remaining = 0
         self._begin_exchange()
 
@@ -302,7 +308,7 @@ class AggregatingMac:
         frame = self._current.to_phy_frame(self.unicast_rate, self.broadcast_rate)
         # Virtual carrier sensing: the duration field of the first unicast
         # subframe reserves the medium for the SIFS + ACK that follows.
-        reservation = self.timing.sifs + ACK_AIRTIME if frame.has_unicast else 0.0
+        reservation = SIFS + ACK_AIRTIME if frame.has_unicast else 0.0
         for subframe in frame.broadcast_subframes + frame.unicast_subframes:
             subframe.duration = reservation
         return frame
@@ -310,8 +316,8 @@ class AggregatingMac:
     def _send_rts(self) -> None:
         assert self._current is not None
         data_frame = self._build_data_frame()
-        data_time = data_frame.airtime(HYDRA_PHY_TIMING)
-        reservation = 3 * self.timing.sifs + CTS_AIRTIME + data_time + ACK_AIRTIME
+        data_time = data_frame.airtime()
+        reservation = 3 * SIFS + CTS_AIRTIME + data_time + ACK_AIRTIME
         rts = RtsFrame(src=self.address, dst=self._current.destination, duration=reservation)
         frame = PhyFrame.control_frame(FrameKind.RTS, rts, HYDRA_BASE_RATE)
         self._pause_backoff()
@@ -328,7 +334,7 @@ class AggregatingMac:
         frame = self._build_data_frame()
         self._pause_backoff()
         self.phy.send(frame)
-        self.stats.record_data_frame(frame, HYDRA_PHY_TIMING)
+        self.stats.record_data_frame(frame)
         if self.config.use_block_ack and frame.has_unicast:
             self.scoreboard.register(list(frame.unicast_subframes))
         tracer = self.sim.tracer
@@ -342,7 +348,7 @@ class AggregatingMac:
     def on_transmit_complete(self, frame: PhyFrame) -> None:
         """PHY finished sending one of our frames."""
         if frame.kind is FrameKind.RTS:
-            self._response_timer.start(self.timing.response_timeout(CTS_AIRTIME))
+            self._response_timer.start(CTS_TIMEOUT)
         elif frame.kind is FrameKind.DATA and frame.sender is self.phy:
             if self.state in (MacState.CONTEND, MacState.IDLE, MacState.WAIT_CTS):
                 # Data sent by the exchange initiated by us.  The broadcast
@@ -352,13 +358,9 @@ class AggregatingMac:
                 if tracer.enabled:
                     tracer.emit(self.name, "mac", "sent_unacked", frame=frame)
                 if frame.has_unicast:
-                    ack_time = ACK_AIRTIME
-                    if self.config.use_block_ack:
-                        ack_time = HYDRA_PHY_TIMING.control_airtime(
-                            BlockAck(dst=self.address, received_sequences=frozenset()).size_bytes,
-                            HYDRA_BASE_RATE)
                     self.state = MacState.WAIT_ACK
-                    self._response_timer.start(self.timing.response_timeout(ack_time))
+                    self._response_timer.start(
+                        BLOCK_ACK_TIMEOUT if self.config.use_block_ack else ACK_TIMEOUT)
                 else:
                     self._complete_success(broadcast_only=True)
         elif frame.kind in (FrameKind.CTS, FrameKind.ACK):
@@ -394,9 +396,9 @@ class AggregatingMac:
             return
         rts: RtsFrame = result.frame.control
         if rts.dst == self.address:
-            remaining = max(0.0, rts.duration - self.timing.sifs)
+            remaining = max(0.0, rts.duration - SIFS)
             cts = CtsFrame(dst=rts.src, duration=remaining)
-            self.sim.schedule(self.timing.sifs, self._send_control_response,
+            self.sim.schedule(SIFS, self._send_control_response,
                               FrameKind.CTS, cts, priority=Simulator.PRIORITY_MAC)
         else:
             self.nav.update(rts.duration)
@@ -408,9 +410,9 @@ class AggregatingMac:
         cts: CtsFrame = result.frame.control
         if cts.dst == self.address and self.state is MacState.WAIT_CTS:
             self._response_timer.cancel()
-            self.stats.record_control_frame("cts_rx", result.frame.airtime(HYDRA_PHY_TIMING))
-            self.stats.record_ifs(self.timing.sifs)
-            self.sim.schedule(self.timing.sifs, self._send_data_frame,
+            self.stats.record_control_frame("cts_rx", result.frame.airtime())
+            self.stats.record_ifs(SIFS)
+            self.sim.schedule(SIFS, self._send_data_frame,
                               priority=Simulator.PRIORITY_MAC)
         elif cts.dst != self.address:
             self.nav.update(cts.duration)
@@ -424,8 +426,8 @@ class AggregatingMac:
             return
         self._response_timer.cancel()
         self.stats.acks_received += 1
-        self.stats.record_control_frame("ack_rx", result.frame.airtime(HYDRA_PHY_TIMING))
-        self.stats.record_ifs(self.timing.sifs)
+        self.stats.record_control_frame("ack_rx", result.frame.airtime())
+        self.stats.record_ifs(SIFS)
         if self.config.use_block_ack and isinstance(control, BlockAck):
             missing = self.scoreboard.apply(control)
             if missing:
@@ -469,7 +471,7 @@ class AggregatingMac:
             else:
                 last = outcome.unicast_crc_passed[-1] if outcome.unicast_crc_passed else None
                 response = AckFrame(dst=outcome.ack_destination, acked_sequence=last)
-            self.sim.schedule(self.timing.sifs, self._send_control_response,
+            self.sim.schedule(SIFS, self._send_control_response,
                               FrameKind.ACK, response, priority=Simulator.PRIORITY_MAC)
 
     def _deliver_up(self, subframe: MacSubframe) -> None:
@@ -515,7 +517,7 @@ class AggregatingMac:
         self._retry_count += 1
 
         current = self._current
-        gave_up = self._retry_count > self.timing.retry_limit
+        gave_up = self._retry_count > RETRY_LIMIT
         if gave_up:
             # Give up on the unicast portion entirely (and, when the RTS
             # chain failed, on the never-sent broadcast portion too).

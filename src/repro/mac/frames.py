@@ -30,6 +30,8 @@ MIN_SUBFRAME_BYTES = 160
 RTS_FRAME_BYTES = 20
 CTS_FRAME_BYTES = 14
 ACK_FRAME_BYTES = 14
+#: A compressed block ACK is larger than a normal ACK.
+BLOCK_ACK_FRAME_BYTES = 32
 
 
 @dataclass(slots=True)
@@ -51,21 +53,13 @@ class MacSubframe:
     transmit_in_broadcast_portion: bool = False
     retries: int = 0
     enqueued_at: float = 0.0
+    #: On-air size (header + payload + FCS + padding), fixed at construction:
+    #: the wrapped packet's size never changes.
+    size_bytes: int = field(init=False, repr=False, compare=False)
 
-    # Lazily-computed on-air size; the wrapped packet's size never changes.
-    # A real (slotted) field rather than a shadowed class attribute, kept out
-    # of repr/compare so it stays an invisible memo.
-    _size_bytes_cache: Optional[int] = field(default=None, repr=False, compare=False)
-
-    @property
-    def size_bytes(self) -> int:
-        """On-air size of the subframe (header + payload + FCS + padding)."""
-        size = self._size_bytes_cache
-        if size is None:
-            size = max(self.packet.size_bytes + SUBFRAME_OVERHEAD_BYTES,
-                       MIN_SUBFRAME_BYTES)
-            self._size_bytes_cache = size
-        return size
+    def __post_init__(self) -> None:
+        self.size_bytes = max(self.packet.size_bytes + SUBFRAME_OVERHEAD_BYTES,
+                              MIN_SUBFRAME_BYTES)
 
     @property
     def overhead_bytes(self) -> int:

@@ -17,7 +17,11 @@ from repro.mac.frames import MacSubframe
 
 
 class TransmitQueues:
-    """The broadcast and unicast transmit queues of one MAC."""
+    """The broadcast and unicast transmit queues of one MAC.
+
+    Each queue holds at most ``capacity`` subframes; the default, 50, is the
+    Hydra MAC's queue size, which every MAC uses.
+    """
 
     __slots__ = ("capacity", "_broadcast", "_unicast", "drops_broadcast",
                  "drops_unicast", "enqueued_broadcast", "enqueued_unicast")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.phy.frame import PhyFrame
 from repro.phy.rates import PhyRate
-from repro.phy.timing import PhyTimingConfig
+from repro.phy.timing import PREAMBLE_DURATION
 
 #: IP protocol tags of routing control-plane traffic (HELLO beacons, DSDV
 #: updates and AODV RREQ/RREP/RERR messages).  Matched by string so this
@@ -75,7 +75,7 @@ class MacStatistics:
     # ------------------------------------------------------------------
     # Recording helpers
     # ------------------------------------------------------------------
-    def record_data_frame(self, frame: PhyFrame, timing: PhyTimingConfig) -> None:
+    def record_data_frame(self, frame: PhyFrame) -> None:
         """Account for a DATA frame this MAC just transmitted."""
         self.data_transmissions += 1
         if frame.is_broadcast_only:
@@ -95,9 +95,9 @@ class MacStatistics:
 
         # The PHY preamble/header is pure overhead; express it both in time and
         # in "equivalent bytes" at the unicast rate for the size-overhead metric.
-        self.header_airtime += timing.preamble_duration
+        self.header_airtime += PREAMBLE_DURATION
         self.phy_header_bytes_equivalent += (
-            timing.preamble_duration * frame.unicast_rate.data_rate_bps / 8.0
+            PREAMBLE_DURATION * frame.unicast_rate.data_rate_bps / 8.0
         )
 
     def _account_subframe(self, subframe, rate: PhyRate) -> None:

@@ -9,10 +9,9 @@ the paper and the experimental setup of Section 5: 1 MHz of bandwidth in the
 2.4 GHz band, 7.7 mW transmit power giving ~25 dB SNR at the 2.5 m node
 spacing (:mod:`repro.phy.device`), SISO data rates of 0.65–6.5 Mbps of
 which the experiments pin one of the lowest four
-(:data:`~repro.phy.rates.HYDRA_RATE_TABLE`), cyclic-delay-diversity MIMO (a
-single spatial stream), DCF with RTS/CTS
-(:data:`~repro.mac.timing.HYDRA_MAC_TIMING`), and a maximum aggregation size
-of 5 KB chosen from the Figure 7 sweep
+(:data:`~repro.phy.rates.HYDRA_SISO_RATES`), cyclic-delay-diversity MIMO (a
+single spatial stream), DCF with RTS/CTS (:mod:`repro.mac.timing`), and a
+maximum aggregation size of 5 KB chosen from the Figure 7 sweep
 (:data:`~repro.core.policies.DEFAULT_MAX_AGGREGATE_BYTES`).  What a node
 varies per run is its data rates, its aggregation policy, block ACKs and,
 for the ablation, whether it uses RTS/CTS.
@@ -46,7 +45,7 @@ from repro.net.dynamic_routing import DsdvConfig, DsdvRouter
 from repro.net.on_demand import AodvConfig, AodvRouter
 from repro.net.routing import ForwardingEngine, NeighborTable, RoutingTable
 from repro.phy.device import Phy
-from repro.phy.rates import HYDRA_BASE_RATE, HYDRA_RATE_TABLE
+from repro.phy.rates import HYDRA_BASE_RATE, rate_for_mbps
 from repro.sim.simulator import Simulator
 from repro.transport.tcp.layer import TcpLayer
 from repro.transport.udp import UdpLayer
@@ -100,9 +99,9 @@ class Node:
         mac_config = MacConfig(
             address=self.mac_address,
             unicast_rate=(HYDRA_BASE_RATE if unicast_rate_mbps is None
-                          else HYDRA_RATE_TABLE.by_mbps(unicast_rate_mbps)),
+                          else rate_for_mbps(unicast_rate_mbps)),
             broadcast_rate=(None if broadcast_rate_mbps is None
-                            else HYDRA_RATE_TABLE.by_mbps(broadcast_rate_mbps)),
+                            else rate_for_mbps(broadcast_rate_mbps)),
             use_rts_cts=use_rts_cts,
             use_block_ack=use_block_ack,
         )

@@ -16,9 +16,8 @@ experiments:
 
 from repro.phy.modulation import Modulation
 from repro.phy.coding import CodingRate
-from repro.phy.rates import PhyRate, RateTable, HYDRA_RATE_TABLE, HYDRA_SISO_RATES
-from repro.phy.timing import HYDRA_PHY_TIMING, PhyTimingConfig
-from repro.phy.error_model import ErrorModel, ErrorModelConfig
+from repro.phy.rates import PhyRate, HYDRA_SISO_RATES, rate_for_mbps
+from repro.phy.error_model import ErrorModel
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.phy.device import Phy, PhyListener, PhyState
 
@@ -26,13 +25,9 @@ __all__ = [
     "Modulation",
     "CodingRate",
     "PhyRate",
-    "RateTable",
-    "HYDRA_RATE_TABLE",
     "HYDRA_SISO_RATES",
-    "HYDRA_PHY_TIMING",
-    "PhyTimingConfig",
+    "rate_for_mbps",
     "ErrorModel",
-    "ErrorModelConfig",
     "FrameKind",
     "PhyFrame",
     "ReceptionResult",

@@ -8,8 +8,8 @@ interfere with each other (SINR-based capture).
 
 Every PHY runs at the Hydra operating point of Table 1 and Section 5: the
 transmit power, the carrier-sense and reception thresholds and the capture
-threshold are the module constants below, and airtime follows
-:data:`~repro.phy.timing.HYDRA_PHY_TIMING`.
+threshold are the module constants below, and airtime follows the
+preamble and rates of :mod:`repro.phy.timing`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Protocol
 from repro.errors import ConfigurationError, PhyError
 from repro.phy.error_model import ErrorModel
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
-from repro.phy.timing import HYDRA_PHY_TIMING
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -223,7 +222,7 @@ class Phy:
         if self._transmitting:
             raise PhyError(f"{self.name}: send() while already transmitting")
         frame.sender = self
-        duration = frame.airtime(HYDRA_PHY_TIMING)
+        duration = frame.airtime()
         self.channel.broadcast(self, frame, duration)
         self._transmitting = True
         self.frames_sent += 1
@@ -318,7 +317,7 @@ class Phy:
             survives = self.error_model.subframe_survives
             rng = self._rng
             if frame.kind is FrameKind.DATA:
-                broadcast_offsets, unicast_offsets = frame.sample_offsets(HYDRA_PHY_TIMING)
+                broadcast_offsets, unicast_offsets = frame.sample_offsets()
                 rate = frame.broadcast_rate or frame.unicast_rate
                 oks = result.broadcast_ok
                 for subframe, offset in zip(frame.broadcast_subframes, broadcast_offsets):

@@ -18,12 +18,24 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.errors import ConfigurationError
 from repro.phy.modulation import Modulation
 from repro.phy.rates import HYDRA_SISO_RATES, PhyRate
+
+#: SNR penalty representing the prototype's front-end and software
+#: demodulation losses.  Calibrated so that, at the paper's 25 dB operating
+#: SNR, the 64-QAM rates are unreliable (as reported in Section 5) while
+#: BPSK/QPSK/16-QAM are essentially error free.
+IMPLEMENTATION_LOSS_DB = 8.0
+#: Number of PHY samples after the preamble for which the channel estimate
+#: remains valid (the paper observes ~120 Ksamples, Section 6.1).
+COHERENCE_SAMPLES = 120_000.0
+#: Fraction of :data:`COHERENCE_SAMPLES` over which the aging failure
+#: probability rises towards one once the limit is exceeded; smaller values
+#: give a sharper collapse.
+AGING_SCALE_FRACTION = 0.05
+_AGING_SCALE = COHERENCE_SAMPLES * AGING_SCALE_FRACTION
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -50,50 +62,19 @@ def _ber_constants(rate: PhyRate) -> tuple:
 _BER_CONSTANTS = {rate: _ber_constants(rate) for rate in HYDRA_SISO_RATES}
 
 
-@dataclass(slots=True)
-class ErrorModelConfig:
-    """Tunable constants of the error model.
-
-    Attributes
-    ----------
-    implementation_loss_db:
-        SNR penalty representing the prototype's front-end and software
-        demodulation losses.  Calibrated so that, at the paper's 25 dB
-        operating SNR, the 64-QAM rates are unreliable (as reported in
-        Section 5) while BPSK/QPSK/16-QAM are essentially error free.
-    coherence_samples:
-        Number of PHY samples after the preamble for which the channel
-        estimate remains valid (the paper observes ~120 Ksamples).
-    aging_scale_fraction:
-        Fraction of ``coherence_samples`` over which the aging failure
-        probability rises towards one once the limit is exceeded; smaller
-        values give a sharper collapse.
-    """
-
-    implementation_loss_db: float = 8.0
-    coherence_samples: float = 120_000.0
-    aging_scale_fraction: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.coherence_samples <= 0:
-            raise ConfigurationError("coherence_samples must be positive")
-        if self.aging_scale_fraction <= 0:
-            raise ConfigurationError("aging_scale_fraction must be positive")
-
-
 class ErrorModel:
     """Computes and samples per-subframe error probabilities.
 
-    ``subframe_error_probability`` is a pure function of its arguments (the
-    config is immutable in practice), and stationary scenarios evaluate it
-    with the same handful of (SNR, rate, size, offset) tuples millions of
-    times — once per subframe per receiver per frame — so the model memoises
-    the probability.  Sampling still draws from the caller's stream on every
-    call, so reproducibility is untouched: the cache changes *when math runs*,
-    never *which numbers come out*.
+    ``subframe_error_probability`` is a pure function of its arguments, and
+    stationary scenarios evaluate it with the same handful of (SNR, rate,
+    size, offset) tuples millions of times — once per subframe per receiver
+    per frame — so the model memoises the probability.  Sampling still
+    draws from the caller's stream on every call, so reproducibility is
+    untouched: the cache changes *when math runs*, never *which numbers
+    come out*.
     """
 
-    __slots__ = ("config", "_probability_cache")
+    __slots__ = ("_probability_cache",)
 
     #: Drop the memo once it holds this many distinct argument tuples.  A
     #: stationary PHY's working set is a few dozen tuples (at most 79 in any
@@ -101,8 +82,7 @@ class ErrorModel:
     #: frame, so a larger memo only fills with single-use entries.
     _CACHE_LIMIT = 256
 
-    def __init__(self, config: Optional[ErrorModelConfig] = None) -> None:
-        self.config = config or ErrorModelConfig()
+    def __init__(self) -> None:
         self._probability_cache: Dict[tuple, float] = {}
 
     # ------------------------------------------------------------------
@@ -110,9 +90,7 @@ class ErrorModel:
     # ------------------------------------------------------------------
     def bit_error_rate(self, snr_db: float, rate: PhyRate) -> float:
         """Post-coding BER at the given received SNR for ``rate``."""
-        effective_snr = (
-            snr_db + rate.coding.coding_gain_db - self.config.implementation_loss_db
-        )
+        effective_snr = snr_db + rate.coding.coding_gain_db - IMPLEMENTATION_LOSS_DB
         return rate.modulation.bit_error_rate(effective_snr, rate.coding.value_float)
 
     def noise_error_probability(self, snr_db: float, rate: PhyRate, size_bytes: int) -> float:
@@ -129,11 +107,10 @@ class ErrorModel:
 
     def aging_error_probability(self, end_offset_samples: float) -> float:
         """Probability of failure due to a stale channel estimate."""
-        excess = end_offset_samples - self.config.coherence_samples
+        excess = end_offset_samples - COHERENCE_SAMPLES
         if excess <= 0:
             return 0.0
-        scale = self.config.coherence_samples * self.config.aging_scale_fraction
-        return 1.0 - math.exp(-excess / scale)
+        return 1.0 - math.exp(-excess / _AGING_SCALE)
 
     def subframe_error_probability(self, snr_db: float, rate: PhyRate, size_bytes: int,
                                    end_offset_samples: float = 0.0) -> float:
@@ -152,11 +129,10 @@ class ErrorModel:
     def _remember(self, key: tuple) -> float:
         """Compute the probability for a memo miss and store it."""
         snr_db, rate, size_bytes, end_offset_samples = key
-        config = self.config
         gain_db, denominator, psk, coefficient, three_k, m_minus_one = (
             _BER_CONSTANTS.get(rate) or _ber_constants(rate))
         # Noise term: bit_error_rate -> Modulation.bit_error_rate -> q_function.
-        ebn0 = 10.0 ** ((snr_db + gain_db - config.implementation_loss_db) / 10.0) / denominator
+        ebn0 = 10.0 ** ((snr_db + gain_db - IMPLEMENTATION_LOSS_DB) / 10.0) / denominator
         if ebn0 <= 0:
             ber = 0.5
         elif psk:
@@ -172,12 +148,11 @@ class ErrorModel:
         else:
             p_noise = 1.0 - math.exp(n_bits * math.log1p(-ber))
         # Aging term: aging_error_probability.
-        excess = end_offset_samples - config.coherence_samples
+        excess = end_offset_samples - COHERENCE_SAMPLES
         if excess <= 0:
             p_aging = 0.0
         else:
-            scale = config.coherence_samples * config.aging_scale_fraction
-            p_aging = 1.0 - math.exp(-excess / scale)
+            p_aging = 1.0 - math.exp(-excess / _AGING_SCALE)
         probability = 1.0 - (1.0 - p_noise) * (1.0 - p_aging)
         cache = self._probability_cache
         if len(cache) >= self._CACHE_LIMIT:
@@ -202,8 +177,3 @@ class ErrorModel:
         if p_error >= 1.0:
             return False
         return rng.random() >= p_error
-
-    def control_frame_survives(self, rng: random.Random, snr_db: float, rate: PhyRate,
-                               size_bytes: int) -> bool:
-        """Draw whether a control frame (RTS/CTS/ACK) is received correctly."""
-        return self.subframe_survives(rng, snr_db, rate, size_bytes, end_offset_samples=0.0)

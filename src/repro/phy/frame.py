@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import PhyError
 from repro.phy.rates import PhyRate
-from repro.phy.timing import PhyTimingConfig
+from repro.phy.timing import control_airtime, frame_airtime, subframe_sample_offsets
 
 
 class FrameKind(enum.Enum):
@@ -54,8 +54,8 @@ class PhyFrame:
     unicast_subframes: Tuple[object, ...] = ()
     control: Optional[object] = None
     sender: Optional[object] = None
-    #: Memoised ``(timing, broadcast_offsets, unicast_offsets)`` — every
-    #: receiver of the frame recomputes identical offsets otherwise.
+    #: Memoised ``(broadcast_offsets, unicast_offsets)`` — every receiver
+    #: of the frame recomputes identical offsets otherwise.
     _offsets_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -127,26 +127,16 @@ class PhyFrame:
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-    def airtime(self, timing: PhyTimingConfig) -> float:
+    def airtime(self) -> float:
         """Total on-air duration of the frame, including the preamble."""
         if self.kind.is_control:
-            return timing.control_airtime(self.control_bytes, self.unicast_rate)
+            return control_airtime(self.control_bytes, self.unicast_rate)
         broadcast_rate = self.broadcast_rate or self.unicast_rate
-        return timing.frame_airtime(
+        return frame_airtime(
             self.broadcast_bytes, broadcast_rate, self.unicast_bytes, self.unicast_rate
         )
 
-    def total_samples(self, timing: PhyTimingConfig) -> float:
-        """Number of PHY payload samples (excluding the preamble)."""
-        if self.kind.is_control:
-            return timing.samples_for_bytes(self.control_bytes, self.unicast_rate)
-        broadcast_rate = self.broadcast_rate or self.unicast_rate
-        return (
-            timing.samples_for_bytes(self.broadcast_bytes, broadcast_rate)
-            + timing.samples_for_bytes(self.unicast_bytes, self.unicast_rate)
-        )
-
-    def sample_offsets(self, timing: PhyTimingConfig) -> Tuple[List[float], List[float]]:
+    def sample_offsets(self) -> Tuple[List[float], List[float]]:
         """Sample offsets (from the end of the preamble) at which subframes end.
 
         Returns ``(broadcast_offsets, unicast_offsets)``.  The broadcast
@@ -154,24 +144,23 @@ class PhyFrame:
         is less exposed to channel aging — the reason the paper puts
         broadcasts ahead of unicasts (Section 4.2.3).
 
-        The result is memoised per timing config (validated by identity, so
-        the cache can never outlive the config object it was computed from):
-        offsets depend only on the frame layout, which is immutable once the
-        frame is on the air, yet every receiver needs them.
+        The result is memoised: offsets depend only on the frame layout,
+        which is immutable once the frame is on the air, yet every receiver
+        needs them.
         """
         cached = self._offsets_cache
-        if cached is not None and cached[0] is timing:
-            return cached[1], cached[2]
+        if cached is not None:
+            return cached
         broadcast_rate = self.broadcast_rate or self.unicast_rate
-        broadcast_offsets = timing.subframe_sample_offsets(
+        broadcast_offsets = subframe_sample_offsets(
             [sf.size_bytes for sf in self.broadcast_subframes], broadcast_rate
         )
         start = broadcast_offsets[-1] if broadcast_offsets else 0.0
-        unicast_offsets = timing.subframe_sample_offsets(
+        unicast_offsets = subframe_sample_offsets(
             [sf.size_bytes for sf in self.unicast_subframes], self.unicast_rate, start
         )
-        self._offsets_cache = (timing, broadcast_offsets, unicast_offsets)
-        return broadcast_offsets, unicast_offsets
+        cached = self._offsets_cache = (broadcast_offsets, unicast_offsets)
+        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind.is_control:

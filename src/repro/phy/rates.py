@@ -11,7 +11,7 @@ RBAR/ARF rate adaptation (Section 4.1.2) are not modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.phy.coding import CodingRate
@@ -27,7 +27,7 @@ class PhyRate:
     hashes and compares by identity (``eq=False``): the error model probes
     its memo with the rate once per subframe per receiver, and the generated
     ``__hash__`` ran in Python and hashed two enums on every probe.  A
-    pickled rate loads as the table member of the same name, so identity
+    pickled rate loads as the Hydra rate of the same name, so identity
     survives a trip through a worker process.
     """
 
@@ -73,62 +73,23 @@ def _hydra_siso_rates() -> List[PhyRate]:
     ]
 
 
-#: The eight Hydra SISO rates from Table 1 of the paper.
+#: The eight Hydra SISO rates from Table 1 of the paper, slowest first.
 HYDRA_SISO_RATES: Tuple[PhyRate, ...] = tuple(_hydra_siso_rates())
 
 #: The base (most robust) rate; control frames are transmitted at this rate.
 HYDRA_BASE_RATE: PhyRate = HYDRA_SISO_RATES[0]
 
-
-class RateTable:
-    """An ordered collection of :class:`PhyRate` operating points."""
-
-    __slots__ = ("_rates", "_by_name")
-
-    def __init__(self, rates: Iterable[PhyRate]):
-        self._rates: List[PhyRate] = sorted(rates, key=lambda r: r.data_rate_bps)
-        if not self._rates:
-            raise ConfigurationError("rate table must contain at least one rate")
-        self._by_name: Dict[str, PhyRate] = {r.name: r for r in self._rates}
-
-    def __iter__(self):
-        return iter(self._rates)
-
-    def __len__(self) -> int:
-        return len(self._rates)
-
-    def __contains__(self, rate: PhyRate) -> bool:
-        return rate in self._rates
-
-    @property
-    def base_rate(self) -> PhyRate:
-        """The slowest (most robust) rate in the table."""
-        return self._rates[0]
-
-    @property
-    def max_rate(self) -> PhyRate:
-        """The fastest rate in the table."""
-        return self._rates[-1]
-
-    def by_name(self, name: str) -> PhyRate:
-        """Look up a rate by its MCS name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ConfigurationError(f"unknown rate name {name!r}") from None
-
-    def by_mbps(self, rate_mbps: float, tolerance: float = 0.01) -> PhyRate:
-        """Look up a rate by its nominal data rate in Mbps."""
-        for rate in self._rates:
-            if abs(rate.data_rate_mbps - rate_mbps) <= tolerance:
-                return rate
-        raise ConfigurationError(f"no PHY rate close to {rate_mbps} Mbps in table")
+_RATES_BY_NAME: Dict[str, PhyRate] = {rate.name: rate for rate in HYDRA_SISO_RATES}
 
 
-#: The Hydra rate table every MAC resolves its rates from.
-HYDRA_RATE_TABLE = RateTable(HYDRA_SISO_RATES)
+def rate_for_mbps(rate_mbps: float) -> PhyRate:
+    """The Hydra rate whose nominal data rate is within 0.01 Mbps of ``rate_mbps``."""
+    for rate in HYDRA_SISO_RATES:
+        if abs(rate.data_rate_mbps - rate_mbps) <= 0.01:
+            return rate
+    raise ConfigurationError(f"no PHY rate close to {rate_mbps} Mbps in table")
 
 
 def _siso_rate(name: str) -> PhyRate:
-    """The table member called ``name`` (what a pickled rate loads as)."""
-    return HYDRA_RATE_TABLE.by_name(name)
+    """The Hydra rate called ``name`` (what a pickled rate loads as)."""
+    return _RATES_BY_NAME[name]

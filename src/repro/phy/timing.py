@@ -18,103 +18,76 @@ observe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.phy.rates import PhyRate
 from repro.units import microseconds
 
+#: Duration of the PHY training sequences plus rate/length header (seconds).
+#: Hydra's software PHY preamble is long compared to commodity 802.11 hardware.
+PREAMBLE_DURATION = microseconds(240.0)
+#: Effective complex-baseband sample rate (samples per second) used to
+#: convert airtime into PHY samples for the aging model.
+SAMPLE_RATE = 1.9e6
 
-@dataclass(slots=True)
-class PhyTimingConfig:
-    """Timing constants of the PHY.
 
-    Attributes
-    ----------
-    preamble_duration:
-        Duration of the PHY training sequences plus rate/length header
-        (seconds).  Hydra's software PHY preamble is long compared to
-        commodity 802.11 hardware.
-    sample_rate:
-        Effective complex-baseband sample rate (samples per second) used to
-        convert airtime into PHY samples for the aging model.
-    turnaround_time:
-        Extra RX/TX turnaround latency added once per transmission, modelling
-        the USB + software pipeline latency of the prototype.
+# ----------------------------------------------------------------------
+# Airtime
+# ----------------------------------------------------------------------
+def payload_airtime(size_bytes: int, rate: PhyRate) -> float:
+    """Airtime of ``size_bytes`` of MAC payload at ``rate`` (no preamble)."""
+    if size_bytes < 0:
+        raise ConfigurationError("size_bytes must be non-negative")
+    return rate.transmission_time(size_bytes)
+
+
+def frame_airtime(broadcast_bytes: int, broadcast_rate: PhyRate,
+                  unicast_bytes: int, unicast_rate: PhyRate) -> float:
+    """Total airtime of an aggregated physical frame.
+
+    The broadcast portion is serialised first at ``broadcast_rate``, then
+    the unicast portion at ``unicast_rate`` (Figure 2 of the paper), after
+    a single preamble.
     """
-
-    preamble_duration: float = microseconds(240.0)
-    sample_rate: float = 1.9e6
-    turnaround_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.preamble_duration < 0:
-            raise ConfigurationError("preamble_duration must be non-negative")
-        if self.sample_rate <= 0:
-            raise ConfigurationError("sample_rate must be positive")
-        if self.turnaround_time < 0:
-            raise ConfigurationError("turnaround_time must be non-negative")
-
-    # ------------------------------------------------------------------
-    # Airtime
-    # ------------------------------------------------------------------
-    def payload_airtime(self, size_bytes: int, rate: PhyRate) -> float:
-        """Airtime of ``size_bytes`` of MAC payload at ``rate`` (no preamble)."""
-        if size_bytes < 0:
-            raise ConfigurationError("size_bytes must be non-negative")
-        return rate.transmission_time(size_bytes)
-
-    def frame_airtime(self, broadcast_bytes: int, broadcast_rate: PhyRate,
-                      unicast_bytes: int, unicast_rate: PhyRate) -> float:
-        """Total airtime of an aggregated physical frame.
-
-        The broadcast portion is serialised first at ``broadcast_rate``, then
-        the unicast portion at ``unicast_rate`` (Figure 2 of the paper), after
-        a single preamble.
-        """
-        duration = self.preamble_duration + self.turnaround_time
-        if broadcast_bytes:
-            duration += self.payload_airtime(broadcast_bytes, broadcast_rate)
-        if unicast_bytes:
-            duration += self.payload_airtime(unicast_bytes, unicast_rate)
-        return duration
-
-    def control_airtime(self, size_bytes: int, rate: PhyRate) -> float:
-        """Airtime of a control frame (RTS/CTS/ACK): preamble + body."""
-        return self.preamble_duration + self.turnaround_time + self.payload_airtime(size_bytes, rate)
-
-    # ------------------------------------------------------------------
-    # Samples
-    # ------------------------------------------------------------------
-    def samples_for_airtime(self, airtime_s: float) -> float:
-        """Number of PHY samples occupied by ``airtime_s`` seconds of payload."""
-        return airtime_s * self.sample_rate
-
-    def samples_for_bytes(self, size_bytes: int, rate: PhyRate) -> float:
-        """Number of PHY samples needed to carry ``size_bytes`` at ``rate``."""
-        return self.samples_for_airtime(self.payload_airtime(size_bytes, rate))
-
-    def bytes_for_samples(self, samples: float, rate: PhyRate) -> float:
-        """Inverse of :meth:`samples_for_bytes` (may be fractional)."""
-        airtime = samples / self.sample_rate
-        return rate.bits_in_time(airtime) / 8.0
-
-    def subframe_sample_offsets(self, sizes_bytes: Sequence[int], rate: PhyRate,
-                                start_offset_samples: float = 0.0) -> List[float]:
-        """Sample offset (from the end of the preamble) at which each subframe ends.
-
-        ``start_offset_samples`` accounts for an earlier portion of the frame
-        transmitted at a different rate (e.g. the broadcast portion preceding
-        the unicast portion).
-        """
-        offsets: List[float] = []
-        cumulative = start_offset_samples
-        for size in sizes_bytes:
-            cumulative += self.samples_for_bytes(size, rate)
-            offsets.append(cumulative)
-        return offsets
+    duration = PREAMBLE_DURATION
+    if broadcast_bytes:
+        duration += payload_airtime(broadcast_bytes, broadcast_rate)
+    if unicast_bytes:
+        duration += payload_airtime(unicast_bytes, unicast_rate)
+    return duration
 
 
-#: Timing of the Hydra prototype PHY; every PHY in a scenario uses it.
-HYDRA_PHY_TIMING = PhyTimingConfig()
+def control_airtime(size_bytes: int, rate: PhyRate) -> float:
+    """Airtime of a control frame (RTS/CTS/ACK): preamble + body."""
+    return PREAMBLE_DURATION + payload_airtime(size_bytes, rate)
+
+
+# ----------------------------------------------------------------------
+# Samples
+# ----------------------------------------------------------------------
+def samples_for_bytes(size_bytes: int, rate: PhyRate) -> float:
+    """Number of PHY samples needed to carry ``size_bytes`` at ``rate``."""
+    return payload_airtime(size_bytes, rate) * SAMPLE_RATE
+
+
+def bytes_for_samples(samples: float, rate: PhyRate) -> float:
+    """Inverse of :func:`samples_for_bytes` (may be fractional)."""
+    airtime = samples / SAMPLE_RATE
+    return rate.bits_in_time(airtime) / 8.0
+
+
+def subframe_sample_offsets(sizes_bytes: Sequence[int], rate: PhyRate,
+                            start_offset_samples: float = 0.0) -> List[float]:
+    """Sample offset (from the end of the preamble) at which each subframe ends.
+
+    ``start_offset_samples`` accounts for an earlier portion of the frame
+    transmitted at a different rate (e.g. the broadcast portion preceding
+    the unicast portion).
+    """
+    offsets: List[float] = []
+    cumulative = start_offset_samples
+    for size in sizes_bytes:
+        cumulative += samples_for_bytes(size, rate)
+        offsets.append(cumulative)
+    return offsets

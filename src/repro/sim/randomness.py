@@ -32,6 +32,14 @@ class RandomStreams:
             self._streams[label] = random.Random(self._derive_seed(label))
         return self._streams[label]
 
+    def fresh_stream(self, label: str) -> random.Random:
+        """A new generator seeded as :meth:`stream` seeds ``label``'s, not kept.
+
+        For a label drawn from once: :meth:`stream` would hold its generator
+        for the factory's lifetime.
+        """
+        return random.Random(self._derive_seed(label))
+
     def fork(self, label: str) -> "RandomStreams":
         """Return a new :class:`RandomStreams` whose root is derived from ``label``."""
         return RandomStreams(self._derive_seed(label))

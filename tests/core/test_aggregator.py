@@ -18,14 +18,12 @@ from repro.mac.queues import TransmitQueues
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.obs.session import observe
-from repro.phy.rates import HYDRA_RATE_TABLE
+from repro.phy.rates import HYDRA_BASE_RATE, rate_for_mbps
 from repro.sim import Simulator
 from repro.topology import build_linear_chain
 from repro.units import kilobytes
 
 from helpers.obs import audit_balanced
-
-RATES = HYDRA_RATE_TABLE
 
 
 def data_subframe(dst_index=2, payload=1357):
@@ -147,14 +145,14 @@ def test_empty_queues_give_empty_build():
     build = aggregator.build(TransmitQueues())
     assert build.empty
     with pytest.raises(AggregationError):
-        build.to_phy_frame(RATES.base_rate)
+        build.to_phy_frame(HYDRA_BASE_RATE)
 
 
 def test_to_phy_frame_sets_rates():
     aggregator = Aggregator(broadcast_aggregation())
     queues = queues_with(unicast=[data_subframe(2)], broadcast=[ack_subframe(5)])
     build = aggregator.build(queues)
-    frame = build.to_phy_frame(RATES.by_mbps(2.6), RATES.by_mbps(0.65))
+    frame = build.to_phy_frame(rate_for_mbps(2.6), rate_for_mbps(0.65))
     assert frame.unicast_rate.data_rate_mbps == 2.6
     assert frame.broadcast_rate.data_rate_mbps == 0.65
     assert frame.total_bytes == build.total_bytes

@@ -13,13 +13,12 @@ from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.obs.session import observe
 from repro.phy.frame import PhyFrame, ReceptionResult
-from repro.phy.rates import HYDRA_RATE_TABLE
+from repro.phy.rates import HYDRA_BASE_RATE
 from repro.sim import Simulator
 from repro.topology import build_linear_chain
 
 from helpers.obs import audit_balanced, journey_event_fields
 
-RATES = HYDRA_RATE_TABLE
 ME = MacAddress.node(2)
 SENDER = MacAddress.node(1)
 
@@ -33,7 +32,7 @@ def subframe(dst, payload=1357, broadcast_portion=False, sequence=0):
 
 
 def reception(broadcast=(), unicast=(), broadcast_ok=None, unicast_ok=None):
-    frame = PhyFrame.data(list(broadcast), list(unicast), unicast_rate=RATES.base_rate)
+    frame = PhyFrame.data(list(broadcast), list(unicast), unicast_rate=HYDRA_BASE_RATE)
     return ReceptionResult(
         frame=frame, snr_db=25.0,
         broadcast_ok=list(broadcast_ok if broadcast_ok is not None else [True] * len(broadcast)),

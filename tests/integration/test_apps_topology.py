@@ -11,7 +11,7 @@ from repro.core import broadcast_aggregation, no_aggregation, unicast_aggregatio
 from repro.errors import ConfigurationError
 from repro.node import Node
 from repro.phy.device import TX_POWER_DBM
-from repro.phy.rates import HYDRA_BASE_RATE, HYDRA_RATE_TABLE
+from repro.phy.rates import HYDRA_BASE_RATE, HYDRA_SISO_RATES
 from repro.sim import Simulator
 from repro.topology import MobileScenario, build_linear_chain, build_star
 from repro.units import mbps
@@ -63,7 +63,7 @@ def test_per_node_policy_mapping():
 
 
 def test_hydra_profile_defaults_match_paper_table1():
-    assert [round(r.data_rate_mbps, 2) for r in HYDRA_RATE_TABLE][:4] == [0.65, 1.3, 1.95, 2.6]
+    assert [round(r.data_rate_mbps, 2) for r in HYDRA_SISO_RATES][:4] == [0.65, 1.3, 1.95, 2.6]
     assert TX_POWER_DBM == pytest.approx(8.9, abs=0.2)  # 7.7 mW
     sim = Simulator(seed=55)
     channel = WirelessChannel(sim)

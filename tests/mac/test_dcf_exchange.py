@@ -10,13 +10,13 @@ from repro.channel import WirelessChannel
 from repro.core import broadcast_aggregation, no_aggregation, unicast_aggregation
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.dcf import AggregatingMac, MacConfig, MacState
+from repro.mac.timing import RETRY_LIMIT, SIFS, TIMEOUT_GUARD
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.phy.device import Phy
-from repro.phy.rates import HYDRA_RATE_TABLE
+from repro.phy.rates import HYDRA_BASE_RATE, rate_for_mbps
+from repro.phy.timing import control_airtime
 from repro.sim import Simulator
-
-RATES = HYDRA_RATE_TABLE
 
 
 def build_pair(sim, policy_a=None, policy_b=None, rate_mbps=1.3, use_rts=True,
@@ -25,7 +25,7 @@ def build_pair(sim, policy_a=None, policy_b=None, rate_mbps=1.3, use_rts=True,
     macs = []
     for index, policy in ((1, policy_a), (2, policy_b)):
         phy = Phy(sim, channel, position=((index - 1) * spacing, 0.0), name=f"phy{index}")
-        config = MacConfig(address=MacAddress.node(index), unicast_rate=RATES.by_mbps(rate_mbps),
+        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(rate_mbps),
                            use_rts_cts=use_rts, use_block_ack=use_block_ack)
         mac = AggregatingMac(sim, phy, config, policy=policy or broadcast_aggregation(),
                              name=f"mac{index}")
@@ -158,7 +158,7 @@ def test_link_broadcast_delivered_to_all_neighbours():
     macs = []
     for index in range(1, 4):
         phy = Phy(sim, channel, position=(index * 2.0, 0.0), name=f"phy{index}")
-        config = MacConfig(address=MacAddress.node(index), unicast_rate=RATES.by_mbps(1.3))
+        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(1.3))
         macs.append(AggregatingMac(sim, phy, config, policy=broadcast_aggregation(),
                                    name=f"mac{index}"))
     received = [collect(mac) for mac in macs]
@@ -175,7 +175,7 @@ def test_overheard_classified_ack_not_delivered_to_third_party():
     macs = []
     for index in range(1, 4):
         phy = Phy(sim, channel, position=(index * 2.0, 0.0), name=f"phy{index}")
-        config = MacConfig(address=MacAddress.node(index), unicast_rate=RATES.by_mbps(1.3))
+        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(1.3))
         macs.append(AggregatingMac(sim, phy, config, policy=broadcast_aggregation(),
                                    name=f"mac{index}"))
     received = [collect(mac) for mac in macs]
@@ -192,7 +192,7 @@ def test_two_contending_transmitters_both_deliver():
     macs = []
     for index in range(1, 3):
         phy = Phy(sim, channel, position=(index * 2.0, 0.0), name=f"phy{index}")
-        config = MacConfig(address=MacAddress.node(index), unicast_rate=RATES.by_mbps(1.3))
+        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(1.3))
         macs.append(AggregatingMac(sim, phy, config, policy=unicast_aggregation(),
                                    name=f"mac{index}"))
     received_a, received_b = collect(macs[0]), collect(macs[1])
@@ -215,13 +215,30 @@ def test_block_ack_mode_completes_exchanges():
     assert a.stats.data_transmissions >= 1
 
 
+def test_block_ack_timeout_is_armed_when_the_data_frame_ends():
+    sim = Simulator(seed=44)
+    channel = WirelessChannel(sim)
+    # Only one node on the channel: the block ACK never comes.
+    phy = Phy(sim, channel, position=(0.0, 0.0), name="lonely")
+    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3),
+                       use_rts_cts=False, use_block_ack=True)
+    mac = AggregatingMac(sim, phy, config, policy=unicast_aggregation(), name="lonely-mac")
+    mac.enqueue(tcp_data(), MacAddress.node(2))
+    while mac.state is not MacState.WAIT_ACK:
+        sim.run(max_events=1)
+    # The last event was the end of the data frame, which armed the timer.
+    assert mac.stats.data_transmissions == 1 and mac.stats.rts_sent == 0
+    assert mac._response_timer.expiry_time == sim.now + (
+        SIFS + control_airtime(32, HYDRA_BASE_RATE) + TIMEOUT_GUARD)
+
+
 def test_queue_overflow_counted():
     sim = Simulator(seed=42)
     channel = WirelessChannel(sim)
     phy = Phy(sim, channel, position=(0.0, 0.0), name="solo")
-    config = MacConfig(address=MacAddress.node(1), unicast_rate=RATES.by_mbps(1.3),
-                       queue_capacity=2)
+    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3))
     mac = AggregatingMac(sim, phy, config, policy=no_aggregation(), name="solo-mac")
+    mac.queues.capacity = 2
     for _ in range(5):
         mac.enqueue(tcp_data(), MacAddress.node(2))
     assert mac.stats.queue_drops >= 1
@@ -234,10 +251,10 @@ def test_queue_drop_metric_is_labelled_by_queue_kind():
         sim = Simulator(seed=42)
     channel = WirelessChannel(sim)
     phy = Phy(sim, channel, position=(0.0, 0.0), name="solo")
-    config = MacConfig(address=MacAddress.node(1), unicast_rate=RATES.by_mbps(1.3),
-                       queue_capacity=1)
+    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3))
     mac = AggregatingMac(sim, phy, config, policy=broadcast_aggregation(),
                          name="solo-mac")
+    mac.queues.capacity = 1
     for _ in range(3):
         mac.enqueue(tcp_data(), MacAddress.node(2))
         mac.enqueue(Packet.broadcast_control(IpAddress("10.0.0.1"),
@@ -254,11 +271,11 @@ def test_unreachable_destination_gives_up_after_retry_limit():
     channel = WirelessChannel(sim)
     # Only one node on the channel: nobody will ever answer the RTS.
     phy = Phy(sim, channel, position=(0.0, 0.0), name="lonely")
-    config = MacConfig(address=MacAddress.node(1), unicast_rate=RATES.by_mbps(1.3))
+    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3))
     mac = AggregatingMac(sim, phy, config, policy=unicast_aggregation(), name="lonely-mac")
     mac.enqueue(tcp_data(), MacAddress.node(2))
     sim.run(until=10.0)
-    assert mac.stats.retransmissions >= mac.timing.retry_limit
+    assert mac.stats.retransmissions >= RETRY_LIMIT
     assert mac.stats.unicast_drops == 1
     assert mac.state is MacState.IDLE
     assert mac.idle

@@ -8,13 +8,15 @@ import pytest
 
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.backoff import BackoffController
-from repro.mac.frames import subframe_for_packet
+from repro.mac.dcf import ACK_AIRTIME, ACK_TIMEOUT, BLOCK_ACK_TIMEOUT, CTS_AIRTIME, CTS_TIMEOUT
+from repro.mac.frames import BLOCK_ACK_FRAME_BYTES, subframe_for_packet
 from repro.mac.nav import NetworkAllocationVector
 from repro.mac.queues import TransmitQueues
-from repro.mac.timing import HYDRA_MAC_TIMING, MacTimingProfile
+from repro.mac.timing import CW_MAX, CW_MIN, DIFS, SIFS, SLOT_TIME, TIMEOUT_GUARD
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
-from repro.errors import ConfigurationError
+from repro.phy.rates import HYDRA_BASE_RATE
+from repro.phy.timing import control_airtime
 
 
 def make_subframe(dst_index=2, payload=1357):
@@ -107,27 +109,26 @@ def test_clear():
 # ---------------------------------------------------------------------------
 
 def test_backoff_draw_within_window():
-    backoff = BackoffController(HYDRA_MAC_TIMING, random.Random(1))
+    backoff = BackoffController(random.Random(1))
     for _ in range(100):
         slots = backoff.draw()
-        assert 0 <= slots < HYDRA_MAC_TIMING.cw_min
+        assert 0 <= slots < CW_MIN
 
 
 def test_backoff_doubles_and_caps():
-    timing = MacTimingProfile(cw_min=16, cw_max=64)
-    backoff = BackoffController(timing, random.Random(1))
-    backoff.on_failure()
-    assert backoff.contention_window == 32
-    backoff.on_failure()
-    assert backoff.contention_window == 64
-    backoff.on_failure()
-    assert backoff.contention_window == 64
+    backoff = BackoffController(random.Random(1))
+    assert (CW_MIN, CW_MAX) == (16, 1024)
+    windows = [backoff.contention_window]
+    for _ in range(8):
+        backoff.on_failure()
+        windows.append(backoff.contention_window)
+    assert windows == [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]
     backoff.on_success()
     assert backoff.contention_window == 16
 
 
 def test_backoff_consume_and_expired():
-    backoff = BackoffController(HYDRA_MAC_TIMING, random.Random(3))
+    backoff = BackoffController(random.Random(3))
     backoff.slots_remaining = 5
     backoff.consume(3)
     assert backoff.slots_remaining == 2
@@ -137,27 +138,20 @@ def test_backoff_consume_and_expired():
 
 
 # ---------------------------------------------------------------------------
-# MacTimingProfile
+# MAC timing
 # ---------------------------------------------------------------------------
 
 def test_difs_is_sifs_plus_two_slots():
-    timing = MacTimingProfile(sifs=1e-4, slot_time=5e-5)
-    assert timing.difs == pytest.approx(2e-4)
-    assert timing.eifs > timing.difs
-
-
-def test_timing_validation():
-    with pytest.raises(ConfigurationError):
-        MacTimingProfile(sifs=0)
-    with pytest.raises(ConfigurationError):
-        MacTimingProfile(cw_min=0)
-    with pytest.raises(ConfigurationError):
-        MacTimingProfile(cw_min=32, cw_max=16)
+    assert DIFS == SIFS + 2.0 * SLOT_TIME
+    assert DIFS == pytest.approx(180e-6)
 
 
 def test_response_timeout_includes_guard():
-    timing = HYDRA_MAC_TIMING
-    assert timing.response_timeout(0.001) == pytest.approx(timing.sifs + 0.001 + timing.timeout_guard)
+    assert CTS_TIMEOUT == SIFS + CTS_AIRTIME + TIMEOUT_GUARD
+    assert ACK_TIMEOUT == SIFS + ACK_AIRTIME + TIMEOUT_GUARD
+    assert BLOCK_ACK_TIMEOUT == (SIFS + control_airtime(BLOCK_ACK_FRAME_BYTES, HYDRA_BASE_RATE)
+                                 + TIMEOUT_GUARD)
+    assert BLOCK_ACK_TIMEOUT > ACK_TIMEOUT
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,25 @@ def test_shadowing_offset_is_static_over_time():
     assert channel.received_power_dbm(a, b) == early
 
 
+def test_shadowing_keeps_no_generator_per_link():
+    """Regression: each shadowed link kept the generator of its single draw
+    for the whole run.  The offsets are still the clamped first draw on the
+    link's stream."""
+    sim = Simulator(seed=5)
+    channel = WirelessChannel(sim, 6.0)
+    phys = [Phy(sim, channel, position=(3.0 * i, 0.0), name=f"p{i}") for i in range(6)]
+    for phy in phys:
+        channel._plan(phy, 0.0)
+    model = channel.propagation
+    assert len(model._offsets) == 15
+    reference = Simulator(seed=5).random.fork("propagation.shadowing")
+    for (first, second), offset in model._offsets.items():
+        label = f"link.{first}|{second}#epoch0"
+        assert label not in model._streams
+        draw = reference.stream(label).gauss(0.0, 6.0)
+        assert offset == min(max(draw, -36.0), 36.0)
+
+
 @pytest.mark.parametrize("sigma", (math.nan, math.inf, -1.0, True, "4.0"),
                          ids=("nan", "inf", "negative", "bool", "string"))
 def test_shadowing_sigma_must_be_a_finite_non_negative_number(sigma):

@@ -8,9 +8,9 @@ from typing import Optional
 
 from repro.obs.capture import FrameCapture
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
-from repro.phy.rates import HYDRA_RATE_TABLE
+from repro.phy.rates import rate_for_mbps
 
-RATE = HYDRA_RATE_TABLE.by_mbps(0.65)
+RATE = rate_for_mbps(0.65)
 
 
 @dataclass

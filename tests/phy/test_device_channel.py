@@ -15,12 +15,11 @@ from repro.channel import WirelessChannel, medium
 from repro.channel.propagation import IndoorPropagation
 from repro.errors import ConfigurationError, PhyError
 from repro.phy import FrameKind, Phy, PhyFrame, PhyState, ReceptionResult
-from repro.phy.rates import HYDRA_RATE_TABLE
+from repro.phy.rates import rate_for_mbps
 from repro.sim import Event, Simulator
 
-RATES = HYDRA_RATE_TABLE
-RATE_065 = RATES.by_mbps(0.65)
-RATE_26 = RATES.by_mbps(2.6)
+RATE_065 = rate_for_mbps(0.65)
+RATE_26 = rate_for_mbps(2.6)
 
 #: The channel's two candidate enumerations: the exhaustive scan (the
 #: default threshold is far above these few PHYs) and the grid index (forced

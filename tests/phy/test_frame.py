@@ -8,11 +8,8 @@ import pytest
 
 from repro.errors import PhyError
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
-from repro.phy.rates import HYDRA_RATE_TABLE
-from repro.phy.timing import PhyTimingConfig
-
-RATES = HYDRA_RATE_TABLE
-TIMING = PhyTimingConfig()
+from repro.phy.rates import HYDRA_BASE_RATE, rate_for_mbps
+from repro.phy.timing import PREAMBLE_DURATION, control_airtime, samples_for_bytes
 
 
 @dataclass
@@ -26,8 +23,8 @@ def test_data_frame_sizes_and_counts():
     frame = PhyFrame.data(
         broadcast_subframes=[StubSubframe(160), StubSubframe(160)],
         unicast_subframes=[StubSubframe(1464)],
-        unicast_rate=RATES.by_mbps(2.6),
-        broadcast_rate=RATES.by_mbps(0.65),
+        unicast_rate=rate_for_mbps(2.6),
+        broadcast_rate=rate_for_mbps(0.65),
     )
     assert frame.kind is FrameKind.DATA
     assert frame.broadcast_bytes == 320
@@ -39,54 +36,48 @@ def test_data_frame_sizes_and_counts():
 
 
 def test_broadcast_only_frame():
-    frame = PhyFrame.data([StubSubframe(160)], [], unicast_rate=RATES.by_mbps(1.3))
+    frame = PhyFrame.data([StubSubframe(160)], [], unicast_rate=rate_for_mbps(1.3))
     assert frame.is_broadcast_only
     assert not frame.has_unicast
     # The broadcast rate defaults to the unicast rate when unspecified.
-    assert frame.broadcast_rate is RATES.by_mbps(1.3)
+    assert frame.broadcast_rate is rate_for_mbps(1.3)
 
 
 def test_empty_data_frame_rejected():
     with pytest.raises(PhyError):
-        PhyFrame.data([], [], unicast_rate=RATES.base_rate)
+        PhyFrame.data([], [], unicast_rate=HYDRA_BASE_RATE)
 
 
 def test_control_frame_kind_enforced():
     with pytest.raises(PhyError):
-        PhyFrame.control_frame(FrameKind.DATA, StubSubframe(14), RATES.base_rate)
-    frame = PhyFrame.control_frame(FrameKind.ACK, StubSubframe(14), RATES.base_rate)
+        PhyFrame.control_frame(FrameKind.DATA, StubSubframe(14), HYDRA_BASE_RATE)
+    frame = PhyFrame.control_frame(FrameKind.ACK, StubSubframe(14), HYDRA_BASE_RATE)
     assert frame.kind.is_control
     assert frame.control_bytes == 14
     assert frame.total_bytes == 14
 
 
 def test_airtime_splits_rates_between_portions():
-    bcast_rate = RATES.by_mbps(0.65)
-    ucast_rate = RATES.by_mbps(2.6)
+    bcast_rate = rate_for_mbps(0.65)
+    ucast_rate = rate_for_mbps(2.6)
     frame = PhyFrame.data([StubSubframe(160)], [StubSubframe(1464)], ucast_rate, bcast_rate)
-    expected = TIMING.preamble_duration + 160 * 8 / 0.65e6 + 1464 * 8 / 2.6e6
-    assert frame.airtime(TIMING) == pytest.approx(expected)
+    expected = PREAMBLE_DURATION + 160 * 8 / 0.65e6 + 1464 * 8 / 2.6e6
+    assert frame.airtime() == pytest.approx(expected)
 
 
 def test_control_airtime():
-    frame = PhyFrame.control_frame(FrameKind.RTS, StubSubframe(20), RATES.base_rate)
-    assert frame.airtime(TIMING) == pytest.approx(TIMING.control_airtime(20, RATES.base_rate))
+    frame = PhyFrame.control_frame(FrameKind.RTS, StubSubframe(20), HYDRA_BASE_RATE)
+    assert frame.airtime() == control_airtime(20, HYDRA_BASE_RATE)
 
 
 def test_sample_offsets_broadcast_portion_comes_first():
-    rate = RATES.by_mbps(0.65)
+    rate = rate_for_mbps(0.65)
     frame = PhyFrame.data([StubSubframe(100)], [StubSubframe(200)], rate, rate)
-    bcast_offsets, ucast_offsets = frame.sample_offsets(TIMING)
+    bcast_offsets, ucast_offsets = frame.sample_offsets()
     assert len(bcast_offsets) == 1 and len(ucast_offsets) == 1
     # The unicast subframe ends after the broadcast subframe.
     assert ucast_offsets[0] > bcast_offsets[0]
-    assert ucast_offsets[0] == pytest.approx(TIMING.samples_for_bytes(300, rate))
-
-
-def test_total_samples_counts_both_portions():
-    rate = RATES.by_mbps(1.3)
-    frame = PhyFrame.data([StubSubframe(100)], [StubSubframe(300)], rate, rate)
-    assert frame.total_samples(TIMING) == pytest.approx(TIMING.samples_for_bytes(400, rate))
+    assert ucast_offsets[0] == pytest.approx(samples_for_bytes(300, rate))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +88,7 @@ def _make_result(broadcast_ok, unicast_ok):
     frame = PhyFrame.data(
         [StubSubframe(160) for _ in broadcast_ok],
         [StubSubframe(1464) for _ in unicast_ok],
-        unicast_rate=RATES.by_mbps(1.3),
+        unicast_rate=rate_for_mbps(1.3),
     )
     return ReceptionResult(frame=frame, snr_db=25.0, broadcast_ok=list(broadcast_ok),
                            unicast_ok=list(unicast_ok))

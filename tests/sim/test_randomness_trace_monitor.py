@@ -35,6 +35,15 @@ def test_stream_is_cached():
     assert "phy" in streams
 
 
+def test_fresh_stream_matches_stream_and_is_not_kept():
+    streams = RandomStreams(3)
+    fresh = streams.fresh_stream("link")
+    assert "link" not in streams
+    assert fresh is not streams.fresh_stream("link")
+    expected = RandomStreams(3).stream("link")
+    assert [fresh.random() for _ in range(5)] == [expected.random() for _ in range(5)]
+
+
 def test_fork_derives_independent_root():
     root = RandomStreams(9)
     fork_a = root.fork("run-a")

@@ -11,10 +11,7 @@ from repro.mac.stats import MacStatistics
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.phy.frame import PhyFrame
-from repro.phy.rates import HYDRA_RATE_TABLE
-from repro.phy.timing import PhyTimingConfig
-
-RATES = HYDRA_RATE_TABLE
+from repro.phy.rates import rate_for_mbps
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +64,7 @@ def test_all_errors_derive_from_repro_error():
 # MacStatistics
 # ---------------------------------------------------------------------------
 
-def _frame(n_data=2, n_acks=1, rate=RATES.by_mbps(1.3)):
+def _frame(n_data=2, n_acks=1, rate=rate_for_mbps(1.3)):
     src, dst = MacAddress.node(1), MacAddress.node(2)
     data_header = TcpHeader(src_port=1, dst_port=2, flags_ack=True)
     data = [subframe_for_packet(
@@ -81,8 +78,7 @@ def _frame(n_data=2, n_acks=1, rate=RATES.by_mbps(1.3)):
 
 def test_record_data_frame_accumulates_sizes_and_counts():
     stats = MacStatistics()
-    timing = PhyTimingConfig()
-    stats.record_data_frame(_frame(n_data=2, n_acks=1), timing)
+    stats.record_data_frame(_frame(n_data=2, n_acks=1))
     assert stats.data_transmissions == 1
     assert stats.unicast_subframes_sent == 2
     assert stats.broadcast_subframes_sent == 1
@@ -95,10 +91,9 @@ def test_record_data_frame_accumulates_sizes_and_counts():
 
 def test_overhead_fractions_between_zero_and_one():
     stats = MacStatistics()
-    timing = PhyTimingConfig()
     assert stats.size_overhead_fraction == 0.0
     assert stats.time_overhead_fraction == 0.0
-    stats.record_data_frame(_frame(), timing)
+    stats.record_data_frame(_frame())
     stats.record_control_frame("rts", 0.0005)
     stats.record_control_frame("cts", 0.0005)
     stats.record_control_frame("ack", 0.0005)
@@ -111,16 +106,15 @@ def test_overhead_fractions_between_zero_and_one():
 
 def test_broadcast_only_frame_counted():
     stats = MacStatistics()
-    timing = PhyTimingConfig()
     frame = _frame(n_data=0, n_acks=2)
-    stats.record_data_frame(frame, timing)
+    stats.record_data_frame(frame)
     assert stats.broadcast_only_transmissions == 1
     assert stats.total_subframes_sent == 2
 
 
 def test_summary_is_flat_and_rounded():
     stats = MacStatistics()
-    stats.record_data_frame(_frame(), PhyTimingConfig())
+    stats.record_data_frame(_frame())
     summary = stats.summary()
     assert set(summary) >= {"data_transmissions", "average_frame_size", "size_overhead",
                             "time_overhead", "retransmissions"}
@@ -128,9 +122,8 @@ def test_summary_is_flat_and_rounded():
 
 
 def test_more_aggregation_means_lower_size_overhead():
-    timing = PhyTimingConfig()
     small = MacStatistics()
-    small.record_data_frame(_frame(n_data=1, n_acks=0), timing)
+    small.record_data_frame(_frame(n_data=1, n_acks=0))
     large = MacStatistics()
-    large.record_data_frame(_frame(n_data=3, n_acks=0), timing)
+    large.record_data_frame(_frame(n_data=3, n_acks=0))
     assert large.size_overhead_fraction < small.size_overhead_fraction
