@@ -118,15 +118,14 @@ class Aggregator:
         if preserved_unicast:
             build.unicast_subframes = list(preserved_unicast)
             build.destination = preserved_unicast[0].dst
-            budget -= build.unicast_bytes
             if policy.mixes_broadcast_and_unicast:
-                self._fill_broadcast(build, queues, budget)
+                self._fill_broadcast(build, queues)
             self._finish(build)
             return build
 
         # --- broadcast portion first (Section 4.2.3) -------------------
         if queues.broadcast_count:
-            self._fill_broadcast(build, queues, budget)
+            self._fill_broadcast(build, queues)
             budget = policy.max_aggregate_bytes - build.total_bytes
             if not policy.mixes_broadcast_and_unicast:
                 # NA/UA: broadcast traffic travels alone.
@@ -162,19 +161,24 @@ class Aggregator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _fill_broadcast(self, build: AggregateBuild, queues: "TransmitQueues",
-                        budget: int) -> None:
+    def _fill_broadcast(self, build: AggregateBuild, queues: "TransmitQueues") -> None:
+        """Move broadcast subframes from the queue head into ``build``.
+
+        Stops at the policy's subframe limit, or at the first subframe that
+        would take the aggregate past its byte budget; an otherwise-empty
+        aggregate always takes its first subframe.
+        """
         limit = self.policy.max_broadcast_subframes
-        while queues.broadcast_count and len(build.broadcast_subframes) < limit:
-            head = queues.peek_broadcast()[0]
-            first = not build.broadcast_subframes and not build.unicast_subframes
-            if not first and build.total_bytes + head.size_bytes > self.policy.max_aggregate_bytes:
+        room = self.policy.max_aggregate_bytes - build.total_bytes
+        taken = build.broadcast_subframes
+        while len(taken) < limit:
+            head = queues.broadcast_head()
+            if head is None:
                 break
-            if first or head.size_bytes <= budget - sum(
-                    sf.size_bytes for sf in build.broadcast_subframes):
-                build.broadcast_subframes.append(queues.pop_broadcast_head())
-            else:
+            if (taken or build.unicast_subframes) and head.size_bytes > room:
                 break
+            taken.append(queues.pop_broadcast_head())
+            room -= head.size_bytes
 
     def _finish(self, build: AggregateBuild) -> None:
         if not build.empty:

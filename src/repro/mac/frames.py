@@ -84,7 +84,11 @@ class RtsFrame:
     src: MacAddress
     dst: MacAddress
     duration: float = 0.0
-    size_bytes: int = RTS_FRAME_BYTES
+
+    @property
+    def size_bytes(self) -> int:
+        """Size on air, :data:`RTS_FRAME_BYTES`."""
+        return RTS_FRAME_BYTES
 
 
 @dataclass(slots=True)
@@ -93,7 +97,11 @@ class CtsFrame:
 
     dst: MacAddress
     duration: float = 0.0
-    size_bytes: int = CTS_FRAME_BYTES
+
+    @property
+    def size_bytes(self) -> int:
+        """Size on air, :data:`CTS_FRAME_BYTES`."""
+        return CTS_FRAME_BYTES
 
 
 @dataclass(slots=True)
@@ -104,7 +112,11 @@ class AckFrame:
     #: Sequence number of the last unicast subframe being acknowledged, kept
     #: for tracing; the ACK acknowledges the whole unicast portion.
     acked_sequence: Optional[int] = None
-    size_bytes: int = ACK_FRAME_BYTES
+
+    @property
+    def size_bytes(self) -> int:
+        """Size on air, :data:`ACK_FRAME_BYTES`."""
+        return ACK_FRAME_BYTES
 
 
 def subframe_for_packet(packet: Packet, src: MacAddress, dst: MacAddress,

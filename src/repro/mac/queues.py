@@ -9,8 +9,7 @@ addressed to the destination of the head of the unicast queue.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import List, Optional
 
 from repro.mac.addresses import MacAddress
 from repro.mac.frames import MacSubframe
@@ -20,7 +19,9 @@ class TransmitQueues:
     """The broadcast and unicast transmit queues of one MAC.
 
     Each queue holds at most ``capacity`` subframes; the default, 50, is the
-    Hydra MAC's queue size, which every MAC uses.
+    Hydra MAC's queue size, which every MAC uses.  The queues are plain
+    lists: at that capacity removing the head moves at most 49 pointers, and
+    an empty list is a thirteenth of an empty deque's size.
     """
 
     __slots__ = ("capacity", "_broadcast", "_unicast", "drops_broadcast",
@@ -28,8 +29,8 @@ class TransmitQueues:
 
     def __init__(self, capacity: int = 50) -> None:
         self.capacity = capacity
-        self._broadcast: Deque[MacSubframe] = deque()
-        self._unicast: Deque[MacSubframe] = deque()
+        self._broadcast: List[MacSubframe] = []
+        self._unicast: List[MacSubframe] = []
         self.drops_broadcast = 0
         self.drops_unicast = 0
         self.enqueued_broadcast = 0
@@ -58,11 +59,6 @@ class TransmitQueues:
         self.enqueued_unicast += 1
         return True
 
-    def requeue_unicast_front(self, subframes: Iterable[MacSubframe]) -> None:
-        """Put unicast subframes back at the head of the queue (retransmission path)."""
-        for subframe in reversed(list(subframes)):
-            self._unicast.appendleft(subframe)
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -70,11 +66,6 @@ class TransmitQueues:
     def broadcast_count(self) -> int:
         """Number of subframes waiting in the broadcast queue."""
         return len(self._broadcast)
-
-    @property
-    def unicast_count(self) -> int:
-        """Number of subframes waiting in the unicast queue."""
-        return len(self._unicast)
 
     @property
     def total_count(self) -> int:
@@ -92,13 +83,11 @@ class TransmitQueues:
             return None
         return self._unicast[0].dst
 
-    def peek_broadcast(self) -> List[MacSubframe]:
-        """Snapshot of the broadcast queue (front first)."""
-        return list(self._broadcast)
-
-    def peek_unicast(self) -> List[MacSubframe]:
-        """Snapshot of the unicast queue (front first)."""
-        return list(self._unicast)
+    def broadcast_head(self) -> Optional[MacSubframe]:
+        """The first broadcast subframe, left queued (None when empty)."""
+        if not self._broadcast:
+            return None
+        return self._broadcast[0]
 
     # ------------------------------------------------------------------
     # Dequeue (used by the aggregator)
@@ -107,7 +96,7 @@ class TransmitQueues:
         """Remove and return the first broadcast subframe."""
         if not self._broadcast:
             return None
-        return self._broadcast.popleft()
+        return self._broadcast.pop(0)
 
     def take_unicast_for(self, destination: MacAddress, max_subframes: int,
                          fits) -> List[MacSubframe]:
@@ -118,23 +107,17 @@ class TransmitQueues:
         ``max_subframes``.  Non-matching subframes stay queued in order.
         """
         taken: List[MacSubframe] = []
-        remaining: Deque[MacSubframe] = deque()
+        remaining: List[MacSubframe] = []
         unicast = self._unicast
-        while unicast:
+        for index, subframe in enumerate(unicast):
             if len(taken) >= max_subframes:
                 # Limit reached: nothing further can be taken, so splice the
                 # rest over wholesale instead of testing item by item.
-                remaining.extend(unicast)
+                remaining += unicast[index:]
                 break
-            subframe = unicast.popleft()
             if subframe.dst == destination and fits(subframe):
                 taken.append(subframe)
             else:
                 remaining.append(subframe)
         self._unicast = remaining
         return taken
-
-    def clear(self) -> None:
-        """Drop everything in both queues."""
-        self._broadcast.clear()
-        self._unicast.clear()

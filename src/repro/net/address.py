@@ -16,14 +16,19 @@ from repro.errors import AddressError
 
 @total_ordering
 class IpAddress:
-    """An IPv4-style address."""
+    """An IPv4-style address.
+
+    Immutable: ``IpAddress(address)`` returns ``address`` itself, so every
+    layer of a node that normalises its address holds the one object.
+    """
 
     __slots__ = ("_value",)
 
-    def __init__(self, value: Union[int, str, "IpAddress"]):
-        if isinstance(value, IpAddress):
-            self._value = value._value
-        elif isinstance(value, int):
+    def __new__(cls, value: Union[int, str, "IpAddress"]) -> "IpAddress":
+        if type(value) is cls:
+            return value
+        self = object.__new__(cls)
+        if isinstance(value, int):
             if not 0 <= value <= 0xFFFFFFFF:
                 raise AddressError(f"IP address integer out of range: {value}")
             self._value = value
@@ -31,6 +36,11 @@ class IpAddress:
             self._value = self._parse(value)
         else:
             raise AddressError(f"cannot build IpAddress from {value!r}")
+        return self
+
+    def __reduce__(self):
+        # ``__new__`` needs the value, which default pickling would not pass.
+        return (type(self), (self._value,))
 
     @staticmethod
     def _parse(text: str) -> int:

@@ -56,13 +56,15 @@ Implementation notes:
   are broken out in ``mac.stats`` (``routing_*`` counters) so goodput numbers
   stay honest.
 * All jitter comes from a per-node stream (``aodv.<name>``) derived from the
-  simulator's root seed; table iteration, pending-request and expiry
-  processing are in sorted order; the protocol is therefore byte-deterministic
-  per seed, in-process and across campaign pool workers.
+  simulator's root seed and built at its first draw; table iteration,
+  pending-request and expiry processing are in sorted order; the protocol is
+  therefore byte-deterministic per seed, in-process and across campaign pool
+  workers.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -164,6 +166,16 @@ class AodvRouter:
     and maintains active-route lifetimes from forwarded data.
     """
 
+    __slots__ = ("sim", "network", "table", "config", "address", "name",
+                 "discovery", "_rng", "_own_sequence", "_rreq_id",
+                 "_stop_time", "_stopped", "_seen_requests", "_pending",
+                 "_expires", "_expiry_timer", "rreqs_sent", "rreqs_forwarded",
+                 "rreps_sent", "rreps_forwarded", "rerrs_sent",
+                 "rerrs_received", "duplicate_rreqs_ignored",
+                 "discoveries_started", "discoveries_completed",
+                 "discoveries_failed", "buffered_packets_dropped",
+                 "route_changes", "route_breaks", "route_expirations")
+
     def __init__(self, sim: Simulator, network, table: RoutingTable,
                  config: Optional[AodvConfig] = None,
                  name: Optional[str] = None) -> None:
@@ -176,7 +188,9 @@ class AodvRouter:
         self.discovery = NeighborDiscovery(sim, network, self.config.hello_interval,
                                            name=f"{self.name}.hello")
         self.discovery.on_neighbor_down(self._on_neighbor_down)
-        self._rng = sim.random.stream(f"aodv.{self.name}")
+        #: The ``aodv.<name>`` stream, built at its first draw: most routers
+        #: of a large mesh never rebroadcast a RREQ.
+        self._rng: Optional[random.Random] = None
         self._own_sequence = 0
         self._rreq_id = 0
         self._stop_time: Optional[float] = None
@@ -405,7 +419,10 @@ class AodvRouter:
             payload_bytes=RREQ_BYTES, created_at=self.sim.now,
             annotations={**packet.annotations, "aodv_hops": hops})
         self.rreqs_forwarded += 1
-        delay = self._rng.uniform(0.0, REBROADCAST_JITTER)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.sim.random.stream(f"aodv.{self.name}")
+        delay = rng.uniform(0.0, REBROADCAST_JITTER)
         self.sim.schedule(delay, self._transmit_if_running, rebroadcast,
                           priority=Simulator.PRIORITY_NET)
 

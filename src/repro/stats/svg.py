@@ -7,16 +7,14 @@ single self-contained SVG document.  The writer is deliberately hand-rolled:
 the container bakes no plotting stack, and the output only needs axes, tick
 labels, polylines, error bars and a legend.
 
-Everything is pure string assembly over :mod:`xml.sax.saxutils` escaping, so
-the output is valid XML by construction and byte-deterministic for a given
-result object.
+Everything is pure string assembly over :func:`_escape`, so the output is
+valid XML by construction and byte-deterministic for a given result object.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 from repro.stats.results import ExperimentResult, Series
 
@@ -37,6 +35,16 @@ _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 44.0
 _LEGEND_ROW = 16.0
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data.
+
+    The same output as ``xml.sax.saxutils.escape``, whose import pulls in
+    ``urllib.request``, ``http.client``, ``email`` and ``ssl``: every process
+    that imports :mod:`repro` would carry them.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _nice_ticks(low: float, high: float, count: int = 5) -> List[float]:
@@ -129,7 +137,7 @@ def render_svg(result: ExperimentResult, width: int = 640, height: int = 420,
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">')
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     parts.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-                 f'font-size="13" font-weight="bold">{escape(title)}</text>')
+                 f'font-size="13" font-weight="bold">{_escape(title)}</text>')
 
     if not series:
         parts.append(f'<text x="{width / 2:.1f}" y="{height / 2:.1f}" '
@@ -147,18 +155,18 @@ def render_svg(result: ExperimentResult, width: int = 640, height: int = 420,
                      f'x2="{x:.1f}" y2="{canvas.plot_bottom + 4:.1f}" '
                      f'stroke="#333" stroke-width="1"/>')
         parts.append(f'<text x="{x:.1f}" y="{canvas.plot_bottom + 16:.1f}" '
-                     f'text-anchor="middle">{escape(_format_tick(tick))}</text>')
+                     f'text-anchor="middle">{_escape(_format_tick(tick))}</text>')
     for tick in _nice_ticks(canvas.y_min, canvas.y_max):
         y = canvas.y(tick)
         parts.append(f'<line x1="{canvas.plot_left:.1f}" y1="{y:.1f}" '
                      f'x2="{canvas.plot_right:.1f}" y2="{y:.1f}" '
                      f'stroke="#ddd" stroke-width="0.5"/>')
         parts.append(f'<text x="{canvas.plot_left - 6:.1f}" y="{y + 3.5:.1f}" '
-                     f'text-anchor="end">{escape(_format_tick(tick))}</text>')
+                     f'text-anchor="end">{_escape(_format_tick(tick))}</text>')
     parts.append(f'<path d="{axis}" fill="none" stroke="#333" stroke-width="1"/>')
     parts.append(f'<text x="{(canvas.plot_left + canvas.plot_right) / 2:.1f}" '
                  f'y="{canvas.plot_bottom + 32:.1f}" text-anchor="middle" '
-                 f'fill="#555">{escape(x_label)}</text>')
+                 f'fill="#555">{_escape(x_label)}</text>')
 
     # --- series: error bars below markers below lines -----------------
     for index, one in enumerate(series):
@@ -192,7 +200,7 @@ def render_svg(result: ExperimentResult, width: int = 640, height: int = 420,
                      f'x2="{canvas.plot_left + 18:.1f}" y2="{y:.1f}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{canvas.plot_left + 24:.1f}" y="{y + 3.5:.1f}">'
-                     f'{escape(one.label)}</text>')
+                     f'{_escape(one.label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -163,12 +163,6 @@ class TcpConnection:
         self._try_send()
 
     @property
-    def established(self) -> bool:
-        """True once the handshake has completed."""
-        return self.state in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1, TcpState.FIN_WAIT_2,
-                              TcpState.CLOSE_WAIT, TcpState.LAST_ACK)
-
-    @property
     def flight_size(self) -> int:
         """Bytes in flight (sent but not yet cumulatively acknowledged)."""
         return self.snd_nxt - self.snd_una

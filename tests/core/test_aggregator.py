@@ -63,7 +63,7 @@ def test_na_builds_single_subframe_per_transmission():
     queues = queues_with(unicast=[data_subframe(), data_subframe()])
     build = aggregator.build(queues)
     assert build.subframe_count == 1
-    assert queues.unicast_count == 1
+    assert queues.total_count == 1
 
 
 def test_ua_gathers_same_destination_within_budget():
@@ -74,7 +74,7 @@ def test_ua_gathers_same_destination_within_budget():
     # 3 x 1464 = 4392 <= 5120 but a 4th does not fit.
     assert len(build.unicast_subframes) == 3
     assert build.total_bytes <= kilobytes(5)
-    assert queues.unicast_count == 1
+    assert queues.total_count == 1
 
 
 def test_ua_only_aggregates_matching_destination():

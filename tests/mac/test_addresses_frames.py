@@ -106,9 +106,16 @@ def test_subframe_broadcast_flag_follows_destination():
 
 
 def test_control_frame_sizes():
-    assert RtsFrame(MacAddress.node(1), MacAddress.node(2)).size_bytes == RTS_FRAME_BYTES == 20
-    assert CtsFrame(MacAddress.node(1)).size_bytes == CTS_FRAME_BYTES == 14
-    assert AckFrame(MacAddress.node(1)).size_bytes == ACK_FRAME_BYTES == 14
+    rts = RtsFrame(MacAddress.node(1), MacAddress.node(2))
+    cts = CtsFrame(MacAddress.node(1))
+    ack = AckFrame(MacAddress.node(1))
+    assert rts.size_bytes == RTS_FRAME_BYTES == 20
+    assert cts.size_bytes == CTS_FRAME_BYTES == 14
+    assert ack.size_bytes == ACK_FRAME_BYTES == 14
+    # Fixed by the frame type, like BlockAck's: no frame carries another size.
+    for frame in (rts, cts, ack):
+        with pytest.raises(AttributeError):
+            frame.size_bytes = 99
 
 
 def test_udp_mac_frame_is_1140_bytes():

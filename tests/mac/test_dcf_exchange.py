@@ -74,9 +74,12 @@ def test_each_mac_numbers_its_own_subframes_from_one():
     for _ in range(3):
         a.enqueue(tcp_data(), MacAddress.node(2))
     b.enqueue(tcp_ack(), BROADCAST_MAC)
-    queued = a.queues.peek_unicast() + a.queues.peek_broadcast()
+    queued = a.queues.take_unicast_for(MacAddress.node(2), max_subframes=3,
+                                       fits=lambda subframe: True)
     assert [subframe.sequence for subframe in queued] == [1, 2, 3]
-    assert [subframe.sequence for subframe in b.queues.peek_broadcast()] == [1]
+    assert a.queues.empty
+    assert b.queues.pop_broadcast_head().sequence == 1
+    assert b.queues.empty
 
 
 def test_exchange_without_rts_cts():

@@ -36,7 +36,6 @@ def test_enqueue_and_counts():
     assert queues.empty
     queues.enqueue_unicast(make_subframe())
     queues.enqueue_broadcast(make_subframe(dst_index=None))
-    assert queues.unicast_count == 1
     assert queues.broadcast_count == 1
     assert queues.total_count == 2
     assert not queues.empty
@@ -59,8 +58,12 @@ def test_head_unicast_destination_and_take():
     assert queues.head_unicast_destination() == MacAddress.node(2)
     taken = queues.take_unicast_for(MacAddress.node(2), max_subframes=5, fits=lambda sf: True)
     assert taken == [to2a, to2b]
-    # The non-matching subframe stays, in order.
-    assert queues.peek_unicast() == [to3]
+    # The non-matching subframe stays, and is now the head.
+    assert queues.total_count == 1
+    assert queues.head_unicast_destination() == MacAddress.node(3)
+    assert queues.take_unicast_for(MacAddress.node(3), max_subframes=5,
+                                   fits=lambda sf: True) == [to3]
+    assert queues.empty
 
 
 def test_take_unicast_respects_max_and_fits():
@@ -69,21 +72,31 @@ def test_take_unicast_respects_max_and_fits():
     for sf in subframes:
         queues.enqueue_unicast(sf)
     taken = queues.take_unicast_for(MacAddress.node(2), max_subframes=2, fits=lambda sf: True)
-    assert len(taken) == 2
-    assert queues.unicast_count == 2
+    assert taken == subframes[:2]
+    assert queues.total_count == 2
     # fits() can veto subframes.
     taken = queues.take_unicast_for(MacAddress.node(2), max_subframes=5, fits=lambda sf: False)
     assert taken == []
-    assert queues.unicast_count == 2
+    assert queues.total_count == 2
+    assert queues.take_unicast_for(MacAddress.node(2), max_subframes=5,
+                                   fits=lambda sf: True) == subframes[2:]
 
 
-def test_requeue_unicast_front_preserves_order():
+def test_take_unicast_keeps_the_rest_in_order_past_the_limit():
     queues = TransmitQueues()
-    first, second = make_subframe(2), make_subframe(2)
-    queues.enqueue_unicast(make_subframe(3))
-    queues.requeue_unicast_front([first, second])
-    assert queues.peek_unicast()[0] is first
-    assert queues.peek_unicast()[1] is second
+    to2a, to3a, to2b, to3b, to2c = (make_subframe(index) for index in (2, 3, 2, 3, 2))
+    for sf in (to2a, to3a, to2b, to3b, to2c):
+        queues.enqueue_unicast(sf)
+    assert queues.take_unicast_for(MacAddress.node(2), max_subframes=2,
+                                   fits=lambda sf: True) == [to2a, to2b]
+    # Untested subframes after the limit keep their places behind the
+    # skipped ones: node 3's pair first, then node 2's third.
+    assert queues.head_unicast_destination() == MacAddress.node(3)
+    assert queues.take_unicast_for(MacAddress.node(3), max_subframes=5,
+                                   fits=lambda sf: True) == [to3a, to3b]
+    assert queues.take_unicast_for(MacAddress.node(2), max_subframes=5,
+                                   fits=lambda sf: True) == [to2c]
+    assert queues.empty
 
 
 def test_pop_broadcast_head_fifo():
@@ -96,12 +109,17 @@ def test_pop_broadcast_head_fifo():
     assert queues.pop_broadcast_head() is None
 
 
-def test_clear():
+def test_broadcast_head_reads_without_removing():
     queues = TransmitQueues()
-    queues.enqueue_unicast(make_subframe())
-    queues.enqueue_broadcast(make_subframe(dst_index=None))
-    queues.clear()
-    assert queues.empty
+    assert queues.broadcast_head() is None
+    a, b = make_subframe(dst_index=None), make_subframe(dst_index=None)
+    queues.enqueue_broadcast(a)
+    queues.enqueue_broadcast(b)
+    assert queues.broadcast_head() is a
+    assert queues.broadcast_head() is a
+    assert queues.broadcast_count == 2
+    queues.pop_broadcast_head()
+    assert queues.broadcast_head() is b
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,37 @@ class TestRouteDiscovery:
         assert signature(1) == signature(1)
         assert signature(1) != signature(2)
 
+    def test_jitter_streams_are_built_by_rebroadcasting_relays_only(self):
+        """A router builds its ``aodv.<name>`` stream at its first draw, the
+        jitter of a RREQ rebroadcast; the label alone fixes the seed, so the
+        draws match an eagerly built stream's (the golden digests pin that)."""
+        sim = Simulator(seed=1)
+        scenario = MobileScenario(sim, policy=broadcast_aggregation(),
+                                  stop_time=6.0, routing=FAST_AODV)
+        for row in range(3):
+            for col in range(3):
+                scenario.add_node((col * 8.0, row * 8.0))
+        network = scenario.network
+        sink = UdpSink(network.node(9))
+        source = CbrSource(network.node(1), network.node(9).ip,
+                           interval=0.1, payload_bytes=200)
+        source.start(1.0)
+
+        def with_stream():
+            return {node.router.name for node in network.nodes
+                    if f"aodv.{node.router.name}" in sim.random}
+
+        sim.run(until=0.99)  # HELLO beacons only: nobody has rebroadcast
+        assert with_stream() == set()
+        sim.run(until=6.0)
+        assert sink.packets_received > 0
+        forwarders = {node.router.name for node in network.nodes
+                      if node.router.rreqs_forwarded > 0}
+        assert with_stream() == forwarders
+        # The origin and the destination never rebroadcast the flood.
+        assert network.node(1).router.name not in forwarders
+        assert network.node(9).router.name not in forwarders
+
 
 def _unreachable_pair(stop_time):
     """Two AODV nodes far beyond decodability of each other."""

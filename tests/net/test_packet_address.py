@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import AddressError
@@ -43,6 +46,48 @@ def test_ip_hash_equality_and_ordering():
     assert len({IpAddress("10.0.0.1"), IpAddress("10.0.0.1")}) == 1
     assert IpAddress("10.0.0.1") < IpAddress("10.0.0.2")
     assert IpAddress("10.0.0.1") == "10.0.0.1"
+
+
+def test_ip_address_of_an_address_is_that_address():
+    """Normalising an address shares it: a node's layers hold one object."""
+    address = IpAddress("10.0.0.7")
+    assert IpAddress(address) is address
+    assert IpAddress(IpAddress(address)) is address
+    # Ints and strings still build a new, equal address.
+    assert IpAddress(address.value) is not address
+    assert IpAddress(str(address)) == address
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_ip_address_pickles(protocol):
+    address = IpAddress("10.0.0.7")
+    loaded = pickle.loads(pickle.dumps(address, protocol))
+    assert type(loaded) is IpAddress
+    assert loaded == address and loaded.value == address.value
+    assert hash(loaded) == hash(address)
+
+
+def test_ip_address_copies():
+    address = IpAddress("10.0.0.7")
+    assert copy.copy(address) == address
+    assert copy.deepcopy(address) == address
+    table = copy.deepcopy({address: [address]})
+    assert table == {address: [address]}
+
+
+def test_ip_address_compares_with_int_and_str_literals():
+    address = IpAddress("10.0.0.7")
+    value = address.value
+    assert hash(address) == hash(value)
+    assert address == value and address == "10.0.0.7"
+    assert address != value + 1 and address != "10.0.0.8"
+    assert address != "not an address"
+    assert address != 1.5
+    assert address < value + 1 and address < "10.0.0.8"
+    assert address > value - 1 and address >= "10.0.0.7"
+    assert address <= value
+    assert sorted([IpAddress("10.0.0.9"), address, IpAddress(1)]) == [
+        IpAddress(1), address, IpAddress("10.0.0.9")]
 
 
 # ---------------------------------------------------------------------------
