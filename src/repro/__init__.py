@@ -31,7 +31,7 @@ from repro.core import (
     no_aggregation,
     unicast_aggregation,
 )
-from repro.phy import ErrorModel, Phy, PhyFrame, PhyRate
+from repro.phy import Phy, PhyFrame, PhyRate
 from repro.channel import WirelessChannel
 from repro.mac import AggregatingMac, MacAddress, MacConfig
 from repro.net import ForwardingEngine, IpAddress, Packet, RoutingTable
@@ -58,7 +58,6 @@ __all__ = [
     "Phy",
     "PhyFrame",
     "PhyRate",
-    "ErrorModel",
     "WirelessChannel",
     # MAC
     "AggregatingMac",

@@ -59,11 +59,6 @@ class CbrSource:
         return cls(node, destination, destination_port=destination_port,
                    payload_bytes=payload_bytes, interval=interval, **kwargs)
 
-    @property
-    def offered_load_bps(self) -> float:
-        """Offered application load in bits per second."""
-        return self.payload_bytes * 8.0 / self.interval
-
     def start(self, delay: float = 0.0) -> None:
         """Start emitting datagrams after ``delay`` seconds."""
         self._timer.start(delay if delay > 0 else self.interval)

@@ -61,12 +61,6 @@ class FileTransferSender:
     def _on_send_complete(self) -> None:
         self.acked_time = self.sim.now
 
-    @property
-    def finished(self) -> bool:
-        """True once every byte (and the FIN) has been acknowledged."""
-        return (self.connection is not None and self.connection.all_data_acknowledged
-                and self.connection._fin_sent)
-
 
 class FileTransferReceiver:
     """Accepts a TCP connection and records when the whole file has arrived."""
@@ -108,7 +102,6 @@ class FileTransferReceiver:
 
 def run_file_transfer_pair(sender_node, receiver_node, file_bytes: int = PAPER_FILE_BYTES,
                            port: int = 5001, mss: int = PAPER_MSS,
-                           start_delay: float = 0.0,
                            connection_options: Optional[dict] = None,
                            ) -> Tuple[FileTransferSender, FileTransferReceiver]:
     """Convenience: wire up a sender and receiver for a one-way transfer.
@@ -121,5 +114,5 @@ def run_file_transfer_pair(sender_node, receiver_node, file_bytes: int = PAPER_F
     sender = FileTransferSender(sender_node, destination=receiver_node.ip,
                                 destination_port=port, file_bytes=file_bytes, mss=mss,
                                 connection_options=connection_options)
-    sender.start(start_delay)
+    sender.start()
     return sender, receiver

@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 from repro.channel.propagation import IndoorPropagation, distance_between
 from repro.channel.spatial import UniformGridIndex
 from repro.errors import ConfigurationError
-from repro.phy.device import DETECT_FLOOR_DBM, NOISE_FLOOR_DBM, TX_POWER_DBM
+from repro.phy.device import DETECT_FLOOR_DBM, TX_POWER_DBM
 from repro.phy.frame import PhyFrame
 from repro.sim.simulator import Simulator
 
@@ -209,10 +209,6 @@ class WirelessChannel:
         if propagation.sigma_db > 0.0:
             loss += propagation.shadowing_db(sender.name, receiver.name)
         return TX_POWER_DBM - loss
-
-    def link_snr_db(self, sender: "Phy", receiver: "Phy") -> float:
-        """Nominal SNR of the ``sender`` → ``receiver`` link (no interference)."""
-        return self.received_power_dbm(sender, receiver) - NOISE_FLOOR_DBM
 
     # ------------------------------------------------------------------
     # Broadcast

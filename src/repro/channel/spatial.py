@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -161,16 +161,6 @@ class UniformGridIndex:
     def cell_count(self) -> int:
         """Number of non-empty cells."""
         return len(self._cells)
-
-    @property
-    def mobile_count(self) -> int:
-        """Number of entries revalidated per query."""
-        return len(self._mobile)
-
-    def stored_cell_of(self, phy: "Phy") -> Optional[Cell]:
-        """The cell the index currently files ``phy`` under (None if absent)."""
-        entry = self._entries.get(phy.channel_index)
-        return entry.cell if entry is not None else None
 
     def audit(self) -> None:
         """Assert internal consistency (test helper, not a hot path)."""

@@ -61,10 +61,6 @@ class BlockAckScoreboard:
         self.outstanding = {sf.sequence: sf for sf in missing}
         return missing
 
-    def fail_all(self) -> List["MacSubframe"]:
-        """No block ACK arrived at all: every outstanding subframe needs retransmission."""
-        return list(self.outstanding.values())
-
     @property
     def empty(self) -> bool:
         """True when nothing is awaiting acknowledgement."""

@@ -58,8 +58,3 @@ class TcpAckClassifier:
 
     def _count(self, key: str) -> None:
         self.counters[key] = self.counters.get(key, 0) + 1
-
-    @property
-    def classified_ack_count(self) -> int:
-        """Number of pure TCP ACKs diverted to the broadcast queue so far."""
-        return self.counters.get("classified_tcp_ack", 0)

@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mac.frames import MacSubframe
 
 
+#: Sequence numbers remembered per sender; older ones are forgotten first.
+DUPLICATE_CACHE_SIZE = 128
+
+
 class DuplicateDetector:
     """Per-sender cache of recently seen MAC sequence numbers.
 
@@ -35,8 +39,7 @@ class DuplicateDetector:
     second copy before it reaches the network layer.
     """
 
-    def __init__(self, cache_size: int = 128) -> None:
-        self.cache_size = cache_size
+    def __init__(self) -> None:
         self._seen: Dict["MacAddress", "OrderedDict[int, None]"] = {}
         self.duplicates = 0
 
@@ -47,7 +50,7 @@ class DuplicateDetector:
             self.duplicates += 1
             return True
         cache[sequence] = None
-        while len(cache) > self.cache_size:
+        while len(cache) > DUPLICATE_CACHE_SIZE:
             cache.popitem(last=False)
         return False
 

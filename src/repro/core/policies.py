@@ -90,18 +90,9 @@ class AggregationPolicy:
         """True when broadcast subframes may share a frame with unicast subframes."""
         return self.aggregate_broadcast
 
-    @property
-    def is_delayed(self) -> bool:
-        """True for delayed-aggregation (DBA-style) policies."""
-        return self.min_frames_before_transmit > 1
-
     # ------------------------------------------------------------------
     # Variants
     # ------------------------------------------------------------------
-    def with_max_aggregate_bytes(self, max_bytes: int) -> "AggregationPolicy":
-        """Copy of the policy with a different aggregation size budget."""
-        return replace(self, max_aggregate_bytes=max_bytes)
-
     def without_forward_aggregation(self) -> "AggregationPolicy":
         """Copy of the policy with forward aggregation disabled (Figure 14)."""
         return replace(self, name=f"{self.name}-noFwd", forward_aggregation=False)

@@ -136,6 +136,11 @@ def run_star_tcp(policy: AggregationPolicy, rate_mbps: float = 0.65,
 # Saturating UDP (optionally with flooding)
 # ---------------------------------------------------------------------------
 
+#: The first second of every UDP saturation run is excluded from its
+#: throughput: queues are still filling.
+UDP_WARMUP_S = 1.0
+
+
 @dataclass
 class UdpRunResult:
     """Outcome of one UDP saturation run.
@@ -154,13 +159,14 @@ class UdpRunResult:
 
 def run_udp_saturation(policy: AggregationPolicy, hops: int = 2, rate_mbps: float = 0.65,
                        duration: float = 20.0, seed: int = 1,
-                       payload_bytes: Optional[int] = None,
-                       offered_overdrive: float = 2.0,
                        flooding_interval: Optional[float] = None,
-                       flooding_payload_bytes: int = 64,
-                       warmup: float = 1.0) -> UdpRunResult:
-    """Saturating UDP flow from node 1 to node ``hops + 1``, optional flooding on all nodes."""
-    if duration <= warmup:
+                       flooding_payload_bytes: int = 64) -> UdpRunResult:
+    """Saturating UDP flow from node 1 to node ``hops + 1``, optional flooding on all nodes.
+
+    The source offers twice the PHY rate in paper-sized datagrams
+    (:meth:`CbrSource.saturating`'s defaults).
+    """
+    if duration <= UDP_WARMUP_S:
         raise ExperimentError("duration must exceed the warmup period")
     sim = Simulator(seed=seed)
     network = build_linear_chain(sim, hops=hops, policy=policy,
@@ -168,9 +174,7 @@ def run_udp_saturation(policy: AggregationPolicy, hops: int = 2, rate_mbps: floa
     source_node = network.node(1)
     sink_node = network.node(hops + 1)
     sink = UdpSink(sink_node)
-    kwargs = {} if payload_bytes is None else {"payload_bytes": payload_bytes}
-    source = CbrSource.saturating(source_node, sink_node.ip, link_rate_bps=mbps(rate_mbps),
-                                  overdrive=offered_overdrive, **kwargs)
+    source = CbrSource.saturating(source_node, sink_node.ip, link_rate_bps=mbps(rate_mbps))
     source.start(0.001)
 
     flooders: List[FloodingSource] = []
@@ -183,10 +187,10 @@ def run_udp_saturation(policy: AggregationPolicy, hops: int = 2, rate_mbps: floa
 
     # The sink counts every byte from t=0; a snapshot at the end of the
     # warmup lets it measure throughput over the remaining window only.
-    if warmup > 0.0:
-        sink.snapshot_at(warmup)
+    sink.snapshot_at(UDP_WARMUP_S)
     sim.run(until=duration)
-    throughput = sink.throughput_mbps(measurement_start=warmup, measurement_end=duration)
+    throughput = sink.throughput_mbps(measurement_start=UDP_WARMUP_S,
+                                      measurement_end=duration)
     return UdpRunResult(throughput_mbps=throughput, packets_received=sink.packets_received,
-                        network=network, sink=sink, warmup_bytes=sink.bytes_at(warmup),
+                        network=network, sink=sink, warmup_bytes=sink.bytes_at(UDP_WARMUP_S),
                         flooders=flooders)

@@ -10,7 +10,7 @@ overhead accordingly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.apps.file_transfer import PAPER_FILE_BYTES
 from repro.core.policies import (
@@ -21,7 +21,7 @@ from repro.core.policies import (
     unicast_aggregation,
 )
 from repro.experiments.scenarios import TcpRunResult, run_tcp_transfer
-from repro.stats.collect import relay_detail
+from repro.stats.collect import relay_detail, transmission_percentages
 from repro.stats.results import ExperimentResult, TableResult
 
 VARIANT_ORDER = ("NA", "UA", "BA", "DBA")
@@ -65,11 +65,10 @@ def run(rate_mbps: float = 1.3, hops: int = 2, file_bytes: int = PAPER_FILE_BYTE
         details[name] = detail
         throughputs[name] = outcome.throughput_mbps
 
-    baseline_tx: Optional[float] = transmissions.get("NA") or None
+    percentages = transmission_percentages(transmissions)
     for name in VARIANT_ORDER:
         detail = details[name]
-        tx_percent = (100.0 * detail["transmissions"] / baseline_tx
-                      if baseline_tx else 0.0)
+        tx_percent = percentages[name]
         table.add_row(name, [detail["average_frame_size"], tx_percent,
                              100.0 * detail["size_overhead"], throughputs[name]])
         result.add_metric(f"frame_size_{name}", detail["average_frame_size"])

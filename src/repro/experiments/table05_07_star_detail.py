@@ -16,7 +16,7 @@ from typing import Dict
 from repro.apps.file_transfer import PAPER_FILE_BYTES
 from repro.core.policies import broadcast_aggregation, no_aggregation, unicast_aggregation
 from repro.experiments.scenarios import run_star_tcp, run_tcp_transfer
-from repro.stats.collect import relay_detail
+from repro.stats.collect import relay_detail, transmission_percentages
 from repro.stats.results import ExperimentResult, TableResult
 
 
@@ -45,15 +45,16 @@ def run(rate_mbps: float = 1.3, file_bytes: int = PAPER_FILE_BYTES,
     transmissions = result.add_table(TableResult(
         title="Table 7: transmissions (% of NA)", columns=["2-hop", "star"]))
 
+    tx_2hop = transmission_percentages(
+        {name: detail["transmissions"] for name, detail in detail_2hop.items()})
+    tx_star = transmission_percentages(
+        {name: detail["transmissions"] for name, detail in detail_star.items()})
     for name in ("UA", "BA"):
         frame_size.add_row(name, [detail_2hop[name]["average_frame_size"],
                                   detail_star[name]["average_frame_size"]])
         size_overhead.add_row(name, [100.0 * detail_2hop[name]["size_overhead"],
                                      100.0 * detail_star[name]["size_overhead"]])
-        transmissions.add_row(name, [
-            100.0 * detail_2hop[name]["transmissions"] / detail_2hop["NA"]["transmissions"],
-            100.0 * detail_star[name]["transmissions"] / detail_star["NA"]["transmissions"],
-        ])
+        transmissions.add_row(name, [tx_2hop[name], tx_star[name]])
         result.add_metric(f"frame_size_2hop_{name}", detail_2hop[name]["average_frame_size"])
         result.add_metric(f"frame_size_star_{name}", detail_star[name]["average_frame_size"])
 

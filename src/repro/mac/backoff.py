@@ -23,11 +23,6 @@ class BackoffController:
         self._cw = CW_MIN
         self.slots_remaining = 0
 
-    @property
-    def contention_window(self) -> int:
-        """Current contention window size."""
-        return self._cw
-
     def draw(self) -> int:
         """Draw a fresh backoff count uniformly from ``[0, cw)``."""
         self.slots_remaining = self._rng.randrange(self._cw)

@@ -221,8 +221,9 @@ class AggregatingMac:
     # Transmit path: channel access
     # ------------------------------------------------------------------
     def _medium_busy(self) -> bool:
-        # Physical carrier (Phy.carrier_busy) or virtual carrier (NAV.busy),
-        # read without the properties: this runs on every carrier upcall.
+        # Physical carrier (the PHY transmitting or sensing energy) or
+        # virtual carrier (NAV.busy), read from their slots: this runs on
+        # every carrier upcall.
         phy = self.phy
         return (phy._transmitting or phy._carrier_count > 0
                 or self.sim._now < self.nav._until)
@@ -558,12 +559,6 @@ class AggregatingMac:
         for key, value in self.stats.summary().items():
             if isinstance(value, (int, float)):
                 registry.set_gauge(f"mac.{key}", value, node=self.name)
-
-    @property
-    def idle(self) -> bool:
-        """True when the MAC has nothing queued and no exchange in progress."""
-        return (self.state is MacState.IDLE and self.queues.empty
-                and self._pending_retry is None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<AggregatingMac {self.name} state={self.state.value} "

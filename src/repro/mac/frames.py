@@ -66,11 +66,6 @@ class MacSubframe:
         """Bytes that are MAC encapsulation rather than network payload."""
         return self.size_bytes - self.packet.size_bytes
 
-    @property
-    def is_link_broadcast(self) -> bool:
-        """True when the destination is the broadcast MAC address."""
-        return self.dst.is_broadcast
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         queue = "bcast" if self.transmit_in_broadcast_portion else "ucast"
         return (f"<MacSubframe seq={self.sequence} {self.src}->{self.dst} "

@@ -167,11 +167,6 @@ class MacStatistics:
         return overhead / total
 
     @property
-    def total_subframes_sent(self) -> int:
-        """Unicast plus broadcast subframes transmitted."""
-        return self.unicast_subframes_sent + self.broadcast_subframes_sent
-
-    @property
     def routing_overhead_fraction(self) -> float:
         """Routing control-plane bytes as a fraction of all payload bytes sent.
 

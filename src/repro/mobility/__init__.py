@@ -19,7 +19,6 @@ mobile-scenario experiments.
 from repro.mobility.models import (
     CircularOrbit,
     MobilityModel,
-    RandomWalk,
     RandomWaypoint,
     TrajectoryLeg,
 )
@@ -27,7 +26,6 @@ from repro.mobility.models import (
 __all__ = [
     "CircularOrbit",
     "MobilityModel",
-    "RandomWalk",
     "RandomWaypoint",
     "TrajectoryLeg",
 ]

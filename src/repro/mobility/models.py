@@ -29,7 +29,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -44,6 +44,9 @@ Area = Tuple[float, float, float, float]
 _ZERO_HOP_PAUSE_S = 0.1
 
 _EPSILON = 1e-12
+
+#: Phase of a :class:`CircularOrbit`'s binding position on its circle.
+_START_PHASE_RAD = -math.pi / 2.0
 
 
 def _check_area(area: Area) -> Area:
@@ -139,16 +142,29 @@ class MobilityModel:
         raise NotImplementedError
 
 
-class _PiecewiseLinearMobility(MobilityModel):
-    """Shared leg bookkeeping for waypoint-style models.
+class RandomWaypoint(MobilityModel):
+    """Classic random-waypoint mobility.
+
+    Repeatedly: draw a destination uniformly inside ``area``, draw a speed
+    uniformly from ``speed_range``, travel there in a straight line, pause
+    for ``pause_time`` seconds.
 
     Legs are generated strictly forward in time from the model's own stream,
     so the sequence of draws depends only on (seed, parameters) — never on
     when or how often ``position_at`` is called.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, area: Area, speed_range: Tuple[float, float] = (0.5, 2.0),
+                 pause_time: float = 0.0) -> None:
         super().__init__()
+        self.area = _check_area(area)
+        self.speed_range = _check_speed_range(speed_range)
+        if self.speed_range[1] <= 0:
+            raise ConfigurationError("random waypoint needs a positive top speed")
+        if not 0.0 <= pause_time < math.inf:
+            raise ConfigurationError(
+                f"pause_time must be finite and non-negative, got {pause_time}")
+        self.pause_time = pause_time
         self._legs: List[TrajectoryLeg] = []
         self._leg_starts: List[float] = []
         # End time of the last leg, so a query inside the generated
@@ -175,9 +191,27 @@ class _PiecewiseLinearMobility(MobilityModel):
             for leg in self._next_legs(start_time, start):
                 self._append_leg(leg)
 
-    def _next_legs(self, start_time: float, start: Position) -> Sequence[TrajectoryLeg]:
-        """Produce the next leg(s) of the trajectory; must advance time."""
-        raise NotImplementedError
+    def _next_legs(self, start_time: float, start: Position) -> List[TrajectoryLeg]:
+        x_min, y_min, x_max, y_max = self.area
+        destination = (self._rng.uniform(x_min, x_max), self._rng.uniform(y_min, y_max))
+        speed = self._rng.uniform(*self.speed_range)
+        distance = math.hypot(destination[0] - start[0], destination[1] - start[1])
+        legs: List[TrajectoryLeg] = []
+        cursor = start_time
+        if distance > _EPSILON and speed > _EPSILON:
+            travel_time = distance / speed
+            velocity = ((destination[0] - start[0]) / travel_time,
+                        (destination[1] - start[1]) / travel_time)
+            legs.append(TrajectoryLeg(cursor, travel_time, start, velocity))
+            cursor += travel_time
+            start = destination
+        if self.pause_time > 0:
+            legs.append(TrajectoryLeg(cursor, self.pause_time, start, (0.0, 0.0)))
+        if not legs:
+            # Zero-length hop with no pause: burn no time but keep the
+            # trajectory advancing (treat it as a minimal pause).
+            legs.append(TrajectoryLeg(cursor, _ZERO_HOP_PAUSE_S, start, (0.0, 0.0)))
+        return legs
 
     def position_at(self, time: float) -> Position:
         if not time <= self._end_time:
@@ -206,167 +240,36 @@ class _PiecewiseLinearMobility(MobilityModel):
         return tuple(self._legs)
 
 
-class RandomWaypoint(_PiecewiseLinearMobility):
-    """Classic random-waypoint mobility.
-
-    Repeatedly: draw a destination uniformly inside ``area``, draw a speed
-    uniformly from ``speed_range``, travel there in a straight line, pause
-    for ``pause_time`` seconds.
-    """
-
-    def __init__(self, area: Area, speed_range: Tuple[float, float] = (0.5, 2.0),
-                 pause_time: float = 0.0) -> None:
-        super().__init__()
-        self.area = _check_area(area)
-        self.speed_range = _check_speed_range(speed_range)
-        if self.speed_range[1] <= 0:
-            raise ConfigurationError("random waypoint needs a positive top speed")
-        if not 0.0 <= pause_time < math.inf:
-            raise ConfigurationError(
-                f"pause_time must be finite and non-negative, got {pause_time}")
-        self.pause_time = pause_time
-
-    def _next_legs(self, start_time: float, start: Position) -> Sequence[TrajectoryLeg]:
-        x_min, y_min, x_max, y_max = self.area
-        destination = (self._rng.uniform(x_min, x_max), self._rng.uniform(y_min, y_max))
-        speed = self._rng.uniform(*self.speed_range)
-        distance = math.hypot(destination[0] - start[0], destination[1] - start[1])
-        legs: List[TrajectoryLeg] = []
-        cursor = start_time
-        if distance > _EPSILON and speed > _EPSILON:
-            travel_time = distance / speed
-            velocity = ((destination[0] - start[0]) / travel_time,
-                        (destination[1] - start[1]) / travel_time)
-            legs.append(TrajectoryLeg(cursor, travel_time, start, velocity))
-            cursor += travel_time
-            start = destination
-        if self.pause_time > 0:
-            legs.append(TrajectoryLeg(cursor, self.pause_time, start, (0.0, 0.0)))
-        if not legs:
-            # Zero-length hop with no pause: burn no time but keep the
-            # trajectory advancing (treat it as a minimal pause).
-            legs.append(TrajectoryLeg(cursor, _ZERO_HOP_PAUSE_S, start, (0.0, 0.0)))
-        return legs
-
-
-class RandomWalk(_PiecewiseLinearMobility):
-    """Bounded random walk with boundary reflection.
-
-    Every ``leg_duration`` seconds the node draws a fresh heading uniformly
-    in [0, 2π) and a speed from ``speed_range``; straight paths that would
-    leave ``area`` are reflected off the walls (the leg is split at each
-    crossing, consuming no extra randomness).
-    """
-
-    def __init__(self, area: Area, speed_range: Tuple[float, float] = (0.5, 2.0),
-                 leg_duration: float = 2.0) -> None:
-        super().__init__()
-        self.area = _check_area(area)
-        self.speed_range = _check_speed_range(speed_range)
-        if not 0.0 < leg_duration < math.inf:
-            raise ConfigurationError(
-                f"leg_duration must be positive and finite, got {leg_duration}")
-        self.leg_duration = leg_duration
-
-    def _next_legs(self, start_time: float, start: Position) -> Sequence[TrajectoryLeg]:
-        heading = self._rng.uniform(0.0, 2.0 * math.pi)
-        speed = self._rng.uniform(*self.speed_range)
-        velocity = (speed * math.cos(heading), speed * math.sin(heading))
-        return self._reflected_legs(start_time, start, velocity, self.leg_duration)
-
-    def _reflected_legs(self, start_time: float, start: Position, velocity: Velocity,
-                        remaining: float) -> List[TrajectoryLeg]:
-        x_min, y_min, x_max, y_max = self.area
-        legs: List[TrajectoryLeg] = []
-        cursor = start_time
-        position = (min(max(start[0], x_min), x_max), min(max(start[1], y_min), y_max))
-        if math.hypot(*velocity) <= _EPSILON:
-            return [TrajectoryLeg(cursor, remaining, position, (0.0, 0.0))]
-        for _ in range(64):  # bound: a leg cannot reflect more often than this
-            hit = self._time_to_wall(position, velocity)
-            if hit is None or hit >= remaining:
-                legs.append(TrajectoryLeg(cursor, remaining, position, velocity))
-                return legs
-            if hit > _EPSILON:
-                legs.append(TrajectoryLeg(cursor, hit, position, velocity))
-                cursor += hit
-                remaining -= hit
-                position = legs[-1].end
-            position = (min(max(position[0], x_min), x_max),
-                        min(max(position[1], y_min), y_max))
-            velocity = self._reflect(position, velocity)
-        legs.append(TrajectoryLeg(cursor, remaining, position, (0.0, 0.0)))
-        return legs
-
-    def _time_to_wall(self, position: Position, velocity: Velocity) -> Optional[float]:
-        x_min, y_min, x_max, y_max = self.area
-        times = []
-        for coord, v, low, high in ((position[0], velocity[0], x_min, x_max),
-                                    (position[1], velocity[1], y_min, y_max)):
-            if v > _EPSILON:
-                times.append((high - coord) / v)
-            elif v < -_EPSILON:
-                times.append((low - coord) / v)
-        times = [t for t in times if t > _EPSILON]
-        return min(times) if times else None
-
-    def _reflect(self, position: Position, velocity: Velocity) -> Velocity:
-        x_min, y_min, x_max, y_max = self.area
-        vx, vy = velocity
-        if (position[0] >= x_max - _EPSILON and vx > 0) or \
-                (position[0] <= x_min + _EPSILON and vx < 0):
-            vx = -vx
-        if (position[1] >= y_max - _EPSILON and vy > 0) or \
-                (position[1] <= y_min + _EPSILON and vy < 0):
-            vy = -vy
-        return (vx, vy)
-
-
 class CircularOrbit(MobilityModel):
     """Deterministic circular motion (closed form, no randomness).
 
-    The node orbits ``center`` at ``radius`` metres, completing one
-    revolution every ``period`` seconds (negative = clockwise).  When no
-    center is given, the binding position is taken as the point on the circle
-    at ``phase_rad``, so a PHY built with the orbit starts exactly where the
-    topology placed it and orbits from there.
+    The node orbits at ``radius`` metres, completing one revolution every
+    ``period`` seconds (negative = clockwise).  The binding position is the
+    point on the circle at phase :data:`_START_PHASE_RAD` (the bottom of the
+    circle), so a PHY built with the orbit starts exactly where the topology
+    placed it and orbits a center ``radius`` metres above it.
     """
 
-    def __init__(self, radius: float, period: float,
-                 center: Optional[Position] = None,
-                 phase_rad: float = -math.pi / 2.0) -> None:
+    def __init__(self, radius: float, period: float) -> None:
         super().__init__()
         if not 0.0 < radius < math.inf:
             raise ConfigurationError(f"orbit radius must be positive and finite, got {radius}")
         if not (math.isfinite(period) and period != 0):
             raise ConfigurationError(f"orbit period must be finite and non-zero, got {period}")
-        if not math.isfinite(phase_rad):
-            raise ConfigurationError(f"orbit phase must be finite, got {phase_rad}")
-        if center is not None and not all(map(math.isfinite, center)):
-            raise ConfigurationError(f"orbit center must be finite, got {center}")
         self.radius = radius
         self.period = period
-        self.phase_rad = phase_rad
-        self._center = center
+        self._center: Position = (0.0, 0.0)
 
     def _on_bound(self) -> None:
-        if self._center is None:
-            self._center = (
-                self._origin[0] - self.radius * math.cos(self.phase_rad),
-                self._origin[1] - self.radius * math.sin(self.phase_rad),
-            )
-
-    @property
-    def center(self) -> Position:
-        """Orbit center (available once bound or when given explicitly)."""
-        if self._center is None:
-            raise ConfigurationError("orbit center is derived at bind() time")
-        return self._center
+        self._center = (
+            self._origin[0] - self.radius * math.cos(_START_PHASE_RAD),
+            self._origin[1] - self.radius * math.sin(_START_PHASE_RAD),
+        )
 
     def position_at(self, time: float) -> Position:
         if self._rng is None:
             self._require_bound()
         elapsed = max(time - self._start_time, 0.0)
-        angle = self.phase_rad + 2.0 * math.pi * elapsed / self.period
+        angle = _START_PHASE_RAD + 2.0 * math.pi * elapsed / self.period
         return (self._center[0] + self.radius * math.cos(angle),
                 self._center[1] + self.radius * math.sin(angle))

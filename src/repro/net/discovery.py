@@ -168,10 +168,6 @@ class NeighborDiscovery:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def is_neighbor(self, ip: IpAddress) -> bool:
-        """True while ``ip`` is considered alive."""
-        return IpAddress(ip) in self._last_heard
-
     def __len__(self) -> int:
         return len(self._last_heard)
 

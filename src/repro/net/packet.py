@@ -47,19 +47,6 @@ class TcpHeader:
         """True for segments that are part of connection establishment/teardown."""
         return self.flags_syn or self.flags_fin or self.flags_rst
 
-    def describe_flags(self) -> str:
-        """Short textual flag summary, e.g. ``"SYN|ACK"``."""
-        names = []
-        if self.flags_syn:
-            names.append("SYN")
-        if self.flags_fin:
-            names.append("FIN")
-        if self.flags_rst:
-            names.append("RST")
-        if self.flags_ack:
-            names.append("ACK")
-        return "|".join(names) if names else "-"
-
 
 @dataclass(frozen=True)
 class UdpHeader:

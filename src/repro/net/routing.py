@@ -84,9 +84,9 @@ class RouteEntry:
 class RoutingTable:
     """Destination → :class:`RouteEntry` map shared by every routing mode.
 
-    :meth:`next_hop` (the forwarding plane's only call) and :meth:`has_route`
-    consider *valid* entries only, so a withdrawn route behaves exactly like
-    a route that was never installed.  Static routes enter through
+    :meth:`next_hop` (the forwarding plane's only call) considers *valid*
+    entries only, so a withdrawn route behaves exactly like a route that
+    was never installed.  Static routes enter through
     :meth:`add_route`; the DSDV and AODV control planes install and withdraw
     entries through :meth:`install`.
     """
@@ -108,11 +108,6 @@ class RoutingTable:
         if entry is not None and entry.metric < INFINITE_METRIC:
             return entry.next_hop
         raise RoutingError(f"no route to {destination}")
-
-    def has_route(self, destination: IpAddress) -> bool:
-        """True when a valid route exists for ``destination``."""
-        entry = self._entries.get(IpAddress(destination))
-        return entry is not None and entry.valid
 
     def entry_for(self, destination: IpAddress) -> Optional[RouteEntry]:
         """The stored entry (valid or withdrawn) for ``destination``."""

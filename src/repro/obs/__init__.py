@@ -31,7 +31,7 @@ from repro.obs.journey import (
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.progress import ProgressReporter
-from repro.obs.session import ObsConfig, ObsSession, active_session, observe
+from repro.obs.session import ObsConfig, ObsSession, observe
 from repro.obs.timeline import TraceStore, chrome_trace_document, export_chrome_trace
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "ObsSession",
     "ProgressReporter",
     "TraceStore",
-    "active_session",
     "chrome_trace_document",
     "conservation_audit",
     "export_chrome_trace",

@@ -75,6 +75,8 @@ __all__ = [
 
 #: The IP broadcast address as the string journeys carry.
 _BROADCAST_DST = "255.255.255.255"
+#: At most this many journey flow arrows go into one simulator's timeline.
+MAX_FLOW_ARROWS = 2000
 
 
 def node_of(name: str, layer: str) -> str:
@@ -706,8 +708,7 @@ def format_flow_report(summaries: Sequence[Dict[str, Any]]) -> str:
 # ----------------------------------------------------------------------
 # Exports
 # ----------------------------------------------------------------------
-def journey_document(recorder: JourneyRecorder,
-                     include_events: bool = True) -> Dict[str, Any]:
+def journey_document(recorder: JourneyRecorder) -> Dict[str, Any]:
     """The full JSON-ready journey document for one simulator."""
     journeys: List[Dict[str, Any]] = []
     for journey in recorder.journeys:
@@ -736,8 +737,7 @@ def journey_document(recorder: JourneyRecorder,
         waterfall = journey_waterfall(journey)
         if waterfall is not None:
             entry["waterfall"] = waterfall
-        if include_events:
-            entry["events"] = [ev.to_dict() for ev in journey.events]
+        entry["events"] = [ev.to_dict() for ev in journey.events]
         journeys.append(entry)
     return {
         "journeys": journeys,
@@ -746,12 +746,12 @@ def journey_document(recorder: JourneyRecorder,
     }
 
 
-def flow_arrows(recorder: JourneyRecorder,
-                max_arrows: Optional[int] = 2000) -> List[Dict[str, Any]]:
+def flow_arrows(recorder: JourneyRecorder) -> List[Dict[str, Any]]:
     """Flow-arrow point lists for the timeline exporter.
 
     One arrow per delivered (or in-flight) unicast journey with at least two
-    custody points: origin → each MAC delivery → final network delivery.
+    custody points: origin → each MAC delivery → final network delivery;
+    the first :data:`MAX_FLOW_ARROWS` such journeys.
     """
     arrows: List[Dict[str, Any]] = []
     for journey in recorder.journeys:
@@ -770,6 +770,6 @@ def flow_arrows(recorder: JourneyRecorder,
                     f"{journey.src}->{journey.dst}",
             "points": points,
         })
-        if max_arrows is not None and len(arrows) >= max_arrows:
+        if len(arrows) >= MAX_FLOW_ARROWS:
             break
     return arrows

@@ -35,11 +35,11 @@ and snapshots can be compared with ``==``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: Default histogram bucket upper bounds (``+Inf`` is implicit).  Chosen to
-#: be useful for the repo's common distributions (dB values, counts, small
-#: durations); pass explicit ``bounds`` for anything else.
+#: Every histogram's bucket upper bounds, ascending (``+Inf`` is implicit).
+#: Chosen to be useful for the repo's distributions (dB values, retry
+#: counts, airtimes in ms).
 DEFAULT_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 #: A resolved metric key: the dotted name plus the sorted label items.
@@ -60,9 +60,9 @@ class Counter:
     def __init__(self) -> None:
         self.value = 0
 
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (must be non-negative; not checked on the hot path)."""
-        self.value += amount
+    def inc(self) -> None:
+        """Add one."""
+        self.value += 1
 
 
 class Gauge:
@@ -83,13 +83,12 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bucket distribution with total count and sum."""
+    """A distribution over :data:`DEFAULT_BUCKETS` with total count and sum."""
 
-    __slots__ = ("bounds", "bucket_counts", "count", "total")
+    __slots__ = ("bucket_counts", "count", "total")
 
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.bounds = tuple(sorted(bounds))
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
+    def __init__(self) -> None:
+        self.bucket_counts = [0] * (len(DEFAULT_BUCKETS) + 1)
         self.count = 0
         self.total = 0.0
 
@@ -97,7 +96,7 @@ class Histogram:
         """Record one observation."""
         self.count += 1
         self.total += value
-        for index, bound in enumerate(self.bounds):
+        for index, bound in enumerate(DEFAULT_BUCKETS):
             if value <= bound:
                 self.bucket_counts[index] += 1
                 return
@@ -148,37 +147,31 @@ class MetricsRegistry:
             found = self._gauges[key] = Gauge()
         return found
 
-    def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS,
-                  **labels: Any) -> Histogram:
-        """The histogram for ``(name, labels)``, created on first use.
-
-        ``bounds`` applies only at creation; later calls with different
-        bounds reuse the existing instrument unchanged.
-        """
+    def histogram(self, name: str, **labels: Any) -> Histogram:
+        """The histogram for ``(name, labels)``, created on first use."""
         key = (name, _labels_key(labels))
         found = self._histograms.get(key)
         if found is None:
-            found = self._histograms[key] = Histogram(bounds)
+            found = self._histograms[key] = Histogram()
         return found
 
     # ------------------------------------------------------------------
     # One-shot helpers (resolve + record)
     # ------------------------------------------------------------------
-    def inc(self, name: str, amount: int = 1, **labels: Any) -> None:
-        """Increment the counter ``(name, labels)`` by ``amount``."""
+    def inc(self, name: str, **labels: Any) -> None:
+        """Increment the counter ``(name, labels)`` by one."""
         if self.enabled:
-            self.counter(name, **labels).inc(amount)
+            self.counter(name, **labels).inc()
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         """Set the gauge ``(name, labels)`` to ``value``."""
         if self.enabled:
             self.gauge(name, **labels).set(value)
 
-    def observe(self, name: str, value: float,
-                bounds: Sequence[float] = DEFAULT_BUCKETS, **labels: Any) -> None:
+    def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record ``value`` in the histogram ``(name, labels)``."""
         if self.enabled:
-            self.histogram(name, bounds, **labels).observe(value)
+            self.histogram(name, **labels).observe(value)
 
     def on_record(self, record: Any) -> None:
         """Tracer listener: update the live instruments ``record`` drives."""
@@ -228,7 +221,7 @@ class MetricsRegistry:
                     "buckets": [
                         {"le": bound, "count": count}
                         for bound, count in zip(
-                            list(histogram.bounds) + ["+Inf"],
+                            list(DEFAULT_BUCKETS) + ["+Inf"],
                             histogram.bucket_counts)
                     ],
                 }

@@ -42,7 +42,7 @@ from repro.obs.journey import (
     journey_document,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import TraceStore, chrome_trace_document, export_chrome_trace
+from repro.obs.timeline import TraceStore, export_chrome_trace
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class ObsConfig:
     #: Per-simulator journey-recorder bound (packets past it are counted,
     #: not followed).
     max_journeys: Optional[int] = 200_000
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.trace or self.metrics or self.capture or self.journey
 
 
 class ObsSession:
@@ -116,11 +112,6 @@ class ObsSession:
         return ([(prefix, store.records) for prefix, store, _ in groups],
                 [(prefix, flow_arrows(journey)) for prefix, _, journey in groups
                  if journey is not None])
-
-    def timeline_document(self) -> Dict[str, Any]:
-        """The merged Chrome trace-event document for every adopted run."""
-        records, flows = self._timeline_groups()
-        return chrome_trace_document(records, flow_groups=flows)
 
     def export_timeline(self, path: str) -> int:
         """Write the Chrome trace JSON to ``path``; returns the event count."""
@@ -207,11 +198,6 @@ class ObsSession:
 # The ambient active session
 # ----------------------------------------------------------------------
 _ACTIVE: Optional[ObsSession] = None
-
-
-def active_session() -> Optional[ObsSession]:
-    """The currently installed session, or ``None``."""
-    return _ACTIVE
 
 
 def on_simulator_created(sim: Any) -> None:

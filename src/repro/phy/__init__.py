@@ -17,7 +17,6 @@ experiments:
 from repro.phy.modulation import Modulation
 from repro.phy.coding import CodingRate
 from repro.phy.rates import PhyRate, HYDRA_SISO_RATES, rate_for_mbps
-from repro.phy.error_model import ErrorModel
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.phy.device import Phy, PhyListener, PhyState
 
@@ -27,7 +26,6 @@ __all__ = [
     "PhyRate",
     "HYDRA_SISO_RATES",
     "rate_for_mbps",
-    "ErrorModel",
     "FrameKind",
     "PhyFrame",
     "ReceptionResult",

@@ -31,15 +31,5 @@ class CodingRate(enum.Enum):
         """The code rate as a float (information bits / coded bits)."""
         return float(self.fraction)
 
-    @property
-    def numerator(self) -> int:
-        """Numerator of the code rate."""
-        return self.fraction.numerator
-
-    @property
-    def denominator(self) -> int:
-        """Denominator of the code rate."""
-        return self.fraction.denominator
-
     def __str__(self) -> str:
         return f"{self.fraction.numerator}/{self.fraction.denominator}"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Protocol
 
 from repro.errors import ConfigurationError, PhyError
-from repro.phy.error_model import ErrorModel
+from repro.phy.error_model import subframe_survives
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.sim.simulator import Simulator
 
@@ -100,7 +100,7 @@ class Phy:
     """
 
     __slots__ = ("sim", "channel", "channel_index", "_position",
-                 "_mobility", "name", "error_model", "_rng", "_listener",
+                 "_mobility", "name", "_rng", "_listener",
                  "_transmitting", "_receptions", "_carrier_count",
                  "_carrier_busy_reported", "frames_sent", "frames_received",
                  "frames_collided", "tx_airtime")
@@ -129,7 +129,6 @@ class Phy:
         self._position = position
         self._mobility = mobility
         self.name = name
-        self.error_model = ErrorModel()
         self._rng = sim.random.stream(f"phy.{name}")
         self._listener: Optional[PhyListener] = None
         self._transmitting = False
@@ -204,11 +203,6 @@ class Phy:
         if self._receptions:
             return PhyState.RECEIVING
         return PhyState.IDLE
-
-    @property
-    def carrier_busy(self) -> bool:
-        """True when the node is transmitting or senses energy on the medium."""
-        return self._transmitting or self._carrier_count > 0
 
     # ------------------------------------------------------------------
     # Transmit path
@@ -314,7 +308,7 @@ class Phy:
         result = ReceptionResult(frame, sinr_db, collided)
         any_ok = False
         if not collided:
-            survives = self.error_model.subframe_survives
+            survives = subframe_survives
             rng = self._rng
             if frame.kind is FrameKind.DATA:
                 broadcast_offsets, unicast_offsets = frame.sample_offsets()

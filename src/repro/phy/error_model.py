@@ -12,13 +12,20 @@ paper).  The probability that a subframe is corrupted has two components:
   (~120 Ksamples) are demodulated against a stale estimate and fail with
   quickly increasing probability.  This is what produces the throughput
   collapse beyond the 5/11/15 KB aggregation thresholds in Figure 7.
+
+:func:`subframe_error_probability` is a pure function of (SNR, rate, size,
+end offset): it draws no random number and reads no simulator state.  One
+process-wide ``functools.lru_cache`` therefore serves every PHY, and a hit
+returns the very float a miss would compute.  :func:`subframe_survives`
+still draws from the receiving PHY's own stream on every call, so a warm,
+cold or bypassed memo gives the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from typing import Dict
 
 from repro.phy.modulation import Modulation
 from repro.phy.rates import HYDRA_SISO_RATES, PhyRate
@@ -45,7 +52,8 @@ def _ber_constants(rate: PhyRate) -> tuple:
 
     ``(coding_gain_db, Eb/N0 denominator, is PSK, QAM coefficient, 3k,
     M - 1)``, each computed by the same float operations the reference
-    functions run, so the miss path below reproduces them bit for bit.
+    functions run, so :func:`subframe_error_probability` reproduces them
+    bit for bit.
     """
     modulation = rate.modulation
     k = modulation.bits_per_symbol
@@ -58,122 +66,92 @@ def _ber_constants(rate: PhyRate) -> tuple:
             m - 1.0)
 
 
-#: Per-rate constants of the error model's miss path, one entry per table rate.
+#: Per-rate constants of the error probability, one entry per table rate.
 _BER_CONSTANTS = {rate: _ber_constants(rate) for rate in HYDRA_SISO_RATES}
 
 
-class ErrorModel:
-    """Computes and samples per-subframe error probabilities.
+# ----------------------------------------------------------------------
+# Reference functions: the model written out term by term
+# ----------------------------------------------------------------------
+def bit_error_rate(snr_db: float, rate: PhyRate) -> float:
+    """Post-coding BER at the given received SNR for ``rate``."""
+    effective_snr = snr_db + rate.coding.coding_gain_db - IMPLEMENTATION_LOSS_DB
+    return rate.modulation.bit_error_rate(effective_snr, rate.coding.value_float)
 
-    ``subframe_error_probability`` is a pure function of its arguments, and
-    stationary scenarios evaluate it with the same handful of (SNR, rate,
-    size, offset) tuples millions of times — once per subframe per receiver
-    per frame — so the model memoises the probability.  Sampling still
-    draws from the caller's stream on every call, so reproducibility is
-    untouched: the cache changes *when math runs*, never *which numbers
-    come out*.
+
+def noise_error_probability(snr_db: float, rate: PhyRate, size_bytes: int) -> float:
+    """Probability that at least one of the subframe's bits is in error."""
+    ber = bit_error_rate(snr_db, rate)
+    n_bits = max(size_bytes, 0) * 8
+    if ber <= 0.0 or n_bits == 0:
+        return 0.0
+    if ber >= 0.5:
+        return 1.0
+    # log-domain to avoid underflow for very small BER * large frames
+    log_ok = n_bits * math.log1p(-ber)
+    return 1.0 - math.exp(log_ok)
+
+
+def aging_error_probability(end_offset_samples: float) -> float:
+    """Probability of failure due to a stale channel estimate."""
+    excess = end_offset_samples - COHERENCE_SAMPLES
+    if excess <= 0:
+        return 0.0
+    return 1.0 - math.exp(-excess / _AGING_SCALE)
+
+
+# ----------------------------------------------------------------------
+# The model as the PHY evaluates it
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=256)
+def subframe_error_probability(snr_db: float, rate: PhyRate, size_bytes: int,
+                               end_offset_samples: float) -> float:
+    """Combined probability that a subframe fails its CRC (memoised).
+
+    Equals ``1 - (1 - noise_error_probability) * (1 - aging_error_probability)``
+    exactly: this runs the reference functions' float operations, in the
+    same order, on per-rate constants computed once.  Stationary links
+    reuse a few dozen argument tuples (perfbench's paper_chains workload
+    misses 513 times in 202,250 calls at seed 1); moving links produce a
+    fresh SNR almost every frame, so a larger memo would only fill with
+    single-use entries.
     """
+    gain_db, denominator, psk, coefficient, three_k, m_minus_one = (
+        _BER_CONSTANTS.get(rate) or _ber_constants(rate))
+    # Noise term: bit_error_rate -> Modulation.bit_error_rate -> q_function.
+    ebn0 = 10.0 ** ((snr_db + gain_db - IMPLEMENTATION_LOSS_DB) / 10.0) / denominator
+    if ebn0 <= 0:
+        ber = 0.5
+    elif psk:
+        ber = min(max(0.5 * math.erfc(math.sqrt(2.0 * ebn0) / _SQRT2), 0.0), 0.5)
+    else:
+        argument = math.sqrt(three_k * ebn0 / m_minus_one)
+        ber = min(max(coefficient * (0.5 * math.erfc(argument / _SQRT2)), 0.0), 0.5)
+    n_bits = max(size_bytes, 0) * 8
+    if ber <= 0.0 or n_bits == 0:
+        p_noise = 0.0
+    elif ber >= 0.5:
+        p_noise = 1.0
+    else:
+        p_noise = 1.0 - math.exp(n_bits * math.log1p(-ber))
+    # Aging term: aging_error_probability.
+    excess = end_offset_samples - COHERENCE_SAMPLES
+    if excess <= 0:
+        p_aging = 0.0
+    else:
+        p_aging = 1.0 - math.exp(-excess / _AGING_SCALE)
+    return 1.0 - (1.0 - p_noise) * (1.0 - p_aging)
 
-    __slots__ = ("_probability_cache",)
 
-    #: Drop the memo once it holds this many distinct argument tuples.  A
-    #: stationary PHY's working set is a few dozen tuples (at most 79 in any
-    #: paper experiment), while moving links produce a fresh SNR almost every
-    #: frame, so a larger memo only fills with single-use entries.
-    _CACHE_LIMIT = 256
+def subframe_survives(rng: random.Random, snr_db: float, rate: PhyRate,
+                      size_bytes: int, end_offset_samples: float) -> bool:
+    """Draw from ``rng`` whether the subframe passes its CRC.
 
-    def __init__(self) -> None:
-        self._probability_cache: Dict[tuple, float] = {}
-
-    # ------------------------------------------------------------------
-    # Probabilities
-    # ------------------------------------------------------------------
-    def bit_error_rate(self, snr_db: float, rate: PhyRate) -> float:
-        """Post-coding BER at the given received SNR for ``rate``."""
-        effective_snr = snr_db + rate.coding.coding_gain_db - IMPLEMENTATION_LOSS_DB
-        return rate.modulation.bit_error_rate(effective_snr, rate.coding.value_float)
-
-    def noise_error_probability(self, snr_db: float, rate: PhyRate, size_bytes: int) -> float:
-        """Probability that at least one of the subframe's bits is in error."""
-        ber = self.bit_error_rate(snr_db, rate)
-        n_bits = max(size_bytes, 0) * 8
-        if ber <= 0.0 or n_bits == 0:
-            return 0.0
-        if ber >= 0.5:
-            return 1.0
-        # log-domain to avoid underflow for very small BER * large frames
-        log_ok = n_bits * math.log1p(-ber)
-        return 1.0 - math.exp(log_ok)
-
-    def aging_error_probability(self, end_offset_samples: float) -> float:
-        """Probability of failure due to a stale channel estimate."""
-        excess = end_offset_samples - COHERENCE_SAMPLES
-        if excess <= 0:
-            return 0.0
-        return 1.0 - math.exp(-excess / _AGING_SCALE)
-
-    def subframe_error_probability(self, snr_db: float, rate: PhyRate, size_bytes: int,
-                                   end_offset_samples: float = 0.0) -> float:
-        """Combined probability that a subframe fails its CRC (memoised).
-
-        Equals ``1 - (1 - noise_error_probability) * (1 - aging_error_probability)``
-        exactly: the miss path runs the reference functions' float
-        operations, in the same order, on per-rate constants computed once.
-        """
-        key = (snr_db, rate, size_bytes, end_offset_samples)
-        probability = self._probability_cache.get(key)
-        if probability is None:
-            probability = self._remember(key)
-        return probability
-
-    def _remember(self, key: tuple) -> float:
-        """Compute the probability for a memo miss and store it."""
-        snr_db, rate, size_bytes, end_offset_samples = key
-        gain_db, denominator, psk, coefficient, three_k, m_minus_one = (
-            _BER_CONSTANTS.get(rate) or _ber_constants(rate))
-        # Noise term: bit_error_rate -> Modulation.bit_error_rate -> q_function.
-        ebn0 = 10.0 ** ((snr_db + gain_db - IMPLEMENTATION_LOSS_DB) / 10.0) / denominator
-        if ebn0 <= 0:
-            ber = 0.5
-        elif psk:
-            ber = min(max(0.5 * math.erfc(math.sqrt(2.0 * ebn0) / _SQRT2), 0.0), 0.5)
-        else:
-            argument = math.sqrt(three_k * ebn0 / m_minus_one)
-            ber = min(max(coefficient * (0.5 * math.erfc(argument / _SQRT2)), 0.0), 0.5)
-        n_bits = max(size_bytes, 0) * 8
-        if ber <= 0.0 or n_bits == 0:
-            p_noise = 0.0
-        elif ber >= 0.5:
-            p_noise = 1.0
-        else:
-            p_noise = 1.0 - math.exp(n_bits * math.log1p(-ber))
-        # Aging term: aging_error_probability.
-        excess = end_offset_samples - COHERENCE_SAMPLES
-        if excess <= 0:
-            p_aging = 0.0
-        else:
-            p_aging = 1.0 - math.exp(-excess / _AGING_SCALE)
-        probability = 1.0 - (1.0 - p_noise) * (1.0 - p_aging)
-        cache = self._probability_cache
-        if len(cache) >= self._CACHE_LIMIT:
-            cache.clear()
-        cache[key] = probability
-        return probability
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-    def subframe_survives(self, rng: random.Random, snr_db: float, rate: PhyRate,
-                          size_bytes: int, end_offset_samples: float = 0.0) -> bool:
-        """Draw whether the subframe passes its CRC."""
-        # Inline cache probe (this runs once per subframe per receiver; the
-        # extra call into subframe_error_probability showed up in profiles).
-        key = (snr_db, rate, size_bytes, end_offset_samples)
-        p_error = self._probability_cache.get(key)
-        if p_error is None:
-            p_error = self._remember(key)
-        if p_error <= 0.0:
-            return True
-        if p_error >= 1.0:
-            return False
-        return rng.random() >= p_error
+    Certain outcomes (probability 0 or 1) consume no draw.
+    """
+    p_error = subframe_error_probability(snr_db, rate, size_bytes, end_offset_samples)
+    if p_error <= 0.0:
+        return True
+    if p_error >= 1.0:
+        return False
+    return rng.random() >= p_error

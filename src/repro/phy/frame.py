@@ -201,10 +201,3 @@ class ReceptionResult:
     def delivered_broadcast(self) -> List[object]:
         """The broadcast subframes that passed their CRC."""
         return [sf for sf, ok in zip(self.frame.broadcast_subframes, self.broadcast_ok) if ok]
-
-    @property
-    def delivered_unicast(self) -> List[object]:
-        """The unicast subframes, if *all* of them passed (else empty)."""
-        if self.all_unicast_ok:
-            return list(self.frame.unicast_subframes)
-        return []

@@ -4,7 +4,7 @@ Hydra (Table 1 of the paper) supports BPSK, QPSK, 16-QAM and 64-QAM with a
 bit-interleaved convolutional code.  The BER approximations below are the
 standard Gray-coded AWGN expressions; they are evaluated on the *effective*
 SNR after coding gain and implementation loss have been applied by
-:class:`repro.phy.error_model.ErrorModel`.
+:mod:`repro.phy.error_model`.
 """
 
 from __future__ import annotations

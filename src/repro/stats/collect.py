@@ -9,7 +9,7 @@ functions assemble them per node / per network.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.topology.network import Network
 
@@ -48,16 +48,17 @@ def relay_detail(network: Network, relay_indices: Iterable[int]) -> Dict[str, fl
     }
 
 
-def node_frame_sizes(network: Network, indices: Optional[Iterable[int]] = None) -> Dict[int, float]:
+def node_frame_sizes(network: Network) -> Dict[int, float]:
     """Average DATA frame size per node (Table 8)."""
-    indices = list(indices) if indices is not None else [n.index for n in network.nodes]
-    return {index: network.node(index).mac_stats.average_frame_size for index in indices}
+    return {node.index: node.mac_stats.average_frame_size for node in network.nodes}
 
 
-def transmission_percentages(variant_transmissions: Dict[str, float],
-                             baseline: str = "NA") -> Dict[str, float]:
-    """Express each variant's transmission count relative to the baseline (Tables 3 and 7)."""
-    base = variant_transmissions.get(baseline, 0.0)
+def transmission_percentages(variant_transmissions: Dict[str, float]) -> Dict[str, float]:
+    """Each variant's transmission count as a percentage of NA's (Tables 3 and 5-7).
+
+    Every variant reads 0 when NA made no transmission.
+    """
+    base = variant_transmissions.get("NA", 0.0)
     if base <= 0:
         return {name: 0.0 for name in variant_transmissions}
     return {name: 100.0 * count / base for name, count in variant_transmissions.items()}

@@ -45,10 +45,10 @@ class Series:
         if error is not None:
             self.y_errors.append(error)
 
-    def value_at(self, x: float, tolerance: float = 1e-9) -> float:
-        """The y-value recorded at ``x`` (raises if absent)."""
+    def value_at(self, x: float) -> float:
+        """The y-value recorded at ``x``, to within 1e-9 (raises if absent)."""
         for xv, yv in zip(self.x_values, self.y_values):
-            if abs(xv - x) <= tolerance:
+            if abs(xv - x) <= 1e-9:
                 return yv
         raise KeyError(f"series {self.label!r} has no point at x={x}")
 
@@ -113,14 +113,14 @@ class TableResult:
             rows={str(name): [float(v) for v in values] for name, values in rows.items()},
         )
 
-    def to_text(self, float_format: str = "{:.3f}") -> str:
-        """Render the table as aligned plain text."""
+    def to_text(self) -> str:
+        """Render the table as aligned plain text, values to three decimals."""
         header = [self.title] + list(self.columns)
         lines = ["  ".join(f"{h:>14}" for h in header)]
         for name, values in self.rows.items():
             cells = [f"{name:>14}"]
             for value in values:
-                cells.append(f"{float_format.format(value):>14}")
+                cells.append(f"{value:>14.3f}")
             lines.append("  ".join(cells))
         return "\n".join(lines)
 

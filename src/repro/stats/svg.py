@@ -14,7 +14,7 @@ valid XML by construction and byte-deterministic for a given result object.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.stats.results import ExperimentResult, Series
 
@@ -29,6 +29,11 @@ PALETTE = (
     "#F0E442",  # yellow
     "#000000",  # black
 )
+
+#: Canvas size in pixels and the x-axis caption of every plot.
+_WIDTH = 640
+_HEIGHT = 420
+_X_LABEL = "x"
 
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
@@ -117,15 +122,16 @@ def _data_ranges(series: Sequence[Series]) -> Tuple[Tuple[float, float], Tuple[f
     return (min(xs), max(xs)), (y_low, max(ys))
 
 
-def render_svg(result: ExperimentResult, width: int = 640, height: int = 420,
-               title: Optional[str] = None, x_label: str = "x") -> str:
+def render_svg(result: ExperimentResult) -> str:
     """Render ``result``'s series as a complete SVG document string.
 
-    Series with ``y_errors`` get vertical 95%-CI error bars with caps.
-    Results without series render an "(no series)" placeholder so the export
-    path never fails on table-only experiments.
+    The title is ``"<experiment id>: <description>"``.  Series with
+    ``y_errors`` get vertical 95%-CI error bars with caps.  Results without
+    series render an "(no series)" placeholder so the export path never
+    fails on table-only experiments.
     """
-    title = title if title is not None else f"{result.experiment_id}: {result.description}"
+    width, height = _WIDTH, _HEIGHT
+    title = f"{result.experiment_id}: {result.description}"
     series = [s for s in result.series.values() if s.x_values]
     legend_rows = len(series)
     x_range, y_range = _data_ranges(series)
@@ -166,7 +172,7 @@ def render_svg(result: ExperimentResult, width: int = 640, height: int = 420,
     parts.append(f'<path d="{axis}" fill="none" stroke="#333" stroke-width="1"/>')
     parts.append(f'<text x="{(canvas.plot_left + canvas.plot_right) / 2:.1f}" '
                  f'y="{canvas.plot_bottom + 32:.1f}" text-anchor="middle" '
-                 f'fill="#555">{_escape(x_label)}</text>')
+                 f'fill="#555">{_escape(_X_LABEL)}</text>')
 
     # --- series: error bars below markers below lines -----------------
     for index, one in enumerate(series):
@@ -206,7 +212,7 @@ def render_svg(result: ExperimentResult, width: int = 640, height: int = 420,
     return "\n".join(parts)
 
 
-def write_svg(result: ExperimentResult, path: str, **kwargs) -> None:
+def write_svg(result: ExperimentResult, path: str) -> None:
     """Render ``result`` and write it to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(result, **kwargs))
+        handle.write(render_svg(result))

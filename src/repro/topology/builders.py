@@ -54,7 +54,6 @@ def _install_chain_routes(network: Network, indices: Sequence[int]) -> None:
 def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
                        unicast_rate_mbps: Optional[float] = None,
                        broadcast_rate_mbps: Optional[float] = None,
-                       spacing: float = PAPER_NODE_SPACING_M,
                        use_block_ack: bool = False,
                        use_rts_cts: bool = True) -> Network:
     """Build the linear topology of Figure 5 with ``hops`` hops (``hops+1`` nodes)."""
@@ -65,7 +64,7 @@ def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
 
     node_count = hops + 1
     for index in range(1, node_count + 1):
-        position = ((index - 1) * spacing, 0.0)
+        position = ((index - 1) * PAPER_NODE_SPACING_M, 0.0)
         node = Node(sim, channel, index=index, position=position,
                     policy=_policy_for(policy, index),
                     unicast_rate_mbps=unicast_rate_mbps,
@@ -81,7 +80,6 @@ def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
 def build_star(sim: Simulator, policy: PolicySpec,
                unicast_rate_mbps: Optional[float] = None,
                broadcast_rate_mbps: Optional[float] = None,
-               spacing: float = PAPER_NODE_SPACING_M,
                use_block_ack: bool = False) -> Network:
     """Build the star topology of Figure 6.
 
@@ -95,6 +93,7 @@ def build_star(sim: Simulator, policy: PolicySpec,
     channel = WirelessChannel(sim)
     network = Network(sim, channel)
 
+    spacing = PAPER_NODE_SPACING_M
     positions = {
         2: (0.0, 0.0),                                   # central relay
         1: (spacing, 0.0),                               # client

@@ -97,13 +97,18 @@ def populate_city(scenario: MobileScenario, node_count: int,
     return [scenario.add_node(position) for position in positions]
 
 
-def nearby_flow_pairs(node_count: int, flow_count: int, seed: int,
-                      max_hops: int = 2) -> List[Tuple[int, int]]:
+#: Largest lattice (Manhattan) distance between a city flow's endpoints.
+FLOW_MAX_HOPS = 2
+
+
+def nearby_flow_pairs(node_count: int, flow_count: int,
+                      seed: int) -> List[Tuple[int, int]]:
     """Deterministic (source, destination) index pairs a few lattice hops apart.
 
-    City-scale flows are deliberately *local* — a route a couple of grid hops
-    long — so hundreds of them can coexist without every discovery flooding
-    the whole city.  Pairs are distinct, drawn from a dedicated
+    City-scale flows are deliberately *local* — at most
+    :data:`FLOW_MAX_HOPS` grid hops long — so hundreds of them can coexist
+    without every discovery flooding the whole city.  Pairs are distinct,
+    drawn from a dedicated
     ``random.Random`` (independent of the simulator's streams, like the rt02
     sampler), and identical across protocol variants of the same seed.
     """
@@ -111,9 +116,9 @@ def nearby_flow_pairs(node_count: int, flow_count: int, seed: int,
         raise ExperimentError(f"flow_count must be positive, got {flow_count}")
     side = city_grid_side(node_count)
     offsets = [(dr, dc)
-               for dr in range(-max_hops, max_hops + 1)
-               for dc in range(-max_hops, max_hops + 1)
-               if 0 < abs(dr) + abs(dc) <= max_hops]
+               for dr in range(-FLOW_MAX_HOPS, FLOW_MAX_HOPS + 1)
+               for dc in range(-FLOW_MAX_HOPS, FLOW_MAX_HOPS + 1)
+               if 0 < abs(dr) + abs(dc) <= FLOW_MAX_HOPS]
     rng = random.Random(79999 * seed + 13)  # lint: disable=RPR001 -- flow-pair sampling seeded from the replica seed; runs before any simulator exists
     pairs: List[Tuple[int, int]] = []
     seen = set()

@@ -15,20 +15,24 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
+#: Congestion window at connection start, in segments.
+INITIAL_WINDOW_SEGMENTS = 2
+#: Slow-start threshold at connection start (bytes): high enough that only
+#: a loss ends slow start.
+INITIAL_SSTHRESH = 1 << 20
+
 
 @dataclass
 class NewRenoCongestionControl:
     """Congestion window state for one TCP sender."""
 
     mss: int
-    initial_window_segments: int = 2
-    initial_ssthresh: int = 1 << 20
 
     def __post_init__(self) -> None:
         if self.mss <= 0:
             raise ConfigurationError("mss must be positive")
-        self.cwnd: int = self.initial_window_segments * self.mss
-        self.ssthresh: int = self.initial_ssthresh
+        self.cwnd: int = INITIAL_WINDOW_SEGMENTS * self.mss
+        self.ssthresh: int = INITIAL_SSTHRESH
         self.in_fast_recovery: bool = False
         #: Bytes acknowledged so far during congestion avoidance (for the
         #: cwnd += MSS*MSS/cwnd approximation done in whole-byte arithmetic).

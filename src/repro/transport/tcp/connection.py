@@ -32,6 +32,10 @@ from repro.transport.tcp.rtt import RttEstimator
 PAPER_MSS = 1357
 #: Default advertised receive window (large enough not to be the bottleneck).
 DEFAULT_RECEIVE_WINDOW = 256 * 1024
+#: With ``idle_reprobe``: consecutive RTOs after which the retransmission
+#: interval is capped, and the cap (seconds).
+REPROBE_AFTER_TIMEOUTS = 3
+REPROBE_INTERVAL = 5.0
 
 
 class TcpState(enum.Enum):
@@ -53,10 +57,7 @@ class TcpConnection:
 
     def __init__(self, sim: Simulator, network, local_ip: IpAddress, local_port: int,
                  remote_ip: IpAddress, remote_port: int, mss: int = PAPER_MSS,
-                 receive_window: int = DEFAULT_RECEIVE_WINDOW,
-                 idle_reprobe: bool = False, reprobe_after_timeouts: int = 3,
-                 reprobe_interval: float = 5.0,
-                 name: Optional[str] = None) -> None:
+                 idle_reprobe: bool = False, name: Optional[str] = None) -> None:
         self.sim = sim
         self.network = network
         self.local_ip = IpAddress(local_ip)
@@ -64,18 +65,15 @@ class TcpConnection:
         self.remote_ip = IpAddress(remote_ip)
         self.remote_port = remote_port
         self.mss = mss
-        self.receive_window = receive_window
         # Persist-timer-style outage mitigation (off by default so the
-        # paper's experiments are unchanged): after ``reprobe_after_timeouts``
+        # paper's experiments are unchanged): after REPROBE_AFTER_TIMEOUTS
         # consecutive RTOs the retransmission interval is capped at
-        # ``reprobe_interval`` instead of following the exponential backoff
+        # REPROBE_INTERVAL instead of following the exponential backoff
         # to its 60 s ceiling.  Without it, long outages (e.g. the orbiting
         # relay of mob02) phase-lock with the backed-off RTO: end-to-end
         # retries keep landing while the path is down and the connection can
         # stall for a full backoff period after the path returns.
         self.idle_reprobe = idle_reprobe
-        self.reprobe_after_timeouts = reprobe_after_timeouts
-        self.reprobe_interval = reprobe_interval
         self._consecutive_timeouts = 0
         self.reprobes_sent = 0
         self.name = name or f"tcp-{local_ip}:{local_port}"
@@ -167,11 +165,6 @@ class TcpConnection:
         """Bytes in flight (sent but not yet cumulatively acknowledged)."""
         return self.snd_nxt - self.snd_una
 
-    @property
-    def all_data_acknowledged(self) -> bool:
-        """True when every byte written so far has been acknowledged."""
-        return self.send_buffer_bytes == 0 and self.snd_una == self.snd_nxt
-
     # ------------------------------------------------------------------
     # Segment transmission
     # ------------------------------------------------------------------
@@ -180,7 +173,7 @@ class TcpConnection:
         header = TcpHeader(
             src_port=self.local_port, dst_port=self.remote_port,
             seq=seq, ack=self.rcv_nxt if ack else 0,
-            flags_syn=syn, flags_fin=fin, flags_ack=ack, window=self.receive_window,
+            flags_syn=syn, flags_fin=fin, flags_ack=ack, window=DEFAULT_RECEIVE_WINDOW,
         )
         packet = Packet.tcp_segment(self.local_ip, self.remote_ip, header,
                                     payload_bytes=payload, created_at=self.sim.now)
@@ -263,12 +256,12 @@ class TcpConnection:
         self._retransmit_head()
         delay = self.rtt.rto
         if (self.idle_reprobe
-                and self._consecutive_timeouts >= self.reprobe_after_timeouts
-                and delay > self.reprobe_interval):
+                and self._consecutive_timeouts >= REPROBE_AFTER_TIMEOUTS
+                and delay > REPROBE_INTERVAL):
             # Bounded idle re-probe: keep poking the path at a fixed cadence
             # instead of riding the exponential backoff, so recovery latency
-            # after an outage is bounded by ``reprobe_interval``.
-            delay = self.reprobe_interval
+            # after an outage is bounded by REPROBE_INTERVAL.
+            delay = REPROBE_INTERVAL
             self.reprobes_sent += 1
         self._rto_timer.start(delay)
 

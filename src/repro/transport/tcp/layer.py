@@ -26,12 +26,10 @@ ConnectionKey = Tuple[int, int, int]  # (local port, remote ip value, remote por
 class TcpLayer:
     """TCP connection management for one node."""
 
-    def __init__(self, sim: Simulator, network, address: IpAddress,
-                 default_mss: int = PAPER_MSS) -> None:
+    def __init__(self, sim: Simulator, network, address: IpAddress) -> None:
         self.sim = sim
         self.network = network
         self.address = IpAddress(address)
-        self.default_mss = default_mss
         self._connections: Dict[ConnectionKey, TcpConnection] = {}
         self._listeners: Dict[int, AcceptCallback] = {}
         self._ephemeral_port = 49152
@@ -72,7 +70,7 @@ class TcpLayer:
         connection = TcpConnection(
             sim=self.sim, network=self.network, local_ip=self.address, local_port=local_port,
             remote_ip=IpAddress(remote_ip), remote_port=remote_port,
-            mss=mss or self.default_mss, **connection_options,
+            mss=mss or PAPER_MSS, **connection_options,
         )
         self._connections[key] = connection
         connection.open_active()
@@ -110,7 +108,7 @@ class TcpLayer:
             connection = TcpConnection(
                 sim=self.sim, network=self.network, local_ip=self.address,
                 local_port=header.dst_port, remote_ip=packet.ip.src,
-                remote_port=header.src_port, mss=self.default_mss,
+                remote_port=header.src_port, mss=PAPER_MSS,
             )
             self._connections[key] = connection
             if tracer.enabled:

@@ -12,14 +12,6 @@ from __future__ import annotations
 # Time
 # ---------------------------------------------------------------------------
 
-#: Number of microseconds in a second.
-MICROSECONDS_PER_SECOND = 1_000_000.0
-
-
-def seconds(value: float) -> float:
-    """Return ``value`` expressed in seconds (identity, for readability)."""
-    return float(value)
-
 
 def milliseconds(value: float) -> float:
     """Convert milliseconds to seconds."""
@@ -31,24 +23,9 @@ def microseconds(value: float) -> float:
     return float(value) * 1e-6
 
 
-def to_microseconds(time_s: float) -> float:
-    """Convert a time in seconds to microseconds."""
-    return time_s * MICROSECONDS_PER_SECOND
-
-
 # ---------------------------------------------------------------------------
 # Data sizes
 # ---------------------------------------------------------------------------
-
-
-def bits(n_bytes: int) -> int:
-    """Number of bits in ``n_bytes`` bytes."""
-    return int(n_bytes) * 8
-
-
-def bytes_from_bits(n_bits: float) -> float:
-    """Number of bytes represented by ``n_bits`` bits (may be fractional)."""
-    return n_bits / 8.0
 
 
 def kilobytes(value: float) -> int:
@@ -66,31 +43,9 @@ def megabytes(value: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bps(value: float) -> float:
-    """Bits per second (identity, for readability)."""
-    return float(value)
-
-
-def kbps(value: float) -> float:
-    """Kilobits per second to bits per second."""
-    return float(value) * 1e3
-
-
 def mbps(value: float) -> float:
     """Megabits per second to bits per second."""
     return float(value) * 1e6
-
-
-def to_mbps(rate_bps: float) -> float:
-    """Bits per second to megabits per second."""
-    return rate_bps / 1e6
-
-
-def transmission_time(size_bytes: int, rate_bps: float) -> float:
-    """Time in seconds to serialise ``size_bytes`` bytes at ``rate_bps``."""
-    if rate_bps <= 0:
-        raise ValueError(f"rate must be positive, got {rate_bps}")
-    return (size_bytes * 8.0) / rate_bps
 
 
 def throughput_mbps(size_bytes: int, elapsed_s: float) -> float:

@@ -176,21 +176,27 @@ def test_superset_mid_flight_without_snapshot_updates():
 # Lifecycle
 # ---------------------------------------------------------------------------
 
+def _filed_at(spatial, point, now=0.0):
+    """The PHYs the grid files in the one cell holding ``point``."""
+    return spatial.candidates(point, 0.0, now)
+
+
 def test_move_across_cells_then_unregister_leaves_nothing_behind():
     sim = Simulator(seed=1)
     channel, (anchor, mover) = _build(sim, [(0.0, 0.0), (3.0, 3.0)])
     spatial = channel._ensure_spatial()
-    assert spatial.stored_cell_of(mover) == (0, 0)
+    assert _filed_at(spatial, (3.0, 3.0)) == [anchor, mover]
     # Static position reassignment must re-bucket through the setter hook;
     # the move spans two cells at the default (max-range) cell size.
     mover.position = (32.0, 37.0)
-    assert spatial.stored_cell_of(mover) == spatial.cell_for((32.0, 37.0))
-    assert spatial.stored_cell_of(mover) == (2, 2)
+    assert spatial.cell_for((32.0, 37.0)) == (2, 2)
+    assert _filed_at(spatial, (32.0, 37.0)) == [mover]
+    assert _filed_at(spatial, (3.0, 3.0)) == [anchor]
     spatial.audit()
 
     channel.unregister(mover)
     assert mover not in spatial
-    assert spatial.stored_cell_of(mover) is None
+    assert _filed_at(spatial, (32.0, 37.0)) == []
     assert len(spatial) == 1
     spatial.audit()
 
@@ -200,15 +206,16 @@ def test_mobile_entry_unregisters_cleanly_mid_flight():
     channel, (anchor, rover) = _build(sim, [(0.0, 0.0), (2.0, 2.0)],
                                       models=[None, _Glide((6.0, 0.0))])
     spatial = channel._ensure_spatial()
-    assert spatial.mobile_count == 1
-    assert spatial.stored_cell_of(rover) == (0, 0)
+    assert _filed_at(spatial, (2.0, 2.0)) == [anchor, rover]
     # A query at t=5 revalidates and re-buckets the rover two cells away.
-    spatial.candidates((0.0, 0.0), 1.0, 5.0)
-    assert spatial.stored_cell_of(rover) == spatial.cell_for((32.0, 2.0))
-    assert spatial.stored_cell_of(rover) == (2, 0)
+    assert spatial.cell_for((32.0, 2.0)) == (2, 0)
+    assert _filed_at(spatial, (32.0, 2.0), 5.0) == [rover]
+    assert _filed_at(spatial, (0.0, 0.0), 5.0) == [anchor]
     channel.unregister(rover)
-    assert spatial.mobile_count == 0
     assert rover not in spatial
+    # Gone from the revalidated set too: a later query, when the rover
+    # would have glided on again, neither finds nor re-files it.
+    assert spatial.candidates((0.0, 0.0), 100.0, 9.0) == [anchor]
     spatial.audit()
 
 
@@ -241,8 +248,8 @@ def test_reregistration_never_inherits_a_departed_identity():
     assert min(honest) >= DETECT_FLOOR_DBM
     departed = ghost.channel_index
     ghost.position = there
-    assert spatial.stored_cell_of(ghost) == spatial.cell_for(there)
     assert spatial.cell_for(there) != spatial.cell_for(here)
+    assert _filed_at(spatial, there) == [ghost]
     _planned_powers(channel, anchor)
     _planned_powers(channel, ghost)
     channel._plans[departed] = (1, 0, [(anchor, -1000.0, 0.0)])
@@ -258,7 +265,8 @@ def test_reregistration_never_inherits_a_departed_identity():
     assert _planned_powers(channel, anchor) == [(fresh, honest[1]), (ghost, honest[1])]
     for phy in (fresh, ghost):
         assert _planned_powers(channel, phy)[0] == (anchor, honest[0])
-        assert spatial.stored_cell_of(phy) == spatial.cell_for(here)
+    assert _filed_at(spatial, here, sim.now) == [anchor, fresh, ghost]
+    assert _filed_at(spatial, there, sim.now) == []
     # The re-registered PHY is last in candidate order on both paths.
     assert channel.phys == [anchor, fresh, ghost]
     assert spatial.candidates(anchor.position, 100.0, sim.now) == [anchor, fresh, ghost]

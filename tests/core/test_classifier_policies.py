@@ -33,7 +33,7 @@ def test_pure_ack_is_classified():
     classifier = TcpAckClassifier(enabled=True)
     assert classifier.is_pure_tcp_ack(tcp(payload=0, ack=True))
     assert classifier.belongs_in_broadcast_queue(tcp(), link_broadcast=False)
-    assert classifier.classified_ack_count == 1
+    assert classifier.counters == {"classified_tcp_ack": 1}
 
 
 def test_data_segments_are_not_classified():
@@ -66,7 +66,7 @@ def test_link_broadcasts_always_use_broadcast_queue():
 def test_disabled_classifier_keeps_acks_unicast():
     classifier = TcpAckClassifier(enabled=False)
     assert not classifier.belongs_in_broadcast_queue(tcp(), link_broadcast=False)
-    assert classifier.classified_ack_count == 0
+    assert classifier.counters == {"unicast": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_na_policy_allows_single_subframe_only():
     assert policy.max_broadcast_subframes == 1
     assert not policy.mixes_broadcast_and_unicast
     assert not policy.classify_tcp_acks_as_broadcast
-    assert not policy.is_delayed
+    assert policy.min_frames_before_transmit == 1
 
 
 def test_ua_policy_aggregates_unicast_only():
@@ -99,7 +99,6 @@ def test_ba_policy_aggregates_everything_and_classifies():
 
 def test_dba_policy_requires_minimum_queue_occupancy():
     policy = delayed_broadcast_aggregation(min_frames=3)
-    assert policy.is_delayed
     assert policy.min_frames_before_transmit == 3
     assert policy.delayed_flush_timeout > 0
 
@@ -113,9 +112,6 @@ def test_forward_aggregation_disabled_limits_each_portion_to_one():
 
 def test_policy_variants_are_copies():
     base = broadcast_aggregation()
-    resized = base.with_max_aggregate_bytes(kilobytes(11))
-    assert base.max_aggregate_bytes == kilobytes(5)
-    assert resized.max_aggregate_bytes == kilobytes(11)
     unforwarded = base.without_forward_aggregation()
     assert not unforwarded.forward_aggregation
     assert base.forward_aggregation

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.block_ack import BlockAck, BlockAckScoreboard
-from repro.core.deaggregation import DuplicateDetector, process_received_aggregate
+from repro.core.deaggregation import (
+    DUPLICATE_CACHE_SIZE,
+    DuplicateDetector,
+    process_received_aggregate,
+)
 from repro.core.policies import unicast_aggregation
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.frames import subframe_for_packet
@@ -15,7 +19,7 @@ from repro.obs.session import observe
 from repro.phy.frame import PhyFrame, ReceptionResult
 from repro.phy.rates import HYDRA_BASE_RATE
 from repro.sim import Simulator
-from repro.topology import build_linear_chain
+from repro.topology import MobileScenario
 
 from helpers.obs import audit_balanced, journey_event_fields
 
@@ -119,13 +123,13 @@ def test_duplicate_detection_filters_retransmissions():
 
 
 def test_duplicate_detector_cache_eviction():
-    detector = DuplicateDetector(cache_size=2)
-    assert not detector.is_duplicate(SENDER, 1)
-    assert not detector.is_duplicate(SENDER, 2)
-    assert not detector.is_duplicate(SENDER, 3)
+    detector = DuplicateDetector()
+    newest = DUPLICATE_CACHE_SIZE + 1
+    for sequence in range(1, newest + 1):
+        assert not detector.is_duplicate(SENDER, sequence)
     # Sequence 1 was evicted, so it is no longer considered a duplicate.
     assert not detector.is_duplicate(SENDER, 1)
-    assert detector.is_duplicate(SENDER, 3)
+    assert detector.is_duplicate(SENDER, newest)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +154,7 @@ def test_block_ack_scoreboard_tracks_missing_subframes():
     missing = scoreboard.apply(block_ack)
     assert missing == [frames[1]]
     assert not scoreboard.empty
-    assert scoreboard.fail_all() == [frames[1]]
+    assert list(scoreboard.outstanding.values()) == [frames[1]]
 
 
 def test_block_ack_acknowledges():
@@ -165,9 +169,12 @@ def test_partial_block_ack_releases_the_acknowledged_subframes_on_the_journey():
     # unicast portion: those subframes leave custody, the rest are retried.
     with observe(trace=True, metrics=True, journey=True) as session:
         sim = Simulator(seed=1)
-        network = build_linear_chain(sim, hops=1, policy=unicast_aggregation(),
-                                     unicast_rate_mbps=2.6, spacing=4.0,
-                                     use_block_ack=True)
+        scenario = MobileScenario(sim, policy=unicast_aggregation(), unicast_rate_mbps=2.6,
+                                  use_block_ack=True)
+        scenario.add_node((0.0, 0.0))
+        scenario.add_node((4.0, 0.0))
+        scenario.connect_chain(1, 2)
+        network = scenario.network
         sender = network.node(1).udp.bind(9000)
         network.node(2).udp.bind(9000)
         for _ in range(6):

@@ -9,6 +9,9 @@ so the assertions hold however the instruments are wired.
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 #: One journey event as the pinning tests compare it.
@@ -16,8 +19,13 @@ JourneyKey = Tuple[str, str, Optional[str], str]
 
 
 def trace_records(session: Any, category: str, event: str) -> List[Dict[str, Any]]:
-    """The ``args`` of every timeline instant event ``category.event``."""
-    return [entry["args"] for entry in session.timeline_document()["traceEvents"]
+    """The ``args`` of every instant event ``category.event`` in the timeline export."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "timeline.json")
+        session.export_timeline(path)
+        with open(path, encoding="utf-8") as handle:
+            events = json.load(handle)["traceEvents"]
+    return [entry["args"] for entry in events
             if entry.get("cat") == category and entry["name"] == event
             and entry["ph"] == "i"]
 

@@ -73,6 +73,12 @@ def connected_placement(rng: random.Random, node_count: int,
             return positions
 
 
+def has_valid_route(table, destination) -> bool:
+    """True when ``table`` holds a valid (forwarding) entry for ``destination``."""
+    entry = table.entry_for(destination)
+    return entry is not None and entry.valid
+
+
 def walk_route(nodes: Sequence, source_index: int, dest_index: int) -> int:
     """Follow next hops from source to destination; return the hop count.
 

@@ -21,7 +21,9 @@ from repro.experiments import (
     rt01_control_overhead,
     rt02_overhead_scaling,
 )
+from repro.experiments import scenarios
 from repro.experiments.scenarios import (
+    UDP_WARMUP_S,
     run_star_tcp,
     run_tcp_transfer,
     run_udp_saturation,
@@ -134,24 +136,28 @@ def test_mobile_campaign_across_pool_workers_matches_inline(experiment_id, overr
 
 
 # ---------------------------------------------------------------------------
-# Warmup regression: the parameter used to be dead (scenarios.py overwrote
-# the warmup-adjusted throughput with the full-window value).
+# Warmup regression: the warmup used to be dead (scenarios.py overwrote the
+# warmup-adjusted throughput with the full-window value).
 # ---------------------------------------------------------------------------
 
-def test_udp_warmup_parameter_affects_throughput():
-    short = run_udp_saturation(unicast_aggregation(), duration=4.0, warmup=0.5, seed=3)
-    long = run_udp_saturation(unicast_aggregation(), duration=4.0, warmup=2.0, seed=3)
+def _udp_run_with_warmup(monkeypatch, warmup, duration):
+    monkeypatch.setattr(scenarios, "UDP_WARMUP_S", warmup)
+    return run_udp_saturation(unicast_aggregation(), duration=duration, seed=3)
+
+
+def test_udp_warmup_parameter_affects_throughput(monkeypatch):
+    short = _udp_run_with_warmup(monkeypatch, 0.5, duration=4.0)
+    long = _udp_run_with_warmup(monkeypatch, 2.0, duration=4.0)
     # Same simulation either way (same seed, same horizon) — only the
-    # measurement window differs, so a live warmup parameter must move the
-    # reported number.
+    # measurement window differs, so a live warmup must move the reported
+    # number.
     assert short.sink.bytes_received == long.sink.bytes_received
     assert short.throughput_mbps != long.throughput_mbps
 
 
 def test_udp_throughput_counts_only_post_warmup_bytes():
-    warmup, duration = 1.0, 4.0
-    result = run_udp_saturation(unicast_aggregation(), duration=duration,
-                                warmup=warmup, seed=3)
+    warmup, duration = UDP_WARMUP_S, 4.0
+    result = run_udp_saturation(unicast_aggregation(), duration=duration, seed=3)
     assert result.warmup_bytes > 0
     assert result.warmup_bytes < result.sink.bytes_received
     expected = throughput_mbps(result.sink.bytes_received - result.warmup_bytes,
@@ -172,10 +178,9 @@ def test_udp_sink_rejects_unsnapshotted_window_start():
         result.sink.throughput_mbps(measurement_start=0.0, measurement_end=0.5)
 
 
-def test_udp_zero_warmup_measures_full_window():
+def test_udp_zero_warmup_measures_full_window(monkeypatch):
     duration = 3.0
-    result = run_udp_saturation(unicast_aggregation(), duration=duration,
-                                warmup=0.0, seed=3)
+    result = _udp_run_with_warmup(monkeypatch, 0.0, duration=duration)
     assert result.warmup_bytes == 0
     assert result.throughput_mbps == pytest.approx(
         throughput_mbps(result.sink.bytes_received, duration))

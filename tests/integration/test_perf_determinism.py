@@ -22,6 +22,8 @@ some sends.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from helpers.mobility import Fixed
@@ -33,8 +35,8 @@ from repro.channel.medium import WirelessChannel
 from repro.core.policies import broadcast_aggregation
 from repro.mobility.models import RandomWaypoint
 from repro.net.flooding import FloodingSource
+from repro.phy import error_model
 from repro.phy.device import Phy
-from repro.phy.error_model import ErrorModel
 from repro.sim.simulator import Simulator
 from repro.topology.builders import PAPER_NODE_SPACING_M
 from repro.topology.city import populate_city
@@ -221,13 +223,27 @@ def _mobile_udp_signature(seed: int) -> str:
     ))
 
 
+def _memo_signatures() -> tuple:
+    return _mobile_udp_signature(1), _chain_signature(1, False)
+
+
 def test_error_memo_cap_is_invisible_on_mobile_run(monkeypatch):
-    # The per-PHY error-probability memo is cleared whenever it reaches its
-    # cap; a cap of 1 clears it on nearly every miss, which must not change
-    # a byte of a run whose moving links miss it most of the time.
-    default = _mobile_udp_signature(1)
-    monkeypatch.setattr(ErrorModel, "_CACHE_LIMIT", 1)
-    assert _mobile_udp_signature(1) == default
+    # The error probability is one process-wide memo of a pure function:
+    # a cold memo, a memo warmed by the same runs, one evicting on every
+    # miss (a cap of 1) and no memo at all must all give the same bytes,
+    # on moving links that miss it most of the time and on a static chain
+    # that hits it almost always.
+    memoised = error_model.subframe_error_probability
+    memoised.cache_clear()
+    cold = _memo_signatures()
+    assert memoised.cache_info().hits > 0
+    warm = _memo_signatures()
+    monkeypatch.setattr(error_model, "subframe_error_probability",
+                        functools.lru_cache(maxsize=1)(memoised.__wrapped__))
+    capped = _memo_signatures()
+    monkeypatch.setattr(error_model, "subframe_error_probability", memoised.__wrapped__)
+    bypassed = _memo_signatures()
+    assert cold == warm == capped == bypassed
 
 
 def test_mobile_memo_runs_still_diverge_across_seeds():
@@ -237,16 +253,17 @@ def test_mobile_memo_runs_still_diverge_across_seeds():
 
 
 def test_repeated_runs_in_one_process_are_byte_identical():
-    # Plans, probabilities and offsets live on per-run objects, but a
-    # second run in the same process must not see any process-level leakage
-    # (e.g. a module-global memo keyed on something seed-independent).
+    # Plans and offsets live on per-run objects; error probabilities live
+    # in one process-wide memo of a pure function.  A second run in the
+    # same process must not see any process-level leakage (e.g. a
+    # module-global memo keyed on something seed-independent).
     assert _mobile_udp_signature(7) == _mobile_udp_signature(7)
     assert _chain_signature(7, False) == _chain_signature(7, False)
 
 
 def test_stationary_campaign_across_pool_workers_matches_inline():
     # The stationary fast path (delivery plans cached per sender, error
-    # probabilities memoised per rate by identity) must replicate byte for
+    # probabilities memoised process-wide) must replicate byte for
     # byte in fresh pool workers, or the campaign cache would mix histories
     # across machines/processes.
     inline = CampaignRunner(jobs=1).run_campaign("table02", seeds=[1, 2],

@@ -102,7 +102,7 @@ def test_subframe_broadcast_flag_follows_destination():
     broadcast = subframe_for_packet(packet, MacAddress.node(1), BROADCAST_MAC)
     assert not unicast.transmit_in_broadcast_portion
     assert broadcast.transmit_in_broadcast_portion
-    assert broadcast.is_link_broadcast
+    assert broadcast.dst.is_broadcast
 
 
 def test_control_frame_sizes():

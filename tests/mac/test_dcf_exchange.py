@@ -281,4 +281,4 @@ def test_unreachable_destination_gives_up_after_retry_limit():
     assert mac.stats.retransmissions >= RETRY_LIMIT
     assert mac.stats.unicast_drops == 1
     assert mac.state is MacState.IDLE
-    assert mac.idle
+    assert mac.queues.empty

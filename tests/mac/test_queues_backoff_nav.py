@@ -134,15 +134,19 @@ def test_backoff_draw_within_window():
 
 
 def test_backoff_doubles_and_caps():
+    # Each draw is randrange(window) on the MAC's stream, so a twin stream
+    # drawing from the expected window must match it draw for draw.
     backoff = BackoffController(random.Random(1))
+    twin = random.Random(1)
     assert (CW_MIN, CW_MAX) == (16, 1024)
-    windows = [backoff.contention_window]
-    for _ in range(8):
-        backoff.on_failure()
-        windows.append(backoff.contention_window)
-    assert windows == [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]
+    windows = [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]
+    for index, window in enumerate(windows):
+        if index:
+            backoff.on_failure()
+        assert [backoff.draw() for _ in range(20)] == [twin.randrange(window)
+                                                       for _ in range(20)]
     backoff.on_success()
-    assert backoff.contention_window == 16
+    assert [backoff.draw() for _ in range(20)] == [twin.randrange(16) for _ in range(20)]
 
 
 def test_backoff_consume_and_expired():

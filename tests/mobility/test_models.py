@@ -8,12 +8,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mobility.models import (
-    CircularOrbit,
-    RandomWalk,
-    RandomWaypoint,
-    TrajectoryLeg,
-)
+from repro.mobility.models import CircularOrbit, RandomWaypoint, TrajectoryLeg
 
 AREA = (0.0, 0.0, 20.0, 20.0)
 
@@ -130,71 +125,40 @@ def test_positions_before_the_binding_time_are_the_origin():
 
 
 # ---------------------------------------------------------------------------
-# Random walk
-# ---------------------------------------------------------------------------
-
-def test_random_walk_reflects_off_the_boundaries():
-    model = RandomWalk(area=(0.0, 0.0, 4.0, 4.0), speed_range=(3.0, 3.0), leg_duration=5.0)
-    model.bind(random.Random(11), (2.0, 2.0))
-    for t in _sample_times(200.0, step=0.11):
-        x, y = model.position_at(t)
-        assert -1e-9 <= x <= 4.0 + 1e-9
-        assert -1e-9 <= y <= 4.0 + 1e-9
-    # A fast walker in a tiny box must actually have reflected.
-    assert any(leg.duration < 5.0 - 1e-9 for leg in model.legs)
-
-
-def test_random_walk_leg_speed_within_range():
-    model = RandomWalk(area=AREA, speed_range=(1.5, 2.5), leg_duration=2.0)
-    model.bind(random.Random(21), (10.0, 10.0))
-    model.position_at(60.0)
-    for leg in model.legs:
-        if leg.speed > 0:
-            assert 1.5 - 1e-9 <= leg.speed <= 2.5 + 1e-9
-
-
-def test_random_walk_is_deterministic_per_stream_seed():
-    times = list(_sample_times(40.0))
-    first = RandomWalk(area=AREA, speed_range=(0.5, 3.0))
-    first.bind(random.Random(8), (3.0, 3.0))
-    second = RandomWalk(area=AREA, speed_range=(0.5, 3.0))
-    second.bind(random.Random(8), (3.0, 3.0))
-    assert ([first.position_at(t) for t in times]
-            == [second.position_at(t) for t in times])
-
-
-# ---------------------------------------------------------------------------
 # Circular orbit
 # ---------------------------------------------------------------------------
 
 def test_circular_orbit_closed_form():
-    model = CircularOrbit(radius=4.0, period=8.0, center=(1.0, 1.0), phase_rad=0.0)
-    model.bind(random.Random(1), (0.0, 0.0))
-    assert model.position_at(0.0) == pytest.approx((5.0, 1.0))
-    assert model.position_at(2.0) == pytest.approx((1.0, 5.0))  # quarter turn
-    assert model.position_at(4.0) == pytest.approx((-3.0, 1.0))
+    # Bound at the bottom of its circle: the center is (1, 1).
+    model = CircularOrbit(radius=4.0, period=8.0)
+    model.bind(random.Random(1), (1.0, -3.0))
+    assert model.position_at(0.0) == pytest.approx((1.0, -3.0))
+    assert model.position_at(2.0) == pytest.approx((5.0, 1.0))  # quarter turn
+    assert model.position_at(4.0) == pytest.approx((1.0, 5.0))
     for t in _sample_times(16.0):
         x, y = model.position_at(t)
         assert math.hypot(x - 1.0, y - 1.0) == pytest.approx(4.0)
 
 
 def test_circular_orbit_center_derived_from_binding_position():
-    model = CircularOrbit(radius=5.0, period=10.0)  # default phase: -pi/2
+    model = CircularOrbit(radius=5.0, period=10.0)  # bound at phase -pi/2
     model.bind(random.Random(1), (2.0, 3.0))
-    assert model.center == pytest.approx((2.0, 8.0))
     assert model.position_at(0.0) == pytest.approx((2.0, 3.0))
+    # A quarter period later the node is level with the center (2, 8).
+    assert model.position_at(2.5) == pytest.approx((7.0, 8.0))
     # Half a period later the node is diametrically opposite.
     assert model.position_at(5.0) == pytest.approx((2.0, 13.0))
     assert model.position_at(10.0) == pytest.approx((2.0, 3.0))
 
 
 def test_circular_orbit_period_sign_sets_direction():
-    ccw = CircularOrbit(radius=1.0, period=4.0, center=(0.0, 0.0), phase_rad=0.0)
-    ccw.bind(random.Random(1), (0.0, 0.0))
-    cw = CircularOrbit(radius=1.0, period=-4.0, center=(0.0, 0.0), phase_rad=0.0)
-    cw.bind(random.Random(1), (0.0, 0.0))
-    assert ccw.position_at(1.0) == pytest.approx((0.0, 1.0))
-    assert cw.position_at(1.0) == pytest.approx((0.0, -1.0))
+    # Both orbit (0, 0) from its bottom, (0, -1).
+    ccw = CircularOrbit(radius=1.0, period=4.0)
+    ccw.bind(random.Random(1), (0.0, -1.0))
+    cw = CircularOrbit(radius=1.0, period=-4.0)
+    cw.bind(random.Random(1), (0.0, -1.0))
+    assert ccw.position_at(1.0) == pytest.approx((1.0, 0.0))
+    assert cw.position_at(1.0) == pytest.approx((-1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +167,8 @@ def test_circular_orbit_period_sign_sets_direction():
 
 @pytest.mark.parametrize("make", [
     lambda: RandomWaypoint(area=AREA, speed_range=(1.0, 2.0), pause_time=0.3),
-    lambda: RandomWalk(area=AREA, speed_range=(1.0, 4.0), leg_duration=0.7),
     lambda: CircularOrbit(radius=3.0, period=-5.0),
-], ids=["waypoint", "walk", "orbit"])
+], ids=["waypoint", "orbit"])
 def test_trajectory_is_independent_of_query_density_and_order(make):
     """How often, and in what order, positions are asked for never matters.
 
@@ -231,8 +194,6 @@ def test_invalid_parameters_are_rejected():
         RandomWaypoint(area=(0.0, 0.0, -1.0, 5.0))
     with pytest.raises(ConfigurationError):
         RandomWaypoint(area=AREA, speed_range=(-1.0, 2.0))
-    with pytest.raises(ConfigurationError):
-        RandomWalk(area=AREA, leg_duration=0.0)
     with pytest.raises(ConfigurationError):
         CircularOrbit(radius=0.0, period=1.0)
     with pytest.raises(ConfigurationError):

@@ -34,9 +34,13 @@ def _two_phys(sim, shadowing_sigma_db=0.0, b_position=(5.0, 0.0), b_mobility=Non
     return channel, a, b
 
 
+#: Where b starts its orbit: 2.5 m from a, at the bottom of its circle.
+ORBIT_START = (0.0, 2.5)
+
+
 def _orbit_from_a_to_b():
-    """Orbits (5, 0) at 2.5 m, starting at (2.5, 0): half a period later at (7.5, 0)."""
-    return CircularOrbit(radius=2.5, period=8.0, center=(5.0, 0.0), phase_rad=math.pi)
+    """Orbits (0, 5) at 2.5 m from ORBIT_START: half a period later at (0, 7.5)."""
+    return CircularOrbit(radius=2.5, period=8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -52,21 +56,21 @@ def test_position_at_defaults_to_the_static_attribute():
 
 def test_link_budget_follows_the_mobile_node():
     sim = Simulator(seed=1)
-    channel, a, b = _two_phys(sim, b_position=(2.5, 0.0), b_mobility=_orbit_from_a_to_b())
-    snr_near = channel.link_snr_db(a, b)
+    channel, a, b = _two_phys(sim, b_position=ORBIT_START, b_mobility=_orbit_from_a_to_b())
+    power_near = channel.received_power_dbm(a, b)
     samples = []
-    sim.schedule(4.0, lambda: samples.append(channel.link_snr_db(a, b)))
+    sim.schedule(4.0, lambda: samples.append(channel.received_power_dbm(a, b)))
     sim.run(until=8.0)
-    # Half a period later the orbit put b at (7.5, 0): 3x the distance.
-    snr_far = samples[0]
-    assert snr_near > snr_far
+    # Half a period later the orbit put b at (0, 7.5): 3x the distance.
+    power_far = samples[0]
+    assert power_near > power_far
     expected_drop = 10.0 * 3.0 * math.log10(7.5 / 2.5)  # log-distance, n=3
-    assert snr_near - snr_far == pytest.approx(expected_drop, rel=1e-6)
+    assert power_near - power_far == pytest.approx(expected_drop, rel=1e-6)
 
 
 def test_received_power_uses_positions_at_the_given_time():
     sim = Simulator(seed=1)
-    channel, a, b = _two_phys(sim, b_position=(2.5, 0.0), b_mobility=_orbit_from_a_to_b())
+    channel, a, b = _two_phys(sim, b_position=ORBIT_START, b_mobility=_orbit_from_a_to_b())
     loss = channel.propagation
     for t in (0.0, 1.3, 4.0):
         expected = TX_POWER_DBM - loss.path_loss_db(a.position_at(t), b.position_at(t))

@@ -50,8 +50,7 @@ class TestNeighborLiveness:
         da.start()
         db.start()
         sim.run(until=3.0)
-        assert da.is_neighbor(db.address)
-        assert db.is_neighbor(da.address)
+        assert len(da) == 1 and len(db) == 1
         assert da.neighbor_up_events == 1
         assert da.hellos_sent > 0
         assert da.hellos_received > 0
@@ -70,12 +69,12 @@ class TestNeighborLiveness:
         da.start()
         db.start()
         sim.run(until=2.0)
-        assert da.is_neighbor(db.address)
+        assert len(da) == 1
         down_events = []
         da.on_neighbor_down(down_events.append)
         db.stop()  # b falls silent
         sim.run(until=2.0 + 3 * da.hold_time)
-        assert not da.is_neighbor(db.address)
+        assert len(da) == 0
         assert down_events == [db.address]
         assert da.neighbor_down_events == 1
 
@@ -87,12 +86,12 @@ class TestNeighborLiveness:
         da.start()
         db.start()
         sim.run(until=3.0)
-        assert da.is_neighbor(db.address)
+        assert len(da) == 1
         da.stop()
         db.stop()
         da.start()  # only a comes back; b stays silent
         sim.run(until=30.0)
-        assert not da.is_neighbor(db.address)
+        assert len(da) == 0
         assert da.neighbor_down_events == 1
 
     def test_heard_refreshes_liveness_without_a_beacon(self):
@@ -106,7 +105,7 @@ class TestNeighborLiveness:
         for _ in range(10):
             sim.run(until=sim.now + da.hold_time / 2.0)
             da.heard(db.address)
-        assert da.is_neighbor(db.address)
+        assert len(da) == 1
 
     def test_own_address_is_never_a_neighbor(self):
         sim, _, da, _ = _two_node_scenario()

@@ -18,6 +18,8 @@ from repro.net.routing import (
 from repro.sim.simulator import Simulator
 from repro.topology.mobile import MobileScenario
 
+from helpers.routing import has_valid_route
+
 A = IpAddress("10.0.0.1")
 B = IpAddress("10.0.0.2")
 C = IpAddress("10.0.0.3")
@@ -39,8 +41,8 @@ class TestDynamicRoutingTable:
         table = RoutingTable()
         table.add_route(B, C)
         assert table.next_hop(B) == C
-        assert table.has_route(B)
-        assert not table.has_route(A)
+        assert has_valid_route(table, B)
+        assert not has_valid_route(table, A)
         assert len(table) == 1
         assert [(e.destination, e.next_hop) for e in table.entries()] == [(B, C)]
 
@@ -51,7 +53,7 @@ class TestDynamicRoutingTable:
     def test_withdrawn_route_behaves_like_no_route(self):
         table = RoutingTable()
         table.install(_entry(B, C, metric=INFINITE_METRIC, seq=3))
-        assert not table.has_route(B)
+        assert not has_valid_route(table, B)
         assert len(table) == 0
         with pytest.raises(RoutingError):
             table.next_hop(B)
@@ -153,7 +155,7 @@ class TestDsdvProtocol:
         sim.run(until=6.0)
         first = scenario.network.node(1)
         last = scenario.network.node(3)
-        assert first.routing_table.has_route(last.ip)
+        assert has_valid_route(first.routing_table, last.ip)
         # Carry the middle relay out of range; nothing else connects 1 and 3.
         scenario.network.node(2).position = (100.0, 100.0)
         sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
@@ -161,7 +163,7 @@ class TestDsdvProtocol:
         assert entry is not None and not entry.valid
         assert entry.metric == INFINITE_METRIC
         assert entry.sequence % 2 == 1
-        assert not first.routing_table.has_route(last.ip)
+        assert not has_valid_route(first.routing_table, last.ip)
         assert first.router.route_breaks > 0
 
     def test_restarted_router_withdraws_routes_through_a_silent_neighbor(self):
@@ -170,13 +172,13 @@ class TestDsdvProtocol:
         sim, scenario = _chain_scenario(node_count=3, duration=40.0)
         sim.run(until=6.0)
         first, relay, last = scenario.network.nodes
-        assert first.routing_table.has_route(last.ip)
+        assert has_valid_route(first.routing_table, last.ip)
         for node in scenario.network.nodes:
             node.router.stop()
         first.router.start(stop_time=40.0)  # only node 1 comes back
         sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
-        assert not first.routing_table.has_route(relay.ip)
-        assert not first.routing_table.has_route(last.ip)
+        assert not has_valid_route(first.routing_table, relay.ip)
+        assert not has_valid_route(first.routing_table, last.ip)
         assert first.router.route_breaks > 0
 
     def test_route_repairs_after_relay_returns(self):
@@ -188,10 +190,10 @@ class TestDsdvProtocol:
         sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
         first = scenario.network.node(1)
         last = scenario.network.node(3)
-        assert not first.routing_table.has_route(last.ip)
+        assert not has_valid_route(first.routing_table, last.ip)
         relay.position = origin
         sim.run(until=sim.now + 6 * FAST_DSDV.advertise_interval)
-        assert first.routing_table.has_route(last.ip)
+        assert has_valid_route(first.routing_table, last.ip)
         assert first.router.repair_latencies(last.ip)
 
     def test_static_routes_on_a_dsdv_node_are_never_advertised(self):
@@ -203,7 +205,7 @@ class TestDsdvProtocol:
         elsewhere = IpAddress("10.0.0.99")
         nodes[0].add_route(elsewhere, nodes[1].ip)
         sim.run(until=10.0)
-        assert [node.routing_table.has_route(elsewhere) for node in nodes] == [
+        assert [has_valid_route(node.routing_table, elsewhere) for node in nodes] == [
             True, False, False]
         assert nodes[0].routing_table.entry_for(elsewhere).sequence == STATIC_SEQUENCE
         # DSDV itself converged around the static entry.

@@ -20,6 +20,7 @@ from repro.sim.simulator import Simulator
 from repro.topology.mobile import MobileScenario
 
 from helpers.obs import audit_balanced, journey_events, trace_records
+from helpers.routing import has_valid_route
 
 FAST_AODV = AodvConfig(hello_interval=0.4, active_route_lifetime=30.0)
 
@@ -344,7 +345,7 @@ class TestLinkBreakRerr:
         source.start(1.0)
         sim.run(until=6.0)
         first, relay, last = (network.node(i) for i in (1, 2, 3))
-        assert first.routing_table.has_route(last.ip)
+        assert has_valid_route(first.routing_table, last.ip)
         broken_entry = first.router.table.entry_for(last.ip)
         # Carry the destination out of range; the relay's HELLO hold expires,
         # it invalidates its route to node 3 and broadcasts a RERR, and the
@@ -358,7 +359,7 @@ class TestLinkBreakRerr:
         assert stale is not None and not stale.valid
         assert stale.metric == INFINITE_METRIC
         assert stale.sequence > broken_entry.sequence
-        assert not first.routing_table.has_route(last.ip)
+        assert not has_valid_route(first.routing_table, last.ip)
 
     def test_rerr_broadcast_is_traced(self):
         with observe(trace=True, metrics=True, journey=True) as session:
@@ -389,11 +390,11 @@ class TestLinkBreakRerr:
         origin_position = network.node(3).position
         network.node(3).position = (500.0, 0.0)
         sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
-        assert not network.node(1).routing_table.has_route(network.node(3).ip)
+        assert not has_valid_route(network.node(1).routing_table, network.node(3).ip)
         network.node(3).position = origin_position
         sim.run(until=sim.now + 10.0)
         # Traffic is still flowing, so the next datagram re-discovers.
-        assert network.node(1).routing_table.has_route(network.node(3).ip)
+        assert has_valid_route(network.node(1).routing_table, network.node(3).ip)
         assert sink.packets_received > received_before
         assert network.node(1).router.discoveries_completed >= 2
 

@@ -152,5 +152,4 @@ def test_ttl_decrement_preserves_uid():
 def test_tcp_header_flags_description():
     header = TcpHeader(1, 2, flags_syn=True, flags_ack=True)
     assert header.is_connection_setup
-    assert "SYN" in header.describe_flags()
-    assert TcpHeader(1, 2).describe_flags() == "-"
+    assert not TcpHeader(1, 2, flags_ack=True).is_connection_setup

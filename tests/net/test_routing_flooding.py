@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 
 from helpers.obs import audit_balanced, journey_events
+from helpers.routing import has_valid_route
 
 
 # ---------------------------------------------------------------------------
@@ -27,9 +28,9 @@ def test_routing_table_lookup_and_default():
     table = RoutingTable()
     table.add_route("10.0.0.3", "10.0.0.2")
     assert table.next_hop("10.0.0.3") == IpAddress("10.0.0.2")
-    assert table.has_route("10.0.0.3")
+    assert has_valid_route(table, "10.0.0.3")
     # There is no default route: every other destination misses.
-    assert not table.has_route("10.0.0.9")
+    assert not has_valid_route(table, "10.0.0.9")
     with pytest.raises(RoutingError):
         table.next_hop("10.0.0.9")
     assert len(table) == 1

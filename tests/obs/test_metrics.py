@@ -15,7 +15,8 @@ def test_counter_increments_per_label_set():
     registry = MetricsRegistry()
     registry.inc("phy.tx_frames", node="n1", kind="data")
     registry.inc("phy.tx_frames", node="n1", kind="data")
-    registry.inc("phy.tx_frames", node="n2", kind="data", amount=5)
+    for _ in range(5):
+        registry.inc("phy.tx_frames", node="n2", kind="data")
     assert registry.counter("phy.tx_frames", node="n1", kind="data").value == 2
     assert registry.counter("phy.tx_frames", node="n2", kind="data").value == 5
 
@@ -36,21 +37,24 @@ def test_gauge_set_and_add():
 
 
 def test_histogram_buckets_count_and_mean():
-    histogram = Histogram(bounds=(1.0, 10.0))
-    for value in (0.5, 1.0, 5.0, 100.0):
+    histogram = Histogram()
+    for value in (0.5, 1.0, 5.0, 1000.0):
         histogram.observe(value)
     assert histogram.count == 4
-    assert histogram.total == 106.5
-    assert histogram.bucket_counts == [2, 1, 1]  # <=1, <=10, +Inf
-    assert histogram.mean == 106.5 / 4
+    assert histogram.total == 1006.5
+    # <=0, <=1, <=2, <=5, <=10, <=20, <=50, <=100, +Inf
+    assert histogram.bucket_counts == [0, 2, 0, 1, 0, 0, 0, 0, 1]
+    assert histogram.mean == 1006.5 / 4
     assert Histogram().mean == 0.0
 
 
 def test_histogram_bounds_are_sorted_and_defaulted():
-    histogram = Histogram(bounds=(10.0, 1.0, 5.0))
-    assert histogram.bounds == (1.0, 5.0, 10.0)
+    assert DEFAULT_BUCKETS == tuple(sorted(DEFAULT_BUCKETS))
     registry = MetricsRegistry()
-    assert registry.histogram("h").bounds == tuple(sorted(DEFAULT_BUCKETS))
+    registry.observe("h", 3.0)
+    (histogram,) = registry.snapshot()["histograms"]
+    assert [bucket["le"] for bucket in histogram["buckets"]] == (
+        list(DEFAULT_BUCKETS) + ["+Inf"])
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +84,7 @@ def _populate(registry: MetricsRegistry, order: str) -> None:
         for node in ("n2", "n1"):
             registry.inc(name, node=node)
     registry.set_gauge("g", 7.0)
-    registry.observe("h", 3.0, bounds=(1.0, 5.0))
+    registry.observe("h", 3.0)
 
 
 def test_snapshot_is_deterministically_ordered():

@@ -10,7 +10,7 @@ import pytest
 from repro.obs import cli
 from repro.obs.cli import build_parser, main as obs_main
 from repro.obs.metrics import NULL_METRICS
-from repro.obs.session import ObsConfig, ObsSession, active_session, observe
+from repro.obs.session import ObsConfig, ObsSession, observe
 from repro.sim import Simulator
 
 
@@ -18,21 +18,27 @@ from repro.sim import Simulator
 # Session adoption
 # ---------------------------------------------------------------------------
 
-def test_no_session_leaves_simulator_unobserved():
-    assert active_session() is None
+def assert_no_session_is_active():
+    """A simulator built now is adopted by nothing, and a session may start."""
     sim = Simulator(seed=1)
     assert sim.metrics is NULL_METRICS
     assert not sim.tracer.enabled
+    with observe() as session:
+        pass
+    assert session.simulators == []
+
+
+def test_no_session_leaves_simulator_unobserved():
+    assert_no_session_is_active()
 
 
 def test_observe_adopts_simulators_created_inside():
     with observe(trace=True, metrics=True, capture=True,
                  max_trace_records=123) as session:
-        assert active_session() is session
         first = Simulator(seed=1)
         second = Simulator(seed=2)
-    assert active_session() is None
     assert session.simulators == [first, second]
+    assert_no_session_is_active()
     for sim, store in zip((first, second), session.trace_stores):
         assert sim.tracer.enabled
         assert store.max_records == 123
@@ -61,20 +67,14 @@ def test_sessions_do_not_nest():
         with pytest.raises(RuntimeError, match="already active"):
             with observe(metrics=True):
                 pass  # pragma: no cover
-    assert active_session() is None
+    assert_no_session_is_active()
 
 
 def test_session_cleared_even_on_error():
     with pytest.raises(ValueError):
         with observe(trace=True):
             raise ValueError("boom")
-    assert active_session() is None
-
-
-def test_config_any_enabled():
-    assert not ObsConfig().any_enabled
-    assert ObsConfig(trace=True).any_enabled
-    assert ObsConfig(journey=True).any_enabled
+    assert_no_session_is_active()
 
 
 # ---------------------------------------------------------------------------
@@ -93,20 +93,22 @@ def _traced_session():
 
 def test_timeline_merges_sims_with_prefixes(tmp_path):
     session = _traced_session()
-    document = session.timeline_document()
-    names = {e["args"]["name"] for e in document["traceEvents"]
-             if e["ph"] == "M" and e["name"] == "process_name"}
-    assert names == {"sim0/node1", "sim1/node1"}
     path = tmp_path / "timeline.json"
     count = session.export_timeline(str(path))
-    assert len(json.loads(path.read_text())["traceEvents"]) == count
+    events = json.loads(path.read_text())["traceEvents"]
+    names = {e["args"]["name"] for e in events
+             if e["ph"] == "M" and e["name"] == "process_name"}
+    assert names == {"sim0/node1", "sim1/node1"}
+    assert len(events) == count
 
 
-def test_single_traced_sim_gets_no_prefix():
+def test_single_traced_sim_gets_no_prefix(tmp_path):
     with observe(trace=True) as session:
         sim = Simulator(seed=1)
         sim.tracer.emit("node1.phy", "phy", "rx_end")
-    names = {e["args"]["name"] for e in session.timeline_document()["traceEvents"]
+    path = tmp_path / "timeline.json"
+    session.export_timeline(str(path))
+    names = {e["args"]["name"] for e in json.loads(path.read_text())["traceEvents"]
              if e["ph"] == "M" and e["name"] == "process_name"}
     assert names == {"node1"}
 

@@ -15,6 +15,7 @@ from repro.channel import WirelessChannel, medium
 from repro.channel.propagation import IndoorPropagation
 from repro.errors import ConfigurationError, PhyError
 from repro.phy import FrameKind, Phy, PhyFrame, PhyState, ReceptionResult
+from repro.phy.device import NOISE_FLOOR_DBM
 from repro.phy.rates import rate_for_mbps
 from repro.sim import Event, Simulator
 
@@ -65,6 +66,11 @@ class RecordingListener:
         self.tx_complete.append(frame)
 
 
+def carrier_reported_busy(listener) -> bool:
+    """Whether the PHY last told ``listener`` (its MAC) the medium is busy."""
+    return listener.busy_transitions[-1:] == ["busy"]
+
+
 def build_pair(sim, spacing=2.5):
     channel = WirelessChannel(sim)
     tx = Phy(sim, channel, position=(0.0, 0.0), name="tx")
@@ -88,7 +94,8 @@ def data_frame(n_unicast=1, size=1464, rate=RATE_065, n_broadcast=0, bcast_size=
 def test_link_snr_matches_paper_operating_point():
     sim = Simulator(seed=1)
     channel, tx, rx, *_ = build_pair(sim, spacing=2.5)
-    assert channel.link_snr_db(tx, rx) == pytest.approx(25.0, abs=1.0)
+    snr_db = channel.received_power_dbm(tx, rx) - NOISE_FLOOR_DBM
+    assert snr_db == pytest.approx(25.0, abs=1.0)
 
 
 def test_successful_unicast_delivery():
@@ -132,7 +139,7 @@ def test_carrier_sense_transitions_at_receiver():
     tx.send(data_frame())
     sim.run()
     assert rx_l.busy_transitions == ["busy", "idle"]
-    assert not rx.carrier_busy
+    assert not carrier_reported_busy(rx_l)
 
 
 def test_overlapping_transmissions_collide():
@@ -226,7 +233,7 @@ def test_refused_send_leaves_the_phy_idle():
     with pytest.raises(ConfigurationError):
         tx.send(data_frame())
     assert tx.state is PhyState.IDLE
-    assert not tx.carrier_busy
+    assert not carrier_reported_busy(tx_l)
     assert (tx.frames_sent, tx.tx_airtime) == (0, 0.0)
     assert sim.pending_events == 0
     channel.register(tx)
@@ -259,7 +266,7 @@ def test_unregister_mid_flight_stops_delivery(monkeypatch):
         # Exactly the one outstanding end_reception is cancelled.
         assert sim.pending_events == pending - 1
         assert rx.state is PhyState.IDLE
-        assert not rx.carrier_busy
+        assert not carrier_reported_busy(rx_l)
         sim.run()
         assert rx_l.received == []
         assert rx.frames_received == 0
@@ -412,7 +419,7 @@ def test_broadcast_refuses_a_duration_that_is_not_finite(duration):
     """Regression: only ``duration <= 0`` was refused, so a NaN airtime ran
     the clock to NaN and an infinite one held every carrier busy forever."""
     sim = Simulator(seed=24)
-    channel, tx, rx, *_ = build_pair(sim, spacing=3.0)
+    channel, tx, rx, _, rx_l = build_pair(sim, spacing=3.0)
     ack = PhyFrame.control_frame(FrameKind.ACK, StubSubframe(14), RATE_065)
     with pytest.raises(ConfigurationError):
         channel.broadcast(tx, ack, duration)
@@ -420,7 +427,7 @@ def test_broadcast_refuses_a_duration_that_is_not_finite(duration):
     assert channel.total_airtime == 0.0
     assert sim.pending_events == 0
     assert sim.run(until=1.0) == 1.0
-    assert not rx.carrier_busy
+    assert rx_l.busy_transitions == []
 
 
 def test_propagation_models_monotone_in_distance():

@@ -110,8 +110,8 @@ def test_delivered_unicast_is_all_or_nothing():
     """Section 4.2.2: if any unicast CRC fails, all unicast subframes are discarded."""
     good = _make_result([], [True, True, True])
     bad = _make_result([], [True, False, True])
-    assert len(good.delivered_unicast) == 3
-    assert bad.delivered_unicast == []
+    assert good.all_unicast_ok
+    assert not bad.all_unicast_ok
 
 
 def test_any_ok_reflects_partial_success():

@@ -62,7 +62,7 @@ def test_coding_rate_fractions():
     assert CodingRate.THREE_QUARTERS.value_float == pytest.approx(0.75)
     assert CodingRate.FIVE_SIXTHS.value_float == pytest.approx(5 / 6)
     assert str(CodingRate.THREE_QUARTERS) == "3/4"
-    assert CodingRate.HALF.numerator == 1 and CodingRate.HALF.denominator == 2
+    assert str(CodingRate.HALF) == "1/2"
 
 
 def test_stronger_codes_have_higher_gain():

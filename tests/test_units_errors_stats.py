@@ -21,24 +21,17 @@ from repro.phy.rates import rate_for_mbps
 def test_time_conversions():
     assert units.milliseconds(3) == pytest.approx(0.003)
     assert units.microseconds(60) == pytest.approx(6e-5)
-    assert units.to_microseconds(0.001) == pytest.approx(1000.0)
-    assert units.seconds(2.5) == 2.5
 
 
 def test_size_conversions():
-    assert units.bits(10) == 80
-    assert units.bytes_from_bits(80) == 10
     assert units.kilobytes(5) == 5120
     assert units.megabytes(0.2) == 209715
 
 
 def test_rate_conversions_and_transmission_time():
     assert units.mbps(1.3) == pytest.approx(1.3e6)
-    assert units.kbps(650) == pytest.approx(650e3)
-    assert units.to_mbps(650_000) == pytest.approx(0.65)
-    assert units.transmission_time(1464, units.mbps(0.65)) == pytest.approx(1464 * 8 / 0.65e6)
-    with pytest.raises(ValueError):
-        units.transmission_time(100, 0)
+    # Serialisation time is the rate's own: one definition, on PhyRate.
+    assert rate_for_mbps(0.65).transmission_time(1464) == pytest.approx(1464 * 8 / 0.65e6)
 
 
 def test_throughput_helper():
@@ -109,7 +102,7 @@ def test_broadcast_only_frame_counted():
     frame = _frame(n_data=0, n_acks=2)
     stats.record_data_frame(frame)
     assert stats.broadcast_only_transmissions == 1
-    assert stats.total_subframes_sent == 2
+    assert (stats.unicast_subframes_sent, stats.broadcast_subframes_sent) == (0, 2)
 
 
 def test_summary_is_flat_and_rounded():

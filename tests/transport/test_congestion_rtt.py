@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.transport.tcp.congestion import NewRenoCongestionControl
-from repro.transport.tcp.rtt import RttEstimator
+from repro.transport.tcp.rtt import MAX_RTO, MIN_RTO, RttEstimator
 
 MSS = 1357
 
@@ -15,8 +15,16 @@ MSS = 1357
 # Congestion control
 # ---------------------------------------------------------------------------
 
+def _window(segments: int, ssthresh: int = 1 << 20) -> NewRenoCongestionControl:
+    """A controller whose window and threshold were set after construction."""
+    cc = NewRenoCongestionControl(mss=MSS)
+    cc.cwnd = segments * MSS
+    cc.ssthresh = ssthresh
+    return cc
+
+
 def test_initial_window_and_slow_start_growth():
-    cc = NewRenoCongestionControl(mss=MSS, initial_window_segments=2)
+    cc = NewRenoCongestionControl(mss=MSS)
     assert cc.cwnd == 2 * MSS
     assert cc.in_slow_start
     cc.on_new_ack(MSS)
@@ -24,7 +32,7 @@ def test_initial_window_and_slow_start_growth():
 
 
 def test_congestion_avoidance_linear_growth():
-    cc = NewRenoCongestionControl(mss=MSS, initial_window_segments=4, initial_ssthresh=4 * MSS)
+    cc = _window(4, ssthresh=4 * MSS)
     assert not cc.in_slow_start
     start = cc.cwnd
     # A full window of ACKs grows cwnd by roughly one MSS.
@@ -37,8 +45,7 @@ def test_congestion_avoidance_linear_growth():
 
 
 def test_fast_recovery_halves_window():
-    cc = NewRenoCongestionControl(mss=MSS, initial_window_segments=20,
-                                  initial_ssthresh=100 * MSS)
+    cc = _window(20, ssthresh=100 * MSS)
     flight = 20 * MSS
     cc.on_enter_fast_recovery(flight)
     assert cc.in_fast_recovery
@@ -52,7 +59,7 @@ def test_fast_recovery_halves_window():
 
 
 def test_partial_ack_deflates_window():
-    cc = NewRenoCongestionControl(mss=MSS, initial_window_segments=20)
+    cc = _window(20)
     cc.on_enter_fast_recovery(20 * MSS)
     before = cc.cwnd
     cc.on_partial_ack(2 * MSS)
@@ -61,7 +68,7 @@ def test_partial_ack_deflates_window():
 
 
 def test_timeout_collapses_to_one_segment():
-    cc = NewRenoCongestionControl(mss=MSS, initial_window_segments=20)
+    cc = _window(20)
     cc.on_timeout(20 * MSS)
     assert cc.cwnd == MSS
     assert cc.ssthresh == 10 * MSS
@@ -76,7 +83,7 @@ def test_ssthresh_floor_is_two_segments():
 
 
 def test_window_bounded_by_receiver():
-    cc = NewRenoCongestionControl(mss=MSS, initial_window_segments=50)
+    cc = _window(50)
     assert cc.window(receiver_window=10 * MSS) == 10 * MSS
 
 
@@ -102,11 +109,12 @@ def test_smoothing_converges_towards_constant_rtt():
     for _ in range(50):
         rtt.on_measurement(0.08)
     assert rtt.srtt == pytest.approx(0.08, rel=0.05)
-    assert rtt.rto >= rtt.min_rto
+    assert rtt.rto >= MIN_RTO
 
 
 def test_rto_never_below_minimum():
-    rtt = RttEstimator(min_rto=0.2)
+    assert MIN_RTO == 0.2
+    rtt = RttEstimator()
     for _ in range(20):
         rtt.on_measurement(0.001)
     assert rtt.rto == pytest.approx(0.2)
@@ -117,9 +125,9 @@ def test_timeout_backoff_doubles_and_resets():
     rtt.on_measurement(0.5)
     base = rtt.rto
     rtt.on_timeout()
-    assert rtt.rto == pytest.approx(min(2 * base, rtt.max_rto))
+    assert rtt.rto == pytest.approx(min(2 * base, MAX_RTO))
     rtt.on_timeout()
-    assert rtt.rto >= 2 * base or rtt.rto == rtt.max_rto
+    assert rtt.rto >= 2 * base or rtt.rto == MAX_RTO
     rtt.reset_backoff()
     assert rtt.rto == pytest.approx(base)
 
@@ -129,9 +137,3 @@ def test_negative_samples_ignored():
     rtt.on_measurement(-1.0)
     assert rtt.samples == 0
 
-
-def test_invalid_bounds_rejected():
-    with pytest.raises(ConfigurationError):
-        RttEstimator(min_rto=0.0)
-    with pytest.raises(ConfigurationError):
-        RttEstimator(min_rto=2.0, max_rto=1.0)

@@ -50,6 +50,11 @@ class LoopbackNetwork:
         return True
 
 
+def all_data_acknowledged(connection: TcpConnection) -> bool:
+    """Every byte the application wrote was sent and cumulatively acknowledged."""
+    return connection.send_buffer_bytes == 0 and connection.snd_una == connection.snd_nxt
+
+
 def make_pair(sim, delay=0.01, mss=1000):
     network = LoopbackNetwork(sim, delay=delay)
     client = TcpConnection(sim, network, CLIENT_IP, 40000, SERVER_IP, 5001, mss=mss)
@@ -107,7 +112,7 @@ def test_data_transfer_and_cumulative_acks():
     client.send(5000)
     sim.run(until=5.0)
     assert sum(received) == 5000
-    assert client.all_data_acknowledged
+    assert all_data_acknowledged(client)
     assert server.pure_acks_sent >= 5  # one ACK per segment
     assert client.snd_una == client.snd_nxt
 
@@ -153,7 +158,7 @@ def test_lost_data_segment_recovered_by_fast_retransmit():
     assert drop_state["dropped"]
     assert server.bytes_received == 10_000
     assert client.retransmitted_segments >= 1
-    assert client.all_data_acknowledged
+    assert all_data_acknowledged(client)
 
 
 def test_lost_ack_is_harmless_because_acks_are_cumulative():
@@ -172,7 +177,7 @@ def test_lost_ack_is_harmless_because_acks_are_cumulative():
     client.send(20_000)
     sim.run(until=20.0)
     assert server.bytes_received == 20_000
-    assert client.all_data_acknowledged
+    assert all_data_acknowledged(client)
     # Cumulative ACKs absorb the losses mid-stream; at most the final ACK's
     # loss can force a single retransmission timeout.
     assert client.timeouts <= 1
