@@ -40,7 +40,6 @@ class FileTransferSender:
         self.name = name or f"ftp-send-{node.index}"
         self.connection: Optional[TcpConnection] = None
         self.start_time: Optional[float] = None
-        self.acked_time: Optional[float] = None
 
     def start(self, delay: float = 0.0) -> None:
         """Open the connection and start the transfer after ``delay`` seconds."""
@@ -51,15 +50,11 @@ class FileTransferSender:
         self.connection = self.node.tcp.connect(self.destination, self.destination_port,
                                                 mss=self.mss, **self.connection_options)
         self.connection.on_established = self._on_established
-        self.connection.on_send_complete = self._on_send_complete
 
     def _on_established(self) -> None:
         assert self.connection is not None
         self.connection.send(self.file_bytes)
         self.connection.close()
-
-    def _on_send_complete(self) -> None:
-        self.acked_time = self.sim.now
 
 
 class FileTransferReceiver:

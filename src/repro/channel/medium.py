@@ -25,50 +25,48 @@ keeps distance / c as the delay.  A plan is a pure function of the
 registered PHYs and their positions (a link's shadowing offset never
 changes), so while no registered PHY was built with a mobility model (of
 any class, one that never moves included) the channel caches one plan per
-sender.  :meth:`WirelessChannel.register`,
-:meth:`~WirelessChannel.unregister` and
-:meth:`~WirelessChannel.phy_position_changed` clear every cached plan.
-While any registered PHY carries a model, each broadcast builds a fresh
-plan and keeps nothing.  Either way the pushes, their order and every float
-are the ones a fresh evaluation gives, so caching changes when the math
-runs, never which numbers come out
+sender.  While any registered PHY carries a model, each broadcast builds a
+fresh plan and keeps nothing.  Either way the pushes, their order and every
+float are the ones a fresh evaluation gives, so caching changes when the
+math runs, never which numbers come out
 (``tests/integration/test_perf_determinism.py`` compares cached plans with
 per-broadcast ones).
 
-Every PHY has one identity on the medium: the registration index
-:meth:`WirelessChannel.register` writes to ``phy.channel_index``.  Indices
-are never reused — a PHY that leaves and registers again gets a fresh one —
-so a departed PHY's grid entry can never be served to another PHY, and
-ordering candidates by index is ordering them by registration.
+Membership is fixed as the scenario is built: a PHY registers once, from
+its constructor, and never leaves, and it moves only by the model it was
+built with.  :meth:`WirelessChannel.register` is therefore the only event
+that can change a cached plan, and it drops them all.  A PHY's one identity
+on the medium is ``phy.channel_index``, its place in registration order,
+so ordering candidates by index is ordering them by registration.
 
 Every PHY transmits at :data:`~repro.phy.device.TX_POWER_DBM` and ignores
 arrivals below :data:`~repro.phy.device.DETECT_FLOOR_DBM`, so a channel has
 one reach: the propagation's conservative ``max_range_m`` for that budget,
 computed once at construction.  Candidate enumeration scales past tens of
 nodes on its own: up to :data:`AUTO_SPATIAL_THRESHOLD` registered PHYs, a
-plan budgets every PHY (the exhaustive scan, O(N)); above it, the channel
-asks a :class:`~repro.channel.spatial.UniformGridIndex` for the PHYs within
-the reach (O(neighbours)).  Both paths cull deliveries below the
-detect floor before scheduling them, so the scheduled event set (and
-therefore every byte of a run) is identical on either side of the
-threshold; ``tests/integration/test_spatial_determinism.py`` is the
-differential proof.
+plan budgets every PHY (the exhaustive scan, O(N)); above it, while no
+registered PHY carries a model, the channel asks a
+:class:`~repro.channel.spatial.UniformGridIndex` for the PHYs within the
+reach (O(neighbours)).  The grid follows the plans' rule: it is built from
+the registered PHYs on the first plan that wants it and dropped by
+:meth:`WirelessChannel.register`, and a channel holding a PHY with a model
+scans at every size.  Both paths cull deliveries below the detect floor
+before scheduling them, so the scheduled event set (and therefore every
+byte of a run) is identical on either side of the threshold;
+``tests/integration/test_spatial_determinism.py`` is the differential
+proof.
 
 Deliveries are fire-and-forget: the channel keeps no handle to the
 begin/end-reception events it schedules and no record of the frame beyond
 them — each receiver is handed the :class:`~repro.phy.frame.PhyFrame`
 itself — so a frame and its packets are freed once the last receiver has
 processed them.
-:meth:`WirelessChannel.unregister` finds a leaving PHY's pending deliveries
-by walking the scheduler's queue (:meth:`~repro.sim.scheduler.Scheduler.cancel_where`),
-which costs O(queued events) on that rare call instead of a handle list per
-receiver on every frame.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.channel.propagation import IndoorPropagation, distance_between
 from repro.channel.spatial import UniformGridIndex
@@ -84,7 +82,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 SPEED_OF_LIGHT = 299_792_458.0
 
 #: The channel keeps the exhaustive scan at or below this many registered
-#: PHYs and switches to the grid index above it.  Crossing the threshold
+#: PHYs and switches to the grid index above it while none of them carries
+#: a mobility model.  Crossing the threshold
 #: never changes bytes — both enumerations schedule the identical event set
 #: (see ``_plan``) — so the constant is a pure speed choice; it sits far
 #: above every paper scenario (≤ 21 nodes) to keep those runs on the exact
@@ -102,7 +101,7 @@ class WirelessChannel:
     default 0 leaves the paper's indoor distance loss alone.
     """
 
-    __slots__ = ("sim", "propagation", "_phys", "_next_index", "_mobile",
+    __slots__ = ("sim", "propagation", "_phys", "_mobile",
                  "_plans", "_reach", "_spatial",
                  "total_transmissions", "total_airtime", "total_candidates",
                  "total_deliveries", "total_culled")
@@ -112,19 +111,18 @@ class WirelessChannel:
         # Raises on a sigma that is not a finite, non-negative number,
         # before anything registers or draws.
         self.propagation = IndoorPropagation(sim.random, shadowing_sigma_db)
-        # Registration index -> PHY; insertion order is registration order.
-        self._phys: Dict[int, "Phy"] = {}
-        self._next_index = 0
-        # Registration indices of the registered PHYs that carry a mobility
-        # model; plans are cached only while this is empty.
-        self._mobile: Set[int] = set()
+        # Registered PHYs in registration order; phy.channel_index is a
+        # PHY's place in this list.
+        self._phys: List["Phy"] = []
+        # Set once a PHY carrying a mobility model registers (PHYs never
+        # leave); plans and the grid are kept only while it is False.
+        self._mobile = False
         # Sender index -> (considered, culled, deliveries).
         self._plans: Dict[int, tuple] = {}
         # Farthest distance at which any frame can be detected.
         self._reach = self.propagation.max_range_m(TX_POWER_DBM - DETECT_FLOOR_DBM)
-        # Spatial candidate pruning: the grid index is built lazily on the
-        # first plan that wants it (so registration order — which fixes
-        # candidate order — is complete by then).
+        # Spatial candidate pruning: the grid index is built on the first
+        # plan that wants it, from the PHYs registered by then.
         self._spatial: Optional[UniformGridIndex] = None
         # statistics
         self.total_transmissions = 0
@@ -138,60 +136,27 @@ class WirelessChannel:
     # Registration
     # ------------------------------------------------------------------
     def register(self, phy: "Phy") -> None:
-        """Attach one of this channel's PHYs to the medium (idempotent).
+        """Attach one of this channel's PHYs to the medium for good (idempotent).
 
-        The PHY gets the next registration index as ``phy.channel_index``,
-        also when it registers again after leaving.
+        ``phy.channel_index`` becomes its place in registration order.  The
+        newcomer can change who hears whom, so every cached plan and the
+        grid are dropped; this is the only place either is dropped.
         """
         if phy.channel is not self:
             raise ConfigurationError(f"{phy.name} belongs to another channel")
-        if self._phys.get(phy.channel_index) is phy:
+        if phy.channel_index is not None:
             return
-        index = phy.channel_index = self._next_index
-        self._next_index += 1
-        self._phys[index] = phy
+        phy.channel_index = len(self._phys)
+        self._phys.append(phy)
         if phy.mobility is not None:
-            self._mobile.add(index)
+            self._mobile = True
         self._plans.clear()
-        if self._spatial is not None:
-            self._spatial.register(phy, self.sim.now)
-
-    def unregister(self, phy: "Phy") -> None:
-        """Detach a PHY from the medium.
-
-        Deliveries already scheduled for the PHY are cancelled (found by
-        walking the scheduler's queue; see the module docstring) and any
-        reception it has in progress is aborted, so a detached PHY never
-        hears the tail of a frame that was in flight when it left.  Its own
-        transmission, if any, still completes.
-        """
-        index = phy.channel_index
-        if self._phys.get(index) is not phy:
-            return
-        del self._phys[index]
-        self._mobile.discard(index)
-        self._plans.clear()
-        begin, end = phy.begin_reception, phy.end_reception
-        self.sim._scheduler.cancel_where(
-            lambda event: event.callback == begin or event.callback == end)
-        if self._spatial is not None:
-            self._spatial.unregister(phy)
-        phy.abort_receptions()
-
-    def phy_position_changed(self, phy: "Phy") -> None:
-        """Hook fired when a static PHY is moved: drop plans, re-bucket the PHY.
-
-        The grid ignores PHYs it does not hold, so re-bucketing is a no-op
-        for a PHY that has left the medium.
-        """
-        self._plans.clear()
-        if self._spatial is not None:
-            self._spatial.position_changed(phy)
+        self._spatial = None
 
     @property
     def phys(self) -> List["Phy"]:
-        """All PHYs currently attached, in registration order."""
-        return list(self._phys.values())
+        """All registered PHYs, in registration order."""
+        return list(self._phys)
 
     # ------------------------------------------------------------------
     # Link budgets
@@ -218,11 +183,11 @@ class WirelessChannel:
 
         Each receiver gets ``begin_reception(frame, rx_power_dbm)`` and
         ``end_reception(frame)``.  Raises before counting or scheduling
-        anything if ``sender`` is not registered here or ``duration`` is not
-        a positive, finite number of seconds.
+        anything if ``sender`` belongs to another channel or ``duration`` is
+        not a positive, finite number of seconds.
         """
-        if self._phys.get(sender.channel_index) is not sender:
-            raise ConfigurationError("transmitting PHY is not registered with the channel")
+        if sender.channel is not self:
+            raise ConfigurationError(f"{sender.name} belongs to another channel")
         if not 0.0 < duration < math.inf:
             raise ConfigurationError(
                 f"transmission duration must be positive and finite, got {duration}")
@@ -255,17 +220,18 @@ class WirelessChannel:
     def _plan(self, sender: "Phy", now: float) -> tuple:
         """``(considered, culled, deliveries)`` for a send by ``sender`` at ``now``.
 
-        Candidates are either the full registration list or the grid
-        index's superset of in-range PHYs (also in registration order).  The
-        two enumerations give the *identical* deliveries, because every
-        receiver the grid prunes is provably below the detect floor and the
-        loop below culls exactly those receivers on both paths — so the
-        threshold changes speed, never bytes.
+        Candidates are either the full registration list or, above the
+        threshold on a channel without models, the grid index's superset of
+        in-range PHYs (also in registration order).  The two enumerations
+        give the *identical* deliveries, because every receiver the grid
+        prunes is provably below the detect floor and the loop below culls
+        exactly those receivers on both paths — so the threshold changes
+        speed, never bytes.
         """
         tx_position = sender.position_at(now)
-        receivers: Iterable["Phy"] = self._phys.values()
-        if len(self._phys) > AUTO_SPATIAL_THRESHOLD:
-            receivers = self._ensure_spatial().candidates(tx_position, self._reach, now)
+        receivers: Iterable["Phy"] = self._phys
+        if not self._mobile and len(self._phys) > AUTO_SPATIAL_THRESHOLD:
+            receivers = self._ensure_spatial().candidates(tx_position, self._reach)
         propagation = self.propagation
         path_loss_db = propagation.path_loss_db
         shadowing_db = propagation.shadowing_db if propagation.sigma_db > 0.0 else None
@@ -298,21 +264,15 @@ class WirelessChannel:
         return (considered, culled, deliveries)
 
     def _ensure_spatial(self) -> UniformGridIndex:
-        """Build the grid index on first use.
+        """The grid index over the registered PHYs, built on first use.
 
         The cell size is the reach (so a query scans at most a 3×3 block of
         cells); correctness is independent of the choice because
         ``candidates`` derives the cell span from the exact query radius.
-        PHYs are inserted in registration order, which fixes candidate
-        ordering forever after.
         """
         spatial = self._spatial
         if spatial is None:
-            spatial = UniformGridIndex(max(self._reach, 1.0))
-            now = self.sim.now
-            for phy in self._phys.values():
-                spatial.register(phy, now)
-            self._spatial = spatial
+            spatial = self._spatial = UniformGridIndex(max(self._reach, 1.0), self._phys)
         return spatial
 
     def _collect_metrics(self, registry) -> None:

@@ -15,8 +15,9 @@ Design:
   on how often, or in what order, it is queried.
 * A model is given to a PHY when the PHY is built
   (``Phy(..., mobility=model)``), which binds it once; from then on the
-  PHY's ``position`` *is* ``position_at(now)``.  Nothing is scheduled on a
-  model's behalf: it does work only when a position is asked for.
+  PHY's ``position_at(t)`` *is* the model's, and the model is the only way
+  the PHY ever moves.  Nothing is scheduled on a model's behalf: it does
+  work only when a position is asked for.
 * Every random draw comes from a dedicated per-model stream derived from the
   simulator's root seed (``mobility.<phy name>``), so giving a PHY a model
   never perturbs any other component's random sequence and same-seed runs

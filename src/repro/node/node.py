@@ -131,18 +131,6 @@ class Node:
         self.tcp = TcpLayer(sim, self.network, self.ip)
 
     # ------------------------------------------------------------------
-    # Position (delegated to the PHY)
-    # ------------------------------------------------------------------
-    @property
-    def position(self) -> Tuple[float, float]:
-        """Where the node is now (the PHY's :attr:`~repro.phy.device.Phy.position`)."""
-        return self.phy.position
-
-    @position.setter
-    def position(self, value: Tuple[float, float]) -> None:
-        self.phy.position = value
-
-    # ------------------------------------------------------------------
     # Convenience accessors
     # ------------------------------------------------------------------
     @property

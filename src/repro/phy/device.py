@@ -47,13 +47,6 @@ CAPTURE_THRESHOLD_DB = 10.0
 DETECT_FLOOR_DBM = min(CARRIER_SENSE_THRESHOLD_DBM, RECEPTION_THRESHOLD_DBM)
 
 
-def _finite_position(position: tuple) -> tuple:
-    """``position`` itself, once both of its coordinates are known to be finite."""
-    if not (math.isfinite(position[0]) and math.isfinite(position[1])):
-        raise ConfigurationError(f"position must be finite, got {position!r}")
-    return position
-
-
 class PhyListener(Protocol):
     """Interface the MAC implements to receive PHY notifications."""
 
@@ -96,7 +89,9 @@ class Phy:
 
     Its position has one source, chosen when it is built: ``position``,
     or a ``mobility`` model bound to the ``mobility.<name>`` stream with
-    ``position`` as origin and ``sim.now`` as start time.
+    ``position`` as origin and ``sim.now`` as start time.  The constructor
+    registers it with ``channel`` for good, so it never leaves the medium
+    and moves only as its model says (:meth:`position_at`).
     """
 
     __slots__ = ("sim", "channel", "channel_index", "_position",
@@ -113,7 +108,8 @@ class Phy:
         name: str = "phy",
         mobility: Optional["MobilityModel"] = None,
     ) -> None:
-        _finite_position(position)
+        if not (math.isfinite(position[0]) and math.isfinite(position[1])):
+            raise ConfigurationError(f"position must be finite, got {position!r}")
         if mobility is not None:
             # Before anything registers this PHY: binding refuses a model
             # that another PHY already holds.
@@ -123,9 +119,6 @@ class Phy:
         self.channel = channel
         #: This PHY's identity on ``channel``, assigned by its ``register()``.
         self.channel_index: Optional[int] = None
-        # Direct slot write: the position property's setter notifies the
-        # channel's spatial index, which cannot know this PHY yet (register()
-        # runs at the end of __init__).
         self._position = position
         self._mobility = mobility
         self.name = name
@@ -152,33 +145,9 @@ class Phy:
         self._listener = listener
 
     @property
-    def listener(self) -> Optional[PhyListener]:
-        """The attached MAC, if any."""
-        return self._listener
-
-    @property
     def mobility(self) -> Optional["MobilityModel"]:
         """The mobility model this PHY was built with, if any (fixed for life)."""
         return self._mobility
-
-    @property
-    def position(self) -> tuple:
-        """Where the PHY is now: ``position_at(sim.now)``.
-
-        Assigning moves a static PHY and notifies the channel, which drops
-        its cached delivery plans and re-buckets the PHY in its spatial
-        index at once.  A PHY built with a mobility model refuses the
-        assignment (:class:`~repro.errors.PhyError`): the model is its one
-        source of position.
-        """
-        return self.position_at(self.sim.now)
-
-    @position.setter
-    def position(self, value: tuple) -> None:
-        if self._mobility is not None:
-            raise PhyError(f"{self.name}: its position comes from its mobility model")
-        self._position = _finite_position(value)
-        self.channel.phy_position_changed(self)
 
     def position_at(self, time: float) -> tuple:
         """Exact position at simulated ``time``.
@@ -208,11 +177,7 @@ class Phy:
     # Transmit path
     # ------------------------------------------------------------------
     def send(self, frame: PhyFrame) -> float:
-        """Transmit ``frame``; returns its airtime in seconds.
-
-        A send the channel refuses (this PHY is not registered with it)
-        raises before any PHY state or counter changes.
-        """
+        """Transmit ``frame``; returns its airtime in seconds."""
         if self._transmitting:
             raise PhyError(f"{self.name}: send() while already transmitting")
         frame.sender = self
@@ -281,19 +246,6 @@ class Phy:
         if self._transmitting:
             attempt.doomed = True
         self._deliver(attempt)
-        self._update_carrier()
-
-    def abort_receptions(self) -> None:
-        """Forget every reception in progress without delivering anything.
-
-        The channel calls this when the PHY is unregistered mid-flight, after
-        cancelling the PHY's pending begin/end-reception events in the
-        scheduler's queue.  With those events gone the attempts (and the
-        carrier energy they contributed) must be dropped here or the PHY
-        would sense a busy medium forever.
-        """
-        self._receptions.clear()
-        self._carrier_count = 0
         self._update_carrier()
 
     def _deliver(self, attempt: _ReceptionAttempt) -> None:

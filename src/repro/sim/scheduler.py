@@ -115,23 +115,6 @@ class Scheduler:
                 >= self.COMPACT_FRACTION * len(self._heap)):
             self._compact()
 
-    def cancel_where(self, predicate: Callable[[Event], bool]) -> int:
-        """Cancel every queued event for which ``predicate(event)`` holds.
-
-        Returns how many events were cancelled.  This walks the whole heap,
-        so it is meant for rare structural changes (a PHY leaving the
-        medium), not for per-frame use: callers that cancel often keep the
-        event instead.  It iterates over a snapshot because a cancellation
-        can trigger compaction, which replaces the heap.
-        """
-        cancelled = 0
-        for entry in list(self._heap):
-            event = entry[3]
-            if event.active and predicate(event):
-                self.cancel(event)
-                cancelled += 1
-        return cancelled
-
     def _compact(self) -> None:
         """Rebuild the heap without the lazily-cancelled entries."""
         self._heap = [entry for entry in self._heap if entry[3].active]

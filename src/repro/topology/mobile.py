@@ -21,12 +21,14 @@ Typical use::
     network = scenario.network
     sim.run(until=duration)
 
-A node's model is fixed when the node is built, and nothing is scheduled
-on its behalf: positions are computed only when a link budget or the
-spatial index asks for one.  Nodes added without a model stay where they
-are put, with identical link-budget floats, which is what lets mobile
-scenarios coexist with bit-for-bit reproduction of the paper's stationary
-experiments.
+A node's model is fixed when the node is built and is the only way the
+node moves; nothing is scheduled on its behalf, so positions are computed
+only when a link budget asks for one.  Nodes added without a model stay
+where they are put, with identical link-budget floats, which is what lets
+mobile scenarios coexist with bit-for-bit reproduction of the paper's
+stationary experiments.  A channel holding any node with a model budgets
+every node on every broadcast, at any size: its spatial index and cached
+delivery plans serve static scenarios only.
 
 ``routing`` is every node's routing value.  ``None`` (the default) keeps
 statically installed routes.  ``routing=DsdvConfig(...)`` swaps them for the

@@ -111,7 +111,6 @@ class TcpConnection:
         # --- callbacks -----------------------------------------------------
         self.on_established: Optional[Callable[[], None]] = None
         self.on_data_received: Optional[Callable[[int], None]] = None
-        self.on_send_complete: Optional[Callable[[], None]] = None
         self.on_closed: Optional[Callable[[], None]] = None
 
         self._rto_timer = Timer(sim, self._on_rto, priority=Simulator.PRIORITY_APP,
@@ -363,9 +362,6 @@ class TcpConnection:
                     self._become_closed()
             elif self.state is TcpState.LAST_ACK:
                 self._become_closed()
-        if (self.send_buffer_bytes == 0 and not self._fin_sent
-                and self.on_send_complete is not None):
-            self.on_send_complete()
 
     # ------------------------------------------------------------------
     # Data processing (receiver side)

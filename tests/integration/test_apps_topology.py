@@ -31,7 +31,8 @@ def test_linear_chain_structure():
     assert network.node(1).routing_table.next_hop(network.node(4).ip) == network.node(2).ip
     assert network.node(4).routing_table.next_hop(network.node(1).ip) == network.node(3).ip
     # Adjacent spacing is the paper's 2.5 m.
-    assert network.node(2).position[0] - network.node(1).position[0] == pytest.approx(2.5)
+    x1, x2 = (network.node(i).phy.position_at(0.0)[0] for i in (1, 2))
+    assert x2 - x1 == pytest.approx(2.5)
 
 
 def test_linear_chain_rejects_zero_hops():

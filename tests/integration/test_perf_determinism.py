@@ -13,11 +13,12 @@ channel caching plans; built with a model that never moves
 broadcast.  Both sides hold the same PHYs at the same places, so the same
 run is made once with cached plans and once with a plan built per
 broadcast, and the two must be byte-identical, counters included: under
-per-link shadowing, through every event that has to drop a cached plan (a
-position reassigned mid-run, PHYs registering and leaving mid-run), and on
-the grid path above ``AUTO_SPATIAL_THRESHOLD``.  Each comparison also
-counts the plans built, so none can pass without the cache having served
-some sends.
+per-link shadowing, through the one event that has to drop cached plans (a
+PHY registering mid-run), and on the grid path above
+``AUTO_SPATIAL_THRESHOLD``, where the cached side queries the grid and the
+per-broadcast side, holding a model, scans.  Each comparison also counts
+the plans built, so none can pass without the cache having served some
+sends.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def _chain_signature(seed: int, per_broadcast: bool, shadowing_sigma_db=0.0,
 
     ``per_broadcast`` picks the far listener's side (see the module
     docstring).  ``during(sim, channel, network)`` schedules mid-run events
-    and returns any extra PHYs whose counters belong in the signature.
+    and returns a list that holds, by the end of the run, any extra PHYs
+    whose counters belong in the signature.
     """
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
@@ -85,15 +87,14 @@ def _chain_signature(seed: int, per_broadcast: bool, shadowing_sigma_db=0.0,
     scenario.connect_chain(1, 2, 3, 4)
     channel, network = scenario.channel, scenario.network
     extra = [_far_listener(sim, channel, per_broadcast)]
-    if during is not None:
-        extra += during(sim, channel, network)
+    late = [] if during is None else during(sim, channel, network)
     sink_node = network.node(4)
     sink = UdpSink(sink_node)
     source = CbrSource.saturating(network.node(1), sink_node.ip,
                                   link_rate_bps=mbps(0.65), overdrive=1.5)
     source.start(0.001)
     sim.run(until=DURATION)
-    phys = [node.phy for node in network.nodes] + list(extra)
+    phys = [node.phy for node in network.nodes] + extra + late
     return repr((sink.packets_received, sink.bytes_received, sink.first_arrival,
                  sink.last_arrival, _phy_counters(phys), _channel_counters(channel)))
 
@@ -129,49 +130,37 @@ def test_plans_match_per_broadcast_under_shadowing():
         lambda per_broadcast: _chain_signature(1, per_broadcast, shadowing_sigma_db=4.0))
 
 
-def test_plans_match_per_broadcast_after_a_scheduled_move():
-    # The sink walks out of range and back: a stale plan would keep
-    # delivering to it, or keep it out, after each move.
-    def during(sim, channel, network):
-        sink_phy = network.node(4).phy
-        home = sink_phy.position
-        sim.schedule(1.0, setattr, sink_phy, "position", (60.0, 0.0))
-        sim.schedule(1.8, setattr, sink_phy, "position", home)
-        return []
-
-    _assert_cached_plans_match_per_broadcast_plans(
-        lambda per_broadcast: _chain_signature(2, per_broadcast, during=during))
-
-
 def test_plans_match_per_broadcast_when_phys_join_and_leave():
-    # The sink leaves and comes back, and a listening PHY joins in between:
-    # a stale plan would deliver to the departed sink or miss the newcomer.
+    # PHYs never leave; two listening PHYs join mid-run, each within reach
+    # of part of the chain: a stale plan would miss the newcomer.
     def during(sim, channel, network):
-        sink_phy = network.node(4).phy
         late = []
-        sim.schedule(1.0, channel.unregister, sink_phy)
-        sim.schedule(1.4, lambda: late.append(
-            Phy(sim, channel, position=(6.0, 1.0), name="late")))
-        sim.schedule(1.8, channel.register, sink_phy)
+        for at, position in ((1.0, (6.0, 1.0)), (1.8, (2.0, -1.0))):
+            sim.schedule(at, lambda position=position: late.append(
+                Phy(sim, channel, position=position, name=f"late{len(late)}")))
         return late
 
     _assert_cached_plans_match_per_broadcast_plans(
         lambda per_broadcast: _chain_signature(3, per_broadcast, during=during))
 
 
-def _city_flood_signature(seed: int, per_broadcast: bool) -> str:
-    """Observable outcome of flooding over an 80-node city, on the grid path."""
+def _city_flood_signature(seed: int, per_broadcast: bool, join: bool = False) -> str:
+    """Observable outcome of flooding over an 80-node city.
+
+    The cached side runs on the grid path; the per-broadcast side holds a
+    model, so it scans.  With ``join``, a static PHY joins mid-run next to
+    a flooder, which drops the cached side's grid and plans.
+    """
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
                               unicast_rate_mbps=0.65)
     nodes = populate_city(scenario, 80)
-    listener = _far_listener(sim, scenario.channel, per_broadcast)
+    extra = [_far_listener(sim, scenario.channel, per_broadcast)]
     assert len(nodes) > medium.AUTO_SPATIAL_THRESHOLD
-    # A flooder moves two cells over mid-run: the grid re-buckets it and
-    # every cached plan has to go.
-    mover = nodes[13].phy
-    x, y = mover.position
-    sim.schedule(0.5, setattr, mover, "position", (x + 30.0, y))
+    if join:
+        x, y = nodes[13].phy.position_at(0.0)
+        sim.schedule(0.5, lambda: extra.append(
+            Phy(sim, scenario.channel, position=(x + 3.0, y + 3.0), name="late")))
     flooders = []
     for node in nodes[::13]:
         flooder = FloodingSource(sim, node.network, node.ip, interval=0.2,
@@ -179,16 +168,29 @@ def _city_flood_signature(seed: int, per_broadcast: bool) -> str:
         flooder.start()
         flooders.append(flooder)
     sim.run(until=1.0)
-    assert scenario.channel._spatial is not None
+    channel = scenario.channel
+    assert (channel._spatial is None) == per_broadcast
+    assert len(extra) == 1 + join
+    # Candidate and cull counts measure the enumeration, grid or scan, so
+    # only the deliveries of the channel's counters belong here.
     return repr(([flooder.packets_sent for flooder in flooders],
                  [node.network.stats.delivered_broadcast for node in nodes],
-                 _phy_counters([node.phy for node in nodes] + [listener]),
-                 _channel_counters(scenario.channel)))
+                 _phy_counters([node.phy for node in nodes] + extra),
+                 (channel.total_transmissions, channel.total_airtime,
+                  channel.total_deliveries)))
 
 
 def test_plans_match_per_broadcast_on_the_grid_path():
     _assert_cached_plans_match_per_broadcast_plans(
         lambda per_broadcast: _city_flood_signature(5, per_broadcast))
+
+
+def test_plans_match_per_broadcast_when_a_phy_joins_on_the_grid_path():
+    # The newcomer drops the cached side's grid and plans; the grid built
+    # again from the registered PHYs must file it, or its neighbours'
+    # plans would miss it.
+    _assert_cached_plans_match_per_broadcast_plans(
+        lambda per_broadcast: _city_flood_signature(5, per_broadcast, join=True))
 
 
 def _mobile_udp_signature(seed: int) -> str:

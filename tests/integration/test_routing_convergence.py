@@ -147,8 +147,9 @@ def test_convergence_after_motion_stops():
     # Motion has stopped: every relay stands on its chain slot, away from
     # where it roamed.
     relays = scenario.network.nodes[2:]
-    assert all(node.phy.position_at(roam_time / 2) != node.position for node in relays)
-    frozen = [node.position for node in scenario.network.nodes]
+    frozen = [node.phy.position_at(sim.now) for node in scenario.network.nodes]
+    assert all(node.phy.position_at(roam_time / 2) != position
+               for node, position in zip(relays, frozen[2:]))
     assert frozen[2:] == list(chain_slots)
     assert not ambiguous(frozen)
     assert len(bfs_distances(connectivity(frozen), 0)) == len(frozen)

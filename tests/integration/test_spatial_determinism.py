@@ -1,24 +1,29 @@
 """Differential proof that the spatial index changes speed, never bytes.
 
-Above ``AUTO_SPATIAL_THRESHOLD`` registered PHYs the channel swaps candidate
-*enumeration* — exhaustive scan for uniform-grid lookup — while a
-detect-floor cull applied identically on both paths decides who actually
-hears each frame.  If that contract holds, a grid-indexed run is
-byte-for-byte identical to a full-scan run of the same seed: same series,
-same metrics, same counters.  There is no switch to pick a path, so every
-case runs twice, at the default threshold and with
-``repro.channel.medium.AUTO_SPATIAL_THRESHOLD`` patched to the other side:
+Above ``AUTO_SPATIAL_THRESHOLD`` registered PHYs, on a channel where no
+PHY carries a mobility model, the channel swaps candidate *enumeration* —
+exhaustive scan for uniform-grid lookup — while a detect-floor cull
+applied identically on both paths decides who actually hears each frame.
+If that contract holds, a grid-indexed run is byte-for-byte identical to a
+full-scan run of the same seed: same series, same metrics, same counters.
+There is no switch to pick a path, so every case runs twice, at the
+default threshold and with ``repro.channel.medium.AUTO_SPATIAL_THRESHOLD``
+patched to the other side:
 
-* every covered experiment family (stationary fig09, mobile-mesh rt02 and
-  mob03, mobile + shadowing mob01) sits below the threshold by default;
-  patching it to 0 forces the grid, and the two runs are compared via
+* every covered experiment family sits below the threshold by default:
+  fig09 (stationary chains), rt02 (AODV mesh), mob03 (DSDV mesh) and mob01
+  (flooding and UDP under shadowing), the last three at speed 0, where
+  they build their meshes without models; patching the threshold to 0
+  forces the grid, and the two runs are compared via
   ``ExperimentResult.to_dict()`` — the full observable output;
-* an 80-node city sits above it by default (the grid); patching it to a
-  huge value forces the scan;
+* an 80-node city sits above it by default (the grid), unshadowed and
+  shadowed; patching it to a huge value forces the scan;
 * every comparison asserts which path really ran — in-process, the grid
   side called ``UniformGridIndex.candidates`` and the scan side never did;
   in pool workers, the grid side's candidates fraction is below 1.0 — so
   none can pass vacuously;
+* the same experiments with moving nodes never reach the grid, even with
+  the threshold patched to 0: a channel holding a model always scans;
 * city01 campaigns above the threshold replicate across pool workers,
   proving the index also replicates in fresh processes (where any
   ordering derived from ``id()`` or set iteration would come unstuck).
@@ -59,12 +64,24 @@ MOB03_PARAMS = {"speeds_mps": (2.0,), "grid_side": 2, "duration": 4.0,
 RT02_PARAMS = {"flow_counts": (1,), "speeds_mps": (2.0,),
                "routings": ("aodv",), "duration": 5.0, "warmup": 2.0,
                "include_no_aggregation": False}
+#: At speed 0 these experiments build their nodes without models.
+STATIC = {"speeds_mps": (0.0,)}
 #: A 100-node city: above the threshold, so campaigns run on the grid.
 CITY01_PARAMS = {"node_counts": (100,), "flow_count": 10, "duration": 1.5,
                  "warmup": 0.5}
 
 CASES = [
     pytest.param(fig09_udp_flooding, FIG09_PARAMS, id="fig09-stationary"),
+    pytest.param(rt02_overhead_scaling, {**RT02_PARAMS, **STATIC},
+                 id="rt02-aodv-static-mesh"),
+    pytest.param(mob01_flooding_mobility, {**MOB01_PARAMS, **STATIC},
+                 id="mob01-static-shadowing"),
+    pytest.param(mob03_mesh_routing, {**MOB03_PARAMS, **STATIC},
+                 id="mob03-dsdv-static-mesh"),
+]
+
+#: The same experiments with moving nodes: they never reach the grid.
+MOBILE_CASES = [
     pytest.param(rt02_overhead_scaling, RT02_PARAMS, id="rt02-aodv-mesh"),
     pytest.param(mob01_flooding_mobility, MOB01_PARAMS,
                  id="mob01-mobile-shadowing"),
@@ -80,9 +97,9 @@ def _run_side(run, threshold=None):
     queries = []
     candidates = UniformGridIndex.candidates
 
-    def counted(index, origin, range_m, now):
-        queries.append(now)
-        return candidates(index, origin, range_m, now)
+    def counted(index, origin, range_m):
+        queries.append(origin)
+        return candidates(index, origin, range_m)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(UniformGridIndex, "candidates", counted)
@@ -105,6 +122,16 @@ def test_grid_indexed_run_is_byte_identical_to_full_scan(module, params):
     assert grid == scan
 
 
+@pytest.mark.parametrize("module, params", MOBILE_CASES)
+def test_runs_with_moving_nodes_scan_even_below_a_forced_threshold(module, params):
+    default, default_queries = _run_side(
+        lambda: module.run(seed=3, **params).to_dict())
+    forced, forced_queries = _run_side(
+        lambda: module.run(seed=3, **params).to_dict(), threshold=FORCE_GRID)
+    assert default_queries == forced_queries == 0
+    assert forced == default
+
+
 @pytest.mark.parametrize("module, params",
                          [pytest.param(fig09_udp_flooding, FIG09_PARAMS,
                                        id="fig09")])
@@ -117,7 +144,7 @@ def test_differential_runs_still_diverge_across_seeds(module, params):
     assert seed3 != seed4
 
 
-def _city_flood_signature(seed: int) -> str:
+def _city_flood_signature(seed: int, shadowing_sigma_db: float = 0.0) -> str:
     """Full observable outcome of an 80-node flooding run.
 
     80 nodes sits *above* AUTO_SPATIAL_THRESHOLD (64), so the default run
@@ -126,7 +153,8 @@ def _city_flood_signature(seed: int) -> str:
     """
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              unicast_rate_mbps=0.65, stop_time=1.0)
+                              unicast_rate_mbps=0.65, stop_time=1.0,
+                              shadowing_sigma_db=shadowing_sigma_db)
     nodes = populate_city(scenario, 80)
     flooders = []
     for node in nodes[::13]:
@@ -151,6 +179,19 @@ def test_auto_threshold_crossing_is_byte_neutral():
     assert grid_queries > 0
     assert scan_queries == 0
     assert grid == scan
+
+
+def test_auto_threshold_crossing_is_byte_neutral_under_shadowing():
+    # Every link carries its own offset and the reach widens by the
+    # shadowing clamp: the grid must still keep every receiver the scan
+    # hears, and drop only culled ones.
+    grid, grid_queries = _run_side(lambda: _city_flood_signature(5, 4.0))
+    scan, scan_queries = _run_side(lambda: _city_flood_signature(5, 4.0),
+                                   threshold=FORCE_SCAN)
+    assert grid_queries > 0
+    assert scan_queries == 0
+    assert grid == scan
+    assert grid != _city_flood_signature(5)
 
 
 def test_auto_signature_still_diverges_across_seeds():

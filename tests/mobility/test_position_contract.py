@@ -1,12 +1,12 @@
 """Where a PHY is: one source, chosen when the PHY is built.
 
-A PHY built without a model is where it was put, until its ``position`` is
-assigned.  A PHY built with ``mobility=model`` binds the model in its
-constructor, and from then on its ``position`` is the model's exact
-``position_at(now)``: assignment is refused, nothing is scheduled on the
-model's behalf, and a model serves one PHY only.  Positions and model
-parameters that are not finite are refused when they are given, before
-anything is registered or scheduled.
+A PHY built without a model stays where it was put.  A PHY built with
+``mobility=model`` binds the model in its constructor, and from then on its
+``position_at(t)`` is the model's: nothing is scheduled on the model's
+behalf, and a model serves one PHY only.  No PHY or node takes a position
+by assignment, so a model is the only way anything moves.  Positions and
+model parameters that are not finite are refused when they are given,
+before anything is registered or scheduled.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import math
 
 import pytest
 
-from helpers.mobility import Fixed
+from helpers.mobility import Jumps
 
 from repro.channel.medium import WirelessChannel
 from repro.core.policies import broadcast_aggregation
-from repro.errors import ConfigurationError, PhyError
+from repro.errors import ConfigurationError
 from repro.mobility.models import CircularOrbit, RandomWaypoint
 from repro.phy.device import Phy
 from repro.sim.simulator import Simulator
@@ -36,20 +36,23 @@ def _channel_with_a(sim):
     return channel, a
 
 
-def test_a_phy_with_a_model_refuses_a_position():
+def test_no_phy_or_node_takes_a_position_by_assignment():
     sim = Simulator(seed=1)
-    channel, a = _channel_with_a(sim)
-    b = Phy(sim, channel, position=(2.5, 0.0), name="b", mobility=Fixed())
-    spatial = channel._ensure_spatial()
-    power = channel.received_power_dbm(a, b)
-    with pytest.raises(PhyError, match="mobility model"):
-        b.position = (30.0, 0.0)
-    # Position, link budget and grid entry all stay where the model puts b.
-    assert b.position == (2.5, 0.0)
-    assert channel.received_power_dbm(a, b) == power
-    assert spatial.cell_for((30.0, 0.0)) != spatial.cell_for((2.5, 0.0))
-    assert spatial.candidates((2.5, 0.0), 0.0, sim.now) == [a, b]
-    assert spatial.candidates((30.0, 0.0), 0.0, sim.now) == []
+    scenario = MobileScenario(sim, policy=broadcast_aggregation())
+    still = scenario.add_node((0.0, 0.0))
+    hopper = scenario.add_node((2.5, 0.0), Jumps(((1.0, (30.0, 0.0)),)))
+    for node in (still, hopper):
+        assert not hasattr(node, "position")
+        assert not hasattr(node.phy, "position")
+        with pytest.raises(AttributeError):
+            node.phy.position = (5.0, 5.0)
+    channel = scenario.channel
+    near = channel.received_power_dbm(still.phy, hopper.phy)
+    sim.run(until=1.0)
+    # Only the model moved anything: the hopper is 30 m out, the other stays.
+    assert hopper.phy.position_at(sim.now) == (30.0, 0.0)
+    assert still.phy.position_at(sim.now) == (0.0, 0.0)
+    assert channel.received_power_dbm(still.phy, hopper.phy) < near
 
 
 def test_a_moving_phy_is_where_its_model_puts_it_now():
@@ -57,10 +60,10 @@ def test_a_moving_phy_is_where_its_model_puts_it_now():
     channel, _ = _channel_with_a(sim)
     model = RandomWaypoint(area=AREA, speed_range=(1.0, 2.0))
     b = Phy(sim, channel, position=(5.0, 5.0), name="b", mobility=model)
-    assert b.position == (5.0, 5.0)
+    assert b.position_at(sim.now) == (5.0, 5.0)
     sim.run(until=0.37)
-    assert b.position == model.position_at(0.37) == b.position_at(0.37)
-    assert b.position != (5.0, 5.0)
+    assert b.position_at(sim.now) == model.position_at(0.37)
+    assert b.position_at(sim.now) != (5.0, 5.0)
 
 
 def test_moving_nodes_schedule_nothing():
@@ -71,7 +74,7 @@ def test_moving_nodes_schedule_nothing():
     assert sim.pending_events == 0
     sim.run(until=10.0)
     assert sim.events_processed == 0
-    assert scenario.network.node(1).position != (0.0, 0.0)
+    assert scenario.network.node(1).phy.position_at(sim.now) != (0.0, 0.0)
 
 
 def test_a_bound_model_is_refused_by_a_second_phy():
@@ -111,15 +114,3 @@ def test_non_finite_positions_and_parameters_are_refused(position, make_model):
             mobility=None if make_model is None else make_model())
     assert channel.phys == [a]
     assert sim.pending_events == 0
-
-
-@pytest.mark.parametrize("position", [(NAN, 0.0), (0.0, -INF)], ids=["nan", "inf"])
-def test_assigning_a_non_finite_position_is_refused(position):
-    sim = Simulator(seed=1)
-    channel, a = _channel_with_a(sim)
-    spatial = channel._ensure_spatial()
-    with pytest.raises(ConfigurationError):
-        a.position = position
-    assert a.position == (0.0, 0.0)
-    assert spatial.candidates((0.0, 0.0), 0.0, sim.now) == [a]
-    spatial.audit()

@@ -50,8 +50,9 @@ def _orbit_from_a_to_b():
 def test_position_at_defaults_to_the_static_attribute():
     sim = Simulator(seed=1)
     _, a, _ = _two_phys(sim)
-    assert a.position_at(0.0) is a.position
-    assert a.position_at(123.0) is a.position
+    # The tuple it was built with, the same object at every time.
+    assert a.position_at(0.0) == (0.0, 0.0)
+    assert a.position_at(123.0) is a.position_at(0.0)
 
 
 def test_link_budget_follows_the_mobile_node():
@@ -112,13 +113,13 @@ def test_shadowing_applies_on_top_of_the_base_model():
     sim = Simulator(seed=5)
     channel, a, b = _two_phys(sim, shadowing_sigma_db=6.0)
     model = channel.propagation
-    expected = model.path_loss_db(a.position, b.position) + model.shadowing_db("a", "b")
+    distance_loss = model.path_loss_db(a.position_at(0.0), b.position_at(0.0))
+    expected = distance_loss + model.shadowing_db("a", "b")
     measured = TX_POWER_DBM - channel.received_power_dbm(a, b)
     assert measured == pytest.approx(expected)
     # The distance loss alone is the paper's indoor curve: 66 dB at 1 m,
     # path-loss exponent 3.
-    assert model.path_loss_db(a.position, b.position) == pytest.approx(
-        66.0 + 30.0 * math.log10(5.0))
+    assert distance_loss == pytest.approx(66.0 + 30.0 * math.log10(5.0))
 
 
 def test_shadowing_offset_is_static_over_time():
@@ -176,7 +177,7 @@ def test_mob01_refuses_a_negative_shadowing_sigma(tmp_path, monkeypatch, capsys)
 def test_zero_sigma_shadowing_is_transparent():
     for sigma in (0.0, 0):
         channel, a, b = _two_phys(Simulator(seed=5), shadowing_sigma_db=sigma)
-        loss = channel.propagation.path_loss_db(a.position, b.position)
+        loss = channel.propagation.path_loss_db(a.position_at(0.0), b.position_at(0.0))
         assert channel.received_power_dbm(a, b) == TX_POWER_DBM - loss
 
 

@@ -18,6 +18,7 @@ from repro.net.routing import (
 from repro.sim.simulator import Simulator
 from repro.topology.mobile import MobileScenario
 
+from helpers.mobility import Jumps
 from helpers.routing import has_valid_route
 
 A = IpAddress("10.0.0.1")
@@ -74,13 +75,18 @@ class TestDynamicRoutingTable:
         assert [e.destination for e in table.entries()] == [B, C]
 
 
+#: Where a node jumps to break its links: out of everyone's range.
+FAR_AWAY = (100.0, 100.0)
+
+
 def _chain_scenario(node_count=3, spacing=8.0, seed=1, duration=30.0,
-                    config=FAST_DSDV):
+                    config=FAST_DSDV, models=None):
+    """A DSDV chain; ``models`` maps a node's index (from 1) to its model."""
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
                               stop_time=duration, routing=config)
     for i in range(node_count):
-        scenario.add_node((i * spacing, 0.0))
+        scenario.add_node((i * spacing, 0.0), (models or {}).get(i + 1))
     return sim, scenario
 
 
@@ -151,13 +157,14 @@ class TestDsdvProtocol:
                 assert entry.sequence >= 0
 
     def test_link_break_marks_routes_with_odd_sequence_and_infinite_metric(self):
-        sim, scenario = _chain_scenario(node_count=3, duration=40.0)
+        # At t=6 the middle relay jumps out of range; nothing else connects
+        # 1 and 3.
+        sim, scenario = _chain_scenario(node_count=3, duration=40.0,
+                                        models={2: Jumps(((6.0, FAR_AWAY),))})
         sim.run(until=6.0)
         first = scenario.network.node(1)
         last = scenario.network.node(3)
         assert has_valid_route(first.routing_table, last.ip)
-        # Carry the middle relay out of range; nothing else connects 1 and 3.
-        scenario.network.node(2).position = (100.0, 100.0)
         sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
         entry = first.router.table.entry_for(scenario.network.node(2).ip)
         assert entry is not None and not entry.valid
@@ -182,16 +189,14 @@ class TestDsdvProtocol:
         assert first.router.route_breaks > 0
 
     def test_route_repairs_after_relay_returns(self):
-        sim, scenario = _chain_scenario(node_count=3, duration=60.0)
-        relay = scenario.network.node(2)
-        origin = relay.position
-        sim.run(until=6.0)
-        relay.position = (100.0, 100.0)
-        sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
+        # The relay jumps away at t=6 and back once the break has spread.
+        back = 6.0 + 4 * FAST_HOLD_TIME
+        trip = Jumps(((6.0, FAR_AWAY), (back, (8.0, 0.0))))
+        sim, scenario = _chain_scenario(node_count=3, duration=60.0, models={2: trip})
+        sim.run(until=back)
         first = scenario.network.node(1)
         last = scenario.network.node(3)
         assert not has_valid_route(first.routing_table, last.ip)
-        relay.position = origin
         sim.run(until=sim.now + 6 * FAST_DSDV.advertise_interval)
         assert has_valid_route(first.routing_table, last.ip)
         assert first.router.repair_latencies(last.ip)

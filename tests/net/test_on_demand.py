@@ -19,6 +19,7 @@ from repro.obs.session import observe
 from repro.sim.simulator import Simulator
 from repro.topology.mobile import MobileScenario
 
+from helpers.mobility import Jumps
 from helpers.obs import audit_balanced, journey_events, trace_records
 from helpers.routing import has_valid_route
 
@@ -29,12 +30,13 @@ FAST_HOLD_TIME = HOLD_INTERVALS * FAST_AODV.hello_interval
 
 
 def _chain_scenario(node_count=3, spacing=8.0, seed=1, duration=20.0,
-                    config=FAST_AODV):
+                    config=FAST_AODV, models=None):
+    """An AODV chain; ``models`` maps a node's index (from 1) to its model."""
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
                               stop_time=duration, routing=config)
     for i in range(node_count):
-        scenario.add_node((i * spacing, 0.0))
+        scenario.add_node((i * spacing, 0.0), (models or {}).get(i + 1))
     return sim, scenario
 
 
@@ -335,23 +337,30 @@ class TestUnreachableDestination:
         assert audit_balanced(session)
 
 
+#: Where the chain's destination jumps to break its link: out of range.
+FAR_AWAY = (500.0, 0.0)
+#: When it jumps, after the route is up and data flows.
+BREAK_AT = 6.0
+
+
 class TestLinkBreakRerr:
     def test_rerr_invalidates_stale_routes_upstream(self):
-        sim, scenario = _chain_scenario(node_count=3, duration=60.0)
+        sim, scenario = _chain_scenario(node_count=3, duration=60.0,
+                                        models={3: Jumps(((BREAK_AT, FAR_AWAY),))})
         network = scenario.network
         sink = UdpSink(network.node(3))
         source = CbrSource(network.node(1), network.node(3).ip,
                            interval=0.2, payload_bytes=120)
         source.start(1.0)
-        sim.run(until=6.0)
+        sim.run(until=BREAK_AT)
         first, relay, last = (network.node(i) for i in (1, 2, 3))
         assert has_valid_route(first.routing_table, last.ip)
         broken_entry = first.router.table.entry_for(last.ip)
-        # Carry the destination out of range; the relay's HELLO hold expires,
-        # it invalidates its route to node 3 and broadcasts a RERR, and the
-        # source — which was routing through the relay — invalidates too.
-        last.position = (500.0, 0.0)
-        sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
+        # The destination is out of range from now on; the relay's HELLO
+        # hold expires, it invalidates its route to node 3 and broadcasts a
+        # RERR, and the source — which was routing through the relay —
+        # invalidates too.
+        sim.run(until=BREAK_AT + 4 * FAST_HOLD_TIME)
         assert relay.router.rerrs_sent >= 1
         assert first.router.rerrs_received >= 1
         assert first.router.route_breaks >= 1
@@ -363,15 +372,14 @@ class TestLinkBreakRerr:
 
     def test_rerr_broadcast_is_traced(self):
         with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _chain_scenario(node_count=3, duration=60.0)
+            sim, scenario = _chain_scenario(
+                node_count=3, duration=60.0, models={3: Jumps(((BREAK_AT, FAR_AWAY),))})
             network = scenario.network
             UdpSink(network.node(3))
             source = CbrSource(network.node(1), network.node(3).ip,
                                interval=0.2, payload_bytes=120)
             source.start(1.0)
-            sim.run(until=6.0)
-            network.node(3).position = (500.0, 0.0)
-            sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
+            sim.run(until=BREAK_AT + 4 * FAST_HOLD_TIME)
         records = trace_records(session, "aodv", "rerr_tx")
         assert network.node(2).router.rerrs_sent >= 1
         assert len(records) == sum(node.router.rerrs_sent for node in network.nodes)
@@ -379,19 +387,18 @@ class TestLinkBreakRerr:
         assert audit_balanced(session)
 
     def test_route_rediscovered_after_break_heals(self):
-        sim, scenario = _chain_scenario(node_count=3, duration=60.0)
+        heal_at = BREAK_AT + 4 * FAST_HOLD_TIME
+        trip = Jumps(((BREAK_AT, FAR_AWAY), (heal_at, (16.0, 0.0))))
+        sim, scenario = _chain_scenario(node_count=3, duration=60.0, models={3: trip})
         network = scenario.network
         sink = UdpSink(network.node(3))
         source = CbrSource(network.node(1), network.node(3).ip,
                            interval=0.2, payload_bytes=120)
         source.start(1.0)
-        sim.run(until=6.0)
+        sim.run(until=BREAK_AT)
         received_before = sink.packets_received
-        origin_position = network.node(3).position
-        network.node(3).position = (500.0, 0.0)
-        sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
+        sim.run(until=heal_at)
         assert not has_valid_route(network.node(1).routing_table, network.node(3).ip)
-        network.node(3).position = origin_position
         sim.run(until=sim.now + 10.0)
         # Traffic is still flowing, so the next datagram re-discovers.
         assert has_valid_route(network.node(1).routing_table, network.node(3).ip)

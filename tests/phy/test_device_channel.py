@@ -28,13 +28,6 @@ RATE_26 = rate_for_mbps(2.6)
 SIDES = {"scan": medium.AUTO_SPATIAL_THRESHOLD, "grid": 0}
 
 
-def on_both_sides(monkeypatch):
-    """Yield each side's name with the channel patched onto that side."""
-    for side, threshold in SIDES.items():
-        monkeypatch.setattr(medium, "AUTO_SPATIAL_THRESHOLD", threshold)
-        yield side
-
-
 def assert_on_side(channel, side):
     """The grid index exists exactly when a grid-side send happened."""
     assert (channel._spatial is not None) == (side == "grid"), side
@@ -203,8 +196,6 @@ def test_channel_statistics_and_registration():
     sim.run()
     assert channel.total_transmissions == 1
     assert channel.total_airtime > 0
-    channel.unregister(rx)
-    assert len(channel.phys) == 1
 
 
 def test_unregistered_phy_cannot_transmit():
@@ -220,100 +211,31 @@ def test_unregistered_phy_cannot_transmit():
     assert channel.phys == []
 
 
-def test_refused_send_leaves_the_phy_idle():
-    """A send the channel refuses must not wedge the PHY.
+@pytest.mark.parametrize("threshold", SIDES.values(), ids=SIDES.keys())
+def test_a_phy_joining_mid_frame_hears_only_later_frames(monkeypatch, threshold):
+    """Who hears a frame is fixed when it is sent.
 
-    Regression: send() marked the PHY transmitting and counted the frame
-    before the channel refused an unregistered sender, so the PHY stayed
-    TRANSMITTING forever and every later send() raised PhyError.
+    A PHY that joins while a frame is in flight senses and decodes none of
+    it, and hears every frame sent after it joined.
     """
-    sim = Simulator(seed=25)
-    channel, tx, rx, tx_l, rx_l = build_pair(sim)
-    channel.unregister(tx)
-    with pytest.raises(ConfigurationError):
-        tx.send(data_frame())
-    assert tx.state is PhyState.IDLE
-    assert not carrier_reported_busy(tx_l)
-    assert (tx.frames_sent, tx.tx_airtime) == (0, 0.0)
-    assert sim.pending_events == 0
-    channel.register(tx)
-    frame = data_frame()
-    tx.send(frame)
+    monkeypatch.setattr(medium, "AUTO_SPATIAL_THRESHOLD", threshold)
+    sim = Simulator(seed=26)
+    channel, tx, rx, _, rx_l = build_pair(sim)
+    duration = tx.send(data_frame())
+    sim.run(until=duration / 2)
+    late = Phy(sim, channel, position=(0.0, 2.5), name="late")
+    late_l = RecordingListener()
+    late.attach_listener(late_l)
     sim.run()
-    assert tx_l.tx_complete == [frame]
-    assert tx.frames_sent == 1
     assert len(rx_l.received) == 1
-    assert rx_l.received[0].all_unicast_ok
-
-
-def test_unregister_mid_flight_stops_delivery(monkeypatch):
-    """A PHY detached while a frame is in flight must never hear its tail.
-
-    Regression: unregister() used to leave the already-scheduled begin/end
-    reception events pending, so the detached PHY finished decoding frames on
-    a medium it was no longer attached to.
-    """
-    for side in on_both_sides(monkeypatch):
-        sim = Simulator(seed=20)
-        channel, tx, rx, _, rx_l = build_pair(sim)
-        duration = tx.send(data_frame())
-        assert_on_side(channel, side)
-        # Past the propagation delay: begin_reception has fired, end is pending.
-        sim.run(until=duration / 2)
-        assert rx.state is PhyState.RECEIVING
-        pending = sim.pending_events
-        channel.unregister(rx)
-        # Exactly the one outstanding end_reception is cancelled.
-        assert sim.pending_events == pending - 1
-        assert rx.state is PhyState.IDLE
-        assert not carrier_reported_busy(rx_l)
-        sim.run()
-        assert rx_l.received == []
-        assert rx.frames_received == 0
-        assert channel.total_transmissions == 1
-
-
-def test_unregister_before_arrival_cancels_both_delivery_events(monkeypatch):
-    for side in on_both_sides(monkeypatch):
-        sim = Simulator(seed=21)
-        channel, tx, rx, _, rx_l = build_pair(sim)
-        tx.send(data_frame())
-        # The leaver is transmitting too: its own transmission must finish.
-        own_frame = data_frame(size=200)
-        rx.send(own_frame)
-        assert_on_side(channel, side)
-        # Not run yet: even begin_reception is still pending.
-        pending = sim.pending_events
-        channel.unregister(rx)
-        # Both of rx's deliveries go; its _finish_transmission and the
-        # deliveries of its frame to tx stay queued.
-        assert sim.pending_events == pending - 2
-        sim.run()
-        assert rx_l.received == []
-        assert rx.frames_received == 0
-        assert rx_l.tx_complete == [own_frame]
-        assert rx.state is PhyState.IDLE
-
-
-def test_unregister_leaves_other_receivers_untouched(monkeypatch):
-    for side in on_both_sides(monkeypatch):
-        sim = Simulator(seed=22)
-        channel = WirelessChannel(sim)
-        tx = Phy(sim, channel, position=(0.0, 0.0), name="tx")
-        leaver = Phy(sim, channel, position=(2.5, 0.0), name="leaver")
-        stayer = Phy(sim, channel, position=(0.0, 2.5), name="stayer")
-        stayer_l = RecordingListener()
-        stayer.attach_listener(stayer_l)
-        duration = tx.send(data_frame())
-        assert_on_side(channel, side)
-        sim.run(until=duration / 2)
-        pending = sim.pending_events
-        channel.unregister(leaver)
-        assert sim.pending_events == pending - 1
-        sim.run()
-        assert len(stayer_l.received) == 1
-        assert stayer_l.received[0].all_unicast_ok
-        assert leaver.frames_received == 0
+    assert late_l.received == [] and late_l.busy_transitions == []
+    second = data_frame()
+    tx.send(second)
+    assert_on_side(channel, "grid" if threshold == 0 else "scan")
+    sim.run()
+    assert [result.frame for result in late_l.received] == [second]
+    assert late_l.received[0].all_unicast_ok
+    assert late_l.busy_transitions == ["busy", "idle"]
 
 
 @pytest.mark.parametrize("threshold", SIDES.values(), ids=SIDES.keys())
@@ -360,16 +282,16 @@ def test_delivered_frames_are_not_retained(monkeypatch, threshold):
 def test_cached_plans_are_dropped_by_every_event_that_can_change_them():
     """A plan is served again only until something could change it.
 
-    Each step below is one such event: a reassigned position, a PHY
-    registering or leaving, and a PHY that carries a mobility model
-    registering (no plan is cached while it stays) and leaving.  After each
+    PHYs never leave and move only by their models, so the one such event
+    is a registration: a static PHY joining, and a PHY that carries a
+    mobility model joining (no plan is cached from then on).  After each
     one the next send must build its plan afresh, and that plan must equal
     one built from scratch.
     """
     sim = Simulator(seed=23)
     channel = WirelessChannel(sim, shadowing_sigma_db=4.0)
     a = Phy(sim, channel, position=(0.0, 0.0), name="a")
-    b = Phy(sim, channel, position=(2.5, 0.0), name="b")
+    Phy(sim, channel, position=(2.5, 0.0), name="b")
 
     def send():
         channel.broadcast(a, data_frame(), 1e-3)
@@ -388,30 +310,18 @@ def test_cached_plans_are_dropped_by_every_event_that_can_change_them():
     sim.run(until=0.6)  # time alone changes nothing: shadowing is static
     assert send() is first
 
-    b.position = (5.0, 0.0)
-    assert channel._plans == {}
-    moved = send()
-    assert moved == fresh() and powers(moved)[0][1] < powers(first)[0][1]
-
-    c = Phy(sim, channel, position=(0.0, 2.5), name="c")
+    Phy(sim, channel, position=(0.0, 2.5), name="c")
     assert channel._plans == {}
     joined = send()
-    assert joined == fresh() and [name for name, _ in powers(joined)] == ["b", "c"]
+    assert joined == fresh() and powers(joined)[:1] == powers(first)
+    assert [name for name, _ in powers(joined)] == ["b", "c"]
 
-    channel.unregister(c)
-    assert channel._plans == {}
-    assert powers(send()) == powers(moved)
-
-    d = Phy(sim, channel, position=(0.0, 2.5), name="d", mobility=Fixed())
+    Phy(sim, channel, position=(0.0, 5.0), name="d", mobility=Fixed())
     assert channel._plans == {}
     assert send() is None  # per-broadcast plans while d is registered
     assert send() is None
-
-    channel.unregister(d)
-    cached = send()
-    assert cached == fresh() and powers(cached) == powers(moved)
-    assert send() is cached
-    assert channel.total_transmissions == 10
+    assert [name for name, _ in powers(fresh())] == ["b", "c", "d"]
+    assert channel.total_transmissions == 6
 
 
 @pytest.mark.parametrize("duration", (math.nan, math.inf), ids=("nan", "inf"))

@@ -99,41 +99,6 @@ def test_non_callable_callback_rejected():
         sched.push(1.0, "not callable")  # type: ignore[arg-type]
 
 
-def test_cancel_where_cancels_only_matching_events():
-    sched = Scheduler()
-    fired = []
-    drop, keep = fired.append, fired.extend
-    already = sched.push(1.0, drop, ("x",))
-    for i in range(4):
-        sched.push(float(i), drop, (i,))
-        sched.push(float(i), keep, ((i,),))
-    sched.cancel(already)
-    # The already-cancelled event is neither matched again nor counted.
-    assert sched.cancel_where(lambda event: event.callback == drop) == 4
-    assert len(sched) == 4
-    assert sched.cancel_where(lambda event: event.callback == drop) == 0
-    _fire_all(sched)
-    assert fired == [0, 1, 2, 3]
-
-
-def test_cancel_where_survives_compaction_mid_walk():
-    sched = Scheduler()
-    kept = [sched.push(float(i), lambda: None) for i in range(10)]
-    doomed = [sched.push(0.5 + i, int) for i in range(4 * Scheduler.COMPACT_MIN_CANCELLED)]
-    heap_before = sched.heap_size
-    assert sched.cancel_where(lambda event: event.callback is int) == len(doomed)
-    # Compaction replaced the heap during the walk; every match is still
-    # cancelled exactly once and the live count stays exact.
-    assert sched.heap_size < heap_before
-    assert len(sched) == len(kept)
-    assert not any(event.active for event in doomed)
-    assert all(event.active for event in kept)
-    times = []
-    while not sched.empty:
-        times.append(sched.pop_next().time)
-    assert times == [float(i) for i in range(10)]
-
-
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
 def test_pop_order_is_always_sorted(times):
     sched = Scheduler()

@@ -42,9 +42,6 @@ ALLOWLIST: Dict[str, str] = {
         "the only view of which PHYs the medium holds, in registration order",
     "repro.channel.medium.WirelessChannel.received_power_dbm":
         "the only view of one link's budget; delivery plans are private",
-    "repro.channel.medium.WirelessChannel.unregister":
-        "the only way to take a PHY off the medium mid-run; no experiment "
-        "removes a node yet, and the churn and plan-invalidation tests drive it",
     "repro.phy.error_model.bit_error_rate":
         "reference function the cached error probability is checked against",
     "repro.phy.error_model.noise_error_probability":
