@@ -63,10 +63,6 @@ class CbrSource:
         """Start emitting datagrams after ``delay`` seconds."""
         self._timer.start(delay if delay > 0 else self.interval)
 
-    def stop(self) -> None:
-        """Stop the source."""
-        self._timer.stop()
-
     def _emit(self) -> None:
         self.socket.send_to(self.destination, self.destination_port, self.payload_bytes,
                             annotations={"cbr_index": self.packets_sent})

@@ -13,10 +13,8 @@ top of a stock 802.11 DCF MAC:
   physical frames (broadcast portion first, then unicast subframes for one
   destination, within the size budget);
 * :mod:`repro.core.deaggregation` — the receive-side rules (per-broadcast-
-  subframe CRC and pass-up, all-or-nothing acceptance of the unicast portion,
-  address filtering of overheard TCP ACKs);
-* :mod:`repro.core.block_ack` — the block-ACK extension sketched as future
-  work in Section 7, used by the ablation benchmarks.
+  subframe CRC and pass-up, all-or-nothing acceptance of the unicast portion
+  under a single link-level ACK, address filtering of overheard TCP ACKs).
 """
 
 from repro.core.policies import (
@@ -29,7 +27,6 @@ from repro.core.policies import (
 from repro.core.classifier import TcpAckClassifier
 from repro.core.aggregator import AggregateBuild, Aggregator
 from repro.core.deaggregation import DeaggregationResult, process_received_aggregate
-from repro.core.block_ack import BlockAck, BlockAckScoreboard
 
 __all__ = [
     "AggregationPolicy",
@@ -42,6 +39,4 @@ __all__ = [
     "AggregateBuild",
     "process_received_aggregate",
     "DeaggregationResult",
-    "BlockAck",
-    "BlockAckScoreboard",
 ]

@@ -11,9 +11,11 @@ of the paper):
    unicast queue are gathered;
 3. the total is bounded by the policy's maximum aggregation size.
 
-A retransmission preserves the unicast portion of the failed aggregate (those
-subframes still need their link-level ACK) — the broadcast portion is never
-retransmitted because it was already sent unacknowledged.
+The aggregator only builds fresh aggregates.  Retries never come back here:
+the MAC keeps a failed exchange's build and resends it as it was after a
+failed RTS, or without its broadcast portion
+(:meth:`AggregateBuild.without_broadcast_portion`) once the data went out,
+since broadcast subframes are sent unacknowledged and never retransmitted.
 """
 
 from __future__ import annotations
@@ -96,32 +98,15 @@ class Aggregator:
 
     def __init__(self, policy: AggregationPolicy) -> None:
         self.policy = policy
-        self.builds = 0
-        self.subframes_aggregated = 0
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def build(self, queues: "TransmitQueues",
-              preserved_unicast: Optional[List["MacSubframe"]] = None) -> AggregateBuild:
-        """Assemble the next aggregate, removing the chosen subframes from ``queues``.
-
-        ``preserved_unicast`` carries the unicast portion of a failed exchange
-        that must be retransmitted; it is reused verbatim (no new unicast
-        subframes are added to it) and only a fresh broadcast portion may be
-        prepended, if the policy mixes broadcast and unicast traffic.
-        """
+    def build(self, queues: "TransmitQueues") -> AggregateBuild:
+        """Assemble the next aggregate, removing the chosen subframes from ``queues``."""
         policy = self.policy
         build = AggregateBuild()
         budget = policy.max_aggregate_bytes
-
-        if preserved_unicast:
-            build.unicast_subframes = list(preserved_unicast)
-            build.destination = preserved_unicast[0].dst
-            if policy.mixes_broadcast_and_unicast:
-                self._fill_broadcast(build, queues)
-            self._finish(build)
-            return build
 
         # --- broadcast portion first (Section 4.2.3) -------------------
         if queues.broadcast_count:
@@ -129,7 +114,6 @@ class Aggregator:
             budget = policy.max_aggregate_bytes - build.total_bytes
             if not policy.mixes_broadcast_and_unicast:
                 # NA/UA: broadcast traffic travels alone.
-                self._finish(build)
                 return build
 
         # --- unicast portion -------------------------------------------
@@ -155,7 +139,6 @@ class Aggregator:
             build.unicast_subframes = queues.take_unicast_for(destination, max_subframes, fits)
             build.destination = destination if build.unicast_subframes else None
 
-        self._finish(build)
         return build
 
     # ------------------------------------------------------------------
@@ -179,8 +162,3 @@ class Aggregator:
                 break
             taken.append(queues.pop_broadcast_head())
             room -= head.size_bytes
-
-    def _finish(self, build: AggregateBuild) -> None:
-        if not build.empty:
-            self.builds += 1
-            self.subframes_aggregated += build.subframe_count

@@ -6,7 +6,9 @@ immediately, so broadcast subframes do not suffer from being aggregated with
 unicast traffic — and then the unicast subframes, which are accepted
 *all-or-nothing*: if every CRC passes and the destination matches, the whole
 unicast portion goes up and a single link-level ACK is returned; otherwise
-everything is discarded and no ACK is sent.
+everything is discarded and no ACK is sent.  This is the only acceptance
+rule: a block ACK reporting single subframes is Section 7's future work and
+is not modelled.
 
 Section 3.3: TCP ACKs ride in the broadcast portion but keep unicast MAC
 addresses.  A node that overhears such a subframe and is not the addressed
@@ -77,15 +79,11 @@ class DeaggregationResult:
     #: NAV reservation to honour when the unicast portion is addressed to
     #: someone else (taken from the first unicast subframe's duration field).
     nav_duration: float = 0.0
-    #: Per-subframe sequence numbers that passed the CRC, for the optional
-    #: block-ACK extension.
-    unicast_crc_passed: List[int] = field(default_factory=list)
-    unicast_crc_failed: List[int] = field(default_factory=list)
 
 
 def process_received_aggregate(result: ReceptionResult, my_address: "MacAddress",
-                               duplicates: Optional[DuplicateDetector] = None,
-                               block_ack_enabled: bool = False) -> DeaggregationResult:
+                               duplicates: Optional[DuplicateDetector] = None
+                               ) -> DeaggregationResult:
     """Apply the paper's receive rules to a decoded aggregate."""
     output = DeaggregationResult()
     frame = result.frame
@@ -102,35 +100,23 @@ def process_received_aggregate(result: ReceptionResult, my_address: "MacAddress"
             output.overheard_dropped += 1
 
     # ------------------------------------------------------------------
-    # Unicast portion.
+    # Unicast portion: all-or-nothing under a single link-level ACK.
     # ------------------------------------------------------------------
-    unicast = list(frame.unicast_subframes)
+    unicast = frame.unicast_subframes
     if not unicast:
         return output
 
-    addressed_to_me = unicast[0].dst == my_address
-    if not addressed_to_me:
+    if unicast[0].dst != my_address:
         output.nav_duration = unicast[0].duration
         return output
 
-    for subframe, crc_ok in zip(unicast, result.unicast_ok):
-        if crc_ok:
-            output.unicast_crc_passed.append(subframe.sequence)
-        else:
-            output.unicast_crc_failed.append(subframe.sequence)
+    if not result.all_unicast_ok:
+        # One bad CRC discards the whole unicast portion and suppresses the ACK.
+        return output
 
-    if block_ack_enabled:
-        accepted = [sf for sf, ok in zip(unicast, result.unicast_ok) if ok]
-        output.send_ack = bool(accepted) or bool(output.unicast_crc_failed)
-    else:
-        if not result.all_unicast_ok:
-            # One bad CRC discards the whole unicast portion and suppresses the ACK.
-            return output
-        accepted = unicast
-        output.send_ack = True
-
+    output.send_ack = True
     output.ack_destination = unicast[0].src
-    for subframe in accepted:
+    for subframe in unicast:
         if duplicates is not None and duplicates.is_duplicate(subframe.src, subframe.sequence):
             output.duplicates_filtered += 1
             continue

@@ -34,10 +34,6 @@ class PhyError(ReproError):
     """The physical layer was driven into an invalid state."""
 
 
-class MacError(ReproError):
-    """The MAC layer was driven into an invalid state."""
-
-
 class AggregationError(ReproError):
     """The frame aggregator was asked to build an invalid aggregate."""
 

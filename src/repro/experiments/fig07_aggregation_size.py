@@ -10,7 +10,7 @@ coherence limit fail their CRCs and the whole unicast portion is discarded.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.policies import unicast_aggregation
 from repro.experiments.scenarios import run_udp_saturation

@@ -67,15 +67,12 @@ def run_tcp_transfer(policy: AggregationPolicy, hops: int = 2, rate_mbps: float 
                      broadcast_rate_mbps: Optional[float] = None,
                      file_bytes: int = PAPER_FILE_BYTES, seed: int = 1,
                      relay_policy: Optional[AggregationPolicy] = None,
-                     use_block_ack: bool = False,
-                     use_rts_cts: bool = True,
                      max_sim_time: float = 600.0) -> TcpRunResult:
     """One-way file transfer from node 1 to node ``hops + 1`` (Figure 5)."""
     sim = Simulator(seed=seed)
     network = build_linear_chain(
         sim, hops=hops, policy=_policy_map(policy, hops + 1, relay_policy),
         unicast_rate_mbps=rate_mbps, broadcast_rate_mbps=broadcast_rate_mbps,
-        use_block_ack=use_block_ack, use_rts_cts=use_rts_cts,
     )
     sender, receiver = run_file_transfer_pair(network.node(1), network.node(hops + 1),
                                               file_bytes=file_bytes)

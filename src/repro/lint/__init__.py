@@ -8,7 +8,8 @@ those contracts *statically*, file by file, before a single simulation runs:
 
 * :mod:`repro.lint.rules` — the rule registry (RPR001–RPR006), one AST
   visitor per codebase invariant;
-* :mod:`repro.lint.config` — the ``lint.toml``-style rule → module mapping;
+* :mod:`repro.lint.config` — the rule → module mapping, the one statement of
+  the contract's scope;
 * :mod:`repro.lint.engine` — file walking, suppression parsing and report
   assembly;
 * :mod:`repro.lint.cli` — ``python -m repro.lint check|list-rules|explain``.
@@ -21,7 +22,7 @@ A suppression without the ``-- justification`` tail is itself reported
 (rule ``RPR000``), so the audit trail stays honest.
 """
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig, load_config
+from repro.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.lint.engine import LintReport, Suppression, Violation, check_paths, check_source
 from repro.lint.rules import RULES, Rule
 
@@ -35,5 +36,4 @@ __all__ = [
     "Violation",
     "check_paths",
     "check_source",
-    "load_config",
 ]

@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.errors import ConfigurationError
-from repro.lint.config import load_config
+from repro.lint.config import LintConfig
 from repro.lint.engine import LintReport, check_paths
 from repro.lint.rules import RULES, RULES_BY_ID
 
@@ -33,9 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="files or directories to lint (e.g. src/repro)")
     check.add_argument("--format", choices=("text", "json"), default="text",
                        help="report format (default: text)")
-    check.add_argument("--config", type=Path, default=None,
-                       help="explicit lint.toml (default: search upward from "
-                            "the first path)")
     check.add_argument("--output", type=Path, default=None,
                        help="also write the report (in the chosen format) to "
                             "this file — used by CI to upload an artifact")
@@ -65,16 +61,11 @@ def _render_text(report: LintReport) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config, search_from=args.paths[0])
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     missing = [str(p) for p in args.paths if not p.exists()]
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
-    report = check_paths(args.paths, config)
+    report = check_paths(args.paths, LintConfig())
     rendered = (json.dumps(report.as_dict(), indent=2)
                 if args.format == "json" else _render_text(report))
     print(rendered)

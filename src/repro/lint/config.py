@@ -10,15 +10,9 @@ file, or a checkout-relative path):
   (e.g. ``sim/randomness.py`` is the one sanctioned home of raw
   ``random.Random`` construction).
 
-The defaults below *are* the project contract; a ``lint.toml`` next to the
-checked tree (or passed via ``--config``) can override any rule's lists
-using the same shape::
-
-    [lint.RPR002]
-    allow = ["obs/*", "campaign/*"]
-
-``lint.toml`` is parsed with :mod:`tomllib` (stdlib, 3.11+); when the file
-is absent the embedded defaults apply, so the checker has no set-up step.
+:data:`DEFAULT_CONFIG` below *is* the project contract, stated once: every
+``python -m repro.lint check`` run uses it on every interpreter, and
+widening a rule's scope or allowlist is an edit to this module.
 """
 
 from __future__ import annotations
@@ -26,15 +20,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from pathlib import Path
-from typing import Dict, List, Optional
-
-try:  # pragma: no cover - stdlib on 3.11+, gate kept for older interpreters
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover
-    tomllib = None  # type: ignore[assignment]
-
-from repro.errors import ConfigurationError
+from typing import Dict, List
 
 #: Modules whose event ordering, packet contents or hashing feed the
 #: byte-determinism contract.  Runner plumbing (campaign), the observability
@@ -130,48 +116,3 @@ class LintConfig:
         return frozenset(self.rule_options(rule_id).get(
             "guarded_calls", GUARDED_INSTRUMENTATION_CALLS))
 
-
-def load_config(path: Optional[Path] = None,
-                search_from: Optional[Path] = None) -> LintConfig:
-    """Build a :class:`LintConfig` from ``lint.toml`` or the defaults.
-
-    ``path`` names an explicit config file (an error if unreadable).  Without
-    one, ``lint.toml`` is searched for upward from ``search_from`` (typically
-    the checked tree); the embedded defaults apply when nothing is found.
-    """
-    explicit = path is not None
-    if path is None and search_from is not None:
-        probe = search_from.resolve()
-        if probe.is_file():
-            probe = probe.parent
-        for candidate_dir in (probe, *probe.parents):
-            candidate = candidate_dir / "lint.toml"
-            if candidate.is_file():
-                path = candidate
-                break
-    config = LintConfig()
-    if path is None:
-        return config
-    if tomllib is None:  # pragma: no cover - tomllib is stdlib on 3.11+
-        if explicit:
-            raise ConfigurationError(
-                f"cannot parse {path}: tomllib unavailable on this interpreter")
-        # A discovered lint.toml mirrors the embedded defaults by contract
-        # (tests/lint/test_cli.py pins that), so pre-3.11 interpreters can
-        # safely fall back to the defaults instead of failing the gate.
-        return config
-    try:
-        data = tomllib.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read lint config {path}: {exc}") from exc
-    for rule_id, options in data.get("lint", {}).items():
-        if not isinstance(options, dict):
-            raise ConfigurationError(
-                f"lint config section [lint.{rule_id}] must be a table")
-        merged = config.rules.setdefault(rule_id, {"paths": [], "allow": []})
-        for key, value in options.items():
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise ConfigurationError(
-                    f"lint config option {rule_id}.{key} must be a list of strings")
-            merged[key] = list(value)
-    return config

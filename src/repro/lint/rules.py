@@ -487,7 +487,8 @@ class GuardedInstrumentation(Rule):
         "fields (str(ip), ...) on every event — measurable at millions of "
         "events per run. Hoist `tracer = self.sim.tracer` and test "
         "`if tracer.enabled:` around the call. The emitter set is the RPR005 "
-        "`guarded_calls` list in lint.toml (`receiver.method` specs)."
+        "`guarded_calls` list in repro/lint/config.py (`receiver.method` "
+        "specs)."
     )
 
     def _guard_specs(self, ctx: RuleContext) -> Dict[str, Set[str]]:

@@ -14,7 +14,6 @@ from repro.mac.frames import (
     MacSubframe,
     RtsFrame,
     ACK_FRAME_BYTES,
-    BLOCK_ACK_FRAME_BYTES,
     CTS_FRAME_BYTES,
     MIN_SUBFRAME_BYTES,
     RTS_FRAME_BYTES,
@@ -38,7 +37,6 @@ __all__ = [
     "RTS_FRAME_BYTES",
     "CTS_FRAME_BYTES",
     "ACK_FRAME_BYTES",
-    "BLOCK_ACK_FRAME_BYTES",
     "TransmitQueues",
     "BackoffController",
     "NetworkAllocationVector",

@@ -32,11 +32,6 @@ class BackoffController:
         """Record that ``slots`` backoff slots elapsed while the medium was idle."""
         self.slots_remaining = max(0, self.slots_remaining - slots)
 
-    @property
-    def expired(self) -> bool:
-        """True once the backoff counter reaches zero."""
-        return self.slots_remaining == 0
-
     def on_failure(self) -> None:
         """Double the contention window (bounded by ``CW_MAX``)."""
         self._cw = min(self._cw * 2, CW_MAX)

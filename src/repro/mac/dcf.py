@@ -8,11 +8,15 @@ RTS/CTS exchange, extended with
 * transmit-time aggregation (the frame is assembled when the DCF acquires the
   floor),
 * receive-side per-subframe CRC processing with all-or-nothing acceptance of
-  the unicast portion and a single link-level ACK,
+  the unicast portion and a single link-level ACK, and
 * address filtering of overheard broadcast-portion subframes that carry
-  unicast addresses (classified TCP ACKs), and
-* an optional block-ACK extension (future work in the paper, used by the
-  ablation benchmarks).
+  unicast addresses (classified TCP ACKs).
+
+It runs one exchange: an aggregate with a unicast portion is always preceded
+by RTS/CTS and answered by one ACK, and a broadcast-only aggregate goes out
+alone, unacknowledged.  A failed exchange is retried through one path: the
+whole aggregate again after a failed RTS, its unicast portion alone after a
+missing ACK.
 
 The implementation is event driven: the PHY reports carrier busy/idle
 transitions, frame receptions and transmit completions; the MAC reacts and
@@ -23,19 +27,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.core.aggregator import AggregateBuild, Aggregator
-from repro.core.block_ack import BlockAck, BlockAckScoreboard
 from repro.core.classifier import TcpAckClassifier
 from repro.core.deaggregation import DuplicateDetector, process_received_aggregate
 from repro.core.policies import AggregationPolicy, broadcast_aggregation
-from repro.errors import MacError
-from repro.mac.addresses import BROADCAST_MAC, MacAddress
+from repro.mac.addresses import MacAddress
 from repro.mac.backoff import BackoffController
 from repro.mac.frames import (
     ACK_FRAME_BYTES,
-    BLOCK_ACK_FRAME_BYTES,
     CTS_FRAME_BYTES,
     AckFrame,
     CtsFrame,
@@ -67,8 +68,6 @@ ACK_AIRTIME = control_airtime(ACK_FRAME_BYTES, HYDRA_BASE_RATE)
 #: response's airtime and :data:`~repro.mac.timing.TIMEOUT_GUARD`.
 CTS_TIMEOUT = SIFS + CTS_AIRTIME + TIMEOUT_GUARD
 ACK_TIMEOUT = SIFS + ACK_AIRTIME + TIMEOUT_GUARD
-BLOCK_ACK_TIMEOUT = (SIFS + control_airtime(BLOCK_ACK_FRAME_BYTES, HYDRA_BASE_RATE)
-                     + TIMEOUT_GUARD)
 
 
 class MacState(enum.Enum):
@@ -96,9 +95,6 @@ class MacConfig:
     #: Rate for the broadcast portion; ``None`` means "same as unicast"
     #: (Figure 10 pins it).
     broadcast_rate: Optional[PhyRate] = None
-    #: Precede every frame with a unicast portion by an RTS/CTS exchange.
-    use_rts_cts: bool = True
-    use_block_ack: bool = False
 
 
 class AggregatingMac:
@@ -106,7 +102,7 @@ class AggregatingMac:
 
     __slots__ = ("sim", "phy", "config", "policy", "name", "address",
                  "queues", "classifier", "aggregator",
-                 "duplicates", "stats", "scoreboard", "_sequence",
+                 "duplicates", "stats", "_sequence",
                  "backoff", "nav", "state", "_current", "_pending_retry",
                  "_retry_count", "_flush_forced", "_drawn_slots",
                  "_backoff_resumed_at", "_access_timer", "_response_timer",
@@ -132,7 +128,6 @@ class AggregatingMac:
         self.aggregator = Aggregator(self.policy)
         self.duplicates = DuplicateDetector()
         self.stats = MacStatistics(name=self.name)
-        self.scoreboard = BlockAckScoreboard()
         # Sequence number of this MAC's latest subframe (the first is 1).
         self._sequence = 0
 
@@ -222,11 +217,11 @@ class AggregatingMac:
     # ------------------------------------------------------------------
     def _medium_busy(self) -> bool:
         # Physical carrier (the PHY transmitting or sensing energy) or
-        # virtual carrier (NAV.busy), read from their slots: this runs on
-        # every carrier upcall.
+        # virtual carrier (the NAV's reservation), read from their slots:
+        # this runs on every carrier upcall.
         phy = self.phy
         return (phy._transmitting or phy._carrier_count > 0
-                or self.sim._now < self.nav._until)
+                or self.sim._now < self.nav.until)
 
     def _try_start_access(self) -> None:
         if self.state is not MacState.IDLE:
@@ -299,7 +294,7 @@ class AggregatingMac:
         if tracer.enabled:
             tracer.emit(self.name, "mac", "aggregate", build=self._current)
 
-        if self._current.has_unicast and self.config.use_rts_cts:
+        if self._current.has_unicast:
             self._send_rts()
         else:
             self._send_data_frame()
@@ -336,8 +331,6 @@ class AggregatingMac:
         self._pause_backoff()
         self.phy.send(frame)
         self.stats.record_data_frame(frame)
-        if self.config.use_block_ack and frame.has_unicast:
-            self.scoreboard.register(list(frame.unicast_subframes))
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(self.name, "mac", "data_tx", subframes=frame.subframe_count,
@@ -360,8 +353,7 @@ class AggregatingMac:
                     tracer.emit(self.name, "mac", "sent_unacked", frame=frame)
                 if frame.has_unicast:
                     self.state = MacState.WAIT_ACK
-                    self._response_timer.start(
-                        BLOCK_ACK_TIMEOUT if self.config.use_block_ack else ACK_TIMEOUT)
+                    self._response_timer.start(ACK_TIMEOUT)
                 else:
                     self._complete_success(broadcast_only=True)
         elif frame.kind in (FrameKind.CTS, FrameKind.ACK):
@@ -429,13 +421,6 @@ class AggregatingMac:
         self.stats.acks_received += 1
         self.stats.record_control_frame("ack_rx", result.frame.airtime())
         self.stats.record_ifs(SIFS)
-        if self.config.use_block_ack and isinstance(control, BlockAck):
-            missing = self.scoreboard.apply(control)
-            if missing:
-                # Partial block-ACK: the acknowledged subframes leave custody
-                # now, the missing ones ride the retry path.
-                self._handle_failure(data_was_sent=True, preserved_unicast=missing)
-                return
         self._complete_success()
 
     def _send_control_response(self, kind: FrameKind, control_frame) -> None:
@@ -450,9 +435,8 @@ class AggregatingMac:
     # Receive path: data frames
     # ------------------------------------------------------------------
     def _handle_data(self, result: ReceptionResult) -> None:
-        outcome = process_received_aggregate(
-            result, self.address, duplicates=self.duplicates,
-            block_ack_enabled=self.config.use_block_ack)
+        outcome = process_received_aggregate(result, self.address,
+                                             duplicates=self.duplicates)
 
         self.stats.overheard_dropped += outcome.overheard_dropped
         self.stats.duplicates_filtered += outcome.duplicates_filtered
@@ -465,15 +449,10 @@ class AggregatingMac:
         for subframe in outcome.unicast_deliveries:
             self._deliver_up(subframe)
 
-        if outcome.send_ack and outcome.ack_destination is not None:
-            if self.config.use_block_ack:
-                response = BlockAck.for_outcome(outcome.ack_destination,
-                                                outcome.unicast_crc_passed)
-            else:
-                last = outcome.unicast_crc_passed[-1] if outcome.unicast_crc_passed else None
-                response = AckFrame(dst=outcome.ack_destination, acked_sequence=last)
-            self.sim.schedule(SIFS, self._send_control_response,
-                              FrameKind.ACK, response, priority=Simulator.PRIORITY_MAC)
+        if outcome.send_ack:
+            self.sim.schedule(SIFS, self._send_control_response, FrameKind.ACK,
+                              AckFrame(dst=outcome.ack_destination),
+                              priority=Simulator.PRIORITY_MAC)
 
     def _deliver_up(self, subframe: MacSubframe) -> None:
         self.stats.subframes_delivered_up += 1
@@ -507,8 +486,7 @@ class AggregatingMac:
         elif self.state is MacState.WAIT_ACK:
             self._handle_failure(data_was_sent=True)
 
-    def _handle_failure(self, data_was_sent: bool,
-                        preserved_unicast: Optional[List[MacSubframe]] = None) -> None:
+    def _handle_failure(self, data_was_sent: bool) -> None:
         if self._current is None:  # pragma: no cover - defensive
             self.state = MacState.IDLE
             self._try_start_access()
@@ -532,23 +510,21 @@ class AggregatingMac:
                 # The broadcast portion was already transmitted (unacknowledged);
                 # only the unicast portion is retried.
                 retry = self._current.without_broadcast_portion()
-                if preserved_unicast is not None:
-                    retry.unicast_subframes = list(preserved_unicast)
             else:
                 # The RTS failed: nothing went out, keep the whole aggregate.
                 retry = self._current
             for subframe in retry.unicast_subframes:
                 subframe.retries += 1
-            self._pending_retry = retry if not retry.empty else None
+            # Only exchanges with a unicast portion can fail (RTS and ACK
+            # wait only for those), so the retry is never empty.
+            self._pending_retry = retry
 
         self._current = None
         self.state = MacState.IDLE
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(self.name, "mac", "exchange_failed", retries=self._retry_count,
-                        data_sent=data_was_sent, gave_up=gave_up, build=current,
-                        unacked=(preserved_unicast if preserved_unicast is not None
-                                 else current.unicast_subframes))
+                        data_sent=data_was_sent, gave_up=gave_up, build=current)
         self._try_start_access()
 
     # ------------------------------------------------------------------

@@ -17,9 +17,8 @@ those sizes exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.mac.addresses import BROADCAST_MAC, MacAddress
+from repro.mac.addresses import MacAddress
 from repro.net.packet import Packet
 
 #: Link-layer encapsulation overhead added to every network packet.
@@ -30,8 +29,6 @@ MIN_SUBFRAME_BYTES = 160
 RTS_FRAME_BYTES = 20
 CTS_FRAME_BYTES = 14
 ACK_FRAME_BYTES = 14
-#: A compressed block ACK is larger than a normal ACK.
-BLOCK_ACK_FRAME_BYTES = 32
 
 
 @dataclass(slots=True)
@@ -101,12 +98,9 @@ class CtsFrame:
 
 @dataclass(slots=True)
 class AckFrame:
-    """Link-level acknowledgement for the unicast portion of an aggregate."""
+    """Link-level acknowledgement for the whole unicast portion of an aggregate."""
 
     dst: MacAddress
-    #: Sequence number of the last unicast subframe being acknowledged, kept
-    #: for tracing; the ACK acknowledges the whole unicast portion.
-    acked_sequence: Optional[int] = None
 
     @property
     def size_bytes(self) -> int:

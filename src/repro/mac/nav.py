@@ -2,12 +2,14 @@
 
 Overheard RTS/CTS frames and the duration field of the first unicast subframe
 of an aggregate (Section 4.2.1) set the NAV; the DCF treats the medium as
-busy until the NAV expires, in addition to physical carrier sensing.
+busy until :attr:`NetworkAllocationVector.until`, in addition to physical
+carrier sensing, and resumes its backoff through ``on_expire`` when the
+reservation ends.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.sim.simulator import Simulator
 from repro.sim.timer import Timer
@@ -16,30 +18,14 @@ from repro.sim.timer import Timer
 class NetworkAllocationVector:
     """Tracks the time until which the medium is virtually reserved."""
 
-    __slots__ = ("_sim", "_until", "_on_expire", "_expiry", "updates")
+    __slots__ = ("_sim", "until", "_on_expire", "_expiry")
 
-    def __init__(self, sim: Simulator, on_expire: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self, sim: Simulator, on_expire: Callable[[], None]) -> None:
         self._sim = sim
-        self._until = 0.0
+        #: Absolute time at which the current reservation ends.
+        self.until = 0.0
         self._on_expire = on_expire
-        #: Fires when the reservation ends; only needed to call ``on_expire``.
-        self._expiry = None if on_expire is None else Timer(
-            sim, self._expired, priority=Simulator.PRIORITY_MAC, name="nav")
-        self.updates = 0
-
-    @property
-    def busy(self) -> bool:
-        """True while the NAV reserves the medium."""
-        return self._sim.now < self._until
-
-    @property
-    def until(self) -> float:
-        """Absolute time at which the current reservation ends."""
-        return self._until
-
-    def remaining(self) -> float:
-        """Seconds of reservation left (0 when idle)."""
-        return max(0.0, self._until - self._sim.now)
+        self._expiry = Timer(sim, self._expired, priority=Simulator.PRIORITY_MAC, name="nav")
 
     def update(self, duration: float) -> None:
         """Extend the NAV to ``now + duration`` if that is later than the current value."""
@@ -47,18 +33,10 @@ class NetworkAllocationVector:
             return
         now = self._sim._now
         candidate = now + duration
-        if candidate > self._until:
-            self._until = candidate
-            self.updates += 1
-            if self._expiry is not None:
-                self._expiry.start(max(0.0, candidate - now))
-
-    def clear(self) -> None:
-        """Cancel any reservation."""
-        self._until = 0.0
-        if self._expiry is not None:
-            self._expiry.cancel()
+        if candidate > self.until:
+            self.until = candidate
+            self._expiry.start(candidate - now)
 
     def _expired(self) -> None:
-        if not self._sim._now < self._until:
+        if not self._sim._now < self.until:
             self._on_expire()

@@ -149,11 +149,6 @@ class NeighborDiscovery:
         self._beacon.stop()
         self._expiry.cancel()
 
-    @property
-    def running(self) -> bool:
-        """True while beacons are being emitted."""
-        return self._beacon.running
-
     # ------------------------------------------------------------------
     # Event registration
     # ------------------------------------------------------------------

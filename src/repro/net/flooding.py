@@ -54,15 +54,6 @@ class FloodingSource:
             initial_delay = self._rng.uniform(0.0, self.interval)
         self._timer.start(initial_delay)
 
-    def stop(self) -> None:
-        """Stop generating flood packets."""
-        self._timer.stop()
-
-    @property
-    def running(self) -> bool:
-        """True while the generator is active."""
-        return self._timer.running
-
     def _emit(self) -> None:
         packet = Packet.broadcast_control(
             src=self.source_ip, payload_bytes=self.payload_bytes, created_at=self.sim.now,

@@ -194,6 +194,8 @@ class AodvRouter:
         self._own_sequence = 0
         self._rreq_id = 0
         self._stop_time: Optional[float] = None
+        #: True until :meth:`start`: a router that has not started ignores
+        #: control traffic and forwarding events.
         self._stopped = True
         #: Duplicate suppression: (origin value, request id) → time first seen.
         self._seen_requests: Dict[Tuple[int, int], float] = {}
@@ -232,26 +234,6 @@ class AodvRouter:
         self._stop_time = stop_time
         self._stopped = False
         self.discovery.start(stop_time=stop_time)
-        # Lifetimes recorded before a stop()/start() cycle must still expire.
-        self._rearm_expiry()
-
-    def stop(self) -> None:
-        """Stop all protocol activity and drop any buffered packets."""
-        self._stopped = True
-        self.discovery.stop()
-        self._expiry_timer.cancel()
-        tracer = self.sim.tracer
-        for destination in sorted(self._pending):
-            state = self._pending[destination]
-            if state.timer is not None:
-                state.timer.cancel()
-            for packet in state.buffered:
-                self.buffered_packets_dropped += 1
-                # Buffered packets are in the network layer's custody.
-                if tracer.enabled:
-                    tracer.emit(self.network.name, "net", "drop",
-                                reason="shutdown", packet=packet)
-        self._pending.clear()
 
     def _past_stop(self) -> bool:
         return (self._stopped

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.net.address import IpAddress
 
@@ -164,11 +164,6 @@ class Packet:
         return cls(ip=IpHeader(src=src, dst=IpAddress("255.255.255.255"), protocol="flood"),
                    payload_bytes=payload_bytes, created_at=created_at,
                    annotations=dict(annotations or {}))
-
-    def copy(self) -> "Packet":
-        """A shallow copy with a fresh uid (used when a packet is duplicated)."""
-        return Packet(ip=self.ip, payload_bytes=self.payload_bytes, tcp=self.tcp, udp=self.udp,
-                      created_at=self.created_at, annotations=dict(self.annotations))
 
     def with_decremented_ttl(self) -> "Packet":
         """Copy of the packet with TTL reduced by one (same uid)."""

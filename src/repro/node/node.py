@@ -13,8 +13,7 @@ which the experiments pin one of the lowest four
 single spatial stream), DCF with RTS/CTS (:mod:`repro.mac.timing`), and a
 maximum aggregation size of 5 KB chosen from the Figure 7 sweep
 (:data:`~repro.core.policies.DEFAULT_MAX_AGGREGATE_BYTES`).  What a node
-varies per run is its data rates, its aggregation policy, block ACKs and,
-for the ablation, whether it uses RTS/CTS.
+varies per run is its data rates and its aggregation policy.
 
 Beyond the paper's stationary testbed, a node may be built with a
 :mod:`repro.mobility` model (``Node(..., mobility=model)``): its PHY binds
@@ -73,8 +72,6 @@ class Node:
         unicast_rate_mbps: Optional[float] = None,
         broadcast_rate_mbps: Optional[float] = None,
         neighbors: Optional[NeighborTable] = None,
-        use_rts_cts: bool = True,
-        use_block_ack: bool = False,
         routing: RoutingConfig = None,
         mobility: Optional[MobilityModel] = None,
     ) -> None:
@@ -102,8 +99,6 @@ class Node:
                           else rate_for_mbps(unicast_rate_mbps)),
             broadcast_rate=(None if broadcast_rate_mbps is None
                             else rate_for_mbps(broadcast_rate_mbps)),
-            use_rts_cts=use_rts_cts,
-            use_block_ack=use_block_ack,
         )
         self.mac = AggregatingMac(sim, self.phy, mac_config, policy=self.policy,
                                   name=f"{self.name}.mac")

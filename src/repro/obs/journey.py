@@ -255,22 +255,16 @@ class JourneyRecorder:
 
     def _mac_exchange_failed(self, record: Any, node: str, attempt: int) -> None:
         fields = record.fields
-        build, unacked = fields["build"], fields["unacked"]
-        missing = {id(subframe) for subframe in unacked}
-        # A partial block ACK released the subframes it covered.
-        for subframe in build.unicast_subframes:
-            if id(subframe) not in missing:
-                self.record(record.time, node, "mac", "acked", subframe.packet,
-                            attempt=attempt)
+        build = fields["build"]
         if not fields["gave_up"]:
-            for subframe in unacked:
+            for subframe in build.unicast_subframes:
                 self.record(record.time, node, "mac", "retry", subframe.packet,
                             attempt=attempt, count=subframe.retries)
             return
         # After a failed RTS chain the broadcast portion never went out and
         # dies with the unicast portion.
         unsent = () if fields["data_sent"] else build.broadcast_subframes
-        for subframe in list(unacked) + list(unsent):
+        for subframe in [*build.unicast_subframes, *unsent]:
             self.record(record.time, node, "mac", "drop", subframe.packet,
                         reason="retry_limit")
 

@@ -35,7 +35,7 @@ and snapshots can be compared with ``==``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 #: Every histogram's bucket upper bounds, ascending (``+Inf`` is implicit).
 #: Chosen to be useful for the repo's distributions (dB values, retry

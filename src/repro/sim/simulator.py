@@ -37,7 +37,7 @@ class Simulator:
     #: fire before MAC events which fire before application events so that a
     #: frame that finishes reception at time *t* is processed before a timer
     #: that expires at the same instant.
-    __slots__ = ("_now", "_scheduler", "_running", "_stopped", "random",
+    __slots__ = ("_now", "_scheduler", "_running", "random",
                  "tracer", "_events_processed", "metrics")
 
     PRIORITY_PHY = 0
@@ -50,7 +50,6 @@ class Simulator:
         self._now = 0.0
         self._scheduler = Scheduler()
         self._running = False
-        self._stopped = False
         self.random = RandomStreams(seed)
         self.tracer = Tracer(self)
         self._events_processed = 0
@@ -114,22 +113,17 @@ class Simulator:
             )
         return self._scheduler.push(time, callback, args, priority)
 
-    def cancel(self, event: Optional[Event]) -> None:
-        """Cancel a pending event; ``None`` and fired or cancelled events are ignored."""
-        if event is not None:
-            self._scheduler.cancel(event)
-
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run events until the queue drains, ``until`` is reached, or ``stop()``.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run events until the queue drains or the next one lies past ``until``.
 
-        Returns the simulated time at which the run loop exited.  At most
-        ``max_events`` events run.  A horizon earlier than :attr:`now` (or
-        NaN) is rejected, since the clock never moves backwards, and so is an
-        infinite one, which would leave the clock at infinity once the queue
-        drains.  A negative ``max_events`` is rejected too.
+        Returns the simulated time at which the run loop exited: ``until``
+        when a horizon is given, else the time of the last event.  A horizon
+        earlier than :attr:`now` (or NaN) is rejected, since the clock never
+        moves backwards, and so is an infinite one, which would leave the
+        clock at infinity once the queue drains.
         """
         if self._running:
             raise SimulationError("simulator is already running")
@@ -140,38 +134,23 @@ class Simulator:
                 )
             if until == math.inf:
                 raise SimulationError("run horizon must be finite (until=inf)")
-        if max_events is not None and max_events < 0:
-            raise SimulationError(f"max_events must be >= 0, got {max_events}")
-        budget = math.inf if max_events is None else max_events
         self._running = True
-        self._stopped = False
         processed_this_run = 0
         started_at = self._now
-        scheduler = self._scheduler
-        pop_next = scheduler.pop_next
+        pop_next = self._scheduler.pop_next
         try:
-            while not self._stopped and processed_this_run < budget:
-                event = pop_next(until)
-                if event is None:
-                    if until is not None and not scheduler.empty:
-                        # Horizon reached with live events still beyond it.
-                        self._now = until
-                    break
+            while (event := pop_next(until)) is not None:
                 self._now = event.time
                 event.callback(*event.args)
                 self._events_processed += 1
                 processed_this_run += 1
-            if until is not None and not self._stopped and scheduler.empty:
-                # Queue drained before the horizon: advance the clock to it.
-                self._now = max(self._now, until)
+            if until is not None:
+                # Every event up to the horizon ran: the clock moves to it.
+                self._now = until
         finally:
             self._running = False
             TELEMETRY.record_run(processed_this_run, self._now - started_at)
         return self._now
-
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stopped = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

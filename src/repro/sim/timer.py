@@ -26,8 +26,7 @@ class Timer:
     expiration is cancelled).
     """
 
-    __slots__ = ("_sim", "_callback", "_priority", "_event", "name",
-                 "expirations")
+    __slots__ = ("_sim", "_callback", "_priority", "_event", "name")
 
     def __init__(
         self,
@@ -43,7 +42,6 @@ class Timer:
         self._priority = priority
         self._event: Optional[Event] = None
         self.name = name
-        self.expirations = 0
 
     @property
     def running(self) -> bool:
@@ -81,15 +79,8 @@ class Timer:
             self._sim._scheduler.cancel(self._event)
             self._event = None
 
-    def remaining(self) -> float:
-        """Seconds until expiration (0.0 when not running)."""
-        if not self.running:
-            return 0.0
-        return max(0.0, self._event.time - self._sim.now)
-
     def _fire(self) -> None:
         self._event = None
-        self.expirations += 1
         self._callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -100,7 +91,7 @@ class Timer:
 class PeriodicTimer:
     """A timer that re-arms itself with a fixed period until stopped."""
 
-    __slots__ = ("_period", "_callback", "_timer", "_stopped", "ticks")
+    __slots__ = ("_period", "_callback", "_timer", "_stopped")
 
     def __init__(
         self,
@@ -116,7 +107,6 @@ class PeriodicTimer:
         self._callback = callback
         self._timer = Timer(sim, self._tick, priority=priority, name=name)
         self._stopped = False
-        self.ticks = 0
 
     @property
     def period(self) -> float:
@@ -146,7 +136,6 @@ class PeriodicTimer:
         self._timer.cancel()
 
     def _tick(self) -> None:
-        self.ticks += 1
         self._callback()
         # The callback may have stopped the timer (the flag, not the
         # underlying one-shot, records that) or restarted it itself; only

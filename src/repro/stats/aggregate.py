@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from repro.errors import ExperimentError
 from repro.stats.results import ExperimentResult, Series, TableResult

@@ -13,7 +13,7 @@ the servers, node 2 is the central relay and node 1 is the client.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.channel.medium import WirelessChannel
 from repro.core.policies import AggregationPolicy
@@ -53,9 +53,7 @@ def _install_chain_routes(network: Network, indices: Sequence[int]) -> None:
 
 def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
                        unicast_rate_mbps: Optional[float] = None,
-                       broadcast_rate_mbps: Optional[float] = None,
-                       use_block_ack: bool = False,
-                       use_rts_cts: bool = True) -> Network:
+                       broadcast_rate_mbps: Optional[float] = None) -> Network:
     """Build the linear topology of Figure 5 with ``hops`` hops (``hops+1`` nodes)."""
     if hops < 1:
         raise ConfigurationError("a chain needs at least one hop")
@@ -69,8 +67,7 @@ def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
                     policy=_policy_for(policy, index),
                     unicast_rate_mbps=unicast_rate_mbps,
                     broadcast_rate_mbps=broadcast_rate_mbps,
-                    neighbors=network.neighbors, use_rts_cts=use_rts_cts,
-                    use_block_ack=use_block_ack)
+                    neighbors=network.neighbors)
         network.add_node(node)
 
     _install_chain_routes(network, list(range(1, node_count + 1)))
@@ -79,8 +76,7 @@ def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
 
 def build_star(sim: Simulator, policy: PolicySpec,
                unicast_rate_mbps: Optional[float] = None,
-               broadcast_rate_mbps: Optional[float] = None,
-               use_block_ack: bool = False) -> Network:
+               broadcast_rate_mbps: Optional[float] = None) -> Network:
     """Build the star topology of Figure 6.
 
     Four nodes: node 2 is the central relay; nodes 3 and 4 are TCP servers,
@@ -105,7 +101,7 @@ def build_star(sim: Simulator, policy: PolicySpec,
                     policy=_policy_for(policy, index),
                     unicast_rate_mbps=unicast_rate_mbps,
                     broadcast_rate_mbps=broadcast_rate_mbps,
-                    neighbors=network.neighbors, use_block_ack=use_block_ack)
+                    neighbors=network.neighbors)
         network.add_node(node)
 
     centre = network.node(2)

@@ -70,14 +70,12 @@ class MobileScenario:
                  shadowing_sigma_db: float = 0.0,
                  unicast_rate_mbps: Optional[float] = None,
                  broadcast_rate_mbps: Optional[float] = None,
-                 use_block_ack: bool = False,
                  stop_time: Optional[float] = None,
                  routing: RoutingConfig = None) -> None:
         self.sim = sim
         self.policy = policy
         self.unicast_rate_mbps = unicast_rate_mbps
         self.broadcast_rate_mbps = broadcast_rate_mbps
-        self.use_block_ack = use_block_ack
         self.stop_time = stop_time
         self.routing = routing
         self.channel = WirelessChannel(sim, shadowing_sigma_db)
@@ -99,7 +97,6 @@ class MobileScenario:
                     unicast_rate_mbps=self.unicast_rate_mbps,
                     broadcast_rate_mbps=self.broadcast_rate_mbps,
                     neighbors=self.network.neighbors,
-                    use_block_ack=self.use_block_ack,
                     routing=self.routing, mobility=model)
         self.network.add_node(node)
         self._next_index = max(self._next_index, index) + 1

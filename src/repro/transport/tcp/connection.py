@@ -317,7 +317,9 @@ class TcpConnection:
             self._complete_rtt_sample(ackno)
 
             if self.cc.in_fast_recovery:
-                if ackno > self._recover:
+                if ackno >= self._recover:
+                    # Full ACK (RFC 6582): everything outstanding when
+                    # recovery began is acknowledged.
                     self.cc.on_exit_fast_recovery()
                     self._dup_acks = 0
                 else:

@@ -60,10 +60,6 @@ class UdpSocket:
         if self._handler is not None:
             self._handler(packet, packet.ip.src)
 
-    def close(self) -> None:
-        """Unbind the socket."""
-        self._layer.unbind(self.local_port)
-
 
 class UdpLayer:
     """Per-node UDP demultiplexer."""
@@ -91,10 +87,6 @@ class UdpLayer:
         socket = UdpSocket(self, port)
         self._sockets[port] = socket
         return socket
-
-    def unbind(self, port: int) -> None:
-        """Release ``port``."""
-        self._sockets.pop(port, None)
 
     def _on_packet(self, packet: Packet, source_mac: MacAddress) -> None:
         if packet.udp is None:  # pragma: no cover - defensive

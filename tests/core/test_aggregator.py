@@ -131,15 +131,6 @@ def test_budget_respected_but_first_subframe_always_fits():
     assert len(build.unicast_subframes) == 1
 
 
-def test_preserved_unicast_retransmission_keeps_portion_and_adds_broadcasts():
-    aggregator = Aggregator(broadcast_aggregation())
-    queues = queues_with(broadcast=[ack_subframe(5)])
-    preserved = [data_subframe(2), data_subframe(2)]
-    build = aggregator.build(queues, preserved_unicast=preserved)
-    assert build.unicast_subframes == preserved
-    assert len(build.broadcast_subframes) == 1
-
-
 def test_empty_queues_give_empty_build():
     aggregator = Aggregator(broadcast_aggregation())
     build = aggregator.build(TransmitQueues())

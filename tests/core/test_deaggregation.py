@@ -1,38 +1,30 @@
-"""Unit tests for receive-side deaggregation and the block-ACK extension."""
+"""Unit tests for receive-side deaggregation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.block_ack import BlockAck, BlockAckScoreboard
 from repro.core.deaggregation import (
     DUPLICATE_CACHE_SIZE,
     DuplicateDetector,
     process_received_aggregate,
 )
-from repro.core.policies import unicast_aggregation
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.frames import subframe_for_packet
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
-from repro.obs.session import observe
 from repro.phy.frame import PhyFrame, ReceptionResult
 from repro.phy.rates import HYDRA_BASE_RATE
-from repro.sim import Simulator
-from repro.topology import MobileScenario
-
-from helpers.obs import audit_balanced, journey_event_fields
 
 ME = MacAddress.node(2)
 SENDER = MacAddress.node(1)
 
 
-def subframe(dst, payload=1357, broadcast_portion=False, sequence=0):
+def subframe(dst, payload=1357, broadcast_portion=False):
     header = TcpHeader(src_port=1, dst_port=2, flags_ack=True)
     packet = Packet.tcp_segment(IpAddress("10.0.0.1"), IpAddress("10.0.0.9"), header,
                                 payload_bytes=payload)
-    return subframe_for_packet(packet, SENDER, dst, broadcast_portion=broadcast_portion,
-                               sequence=sequence)
+    return subframe_for_packet(packet, SENDER, dst, broadcast_portion=broadcast_portion)
 
 
 def reception(broadcast=(), unicast=(), broadcast_ok=None, unicast_ok=None):
@@ -88,7 +80,6 @@ def test_unicast_any_crc_failure_discards_everything_and_suppresses_ack():
     outcome = process_received_aggregate(result, ME)
     assert outcome.unicast_deliveries == []
     assert not outcome.send_ack
-    assert outcome.unicast_crc_passed and outcome.unicast_crc_failed
 
 
 def test_unicast_for_other_destination_sets_nav_only():
@@ -131,60 +122,3 @@ def test_duplicate_detector_cache_eviction():
     assert not detector.is_duplicate(SENDER, 1)
     assert detector.is_duplicate(SENDER, newest)
 
-
-# ---------------------------------------------------------------------------
-# Block-ACK extension
-# ---------------------------------------------------------------------------
-
-def test_block_ack_mode_accepts_partial_unicast():
-    good, bad = subframe(ME, sequence=1), subframe(ME, sequence=2)
-    result = reception(unicast=[good, bad], unicast_ok=[True, False])
-    outcome = process_received_aggregate(result, ME, block_ack_enabled=True)
-    assert len(outcome.unicast_deliveries) == 1
-    assert outcome.send_ack
-    assert outcome.unicast_crc_passed == [good.sequence]
-    assert outcome.unicast_crc_failed == [bad.sequence]
-
-
-def test_block_ack_scoreboard_tracks_missing_subframes():
-    scoreboard = BlockAckScoreboard()
-    frames = [subframe(ME, sequence=number) for number in (1, 2, 3)]
-    scoreboard.register(frames)
-    block_ack = BlockAck.for_outcome(SENDER, [frames[0].sequence, frames[2].sequence])
-    missing = scoreboard.apply(block_ack)
-    assert missing == [frames[1]]
-    assert not scoreboard.empty
-    assert list(scoreboard.outstanding.values()) == [frames[1]]
-
-
-def test_block_ack_acknowledges():
-    block_ack = BlockAck.for_outcome(SENDER, [5, 7])
-    assert block_ack.acknowledges(5)
-    assert not block_ack.acknowledges(6)
-
-
-def test_partial_block_ack_releases_the_acknowledged_subframes_on_the_journey():
-    # A 2.6 Mbps A-MPDU over 4 m loses single subframes while the base-rate
-    # control frames survive, so the block ACK covers only part of the
-    # unicast portion: those subframes leave custody, the rest are retried.
-    with observe(trace=True, metrics=True, journey=True) as session:
-        sim = Simulator(seed=1)
-        scenario = MobileScenario(sim, policy=unicast_aggregation(), unicast_rate_mbps=2.6,
-                                  use_block_ack=True)
-        scenario.add_node((0.0, 0.0))
-        scenario.add_node((4.0, 0.0))
-        scenario.connect_chain(1, 2)
-        network = scenario.network
-        sender = network.node(1).udp.bind(9000)
-        network.node(2).udp.bind(9000)
-        for _ in range(6):
-            sim.schedule_at(0.5, sender.send_to, network.node(2).ip, 9000, 1000)
-        sim.run(until=3.0)
-    outcomes = {}
-    for event in ("acked", "retry"):
-        for fields in journey_event_fields(session, "mac", event, "node1"):
-            outcomes.setdefault((fields["attempt"], fields["t"]), set()).add(event)
-    partial = [key for key, seen in outcomes.items() if seen == {"acked", "retry"}]
-    assert partial
-    assert network.node(2).udp.delivered == 6
-    assert audit_balanced(session)

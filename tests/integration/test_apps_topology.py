@@ -70,7 +70,6 @@ def test_hydra_profile_defaults_match_paper_table1():
     sim = Simulator(seed=55)
     channel = WirelessChannel(sim)
     default = Node(sim, channel, index=1)
-    assert default.mac.config.use_rts_cts
     assert default.mac.unicast_rate is HYDRA_BASE_RATE
     assert default.mac.broadcast_rate is HYDRA_BASE_RATE  # follows the unicast rate
     pinned = Node(sim, channel, index=2, unicast_rate_mbps=2.6, broadcast_rate_mbps=0.65)
@@ -109,7 +108,6 @@ def test_cbr_source_and_sink_measure_goodput():
     assert sink.throughput_mbps(0.0, 5.0) > 0.1
     # One datagram per interval: 100 over the 5 s run.
     assert source.packets_sent == pytest.approx(5.0 / 0.05, abs=1)
-    source.stop()
 
 
 def test_saturating_source_fills_the_pipe():

@@ -56,6 +56,10 @@ CONVERGENCE_PERIODS = 8
 #: Spacing between AODV warm-up probes; generous enough that an
 #: expanding-ring escalation for one pair finishes before the next begins.
 PROBE_SPACING_S = 0.15
+#: When the first AODV probe goes out, and how long the control plane runs
+#: after the last one so that late discoveries can still complete.
+AODV_WARM_UP_START_S = 1.0
+AODV_DISCOVERY_SLACK_S = 3.0
 
 
 class _RoamThenPark(MobilityModel):
@@ -74,12 +78,22 @@ class _RoamThenPark(MobilityModel):
 
 
 def _random_scenario(protocol: str, seed: int):
-    """A random connected placement running the given control plane."""
+    """A random connected placement running the given control plane.
+
+    The control plane runs to the returned horizon: DSDV's convergence
+    bound, or for AODV the warm-up of every ordered pair plus time for late
+    discoveries to complete.
+    """
     placement_rng = random.Random(1000 + seed)
     node_count = placement_rng.choice([4, 5, 6])
     positions = connected_placement(placement_rng, node_count, area_m=24.0)
-    config = FAST_DSDV if protocol == "dsdv" else FAST_AODV
-    horizon = CONVERGENCE_PERIODS * FAST_DSDV.advertise_interval
+    if protocol == "dsdv":
+        config = FAST_DSDV
+        horizon = CONVERGENCE_PERIODS * FAST_DSDV.advertise_interval
+    else:
+        config = FAST_AODV
+        pairs = node_count * (node_count - 1)
+        horizon = AODV_WARM_UP_START_S + pairs * PROBE_SPACING_S + AODV_DISCOVERY_SLACK_S
     sim = Simulator(seed=seed)
     scenario = MobileScenario(sim, policy=broadcast_aggregation(),
                               stop_time=horizon, routing=config)
@@ -113,13 +127,9 @@ def test_random_connected_topologies_yield_loop_free_routes(protocol, seed):
     node_count = len(scenario.network.nodes)
     pairs = [(i, j) for i in range(node_count) for j in range(node_count)
              if i != j]
-    probes_done = _warm_up_on_demand(sim, scenario, pairs, start=1.0)
-    # Re-bound the control plane so late discoveries can still complete.
-    deadline = probes_done + 3.0
-    for node in scenario.network.nodes:
-        node.router.stop()
-        node.router.start(stop_time=deadline)
-    sim.run(until=deadline)
+    probes_done = _warm_up_on_demand(sim, scenario, pairs, start=AODV_WARM_UP_START_S)
+    assert horizon == probes_done + AODV_DISCOVERY_SLACK_S
+    sim.run(until=horizon)
     routers = [node.router for node in scenario.network.nodes]
     assert sum(router.discoveries_failed for router in routers) == 0
     assert_routes_loop_free_and_reach(scenario, pairs)

@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, JSON output, config loading and the self-check.
+"""CLI behaviour: exit codes, JSON output and the self-check.
 
 The self-check test is the PR's acceptance criterion made executable:
 ``python -m repro.lint check src/repro`` must exit 0 at head, and any
@@ -13,7 +13,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint import check_paths, load_config
+from repro.lint import check_paths
 from repro.lint.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -115,35 +115,9 @@ class TestOutputs:
         assert "lint: disable=RPR003 --" in out
 
 
-class TestConfig:
-    def test_lint_toml_override_widens_allowlist(self, tmp_path, capsys):
-        write(tmp_path, "repro/net/app.py", VIOLATING)
-        (tmp_path / "lint.toml").write_text(textwrap.dedent("""
-            [lint.RPR001]
-            allow = ["net/*"]
-        """), encoding="utf-8")
-        assert main(["check", str(tmp_path)]) == EXIT_OK
-        capsys.readouterr()
-
-    def test_bad_config_exits_usage(self, tmp_path, capsys):
-        write(tmp_path, "repro/net/app.py", CLEAN)
-        config = tmp_path / "broken.toml"
-        config.write_text("[lint.RPR001]\nallow = 3\n", encoding="utf-8")
-        assert main(["check", str(tmp_path), "--config", str(config)]) == EXIT_USAGE
-        assert "error" in capsys.readouterr().err
-
-    def test_repo_lint_toml_matches_embedded_defaults(self):
-        # The repo-root lint.toml documents the contract; drifting from the
-        # embedded defaults would make CLI runs behave differently from
-        # check_source-based tests.
-        from repro.lint import DEFAULT_CONFIG
-        config = load_config(REPO_ROOT / "lint.toml")
-        assert config.rules == DEFAULT_CONFIG
-
-
 class TestSelfCheck:
     def test_src_repro_is_lint_clean_at_head(self):
-        report = check_paths([SRC_REPRO], load_config(REPO_ROOT / "lint.toml"))
+        report = check_paths([SRC_REPRO])
         assert report.checked_files > 100
         problems = [f"{v.path}:{v.line}: {v.rule_id} {v.message}"
                     for v in report.violations]

@@ -112,7 +112,7 @@ def test_control_frame_sizes():
     assert rts.size_bytes == RTS_FRAME_BYTES == 20
     assert cts.size_bytes == CTS_FRAME_BYTES == 14
     assert ack.size_bytes == ACK_FRAME_BYTES == 14
-    # Fixed by the frame type, like BlockAck's: no frame carries another size.
+    # Fixed by the frame type: no frame carries another size.
     for frame in (rts, cts, ack):
         with pytest.raises(AttributeError):
             frame.size_bytes = 99

@@ -10,23 +10,20 @@ from repro.channel import WirelessChannel
 from repro.core import broadcast_aggregation, no_aggregation, unicast_aggregation
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.dcf import AggregatingMac, MacConfig, MacState
-from repro.mac.timing import RETRY_LIMIT, SIFS, TIMEOUT_GUARD
+from repro.mac.timing import RETRY_LIMIT
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.phy.device import Phy
-from repro.phy.rates import HYDRA_BASE_RATE, rate_for_mbps
-from repro.phy.timing import control_airtime
+from repro.phy.rates import rate_for_mbps
 from repro.sim import Simulator
 
 
-def build_pair(sim, policy_a=None, policy_b=None, rate_mbps=1.3, use_rts=True,
-               use_block_ack=False, spacing=2.5):
+def build_pair(sim, policy_a=None, policy_b=None, rate_mbps=1.3, spacing=2.5):
     channel = WirelessChannel(sim)
     macs = []
     for index, policy in ((1, policy_a), (2, policy_b)):
         phy = Phy(sim, channel, position=((index - 1) * spacing, 0.0), name=f"phy{index}")
-        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(rate_mbps),
-                           use_rts_cts=use_rts, use_block_ack=use_block_ack)
+        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(rate_mbps))
         mac = AggregatingMac(sim, phy, config, policy=policy or broadcast_aggregation(),
                              name=f"mac{index}")
         macs.append(mac)
@@ -80,17 +77,6 @@ def test_each_mac_numbers_its_own_subframes_from_one():
     assert a.queues.empty
     assert b.queues.pop_broadcast_head().sequence == 1
     assert b.queues.empty
-
-
-def test_exchange_without_rts_cts():
-    sim = Simulator(seed=32)
-    _, a, b = build_pair(sim, use_rts=False)
-    received = collect(b)
-    a.enqueue(tcp_data(), MacAddress.node(2))
-    sim.run(until=1.0)
-    assert len(received) == 1
-    assert a.stats.rts_sent == 0
-    assert a.stats.acks_received == 1
 
 
 def test_unicast_aggregation_packs_multiple_packets_into_one_frame():
@@ -205,34 +191,6 @@ def test_two_contending_transmitters_both_deliver():
     sim.run(until=5.0)
     assert len(received_b) == 5
     assert len(received_a) == 5
-
-
-def test_block_ack_mode_completes_exchanges():
-    sim = Simulator(seed=41)
-    _, a, b = build_pair(sim, policy_a=unicast_aggregation(), use_block_ack=True)
-    received = collect(b)
-    for _ in range(3):
-        a.enqueue(tcp_data(), MacAddress.node(2))
-    sim.run(until=2.0)
-    assert len(received) == 3
-    assert a.stats.data_transmissions >= 1
-
-
-def test_block_ack_timeout_is_armed_when_the_data_frame_ends():
-    sim = Simulator(seed=44)
-    channel = WirelessChannel(sim)
-    # Only one node on the channel: the block ACK never comes.
-    phy = Phy(sim, channel, position=(0.0, 0.0), name="lonely")
-    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3),
-                       use_rts_cts=False, use_block_ack=True)
-    mac = AggregatingMac(sim, phy, config, policy=unicast_aggregation(), name="lonely-mac")
-    mac.enqueue(tcp_data(), MacAddress.node(2))
-    while mac.state is not MacState.WAIT_ACK:
-        sim.run(max_events=1)
-    # The last event was the end of the data frame, which armed the timer.
-    assert mac.stats.data_transmissions == 1 and mac.stats.rts_sent == 0
-    assert mac._response_timer.expiry_time == sim.now + (
-        SIFS + control_airtime(32, HYDRA_BASE_RATE) + TIMEOUT_GUARD)
 
 
 def test_queue_overflow_counted():

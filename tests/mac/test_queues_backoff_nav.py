@@ -8,15 +8,13 @@ import pytest
 
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.backoff import BackoffController
-from repro.mac.dcf import ACK_AIRTIME, ACK_TIMEOUT, BLOCK_ACK_TIMEOUT, CTS_AIRTIME, CTS_TIMEOUT
-from repro.mac.frames import BLOCK_ACK_FRAME_BYTES, subframe_for_packet
+from repro.mac.dcf import ACK_AIRTIME, ACK_TIMEOUT, CTS_AIRTIME, CTS_TIMEOUT
+from repro.mac.frames import subframe_for_packet
 from repro.mac.nav import NetworkAllocationVector
 from repro.mac.queues import TransmitQueues
 from repro.mac.timing import CW_MAX, CW_MIN, DIFS, SIFS, SLOT_TIME, TIMEOUT_GUARD
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
-from repro.phy.rates import HYDRA_BASE_RATE
-from repro.phy.timing import control_airtime
 
 
 def make_subframe(dst_index=2, payload=1357):
@@ -154,9 +152,8 @@ def test_backoff_consume_and_expired():
     backoff.slots_remaining = 5
     backoff.consume(3)
     assert backoff.slots_remaining == 2
-    backoff.consume(10)
+    backoff.consume(10)  # the count stops at zero, where the backoff has expired
     assert backoff.slots_remaining == 0
-    assert backoff.expired
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +168,6 @@ def test_difs_is_sifs_plus_two_slots():
 def test_response_timeout_includes_guard():
     assert CTS_TIMEOUT == SIFS + CTS_AIRTIME + TIMEOUT_GUARD
     assert ACK_TIMEOUT == SIFS + ACK_AIRTIME + TIMEOUT_GUARD
-    assert BLOCK_ACK_TIMEOUT == (SIFS + control_airtime(BLOCK_ACK_FRAME_BYTES, HYDRA_BASE_RATE)
-                                 + TIMEOUT_GUARD)
-    assert BLOCK_ACK_TIMEOUT > ACK_TIMEOUT
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +175,25 @@ def test_response_timeout_includes_guard():
 # ---------------------------------------------------------------------------
 
 def test_nav_reserves_medium(sim):
-    nav = NetworkAllocationVector(sim)
-    assert not nav.busy
+    nav = NetworkAllocationVector(sim, on_expire=lambda: None)
+    assert nav.until == 0.0
     nav.update(0.5)
-    assert nav.busy
-    assert nav.remaining() == pytest.approx(0.5)
+    assert nav.until == pytest.approx(0.5)
+    nav.update(0.0)  # a zero Duration field reserves nothing
+    assert nav.until == pytest.approx(0.5)
 
 
 def test_nav_extends_only_forward(sim):
-    nav = NetworkAllocationVector(sim)
+    fired = []
+    nav = NetworkAllocationVector(sim, on_expire=lambda: fired.append(sim.now))
     nav.update(0.5)
     nav.update(0.2)  # shorter reservation must not shrink the NAV
     assert nav.until == pytest.approx(0.5)
     nav.update(1.0)
     assert nav.until == pytest.approx(1.0)
+    sim.run()
+    # Only the latest reservation's end is reported.
+    assert fired == [pytest.approx(1.0)]
 
 
 def test_nav_expiry_callback(sim):
@@ -203,12 +202,4 @@ def test_nav_expiry_callback(sim):
     nav.update(0.25)
     sim.run()
     assert fired == [pytest.approx(0.25)]
-    assert not nav.busy
-
-
-def test_nav_clear(sim):
-    nav = NetworkAllocationVector(sim, on_expire=lambda: None)
-    nav.update(1.0)
-    nav.clear()
-    assert not nav.busy
-    assert nav.remaining() == 0.0
+    assert sim.now >= nav.until

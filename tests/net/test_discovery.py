@@ -148,7 +148,7 @@ class TestBeaconBehaviour:
         sent_at_stop = da.hellos_sent
         sim.run(until=20.0)
         assert da.hellos_sent == sent_at_stop
-        assert not da.running
+        assert sim.pending_events == 0  # no beacon or sweep is left armed
 
     def test_hellos_count_as_routing_overhead_in_mac_stats(self):
         sim, scenario, da, db = _two_node_scenario()

@@ -324,17 +324,6 @@ class TestUnreachableDestination:
                          * router.buffered_packets_dropped)
         assert audit_balanced(session)
 
-    def test_stopping_the_router_drops_its_buffer_on_the_journey(self, small_buffer):
-        with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _unreachable_pair(stop_time=6.0)
-            _send_probe(scenario, 1, 2, at=1.0)
-            sim.run(until=2.0)
-            router = scenario.network.node(1).router
-            router.stop()
-        assert router.buffered_packets_dropped == 1
-        drops = [key for key in journey_events(session) if key[1] == "drop"]
-        assert drops == [("net", "drop", "shutdown", "node1")]
-        assert audit_balanced(session)
 
 
 #: Where the chain's destination jumps to break its link: out of range.
@@ -436,21 +425,6 @@ class TestActiveRouteLifetime:
         entry = router.table.entry_for(scenario.network.node(2).ip)
         assert entry is not None and entry.valid
         assert router.discoveries_started == 1
-
-    def test_pending_lifetimes_survive_a_stop_start_cycle(self):
-        # Regression: stop() cancels the expiry timer but keeps the recorded
-        # deadlines; start() must re-arm, or a route due to expire would stay
-        # valid forever after a restart.
-        sim, scenario = self._pair(lifetime=1.0)
-        _send_probe(scenario, 1, 2, at=1.0)
-        sim.run(until=1.5)
-        router = scenario.network.node(1).router
-        assert router.table.entry_for(scenario.network.node(2).ip).valid
-        router.stop()
-        router.start(stop_time=30.0)
-        sim.run(until=8.0)
-        assert router.route_expirations >= 1
-        assert not router.table.entry_for(scenario.network.node(2).ip).valid
 
     def test_seen_request_ids_are_pruned_after_the_discovery_window(self, monkeypatch):
         monkeypatch.setattr(on_demand, "PATH_DISCOVERY_TIME", 1.0)

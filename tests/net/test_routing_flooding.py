@@ -151,10 +151,10 @@ def test_flooding_source_generates_packets_at_interval():
                              interval=0.5, payload_bytes=64)
     flooder.start(initial_delay=0.1)
     sim.run(until=3.0)
-    assert flooder.packets_sent >= 5
-    assert flooder.running
-    flooder.stop()
-    assert not flooder.running
+    sent = flooder.packets_sent
+    assert sent >= 5
+    sim.run(until=4.0)
+    assert flooder.packets_sent > sent  # it keeps going for the whole run
 
 
 def test_flooding_source_validation():

@@ -15,22 +15,25 @@ import pytest
 
 from repro.sim.scheduler import Scheduler
 from repro.sim.simulator import Simulator
+from repro.sim.timer import Timer
 
 
 # ---------------------------------------------------------------------------
 # Stale-handle regressions
 # ---------------------------------------------------------------------------
 
-def test_direct_handle_cancel_keeps_count_and_clock_consistent():
-    # The event schedule() returns is the caller's handle.  A cancel that
-    # bypassed the scheduler's accounting used to leave pending_events
-    # overcounted and run(until=...) unable to advance.
+def test_cancelled_timer_keeps_count_and_clock_consistent():
+    # A Timer keeps the event schedule() returned and cancels it through
+    # the scheduler.  A cancel that bypassed the scheduler's accounting used
+    # to leave pending_events overcounted and run(until=...) unable to
+    # advance.
     sim = Simulator(seed=7)
-    event = sim.schedule(5.0, lambda: None)
-    sim.cancel(event)
+    timer = Timer(sim, lambda: None)
+    timer.start(5.0)
+    timer.cancel()
     assert sim.pending_events == 0
     assert sim.run(until=10.0) == pytest.approx(10.0)
-    sim.cancel(event)  # idempotent, never double-decrements
+    timer.cancel()  # idempotent, never double-decrements
     assert sim.pending_events == 0
 
 

@@ -116,20 +116,6 @@ def test_run_until_infinity_is_rejected_and_keeps_the_clock(sim):
     assert seen == [1.0, 2.0]
 
 
-def test_stop_halts_run_loop(sim):
-    seen = []
-
-    def stopper():
-        seen.append(sim.now)
-        sim.stop()
-
-    sim.schedule(1.0, stopper)
-    sim.schedule(2.0, lambda: seen.append(sim.now))
-    sim.run()
-    assert seen == [1.0]
-    assert sim.pending_events == 1
-
-
 def test_events_scheduled_during_run_are_executed(sim):
     seen = []
 
@@ -142,18 +128,6 @@ def test_events_scheduled_during_run_are_executed(sim):
     sim.run()
     assert [d for _, d in seen] == [0, 1, 2, 3]
     assert sim.now == 3.0
-
-
-def test_cancel_pending_event(sim):
-    seen = []
-    handle = sim.schedule(1.0, lambda: seen.append("x"))
-    sim.cancel(handle)
-    sim.run()
-    assert seen == []
-
-
-def test_cancel_none_is_ignored(sim):
-    sim.cancel(None)  # must not raise
 
 
 def test_priority_orders_simultaneous_events(sim):
@@ -170,22 +144,6 @@ def test_events_processed_counter(sim):
         sim.schedule(0.1, lambda: None)
     sim.run()
     assert sim.events_processed == 7
-
-
-def test_max_events_limits_run(sim):
-    for i in range(10):
-        sim.schedule(float(i), lambda: None)
-    # The budget is checked before an event runs: 0 runs none (it used to
-    # run one), and a negative budget is an error (it used to run one too).
-    sim.run(max_events=0)
-    assert sim.events_processed == 0
-    with pytest.raises(SimulationError):
-        sim.run(max_events=-1)
-    assert sim.events_processed == 0
-    assert sim.pending_events == 10
-    sim.run(max_events=4)
-    assert sim.events_processed == 4
-    assert sim.pending_events == 6
 
 
 def test_nested_run_rejected(sim):

@@ -45,7 +45,7 @@ def test_throughput_helper():
 
 def test_all_errors_derive_from_repro_error():
     for name in ("ConfigurationError", "SimulationError", "SchedulingError", "PhyError",
-                 "MacError", "AggregationError", "RoutingError", "TransportError",
+                 "AggregationError", "RoutingError", "TransportError",
                  "TcpStateError", "AddressError", "ExperimentError"):
         cls = getattr(errors, name)
         assert issubclass(cls, errors.ReproError)

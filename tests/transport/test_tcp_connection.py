@@ -161,6 +161,34 @@ def test_lost_data_segment_recovered_by_fast_retransmit():
     assert all_data_acknowledged(client)
 
 
+@pytest.mark.parametrize("lost_seq, file_bytes", [(10_001, 40_000), (5_001, 40_000),
+                                                  (20_001, 60_000)])
+def test_full_ack_ends_fast_recovery_without_a_second_retransmission(lost_seq, file_bytes):
+    """RFC 6582: the ACK of everything sent before recovery began (ackno ==
+    recover) is a full ACK, so it ends recovery instead of resending the
+    segment at the new snd_una as a partial ACK would."""
+    sim = Simulator(seed=5)
+    network, client, server = establish(sim)
+    drop_state = {"dropped": False}
+
+    def drop_once(packet):
+        if packet.payload_bytes > 0 and packet.tcp.seq == lost_seq and not drop_state["dropped"]:
+            drop_state["dropped"] = True
+            return True
+        return False
+
+    network.drop_filter = drop_once
+    client.send(file_bytes)
+    sim.run(until=20.0)
+    assert drop_state["dropped"]
+    assert client.cc.fast_recoveries == 1
+    assert not client.cc.in_fast_recovery
+    assert client.retransmitted_segments == 1
+    assert client.timeouts == 0
+    assert server.bytes_received == file_bytes
+    assert all_data_acknowledged(client)
+
+
 def test_lost_ack_is_harmless_because_acks_are_cumulative():
     """The property Section 3.3 relies on: dropping pure ACKs does not stall TCP."""
     sim = Simulator(seed=6)

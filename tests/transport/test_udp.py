@@ -66,14 +66,6 @@ def test_double_bind_rejected():
         network.node(1).udp.bind(9000)
 
 
-def test_unbind_allows_rebinding():
-    sim = Simulator(seed=24)
-    network = build(sim)
-    socket = network.node(1).udp.bind(9000)
-    socket.close()
-    network.node(1).udp.bind(9000)  # must not raise
-
-
 def test_multiple_sockets_demultiplexed():
     sim = Simulator(seed=25)
     network = build(sim)
