@@ -9,12 +9,18 @@ from repro.core.deaggregation import (
     DuplicateDetector,
     process_received_aggregate,
 )
+from repro.core.policies import unicast_aggregation
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.frames import subframe_for_packet
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.phy.frame import PhyFrame, ReceptionResult
+from repro.obs.session import observe
 from repro.phy.rates import HYDRA_BASE_RATE
+from repro.sim import Simulator
+from repro.topology import MobileScenario
+
+from helpers.obs import audit_balanced, journey_event_fields
 
 ME = MacAddress.node(2)
 SENDER = MacAddress.node(1)
@@ -122,3 +128,28 @@ def test_duplicate_detector_cache_eviction():
     assert not detector.is_duplicate(SENDER, 1)
     assert detector.is_duplicate(SENDER, newest)
 
+
+def test_missing_ack_retries_the_whole_unicast_portion_on_the_journey():
+    # A 2.6 Mbps A-MPDU over 4 m loses single subframes while the base-rate
+    # control frames survive.  One lost subframe withholds the ACK for the
+    # whole unicast portion: an exchange either acknowledges every subframe
+    # it carried or retries every one of them, never a part.
+    with observe(trace=True, metrics=True, journey=True) as session:
+        sim = Simulator(seed=2)
+        scenario = MobileScenario(sim, policy=unicast_aggregation(), unicast_rate_mbps=2.6)
+        scenario.add_node((0.0, 0.0))
+        scenario.add_node((4.0, 0.0))
+        scenario.connect_chain(1, 2)
+        network = scenario.network
+        sender = network.node(1).udp.bind(9000)
+        network.node(2).udp.bind(9000)
+        for _ in range(6):
+            sim.schedule_at(0.5, sender.send_to, network.node(2).ip, 9000, 1000)
+        sim.run(until=3.0)
+    retried = journey_event_fields(session, "mac", "retry", "node1")
+    acked = journey_event_fields(session, "mac", "acked", "node1")
+    assert retried
+    assert not {fields["t"] for fields in retried} & {fields["t"] for fields in acked}
+    assert len(acked) == 6  # each datagram acknowledged once, the retried ones too
+    assert network.node(2).udp.delivered == 6
+    assert audit_balanced(session)

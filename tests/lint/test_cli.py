@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, JSON output and the self-check.
+"""CLI behaviour: exit codes, JSON output, the one config and the self-check.
 
 The self-check test is the PR's acceptance criterion made executable:
 ``python -m repro.lint check src/repro`` must exit 0 at head, and any
@@ -13,8 +13,9 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint import check_paths
+from repro.lint import DEFAULT_CONFIG, LintConfig, check_paths
 from repro.lint.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
+from repro.lint.rules import RULES_BY_ID
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
@@ -113,6 +114,29 @@ class TestOutputs:
         out = capsys.readouterr().out
         assert "sorted" in out
         assert "lint: disable=RPR003 --" in out
+
+
+class TestConfig:
+    def test_a_lint_toml_in_the_checked_tree_changes_nothing(self, tmp_path, capsys):
+        # The contract is stated once, in repro/lint/config.py, and every
+        # interpreter runs it: a settings file beside the code is not read.
+        write(tmp_path, "repro/net/app.py", VIOLATING)
+        write(tmp_path, "lint.toml", """
+            [lint.RPR001]
+            allow = ["net/*"]
+        """)
+        assert main(["check", str(tmp_path)]) == EXIT_VIOLATIONS
+        assert "RPR001" in capsys.readouterr().out
+
+    def test_every_rule_has_one_embedded_entry(self):
+        assert sorted(DEFAULT_CONFIG) == sorted(RULES_BY_ID)
+
+    def test_each_config_owns_a_copy_of_the_defaults(self):
+        widened = LintConfig()
+        widened.rules["RPR001"]["allow"].append("net/*")
+        assert not widened.applies("RPR001", "net/app.py")
+        assert LintConfig().applies("RPR001", "net/app.py")
+        assert "net/*" not in DEFAULT_CONFIG["RPR001"]["allow"]
 
 
 class TestSelfCheck:

@@ -9,12 +9,14 @@ import pytest
 from repro.channel import WirelessChannel
 from repro.core import broadcast_aggregation, no_aggregation, unicast_aggregation
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
-from repro.mac.dcf import AggregatingMac, MacConfig, MacState
+from repro.mac.dcf import ACK_TIMEOUT, CTS_TIMEOUT, AggregatingMac, MacConfig, MacState
+from repro.mac.frames import RTS_FRAME_BYTES
 from repro.mac.timing import RETRY_LIMIT
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.phy.device import Phy
-from repro.phy.rates import rate_for_mbps
+from repro.phy.rates import HYDRA_BASE_RATE, rate_for_mbps
+from repro.phy.timing import control_airtime
 from repro.sim import Simulator
 
 
@@ -34,6 +36,15 @@ def collect(mac) -> List[Tuple[Packet, MacAddress]]:
     received = []
     mac.set_receive_callback(lambda packet, src: received.append((packet, src)))
     return received
+
+
+def mac_events(sim, source):
+    """``(time, event, fields)`` of every trace record ``source`` emits."""
+    events = []
+    sim.tracer.add_listener(
+        lambda record: events.append((record.time, record.event, record.fields))
+        if record.source == source else None)
+    return events
 
 
 def tcp_data(payload=1357):
@@ -240,3 +251,59 @@ def test_unreachable_destination_gives_up_after_retry_limit():
     assert mac.stats.unicast_drops == 1
     assert mac.state is MacState.IDLE
     assert mac.queues.empty
+
+
+def test_cts_timeout_is_armed_when_the_rts_ends():
+    sim = Simulator(seed=44)
+    channel = WirelessChannel(sim)
+    # Only one node on the channel: the CTS never comes.
+    phy = Phy(sim, channel, position=(0.0, 0.0), name="lonely")
+    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3))
+    mac = AggregatingMac(sim, phy, config, policy=unicast_aggregation(), name="lonely-mac")
+    events = mac_events(sim, "lonely-mac")
+    mac.enqueue(tcp_data(), MacAddress.node(2))
+    sim.run(until=0.1)
+    rts_at = [time for time, event, _ in events if event == "rts"]
+    failures = [(time, fields["data_sent"]) for time, event, fields in events
+                if event == "exchange_failed"]
+    rts_end = [start + control_airtime(RTS_FRAME_BYTES, HYDRA_BASE_RATE) for start in rts_at]
+    assert len(failures) == RETRY_LIMIT + 1
+    assert failures == [(pytest.approx(end + CTS_TIMEOUT), False) for end in rts_end]
+    assert mac.stats.data_transmissions == 0
+
+
+def test_ack_timeout_is_armed_when_the_data_frame_ends():
+    # At 2.6 Mbps over 5 m the base-rate RTS and CTS get through but the
+    # data frame does not, so every exchange ends waiting for the ACK.
+    sim = Simulator(seed=45)
+    _, a, b = build_pair(sim, rate_mbps=2.6, spacing=5.0)
+    events = mac_events(sim, "mac1")
+    a.enqueue(tcp_data(), MacAddress.node(2))
+    sim.run(until=1.0)
+    data_ends = [time for time, event, _ in events if event == "sent_unacked"]
+    failures = [(time, fields["data_sent"]) for time, event, fields in events
+                if event == "exchange_failed"]
+    assert len(data_ends) == b.stats.cts_sent == RETRY_LIMIT + 1
+    assert failures == [(pytest.approx(end + ACK_TIMEOUT), True) for end in data_ends]
+    assert b.stats.acks_sent == 0
+    assert a.stats.unicast_drops == 1
+
+
+def test_missing_ack_retries_the_unicast_portion_alone():
+    # At 2.6 Mbps over 4 m this seed loses the first data frame.  Its
+    # broadcast portion (a classified TCP ACK) went out unacknowledged with
+    # it, so the retry carries the unicast portion alone.
+    sim = Simulator(seed=2)
+    _, a, b = build_pair(sim, rate_mbps=2.6, spacing=4.0)
+    events = mac_events(sim, "mac1")
+    received = collect(b)
+    ack, data = tcp_ack(), tcp_data()
+    a.enqueue(ack, MacAddress.node(2))
+    a.enqueue(data, MacAddress.node(2))
+    sim.run(until=1.0)
+    exchange = [(event, fields["subframes"]) if event == "data_tx" else event
+                for _, event, fields in events
+                if event in ("data_tx", "exchange_failed", "exchange_done")]
+    assert exchange == [("data_tx", 2), "exchange_failed", ("data_tx", 1), "exchange_done"]
+    assert [packet for packet, _ in received] == [ack, data]
+    assert a.stats.broadcast_subframes_sent == 1

@@ -203,3 +203,14 @@ def test_nav_expiry_callback(sim):
     sim.run()
     assert fired == [pytest.approx(0.25)]
     assert sim.now >= nav.until
+
+
+def test_nav_rearms_after_expiry(sim):
+    fired = []
+    nav = NetworkAllocationVector(sim, on_expire=lambda: fired.append(sim.now))
+    nav.update(0.25)
+    sim.run()
+    nav.update(0.5)  # a reservation overheard after the last one ended
+    assert nav.until == pytest.approx(0.75)
+    sim.run()
+    assert fired == [pytest.approx(0.25), pytest.approx(0.75)]

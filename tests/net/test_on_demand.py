@@ -324,6 +324,33 @@ class TestUnreachableDestination:
                          * router.buffered_packets_dropped)
         assert audit_balanced(session)
 
+    def test_stop_time_fails_the_pending_discovery_on_the_journey(self, small_buffer):
+        # The ring timer outlives the stop time: when it fires, the search
+        # ends and its buffer is dropped instead of sending another RREQ.
+        with observe(trace=True, metrics=True, journey=True) as session:
+            sim, scenario = _unreachable_pair(stop_time=2.0)
+            _send_probe(scenario, 1, 2, at=1.0)
+            sim.run(until=8.0)
+        router = scenario.network.node(1).router
+        assert router.rreqs_sent == 1
+        assert router.discoveries_failed == 1
+        assert router.buffered_packets_dropped == 1
+        drops = [key for key in journey_events(session) if key[1] == "drop"]
+        assert drops == [("net", "drop", "rreq_exhausted", "node1")]
+        assert audit_balanced(session)
+        assert sim.pending_events == 0
+
+    def test_no_discovery_starts_past_the_stop_time(self):
+        with observe(trace=True, metrics=True, journey=True) as session:
+            sim, scenario = _unreachable_pair(stop_time=2.0)
+            _send_probe(scenario, 1, 2, at=3.0)
+            sim.run(until=6.0)
+        router = scenario.network.node(1).router
+        assert router.discoveries_started == 0
+        assert router.rreqs_sent == 0
+        drops = [key for key in journey_events(session) if key[1] == "drop"]
+        assert drops == [("net", "drop", "no_route", "node1")]
+        assert audit_balanced(session)
 
 
 #: Where the chain's destination jumps to break its link: out of range.

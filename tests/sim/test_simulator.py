@@ -74,6 +74,14 @@ def test_run_until_stops_before_later_events(sim):
     assert seen == ["early", "late"]
 
 
+def test_event_at_the_horizon_runs(sim):
+    seen = []
+    sim.schedule(2.0, lambda: seen.append(sim.now))
+    assert sim.run(until=2.0) == 2.0
+    assert seen == [2.0]
+    assert sim.pending_events == 0
+
+
 def test_run_until_with_empty_queue_advances_to_horizon(sim):
     sim.run(until=3.0)
     assert sim.now == 3.0
@@ -144,6 +152,22 @@ def test_events_processed_counter(sim):
         sim.schedule(0.1, lambda: None)
     sim.run()
     assert sim.events_processed == 7
+
+
+def test_raising_event_ends_the_run_and_keeps_the_rest_pending(sim):
+    seen = []
+
+    def fail():
+        raise RuntimeError("callback failed")
+
+    sim.schedule(1.0, fail)
+    sim.schedule(2.0, lambda: seen.append(sim.now))
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.now == 1.0
+    assert sim.pending_events == 1
+    sim.run()  # the loop was left, not left running
+    assert seen == [2.0]
 
 
 def test_nested_run_rejected(sim):

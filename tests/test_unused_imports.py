@@ -149,3 +149,16 @@ def test_guard_exempts_package_reexports(tmp_path):
     package = _package(tmp_path, {"__init__.py": "from repro.toy import helper\n",
                                   "toy.py": "def helper():\n    return 1\n"})
     assert _unused_imports(package) == []
+
+
+def test_guard_reads_only_module_level_imports(tmp_path):
+    package = _package(tmp_path, {"toy.py": """
+        def size(items):
+            import os
+            return len(items)
+
+
+        class Box:
+            from typing import List
+    """})
+    assert _unused_imports(package) == []
