@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro import broadcast_aggregation, unicast_aggregation
 from repro.experiments import run_star_tcp
-from repro.stats.collect import relay_detail
 from repro.units import megabytes
 
 
@@ -27,14 +26,14 @@ def main() -> None:
     print("-" * 72)
     for name, policy in (("UA", unicast_aggregation()), ("BA", broadcast_aggregation())):
         outcome = run_star_tcp(policy, rate_mbps=rate_mbps, file_bytes=file_bytes, seed=11)
-        detail = relay_detail(outcome.network, relay_indices=[2])
+        relay = outcome.network.node(2).mac_stats
         session_1, session_2 = outcome.session_throughputs_mbps
         print(f"\n{name}:")
         print(f"  session throughputs          : {session_1:.3f} / {session_2:.3f} Mbps")
         print(f"  worst-case session throughput: {outcome.worst_case_throughput_mbps:.3f} Mbps")
-        print(f"  relay transmissions          : {detail['transmissions']:.0f}")
-        print(f"  relay average frame size     : {detail['average_frame_size']:.0f} B")
-        print(f"  relay subframes per frame    : {detail['average_subframes_per_frame']:.2f}")
+        print(f"  relay transmissions          : {relay.data_transmissions}")
+        print(f"  relay average frame size     : {relay.average_frame_size:.0f} B")
+        print(f"  relay subframes per frame    : {relay.average_subframes_per_frame:.2f}")
 
 
 if __name__ == "__main__":

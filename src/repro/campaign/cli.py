@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import ast
 import fnmatch
 import json
 import os
@@ -11,27 +10,13 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.registry import get_registry
+from repro.campaign.registry import get_registry, parse_overrides
 from repro.campaign.runner import CampaignOutcome, CampaignRunner
 from repro.errors import ReproError
 from repro.obs.progress import ProgressReporter
 from repro.stats.svg import write_svg
 
 DEFAULT_CACHE_DIR = ".campaign-cache"
-
-
-def _parse_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
-    """Parse repeated ``--set name=value`` flags; values are Python literals."""
-    overrides: Dict[str, Any] = {}
-    for pair in pairs:
-        name, separator, raw = pair.partition("=")
-        if not separator or not name:
-            raise SystemExit(f"--set expects name=value, got {pair!r}")
-        try:
-            overrides[name] = ast.literal_eval(raw)
-        except (SyntaxError, ValueError):
-            overrides[name] = raw  # bare strings are fine unquoted
-    return overrides
 
 
 def _build_runner(args: argparse.Namespace) -> CampaignRunner:
@@ -81,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"({'full' if args.full else 'fast'} parameters)")
     outcome = runner.run_campaign(
         args.experiment_id, seeds,
-        overrides=_parse_overrides(args.set or []), fast=not args.full)
+        overrides=parse_overrides(args.set or []), fast=not args.full)
 
     print()
     print(outcome.aggregate.to_text())

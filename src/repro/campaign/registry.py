@@ -11,13 +11,14 @@ source, which versions every cached result.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib
 import inspect
 import os
 import pkgutil
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import repro.experiments
 from repro.errors import ExperimentError
@@ -41,6 +42,25 @@ def package_source_digest(root: str) -> str:
         digest.update(f"{path}\0{len(source)}\0".encode("utf-8"))
         digest.update(source)
     return digest.hexdigest()[:16]
+
+
+def parse_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
+    """Parse repeated ``--set name=value`` flags; values are Python literals.
+
+    Shared by the campaign and observability CLIs.  A value that is not a
+    literal is kept as its bare string (``--set placement=grid``); a pair
+    without ``=`` or a name raises :class:`~repro.errors.ExperimentError`.
+    """
+    overrides: Dict[str, Any] = {}
+    for pair in pairs:
+        name, separator, raw = pair.partition("=")
+        if not separator or not name:
+            raise ExperimentError(f"--set expects name=value, got {pair!r}")
+        try:
+            overrides[name] = ast.literal_eval(raw)
+        except (SyntaxError, ValueError):
+            overrides[name] = raw  # bare strings are fine unquoted
+    return overrides
 
 
 @dataclass(frozen=True)

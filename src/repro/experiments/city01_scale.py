@@ -59,16 +59,15 @@ from repro.topology.city import (
     populate_city,
     spread_indices,
 )
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 DEFAULT_NODE_COUNTS = (500, 1000, 2000)
 DEFAULT_PROTOCOLS = ("flooding", "dsdv", "aodv")
 
 
-def _build_scenario(sim: Simulator, policy: AggregationPolicy, protocol: str,
-                    node_count: int, spacing_m: float, placement: str,
-                    rate_mbps: float, duration: float,
-                    hello_interval: float) -> MobileScenario:
+def _build_network(sim: Simulator, policy: AggregationPolicy, protocol: str,
+                   node_count: int, spacing_m: float, placement: str,
+                   rate_mbps: float, hello_interval: float) -> Network:
     routing = None
     if protocol == "dsdv":
         routing = DsdvConfig(hello_interval=hello_interval)
@@ -76,11 +75,10 @@ def _build_scenario(sim: Simulator, policy: AggregationPolicy, protocol: str,
         # AODV's expanding ring starts at TTL 1: a local flow's discovery
         # reaches its grid neighbourhood, not the whole city.
         routing = AodvConfig(hello_interval=hello_interval)
-    scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
-                              stop_time=duration, routing=routing)
-    populate_city(scenario, node_count, spacing_m=spacing_m,
+    network = Network(sim, policy, unicast_rate_mbps=rate_mbps, routing=routing)
+    populate_city(network, node_count, spacing_m=spacing_m,
                   placement=placement)
-    return scenario
+    return network
 
 
 def _run_once(protocol: str, node_count: int, flow_count: int,
@@ -91,10 +89,9 @@ def _run_once(protocol: str, node_count: int, flow_count: int,
               seed: int) -> Tuple[float, float, float]:
     """One city run; returns (delivery, control fraction, candidates fraction)."""
     sim = Simulator(seed=seed)
-    scenario = _build_scenario(sim, broadcast_aggregation(), protocol,
-                               node_count, spacing_m, placement, rate_mbps,
-                               duration, hello_interval)
-    network = scenario.network
+    network = _build_network(sim, broadcast_aggregation(), protocol,
+                             node_count, spacing_m, placement, rate_mbps,
+                             hello_interval)
 
     flooders: List[FloodingSource] = []
     sources: List[CbrSource] = []
@@ -138,7 +135,7 @@ def _run_once(protocol: str, node_count: int, flow_count: int,
     control = sum(node.mac_stats.routing_bytes_sent for node in network.nodes)
     control_fraction = control / payload if payload else 0.0
 
-    channel = scenario.channel
+    channel = network.channel
     per_tx_pool = channel.total_transmissions * (node_count - 1)
     candidates_fraction = (channel.total_candidates / per_tx_pool
                            if per_tx_pool else 0.0)

@@ -33,7 +33,7 @@ from repro.mobility.models import RandomWaypoint
 from repro.net.flooding import FloodingSource
 from repro.sim.simulator import Simulator
 from repro.stats.results import ExperimentResult, Series
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 from repro.units import mbps
 
 DEFAULT_SPEEDS_MPS = (0.5, 2.0, 6.0)
@@ -48,13 +48,13 @@ def _run_once(policy: AggregationPolicy, speed: float, node_count: int, area_m: 
               seed: int) -> Tuple[float, float]:
     """One mobile flooding run; returns (delivery ratio, UDP goodput Mbps)."""
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=policy, shadowing_sigma_db=shadowing_sigma_db,
-                              unicast_rate_mbps=rate_mbps)
+    network = Network(sim, policy, unicast_rate_mbps=rate_mbps,
+                      shadowing_sigma_db=shadowing_sigma_db)
 
     # Two stationary anchors near the center carry the UDP flow.
     center = area_m / 2.0
-    scenario.add_node((center - ANCHOR_SPACING_M / 2.0, center))
-    scenario.add_node((center + ANCHOR_SPACING_M / 2.0, center))
+    network.add_node((center - ANCHOR_SPACING_M / 2.0, center))
+    network.add_node((center + ANCHOR_SPACING_M / 2.0, center))
     # Roaming nodes: placement and trajectories are drawn from dedicated
     # seeded streams, so runs replicate per seed and across processes.
     placement = sim.random.stream("mob01.placement")
@@ -65,10 +65,9 @@ def _run_once(policy: AggregationPolicy, speed: float, node_count: int, area_m: 
         if speed > 0:
             model = RandomWaypoint(area=area, speed_range=(speed, speed),
                                    pause_time=pause_time)
-        scenario.add_node(position, model)
-    scenario.connect_pair(1, 2)
+        network.add_node(position, model)
+    network.connect_pair(1, 2)
 
-    network = scenario.network
     sink = UdpSink(network.node(2))
     source = CbrSource.saturating(network.node(1), network.node(2).ip,
                                   link_rate_bps=mbps(rate_mbps))

@@ -31,7 +31,7 @@ from repro.errors import ExperimentError
 from repro.mobility.models import CircularOrbit
 from repro.sim.simulator import Simulator
 from repro.stats.results import ExperimentResult, Series
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 DEFAULT_ORBIT_PERIODS_S = (10.0, 20.0, 40.0)
 
@@ -50,20 +50,19 @@ def _run_once(policy: AggregationPolicy, orbit_period: Optional[float],
     does not complete within ``max_sim_time``.
     """
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps)
+    network = Network(sim, policy, unicast_rate_mbps=rate_mbps)
     half = endpoint_gap_m / 2.0
-    scenario.add_node((-half, 0.0))
+    network.add_node((-half, 0.0))
     # The relay starts at the midpoint (in range of both endpoints); its
     # orbit center sits orbit_radius above it, so once per period it climbs
     # to 2x the radius away from the endpoint axis and returns.
     model = None
     if orbit_period is not None:
         model = CircularOrbit(radius=orbit_radius_m, period=orbit_period)
-    scenario.add_node((0.0, 0.0), model)
-    scenario.add_node((half, 0.0))
-    scenario.connect_chain(1, 2, 3)
+    network.add_node((0.0, 0.0), model)
+    network.add_node((half, 0.0))
+    network.connect_chain(1, 2, 3)
 
-    network = scenario.network
     options = {"idle_reprobe": True} if idle_reprobe else None
     _, receiver = run_file_transfer_pair(network.node(1), network.node(3),
                                          file_bytes=file_bytes,

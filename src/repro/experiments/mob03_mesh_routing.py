@@ -38,7 +38,7 @@ from repro.mobility.models import RandomWaypoint
 from repro.net.dynamic_routing import DsdvConfig
 from repro.sim.simulator import Simulator
 from repro.stats.results import ExperimentResult, Series
-from repro.topology.mobile import MobileScenario, populate_grid
+from repro.topology.network import Network, populate_grid
 
 DEFAULT_SPEEDS_MPS = (1.0, 3.0, 6.0)
 
@@ -57,8 +57,7 @@ def _run_once(policy: AggregationPolicy, speed: float, grid_side: int,
     sim = Simulator(seed=seed)
     routing = DsdvConfig(hello_interval=hello_interval,
                          advertise_interval=advertise_interval)
-    scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
-                              stop_time=duration, routing=routing)
+    network = Network(sim, policy, unicast_rate_mbps=rate_mbps, routing=routing)
 
     # Corner nodes (source and destination) stay pinned; every interior node
     # roams the grid's bounding box under random waypoint.
@@ -69,9 +68,8 @@ def _run_once(policy: AggregationPolicy, speed: float, grid_side: int,
             return None
         return RandomWaypoint(area=area, speed_range=(speed, speed))
 
-    nodes = populate_grid(scenario, grid_side, grid_spacing_m, model_factory)
+    nodes = populate_grid(network, grid_side, grid_spacing_m, model_factory)
 
-    network = scenario.network
     source_node = nodes[0]       # corner (0, 0)
     sink_node = nodes[-1]        # corner (grid_side - 1, grid_side - 1)
     sink = UdpSink(sink_node)

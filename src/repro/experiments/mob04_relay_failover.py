@@ -45,7 +45,7 @@ from repro.mobility.models import CircularOrbit
 from repro.net.dynamic_routing import DsdvConfig
 from repro.sim.simulator import Simulator
 from repro.stats.results import ExperimentResult, Series
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 DEFAULT_ORBIT_PERIODS_S = (20.0, 40.0)
 
@@ -64,27 +64,25 @@ def _run_once(policy: AggregationPolicy, routing: str, orbit_period: float,
     sim = Simulator(seed=seed)
     dsdv = DsdvConfig(hello_interval=hello_interval,
                       advertise_interval=advertise_interval)
-    scenario = MobileScenario(
-        sim, policy=policy, unicast_rate_mbps=rate_mbps, stop_time=duration,
-        routing=dsdv if routing == "dsdv" else None)
+    network = Network(sim, policy, unicast_rate_mbps=rate_mbps,
+                      routing=dsdv if routing == "dsdv" else None)
 
     half = endpoint_gap_m / 2.0
-    a = scenario.add_node((-half, 0.0))
+    a = network.add_node((-half, 0.0))
     # Primary relay: starts at the midpoint; its orbit center sits radius
     # above, carrying it to 2x radius off-axis (out of range of both
     # endpoints) once per period.
-    relay = scenario.add_node((0.0, 0.0),
-                              CircularOrbit(radius=orbit_radius_m,
-                                            period=orbit_period))
-    backup = scenario.add_node((0.0, -backup_offset_m))
-    b = scenario.add_node((half, 0.0))
+    relay = network.add_node((0.0, 0.0),
+                             CircularOrbit(radius=orbit_radius_m,
+                                           period=orbit_period))
+    backup = network.add_node((0.0, -backup_offset_m))
+    b = network.add_node((half, 0.0))
     if routing == "static":
         # The paper's assumption: the path is pinned through the primary
         # relay, exactly like mob02 — outages last as long as the orbit
         # keeps the relay away.
-        scenario.connect_chain(a.index, relay.index, b.index)
+        network.connect_chain(a.index, relay.index, b.index)
 
-    network = scenario.network
     sink = UdpSink(network.node(b.index))
     source = CbrSource(network.node(a.index), b.ip, interval=cbr_interval,
                        payload_bytes=cbr_payload_bytes)

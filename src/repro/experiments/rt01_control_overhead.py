@@ -38,7 +38,7 @@ from repro.errors import ExperimentError
 from repro.net.dynamic_routing import DsdvConfig
 from repro.sim.simulator import Simulator
 from repro.stats.results import ExperimentResult, Series
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 DEFAULT_HELLO_INTERVALS_S = (0.25, 0.5, 1.0, 2.0)
 
@@ -55,12 +55,10 @@ def _run_once(policy: AggregationPolicy, hello_interval: float,
     sim = Simulator(seed=seed)
     routing = DsdvConfig(hello_interval=hello_interval,
                          advertise_interval=hello_interval * advertise_ratio)
-    scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
-                              stop_time=duration, routing=routing)
+    network = Network(sim, policy, unicast_rate_mbps=rate_mbps, routing=routing)
     for i in range(node_count):
-        scenario.add_node((i * CHAIN_SPACING_M, 0.0))
+        network.add_node((i * CHAIN_SPACING_M, 0.0))
 
-    network = scenario.network
     sink = UdpSink(network.node(node_count))
     sink.snapshot_at(warmup)
     source = CbrSource(network.node(1), network.node(node_count).ip,

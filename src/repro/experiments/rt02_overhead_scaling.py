@@ -59,7 +59,7 @@ from repro.net.dynamic_routing import DsdvConfig
 from repro.net.on_demand import AodvConfig
 from repro.sim.simulator import Simulator
 from repro.stats.results import ExperimentResult, Series
-from repro.topology.mobile import MobileScenario, populate_grid
+from repro.topology.network import Network, populate_grid
 
 DEFAULT_FLOW_COUNTS = (1, 2, 4, 6)
 DEFAULT_SPEEDS_MPS = (0.0, 2.0)
@@ -161,15 +161,13 @@ def _run_once(policy: AggregationPolicy, routing: str,
         # rediscovery-per-packet regime.
         config = AodvConfig(hello_interval=aodv_hello_interval,
                             active_route_lifetime=route_lifetime)
-    scenario = MobileScenario(sim, policy=policy, unicast_rate_mbps=rate_mbps,
-                              stop_time=duration, routing=config)
+    network = Network(sim, policy, unicast_rate_mbps=rate_mbps, routing=config)
     model_factory = None
     if speed > 0:
         model_factory = lambda row, col, area: RandomWaypoint(
             area=area, speed_range=(speed, speed))
-    populate_grid(scenario, grid_side, grid_spacing_m, model_factory)
+    populate_grid(network, grid_side, grid_spacing_m, model_factory)
 
-    network = scenario.network
     if routing == "static":
         _install_grid_routes(network, flows, grid_side)
 

@@ -13,7 +13,7 @@ Three workloads cover the whole evaluation section of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.apps.cbr import CbrSource, UdpSink
 from repro.apps.file_transfer import (
@@ -51,28 +51,20 @@ class TcpRunResult:
         return self.receiver.complete
 
 
-def _policy_map(policy: AggregationPolicy, node_count: int,
-                relay_policy: Optional[AggregationPolicy]) -> object:
-    """Endpoints use ``policy``; relays optionally use ``relay_policy`` (DBA)."""
-    if relay_policy is None:
-        return policy
-    mapping: Dict[int, AggregationPolicy] = {}
-    for index in range(1, node_count + 1):
-        is_relay = 1 < index < node_count
-        mapping[index] = relay_policy if is_relay else policy
-    return mapping
-
-
 def run_tcp_transfer(policy: AggregationPolicy, hops: int = 2, rate_mbps: float = 0.65,
                      broadcast_rate_mbps: Optional[float] = None,
                      file_bytes: int = PAPER_FILE_BYTES, seed: int = 1,
                      relay_policy: Optional[AggregationPolicy] = None,
                      max_sim_time: float = 600.0) -> TcpRunResult:
-    """One-way file transfer from node 1 to node ``hops + 1`` (Figure 5)."""
+    """One-way file transfer from node 1 to node ``hops + 1`` (Figure 5).
+
+    ``relay_policy`` (DBA in Figure 13 and Tables 3-4) goes to the relays
+    only; the endpoints use ``policy``.
+    """
     sim = Simulator(seed=seed)
     network = build_linear_chain(
-        sim, hops=hops, policy=_policy_map(policy, hops + 1, relay_policy),
-        unicast_rate_mbps=rate_mbps, broadcast_rate_mbps=broadcast_rate_mbps,
+        sim, hops=hops, policy=policy, unicast_rate_mbps=rate_mbps,
+        broadcast_rate_mbps=broadcast_rate_mbps, relay_policy=relay_policy,
     )
     sender, receiver = run_file_transfer_pair(network.node(1), network.node(hops + 1),
                                               file_bytes=file_bytes)
@@ -103,14 +95,10 @@ class StarRunResult:
 def run_star_tcp(policy: AggregationPolicy, rate_mbps: float = 0.65,
                  broadcast_rate_mbps: Optional[float] = None,
                  file_bytes: int = PAPER_FILE_BYTES, seed: int = 1,
-                 relay_policy: Optional[AggregationPolicy] = None,
                  max_sim_time: float = 1200.0) -> StarRunResult:
     """Two TCP sessions (3 → 1 and 4 → 1) through the central relay (node 2)."""
     sim = Simulator(seed=seed)
-    policies = policy
-    if relay_policy is not None:
-        policies = {1: policy, 2: relay_policy, 3: policy, 4: policy}
-    network = build_star(sim, policy=policies, unicast_rate_mbps=rate_mbps,
+    network = build_star(sim, policy=policy, unicast_rate_mbps=rate_mbps,
                          broadcast_rate_mbps=broadcast_rate_mbps)
 
     receivers: List[FileTransferReceiver] = []

@@ -21,7 +21,8 @@ from repro.core.policies import (
     unicast_aggregation,
 )
 from repro.experiments.scenarios import TcpRunResult, run_tcp_transfer
-from repro.stats.collect import relay_detail, transmission_percentages
+from repro.mac.stats import MacStatistics
+from repro.stats.collect import transmission_percentages
 from repro.stats.results import ExperimentResult, TableResult
 
 VARIANT_ORDER = ("NA", "UA", "BA", "DBA")
@@ -55,25 +56,24 @@ def run(rate_mbps: float = 1.3, hops: int = 2, file_bytes: int = PAPER_FILE_BYTE
         columns=["frame size (B)", "total TXs (% of NA)", "size overhead (%)",
                  "throughput (Mbps)"]))
 
-    transmissions: Dict[str, float] = {}
-    details: Dict[str, Dict[str, float]] = {}
+    relays: Dict[str, MacStatistics] = {}
     throughputs: Dict[str, float] = {}
     for name, policy in _variants().items():
         outcome = _run_variant(name, policy, hops, rate_mbps, file_bytes, seed)
-        detail = relay_detail(outcome.network, relay_indices=[2])
-        transmissions[name] = detail["transmissions"]
-        details[name] = detail
+        relays[name] = outcome.network.node(2).mac_stats
         throughputs[name] = outcome.throughput_mbps
 
-    percentages = transmission_percentages(transmissions)
+    percentages = transmission_percentages(
+        {name: relay.data_transmissions for name, relay in relays.items()})
     for name in VARIANT_ORDER:
-        detail = details[name]
+        relay = relays[name]
         tx_percent = percentages[name]
-        table.add_row(name, [detail["average_frame_size"], tx_percent,
-                             100.0 * detail["size_overhead"], throughputs[name]])
-        result.add_metric(f"frame_size_{name}", detail["average_frame_size"])
+        size_overhead_percent = 100.0 * relay.size_overhead_fraction
+        table.add_row(name, [relay.average_frame_size, tx_percent,
+                             size_overhead_percent, throughputs[name]])
+        result.add_metric(f"frame_size_{name}", relay.average_frame_size)
         result.add_metric(f"tx_percent_{name}", tx_percent)
-        result.add_metric(f"size_overhead_percent_{name}", 100.0 * detail["size_overhead"])
+        result.add_metric(f"size_overhead_percent_{name}", size_overhead_percent)
     result.note("Paper (Table 3): frame sizes 765/2662/2727/3477 B, transmissions "
                 "100/33.7/26.7/21.1 %, size overhead 15.1/6.83/6.55/5.8 % for NA/UA/BA/DBA.")
     return result

@@ -18,7 +18,6 @@ from repro.core.policies import (
     unicast_aggregation,
 )
 from repro.experiments.scenarios import run_tcp_transfer
-from repro.stats.collect import relay_detail
 from repro.stats.results import ExperimentResult, TableResult
 
 DEFAULT_RATES_MBPS = (0.65, 1.3, 1.95, 2.6)
@@ -47,8 +46,8 @@ def run(rates_mbps: Sequence[float] = DEFAULT_RATES_MBPS, hops: int = 2,
             outcome = run_tcp_transfer(policy, hops=hops, rate_mbps=rate,
                                        file_bytes=file_bytes, seed=seed,
                                        relay_policy=relay_policy)
-            detail = relay_detail(outcome.network, relay_indices=[2])
-            row[name] = 100.0 * detail["time_overhead"]
+            relay = outcome.network.node(2).mac_stats
+            row[name] = 100.0 * relay.time_overhead_fraction
             result.add_metric(f"time_overhead_{name}_{rate}", row[name])
         table.add_row(f"{rate}", [row[name] for name in VARIANT_ORDER])
     result.note("Paper (Table 4): NA overhead rises 22.4% -> 52.1% from 0.65 to 2.6 Mbps; "

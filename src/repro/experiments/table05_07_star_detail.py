@@ -16,7 +16,8 @@ from typing import Dict
 from repro.apps.file_transfer import PAPER_FILE_BYTES
 from repro.core.policies import broadcast_aggregation, no_aggregation, unicast_aggregation
 from repro.experiments.scenarios import run_star_tcp, run_tcp_transfer
-from repro.stats.collect import relay_detail, transmission_percentages
+from repro.mac.stats import MacStatistics
+from repro.stats.collect import transmission_percentages
 from repro.stats.results import ExperimentResult, TableResult
 
 
@@ -28,15 +29,15 @@ def run(rate_mbps: float = 1.3, file_bytes: int = PAPER_FILE_BYTES,
         description="Relay node frame size, size overhead and transmissions: 2-hop vs star",
     )
 
-    detail_2hop: Dict[str, Dict[str, float]] = {}
-    detail_star: Dict[str, Dict[str, float]] = {}
+    relay_2hop: Dict[str, MacStatistics] = {}
+    relay_star: Dict[str, MacStatistics] = {}
     for name, policy in (("NA", no_aggregation()), ("UA", unicast_aggregation()),
                          ("BA", broadcast_aggregation())):
         chain = run_tcp_transfer(policy, hops=2, rate_mbps=rate_mbps,
                                  file_bytes=file_bytes, seed=seed)
-        detail_2hop[name] = relay_detail(chain.network, relay_indices=[2])
+        relay_2hop[name] = chain.network.node(2).mac_stats
         star = run_star_tcp(policy, rate_mbps=rate_mbps, file_bytes=file_bytes, seed=seed)
-        detail_star[name] = relay_detail(star.network, relay_indices=[2])
+        relay_star[name] = star.network.node(2).mac_stats
 
     frame_size = result.add_table(TableResult(
         title="Table 5: frame size (B)", columns=["2-hop", "star"]))
@@ -46,22 +47,22 @@ def run(rate_mbps: float = 1.3, file_bytes: int = PAPER_FILE_BYTES,
         title="Table 7: transmissions (% of NA)", columns=["2-hop", "star"]))
 
     tx_2hop = transmission_percentages(
-        {name: detail["transmissions"] for name, detail in detail_2hop.items()})
+        {name: relay.data_transmissions for name, relay in relay_2hop.items()})
     tx_star = transmission_percentages(
-        {name: detail["transmissions"] for name, detail in detail_star.items()})
+        {name: relay.data_transmissions for name, relay in relay_star.items()})
     for name in ("UA", "BA"):
-        frame_size.add_row(name, [detail_2hop[name]["average_frame_size"],
-                                  detail_star[name]["average_frame_size"]])
-        size_overhead.add_row(name, [100.0 * detail_2hop[name]["size_overhead"],
-                                     100.0 * detail_star[name]["size_overhead"]])
+        frame_size.add_row(name, [relay_2hop[name].average_frame_size,
+                                  relay_star[name].average_frame_size])
+        size_overhead.add_row(name, [100.0 * relay_2hop[name].size_overhead_fraction,
+                                     100.0 * relay_star[name].size_overhead_fraction])
         transmissions.add_row(name, [tx_2hop[name], tx_star[name]])
-        result.add_metric(f"frame_size_2hop_{name}", detail_2hop[name]["average_frame_size"])
-        result.add_metric(f"frame_size_star_{name}", detail_star[name]["average_frame_size"])
+        result.add_metric(f"frame_size_2hop_{name}", relay_2hop[name].average_frame_size)
+        result.add_metric(f"frame_size_star_{name}", relay_star[name].average_frame_size)
 
-    ba_growth = (detail_star["BA"]["average_frame_size"]
-                 - detail_2hop["BA"]["average_frame_size"])
-    ua_growth = (detail_star["UA"]["average_frame_size"]
-                 - detail_2hop["UA"]["average_frame_size"])
+    ba_growth = (relay_star["BA"].average_frame_size
+                 - relay_2hop["BA"].average_frame_size)
+    ua_growth = (relay_star["UA"].average_frame_size
+                 - relay_2hop["UA"].average_frame_size)
     result.add_metric("ba_star_frame_growth_bytes", ba_growth)
     result.add_metric("ua_star_frame_growth_bytes", ua_growth)
     result.note("Paper (Tables 5-7): UA frame size is flat (2662 -> 2651 B) while BA grows "

@@ -2,47 +2,24 @@
 
 from __future__ import annotations
 
-from functools import total_ordering
-from typing import Union
-
 from repro.errors import AddressError
 
 
-@total_ordering
 class MacAddress:
-    """A 48-bit link-layer address."""
+    """A 48-bit link-layer address.
+
+    Nodes get theirs from :meth:`node`; the broadcast address is
+    :data:`BROADCAST_MAC`.
+    """
 
     __slots__ = ("_value",)
 
     BROADCAST_VALUE = 0xFFFFFFFFFFFF
 
-    def __init__(self, value: Union[int, str, "MacAddress"]):
-        if isinstance(value, MacAddress):
-            self._value = value._value
-        elif isinstance(value, int):
-            if not 0 <= value <= self.BROADCAST_VALUE:
-                raise AddressError(f"MAC address integer out of range: {value}")
-            self._value = value
-        elif isinstance(value, str):
-            self._value = self._parse(value)
-        else:
-            raise AddressError(f"cannot build MacAddress from {value!r}")
-
-    @staticmethod
-    def _parse(text: str) -> int:
-        parts = text.strip().lower().split(":")
-        if len(parts) != 6:
-            raise AddressError(f"malformed MAC address {text!r}")
-        try:
-            octets = [int(part, 16) for part in parts]
-        except ValueError:
-            raise AddressError(f"malformed MAC address {text!r}") from None
-        if any(not 0 <= octet <= 255 for octet in octets):
-            raise AddressError(f"octet out of range in {text!r}")
-        value = 0
-        for octet in octets:
-            value = (value << 8) | octet
-        return value
+    def __init__(self, value: int):
+        if not isinstance(value, int) or not 0 <= value <= self.BROADCAST_VALUE:
+            raise AddressError(f"MAC address integer out of range: {value!r}")
+        self._value = value
 
     @classmethod
     def node(cls, index: int) -> "MacAddress":
@@ -50,11 +27,6 @@ class MacAddress:
         if index <= 0 or index > 0xFFFFFF:
             raise AddressError(f"node index out of range: {index}")
         return cls(0x020000000000 | index)
-
-    @property
-    def value(self) -> int:
-        """The address as a 48-bit integer."""
-        return self._value
 
     @property
     def is_broadcast(self) -> bool:
@@ -72,21 +44,9 @@ class MacAddress:
         return hash(self._value)
 
     def __eq__(self, other: object) -> bool:
-        # Fast path: address-to-address comparison is the hot case (per-frame
-        # destination checks); coercion is only for int/str literals.
         if type(other) is MacAddress:
             return self._value == other._value
-        if isinstance(other, (MacAddress, int, str)):
-            try:
-                return self._value == MacAddress(other)._value  # type: ignore[arg-type]
-            except AddressError:
-                return NotImplemented
         return NotImplemented
-
-    def __lt__(self, other: "MacAddress") -> bool:
-        if type(other) is MacAddress:
-            return self._value < other._value
-        return self._value < MacAddress(other)._value
 
 
 #: The all-ones broadcast MAC address.

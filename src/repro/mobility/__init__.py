@@ -11,7 +11,7 @@ and a channel built with ``shadowing_sigma_db > 0`` gives each link its own
 log-normal shadowing offset, so motion changes loss rather than just
 distance.
 
-See :mod:`repro.topology.mobile` for the scenario builder and the
+See :class:`repro.topology.network.Network` for the scenario builder and the
 ``mob01``/``mob02`` modules in :mod:`repro.experiments` for ready-made
 mobile-scenario experiments.
 """

@@ -22,6 +22,8 @@ Design notes:
   stream (``discovery.<name>``) derived from the simulator's root seed, so
   attaching discovery never perturbs any other component's random sequence
   and same-seed runs stay byte-identical.
+* A :class:`NeighborDiscovery` beacons from the moment it is built until
+  the run's horizon; a node falls silent only by moving out of range.
 * Expiry is event-driven: a single timer is always armed for the earliest
   possible expiry instant, so neighbor-down latency is bounded by the hold
   time itself, not by any polling granularity.
@@ -107,8 +109,6 @@ class NeighborDiscovery:
         self._last_heard: Dict[IpAddress, float] = {}
         self._up_callbacks: List[NeighborCallback] = []
         self._down_callbacks: List[NeighborCallback] = []
-        self._stop_time: Optional[float] = None
-        self._stopped = False
         self._beacon = PeriodicTimer(sim, hello_interval, self._emit,
                                      priority=Simulator.PRIORITY_NET,
                                      name=f"{self.name}.beacon")
@@ -121,33 +121,9 @@ class NeighborDiscovery:
         self.neighbor_down_events = 0
         sim.metrics.register_collector(self._collect_metrics)
         network.register_handler(HELLO_PROTOCOL, self._on_hello)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self, stop_time: Optional[float] = None) -> None:
-        """Begin beaconing; the first HELLO is jittered to desynchronise nodes.
-
-        ``stop_time`` bounds beaconing (and expiry sweeps) so runs whose
-        traffic drains do not keep the event queue alive to the horizon.
-        Neighbors heard before a :meth:`stop` still expire after a restart.
-        """
-        self._stop_time = stop_time
-        self._stopped = False
+        # Beaconing starts now; the first HELLO is jittered to desynchronise
+        # nodes.
         self._beacon.start(self._rng.uniform(0.0, self.hello_interval))
-        self._rearm_expiry()
-
-    def stop(self) -> None:
-        """Stop beaconing and liveness processing entirely.
-
-        Also makes :meth:`heard` inert: a packet already in flight when the
-        protocol stops must not re-arm the expiry timer, or link-down events
-        would keep firing (and the event queue stay alive) up to a hold time
-        past the stop.
-        """
-        self._stopped = True
-        self._beacon.stop()
-        self._expiry.cancel()
 
     # ------------------------------------------------------------------
     # Event registration
@@ -170,9 +146,6 @@ class NeighborDiscovery:
     # Beacon emission
     # ------------------------------------------------------------------
     def _emit(self) -> None:
-        if self._stop_time is not None and self.sim.now > self._stop_time:
-            self.stop()
-            return
         packet = Packet(
             ip=IpHeader(src=self.address, dst=BROADCAST_IP,
                         protocol=HELLO_PROTOCOL, ttl=1),
@@ -191,8 +164,6 @@ class NeighborDiscovery:
 
     def heard(self, ip: IpAddress) -> None:
         """Refresh liveness for ``ip`` (beacon or any control-plane evidence)."""
-        if self._stopped:
-            return
         ip = IpAddress(ip)
         if ip == self.address:
             return

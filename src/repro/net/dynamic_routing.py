@@ -45,6 +45,8 @@ Implementation notes:
   like data.  Each update carries the full table (a *full dump*; the
   experiments' tables are small) as metadata annotations, with the packet
   size accounting for a per-entry wire cost.
+* A router beacons and advertises from the moment it is built until the
+  run's horizon.
 * Triggered updates fire after a short settling delay when routes change
   (link breaks, new neighbors, adopted fresher routes), so reconvergence is
   bounded by the HELLO hold time plus one settling delay rather than the
@@ -136,7 +138,6 @@ class DsdvRouter:
         self.discovery.on_neighbor_down(self._on_neighbor_down)
         self._rng = sim.random.stream(f"dsdv.{self.name}")
         self._own_sequence = 0
-        self._stop_time: Optional[float] = None
         self._advert_timer = PeriodicTimer(sim, self.config.advertise_interval,
                                            self._on_periodic,
                                            priority=Simulator.PRIORITY_NET,
@@ -158,27 +159,9 @@ class DsdvRouter:
         self.route_breaks = 0
         sim.metrics.register_collector(self._collect_metrics)
         network.register_handler(DSDV_PROTOCOL, self._on_advertisement)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self, stop_time: Optional[float] = None) -> None:
-        """Start HELLO beaconing and periodic advertisements."""
-        self._stop_time = stop_time
-        self.discovery.start(stop_time=stop_time)
+        # The discovery above is already beaconing; advertisements start now.
         self._advert_timer.start(
             self._rng.uniform(0.0, self.config.advertise_interval))
-
-    def stop(self) -> None:
-        """Stop all protocol timers."""
-        self.discovery.stop()
-        self._advert_timer.stop()
-        self._triggered_timer.cancel()
-
-    @property
-    def running(self) -> bool:
-        """True while periodic advertisements are scheduled."""
-        return self._advert_timer.running
 
     # ------------------------------------------------------------------
     # Advertisement transmission
@@ -210,9 +193,6 @@ class DsdvRouter:
         self.network.send(packet)
 
     def _on_periodic(self) -> None:
-        if self._stop_time is not None and self.sim.now > self._stop_time:
-            self.stop()
-            return
         # A fresh even sequence number for our own destination on every
         # periodic advertisement (rule 1 of the module docstring).
         self._own_sequence += 2
@@ -220,11 +200,8 @@ class DsdvRouter:
         rejitter(self._advert_timer, self.config.advertise_interval, self._rng)
 
     def _schedule_triggered(self) -> None:
-        if self._triggered_timer.running or not self.running:
-            return
-        if self._stop_time is not None and self.sim.now > self._stop_time:
-            return
-        self._triggered_timer.start(TRIGGERED_DELAY)
+        if not self._triggered_timer.running:
+            self._triggered_timer.start(TRIGGERED_DELAY)
 
     def _on_triggered(self) -> None:
         self._broadcast_update(triggered=True)

@@ -168,7 +168,7 @@ class AodvRouter:
 
     __slots__ = ("sim", "network", "table", "config", "address", "name",
                  "discovery", "_rng", "_own_sequence", "_rreq_id",
-                 "_stop_time", "_stopped", "_seen_requests", "_pending",
+                 "_seen_requests", "_pending",
                  "_expires", "_expiry_timer", "rreqs_sent", "rreqs_forwarded",
                  "rreps_sent", "rreps_forwarded", "rerrs_sent",
                  "rerrs_received", "duplicate_rreqs_ignored",
@@ -193,10 +193,6 @@ class AodvRouter:
         self._rng: Optional[random.Random] = None
         self._own_sequence = 0
         self._rreq_id = 0
-        self._stop_time: Optional[float] = None
-        #: True until :meth:`start`: a router that has not started ignores
-        #: control traffic and forwarding events.
-        self._stopped = True
         #: Duplicate suppression: (origin value, request id) → time first seen.
         self._seen_requests: Dict[Tuple[int, int], float] = {}
         #: In-flight discoveries keyed by destination.
@@ -227,25 +223,10 @@ class AodvRouter:
         network.set_forward_observer(self._on_data_forwarded)
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self, stop_time: Optional[float] = None) -> None:
-        """Start HELLO liveness; discovery itself is demand-driven."""
-        self._stop_time = stop_time
-        self._stopped = False
-        self.discovery.start(stop_time=stop_time)
-
-    def _past_stop(self) -> bool:
-        return (self._stopped
-                or (self._stop_time is not None and self.sim.now > self._stop_time))
-
-    # ------------------------------------------------------------------
     # On-demand trigger (forwarding-engine no-route hook)
     # ------------------------------------------------------------------
     def _on_no_route(self, packet: Packet) -> bool:
         """Buffer a routeless data packet and start/continue discovery."""
-        if self._past_stop():
-            return False
         if packet.ip.protocol == AODV_PROTOCOL:
             return False  # never discover routes for our own control traffic
         destination = IpAddress(packet.ip.dst)
@@ -308,9 +289,6 @@ class AodvRouter:
         state = self._pending.get(destination)
         if state is None:
             return
-        if self._past_stop():
-            self._fail_discovery(state)
-            return
         if state.ttl < RING_MAX_TTL:
             state.ttl = min(state.ttl + RING_TTL_INCREMENT, RING_MAX_TTL)
         elif state.attempts_at_max > RREQ_RETRIES:
@@ -351,8 +329,6 @@ class AodvRouter:
     # Control-message reception
     # ------------------------------------------------------------------
     def _on_control(self, packet: Packet, source_mac: MacAddress) -> None:
-        if self._stopped:
-            return
         sender = IpAddress(packet.ip.src)
         if sender == self.address:  # pragma: no cover - broadcasts never loop back
             return
@@ -405,7 +381,7 @@ class AodvRouter:
         if rng is None:
             rng = self._rng = self.sim.random.stream(f"aodv.{self.name}")
         delay = rng.uniform(0.0, REBROADCAST_JITTER)
-        self.sim.schedule(delay, self._transmit_if_running, rebroadcast,
+        self.sim.schedule(delay, self.network.send, rebroadcast,
                           priority=Simulator.PRIORITY_NET)
 
     def _record_request(self, request_key: Tuple[int, int]) -> None:
@@ -421,10 +397,6 @@ class AodvRouter:
         for key in expired:
             del self._seen_requests[key]
         self._seen_requests[request_key] = self.sim.now
-
-    def _transmit_if_running(self, packet: Packet) -> None:
-        if not self._past_stop():
-            self.network.send(packet)
 
     # -- RREP ----------------------------------------------------------
     def _send_rrep(self, next_hop: IpAddress, origin: IpAddress,
@@ -532,16 +504,12 @@ class AodvRouter:
 
     def _on_data_forwarded(self, packet: Packet, next_hop: IpAddress) -> None:
         """Forwarded data keeps the routes it used alive (active-route rule)."""
-        if self._stopped:
-            return
         self._refresh(IpAddress(packet.ip.dst))
         self._refresh(IpAddress(packet.ip.src))
         self._refresh(IpAddress(next_hop))
 
     # -- lifetimes -----------------------------------------------------
     def _refresh(self, destination: IpAddress) -> None:
-        if self._past_stop():
-            return
         entry = self.table.entry_for(destination)
         if entry is None or not entry.valid:
             return
@@ -581,8 +549,6 @@ class AodvRouter:
     # Link events from neighbor discovery
     # ------------------------------------------------------------------
     def _on_neighbor_down(self, neighbor: IpAddress) -> None:
-        if self._stopped:
-            return
         lost: List[Tuple[int, int]] = []
         for entry in self.table.entries():
             if not entry.valid or entry.next_hop != neighbor:

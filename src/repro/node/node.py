@@ -26,7 +26,10 @@ paper's statically installed routes, while
 a dynamic control plane that maintains the same table, either proactively
 by HELLO-based neighbor discovery plus DSDV advertisements
 (:mod:`repro.net.dynamic_routing`) or reactively by AODV-style on-demand
-route discovery (:mod:`repro.net.on_demand`).
+route discovery (:mod:`repro.net.on_demand`).  The control plane starts as
+the node is built and runs until the run's horizon.  Scenarios build their
+nodes through :meth:`repro.topology.network.Network.add_node`, which hands
+every node the network's channel, neighbor table and settings.
 """
 
 from __future__ import annotations
@@ -110,9 +113,8 @@ class Node:
                                         routing_table=self.routing_table,
                                         neighbors=self.neighbors,
                                         name=f"{self.name}.net")
-        # The dynamic control plane (None under static routing).  Construction
-        # wires packet handlers only; call :meth:`start_routing` (or let the
-        # scenario builder do it) to begin HELLOs and route maintenance.
+        # The dynamic control plane (None under static routing); it starts
+        # beaconing as it is built and runs until the run's horizon.
         self.router: Optional[Union[DsdvRouter, AodvRouter]] = None
         if isinstance(routing, DsdvConfig):
             self.router = DsdvRouter(sim, self.network, self.routing_table,
@@ -136,15 +138,6 @@ class Node:
     def add_route(self, destination: IpAddress, next_hop: IpAddress) -> None:
         """Install a static route."""
         self.routing_table.add_route(destination, next_hop)
-
-    def start_routing(self, stop_time: float = None) -> None:
-        """Start the dynamic control plane (no-op under static routing).
-
-        ``stop_time`` bounds the protocol timers so runs whose traffic drains
-        do not keep the event queue alive to the horizon.
-        """
-        if self.router is not None:
-            self.router.start(stop_time=stop_time)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.index} ip={self.ip} mac={self.mac_address}>"

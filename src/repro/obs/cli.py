@@ -19,33 +19,19 @@ balance (see docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional
 
-from repro.campaign.registry import get_registry
+from repro.campaign.registry import get_registry, parse_overrides
 from repro.errors import ReproError
 from repro.obs.journey import format_flow_report
 from repro.obs.session import observe
 
 
-def _parse_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
-    overrides: Dict[str, Any] = {}
-    for pair in pairs:
-        name, separator, raw = pair.partition("=")
-        if not separator or not name:
-            raise SystemExit(f"--set expects name=value, got {pair!r}")
-        try:
-            overrides[name] = ast.literal_eval(raw)
-        except (SyntaxError, ValueError):
-            overrides[name] = raw
-    return overrides
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = get_registry().get(args.experiment_id)
-    params = spec.resolve_params(_parse_overrides(args.set or []),
+    params = spec.resolve_params(parse_overrides(args.set or []),
                                  fast=not args.full)
     wants_trace = args.trace_out is not None
     wants_metrics = args.metrics_out is not None

@@ -77,10 +77,6 @@ class Gauge:
         """Overwrite the gauge with ``value``."""
         self.value = value
 
-    def add(self, amount: float) -> None:
-        """Adjust the gauge by ``amount`` (for up/down quantities)."""
-        self.value += amount
-
 
 class Histogram:
     """A distribution over :data:`DEFAULT_BUCKETS` with total count and sum."""
@@ -101,11 +97,6 @@ class Histogram:
                 self.bucket_counts[index] += 1
                 return
         self.bucket_counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        """Mean of the observations (0 when empty)."""
-        return self.total / self.count if self.count else 0.0
 
 
 #: Signature of a snapshot-time collector: it receives the registry and sets

@@ -89,9 +89,9 @@ class Timer:
 
 
 class PeriodicTimer:
-    """A timer that re-arms itself with a fixed period until stopped."""
+    """A timer that re-arms itself after every tick, up to the run's horizon."""
 
-    __slots__ = ("_period", "_callback", "_timer", "_stopped")
+    __slots__ = ("_period", "_callback", "_timer")
 
     def __init__(
         self,
@@ -106,7 +106,6 @@ class PeriodicTimer:
         self._period = period
         self._callback = callback
         self._timer = Timer(sim, self._tick, priority=priority, name=name)
-        self._stopped = False
 
     @property
     def period(self) -> float:
@@ -119,26 +118,14 @@ class PeriodicTimer:
             raise SimulationError(f"period must be positive, got {value}")
         self._period = value
 
-    @property
-    def running(self) -> bool:
-        """True while ticks are scheduled."""
-        return self._timer.running
-
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Start ticking; the first tick fires after ``initial_delay`` (default: one period)."""
         delay = self._period if initial_delay is None else initial_delay
-        self._stopped = False
         self._timer.start(delay)
-
-    def stop(self) -> None:
-        """Stop ticking (idempotent, also honoured when called mid-callback)."""
-        self._stopped = True
-        self._timer.cancel()
 
     def _tick(self) -> None:
         self._callback()
-        # The callback may have stopped the timer (the flag, not the
-        # underlying one-shot, records that) or restarted it itself; only
-        # re-arm when neither happened.
-        if not self._stopped and not self._timer.running:
+        # The callback may have restarted the timer itself; only re-arm
+        # when it did not.
+        if not self._timer.running:
             self._timer.start(self._period)

@@ -1,7 +1,7 @@
 """Result collection, aggregation and formatting."""
 
 from repro.stats.results import ExperimentResult, Series, TableResult
-from repro.stats.collect import relay_detail, node_frame_sizes, transmission_percentages
+from repro.stats.collect import node_frame_sizes, transmission_percentages
 from repro.stats.aggregate import (
     SummaryStats,
     aggregate_experiment_results,
@@ -20,7 +20,6 @@ __all__ = [
     "aggregate_experiment_results",
     "summarize",
     "t_critical_95",
-    "relay_detail",
     "node_frame_sizes",
     "transmission_percentages",
 ]

@@ -1,11 +1,12 @@
-"""Topology builders: the paper's linear chains and star, plus mobile scenarios.
+"""Topology: :class:`~repro.topology.network.Network`, the one scenario builder.
 
-:class:`~repro.topology.mobile.MobileScenario` goes beyond the paper's
-stationary testbed by wiring :mod:`repro.mobility` models to networks.
+A network builds every node, stationary or carrying a :mod:`repro.mobility`
+model, from the settings it was given; the paper's linear chains and star
+(:mod:`repro.topology.builders`) and the city layouts
+(:mod:`repro.topology.city`) are a few lines on top of it.
 """
 
 from repro.topology.network import Network
 from repro.topology.builders import build_linear_chain, build_star
-from repro.topology.mobile import MobileScenario
 
-__all__ = ["MobileScenario", "Network", "build_linear_chain", "build_star"]
+__all__ = ["Network", "build_linear_chain", "build_star"]

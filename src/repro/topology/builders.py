@@ -1,4 +1,4 @@
-"""Builders for the paper's topologies.
+"""Builders for the paper's topologies, on top of :class:`~repro.topology.network.Network`.
 
 Section 5: 2-hop and 3-hop linear chains (Figure 5) and a star with two
 2-hop TCP sessions through a central relay (Figure 6).  Node spacing is
@@ -13,68 +13,40 @@ the servers, node 2 is the central relay and node 1 is the client.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional
 
-from repro.channel.medium import WirelessChannel
 from repro.core.policies import AggregationPolicy
 from repro.errors import ConfigurationError
-from repro.node.node import Node
 from repro.sim.simulator import Simulator
 from repro.topology.network import Network
 
 #: Node spacing used in the paper's testbed (metres).
 PAPER_NODE_SPACING_M = 2.5
 
-PolicySpec = Union[AggregationPolicy, Dict[int, AggregationPolicy]]
 
-
-def _policy_for(policy: PolicySpec, index: int) -> AggregationPolicy:
-    if isinstance(policy, dict):
-        try:
-            return policy[index]
-        except KeyError:
-            raise ConfigurationError(f"no aggregation policy given for node {index}") from None
-    return policy
-
-
-def _install_chain_routes(network: Network, indices: Sequence[int]) -> None:
-    """Static routes along a chain given in path order."""
-    nodes = [network.node(i) for i in indices]
-    for position, node in enumerate(nodes):
-        for target_position, target in enumerate(nodes):
-            if target is node:
-                continue
-            if target_position > position:
-                next_hop = nodes[position + 1]
-            else:
-                next_hop = nodes[position - 1]
-            node.add_route(target.ip, next_hop.ip)
-
-
-def build_linear_chain(sim: Simulator, hops: int, policy: PolicySpec,
+def build_linear_chain(sim: Simulator, hops: int, policy: AggregationPolicy,
                        unicast_rate_mbps: Optional[float] = None,
-                       broadcast_rate_mbps: Optional[float] = None) -> Network:
-    """Build the linear topology of Figure 5 with ``hops`` hops (``hops+1`` nodes)."""
+                       broadcast_rate_mbps: Optional[float] = None,
+                       relay_policy: Optional[AggregationPolicy] = None) -> Network:
+    """Build the linear topology of Figure 5 with ``hops`` hops (``hops+1`` nodes).
+
+    ``relay_policy`` goes to the interior nodes only (delayed broadcast
+    aggregation on the relays, Figure 13 and Tables 3-4); by default every
+    node uses ``policy``.
+    """
     if hops < 1:
         raise ConfigurationError("a chain needs at least one hop")
-    channel = WirelessChannel(sim)
-    network = Network(sim, channel)
-
+    network = Network(sim, policy, unicast_rate_mbps, broadcast_rate_mbps)
     node_count = hops + 1
     for index in range(1, node_count + 1):
-        position = ((index - 1) * PAPER_NODE_SPACING_M, 0.0)
-        node = Node(sim, channel, index=index, position=position,
-                    policy=_policy_for(policy, index),
-                    unicast_rate_mbps=unicast_rate_mbps,
-                    broadcast_rate_mbps=broadcast_rate_mbps,
-                    neighbors=network.neighbors)
-        network.add_node(node)
-
-    _install_chain_routes(network, list(range(1, node_count + 1)))
+        is_relay = 1 < index < node_count
+        network.add_node(((index - 1) * PAPER_NODE_SPACING_M, 0.0),
+                         policy=relay_policy if is_relay else None)
+    network.connect_chain(*range(1, node_count + 1))
     return network
 
 
-def build_star(sim: Simulator, policy: PolicySpec,
+def build_star(sim: Simulator, policy: AggregationPolicy,
                unicast_rate_mbps: Optional[float] = None,
                broadcast_rate_mbps: Optional[float] = None) -> Network:
     """Build the star topology of Figure 6.
@@ -86,23 +58,14 @@ def build_star(sim: Simulator, policy: PolicySpec,
     — exactly the situation where broadcast aggregation helps and unicast-only
     aggregation cannot (Table 5).
     """
-    channel = WirelessChannel(sim)
-    network = Network(sim, channel)
-
+    network = Network(sim, policy, unicast_rate_mbps, broadcast_rate_mbps)
     spacing = PAPER_NODE_SPACING_M
-    positions = {
-        2: (0.0, 0.0),                                   # central relay
-        1: (spacing, 0.0),                               # client
-        3: (-spacing * math.cos(math.radians(30)), spacing * math.sin(math.radians(30))),
-        4: (-spacing * math.cos(math.radians(30)), -spacing * math.sin(math.radians(30))),
-    }
-    for index in (1, 2, 3, 4):
-        node = Node(sim, channel, index=index, position=positions[index],
-                    policy=_policy_for(policy, index),
-                    unicast_rate_mbps=unicast_rate_mbps,
-                    broadcast_rate_mbps=broadcast_rate_mbps,
-                    neighbors=network.neighbors)
-        network.add_node(node)
+    server_x = -spacing * math.cos(math.radians(30))
+    server_y = spacing * math.sin(math.radians(30))
+    network.add_node((spacing, 0.0))              # 1: client
+    network.add_node((0.0, 0.0))                  # 2: central relay
+    network.add_node((server_x, server_y))        # 3: server
+    network.add_node((server_x, -server_y))       # 4: server
 
     centre = network.node(2)
     for leaf_index in (1, 3, 4):

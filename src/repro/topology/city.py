@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ExperimentError
 from repro.node.node import Node
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 #: Default lattice spacing, shared with the mesh experiments (metres).
 CITY_SPACING_M = 8.0
@@ -79,22 +79,22 @@ def city_positions(node_count: int, spacing_m: float = CITY_SPACING_M,
     return positions
 
 
-def populate_city(scenario: MobileScenario, node_count: int,
+def populate_city(network: Network, node_count: int,
                   spacing_m: float = CITY_SPACING_M, placement: str = "grid",
                   cluster_count: Optional[int] = None,
                   cluster_sigma_m: Optional[float] = None) -> List[Node]:
-    """Add a city of ``node_count`` stationary nodes to ``scenario``.
+    """Add a city of ``node_count`` stationary nodes to ``network``.
 
     Cluster placements draw from the simulator's ``city.placement`` stream,
     so the layout replicates per seed and across processes.
     """
     rng = None
     if placement == "clusters":
-        rng = scenario.sim.random.stream("city.placement")
+        rng = network.sim.random.stream("city.placement")
     positions = city_positions(node_count, spacing_m=spacing_m,
                                placement=placement, cluster_count=cluster_count,
                                cluster_sigma_m=cluster_sigma_m, rng=rng)
-    return [scenario.add_node(position) for position in positions]
+    return [network.add_node(position) for position in positions]
 
 
 #: Largest lattice (Manhattan) distance between a city flow's endpoints.

@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import repro.experiments
-from repro.campaign.registry import discover, get_registry
+from repro.campaign.registry import discover, get_registry, parse_overrides
 from repro.errors import ExperimentError
 
 EXPECTED_IDS = {
@@ -82,3 +82,13 @@ def test_unknown_experiment_id_raises():
 
 def test_discover_builds_a_fresh_registry():
     assert set(discover().experiment_ids()) == EXPECTED_IDS
+
+
+def test_set_values_are_literals_or_bare_strings():
+    overrides = parse_overrides(["placement=grid", "node_counts=(9, 16)",
+                                 "duration=1.5", "protocols=('aodv',)"])
+    assert overrides == {"placement": "grid", "node_counts": (9, 16),
+                         "duration": 1.5, "protocols": ("aodv",)}
+    params = get_registry().get("city01").resolve_params(overrides)
+    assert params["placement"] == "grid"
+    assert params["node_counts"] == (9, 16)

@@ -218,6 +218,11 @@ def test_cli_unknown_experiment_exits_nonzero(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_cli_malformed_set_pair_exits_with_usage(capsys):
+    assert main(["run", "fig07", "--no-cache", "--set", "x"]) == 2
+    assert "error: --set expects name=value, got 'x'" in capsys.readouterr().err
+
+
 def test_cli_report_unreadable_file_exits_cleanly(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nope.json")]) == 2
     assert "cannot read results file" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from repro.net.packet import Packet, TcpHeader
 from repro.obs.session import observe
 from repro.phy.rates import HYDRA_BASE_RATE, rate_for_mbps
 from repro.sim import Simulator
-from repro.topology import MobileScenario
+from repro.topology import Network
 from repro.units import kilobytes
 
 from helpers.obs import audit_balanced
@@ -178,11 +178,10 @@ def test_unsent_broadcast_portion_dies_with_the_failed_rts_chain():
     # broadcast portion, which never reached the air.
     with observe(trace=True, metrics=True, journey=True) as session:
         sim = Simulator(seed=7)
-        scenario = MobileScenario(sim, policy=broadcast_aggregation(), unicast_rate_mbps=1.3)
-        scenario.add_node((0.0, 0.0))
-        scenario.add_node((200.0, 0.0))
-        scenario.connect_chain(1, 2)
-        network = scenario.network
+        network = Network(sim, policy=broadcast_aggregation(), unicast_rate_mbps=1.3)
+        network.add_node((0.0, 0.0))
+        network.add_node((200.0, 0.0))
+        network.connect_chain(1, 2)
         node = network.node(1)
         sender = node.udp.bind(9000)
         sim.schedule_at(0.5, sender.send_to, network.node(2).ip, 9000, 500)

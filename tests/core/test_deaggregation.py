@@ -18,7 +18,7 @@ from repro.phy.frame import PhyFrame, ReceptionResult
 from repro.obs.session import observe
 from repro.phy.rates import HYDRA_BASE_RATE
 from repro.sim import Simulator
-from repro.topology import MobileScenario
+from repro.topology import Network
 
 from helpers.obs import audit_balanced, journey_event_fields
 
@@ -136,11 +136,10 @@ def test_missing_ack_retries_the_whole_unicast_portion_on_the_journey():
     # it carried or retries every one of them, never a part.
     with observe(trace=True, metrics=True, journey=True) as session:
         sim = Simulator(seed=2)
-        scenario = MobileScenario(sim, policy=unicast_aggregation(), unicast_rate_mbps=2.6)
-        scenario.add_node((0.0, 0.0))
-        scenario.add_node((4.0, 0.0))
-        scenario.connect_chain(1, 2)
-        network = scenario.network
+        network = Network(sim, policy=unicast_aggregation(), unicast_rate_mbps=2.6)
+        network.add_node((0.0, 0.0))
+        network.add_node((4.0, 0.0))
+        network.connect_chain(1, 2)
         sender = network.node(1).udp.bind(9000)
         network.node(2).udp.bind(9000)
         for _ in range(6):

@@ -105,7 +105,7 @@ def walk_route(nodes: Sequence, source_index: int, dest_index: int) -> int:
 
 
 def assert_routes_loop_free_and_shortest(
-        scenario, positions: Sequence[Tuple[float, float]]) -> None:
+        network, positions: Sequence[Tuple[float, float]]) -> None:
     """The proactive (DSDV) property: every pair, loop-free AND shortest.
 
     For every ordered pair the stored metric must equal the BFS distance on
@@ -113,7 +113,7 @@ def assert_routes_loop_free_and_shortest(
     hops without revisiting a node.
     """
     adjacency = connectivity(positions)
-    nodes = scenario.network.nodes
+    nodes = network.nodes
     for i, node in enumerate(nodes):
         distances = bfs_distances(adjacency, i)
         for j, target in enumerate(nodes):
@@ -130,15 +130,15 @@ def assert_routes_loop_free_and_shortest(
 
 
 def assert_routes_loop_free_and_reach(
-        scenario, pairs: Sequence[Tuple[int, int]]) -> None:
+        network, pairs: Sequence[Tuple[int, int]]) -> None:
     """The reactive (AODV) property: every requested pair, loop-free + valid.
 
     After a demand-driven warm-up, each requested (source, destination) pair
     must hold a route whose hop-by-hop walk reaches the destination without
     loops.  On-demand routes need not be shortest — they follow whichever
     RREQ copy won the flood — so only validity and loop freedom are asserted.
-    ``pairs`` are 0-based indices into ``scenario.network.nodes``.
+    ``pairs`` are 0-based indices into ``network.nodes``.
     """
-    nodes = scenario.network.nodes
+    nodes = network.nodes
     for source_index, dest_index in pairs:
         walk_route(nodes, source_index, dest_index)

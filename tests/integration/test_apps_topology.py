@@ -7,13 +7,18 @@ import pytest
 from repro.apps.cbr import CbrSource, UdpSink
 from repro.apps.file_transfer import run_file_transfer_pair
 from repro.channel import WirelessChannel
-from repro.core import broadcast_aggregation, no_aggregation, unicast_aggregation
+from repro.core import (
+    broadcast_aggregation,
+    delayed_broadcast_aggregation,
+    no_aggregation,
+    unicast_aggregation,
+)
 from repro.errors import ConfigurationError
 from repro.node import Node
 from repro.phy.device import TX_POWER_DBM
 from repro.phy.rates import HYDRA_BASE_RATE, HYDRA_SISO_RATES
 from repro.sim import Simulator
-from repro.topology import MobileScenario, build_linear_chain, build_star
+from repro.topology import Network, build_linear_chain, build_star
 from repro.transport.tcp import TcpState
 from repro.units import mbps
 
@@ -35,6 +40,22 @@ def test_linear_chain_structure():
     assert x2 - x1 == pytest.approx(2.5)
 
 
+def test_network_numbers_nodes_in_the_order_they_are_added():
+    sim = Simulator(seed=50)
+    network = Network(sim, policy=broadcast_aggregation())
+    added = [network.add_node((8.0 * i, 0.0)) for i in range(3)]
+    assert [node.index for node in added] == [1, 2, 3]
+    assert [network.node(i) for i in (1, 2, 3)] == added == network.nodes
+    assert len(network) == 3
+    # Every node shares the network's channel and neighbor table.
+    assert all(node.channel is network.channel for node in added)
+    assert [network.neighbors.resolve(node.ip) for node in added] == [
+        node.mac_address for node in added]
+    for index in (0, len(network) + 1):
+        with pytest.raises(ConfigurationError):
+            network.node(index)
+
+
 def test_linear_chain_rejects_zero_hops():
     sim = Simulator(seed=52)
     with pytest.raises(ConfigurationError):
@@ -52,16 +73,18 @@ def test_star_structure_and_routes():
     assert centre.routing_table.next_hop(network.node(1).ip) == network.node(1).ip
 
 
-def test_per_node_policy_mapping():
+@pytest.mark.parametrize("hops", [2, 3])
+def test_relay_policy_reaches_only_the_interior_nodes(hops):
+    """``relay_policy`` reaches the interior nodes only; the endpoints keep ``policy``."""
     sim = Simulator(seed=54)
-    from repro.core import delayed_broadcast_aggregation
-    policies = {1: broadcast_aggregation(), 2: delayed_broadcast_aggregation(),
-                3: broadcast_aggregation()}
-    network = build_linear_chain(sim, hops=2, policy=policies)
-    assert network.node(2).policy.min_frames_before_transmit > 1
-    assert network.node(1).policy.min_frames_before_transmit == 1
-    with pytest.raises(ConfigurationError):
-        build_linear_chain(sim, hops=3, policy=policies)  # node 4 missing
+    endpoints, relays = broadcast_aggregation(), delayed_broadcast_aggregation()
+    network = build_linear_chain(sim, hops=hops, policy=endpoints, relay_policy=relays)
+    assert endpoints != relays
+    assert [node.policy for node in network.nodes] == (
+        [endpoints] + [relays] * (hops - 1) + [endpoints])
+    # Without a relay policy every node runs the chain's policy.
+    plain = build_linear_chain(sim, hops=hops, policy=endpoints)
+    assert [node.policy for node in plain.nodes] == [endpoints] * (hops + 1)
 
 
 def test_hydra_profile_defaults_match_paper_table1():
@@ -84,8 +107,8 @@ def test_builders_apply_the_broadcast_rate(unicast_rate_mbps):
     sim = Simulator(seed=55)
     chain = build_linear_chain(sim, hops=2, policy=broadcast_aggregation(), **rates)
     star = build_star(sim, policy=broadcast_aggregation(), **rates)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation(), **rates)
-    mobile = [scenario.add_node((2.5 * i, 0.0)) for i in range(2)]
+    network = Network(sim, policy=broadcast_aggregation(), **rates)
+    mobile = [network.add_node((2.5 * i, 0.0)) for i in range(2)]
     unicast = 0.65 if unicast_rate_mbps is None else unicast_rate_mbps
     for node in chain.nodes + star.nodes + mobile:
         assert node.mac.unicast_rate.data_rate_mbps == pytest.approx(unicast)

@@ -41,7 +41,7 @@ from repro.phy.device import Phy
 from repro.sim.simulator import Simulator
 from repro.topology.builders import PAPER_NODE_SPACING_M
 from repro.topology.city import populate_city
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 from repro.units import mbps
 
 DURATION = 3.0
@@ -79,13 +79,13 @@ def _chain_signature(seed: int, per_broadcast: bool, shadowing_sigma_db=0.0,
     whose counters belong in the signature.
     """
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              unicast_rate_mbps=0.65,
-                              shadowing_sigma_db=shadowing_sigma_db)
+    network = Network(sim, policy=broadcast_aggregation(),
+                      unicast_rate_mbps=0.65,
+                      shadowing_sigma_db=shadowing_sigma_db)
     for index in range(4):
-        scenario.add_node((index * PAPER_NODE_SPACING_M, 0.0))
-    scenario.connect_chain(1, 2, 3, 4)
-    channel, network = scenario.channel, scenario.network
+        network.add_node((index * PAPER_NODE_SPACING_M, 0.0))
+    network.connect_chain(1, 2, 3, 4)
+    channel = network.channel
     extra = [_far_listener(sim, channel, per_broadcast)]
     late = [] if during is None else during(sim, channel, network)
     sink_node = network.node(4)
@@ -152,15 +152,14 @@ def _city_flood_signature(seed: int, per_broadcast: bool, join: bool = False) ->
     a flooder, which drops the cached side's grid and plans.
     """
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              unicast_rate_mbps=0.65)
-    nodes = populate_city(scenario, 80)
-    extra = [_far_listener(sim, scenario.channel, per_broadcast)]
+    network = Network(sim, policy=broadcast_aggregation(), unicast_rate_mbps=0.65)
+    nodes = populate_city(network, 80)
+    extra = [_far_listener(sim, network.channel, per_broadcast)]
     assert len(nodes) > medium.AUTO_SPATIAL_THRESHOLD
     if join:
         x, y = nodes[13].phy.position_at(0.0)
         sim.schedule(0.5, lambda: extra.append(
-            Phy(sim, scenario.channel, position=(x + 3.0, y + 3.0), name="late")))
+            Phy(sim, network.channel, position=(x + 3.0, y + 3.0), name="late")))
     flooders = []
     for node in nodes[::13]:
         flooder = FloodingSource(sim, node.network, node.ip, interval=0.2,
@@ -168,7 +167,7 @@ def _city_flood_signature(seed: int, per_broadcast: bool, join: bool = False) ->
         flooder.start()
         flooders.append(flooder)
     sim.run(until=1.0)
-    channel = scenario.channel
+    channel = network.channel
     assert (channel._spatial is None) == per_broadcast
     assert len(extra) == 1 + join
     # Candidate and cull counts measure the enumeration, grid or scan, so
@@ -201,15 +200,14 @@ def _mobile_udp_signature(seed: int) -> str:
     probability memo.
     """
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(
+    network = Network(
         sim, policy=broadcast_aggregation(), unicast_rate_mbps=0.65,
         shadowing_sigma_db=4.0)
-    scenario.add_node((0.0, 0.0))
-    scenario.add_node((2.5, 0.0), RandomWaypoint(area=(-5.0, -5.0, 10.0, 5.0),
-                                                 speed_range=(1.0, 3.0)))
-    scenario.add_node((5.0, 0.0))
-    scenario.connect_chain(1, 2, 3)
-    network = scenario.network
+    network.add_node((0.0, 0.0))
+    network.add_node((2.5, 0.0), RandomWaypoint(area=(-5.0, -5.0, 10.0, 5.0),
+                                                speed_range=(1.0, 3.0)))
+    network.add_node((5.0, 0.0))
+    network.connect_chain(1, 2, 3)
     sink_node = network.node(3)
     sink = UdpSink(sink_node)
     source = CbrSource.saturating(network.node(1), sink_node.ip,

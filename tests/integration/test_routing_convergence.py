@@ -40,7 +40,7 @@ from repro.mobility.models import MobilityModel, RandomWaypoint
 from repro.net.dynamic_routing import DsdvConfig
 from repro.net.on_demand import AodvConfig
 from repro.sim.simulator import Simulator
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 FAST_DSDV = DsdvConfig(hello_interval=0.4, advertise_interval=1.2)
 
@@ -77,12 +77,12 @@ class _RoamThenPark(MobilityModel):
         return self._roam.position_at(time) if time < self._until else self._slot
 
 
-def _random_scenario(protocol: str, seed: int):
+def _random_network(protocol: str, seed: int):
     """A random connected placement running the given control plane.
 
-    The control plane runs to the returned horizon: DSDV's convergence
-    bound, or for AODV the warm-up of every ordered pair plus time for late
-    discoveries to complete.
+    The returned horizon bounds the run: DSDV's convergence bound, or for
+    AODV the warm-up of every ordered pair plus time for late discoveries to
+    complete.
     """
     placement_rng = random.Random(1000 + seed)
     node_count = placement_rng.choice([4, 5, 6])
@@ -95,16 +95,15 @@ def _random_scenario(protocol: str, seed: int):
         pairs = node_count * (node_count - 1)
         horizon = AODV_WARM_UP_START_S + pairs * PROBE_SPACING_S + AODV_DISCOVERY_SLACK_S
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=horizon, routing=config)
+    network = Network(sim, policy=broadcast_aggregation(), routing=config)
     for position in positions:
-        scenario.add_node(position)
-    return sim, scenario, positions, horizon
+        network.add_node(position)
+    return sim, network, positions, horizon
 
 
-def _warm_up_on_demand(sim, scenario, pairs, start: float) -> float:
+def _warm_up_on_demand(sim, network, pairs, start: float) -> float:
     """Send one staggered probe datagram per requested pair; return the end time."""
-    nodes = scenario.network.nodes
+    nodes = network.nodes
     sockets = {i: node.udp.bind(9100) for i, node in enumerate(nodes)}
     for offset, (source_index, dest_index) in enumerate(pairs):
         sim.schedule_at(start + offset * PROBE_SPACING_S,
@@ -116,23 +115,23 @@ def _warm_up_on_demand(sim, scenario, pairs, start: float) -> float:
 @pytest.mark.parametrize("protocol", ["dsdv", "aodv"])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_random_connected_topologies_yield_loop_free_routes(protocol, seed):
-    sim, scenario, positions, horizon = _random_scenario(protocol, seed)
+    sim, network, positions, horizon = _random_network(protocol, seed)
     if protocol == "dsdv":
         # Proactive: converges on its own within the bounded horizon.
         sim.run(until=horizon)
-        assert_routes_loop_free_and_shortest(scenario, positions)
+        assert_routes_loop_free_and_shortest(network, positions)
         return
     # Reactive: routes exist only on demand, so request every ordered pair
     # (all are connected — the placement is) and assert each one routes.
-    node_count = len(scenario.network.nodes)
+    node_count = len(network)
     pairs = [(i, j) for i in range(node_count) for j in range(node_count)
              if i != j]
-    probes_done = _warm_up_on_demand(sim, scenario, pairs, start=AODV_WARM_UP_START_S)
+    probes_done = _warm_up_on_demand(sim, network, pairs, start=AODV_WARM_UP_START_S)
     assert horizon == probes_done + AODV_DISCOVERY_SLACK_S
     sim.run(until=horizon)
-    routers = [node.router for node in scenario.network.nodes]
+    routers = [node.router for node in network.nodes]
     assert sum(router.discoveries_failed for router in routers) == 0
-    assert_routes_loop_free_and_reach(scenario, pairs)
+    assert_routes_loop_free_and_reach(network, pairs)
 
 
 def test_convergence_after_motion_stops():
@@ -140,35 +139,31 @@ def test_convergence_after_motion_stops():
     # sequence numbers), then stop on clean chain slots: 6.5 m neighbor
     # links (reliable), 13 m next-nearest (undecodable).  Whatever state the
     # roaming phase left behind, the chain must converge within the bounded
-    # number of advertisement periods.
+    # number of advertisement periods after motion stops.
     roam_time = 6.0
     chain_slots = ((6.5, 0.0), (13.0, 0.0), (19.5, 0.0))
     sim = Simulator(seed=7)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=roam_time, routing=FAST_DSDV)
-    scenario.add_node((0.0, 0.0))
-    scenario.add_node((26.0, 0.0))
+    network = Network(sim, policy=broadcast_aggregation(), routing=FAST_DSDV)
+    network.add_node((0.0, 0.0))
+    network.add_node((26.0, 0.0))
     area = (0.0, -8.0, 26.0, 8.0)
     for slot in chain_slots:
         roam = RandomWaypoint(area=area, speed_range=(4.0, 4.0))
-        scenario.add_node(slot, _RoamThenPark(roam, roam_time, slot))
+        network.add_node(slot, _RoamThenPark(roam, roam_time, slot))
     sim.run(until=roam_time)
 
     # Motion has stopped: every relay stands on its chain slot, away from
     # where it roamed.
-    relays = scenario.network.nodes[2:]
-    frozen = [node.phy.position_at(sim.now) for node in scenario.network.nodes]
+    relays = network.nodes[2:]
+    frozen = [node.phy.position_at(sim.now) for node in network.nodes]
     assert all(node.phy.position_at(roam_time / 2) != position
                for node, position in zip(relays, frozen[2:]))
     assert frozen[2:] == list(chain_slots)
     assert not ambiguous(frozen)
     assert len(bfs_distances(connectivity(frozen), 0)) == len(frozen)
 
-    # Re-arm the control plane beyond the original stop_time and let it
-    # reconverge on the frozen topology.
+    # The control plane runs on, carrying whatever the roaming left in its
+    # tables, and reconverges on the frozen topology.
     deadline = sim.now + CONVERGENCE_PERIODS * FAST_DSDV.advertise_interval
-    for node in scenario.network.nodes:
-        node.router.stop()
-        node.router.start(stop_time=deadline)
     sim.run(until=deadline)
-    assert_routes_loop_free_and_shortest(scenario, frozen)
+    assert_routes_loop_free_and_shortest(network, frozen)

@@ -150,7 +150,6 @@ class TestStaticRoutingUnchanged:
                     policy=broadcast_aggregation())
         assert type(node.routing_table) is RoutingTable
         assert node.router is None
-        node.start_routing()  # must be a no-op, not an error
         assert sim.pending_events == 0
         assert node.mac_stats.routing_subframes_sent == 0
 

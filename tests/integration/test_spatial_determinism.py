@@ -46,7 +46,7 @@ from repro.experiments import (
 from repro.net.flooding import FloodingSource
 from repro.sim.simulator import Simulator
 from repro.topology.city import populate_city
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 #: Threshold values that force one side: 0 puts any scenario on the grid,
 #: the huge value keeps any city on the scan.
@@ -152,10 +152,9 @@ def _city_flood_signature(seed: int, shadowing_sigma_db: float = 0.0) -> str:
     switchover is byte-neutral exactly where it engages.
     """
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              unicast_rate_mbps=0.65, stop_time=1.0,
-                              shadowing_sigma_db=shadowing_sigma_db)
-    nodes = populate_city(scenario, 80)
+    network = Network(sim, policy=broadcast_aggregation(), unicast_rate_mbps=0.65,
+                      shadowing_sigma_db=shadowing_sigma_db)
+    nodes = populate_city(network, 80)
     flooders = []
     for node in nodes[::13]:
         flooder = FloodingSource(sim, node.network, node.ip, interval=0.2,

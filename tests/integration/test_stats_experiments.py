@@ -7,7 +7,7 @@ import pytest
 from repro.core import broadcast_aggregation, delayed_broadcast_aggregation, unicast_aggregation
 from repro.experiments import run_star_tcp, run_tcp_transfer, run_udp_saturation
 from repro.experiments.paper_values import PAPER_VALUES
-from repro.stats.collect import node_frame_sizes, relay_detail, transmission_percentages
+from repro.stats.collect import node_frame_sizes, transmission_percentages
 from repro.stats.results import ExperimentResult, Series, TableResult
 
 SMALL_FILE = 50_000
@@ -126,12 +126,12 @@ def test_run_star_tcp_reports_worst_case_session():
 def test_relay_detail_reports_paper_metrics():
     outcome = run_tcp_transfer(unicast_aggregation(), hops=2, rate_mbps=1.3,
                                file_bytes=SMALL_FILE, seed=3)
-    detail = relay_detail(outcome.network, relay_indices=[2])
-    assert detail["transmissions"] > 0
-    assert detail["average_frame_size"] > 1000
-    assert 0.0 < detail["size_overhead"] < 0.5
-    assert 0.0 < detail["time_overhead"] < 0.8
-    assert detail["average_subframes_per_frame"] >= 1.0
+    relay = outcome.network.node(2).mac_stats
+    assert relay.data_transmissions > 0
+    assert relay.average_frame_size > 1000
+    assert 0.0 < relay.size_overhead_fraction < 0.5
+    assert 0.0 < relay.time_overhead_fraction < 0.8
+    assert relay.average_subframes_per_frame >= 1.0
 
 
 def test_node_frame_sizes_server_bigger_than_client():
@@ -149,9 +149,9 @@ def test_aggregation_reduces_relay_transmissions_and_overhead():
                           file_bytes=SMALL_FILE, seed=3)
     ba = run_tcp_transfer(broadcast_aggregation(), hops=2, rate_mbps=1.3,
                           file_bytes=SMALL_FILE, seed=3)
-    na_detail = relay_detail(na.network, [2])
-    ba_detail = relay_detail(ba.network, [2])
-    assert ba_detail["transmissions"] < 0.6 * na_detail["transmissions"]
-    assert ba_detail["average_frame_size"] > 2 * na_detail["average_frame_size"]
-    assert ba_detail["size_overhead"] < na_detail["size_overhead"]
-    assert ba_detail["time_overhead"] < na_detail["time_overhead"]
+    na_relay = na.network.node(2).mac_stats
+    ba_relay = ba.network.node(2).mac_stats
+    assert ba_relay.data_transmissions < 0.6 * na_relay.data_transmissions
+    assert ba_relay.average_frame_size > 2 * na_relay.average_frame_size
+    assert ba_relay.size_overhead_fraction < na_relay.size_overhead_fraction
+    assert ba_relay.time_overhead_fraction < na_relay.time_overhead_fraction

@@ -33,10 +33,11 @@ def tcp_packet(payload: int, ack_only: bool = False) -> Packet:
 # ---------------------------------------------------------------------------
 
 def test_mac_address_parsing_and_formatting():
-    address = MacAddress("02:00:00:00:00:2a")
-    assert address.value == 0x02000000002A
+    address = MacAddress.node(42)
     assert str(address) == "02:00:00:00:00:2a"
-    assert MacAddress(address) == address
+    assert repr(address) == "MacAddress('02:00:00:00:00:2a')"
+    assert address == MacAddress(0x02000000002A)
+    assert str(BROADCAST_MAC) == "ff:ff:ff:ff:ff:ff"
 
 
 def test_mac_address_node_constructor():
@@ -49,24 +50,29 @@ def test_mac_address_node_constructor():
 def test_broadcast_mac():
     assert BROADCAST_MAC.is_broadcast
     assert not MacAddress.node(1).is_broadcast
-    assert BROADCAST_MAC == MacAddress("ff:ff:ff:ff:ff:ff")
+    assert BROADCAST_MAC == MacAddress(0xFFFFFFFFFFFF)
+    assert MacAddress.node(0xFFFFFF) != BROADCAST_MAC
 
 
 def test_mac_address_validation():
     with pytest.raises(AddressError):
-        MacAddress("not-a-mac")
-    with pytest.raises(AddressError):
-        MacAddress("02:00:00:00:00")
+        MacAddress("02:00:00:00:00:2a")
     with pytest.raises(AddressError):
         MacAddress(-1)
     with pytest.raises(AddressError):
         MacAddress(2 ** 48)
+    with pytest.raises(AddressError):
+        MacAddress.node(0x1000000)
+    # Both ends of the 48-bit range are addresses.
+    assert MacAddress(0) != BROADCAST_MAC
+    assert MacAddress(2 ** 48 - 1).is_broadcast
 
 
 def test_mac_address_hash_and_ordering():
     a, b = MacAddress.node(1), MacAddress.node(2)
     assert len({a, MacAddress.node(1), b}) == 2
-    assert a < b
+    assert {a: "a", b: "b"}[MacAddress.node(2)] == "b"
+    assert a != 0x020000000001 and a != "02:00:00:00:00:01"
 
 
 # ---------------------------------------------------------------------------

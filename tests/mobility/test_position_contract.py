@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError
 from repro.mobility.models import CircularOrbit, RandomWaypoint
 from repro.phy.device import Phy
 from repro.sim.simulator import Simulator
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 NAN = math.nan
 INF = math.inf
@@ -38,15 +38,15 @@ def _channel_with_a(sim):
 
 def test_no_phy_or_node_takes_a_position_by_assignment():
     sim = Simulator(seed=1)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation())
-    still = scenario.add_node((0.0, 0.0))
-    hopper = scenario.add_node((2.5, 0.0), Jumps(((1.0, (30.0, 0.0)),)))
+    network = Network(sim, policy=broadcast_aggregation())
+    still = network.add_node((0.0, 0.0))
+    hopper = network.add_node((2.5, 0.0), Jumps(((1.0, (30.0, 0.0)),)))
     for node in (still, hopper):
         assert not hasattr(node, "position")
         assert not hasattr(node.phy, "position")
         with pytest.raises(AttributeError):
             node.phy.position = (5.0, 5.0)
-    channel = scenario.channel
+    channel = network.channel
     near = channel.received_power_dbm(still.phy, hopper.phy)
     sim.run(until=1.0)
     # Only the model moved anything: the hopper is 30 m out, the other stays.
@@ -68,13 +68,13 @@ def test_a_moving_phy_is_where_its_model_puts_it_now():
 
 def test_moving_nodes_schedule_nothing():
     sim = Simulator(seed=1)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation())
+    network = Network(sim, policy=broadcast_aggregation())
     for start in ((0.0, 0.0), (5.0, 5.0)):
-        scenario.add_node(start, RandomWaypoint(area=AREA, speed_range=(1.0, 2.0)))
+        network.add_node(start, RandomWaypoint(area=AREA, speed_range=(1.0, 2.0)))
     assert sim.pending_events == 0
     sim.run(until=10.0)
     assert sim.events_processed == 0
-    assert scenario.network.node(1).phy.position_at(sim.now) != (0.0, 0.0)
+    assert network.node(1).phy.position_at(sim.now) != (0.0, 0.0)
 
 
 def test_a_bound_model_is_refused_by_a_second_phy():

@@ -23,7 +23,7 @@ from repro.mobility.models import CircularOrbit
 from repro.phy.device import TX_POWER_DBM, Phy
 from repro.sim.simulator import Simulator
 from repro.topology.builders import build_linear_chain
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 from repro.units import mbps
 
 
@@ -160,7 +160,7 @@ def test_shadowing_sigma_must_be_a_finite_non_negative_number(sigma):
     with pytest.raises(ConfigurationError, match="shadowing_sigma_db"):
         WirelessChannel(sim, sigma)
     with pytest.raises(ConfigurationError, match="shadowing_sigma_db"):
-        MobileScenario(sim, policy=unicast_aggregation(), shadowing_sigma_db=sigma)
+        Network(sim, policy=unicast_aggregation(), shadowing_sigma_db=sigma)
 
 
 def test_mob01_refuses_a_negative_shadowing_sigma(tmp_path, monkeypatch, capsys):
@@ -198,12 +198,11 @@ def _udp_signature(network, sim, duration=1.5):
 
 def _mobile_chain(seed, with_models):
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=unicast_aggregation(),
-                              unicast_rate_mbps=0.65)
-    scenario.add_node((0.0, 0.0), Fixed() if with_models else None)
-    scenario.add_node((2.5, 0.0), Fixed() if with_models else None)
-    scenario.connect_chain(1, 2)
-    return sim, scenario.network
+    network = Network(sim, policy=unicast_aggregation(), unicast_rate_mbps=0.65)
+    network.add_node((0.0, 0.0), Fixed() if with_models else None)
+    network.add_node((2.5, 0.0), Fixed() if with_models else None)
+    network.connect_chain(1, 2)
+    return sim, network
 
 
 def test_stationary_models_reproduce_the_static_scenario_bit_for_bit():

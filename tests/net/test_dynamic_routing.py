@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.channel.medium import WirelessChannel
 from repro.core.policies import broadcast_aggregation
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.address import IpAddress
@@ -15,8 +16,9 @@ from repro.net.routing import (
     RouteEntry,
     RoutingTable,
 )
+from repro.node.node import Node
 from repro.sim.simulator import Simulator
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 from helpers.mobility import Jumps
 from helpers.routing import has_valid_route
@@ -79,35 +81,56 @@ class TestDynamicRoutingTable:
 FAR_AWAY = (100.0, 100.0)
 
 
-def _chain_scenario(node_count=3, spacing=8.0, seed=1, duration=30.0,
-                    config=FAST_DSDV, models=None):
+def _chain_scenario(node_count=3, spacing=8.0, seed=1, config=FAST_DSDV,
+                    models=None):
     """A DSDV chain; ``models`` maps a node's index (from 1) to its model."""
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=duration, routing=config)
+    network = Network(sim, policy=broadcast_aggregation(), routing=config)
     for i in range(node_count):
-        scenario.add_node((i * spacing, 0.0), (models or {}).get(i + 1))
-    return sim, scenario
+        network.add_node((i * spacing, 0.0), (models or {}).get(i + 1))
+    return sim, network
 
 
 class TestDsdvProtocol:
     def test_static_route_installers_are_rejected_under_dsdv(self):
-        sim, scenario = _chain_scenario()
+        sim, network = _chain_scenario()
         with pytest.raises(ConfigurationError):
-            scenario.connect_chain(1, 2, 3)
+            network.connect_chain(1, 2, 3)
         with pytest.raises(ConfigurationError):
-            scenario.connect_pair(1, 2)
+            network.connect_pair(1, 2)
+
+    def test_router_starts_when_its_node_is_built(self):
+        # No start call: a DSDV node built at t=0 sends its first HELLO
+        # within one hello_interval and its first advertisement within one
+        # advertise_interval.
+        sim = Simulator(seed=1)
+        router = Node(sim, WirelessChannel(sim), index=1, routing=FAST_DSDV).router
+        assert sim.pending_events == 2
+        sim.run(until=FAST_DSDV.hello_interval)
+        assert router.discovery.hellos_sent >= 1
+        sim.run(until=FAST_DSDV.advertise_interval)
+        assert router.updates_sent >= 1
+
+    def test_routed_network_queue_never_drains(self):
+        # Beacons run until the horizon, so every routed run needs one.
+        sim, network = _chain_scenario()
+        sim.run(until=10.0)
+        assert sim.pending_events > 0
+        sent = [node.router.discovery.hellos_sent for node in network.nodes]
+        sim.run(until=10.0 + 2 * FAST_DSDV.hello_interval)
+        assert all(node.router.discovery.hellos_sent > before
+                   for node, before in zip(network.nodes, sent))
 
     def test_unknown_routing_mode_rejected(self):
         sim = Simulator(seed=1)
-        scenario = MobileScenario(sim, policy=broadcast_aggregation(), routing="olsr")
+        network = Network(sim, policy=broadcast_aggregation(), routing="olsr")
         with pytest.raises(ConfigurationError, match="DsdvConfig or an AodvConfig"):
-            scenario.add_node((0.0, 0.0))
+            network.add_node((0.0, 0.0))
 
     def test_chain_converges_to_shortest_hop_count_routes(self):
-        sim, scenario = _chain_scenario(node_count=4, duration=12.0)
+        sim, network = _chain_scenario(node_count=4)
         sim.run(until=12.0)
-        nodes = scenario.network.nodes
+        nodes = network.nodes
         # End nodes see 3 destinations, each via their single physical neighbor.
         first, last = nodes[0], nodes[-1]
         assert len(first.routing_table) == 3
@@ -119,16 +142,15 @@ class TestDsdvProtocol:
         assert middle.routing_table.next_hop(last.ip) == nodes[2].ip
 
     def test_own_destination_never_enters_the_table(self):
-        sim, scenario = _chain_scenario(duration=10.0)
+        sim, network = _chain_scenario()
         sim.run(until=10.0)
-        for node in scenario.network.nodes:
+        for node in network.nodes:
             assert node.router.table.entry_for(node.ip) is None
 
     def test_forwarding_works_end_to_end_over_discovered_routes(self):
         from repro.apps.cbr import CbrSource, UdpSink
 
-        sim, scenario = _chain_scenario(node_count=3, duration=12.0)
-        network = scenario.network
+        sim, network = _chain_scenario(node_count=3)
         sink = UdpSink(network.node(3))
         source = CbrSource(network.node(1), network.node(3).ip,
                            interval=0.1, payload_bytes=200)
@@ -138,19 +160,19 @@ class TestDsdvProtocol:
         assert sink.packets_received >= source.packets_sent * 0.9
 
     def test_control_plane_counted_in_mac_stats(self):
-        sim, scenario = _chain_scenario(duration=8.0)
+        sim, network = _chain_scenario()
         sim.run(until=8.0)
-        stats = scenario.network.node(2).mac_stats
+        stats = network.node(2).mac_stats
         assert stats.routing_subframes_sent > 0
         assert 0.0 < stats.routing_overhead_fraction <= 1.0
         assert stats.routing_bytes_sent <= stats.payload_bytes_sent
 
     def test_sequence_numbers_advertised_are_even(self):
-        sim, scenario = _chain_scenario(duration=10.0)
+        sim, network = _chain_scenario()
         sim.run(until=10.0)
         # Every adopted route's sequence number originated at the destination
         # as an even number; no link ever broke in this static chain.
-        for node in scenario.network.nodes:
+        for node in network.nodes:
             for entry in node.router.table.entries():
                 assert entry.valid
                 assert entry.sequence % 2 == 0
@@ -159,32 +181,17 @@ class TestDsdvProtocol:
     def test_link_break_marks_routes_with_odd_sequence_and_infinite_metric(self):
         # At t=6 the middle relay jumps out of range; nothing else connects
         # 1 and 3.
-        sim, scenario = _chain_scenario(node_count=3, duration=40.0,
-                                        models={2: Jumps(((6.0, FAR_AWAY),))})
+        sim, network = _chain_scenario(node_count=3,
+                                       models={2: Jumps(((6.0, FAR_AWAY),))})
         sim.run(until=6.0)
-        first = scenario.network.node(1)
-        last = scenario.network.node(3)
+        first = network.node(1)
+        last = network.node(3)
         assert has_valid_route(first.routing_table, last.ip)
         sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
-        entry = first.router.table.entry_for(scenario.network.node(2).ip)
+        entry = first.router.table.entry_for(network.node(2).ip)
         assert entry is not None and not entry.valid
         assert entry.metric == INFINITE_METRIC
         assert entry.sequence % 2 == 1
-        assert not has_valid_route(first.routing_table, last.ip)
-        assert first.router.route_breaks > 0
-
-    def test_restarted_router_withdraws_routes_through_a_silent_neighbor(self):
-        # Regression: a restart must re-arm neighbor expiry, or a neighbor
-        # heard before the stop that never speaks again keeps its routes.
-        sim, scenario = _chain_scenario(node_count=3, duration=40.0)
-        sim.run(until=6.0)
-        first, relay, last = scenario.network.nodes
-        assert has_valid_route(first.routing_table, last.ip)
-        for node in scenario.network.nodes:
-            node.router.stop()
-        first.router.start(stop_time=40.0)  # only node 1 comes back
-        sim.run(until=6.0 + 4 * FAST_HOLD_TIME)
-        assert not has_valid_route(first.routing_table, relay.ip)
         assert not has_valid_route(first.routing_table, last.ip)
         assert first.router.route_breaks > 0
 
@@ -192,10 +199,10 @@ class TestDsdvProtocol:
         # The relay jumps away at t=6 and back once the break has spread.
         back = 6.0 + 4 * FAST_HOLD_TIME
         trip = Jumps(((6.0, FAR_AWAY), (back, (8.0, 0.0))))
-        sim, scenario = _chain_scenario(node_count=3, duration=60.0, models={2: trip})
+        sim, network = _chain_scenario(node_count=3, models={2: trip})
         sim.run(until=back)
-        first = scenario.network.node(1)
-        last = scenario.network.node(3)
+        first = network.node(1)
+        last = network.node(3)
         assert not has_valid_route(first.routing_table, last.ip)
         sim.run(until=sim.now + 6 * FAST_DSDV.advertise_interval)
         assert has_valid_route(first.routing_table, last.ip)
@@ -205,8 +212,8 @@ class TestDsdvProtocol:
         # A hand-installed route shares the table with DSDV's routes: it
         # forwards on its own node, but carries STATIC_SEQUENCE and so never
         # enters an advertisement.
-        sim, scenario = _chain_scenario(node_count=3, duration=10.0)
-        nodes = scenario.network.nodes
+        sim, network = _chain_scenario(node_count=3)
+        nodes = network.nodes
         elsewhere = IpAddress("10.0.0.99")
         nodes[0].add_route(elsewhere, nodes[1].ip)
         sim.run(until=10.0)
@@ -217,21 +224,21 @@ class TestDsdvProtocol:
         assert nodes[0].routing_table.next_hop(nodes[2].ip) == nodes[1].ip
 
     def test_summary_is_flat(self):
-        sim, scenario = _chain_scenario(duration=6.0)
+        sim, network = _chain_scenario()
         sim.run(until=6.0)
-        summary = scenario.network.node(1).router.summary()
+        summary = network.node(1).router.summary()
         assert summary["updates_sent"] > 0
         assert summary["valid_routes"] == 2
         assert summary["neighbors"] == 1
 
     def test_same_seed_runs_are_identical_different_seeds_diverge(self):
         def signature(seed):
-            sim, scenario = _chain_scenario(node_count=4, seed=seed, duration=10.0)
+            sim, network = _chain_scenario(node_count=4, seed=seed)
             sim.run(until=10.0)
             return repr([
                 (node.router.summary(),
                  [str(e) for e in node.router.table.entries()])
-                for node in scenario.network.nodes
+                for node in network.nodes
             ]) + f"|{sim.events_processed}"
 
         assert signature(1) == signature(1)

@@ -17,7 +17,7 @@ from repro.net.routing import INFINITE_METRIC, RoutingTable
 from repro.node.node import Node
 from repro.obs.session import observe
 from repro.sim.simulator import Simulator
-from repro.topology.mobile import MobileScenario
+from repro.topology.network import Network
 
 from helpers.mobility import Jumps
 from helpers.obs import audit_balanced, journey_events, trace_records
@@ -29,23 +29,21 @@ FAST_AODV = AodvConfig(hello_interval=0.4, active_route_lifetime=30.0)
 FAST_HOLD_TIME = HOLD_INTERVALS * FAST_AODV.hello_interval
 
 
-def _chain_scenario(node_count=3, spacing=8.0, seed=1, duration=20.0,
-                    config=FAST_AODV, models=None):
+def _chain_scenario(node_count=3, spacing=8.0, seed=1, config=FAST_AODV,
+                    models=None):
     """An AODV chain; ``models`` maps a node's index (from 1) to its model."""
     sim = Simulator(seed=seed)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=duration, routing=config)
+    network = Network(sim, policy=broadcast_aggregation(), routing=config)
     for i in range(node_count):
-        scenario.add_node((i * spacing, 0.0), (models or {}).get(i + 1))
-    return sim, scenario
+        network.add_node((i * spacing, 0.0), (models or {}).get(i + 1))
+    return sim, network
 
 
-def _send_probe(scenario, source_index, dest_index, at, port=9100):
+def _send_probe(network, source_index, dest_index, at, port=9100):
     """One UDP datagram from source to destination at time ``at``."""
-    network = scenario.network
     socket = network.node(source_index).udp.bind(port)
-    scenario.sim.schedule_at(at, socket.send_to,
-                             network.node(dest_index).ip, port, 32)
+    network.sim.schedule_at(at, socket.send_to,
+                            network.node(dest_index).ip, port, 32)
     return socket
 
 
@@ -93,9 +91,9 @@ class TestRoutingModeValidation:
 
     def test_scenario_rejects_unknown_mode_with_value_error(self):
         sim = Simulator(seed=1)
-        scenario = MobileScenario(sim, policy=broadcast_aggregation(), routing="aodv")
+        network = Network(sim, policy=broadcast_aggregation(), routing="aodv")
         with pytest.raises(ValueError, match="DsdvConfig or an AodvConfig"):
-            scenario.add_node((0.0, 0.0))
+            network.add_node((0.0, 0.0))
 
     def test_mismatched_routing_config_rejected(self):
         # The config class itself (a forgotten call) is not a config.
@@ -119,6 +117,16 @@ class TestRoutingModeValidation:
         assert isinstance(node.routing_table, RoutingTable)
         assert node.router.table is node.routing_table
 
+    def test_router_starts_when_its_node_is_built(self):
+        # No start call: an AODV node built at t=0 sends its first HELLO
+        # within one hello_interval, while discovery waits for demand.
+        sim, channel = self._channel()
+        router = Node(sim, channel, index=1, routing=FAST_AODV).router
+        assert sim.pending_events == 1
+        sim.run(until=FAST_AODV.hello_interval)
+        assert router.discovery.hellos_sent >= 1
+        assert router.rreqs_sent == 0
+
     def test_static_node_has_no_router_or_hooks(self):
         sim, channel = self._channel()
         node = Node(sim, channel, index=1)
@@ -129,8 +137,7 @@ class TestRoutingModeValidation:
 
 class TestRouteDiscovery:
     def test_demand_driven_chain_discovery_delivers(self):
-        sim, scenario = _chain_scenario(node_count=3)
-        network = scenario.network
+        sim, network = _chain_scenario(node_count=3)
         sink = UdpSink(network.node(3))
         source = CbrSource(network.node(1), network.node(3).ip,
                            interval=0.1, payload_bytes=200)
@@ -149,57 +156,56 @@ class TestRouteDiscovery:
         assert origin.network.stats.no_route_drops == 0
 
     def test_relay_learns_both_directions_from_one_discovery(self):
-        sim, scenario = _chain_scenario(node_count=3)
-        _send_probe(scenario, 1, 3, at=1.0)
+        sim, network = _chain_scenario(node_count=3)
+        _send_probe(network, 1, 3, at=1.0)
         sim.run(until=5.0)
-        relay = scenario.network.node(2)
+        relay = network.node(2)
         # Reverse route (from the RREQ) and forward route (from the RREP).
         for index in (1, 3):
-            entry = relay.router.table.entry_for(scenario.network.node(index).ip)
+            entry = relay.router.table.entry_for(network.node(index).ip)
             assert entry is not None and entry.valid and entry.metric == 1
 
     def test_expanding_ring_escalates_ttl(self):
-        sim, scenario = _chain_scenario(node_count=4)
-        _send_probe(scenario, 1, 4, at=1.0)
+        sim, network = _chain_scenario(node_count=4)
+        _send_probe(network, 1, 4, at=1.0)
         sim.run(until=8.0)
-        origin = scenario.network.node(1).router
+        origin = network.node(1).router
         # TTL 1 cannot reach a 3-hop destination: at least one retry happened
         # and the route was found on a wider ring.
         assert origin.rreqs_sent >= 2
         assert origin.discoveries_completed == 1
-        entry = origin.table.entry_for(scenario.network.node(4).ip)
+        entry = origin.table.entry_for(network.node(4).ip)
         assert entry is not None and entry.valid and entry.metric == 3
 
     def test_duplicate_rreqs_suppressed_by_request_id(self):
         # Diamond: two relays both hear the origin's RREQ; the destination
         # hears two copies but must reply only once.
         sim = Simulator(seed=3)
-        scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                                  stop_time=10.0, routing=FAST_AODV)
-        scenario.add_node((0.0, 0.0))      # 1: origin
-        scenario.add_node((6.0, 4.0))      # 2: relay up
-        scenario.add_node((6.0, -4.0))     # 3: relay down
-        scenario.add_node((12.0, 0.0))     # 4: destination
-        _send_probe(scenario, 1, 4, at=1.0)
+        network = Network(sim, policy=broadcast_aggregation(), routing=FAST_AODV)
+        network.add_node((0.0, 0.0))      # 1: origin
+        network.add_node((6.0, 4.0))      # 2: relay up
+        network.add_node((6.0, -4.0))     # 3: relay down
+        network.add_node((12.0, 0.0))     # 4: destination
+        _send_probe(network, 1, 4, at=1.0)
         sim.run(until=6.0)
-        destination = scenario.network.node(4).router
+        destination = network.node(4).router
         assert destination.rreps_sent == 1
         assert destination.duplicate_rreqs_ignored >= 1
-        assert scenario.network.node(1).router.discoveries_completed == 1
+        assert network.node(1).router.discoveries_completed == 1
 
     def test_same_seed_runs_identical_different_seeds_diverge(self):
         def signature(seed):
-            sim, scenario = _chain_scenario(node_count=4, seed=seed, duration=10.0)
-            sink = UdpSink(scenario.network.node(4))
-            source = CbrSource(scenario.network.node(1),
-                               scenario.network.node(4).ip,
+            sim, network = _chain_scenario(node_count=4, seed=seed)
+            sink = UdpSink(network.node(4))
+            source = CbrSource(network.node(1),
+                               network.node(4).ip,
                                interval=0.15, payload_bytes=120)
             source.start(1.0)
             sim.run(until=10.0)
             return repr([
                 (node.router.summary(),
                  [str(e) for e in node.router.table.entries()])
-                for node in scenario.network.nodes
+                for node in network.nodes
             ]) + f"|{sink.packets_received}|{sim.events_processed}"
 
         assert signature(1) == signature(1)
@@ -210,12 +216,10 @@ class TestRouteDiscovery:
         jitter of a RREQ rebroadcast; the label alone fixes the seed, so the
         draws match an eagerly built stream's (the golden digests pin that)."""
         sim = Simulator(seed=1)
-        scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                                  stop_time=6.0, routing=FAST_AODV)
+        network = Network(sim, policy=broadcast_aggregation(), routing=FAST_AODV)
         for row in range(3):
             for col in range(3):
-                scenario.add_node((col * 8.0, row * 8.0))
-        network = scenario.network
+                network.add_node((col * 8.0, row * 8.0))
         sink = UdpSink(network.node(9))
         source = CbrSource(network.node(1), network.node(9).ip,
                            interval=0.1, payload_bytes=200)
@@ -237,15 +241,14 @@ class TestRouteDiscovery:
         assert network.node(9).router.name not in forwarders
 
 
-def _unreachable_pair(stop_time):
+def _unreachable_pair():
     """Two AODV nodes far beyond decodability of each other."""
     sim = Simulator(seed=1)
-    scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                              stop_time=stop_time,
-                              routing=AodvConfig(hello_interval=0.4))
-    scenario.add_node((0.0, 0.0))
-    scenario.add_node((200.0, 0.0))
-    return sim, scenario
+    network = Network(sim, policy=broadcast_aggregation(),
+                      routing=AodvConfig(hello_interval=0.4))
+    network.add_node((0.0, 0.0))
+    network.add_node((200.0, 0.0))
+    return sim, network
 
 
 @pytest.fixture
@@ -271,10 +274,10 @@ class TestUnreachableDestination:
         # Two nodes far beyond decodability: the expanding-ring search must
         # exhaust and the destination must surface exactly like a missing
         # static route — a RoutingError from next_hop(), a drop from send().
-        sim, scenario = _unreachable_pair(stop_time=8.0)
-        _send_probe(scenario, 1, 2, at=1.0)
+        sim, network = _unreachable_pair()
+        _send_probe(network, 1, 2, at=1.0)
         sim.run(until=8.0)
-        origin = scenario.network.node(1)
+        origin = network.node(1)
         router = origin.router
         assert router.discoveries_started == 1
         assert router.discoveries_failed == 1
@@ -282,7 +285,7 @@ class TestUnreachableDestination:
         assert router.buffered_packets_dropped == 1
         # ring 1, 3, then RREQ_RETRIES=1 extra attempts at the max TTL.
         assert router.rreqs_sent >= 3
-        unreachable = scenario.network.node(2).ip
+        unreachable = network.node(2).ip
         with pytest.raises(RoutingError) as aodv_error:
             origin.routing_table.next_hop(unreachable)
         with pytest.raises(RoutingError) as static_error:
@@ -290,67 +293,40 @@ class TestUnreachableDestination:
         assert type(aodv_error.value) is type(static_error.value)
 
     def test_buffer_bound_drops_oldest(self, small_buffer):
-        sim, scenario = _unreachable_pair(stop_time=6.0)
-        source = CbrSource(scenario.network.node(1), scenario.network.node(2).ip,
+        sim, network = _unreachable_pair()
+        source = CbrSource(network.node(1), network.node(2).ip,
                            interval=0.2, payload_bytes=64)
         source.start(1.0)
         sim.run(until=4.0)
-        router = scenario.network.node(1).router
+        router = network.node(1).router
         assert router.buffered_packets_dropped > 0
-        assert len(router._pending[scenario.network.node(2).ip].buffered) == 3
+        assert len(router._pending[network.node(2).ip].buffered) == 3
 
     def test_exhausted_discovery_is_traced_and_drops_on_the_journey(self, exhausting_ring):
         with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _unreachable_pair(stop_time=8.0)
-            _send_probe(scenario, 1, 2, at=1.0)
+            sim, network = _unreachable_pair()
+            _send_probe(network, 1, 2, at=1.0)
             sim.run(until=8.0)
         assert trace_records(session, "aodv", "discovery_failed") == [
-            {"dest": str(scenario.network.node(2).ip), "dropped": 1}]
+            {"dest": str(network.node(2).ip), "dropped": 1}]
         drops = [key for key in journey_events(session) if key[1] == "drop"]
         assert drops == [("net", "drop", "rreq_exhausted", "node1")]
         assert audit_balanced(session)
 
     def test_buffer_overflow_drops_on_the_journey(self, small_buffer):
         with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _unreachable_pair(stop_time=6.0)
-            source = CbrSource(scenario.network.node(1),
-                               scenario.network.node(2).ip,
+            sim, network = _unreachable_pair()
+            source = CbrSource(network.node(1),
+                               network.node(2).ip,
                                interval=0.2, payload_bytes=64)
             source.start(1.0)
             sim.run(until=4.0)
-        router = scenario.network.node(1).router
+        router = network.node(1).router
         drops = [key for key in journey_events(session) if key[1] == "drop"]
         assert drops == ([("net", "drop", "buffer_full", "node1")]
                          * router.buffered_packets_dropped)
         assert audit_balanced(session)
 
-    def test_stop_time_fails_the_pending_discovery_on_the_journey(self, small_buffer):
-        # The ring timer outlives the stop time: when it fires, the search
-        # ends and its buffer is dropped instead of sending another RREQ.
-        with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _unreachable_pair(stop_time=2.0)
-            _send_probe(scenario, 1, 2, at=1.0)
-            sim.run(until=8.0)
-        router = scenario.network.node(1).router
-        assert router.rreqs_sent == 1
-        assert router.discoveries_failed == 1
-        assert router.buffered_packets_dropped == 1
-        drops = [key for key in journey_events(session) if key[1] == "drop"]
-        assert drops == [("net", "drop", "rreq_exhausted", "node1")]
-        assert audit_balanced(session)
-        assert sim.pending_events == 0
-
-    def test_no_discovery_starts_past_the_stop_time(self):
-        with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _unreachable_pair(stop_time=2.0)
-            _send_probe(scenario, 1, 2, at=3.0)
-            sim.run(until=6.0)
-        router = scenario.network.node(1).router
-        assert router.discoveries_started == 0
-        assert router.rreqs_sent == 0
-        drops = [key for key in journey_events(session) if key[1] == "drop"]
-        assert drops == [("net", "drop", "no_route", "node1")]
-        assert audit_balanced(session)
 
 
 #: Where the chain's destination jumps to break its link: out of range.
@@ -361,9 +337,8 @@ BREAK_AT = 6.0
 
 class TestLinkBreakRerr:
     def test_rerr_invalidates_stale_routes_upstream(self):
-        sim, scenario = _chain_scenario(node_count=3, duration=60.0,
-                                        models={3: Jumps(((BREAK_AT, FAR_AWAY),))})
-        network = scenario.network
+        sim, network = _chain_scenario(node_count=3,
+                                       models={3: Jumps(((BREAK_AT, FAR_AWAY),))})
         sink = UdpSink(network.node(3))
         source = CbrSource(network.node(1), network.node(3).ip,
                            interval=0.2, payload_bytes=120)
@@ -388,9 +363,8 @@ class TestLinkBreakRerr:
 
     def test_rerr_broadcast_is_traced(self):
         with observe(trace=True, metrics=True, journey=True) as session:
-            sim, scenario = _chain_scenario(
-                node_count=3, duration=60.0, models={3: Jumps(((BREAK_AT, FAR_AWAY),))})
-            network = scenario.network
+            sim, network = _chain_scenario(
+                node_count=3, models={3: Jumps(((BREAK_AT, FAR_AWAY),))})
             UdpSink(network.node(3))
             source = CbrSource(network.node(1), network.node(3).ip,
                                interval=0.2, payload_bytes=120)
@@ -405,8 +379,7 @@ class TestLinkBreakRerr:
     def test_route_rediscovered_after_break_heals(self):
         heal_at = BREAK_AT + 4 * FAST_HOLD_TIME
         trip = Jumps(((BREAK_AT, FAR_AWAY), (heal_at, (16.0, 0.0))))
-        sim, scenario = _chain_scenario(node_count=3, duration=60.0, models={3: trip})
-        network = scenario.network
+        sim, network = _chain_scenario(node_count=3, models={3: trip})
         sink = UdpSink(network.node(3))
         source = CbrSource(network.node(1), network.node(3).ip,
                            interval=0.2, payload_bytes=120)
@@ -423,33 +396,32 @@ class TestLinkBreakRerr:
 
 
 class TestActiveRouteLifetime:
-    def _pair(self, lifetime, duration=30.0, seed=1):
+    def _pair(self, lifetime, seed=1):
         config = AodvConfig(hello_interval=0.4, active_route_lifetime=lifetime)
         sim = Simulator(seed=seed)
-        scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                                  stop_time=duration, routing=config)
-        scenario.add_node((0.0, 0.0))
-        scenario.add_node((6.0, 0.0))
-        return sim, scenario
+        network = Network(sim, policy=broadcast_aggregation(), routing=config)
+        network.add_node((0.0, 0.0))
+        network.add_node((6.0, 0.0))
+        return sim, network
 
     def test_idle_route_expires(self):
-        sim, scenario = self._pair(lifetime=1.0)
-        _send_probe(scenario, 1, 2, at=1.0)
+        sim, network = self._pair(lifetime=1.0)
+        _send_probe(network, 1, 2, at=1.0)
         sim.run(until=8.0)
-        router = scenario.network.node(1).router
+        router = network.node(1).router
         assert router.route_expirations >= 1
-        entry = router.table.entry_for(scenario.network.node(2).ip)
+        entry = router.table.entry_for(network.node(2).ip)
         assert entry is not None and not entry.valid
 
     def test_forwarded_data_refreshes_the_route(self):
-        sim, scenario = self._pair(lifetime=1.0)
-        source = CbrSource(scenario.network.node(1), scenario.network.node(2).ip,
+        sim, network = self._pair(lifetime=1.0)
+        source = CbrSource(network.node(1), network.node(2).ip,
                            interval=0.3, payload_bytes=64)
         source.start(1.0)
         sim.run(until=8.0)
-        router = scenario.network.node(1).router
+        router = network.node(1).router
         # Data every 0.3 s against a 1.0 s lifetime: never expires.
-        entry = router.table.entry_for(scenario.network.node(2).ip)
+        entry = router.table.entry_for(network.node(2).ip)
         assert entry is not None and entry.valid
         assert router.discoveries_started == 1
 
@@ -457,27 +429,26 @@ class TestActiveRouteLifetime:
         monkeypatch.setattr(on_demand, "PATH_DISCOVERY_TIME", 1.0)
         config = AodvConfig(hello_interval=0.4, active_route_lifetime=1.0)
         sim = Simulator(seed=1)
-        scenario = MobileScenario(sim, policy=broadcast_aggregation(),
-                                  stop_time=12.0, routing=config)
-        scenario.add_node((0.0, 0.0))
-        scenario.add_node((6.0, 0.0))
-        source = CbrSource(scenario.network.node(1), scenario.network.node(2).ip,
+        network = Network(sim, policy=broadcast_aggregation(), routing=config)
+        network.add_node((0.0, 0.0))
+        network.add_node((6.0, 0.0))
+        source = CbrSource(network.node(1), network.node(2).ip,
                            interval=2.5, payload_bytes=64)
         source.start(1.0)
         sim.run(until=12.0)
-        router = scenario.network.node(1).router
+        router = network.node(1).router
         # Every sparse packet rediscovered, but only ids inside the
         # 1 s discovery window survive the prune.
         assert router.discoveries_started >= 3
         assert len(router._seen_requests) <= 2
 
     def test_sparse_traffic_rediscovers_every_packet(self):
-        sim, scenario = self._pair(lifetime=1.0)
-        source = CbrSource(scenario.network.node(1), scenario.network.node(2).ip,
+        sim, network = self._pair(lifetime=1.0)
+        source = CbrSource(network.node(1), network.node(2).ip,
                            interval=2.5, payload_bytes=64)
         source.start(1.0)
         sim.run(until=11.0)
-        router = scenario.network.node(1).router
+        router = network.node(1).router
         # Packet spacing (2.5 s) exceeds the lifetime (1 s): each datagram
         # finds its cached route expired and pays a fresh discovery.
         assert router.discoveries_started >= 3
@@ -489,27 +460,27 @@ class TestControlPlaneAccounting:
         assert "aodv" in ROUTING_CONTROL_PROTOCOLS
 
     def test_control_bytes_counted_in_mac_stats(self):
-        sim, scenario = _chain_scenario(node_count=3)
-        _send_probe(scenario, 1, 3, at=1.0)
+        sim, network = _chain_scenario(node_count=3)
+        _send_probe(network, 1, 3, at=1.0)
         sim.run(until=8.0)
-        stats = scenario.network.node(2).mac_stats
+        stats = network.node(2).mac_stats
         assert stats.routing_subframes_sent > 0
         assert 0.0 < stats.routing_overhead_fraction <= 1.0
         assert stats.routing_bytes_sent <= stats.payload_bytes_sent
 
     def test_summary_is_flat(self):
-        sim, scenario = _chain_scenario(node_count=3)
-        _send_probe(scenario, 1, 3, at=1.0)
+        sim, network = _chain_scenario(node_count=3)
+        _send_probe(network, 1, 3, at=1.0)
         sim.run(until=8.0)
-        summary = scenario.network.node(1).router.summary()
+        summary = network.node(1).router.summary()
         assert summary["rreqs_sent"] >= 1
         assert summary["discoveries_completed"] == 1
         assert summary["neighbors"] == 1
         assert summary["hellos_sent"] > 0
 
     def test_static_route_installers_are_rejected_under_aodv(self):
-        sim, scenario = _chain_scenario()
+        sim, network = _chain_scenario()
         with pytest.raises(ConfigurationError):
-            scenario.connect_chain(1, 2, 3)
+            network.connect_chain(1, 2, 3)
         with pytest.raises(ConfigurationError):
-            scenario.connect_pair(1, 2)
+            network.connect_pair(1, 2)

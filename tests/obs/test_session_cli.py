@@ -230,6 +230,12 @@ def test_cli_flow_requires_src_comma_dst(capsys):
     assert "--flow expects SRC,DST" in capsys.readouterr().err
 
 
+def test_cli_malformed_set_pair_is_an_error(capsys):
+    exit_code = obs_main(["run", "fig09", "--trace-out", "/dev/null", "--set", "=1"])
+    assert exit_code == 2
+    assert "error: --set expects name=value, got '=1'" in capsys.readouterr().err
+
+
 def test_cli_unknown_experiment_is_an_error(capsys):
     exit_code = obs_main(["run", "does-not-exist", "--trace-out", "/dev/null"])
     assert exit_code == 2

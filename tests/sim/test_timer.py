@@ -86,22 +86,21 @@ def test_timer_can_be_restarted_from_its_own_callback(sim):
     assert fired == [1.0, 2.0, 3.0]
 
 
-def test_periodic_timer_ticks_until_stopped(sim):
+def test_periodic_timer_ticks_until_the_horizon(sim):
     ticks = []
     periodic = PeriodicTimer(sim, period=0.5, callback=lambda: ticks.append(sim.now))
     periodic.start()
-    sim.schedule(2.25, periodic.stop)
-    sim.run()
+    sim.run(until=2.25)
     assert ticks == [0.5, 1.0, 1.5, 2.0]
+    assert sim.pending_events == 1  # the next tick stays armed
 
 
 def test_periodic_timer_initial_delay(sim):
     ticks = []
     periodic = PeriodicTimer(sim, period=1.0, callback=lambda: ticks.append(sim.now))
     periodic.start(initial_delay=0.0)
-    sim.schedule(2.5, periodic.stop)
-    sim.run()
-    assert ticks[0] == 0.0
+    sim.run(until=2.5)
+    assert ticks == [0.0, 1.0, 2.0]
 
 
 def test_periodic_timer_rejects_nonpositive_period(sim):
