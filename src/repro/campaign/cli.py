@@ -60,13 +60,16 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # Reject an unknown experiment or a bad --set before anything is
+    # printed or the cache directory is created.
+    overrides = parse_overrides(args.set or [])
+    get_registry().get(args.experiment_id).resolve_params(overrides, fast=not args.full)
     runner = _build_runner(args)
     seeds = _seed_list(args)
     print(f"campaign {args.experiment_id}: {len(seeds)} seed(s) x jobs={args.jobs} "
           f"({'full' if args.full else 'fast'} parameters)")
     outcome = runner.run_campaign(
-        args.experiment_id, seeds,
-        overrides=parse_overrides(args.set or []), fast=not args.full)
+        args.experiment_id, seeds, overrides=overrides, fast=not args.full)
 
     print()
     print(outcome.aggregate.to_text())

@@ -96,6 +96,8 @@ class AggregateBuild:
 class Aggregator:
     """Builds aggregated frames according to an :class:`AggregationPolicy`."""
 
+    __slots__ = ("policy",)
+
     def __init__(self, policy: AggregationPolicy) -> None:
         self.policy = policy
 

@@ -16,7 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.packet import Packet
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpAckClassifier:
     """Decides which transmit queue a packet belongs in.
 

@@ -41,6 +41,8 @@ class DuplicateDetector:
     second copy before it reaches the network layer.
     """
 
+    __slots__ = ("_seen", "duplicates")
+
     def __init__(self) -> None:
         self._seen: Dict["MacAddress", "OrderedDict[int, None]"] = {}
         self.duplicates = 0
@@ -57,7 +59,7 @@ class DuplicateDetector:
         return False
 
 
-@dataclass
+@dataclass(slots=True)
 class DeaggregationResult:
     """What the MAC should do with a received aggregated frame."""
 

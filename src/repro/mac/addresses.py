@@ -2,24 +2,46 @@
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.errors import AddressError
+
+#: The one :class:`MacAddress` of each value built so far, by value.  It
+#: holds one entry per distinct address a process ever names: a node's
+#: own, the broadcast address and those that arrive in pickles.
+_INTERNED: Dict[int, "MacAddress"] = {}
 
 
 class MacAddress:
     """A 48-bit link-layer address.
 
     Nodes get theirs from :meth:`node`; the broadcast address is
-    :data:`BROADCAST_MAC`.
+    :data:`BROADCAST_MAC`.  ``MacAddress(value)`` returns the one address
+    of that value, so two equal addresses are the same object and
+    equality is identity, compared in C.  An address hashes as its value,
+    which keeps the order of any set of addresses the same in every
+    process; pickling and copying also return the interned object.
     """
 
     __slots__ = ("_value",)
 
     BROADCAST_VALUE = 0xFFFFFFFFFFFF
 
-    def __init__(self, value: int):
-        if not isinstance(value, int) or not 0 <= value <= self.BROADCAST_VALUE:
-            raise AddressError(f"MAC address integer out of range: {value!r}")
-        self._value = value
+    def __new__(cls, value: int) -> "MacAddress":
+        address = _INTERNED.get(value) if type(value) is int else None
+        if address is None:
+            if not isinstance(value, int) or not 0 <= value <= cls.BROADCAST_VALUE:
+                raise AddressError(f"MAC address integer out of range: {value!r}")
+            value = int(value)
+            address = _INTERNED.get(value)
+            if address is None:
+                address = _INTERNED[value] = object.__new__(cls)
+                address._value = value
+        return address
+
+    def __reduce__(self):
+        # Unpickling and deepcopy call MacAddress(value): the interned object.
+        return (MacAddress, (self._value,))
 
     @classmethod
     def node(cls, index: int) -> "MacAddress":
@@ -31,7 +53,7 @@ class MacAddress:
     @property
     def is_broadcast(self) -> bool:
         """True for the all-ones broadcast address."""
-        return self._value == self.BROADCAST_VALUE
+        return self is BROADCAST_MAC
 
     def __str__(self) -> str:
         octets = [(self._value >> shift) & 0xFF for shift in range(40, -8, -8)]
@@ -43,10 +65,7 @@ class MacAddress:
     def __hash__(self) -> int:
         return hash(self._value)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is MacAddress:
-            return self._value == other._value
-        return NotImplemented
+    # No __eq__: interning makes the inherited identity comparison exact.
 
 
 #: The all-ones broadcast MAC address.

@@ -103,7 +103,8 @@ class AggregatingMac:
     __slots__ = ("sim", "phy", "config", "policy", "name", "address",
                  "queues", "classifier", "aggregator",
                  "duplicates", "stats", "_sequence",
-                 "backoff", "nav", "state", "_current", "_pending_retry",
+                 "backoff", "nav", "state", "_current", "_data_frame",
+                 "_pending_retry",
                  "_retry_count", "_flush_forced", "_drawn_slots",
                  "_backoff_resumed_at", "_access_timer", "_response_timer",
                  "_flush_timer", "_receive_callback")
@@ -137,6 +138,10 @@ class AggregatingMac:
 
         self.state = MacState.IDLE
         self._current: Optional[AggregateBuild] = None
+        # The DATA frame of the current attempt, built when the attempt
+        # begins: _send_rts sizes the RTS reservation with it and
+        # _send_data_frame sends it and lets it go.
+        self._data_frame: Optional[PhyFrame] = None
         self._pending_retry: Optional[AggregateBuild] = None
         self._retry_count = 0
         self._flush_forced = False
@@ -190,7 +195,7 @@ class AggregatingMac:
         """
         self._sequence += 1
         subframe = subframe_for_packet(packet, src=self.address, dst=next_hop,
-                                       now=self.sim.now, sequence=self._sequence)
+                                       now=self.sim._now, sequence=self._sequence)
         use_broadcast_queue = self.classifier.belongs_in_broadcast_queue(
             packet, link_broadcast=next_hop.is_broadcast)
         if use_broadcast_queue:
@@ -215,14 +220,6 @@ class AggregatingMac:
     # ------------------------------------------------------------------
     # Transmit path: channel access
     # ------------------------------------------------------------------
-    def _medium_busy(self) -> bool:
-        # Physical carrier (the PHY transmitting or sensing energy) or
-        # virtual carrier (the NAV's reservation), read from their slots:
-        # this runs on every carrier upcall.
-        phy = self.phy
-        return (phy._transmitting or phy._carrier_count > 0
-                or self.sim._now < self.nav.until)
-
     def _try_start_access(self) -> None:
         if self.state is not MacState.IDLE:
             return
@@ -251,7 +248,11 @@ class AggregatingMac:
     def _resume_backoff(self) -> None:
         if self.state is not MacState.CONTEND:
             return
-        if self._medium_busy():
+        # Physical carrier (the PHY transmitting or sensing energy) or
+        # virtual carrier (the NAV's reservation), read from their slots:
+        # this runs on every idle upcall.
+        phy = self.phy
+        if phy._transmitting or phy._carrier_count > 0 or self.sim._now < self.nav.until:
             return
         if self._access_timer.running:
             return
@@ -262,9 +263,8 @@ class AggregatingMac:
     def _pause_backoff(self) -> None:
         if self.state is not MacState.CONTEND or not self._access_timer.running:
             return
-        elapsed = self.sim._now - self._backoff_resumed_at
-        idle_slots = int(max(0.0, elapsed - DIFS) / SLOT_TIME)
-        self.backoff.consume(idle_slots)
+        idle = self.sim._now - self._backoff_resumed_at - DIFS
+        self.backoff.consume(int(idle / SLOT_TIME) if idle > 0.0 else 0)
         self._access_timer.cancel()
 
     def _on_backoff_complete(self) -> None:
@@ -294,6 +294,7 @@ class AggregatingMac:
         if tracer.enabled:
             tracer.emit(self.name, "mac", "aggregate", build=self._current)
 
+        self._data_frame = self._build_data_frame()
         if self._current.has_unicast:
             self._send_rts()
         else:
@@ -311,9 +312,7 @@ class AggregatingMac:
 
     def _send_rts(self) -> None:
         assert self._current is not None
-        data_frame = self._build_data_frame()
-        data_time = data_frame.airtime()
-        reservation = 3 * SIFS + CTS_AIRTIME + data_time + ACK_AIRTIME
+        reservation = 3 * SIFS + CTS_AIRTIME + self._data_frame.airtime() + ACK_AIRTIME
         rts = RtsFrame(src=self.address, dst=self._current.destination, duration=reservation)
         frame = PhyFrame.control_frame(FrameKind.RTS, rts, HYDRA_BASE_RATE)
         self._pause_backoff()
@@ -327,7 +326,11 @@ class AggregatingMac:
     def _send_data_frame(self) -> None:
         if self._current is None:  # pragma: no cover - defensive
             return
-        frame = self._build_data_frame()
+        frame = self._data_frame
+        # Sent frames are the PHY's and the receivers' to keep: a MAC that
+        # held its last frame until its next exchange would keep every
+        # idle node's last packets alive.
+        self._data_frame = None
         self._pause_backoff()
         self.phy.send(frame)
         self.stats.record_data_frame(frame)
@@ -361,13 +364,12 @@ class AggregatingMac:
             self._resume_backoff()
         self._try_start_access()
 
-    def on_carrier_busy(self) -> None:
-        """PHY reports energy on the medium."""
-        self._pause_backoff()
-
-    def on_carrier_idle(self) -> None:
-        """PHY reports the medium went idle."""
-        self._resume_backoff()
+    #: PHY reports energy on the medium: the backoff pauses.  The two
+    #: carrier upcalls, one of each per sensed frame, are the backoff's own
+    #: methods rather than wrappers calling them.
+    on_carrier_busy = _pause_backoff
+    #: PHY reports the medium went idle: the backoff resumes.
+    on_carrier_idle = _resume_backoff
 
     def on_frame_received(self, result: ReceptionResult) -> None:
         """PHY delivered a decoded frame."""

@@ -17,6 +17,7 @@ those sizes exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.mac.addresses import MacAddress
 from repro.net.packet import Packet
@@ -76,11 +77,8 @@ class RtsFrame:
     src: MacAddress
     dst: MacAddress
     duration: float = 0.0
-
-    @property
-    def size_bytes(self) -> int:
-        """Size on air, :data:`RTS_FRAME_BYTES`."""
-        return RTS_FRAME_BYTES
+    #: Size on air, fixed by the frame type (read-only on an instance).
+    size_bytes: ClassVar[int] = RTS_FRAME_BYTES
 
 
 @dataclass(slots=True)
@@ -89,11 +87,8 @@ class CtsFrame:
 
     dst: MacAddress
     duration: float = 0.0
-
-    @property
-    def size_bytes(self) -> int:
-        """Size on air, :data:`CTS_FRAME_BYTES`."""
-        return CTS_FRAME_BYTES
+    #: Size on air, fixed by the frame type (read-only on an instance).
+    size_bytes: ClassVar[int] = CTS_FRAME_BYTES
 
 
 @dataclass(slots=True)
@@ -101,11 +96,8 @@ class AckFrame:
     """Link-level acknowledgement for the whole unicast portion of an aggregate."""
 
     dst: MacAddress
-
-    @property
-    def size_bytes(self) -> int:
-        """Size on air, :data:`ACK_FRAME_BYTES`."""
-        return ACK_FRAME_BYTES
+    #: Size on air, fixed by the frame type (read-only on an instance).
+    size_bytes: ClassVar[int] = ACK_FRAME_BYTES
 
 
 def subframe_for_packet(packet: Packet, src: MacAddress, dst: MacAddress,

@@ -9,12 +9,17 @@ The size accounting reproduces the frame sizes reported in Section 5 of the
 paper once MAC encapsulation (see :mod:`repro.mac.frames`) is added:
 an MSS-sized (1357 B) TCP segment becomes a 1464 B MAC frame and a pure TCP
 ACK becomes a 160 B MAC frame.
+
+Headers and packets are plain slotted records, built once per segment and
+per hop.  Nothing changes a header after it is built, and nothing hashes
+one: a hop that changes a field builds a new header
+(:meth:`Packet.with_decremented_ttl`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.net.address import IpAddress
@@ -27,7 +32,7 @@ UDP_HEADER_BYTES = 8
 _packet_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TcpHeader:
     """The TCP header fields the simulation acts on."""
 
@@ -48,7 +53,7 @@ class TcpHeader:
         return self.flags_syn or self.flags_fin or self.flags_rst
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UdpHeader:
     """The UDP header fields the simulation acts on."""
 
@@ -57,7 +62,7 @@ class UdpHeader:
     size_bytes: int = UDP_HEADER_BYTES
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IpHeader:
     """The IP header fields the simulation acts on."""
 
@@ -68,7 +73,7 @@ class IpHeader:
     size_bytes: int = IP_HEADER_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A network-layer packet (IP header + optional transport header + payload)."""
 
@@ -77,17 +82,18 @@ class Packet:
     tcp: Optional[TcpHeader] = None
     udp: Optional[UdpHeader] = None
     created_at: float = 0.0
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
     #: Free-form annotations used by applications and statistics (e.g. the
     #: application-level sequence number of a CBR packet).
     annotations: Dict[str, Any] = field(default_factory=dict)
+    _size_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
         if self.tcp is not None and self.udp is not None:
             raise ValueError("a packet cannot carry both TCP and UDP headers")
-        # Sizes are fixed at construction (header objects are frozen and the
+        # Sizes are fixed at construction (headers are never changed and the
         # payload size never changes), but queried once per hop per receiver;
         # precompute instead of re-summing on each access.
         self._size_bytes = (
@@ -166,12 +172,11 @@ class Packet:
                    annotations=dict(annotations or {}))
 
     def with_decremented_ttl(self) -> "Packet":
-        """Copy of the packet with TTL reduced by one (same uid)."""
-        new_ip = replace(self.ip, ttl=self.ip.ttl - 1)
-        packet = Packet(ip=new_ip, payload_bytes=self.payload_bytes, tcp=self.tcp, udp=self.udp,
-                        created_at=self.created_at, annotations=dict(self.annotations))
-        packet.uid = self.uid
-        return packet
+        """Copy of the packet with TTL reduced by one (same uid, same transport header)."""
+        ip = self.ip
+        return Packet(IpHeader(ip.src, ip.dst, ip.protocol, ip.ttl - 1, ip.size_bytes),
+                      self.payload_bytes, self.tcp, self.udp, self.created_at, self.uid,
+                      dict(self.annotations))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         proto = "tcp" if self.is_tcp else ("udp" if self.is_udp else self.ip.protocol)

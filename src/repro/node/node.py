@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 from repro.channel.medium import WirelessChannel
-from repro.core.policies import AggregationPolicy, broadcast_aggregation
+from repro.core.policies import AggregationPolicy
 from repro.errors import ConfigurationError
 from repro.mac.addresses import MacAddress
 from repro.mac.dcf import AggregatingMac, MacConfig
@@ -60,9 +60,10 @@ RoutingConfig = Optional[Union[DsdvConfig, AodvConfig]]
 class Node:
     """A complete wireless node.
 
-    ``unicast_rate_mbps=None`` pins the base rate (0.65 Mbps), and
-    ``broadcast_rate_mbps=None`` sends the broadcast portion at the unicast
-    rate.
+    ``neighbors`` is the address-resolution table the node shares with the
+    rest of its network.  ``unicast_rate_mbps=None`` pins the base rate
+    (0.65 Mbps), and ``broadcast_rate_mbps=None`` sends the broadcast
+    portion at the unicast rate.
     """
 
     def __init__(
@@ -70,11 +71,11 @@ class Node:
         sim: Simulator,
         channel: WirelessChannel,
         index: int,
-        position: Tuple[float, float] = (0.0, 0.0),
-        policy: Optional[AggregationPolicy] = None,
+        position: Tuple[float, float],
+        policy: AggregationPolicy,
+        neighbors: NeighborTable,
         unicast_rate_mbps: Optional[float] = None,
         broadcast_rate_mbps: Optional[float] = None,
-        neighbors: Optional[NeighborTable] = None,
         routing: RoutingConfig = None,
         mobility: Optional[MobilityModel] = None,
     ) -> None:
@@ -85,7 +86,7 @@ class Node:
         self.sim = sim
         self.channel = channel
         self.index = index
-        self.policy = policy or broadcast_aggregation()
+        self.policy = policy
 
         self.ip = IpAddress.host(index)
         self.mac_address = MacAddress.node(index)
@@ -108,7 +109,7 @@ class Node:
 
         # --- network layer ---------------------------------------------------
         self.routing_table = RoutingTable()
-        self.neighbors = neighbors if neighbors is not None else NeighborTable()
+        self.neighbors = neighbors
         self.network = ForwardingEngine(sim, self.mac, self.ip,
                                         routing_table=self.routing_table,
                                         neighbors=self.neighbors,

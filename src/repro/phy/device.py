@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Protocol
 
 from repro.errors import ConfigurationError, PhyError
@@ -71,17 +70,20 @@ class PhyState(enum.Enum):
     RECEIVING = "receiving"
 
 
-@dataclass(slots=True)
 class _ReceptionAttempt:
     """Book-keeping for one in-flight reception."""
 
-    frame: PhyFrame
-    rx_power_dbm: float
-    #: ``rx_power_dbm`` in mW, computed once: every overlapping reception
-    #: adds it to its interference sum.
-    rx_power_mw: float
-    interference_mw: float = 0.0
-    doomed: bool = False
+    __slots__ = ("frame", "rx_power_dbm", "rx_power_mw", "interference_mw", "doomed")
+
+    def __init__(self, frame: PhyFrame, rx_power_dbm: float, rx_power_mw: float,
+                 doomed: bool) -> None:
+        self.frame = frame
+        self.rx_power_dbm = rx_power_dbm
+        #: ``rx_power_dbm`` in mW, computed once: every overlapping
+        #: reception adds it to its interference sum.
+        self.rx_power_mw = rx_power_mw
+        self.interference_mw = 0.0
+        self.doomed = doomed
 
 
 class Phy:
@@ -125,8 +127,8 @@ class Phy:
         self._rng = sim.random.stream(f"phy.{name}")
         self._listener: Optional[PhyListener] = None
         self._transmitting = False
-        # id(frame) -> attempt; the attempt keeps its frame alive.
-        self._receptions: Dict[int, _ReceptionAttempt] = {}
+        # Frame (hashed by identity) -> its in-flight reception.
+        self._receptions: Dict[PhyFrame, _ReceptionAttempt] = {}
         self._carrier_count = 0
         self._carrier_busy_reported = False
         # statistics
@@ -190,7 +192,7 @@ class Phy:
         for attempt in self._receptions.values():
             attempt.doomed = True
         sim = self.sim
-        sim._scheduler.push(sim.now + duration, self._finish_transmission, (frame,),
+        sim._scheduler.push(sim._now + duration, self._finish_transmission, (frame,),
                             Simulator.PRIORITY_PHY)
         tracer = sim.tracer
         if tracer.enabled:
@@ -225,23 +227,23 @@ class Phy:
             if not self._carrier_busy_reported:
                 self._update_carrier()
 
-        decodable = rx_power_dbm >= RECEPTION_THRESHOLD_DBM
         rx_power_mw = 10.0 ** (rx_power_dbm / 10.0)
-        attempt = _ReceptionAttempt(frame, rx_power_dbm, rx_power_mw, 0.0,
-                                    not decodable or self._transmitting)
+        attempt = _ReceptionAttempt(
+            frame, rx_power_dbm, rx_power_mw,
+            not rx_power_dbm >= RECEPTION_THRESHOLD_DBM or self._transmitting)
         # Mutual interference with every reception already in progress.
         for other in self._receptions.values():
             other.interference_mw += rx_power_mw
             attempt.interference_mw += other.rx_power_mw
-        self._receptions[id(frame)] = attempt
+        self._receptions[frame] = attempt
 
     def end_reception(self, frame: PhyFrame) -> None:
         """Called by the channel when a remote frame stops arriving."""
-        attempt = self._receptions.pop(id(frame), None)
+        attempt = self._receptions.pop(frame, None)
         if attempt is None:  # pragma: no cover - defensive
             return
-        if attempt.rx_power_dbm >= CARRIER_SENSE_THRESHOLD_DBM:
-            self._carrier_count = max(0, self._carrier_count - 1)
+        if attempt.rx_power_dbm >= CARRIER_SENSE_THRESHOLD_DBM and self._carrier_count:
+            self._carrier_count -= 1
         # Transmitting at the instant reception completes also kills it.
         if self._transmitting:
             attempt.doomed = True
@@ -257,31 +259,31 @@ class Phy:
             interference_mw > 0.0
             and not rx_power_dbm - 10.0 * math.log10(interference_mw) >= CAPTURE_THRESHOLD_DB)
 
-        result = ReceptionResult(frame, sinr_db, collided)
-        any_ok = False
-        if not collided:
+        if frame.kind is not FrameKind.DATA:
+            any_ok = not collided and subframe_survives(
+                self._rng, sinr_db, frame.unicast_rate, frame.control_bytes, 0.0)
+            result = ReceptionResult(frame, sinr_db, collided, (), (), any_ok)
+        elif collided:
+            any_ok = False
+            result = ReceptionResult(frame, sinr_db, True,
+                                     [False] * len(frame.broadcast_subframes),
+                                     [False] * len(frame.unicast_subframes))
+        else:
+            # One draw per subframe from the PHY's stream, broadcast portion
+            # first, in subframe order.
             survives = subframe_survives
             rng = self._rng
-            if frame.kind is FrameKind.DATA:
-                broadcast_offsets, unicast_offsets = frame.sample_offsets()
-                rate = frame.broadcast_rate or frame.unicast_rate
-                oks = result.broadcast_ok
-                for subframe, offset in zip(frame.broadcast_subframes, broadcast_offsets):
-                    ok = survives(rng, sinr_db, rate, subframe.size_bytes, offset)
-                    oks.append(ok)
-                    any_ok = any_ok or ok
-                rate = frame.unicast_rate
-                oks = result.unicast_ok
-                for subframe, offset in zip(frame.unicast_subframes, unicast_offsets):
-                    ok = survives(rng, sinr_db, rate, subframe.size_bytes, offset)
-                    oks.append(ok)
-                    any_ok = any_ok or ok
-            else:
-                any_ok = result.control_ok = survives(
-                    rng, sinr_db, frame.unicast_rate, frame.control_bytes, 0.0)
-        elif frame.kind is FrameKind.DATA:
-            result.broadcast_ok = [False] * len(frame.broadcast_subframes)
-            result.unicast_ok = [False] * len(frame.unicast_subframes)
+            broadcast_offsets, unicast_offsets = frame.sample_offsets()
+            rate = frame.broadcast_rate or frame.unicast_rate
+            broadcast_ok = [survives(rng, sinr_db, rate, subframe.size_bytes, offset)
+                            for subframe, offset
+                            in zip(frame.broadcast_subframes, broadcast_offsets)]
+            rate = frame.unicast_rate
+            unicast_ok = [survives(rng, sinr_db, rate, subframe.size_bytes, offset)
+                          for subframe, offset
+                          in zip(frame.unicast_subframes, unicast_offsets)]
+            any_ok = True in broadcast_ok or True in unicast_ok
+            result = ReceptionResult(frame, sinr_db, False, broadcast_ok, unicast_ok)
 
         if collided:
             self.frames_collided += 1

@@ -10,6 +10,12 @@ small, non-aggregated frames.
 The PHY treats subframes as opaque objects; it only needs their
 ``size_bytes`` attribute (satisfied by :class:`repro.mac.frames.MacSubframe`
 and the control frame classes).
+
+A frame's layout is fixed once it is built: its kind, rates, subframes and
+control frame never change afterwards.  What follows from the layout alone
+is therefore worked out at most once per frame, however many receivers
+ask: the control frame's size when the frame is built, and the airtime and
+the subframe sample offsets on first use.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ class FrameKind(enum.Enum):
         return self is not FrameKind.DATA
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PhyFrame:
     """A frame as transmitted on the air.
 
@@ -45,6 +51,10 @@ class PhyFrame:
     first at ``broadcast_rate`` and ``unicast_subframes`` follow at
     ``unicast_rate``.  For control frames, ``control`` holds the single
     control frame object and ``unicast_rate`` is the rate it is sent at.
+
+    A frame is one transmission, so frames compare and hash by identity
+    (``eq=False``): a receiving PHY keys its in-flight receptions by the
+    frame itself.
     """
 
     kind: FrameKind
@@ -54,9 +64,19 @@ class PhyFrame:
     unicast_subframes: Tuple[object, ...] = ()
     control: Optional[object] = None
     sender: Optional[object] = None
+    #: Size of the control frame in bytes (0 for data frames), read from
+    #: ``control`` when the frame is built.
+    control_bytes: int = field(default=0, init=False)
+    #: Memoised ``airtime()`` — the sender, the MAC's reservations and its
+    #: statistics all ask for it.
+    _airtime: Optional[float] = field(default=None, repr=False)
     #: Memoised ``(broadcast_offsets, unicast_offsets)`` — every receiver
     #: of the frame recomputes identical offsets otherwise.
-    _offsets_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _offsets_cache: Optional[tuple] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.control is not None:
+            self.control_bytes = self.control.size_bytes
 
     # ------------------------------------------------------------------
     # Constructors
@@ -82,7 +102,7 @@ class PhyFrame:
     @classmethod
     def control_frame(cls, kind: FrameKind, control: object, rate: PhyRate) -> "PhyFrame":
         """Build an RTS/CTS/ACK frame."""
-        if not kind.is_control:
+        if kind is FrameKind.DATA:
             raise PhyError(f"{kind} is not a control frame kind")
         return cls(kind=kind, unicast_rate=rate, control=control)
 
@@ -98,11 +118,6 @@ class PhyFrame:
     def unicast_bytes(self) -> int:
         """Total size of the unicast portion in bytes."""
         return sum(sf.size_bytes for sf in self.unicast_subframes)
-
-    @property
-    def control_bytes(self) -> int:
-        """Size of the control frame in bytes (0 for data frames)."""
-        return self.control.size_bytes if self.control is not None else 0
 
     @property
     def total_bytes(self) -> int:
@@ -128,13 +143,21 @@ class PhyFrame:
     # Timing
     # ------------------------------------------------------------------
     def airtime(self) -> float:
-        """Total on-air duration of the frame, including the preamble."""
-        if self.kind.is_control:
-            return control_airtime(self.control_bytes, self.unicast_rate)
-        broadcast_rate = self.broadcast_rate or self.unicast_rate
-        return frame_airtime(
-            self.broadcast_bytes, broadcast_rate, self.unicast_bytes, self.unicast_rate
-        )
+        """Total on-air duration of the frame, including the preamble.
+
+        Memoised like :meth:`sample_offsets`: it depends only on the
+        frame's layout.
+        """
+        airtime = self._airtime
+        if airtime is None:
+            if self.kind is not FrameKind.DATA:
+                airtime = control_airtime(self.control_bytes, self.unicast_rate)
+            else:
+                airtime = frame_airtime(
+                    self.broadcast_bytes, self.broadcast_rate or self.unicast_rate,
+                    self.unicast_bytes, self.unicast_rate)
+            self._airtime = airtime
+        return airtime
 
     def sample_offsets(self) -> Tuple[List[float], List[float]]:
         """Sample offsets (from the end of the preamble) at which subframes end.
@@ -163,7 +186,7 @@ class PhyFrame:
         return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.kind.is_control:
+        if self.kind is not FrameKind.DATA:
             return f"<PhyFrame {self.kind.value} {self.control_bytes}B @{self.unicast_rate.name}>"
         return (
             f"<PhyFrame data bcast={len(self.broadcast_subframes)}sf/{self.broadcast_bytes}B "
@@ -175,7 +198,9 @@ class PhyFrame:
 class ReceptionResult:
     """Outcome of decoding a received :class:`PhyFrame`.
 
-    One boolean per subframe records whether its CRC passed.  ``collided``
+    One boolean per subframe records whether its CRC passed: the PHY gives
+    a data frame's result a list per portion, and a control frame's result
+    keeps the shared empty tuples, since it has no subframes.  ``collided``
     marks frames that overlapped a stronger/comparable transmission or that
     arrived while the receiver itself was transmitting.
     """
@@ -183,8 +208,8 @@ class ReceptionResult:
     frame: PhyFrame
     snr_db: float
     collided: bool = False
-    broadcast_ok: List[bool] = field(default_factory=list)
-    unicast_ok: List[bool] = field(default_factory=list)
+    broadcast_ok: Sequence[bool] = ()
+    unicast_ok: Sequence[bool] = ()
     control_ok: bool = False
 
     @property

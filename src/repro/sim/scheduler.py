@@ -28,23 +28,24 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
 
 class Event:
     """A scheduled ``callback(*args)`` at simulated ``time``.
 
     ``__slots__`` keeps it small: the simulator allocates one per scheduled
-    callback, hundreds of thousands per experiment.
+    callback, hundreds of thousands per experiment.  Only
+    :meth:`Scheduler.push` makes one, and it fills the four slots itself
+    rather than through an ``__init__`` frame.  ``active`` is True while
+    the event is queued; popping or cancelling it clears the flag.
     """
 
     __slots__ = ("time", "callback", "args", "active")
 
-    def __init__(self, time: float, callback: Callable[..., Any],
-                 args: Tuple[Any, ...]) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-        #: True while queued; popping or cancelling the event clears it.
-        self.active = True
+
+_new_event = object.__new__
 
 
 class Scheduler:
@@ -97,9 +98,20 @@ class Scheduler:
         """
         if not callable(callback):
             raise SchedulingError(f"callback must be callable, got {callback!r}")
-        time = float(time)
-        event = Event(time, callback, tuple(args))
-        heapq.heappush(self._heap, (time, int(priority), self._tiebreak(), event))
+        # Normalise only what is not already a float, tuple and int: the
+        # conversions return their argument unchanged for those anyway.
+        if type(time) is not float:
+            time = float(time)
+        if type(args) is not tuple:
+            args = tuple(args)
+        if type(priority) is not int:
+            priority = int(priority)
+        event = _new_event(Event)
+        event.time = time
+        event.callback = callback
+        event.args = args
+        event.active = True
+        _heappush(self._heap, (time, priority, self._tiebreak(), event))
         self._pending += 1
         return event
 
@@ -128,13 +140,18 @@ class Scheduler:
         lies strictly beyond ``until`` (in which case it stays queued).
         """
         heap = self._heap
-        heappop = heapq.heappop
-        while heap and not heap[0][3].active:
-            heappop(heap)
-            self._cancelled_in_heap -= 1
-        if not heap or (until is not None and heap[0][0] > until):
-            return None
-        event = heappop(heap)[3]
-        event.active = False
-        self._pending -= 1
-        return event
+        while heap:
+            entry = _heappop(heap)
+            event = entry[3]
+            if not event.active:
+                self._cancelled_in_heap -= 1
+                continue
+            if until is not None and entry[0] > until:
+                # Keys are unique, so putting the entry back restores the
+                # same pop order.
+                _heappush(heap, entry)
+                return None
+            event.active = False
+            self._pending -= 1
+            return event
+        return None

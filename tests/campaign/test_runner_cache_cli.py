@@ -223,6 +223,24 @@ def test_cli_malformed_set_pair_exits_with_usage(capsys):
     assert "error: --set expects name=value, got 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "nosuch"],
+    ["run", "fig07", "--set", "x"],
+    ["run", "fig07", "--set", "no_such_parameter=1"],
+], ids=["unknown-experiment", "malformed-set", "unknown-parameter"])
+def test_cli_rejected_run_leaves_no_cache_and_prints_no_header(argv, tmp_path,
+                                                               monkeypatch, capsys):
+    """A run refused for its experiment or its --set pairs writes nothing:
+    no cache directory in the working directory and no campaign header."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / ".campaign-cache").exists()
+    assert "campaign " not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_report_unreadable_file_exits_cleanly(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nope.json")]) == 2
     assert "cannot read results file" in capsys.readouterr().err

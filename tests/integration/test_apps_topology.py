@@ -6,7 +6,6 @@ import pytest
 
 from repro.apps.cbr import CbrSource, UdpSink
 from repro.apps.file_transfer import run_file_transfer_pair
-from repro.channel import WirelessChannel
 from repro.core import (
     broadcast_aggregation,
     delayed_broadcast_aggregation,
@@ -14,7 +13,6 @@ from repro.core import (
     unicast_aggregation,
 )
 from repro.errors import ConfigurationError
-from repro.node import Node
 from repro.phy.device import TX_POWER_DBM
 from repro.phy.rates import HYDRA_BASE_RATE, HYDRA_SISO_RATES
 from repro.sim import Simulator
@@ -91,11 +89,11 @@ def test_hydra_profile_defaults_match_paper_table1():
     assert [round(r.data_rate_mbps, 2) for r in HYDRA_SISO_RATES][:4] == [0.65, 1.3, 1.95, 2.6]
     assert TX_POWER_DBM == pytest.approx(8.9, abs=0.2)  # 7.7 mW
     sim = Simulator(seed=55)
-    channel = WirelessChannel(sim)
-    default = Node(sim, channel, index=1)
+    default = Network(sim, policy=broadcast_aggregation()).add_node((0.0, 0.0))
     assert default.mac.unicast_rate is HYDRA_BASE_RATE
     assert default.mac.broadcast_rate is HYDRA_BASE_RATE  # follows the unicast rate
-    pinned = Node(sim, channel, index=2, unicast_rate_mbps=2.6, broadcast_rate_mbps=0.65)
+    pinned = Network(sim, policy=broadcast_aggregation(), unicast_rate_mbps=2.6,
+                     broadcast_rate_mbps=0.65).add_node((0.0, 0.0))
     assert pinned.mac.unicast_rate.data_rate_mbps == 2.6
     assert pinned.mac.broadcast_rate.data_rate_mbps == 0.65
 

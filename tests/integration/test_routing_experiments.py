@@ -141,13 +141,11 @@ class TestStaticRoutingUnchanged:
     def test_default_node_carries_no_control_plane(self):
         from repro.net.routing import RoutingTable
         from repro.sim.simulator import Simulator
-        from repro.channel.medium import WirelessChannel
         from repro.core.policies import broadcast_aggregation
-        from repro.node.node import Node
+        from repro.topology.network import Network
 
         sim = Simulator(seed=1)
-        node = Node(sim, WirelessChannel(sim), index=1,
-                    policy=broadcast_aggregation())
+        node = Network(sim, policy=broadcast_aggregation()).add_node((0.0, 0.0))
         assert type(node.routing_table) is RoutingTable
         assert node.router is None
         assert sim.pending_events == 0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import AddressError
@@ -109,6 +112,30 @@ def test_subframe_broadcast_flag_follows_destination():
     assert not unicast.transmit_in_broadcast_portion
     assert broadcast.transmit_in_broadcast_portion
     assert broadcast.dst.is_broadcast
+
+
+@pytest.mark.parametrize("value", [0, 0x02000000002A, MacAddress.BROADCAST_VALUE])
+def test_mac_address_is_one_object_per_value(value):
+    """Equal addresses are the same object, also through pickles and
+    copies, and an address hashes as its value."""
+    address = MacAddress(value)
+    assert MacAddress(value) is address
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(address, protocol)) is address
+    assert copy.copy(address) is address
+    assert copy.deepcopy(address) is address
+    assert copy.deepcopy({address: [address]}) == {address: [address]}
+    assert hash(address) == hash(value)
+    # Only an address equals an address: not its value, not an IP address.
+    assert address != value and value != address
+    ip = IpAddress(value % 2 ** 32)
+    assert address != ip and ip != address
+
+
+def test_node_and_broadcast_addresses_are_interned():
+    assert MacAddress.node(42) is MacAddress(0x02000000002A)
+    assert BROADCAST_MAC is MacAddress(0xFFFFFFFFFFFF)
+    assert MacAddress.node(42) is not MacAddress.node(43)
 
 
 def test_control_frame_sizes():

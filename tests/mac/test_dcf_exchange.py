@@ -9,15 +9,26 @@ import pytest
 from repro.channel import WirelessChannel
 from repro.core import broadcast_aggregation, no_aggregation, unicast_aggregation
 from repro.mac.addresses import BROADCAST_MAC, MacAddress
-from repro.mac.dcf import ACK_TIMEOUT, CTS_TIMEOUT, AggregatingMac, MacConfig, MacState
+from repro.mac.dcf import (
+    ACK_AIRTIME,
+    ACK_TIMEOUT,
+    CTS_AIRTIME,
+    CTS_TIMEOUT,
+    AggregatingMac,
+    MacConfig,
+    MacState,
+)
 from repro.mac.frames import RTS_FRAME_BYTES
-from repro.mac.timing import RETRY_LIMIT
+from repro.mac.timing import RETRY_LIMIT, SIFS
 from repro.net.address import IpAddress
 from repro.net.packet import Packet, TcpHeader
 from repro.phy.device import Phy
+from repro.phy.frame import FrameKind
 from repro.phy.rates import HYDRA_BASE_RATE, rate_for_mbps
-from repro.phy.timing import control_airtime
+from repro.phy.timing import control_airtime, frame_airtime
 from repro.sim import Simulator
+
+from helpers.mobility import Jumps
 
 
 def build_pair(sim, policy_a=None, policy_b=None, rate_mbps=1.3, spacing=2.5):
@@ -287,6 +298,60 @@ def test_ack_timeout_is_armed_when_the_data_frame_ends():
     assert failures == [(pytest.approx(end + ACK_TIMEOUT), True) for end in data_ends]
     assert b.stats.acks_sent == 0
     assert a.stats.unicast_drops == 1
+
+
+def sent_frames(sim, phy_name):
+    """``(frame, duration)`` of every frame ``phy_name`` puts on the air."""
+    sent = []
+    sim.tracer.add_listener(
+        lambda record: sent.append((record.fields["frame"], record.fields["duration"]))
+        if record.source == phy_name and record.event == "tx_start" else None)
+    return sent
+
+
+@pytest.mark.parametrize("away_until", [None, 0.004],
+                         ids=["first-attempt", "after-cts-timeouts"])
+def test_data_frame_has_the_airtime_its_rts_reserved(away_until):
+    """The DATA frame an exchange sends is the one its RTS was sized with,
+    on the first attempt and after CTS timeouts; a broadcast-only exchange
+    afterwards sends a frame of its own."""
+    sim = Simulator(seed=46)
+    channel = WirelessChannel(sim)
+    # With ``away_until``, node 2 is out of reach until then: the first
+    # RTSs get no CTS and the exchange is retried.
+    model = None if away_until is None else Jumps(
+        ((0.0, (500.0, 0.0)), (away_until, (2.5, 0.0))))
+    phys = (Phy(sim, channel, position=(0.0, 0.0), name="phy1"),
+            Phy(sim, channel, position=(2.5, 0.0), name="phy2", mobility=model))
+    a, _ = (AggregatingMac(sim, phy, MacConfig(address=MacAddress.node(index),
+                                               unicast_rate=rate_for_mbps(1.3)),
+                           policy=no_aggregation(), name=f"mac{index}")
+            for index, phy in enumerate(phys, start=1))
+    sent = sent_frames(sim, "phy1")
+    events = mac_events(sim, "mac1")
+    data = tcp_data()
+    a.enqueue(data, MacAddress.node(2))
+    sim.run(until=0.5)
+    flood = Packet.broadcast_control(IpAddress("10.0.0.1"), 64)
+    a.enqueue(flood, BROADCAST_MAC)
+    sim.run(until=1.0)
+
+    failures = [fields for _, event, fields in events if event == "exchange_failed"]
+    assert len(failures) == (0 if away_until is None else 2)
+    assert [frame.kind for frame, _ in sent] == (
+        [FrameKind.RTS] * (len(failures) + 1) + [FrameKind.DATA] * 2)
+    (data_frame, data_duration), (flood_frame, flood_duration) = sent[-2:]
+    assert [subframe.packet for subframe in data_frame.unicast_subframes] == [data]
+    airtime = frame_airtime(0, data_frame.unicast_rate,
+                            data_frame.unicast_bytes, data_frame.unicast_rate)
+    assert data_duration == data_frame.airtime() == airtime
+    for rts, _ in sent[:-2]:
+        assert rts.control.duration == 3 * SIFS + CTS_AIRTIME + airtime + ACK_AIRTIME
+    assert [subframe.packet for subframe in flood_frame.broadcast_subframes] == [flood]
+    assert not flood_frame.unicast_subframes
+    assert flood_duration == frame_airtime(flood_frame.broadcast_bytes,
+                                           flood_frame.broadcast_rate, 0,
+                                           flood_frame.unicast_rate)
 
 
 def test_missing_ack_retries_the_unicast_portion_alone():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.channel.medium import WirelessChannel
 from repro.core.policies import broadcast_aggregation
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.address import IpAddress
@@ -16,7 +15,6 @@ from repro.net.routing import (
     RouteEntry,
     RoutingTable,
 )
-from repro.node.node import Node
 from repro.sim.simulator import Simulator
 from repro.topology.network import Network
 
@@ -104,7 +102,8 @@ class TestDsdvProtocol:
         # within one hello_interval and its first advertisement within one
         # advertise_interval.
         sim = Simulator(seed=1)
-        router = Node(sim, WirelessChannel(sim), index=1, routing=FAST_DSDV).router
+        network = Network(sim, policy=broadcast_aggregation(), routing=FAST_DSDV)
+        router = network.add_node((0.0, 0.0)).router
         assert sim.pending_events == 2
         sim.run(until=FAST_DSDV.hello_interval)
         assert router.discovery.hellos_sent >= 1

@@ -13,7 +13,7 @@ from repro.net import on_demand
 from repro.net.discovery import HOLD_INTERVALS
 from repro.net.dynamic_routing import DsdvConfig
 from repro.net.on_demand import AodvConfig, AodvRouter
-from repro.net.routing import INFINITE_METRIC, RoutingTable
+from repro.net.routing import INFINITE_METRIC, NeighborTable, RoutingTable
 from repro.node.node import Node
 from repro.obs.session import observe
 from repro.sim.simulator import Simulator
@@ -77,17 +77,24 @@ class TestRoutingModeValidation:
         sim = Simulator(seed=1)
         return sim, WirelessChannel(sim)
 
+    @staticmethod
+    def _node(sim, channel, routing):
+        """Node 1 at the origin, built directly with ``routing``."""
+        return Node(sim, channel, index=1, position=(0.0, 0.0),
+                    policy=broadcast_aggregation(), neighbors=NeighborTable(),
+                    routing=routing)
+
     def test_node_rejects_unknown_mode_with_value_error(self):
         sim, channel = self._channel()
         with pytest.raises(ValueError) as excinfo:
-            Node(sim, channel, index=1, routing="dsdv")
+            self._node(sim, channel, "dsdv")
         for valid in ("None", "DsdvConfig", "AodvConfig"):
             assert valid in str(excinfo.value)
 
     def test_node_rejection_is_also_a_configuration_error(self):
         sim, channel = self._channel()
         with pytest.raises(ConfigurationError):
-            Node(sim, channel, index=1, routing="olsr")
+            self._node(sim, channel, "olsr")
 
     def test_scenario_rejects_unknown_mode_with_value_error(self):
         sim = Simulator(seed=1)
@@ -99,20 +106,18 @@ class TestRoutingModeValidation:
         # The config class itself (a forgotten call) is not a config.
         sim, channel = self._channel()
         with pytest.raises(ConfigurationError, match="DsdvConfig"):
-            Node(sim, channel, index=1, routing=DsdvConfig)
+            self._node(sim, channel, DsdvConfig)
 
     def test_all_valid_modes_construct(self):
         for routing in (None, DsdvConfig(), AodvConfig()):
-            sim = Simulator(seed=1)
-            node = Node(sim, WirelessChannel(sim), index=1, routing=routing)
+            node = self._node(*self._channel(), routing)
             if routing is None:
                 assert node.router is None
             else:  # the router of the kind the config selects, holding it
                 assert node.router.config is routing
 
     def test_aodv_node_wiring(self):
-        sim, channel = self._channel()
-        node = Node(sim, channel, index=1, routing=AodvConfig())
+        node = self._node(*self._channel(), AodvConfig())
         assert isinstance(node.router, AodvRouter)
         assert isinstance(node.routing_table, RoutingTable)
         assert node.router.table is node.routing_table
@@ -121,15 +126,14 @@ class TestRoutingModeValidation:
         # No start call: an AODV node built at t=0 sends its first HELLO
         # within one hello_interval, while discovery waits for demand.
         sim, channel = self._channel()
-        router = Node(sim, channel, index=1, routing=FAST_AODV).router
+        router = self._node(sim, channel, FAST_AODV).router
         assert sim.pending_events == 1
         sim.run(until=FAST_AODV.hello_interval)
         assert router.discovery.hellos_sent >= 1
         assert router.rreqs_sent == 0
 
     def test_static_node_has_no_router_or_hooks(self):
-        sim, channel = self._channel()
-        node = Node(sim, channel, index=1)
+        node = self._node(*self._channel(), None)
         assert node.router is None
         assert isinstance(node.routing_table, RoutingTable)
         assert node.network._no_route_handler is None

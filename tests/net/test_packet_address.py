@@ -139,6 +139,28 @@ def test_packet_uids_are_unique():
     assert first.uid != second.uid
 
 
+def test_ttl_decrement_copies_and_leaves_the_original_untouched():
+    header = TcpHeader(src_port=1, dst_port=2, seq=7, flags_ack=True)
+    packet = Packet.tcp_segment(SRC, DST, header, payload_bytes=100, created_at=1.5,
+                                annotations={"app_seq": 3})
+    ip = packet.ip
+    forwarded = packet.with_decremented_ttl()
+    # The original packet and its IP header are as they were.
+    assert packet.ip is ip
+    assert (ip.src, ip.dst, ip.protocol, ip.ttl, ip.size_bytes) == (SRC, DST, "tcp", 64, 20)
+    assert packet.annotations == {"app_seq": 3}
+    # The copy has a new header one hop shorter, the same uid and the rest.
+    assert forwarded is not packet and forwarded.ip is not ip
+    assert (forwarded.ip.src, forwarded.ip.dst, forwarded.ip.protocol, forwarded.ip.ttl,
+            forwarded.ip.size_bytes) == (SRC, DST, "tcp", 63, 20)
+    assert forwarded.uid == packet.uid
+    assert forwarded.tcp is header
+    assert (forwarded.payload_bytes, forwarded.created_at, forwarded.size_bytes) == (
+        100, 1.5, packet.size_bytes)
+    assert forwarded.annotations == {"app_seq": 3}
+    assert forwarded.annotations is not packet.annotations
+
+
 def test_ttl_decrement_preserves_uid():
     packet = Packet.broadcast_control(SRC, 10)
     forwarded = packet.with_decremented_ttl()

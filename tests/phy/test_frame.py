@@ -9,7 +9,15 @@ import pytest
 from repro.errors import PhyError
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
 from repro.phy.rates import HYDRA_BASE_RATE, rate_for_mbps
-from repro.phy.timing import PREAMBLE_DURATION, control_airtime, samples_for_bytes
+from repro.phy.timing import (
+    PREAMBLE_DURATION,
+    control_airtime,
+    frame_airtime,
+    samples_for_bytes,
+)
+
+#: The four rates of the paper's experiments.
+PAPER_RATES = [rate_for_mbps(mbps) for mbps in (0.65, 1.3, 1.95, 2.6)]
 
 
 @dataclass
@@ -68,6 +76,27 @@ def test_airtime_splits_rates_between_portions():
 def test_control_airtime():
     frame = PhyFrame.control_frame(FrameKind.RTS, StubSubframe(20), HYDRA_BASE_RATE)
     assert frame.airtime() == control_airtime(20, HYDRA_BASE_RATE)
+
+
+@pytest.mark.parametrize("rate", PAPER_RATES, ids=lambda rate: rate.name)
+def test_memoised_airtime_equals_a_fresh_computation(rate):
+    """A frame's airtime is worked out once, and it is the airtime the
+    timing functions give for the frame's layout, first call and later."""
+    mixed = PhyFrame.data([StubSubframe(160), StubSubframe(160)], [StubSubframe(1464)],
+                          rate, HYDRA_BASE_RATE)
+    unicast = PhyFrame.data([], [StubSubframe(1464), StubSubframe(900)], rate)
+    broadcast = PhyFrame.data([StubSubframe(160)], [], rate)
+    for frame, expected in (
+            (mixed, frame_airtime(320, HYDRA_BASE_RATE, 1464, rate)),
+            (unicast, frame_airtime(0, rate, 2364, rate)),
+            (broadcast, frame_airtime(160, rate, 0, rate))):
+        assert frame.airtime() == expected
+        assert frame.airtime() == expected
+    for kind, size in ((FrameKind.RTS, 20), (FrameKind.CTS, 14), (FrameKind.ACK, 14)):
+        frame = PhyFrame.control_frame(kind, StubSubframe(size), rate)
+        assert frame.control_bytes == size
+        assert frame.airtime() == control_airtime(size, rate)
+        assert frame.airtime() == control_airtime(size, rate)
 
 
 def test_sample_offsets_broadcast_portion_comes_first():
