@@ -25,7 +25,6 @@ from repro.sim import Simulator
 from repro.core import (
     AggregationPolicy,
     Aggregator,
-    TcpAckClassifier,
     broadcast_aggregation,
     delayed_broadcast_aggregation,
     no_aggregation,
@@ -33,7 +32,7 @@ from repro.core import (
 )
 from repro.phy import Phy, PhyFrame, PhyRate
 from repro.channel import WirelessChannel
-from repro.mac import AggregatingMac, MacAddress, MacConfig
+from repro.mac import AggregatingMac, MacAddress
 from repro.net import ForwardingEngine, IpAddress, Packet, RoutingTable
 from repro.transport import TcpConnection, TcpLayer, UdpLayer
 from repro.node import Node
@@ -49,7 +48,6 @@ __all__ = [
     # core contribution
     "AggregationPolicy",
     "Aggregator",
-    "TcpAckClassifier",
     "no_aggregation",
     "unicast_aggregation",
     "broadcast_aggregation",
@@ -62,7 +60,6 @@ __all__ = [
     # MAC
     "AggregatingMac",
     "MacAddress",
-    "MacConfig",
     # network / transport
     "Packet",
     "IpAddress",

@@ -7,14 +7,16 @@ top of a stock 802.11 DCF MAC:
   paper (no aggregation, unicast aggregation, broadcast aggregation and
   delayed broadcast aggregation) plus the knobs the experiments sweep
   (maximum aggregation size, fixed broadcast rate, forward aggregation on/off);
-* :mod:`repro.core.classifier` — the Click-style classifier that diverts
-  "pure" TCP ACKs into the broadcast queue;
 * :mod:`repro.core.aggregator` — the transmit-side assembly of aggregated
   physical frames (broadcast portion first, then unicast subframes for one
   destination, within the size budget);
 * :mod:`repro.core.deaggregation` — the receive-side rules (per-broadcast-
   subframe CRC and pass-up, all-or-nothing acceptance of the unicast portion
   under a single link-level ACK, address filtering of overheard TCP ACKs).
+
+The cross-layer classification of pure TCP ACKs into the broadcast queue
+(Section 4.2.4) is one test where the MAC queues a packet:
+:meth:`repro.mac.dcf.AggregatingMac.enqueue`.
 """
 
 from repro.core.policies import (
@@ -24,7 +26,6 @@ from repro.core.policies import (
     no_aggregation,
     unicast_aggregation,
 )
-from repro.core.classifier import TcpAckClassifier
 from repro.core.aggregator import AggregateBuild, Aggregator
 from repro.core.deaggregation import DeaggregationResult, process_received_aggregate
 
@@ -34,7 +35,6 @@ __all__ = [
     "unicast_aggregation",
     "broadcast_aggregation",
     "delayed_broadcast_aggregation",
-    "TcpAckClassifier",
     "Aggregator",
     "AggregateBuild",
     "process_received_aggregate",

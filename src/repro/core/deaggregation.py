@@ -38,20 +38,19 @@ class DuplicateDetector:
 
     Link-level retransmissions can deliver the same unicast subframe twice
     (the ACK, not the data, may have been lost); the detector filters the
-    second copy before it reaches the network layer.
+    second copy before it reaches the network layer.  The MAC counts what
+    it filters (:attr:`~repro.mac.stats.MacStatistics.duplicates_filtered`).
     """
 
-    __slots__ = ("_seen", "duplicates")
+    __slots__ = ("_seen",)
 
     def __init__(self) -> None:
         self._seen: Dict["MacAddress", "OrderedDict[int, None]"] = {}
-        self.duplicates = 0
 
     def is_duplicate(self, src: "MacAddress", sequence: int) -> bool:
         """Record ``(src, sequence)`` and report whether it was already seen."""
         cache = self._seen.setdefault(src, OrderedDict())
         if sequence in cache:
-            self.duplicates += 1
             return True
         cache[sequence] = None
         while len(cache) > DUPLICATE_CACHE_SIZE:

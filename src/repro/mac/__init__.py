@@ -20,10 +20,8 @@ from repro.mac.frames import (
     SUBFRAME_OVERHEAD_BYTES,
 )
 from repro.mac.queues import TransmitQueues
-from repro.mac.backoff import BackoffController
-from repro.mac.nav import NetworkAllocationVector
 from repro.mac.stats import MacStatistics
-from repro.mac.dcf import AggregatingMac, MacConfig
+from repro.mac.dcf import AggregatingMac
 
 __all__ = [
     "MacAddress",
@@ -38,9 +36,6 @@ __all__ = [
     "CTS_FRAME_BYTES",
     "ACK_FRAME_BYTES",
     "TransmitQueues",
-    "BackoffController",
-    "NetworkAllocationVector",
     "MacStatistics",
     "AggregatingMac",
-    "MacConfig",
 ]

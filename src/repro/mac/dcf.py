@@ -3,8 +3,8 @@
 This is the Hydra MAC of Section 4 of the paper: IEEE 802.11 DCF with an
 RTS/CTS exchange, extended with
 
-* two transmit queues (broadcast and unicast) and a classifier that places
-  pure TCP ACKs in the broadcast queue,
+* two transmit queues (broadcast and unicast), with pure TCP ACKs placed in
+  the broadcast queue under policies that classify them (Section 4.2.4),
 * transmit-time aggregation (the frame is assembled when the DCF acquires the
   floor),
 * receive-side per-subframe CRC processing with all-or-nothing acceptance of
@@ -21,20 +21,21 @@ missing ACK.
 The implementation is event driven: the PHY reports carrier busy/idle
 transitions, frame receptions and transmit completions; the MAC reacts and
 keeps explicit state (idle / contending / waiting for CTS / waiting for ACK).
+One object holds the whole state machine: the binary-exponential backoff
+(contention window and remaining slots) and the NAV (the end of the latest
+overheard reservation and the timer that resumes the backoff when it ends)
+are slots of :class:`AggregatingMac`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.aggregator import AggregateBuild, Aggregator
-from repro.core.classifier import TcpAckClassifier
 from repro.core.deaggregation import DuplicateDetector, process_received_aggregate
 from repro.core.policies import AggregationPolicy, broadcast_aggregation
-from repro.mac.addresses import MacAddress
-from repro.mac.backoff import BackoffController
+from repro.mac.addresses import BROADCAST_MAC, MacAddress
 from repro.mac.frames import (
     ACK_FRAME_BYTES,
     CTS_FRAME_BYTES,
@@ -44,10 +45,9 @@ from repro.mac.frames import (
     RtsFrame,
     subframe_for_packet,
 )
-from repro.mac.nav import NetworkAllocationVector
 from repro.mac.queues import TransmitQueues
 from repro.mac.stats import MacStatistics
-from repro.mac.timing import DIFS, RETRY_LIMIT, SIFS, SLOT_TIME, TIMEOUT_GUARD
+from repro.mac.timing import CW_MAX, CW_MIN, DIFS, RETRY_LIMIT, SIFS, SLOT_TIME, TIMEOUT_GUARD
 from repro.net.packet import Packet
 from repro.phy.device import Phy
 from repro.phy.frame import FrameKind, PhyFrame, ReceptionResult
@@ -79,62 +79,69 @@ class MacState(enum.Enum):
     WAIT_ACK = "wait_ack"
 
 
-@dataclass(slots=True)
-class MacConfig:
-    """Static configuration of one MAC instance.
+class AggregatingMac:
+    """802.11 DCF MAC with the paper's aggregation extensions.
 
-    Control frames (RTS/CTS/ACK) always go out at
-    :data:`~repro.phy.rates.HYDRA_BASE_RATE`, the MAC always follows the
-    constants of :mod:`repro.mac.timing`, and its queues hold
-    :class:`~repro.mac.queues.TransmitQueues`' default capacity.
+    ``unicast_rate`` is the pinned rate of the unicast portion (the paper
+    uses no rate adaptation); ``broadcast_rate`` is the broadcast portion's,
+    the unicast rate when ``None`` (Figure 10 pins it).  Control frames
+    (RTS/CTS/ACK) always go out at :data:`~repro.phy.rates.HYDRA_BASE_RATE`,
+    the MAC always follows the constants of :mod:`repro.mac.timing`, and its
+    queues hold :class:`~repro.mac.queues.TransmitQueues`' default capacity.
     """
 
-    address: MacAddress
-    #: Pinned rate of the unicast portion (the paper uses no rate adaptation).
-    unicast_rate: PhyRate
-    #: Rate for the broadcast portion; ``None`` means "same as unicast"
-    #: (Figure 10 pins it).
-    broadcast_rate: Optional[PhyRate] = None
-
-
-class AggregatingMac:
-    """802.11 DCF MAC with the paper's aggregation extensions."""
-
-    __slots__ = ("sim", "phy", "config", "policy", "name", "address",
-                 "queues", "classifier", "aggregator",
-                 "duplicates", "stats", "_sequence",
-                 "backoff", "nav", "state", "_current", "_data_frame",
-                 "_pending_retry",
-                 "_retry_count", "_flush_forced", "_drawn_slots",
-                 "_backoff_resumed_at", "_access_timer", "_response_timer",
+    __slots__ = ("sim", "phy", "policy", "name", "address", "unicast_rate",
+                 "broadcast_rate", "queues", "aggregator", "duplicates", "stats",
+                 "_sequence", "_rng", "_cw", "_slots_remaining", "_drawn_slots",
+                 "_backoff_resumed_at", "_nav_until", "_nav_timer", "state",
+                 "_current", "_data_frame", "_pending_retry", "_retry_count",
+                 "_flush_forced", "_access_timer", "_response_timer",
                  "_flush_timer", "_receive_callback")
 
     def __init__(
         self,
         sim: Simulator,
         phy: Phy,
-        config: MacConfig,
+        address: MacAddress,
+        unicast_rate: PhyRate,
+        broadcast_rate: Optional[PhyRate] = None,
         policy: Optional[AggregationPolicy] = None,
         name: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.phy = phy
-        self.config = config
         self.policy = policy or broadcast_aggregation()
-        self.name = name or f"mac-{config.address}"
-        self.address = config.address
+        self.name = name or f"mac-{address}"
+        self.address = address
+        self.unicast_rate = unicast_rate
+        self.broadcast_rate = unicast_rate if broadcast_rate is None else broadcast_rate
 
         self.queues = TransmitQueues()
-        self.classifier = TcpAckClassifier(enabled=self.policy.classify_tcp_acks_as_broadcast)
         self.aggregator = Aggregator(self.policy)
         self.duplicates = DuplicateDetector()
         self.stats = MacStatistics(name=self.name)
         # Sequence number of this MAC's latest subframe (the first is 1).
         self._sequence = 0
 
-        rng = sim.random.stream(f"mac.{self.name}")
-        self.backoff = BackoffController(rng)
-        self.nav = NetworkAllocationVector(sim, on_expire=self._resume_backoff)
+        # Binary-exponential backoff: slots are drawn uniformly from
+        # [0, _cw); the window doubles on each failure up to CW_MAX and
+        # returns to CW_MIN on success or when the retry limit drops a
+        # packet.  _slots_remaining freezes while the medium is busy.
+        self._rng = sim.random.stream(f"mac.{self.name}")
+        self._cw = CW_MIN
+        self._slots_remaining = 0
+        self._drawn_slots = 0
+        # Time backoff counting last (re)started; only meaningful while the
+        # access timer runs (_pause_backoff checks that), but initialised here
+        # so the attribute always exists under __slots__.
+        self._backoff_resumed_at = 0.0
+        # Virtual carrier sensing: overheard RTS/CTS frames and the Duration
+        # field of another exchange's first unicast subframe (Section 4.2.1)
+        # reserve the medium until _nav_until; the NAV timer resumes the
+        # backoff when the latest reservation ends.
+        self._nav_until = 0.0
+        self._nav_timer = Timer(sim, self._resume_backoff,
+                                priority=Simulator.PRIORITY_MAC, name=f"{self.name}.nav")
 
         self.state = MacState.IDLE
         self._current: Optional[AggregateBuild] = None
@@ -145,11 +152,6 @@ class AggregatingMac:
         self._pending_retry: Optional[AggregateBuild] = None
         self._retry_count = 0
         self._flush_forced = False
-        self._drawn_slots = 0
-        # Time backoff counting last (re)started; only meaningful while the
-        # access timer runs (_pause_backoff checks that), but initialised here
-        # so the attribute always exists under __slots__.
-        self._backoff_resumed_at = 0.0
 
         self._access_timer = Timer(sim, self._on_backoff_complete,
                                    priority=Simulator.PRIORITY_MAC, name=f"{self.name}.access")
@@ -170,21 +172,6 @@ class AggregatingMac:
         self._receive_callback = callback
 
     # ------------------------------------------------------------------
-    # Rates
-    # ------------------------------------------------------------------
-    @property
-    def unicast_rate(self) -> PhyRate:
-        """Rate used for the unicast portion of data frames."""
-        return self.config.unicast_rate
-
-    @property
-    def broadcast_rate(self) -> PhyRate:
-        """Rate used for the broadcast portion of data frames."""
-        if self.config.broadcast_rate is not None:
-            return self.config.broadcast_rate
-        return self.config.unicast_rate
-
-    # ------------------------------------------------------------------
     # Transmit path: enqueue
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet, next_hop: MacAddress) -> bool:
@@ -196,8 +183,11 @@ class AggregatingMac:
         self._sequence += 1
         subframe = subframe_for_packet(packet, src=self.address, dst=next_hop,
                                        now=self.sim._now, sequence=self._sequence)
-        use_broadcast_queue = self.classifier.belongs_in_broadcast_queue(
-            packet, link_broadcast=next_hop.is_broadcast)
+        # Link-level broadcasts take the broadcast queue; so do pure TCP ACKs
+        # when the policy classifies them (Section 4.2.4), although they keep
+        # their unicast next hop.
+        use_broadcast_queue = next_hop is BROADCAST_MAC or (
+            self.policy.classify_tcp_acks_as_broadcast and packet.is_pure_tcp_ack)
         if use_broadcast_queue:
             accepted = self.queues.enqueue_broadcast(subframe)
         else:
@@ -231,7 +221,7 @@ class AggregatingMac:
             return
         self._flush_timer.cancel()
         self.state = MacState.CONTEND
-        self._drawn_slots = self.backoff.draw()
+        self._slots_remaining = self._drawn_slots = self._rng.randrange(self._cw)
         self._resume_backoff()
 
     def _delay_condition_met(self) -> bool:
@@ -250,13 +240,13 @@ class AggregatingMac:
             return
         # Physical carrier (the PHY transmitting or sensing energy) or
         # virtual carrier (the NAV's reservation), read from their slots:
-        # this runs on every idle upcall.
+        # this runs on every idle upcall and when the NAV timer fires.
         phy = self.phy
-        if phy._transmitting or phy._carrier_count > 0 or self.sim._now < self.nav.until:
+        if phy._transmitting or phy._carrier_count > 0 or self.sim._now < self._nav_until:
             return
         if self._access_timer.running:
             return
-        delay = DIFS + self.backoff.slots_remaining * SLOT_TIME
+        delay = DIFS + self._slots_remaining * SLOT_TIME
         self._backoff_resumed_at = self.sim._now
         self._access_timer.start(delay)
 
@@ -264,7 +254,8 @@ class AggregatingMac:
         if self.state is not MacState.CONTEND or not self._access_timer.running:
             return
         idle = self.sim._now - self._backoff_resumed_at - DIFS
-        self.backoff.consume(int(idle / SLOT_TIME) if idle > 0.0 else 0)
+        if idle > 0.0:
+            self._slots_remaining = max(0, self._slots_remaining - int(idle / SLOT_TIME))
         self._access_timer.cancel()
 
     def _on_backoff_complete(self) -> None:
@@ -272,7 +263,7 @@ class AggregatingMac:
             return
         self.stats.record_ifs(DIFS)
         self.stats.record_contention(self._drawn_slots * SLOT_TIME)
-        self.backoff.slots_remaining = 0
+        self._slots_remaining = 0
         self._begin_exchange()
 
     # ------------------------------------------------------------------
@@ -396,7 +387,7 @@ class AggregatingMac:
             self.sim.schedule(SIFS, self._send_control_response,
                               FrameKind.CTS, cts, priority=Simulator.PRIORITY_MAC)
         else:
-            self.nav.update(rts.duration)
+            self._reserve(rts.duration)
             self._pause_backoff()
 
     def _handle_cts(self, result: ReceptionResult) -> None:
@@ -410,7 +401,7 @@ class AggregatingMac:
             self.sim.schedule(SIFS, self._send_data_frame,
                               priority=Simulator.PRIORITY_MAC)
         elif cts.dst != self.address:
-            self.nav.update(cts.duration)
+            self._reserve(cts.duration)
             self._pause_backoff()
 
     def _handle_ack(self, result: ReceptionResult) -> None:
@@ -424,6 +415,20 @@ class AggregatingMac:
         self.stats.record_control_frame("ack_rx", result.frame.airtime())
         self.stats.record_ifs(SIFS)
         self._complete_success()
+
+    def _reserve(self, duration: float) -> None:
+        """Extend the NAV to ``now + duration`` if that ends later than it does.
+
+        A Duration of zero or less reserves nothing, and a shorter
+        reservation never shrinks the NAV.
+        """
+        if duration <= 0:
+            return
+        now = self.sim._now
+        until = now + duration
+        if until > self._nav_until:
+            self._nav_until = until
+            self._nav_timer.start(until - now)
 
     def _send_control_response(self, kind: FrameKind, control_frame) -> None:
         if self.phy.state.value == "transmitting":  # pragma: no cover - defensive
@@ -443,7 +448,7 @@ class AggregatingMac:
         self.stats.overheard_dropped += outcome.overheard_dropped
         self.stats.duplicates_filtered += outcome.duplicates_filtered
         if outcome.nav_duration > 0:
-            self.nav.update(outcome.nav_duration)
+            self._reserve(outcome.nav_duration)
             self._pause_backoff()
 
         for subframe in outcome.broadcast_deliveries:
@@ -470,7 +475,7 @@ class AggregatingMac:
     def _complete_success(self, broadcast_only: bool = False) -> None:
         current = self._current
         retries = self._retry_count
-        self.backoff.on_success()
+        self._cw = CW_MIN
         self._retry_count = 0
         self._current = None
         self._pending_retry = None
@@ -494,7 +499,7 @@ class AggregatingMac:
             self._try_start_access()
             return
         self.stats.retransmissions += 1
-        self.backoff.on_failure()
+        self._cw = min(self._cw * 2, CW_MAX)
         self._retry_count += 1
 
         current = self._current
@@ -506,7 +511,7 @@ class AggregatingMac:
             self.stats.unicast_drops += dropped
             self._pending_retry = None
             self._retry_count = 0
-            self.backoff.on_success()
+            self._cw = CW_MIN
         else:
             if data_was_sent:
                 # The broadcast portion was already transmitted (unacknowledged);

@@ -1,10 +1,11 @@
 """MAC transmit queues.
 
 The paper's MAC keeps two queues (Section 4.2.3): one for broadcasts and one
-for unicasts.  Pure TCP ACKs are placed in the broadcast queue by the
-classifier even though they carry unicast destination addresses.  The
-aggregator drains the broadcast queue first and then gathers unicast frames
-addressed to the destination of the head of the unicast queue.
+for unicasts.  Under the policies that classify them, the MAC places pure TCP
+ACKs in the broadcast queue even though they carry unicast destination
+addresses (:meth:`~repro.mac.dcf.AggregatingMac.enqueue`).  The aggregator
+drains the broadcast queue first and then gathers unicast frames addressed to
+the destination of the head of the unicast queue.
 """
 
 from __future__ import annotations
@@ -21,20 +22,18 @@ class TransmitQueues:
     Each queue holds at most ``capacity`` subframes; the default, 50, is the
     Hydra MAC's queue size, which every MAC uses.  The queues are plain
     lists: at that capacity removing the head moves at most 49 pointers, and
-    an empty list is a thirteenth of an empty deque's size.
+    an empty list is a thirteenth of an empty deque's size.  The queues
+    count nothing: the MAC counts each drop once, in
+    :attr:`~repro.mac.stats.MacStatistics.queue_drops` and its ``mac.drop``
+    record, and each accepted subframe in its ``mac.enqueue`` record.
     """
 
-    __slots__ = ("capacity", "_broadcast", "_unicast", "drops_broadcast",
-                 "drops_unicast", "enqueued_broadcast", "enqueued_unicast")
+    __slots__ = ("capacity", "_broadcast", "_unicast")
 
     def __init__(self, capacity: int = 50) -> None:
         self.capacity = capacity
         self._broadcast: List[MacSubframe] = []
         self._unicast: List[MacSubframe] = []
-        self.drops_broadcast = 0
-        self.drops_unicast = 0
-        self.enqueued_broadcast = 0
-        self.enqueued_unicast = 0
 
     # ------------------------------------------------------------------
     # Enqueue
@@ -42,21 +41,17 @@ class TransmitQueues:
     def enqueue_broadcast(self, subframe: MacSubframe) -> bool:
         """Append to the broadcast queue; returns False (and drops) when full."""
         if len(self._broadcast) >= self.capacity:
-            self.drops_broadcast += 1
             return False
         subframe.transmit_in_broadcast_portion = True
         self._broadcast.append(subframe)
-        self.enqueued_broadcast += 1
         return True
 
     def enqueue_unicast(self, subframe: MacSubframe) -> bool:
         """Append to the unicast queue; returns False (and drops) when full."""
         if len(self._unicast) >= self.capacity:
-            self.drops_unicast += 1
             return False
         subframe.transmit_in_broadcast_portion = False
         self._unicast.append(subframe)
-        self.enqueued_unicast += 1
         return True
 
     # ------------------------------------------------------------------

@@ -8,18 +8,27 @@ connection tuples behave predictably.
 
 from __future__ import annotations
 
-from functools import total_ordering
-from typing import Union
+from typing import Dict, Union
 
 from repro.errors import AddressError
 
+#: The one :class:`IpAddress` of each value built so far, by value.  It
+#: holds one entry per distinct address a process ever names: the nodes'
+#: own, the broadcast address, the parsed network bases and those that
+#: arrive in pickles.
+_INTERNED: Dict[int, "IpAddress"] = {}
 
-@total_ordering
+
 class IpAddress:
     """An IPv4-style address.
 
-    Immutable: ``IpAddress(address)`` returns ``address`` itself, so every
-    layer of a node that normalises its address holds the one object.
+    ``IpAddress(value)`` returns the one address of that value, whether
+    ``value`` is an int, a dotted-quad string or an address (which comes
+    back itself), so two equal addresses are the same object and equality
+    is identity, compared in C.  An address hashes as its value, which keeps
+    the order of any set of addresses the same in every process; pickling
+    and copying also return the interned object.  Addresses order by value,
+    for sorted routing tables; they do not compare with ints or strings.
     """
 
     __slots__ = ("_value",)
@@ -27,20 +36,25 @@ class IpAddress:
     def __new__(cls, value: Union[int, str, "IpAddress"]) -> "IpAddress":
         if type(value) is cls:
             return value
-        self = object.__new__(cls)
-        if isinstance(value, int):
-            if not 0 <= value <= 0xFFFFFFFF:
-                raise AddressError(f"IP address integer out of range: {value}")
-            self._value = value
-        elif isinstance(value, str):
-            self._value = self._parse(value)
-        else:
-            raise AddressError(f"cannot build IpAddress from {value!r}")
-        return self
+        address = _INTERNED.get(value) if type(value) is int else None
+        if address is None:
+            if isinstance(value, int):
+                if not 0 <= value <= 0xFFFFFFFF:
+                    raise AddressError(f"IP address integer out of range: {value}")
+                value = int(value)
+            elif isinstance(value, str):
+                value = cls._parse(value)
+            else:
+                raise AddressError(f"cannot build IpAddress from {value!r}")
+            address = _INTERNED.get(value)
+            if address is None:
+                address = _INTERNED[value] = object.__new__(cls)
+                address._value = value
+        return address
 
     def __reduce__(self):
-        # ``__new__`` needs the value, which default pickling would not pass.
-        return (type(self), (self._value,))
+        # Unpickling and deepcopy call IpAddress(value): the interned object.
+        return (IpAddress, (self._value,))
 
     @staticmethod
     def _parse(text: str) -> int:
@@ -79,19 +93,7 @@ class IpAddress:
     def __hash__(self) -> int:
         return hash(self._value)
 
-    def __eq__(self, other: object) -> bool:
-        # Fast path: address-to-address comparison is the hot case (routing
-        # tables, delivery checks); coercion is only for int/str literals.
-        if type(other) is IpAddress:
-            return self._value == other._value
-        if isinstance(other, (IpAddress, int, str)):
-            try:
-                return self._value == IpAddress(other)._value  # type: ignore[arg-type]
-            except AddressError:
-                return NotImplemented
-        return NotImplemented
+    # No __eq__: interning makes the inherited identity comparison exact.
 
     def __lt__(self, other: "IpAddress") -> bool:
-        if type(other) is IpAddress:
-            return self._value < other._value
-        return self._value < IpAddress(other)._value
+        return self._value < other._value

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.mac.addresses import MacAddress
 from repro.net.address import IpAddress
 from repro.net.packet import IpHeader, Packet
@@ -87,8 +87,10 @@ def rejitter(timer: PeriodicTimer, base_period: float, rng) -> None:
     them desynchronise identically: each period is
     ``base * (1 + uniform(-JITTER_FRACTION, +JITTER_FRACTION))``.
     """
-    timer.period = base_period * (1.0 + rng.uniform(-JITTER_FRACTION,
-                                                    JITTER_FRACTION))
+    period = base_period * (1.0 + rng.uniform(-JITTER_FRACTION, JITTER_FRACTION))
+    if not period > 0:
+        raise SimulationError(f"period must be positive, got {period}")
+    timer.period = period
 
 
 class NeighborDiscovery:

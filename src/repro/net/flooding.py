@@ -48,11 +48,9 @@ class FloodingSource:
         registry.set_gauge("flooding.packets_sent", self.packets_sent,
                            node=self.name)
 
-    def start(self, initial_delay: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Begin flooding; the first packet is jittered to desynchronise nodes."""
-        if initial_delay is None:
-            initial_delay = self._rng.uniform(0.0, self.interval)
-        self._timer.start(initial_delay)
+        self._timer.start(self._rng.uniform(0.0, self.interval))
 
     def _emit(self) -> None:
         packet = Packet.broadcast_control(

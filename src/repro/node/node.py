@@ -40,7 +40,7 @@ from repro.channel.medium import WirelessChannel
 from repro.core.policies import AggregationPolicy
 from repro.errors import ConfigurationError
 from repro.mac.addresses import MacAddress
-from repro.mac.dcf import AggregatingMac, MacConfig
+from repro.mac.dcf import AggregatingMac
 from repro.mobility.models import MobilityModel
 from repro.net.address import IpAddress
 from repro.net.dynamic_routing import DsdvConfig, DsdvRouter
@@ -97,15 +97,13 @@ class Node:
                        mobility=mobility)
 
         # --- MAC -----------------------------------------------------------
-        mac_config = MacConfig(
-            address=self.mac_address,
+        self.mac = AggregatingMac(
+            sim, self.phy, self.mac_address,
             unicast_rate=(HYDRA_BASE_RATE if unicast_rate_mbps is None
                           else rate_for_mbps(unicast_rate_mbps)),
             broadcast_rate=(None if broadcast_rate_mbps is None
                             else rate_for_mbps(broadcast_rate_mbps)),
-        )
-        self.mac = AggregatingMac(sim, self.phy, mac_config, policy=self.policy,
-                                  name=f"{self.name}.mac")
+            policy=self.policy, name=f"{self.name}.mac")
 
         # --- network layer ---------------------------------------------------
         self.routing_table = RoutingTable()

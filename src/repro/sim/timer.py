@@ -89,9 +89,14 @@ class Timer:
 
 
 class PeriodicTimer:
-    """A timer that re-arms itself after every tick, up to the run's horizon."""
+    """A timer that re-arms itself after every tick, up to the run's horizon.
 
-    __slots__ = ("_period", "_callback", "_timer")
+    ``period`` is the gap to the next tick; the routing and flooding
+    sources re-draw it around its nominal value after each tick
+    (:func:`repro.net.discovery.rejitter`).
+    """
+
+    __slots__ = ("period", "_callback", "_timer")
 
     def __init__(
         self,
@@ -103,24 +108,12 @@ class PeriodicTimer:
     ) -> None:
         if not period > 0:
             raise SimulationError(f"period must be positive, got {period}")
-        self._period = period
+        self.period = period
         self._callback = callback
         self._timer = Timer(sim, self._tick, priority=priority, name=name)
 
-    @property
-    def period(self) -> float:
-        """Current period in seconds."""
-        return self._period
-
-    @period.setter
-    def period(self, value: float) -> None:
-        if not value > 0:
-            raise SimulationError(f"period must be positive, got {value}")
-        self._period = value
-
-    def start(self, initial_delay: Optional[float] = None) -> None:
-        """Start ticking; the first tick fires after ``initial_delay`` (default: one period)."""
-        delay = self._period if initial_delay is None else initial_delay
+    def start(self, delay: float) -> None:
+        """Start ticking; the first tick fires ``delay`` seconds from now."""
         self._timer.start(delay)
 
     def _tick(self) -> None:
@@ -128,4 +121,4 @@ class PeriodicTimer:
         # The callback may have restarted the timer itself; only re-arm
         # when it did not.
         if not self._timer.running:
-            self._timer.start(self._period)
+            self._timer.start(self.period)

@@ -6,8 +6,8 @@ The connection implements the subset of TCP the paper's experiments exercise:
 * byte-sequence sliding-window transmission with a configurable MSS
   (1357 bytes in the paper, producing 1464 B MAC frames),
 * cumulative acknowledgements — the receiver emits a *pure* ACK for every
-  data segment it receives, which is exactly the traffic the MAC classifier
-  diverts into the broadcast queue,
+  data segment it receives, which is exactly the traffic the MAC diverts
+  into its broadcast queue under broadcast aggregation,
 * NewReno congestion control (slow start, congestion avoidance, fast
   retransmit/recovery with partial-ACK handling) and RFC 6298 RTO management.
 

@@ -15,7 +15,6 @@ from repro.mac.dcf import (
     CTS_AIRTIME,
     CTS_TIMEOUT,
     AggregatingMac,
-    MacConfig,
     MacState,
 )
 from repro.mac.frames import RTS_FRAME_BYTES
@@ -36,9 +35,8 @@ def build_pair(sim, policy_a=None, policy_b=None, rate_mbps=1.3, spacing=2.5):
     macs = []
     for index, policy in ((1, policy_a), (2, policy_b)):
         phy = Phy(sim, channel, position=((index - 1) * spacing, 0.0), name=f"phy{index}")
-        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(rate_mbps))
-        mac = AggregatingMac(sim, phy, config, policy=policy or broadcast_aggregation(),
-                             name=f"mac{index}")
+        mac = AggregatingMac(sim, phy, MacAddress.node(index), rate_for_mbps(rate_mbps),
+                             policy=policy or broadcast_aggregation(), name=f"mac{index}")
         macs.append(mac)
     return channel, macs[0], macs[1]
 
@@ -169,9 +167,8 @@ def test_link_broadcast_delivered_to_all_neighbours():
     macs = []
     for index in range(1, 4):
         phy = Phy(sim, channel, position=(index * 2.0, 0.0), name=f"phy{index}")
-        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(1.3))
-        macs.append(AggregatingMac(sim, phy, config, policy=broadcast_aggregation(),
-                                   name=f"mac{index}"))
+        macs.append(AggregatingMac(sim, phy, MacAddress.node(index), rate_for_mbps(1.3),
+                                   policy=broadcast_aggregation(), name=f"mac{index}"))
     received = [collect(mac) for mac in macs]
     flood = Packet.broadcast_control(IpAddress("10.0.0.1"), payload_bytes=64)
     macs[0].enqueue(flood, BROADCAST_MAC)
@@ -186,9 +183,8 @@ def test_overheard_classified_ack_not_delivered_to_third_party():
     macs = []
     for index in range(1, 4):
         phy = Phy(sim, channel, position=(index * 2.0, 0.0), name=f"phy{index}")
-        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(1.3))
-        macs.append(AggregatingMac(sim, phy, config, policy=broadcast_aggregation(),
-                                   name=f"mac{index}"))
+        macs.append(AggregatingMac(sim, phy, MacAddress.node(index), rate_for_mbps(1.3),
+                                   policy=broadcast_aggregation(), name=f"mac{index}"))
     received = [collect(mac) for mac in macs]
     macs[0].enqueue(tcp_ack(), MacAddress.node(2))
     sim.run(until=1.0)
@@ -203,9 +199,8 @@ def test_two_contending_transmitters_both_deliver():
     macs = []
     for index in range(1, 3):
         phy = Phy(sim, channel, position=(index * 2.0, 0.0), name=f"phy{index}")
-        config = MacConfig(address=MacAddress.node(index), unicast_rate=rate_for_mbps(1.3))
-        macs.append(AggregatingMac(sim, phy, config, policy=unicast_aggregation(),
-                                   name=f"mac{index}"))
+        macs.append(AggregatingMac(sim, phy, MacAddress.node(index), rate_for_mbps(1.3),
+                                   policy=unicast_aggregation(), name=f"mac{index}"))
     received_a, received_b = collect(macs[0]), collect(macs[1])
     for _ in range(5):
         macs[0].enqueue(tcp_data(500), MacAddress.node(2))
@@ -219,8 +214,8 @@ def test_queue_overflow_counted():
     sim = Simulator(seed=42)
     channel = WirelessChannel(sim)
     phy = Phy(sim, channel, position=(0.0, 0.0), name="solo")
-    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3))
-    mac = AggregatingMac(sim, phy, config, policy=no_aggregation(), name="solo-mac")
+    mac = AggregatingMac(sim, phy, MacAddress.node(1), rate_for_mbps(1.3),
+                         policy=no_aggregation(), name="solo-mac")
     mac.queues.capacity = 2
     for _ in range(5):
         mac.enqueue(tcp_data(), MacAddress.node(2))
@@ -234,9 +229,8 @@ def test_queue_drop_metric_is_labelled_by_queue_kind():
         sim = Simulator(seed=42)
     channel = WirelessChannel(sim)
     phy = Phy(sim, channel, position=(0.0, 0.0), name="solo")
-    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3))
-    mac = AggregatingMac(sim, phy, config, policy=broadcast_aggregation(),
-                         name="solo-mac")
+    mac = AggregatingMac(sim, phy, MacAddress.node(1), rate_for_mbps(1.3),
+                         policy=broadcast_aggregation(), name="solo-mac")
     mac.queues.capacity = 1
     for _ in range(3):
         mac.enqueue(tcp_data(), MacAddress.node(2))
@@ -254,8 +248,8 @@ def test_unreachable_destination_gives_up_after_retry_limit():
     channel = WirelessChannel(sim)
     # Only one node on the channel: nobody will ever answer the RTS.
     phy = Phy(sim, channel, position=(0.0, 0.0), name="lonely")
-    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3))
-    mac = AggregatingMac(sim, phy, config, policy=unicast_aggregation(), name="lonely-mac")
+    mac = AggregatingMac(sim, phy, MacAddress.node(1), rate_for_mbps(1.3),
+                         policy=unicast_aggregation(), name="lonely-mac")
     mac.enqueue(tcp_data(), MacAddress.node(2))
     sim.run(until=10.0)
     assert mac.stats.retransmissions >= RETRY_LIMIT
@@ -269,8 +263,8 @@ def test_cts_timeout_is_armed_when_the_rts_ends():
     channel = WirelessChannel(sim)
     # Only one node on the channel: the CTS never comes.
     phy = Phy(sim, channel, position=(0.0, 0.0), name="lonely")
-    config = MacConfig(address=MacAddress.node(1), unicast_rate=rate_for_mbps(1.3))
-    mac = AggregatingMac(sim, phy, config, policy=unicast_aggregation(), name="lonely-mac")
+    mac = AggregatingMac(sim, phy, MacAddress.node(1), rate_for_mbps(1.3),
+                         policy=unicast_aggregation(), name="lonely-mac")
     events = mac_events(sim, "lonely-mac")
     mac.enqueue(tcp_data(), MacAddress.node(2))
     sim.run(until=0.1)
@@ -323,8 +317,7 @@ def test_data_frame_has_the_airtime_its_rts_reserved(away_until):
         ((0.0, (500.0, 0.0)), (away_until, (2.5, 0.0))))
     phys = (Phy(sim, channel, position=(0.0, 0.0), name="phy1"),
             Phy(sim, channel, position=(2.5, 0.0), name="phy2", mobility=model))
-    a, _ = (AggregatingMac(sim, phy, MacConfig(address=MacAddress.node(index),
-                                               unicast_rate=rate_for_mbps(1.3)),
+    a, _ = (AggregatingMac(sim, phy, MacAddress.node(index), rate_for_mbps(1.3),
                            policy=no_aggregation(), name=f"mac{index}")
             for index, phy in enumerate(phys, start=1))
     sent = sent_frames(sim, "phy1")

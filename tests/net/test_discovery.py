@@ -6,15 +6,17 @@ by moving it out of range (``helpers.mobility.Jumps``).
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 import pytest
 
 from helpers.mobility import Jumps
 from repro.core.policies import broadcast_aggregation
-from repro.errors import ConfigurationError
-from repro.net.discovery import NeighborDiscovery
+from repro.errors import ConfigurationError, SimulationError
+from repro.net.discovery import HELLO_PROTOCOL, JITTER_FRACTION, NeighborDiscovery, rejitter
 from repro.sim.simulator import Simulator
+from repro.sim.timer import PeriodicTimer
 from repro.topology.network import Network
 
 #: Far beyond the ~12.5 m decodability limit.
@@ -103,11 +105,27 @@ class TestNeighborLiveness:
 
 class TestBeaconBehaviour:
     def test_beacons_are_jittered_not_lockstep(self):
-        sim, _, da, _ = _two_node_scenario()
-        first_period = da._beacon.period
+        sim, _, _, _ = _two_node_scenario(hello_interval=0.5)
+        sent_at = []
+        sim.tracer.add_listener(
+            lambda record: sent_at.append(record.time)
+            if record.source == "node1.mac" and record.event == "enqueue"
+            and record.fields["packet"].ip.protocol == HELLO_PROTOCOL else None)
         sim.run(until=5.0)
-        # The re-jittered period must actually move around the nominal value.
-        assert da._beacon.period != first_period
+        gaps = [later - earlier for earlier, later in zip(sent_at, sent_at[1:])]
+        assert len(gaps) >= 8
+        # Each gap is re-drawn around the nominal interval, so no two match.
+        low, high = 0.5 * (1.0 - JITTER_FRACTION), 0.5 * (1.0 + JITTER_FRACTION)
+        assert all(low - 1e-12 <= gap <= high + 1e-12 for gap in gaps)
+        assert len(set(gaps)) == len(gaps)
+
+    def test_rejitter_refuses_a_period_that_is_not_positive(self):
+        timer = PeriodicTimer(Simulator(seed=1), 1.0, lambda: None)
+        rng = random.Random(1)
+        for base in (-1.0, 0.0, float("nan")):
+            with pytest.raises(SimulationError):
+                rejitter(timer, base, rng)
+        assert timer.period == 1.0
 
     def test_hellos_count_as_routing_overhead_in_mac_stats(self):
         sim, network, _, _ = _two_node_scenario()

@@ -149,7 +149,7 @@ def test_flooding_source_generates_packets_at_interval():
     network = build_chain(sim)
     flooder = FloodingSource(sim, network.node(1).network, network.node(1).ip,
                              interval=0.5, payload_bytes=64)
-    flooder.start(initial_delay=0.1)
+    flooder.start()
     sim.run(until=3.0)
     sent = flooder.packets_sent
     assert sent >= 5
